@@ -12,10 +12,11 @@
 //   CSR x dense     SparseProductOps(nnz, rows, W) / rate(d) + emit scan
 //   CSR x CSR       CsrCsrExpandOps / rate(d)        (sparse emit, no scan)
 //
-// mm_join, star_join, and triangle all plan their blocks through
-// PlanProductBlocks; the memory-cap loops gate which representations may
-// be materialized (allow_dense / allow_csr_dense) so a capped run degrades
-// to the cheaper-memory kernel instead of doubling thresholds.
+// The heavy-product executor (core/heavy_product.h — the one place the
+// two-path, star and triangle products run; docs/kernels.md) plans its
+// uniform blocks through PlanProductBlocks, under representation gates
+// (allow_dense / allow_csr_dense) that let a capped run degrade to the
+// cheaper-memory kernel instead of doubling thresholds.
 
 #ifndef JPMM_CORE_HEAVY_DISPATCH_H_
 #define JPMM_CORE_HEAVY_DISPATCH_H_

@@ -1,0 +1,444 @@
+#include "core/heavy_product.h"
+
+#include <algorithm>
+#include <atomic>
+#include <memory>
+#include <utility>
+
+#include "common/check.h"
+#include "common/metrics.h"
+#include "common/thread_pool.h"
+#include "core/cancel_token.h"
+#include "core/result_sink.h"
+#include "core/trace.h"
+#include "matrix/dense_matrix.h"
+#include "matrix/matmul.h"
+
+namespace jpmm {
+namespace {
+
+// Process-wide heavy-product metrics (the registry returns the same
+// instruments to every caller). Cached once: Get* takes a lock.
+struct HeavyMetrics {
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  Counter& blocks_executed =
+      reg.GetCounter("jpmm_join_heavy_blocks_executed_total");
+  Counter& blocks_skipped =
+      reg.GetCounter("jpmm_join_heavy_blocks_skipped_total");
+  Counter& kernel_dense = reg.GetCounter("jpmm_join_kernel_dense_blocks_total");
+  Counter& kernel_csr_dense =
+      reg.GetCounter("jpmm_join_kernel_csr_dense_blocks_total");
+  Counter& kernel_csr_csr =
+      reg.GetCounter("jpmm_join_kernel_csr_csr_blocks_total");
+  Counter& partition_engaged = reg.GetCounter("jpmm_partition_engaged_total");
+  Counter& partition_pruned =
+      reg.GetCounter("jpmm_partition_blocks_pruned_total");
+  Counter& grid_cache_hits =
+      reg.GetCounter("jpmm_partition_grid_cache_hits_total");
+  static HeavyMetrics& Get() {
+    static HeavyMetrics m;
+    return m;
+  }
+};
+
+uint64_t ChunkCount(uint64_t rows, size_t row_block) {
+  return (rows + row_block - 1) / row_block;
+}
+
+// Index i of the band [bands[i], bands[i + 1]) that holds offset `at`.
+size_t BandOf(const std::vector<uint32_t>& bands, uint64_t at) {
+  return static_cast<size_t>(
+             std::upper_bound(bands.begin(), bands.end(), at) -
+             bands.begin()) -
+         1;
+}
+
+// Per-worker kernel scratch, reused across chunks.
+struct Scratch {
+  std::vector<float> block;  // float kernels' output rows
+  CsrScratch csr;            // CSR x CSR stamp counter
+  SparseRowBlock sparse;     // CSR x CSR output rows
+  // whole_rows gather across column bands: (col, count) runs per chunk row.
+  std::vector<std::vector<uint32_t>> gather_cols;
+  std::vector<std::vector<uint32_t>> gather_counts;
+};
+
+// Row li of the last kernel's output in `ws`.
+HeavyRow RowView(const Scratch& ws, ProductKernel kernel, size_t li,
+                 size_t width, const uint32_t* col_ids) {
+  HeavyRow row;
+  row.col_ids = col_ids;
+  if (kernel == ProductKernel::kCsrCsr) {
+    row.cols = ws.sparse.RowCols(li);
+    row.counts = ws.sparse.RowCounts(li);
+  } else {
+    row.values = ws.block.data() + li * width;
+    row.width = width;
+  }
+  return row;
+}
+
+}  // namespace
+
+HeavyGates GateHeavyProduct(const HeavyShape& s, HeavyPathMode mode,
+                            size_t row_block, int threads,
+                            uint64_t max_bytes) {
+  const uint64_t workers =
+      std::min<uint64_t>(static_cast<uint64_t>(std::max(1, threads)),
+                         std::max<uint64_t>(1, ChunkCount(s.rows, row_block)));
+  const uint64_t csr = CsrBytes(s.rows, s.a_nnz) +
+                       (s.same_operand ? 0 : CsrBytes(s.inner, s.b_nnz));
+  // StampCounter (8 B/slot) + touched list (4 B/slot) per block worker.
+  const uint64_t stamp = 12 * workers * s.cols;
+  const uint64_t acc = 4 * workers * row_block * s.cols;
+  const uint64_t b_dense = 4 * s.inner * s.cols;
+  const uint64_t dense = (s.same_operand ? 0 : 4 * s.rows * s.inner) +
+                         b_dense + PackedBBytes(s.inner, s.cols) + acc;
+  const bool exact = s.inner < kMaxExactFloatCount;
+
+  HeavyGates g;
+  g.mode = exact || mode == HeavyPathMode::kAuto ? mode
+                                                 : HeavyPathMode::kForceCsrCsr;
+  switch (g.mode) {
+    case HeavyPathMode::kForceDense:
+      g.bytes = csr + dense;
+      break;
+    case HeavyPathMode::kForceCsrDense:
+      g.allow_dense = false;
+      g.bytes = csr + b_dense + acc;
+      break;
+    case HeavyPathMode::kForceCsrCsr:
+      g.allow_dense = false;
+      g.allow_csr_dense = false;
+      g.bytes = csr + stamp;
+      break;
+    case HeavyPathMode::kAuto:
+      g.allow_dense = exact && csr + dense + stamp <= max_bytes;
+      g.allow_csr_dense = exact && csr + b_dense + acc + stamp <= max_bytes;
+      g.bytes = g.allow_dense       ? csr + dense + stamp
+                : g.allow_csr_dense ? csr + b_dense + acc + stamp
+                                    : csr + stamp;
+      break;
+  }
+  return g;
+}
+
+HeavyRun RunHeavyProduct(const CsrMatrix& a, const CsrMatrix& b,
+                         const HeavyProduct& p, bool* interrupted) {
+  JPMM_CHECK(a.cols() == b.rows());
+  JPMM_CHECK(p.row_block >= 1);
+  const int threads = std::max(1, p.threads);
+  const size_t rows = a.rows();
+  const size_t inner = a.cols();
+  const size_t cols = b.cols();
+  const size_t row_block = p.row_block;
+  const bool same_operand = &a == &b;
+  const HeavyGates gates = GateHeavyProduct(
+      HeavyShape{rows, inner, cols, a.nnz(), b.nnz(), same_operand}, p.mode,
+      row_block, threads, p.max_bytes);
+  TraceRecorder* const trace = p.trace;
+
+  HeavyRun run;
+  run.a_nnz = a.nnz();
+  run.b_nnz = b.nnz();
+  run.heavy_density = a.Density();
+  run.heavy_blocks_total = ChunkCount(rows, row_block);
+
+  // ---- Decomposition. kForce engages the grid whenever a product exists;
+  // kAuto only when the priced grid beats the uniform plan AND the permuted
+  // operands + band slices fit what remains of the cap. Chunks stay
+  // ceil(rows / row_block) either way (grid row bands snap to row_block),
+  // so the accounting is mode-invariant.
+  std::shared_ptr<const DensityGrid> grid;
+  if (p.partition != PartitionMode::kOff) {
+    const TraceRecorder::SpanId remap_span =
+        TraceBegin(trace, "degree-remap", p.trace_parent);
+    // The memo key covers every input the build reads: the adjusted
+    // thresholds the operands were built under plus the options below.
+    if (p.grid_cache != nullptr) {
+      grid = p.grid_cache->Lookup(p.grid_key, row_block, gates.mode,
+                                  gates.allow_dense, gates.allow_csr_dense,
+                                  p.rates);
+    }
+    run.partition_cache_hit = grid != nullptr;
+    if (run.partition_cache_hit) {
+      if (MetricsEnabled()) HeavyMetrics::Get().grid_cache_hits.Add();
+    } else {
+      DensityGridOptions go;
+      go.row_block = row_block;
+      go.mode = gates.mode;
+      go.rates = p.rates;
+      go.allow_dense = gates.allow_dense;
+      go.allow_csr_dense = gates.allow_csr_dense;
+      grid = std::make_shared<const DensityGrid>(BuildDensityGrid(a, b, go));
+      if (p.grid_cache != nullptr) {
+        p.grid_cache->Store(p.grid_key, row_block, gates.mode,
+                            gates.allow_dense, gates.allow_csr_dense, p.rates,
+                            grid);
+      }
+    }
+    TraceEnd(trace, remap_span,
+             run.partition_cache_hit ? "cache-hit" : "cache-miss");
+    bool engage = p.partition == PartitionMode::kForce || grid->beneficial;
+    if (engage) {
+      bool grid_dense = false;
+      bool grid_float = false;
+      for (const BlockKernelChoice& blk : grid->blocks) {
+        grid_dense |= blk.kernel == ProductKernel::kDenseGemm;
+        grid_float |= blk.kernel != ProductKernel::kCsrCsr;
+      }
+      // Extra working set of the remapped execution: a permuted copy of A
+      // (CSR; dense too when some block runs the GEMM) and per-band B
+      // slices (CSR always; the dense + packed slices are bounded by the
+      // full dense forms when float kernels run).
+      uint64_t extra = CsrBytes(rows, a.nnz()) + CsrBytes(inner, b.nnz()) +
+                       8 * static_cast<uint64_t>(grid->num_col_bands()) *
+                           (inner + 1);
+      if (grid_float) extra += 4 * static_cast<uint64_t>(inner) * cols;
+      if (grid_dense) {
+        extra += 4 * static_cast<uint64_t>(rows) * inner +
+                 PackedBBytes(inner, cols);
+      }
+      engage = gates.bytes + extra <= p.max_bytes;
+    }
+    if (!engage) grid = nullptr;
+  }
+
+  // Row bands (the uniform plan's are its blocks), column bands, and the
+  // remapped -> original permutations (null = identity).
+  std::vector<uint32_t> row_bands;
+  std::vector<uint32_t> col_bands;
+  const uint32_t* row_perm = nullptr;
+  const uint32_t* col_perm = nullptr;
+  if (grid != nullptr) {
+    run.partition_used = true;
+    run.partition_row_bands = grid->num_row_bands();
+    run.partition_col_bands = grid->num_col_bands();
+    run.partition_blocks_scheduled = grid->blocks.size();
+    run.partition_blocks_pruned = grid->pruned_blocks;
+    run.partition_signature = grid->Signature();
+    run.block_choices = grid->blocks;
+    row_bands = grid->row_bands;
+    col_bands = grid->col_bands;
+    row_perm = grid->row_perm.data();
+    col_perm = grid->col_perm.data();
+  } else {
+    run.partition_signature = "uniform";
+    run.block_choices =
+        PlanProductBlocks(a, b, row_block, gates.mode, p.rates,
+                          gates.allow_dense, gates.allow_csr_dense, nullptr);
+    for (const BlockKernelChoice& blk : run.block_choices) {
+      row_bands.push_back(blk.row_begin);
+    }
+    row_bands.push_back(static_cast<uint32_t>(rows));
+    col_bands = {0, static_cast<uint32_t>(cols)};
+  }
+
+  // Scheduled (block, column band) pairs per row band, and which
+  // representations each column band needs.
+  const size_t ncb = col_bands.size() - 1;
+  std::vector<std::vector<std::pair<const BlockKernelChoice*, size_t>>>
+      band_blocks(row_bands.size() - 1);
+  std::vector<uint8_t> band_any(ncb, 0);
+  std::vector<uint8_t> band_float(ncb, 0);
+  std::vector<uint8_t> band_dense(ncb, 0);
+  for (const BlockKernelChoice& blk : run.block_choices) {
+    const size_t j = BandOf(col_bands, blk.col_begin);
+    band_blocks[BandOf(row_bands, blk.row_begin)].emplace_back(&blk, j);
+    band_any[j] = 1;
+    switch (blk.kernel) {
+      case ProductKernel::kDenseGemm:
+        ++run.kernel_counts.dense;
+        band_float[j] = band_dense[j] = 1;
+        break;
+      case ProductKernel::kCsrDense:
+        ++run.kernel_counts.csr_dense;
+        band_float[j] = 1;
+        break;
+      case ProductKernel::kCsrCsr:
+        ++run.kernel_counts.csr_csr;
+        break;
+    }
+  }
+
+  // ---- Pack: A with its rows in remapped order and B sliced into one
+  // matrix per column band with band-local column ids (the inner dimension
+  // is never remapped, so every kernel runs unchanged on the slices); the
+  // uniform plan uses the operands as they are. Dense and packed forms only
+  // for the kernels some block runs.
+  const TraceRecorder::SpanId pack_span =
+      TraceBegin(trace, "pack", p.trace_parent);
+  CsrMatrix a_perm;
+  const CsrMatrix* a_op = &a;
+  std::vector<CsrMatrix> b_slice(ncb);
+  std::vector<const CsrMatrix*> b_csr(ncb, &b);
+  if (grid != nullptr) {
+    a_perm = CsrMatrix::FromRows(
+        rows, inner, threads, [&](size_t i, std::vector<uint32_t>* out) {
+          for (uint32_t c : a.Row(row_perm[i])) out->push_back(c);
+        });
+    a_op = &a_perm;
+    std::vector<uint32_t> inv_col(cols);
+    for (size_t k = 0; k < cols; ++k) {
+      inv_col[col_perm[k]] = static_cast<uint32_t>(k);
+    }
+    for (size_t j = 0; j < ncb; ++j) {
+      if (!band_any[j]) continue;
+      const uint32_t cb0 = col_bands[j];
+      const uint32_t cb1 = col_bands[j + 1];
+      b_slice[j] = CsrMatrix::FromRows(
+          inner, cb1 - cb0, threads,
+          [&](size_t y, std::vector<uint32_t>* out) {
+            for (uint32_t c : b.Row(y)) {
+              const uint32_t k = inv_col[c];
+              if (k >= cb0 && k < cb1) out->push_back(k - cb0);
+            }
+          });
+      b_csr[j] = &b_slice[j];
+    }
+  }
+  std::vector<Matrix> b_dense(ncb);
+  std::vector<PackedB> b_packed(ncb);
+  for (size_t j = 0; j < ncb; ++j) {
+    if (band_float[j]) b_dense[j] = b_csr[j]->ToDense(threads);
+    if (band_dense[j]) b_packed[j] = PackedB(b_dense[j], threads);
+  }
+  Matrix a_dense_own;
+  const Matrix* a_dense = &a_dense_own;
+  if (run.kernel_counts.dense > 0) {
+    if (same_operand && grid == nullptr) {
+      a_dense = &b_dense[0];  // A * A: one dense copy serves both sides
+    } else {
+      a_dense_own = a_op->ToDense(threads);
+    }
+  }
+  TraceEnd(trace, pack_span);
+
+  // ---- Chunk loop. Chunks are claimed dynamically: per-chunk emit cost
+  // follows the output skew, not just the flops.
+  const bool emit_after = grid != nullptr && p.whole_rows;
+  std::vector<Scratch> scratch(static_cast<size_t>(threads));
+  std::atomic<uint64_t> executed{0};
+  std::atomic<uint64_t> skipped{0};
+  // Latched only when a poll actually skips work: a token that fires after
+  // the last chunk must not mark a complete product interrupted.
+  std::atomic<bool> cut{false};
+  auto stop = [&]() -> bool {
+    if (p.sink != nullptr && p.sink->done()) return true;
+    if (p.cancel != nullptr && p.cancel->Fired()) {
+      cut.store(true, std::memory_order_relaxed);
+      return true;
+    }
+    return false;
+  };
+  auto original_row = [&](size_t r) -> uint32_t {
+    return static_cast<uint32_t>(row_perm == nullptr ? r : row_perm[r]);
+  };
+
+  ParallelForDynamic(
+      threads, run.heavy_blocks_total, /*grain=*/1,
+      [&](size_t c0, size_t c1, int w) {
+        Scratch& ws = scratch[static_cast<size_t>(w)];
+        for (size_t ci = c0; ci < c1; ++ci) {
+          if (stop()) {
+            skipped.fetch_add(c1 - ci, std::memory_order_relaxed);
+            return;
+          }
+          executed.fetch_add(1, std::memory_order_relaxed);
+          const size_t r0 = ci * row_block;
+          const size_t r1 = std::min(rows, r0 + row_block);
+          const size_t nrows = r1 - r0;
+          const auto& blocks = band_blocks[BandOf(row_bands, r0)];
+          const bool gather = emit_after && blocks.size() > 1;
+          if (gather) {
+            if (ws.gather_cols.size() < nrows) {
+              ws.gather_cols.resize(nrows);
+              ws.gather_counts.resize(nrows);
+            }
+            for (size_t li = 0; li < nrows; ++li) {
+              ws.gather_cols[li].clear();
+              ws.gather_counts[li].clear();
+            }
+          }
+          for (const auto& [blk, j] : blocks) {
+            TraceRecorder::Scope block_scope(trace, BlockSpanName(blk->kernel),
+                                             p.trace_parent);
+            const size_t width = blk->col_end - blk->col_begin;
+            if (blk->kernel == ProductKernel::kCsrCsr) {
+              CsrCsrRowRange(*a_op, *b_csr[j], r0, r1, &ws.csr, &ws.sparse);
+            } else {
+              ws.block.resize(row_block * width);
+              const std::span<float> out(ws.block.data(), nrows * width);
+              if (blk->kernel == ProductKernel::kDenseGemm) {
+                MultiplyRowRange(*a_dense, b_packed[j], r0, r1, out);
+              } else {
+                CsrDenseRowRange(*a_op, b_dense[j], r0, r1, out);
+              }
+            }
+            if (emit_after && !gather) continue;  // delivered below
+            const uint32_t* ids =
+                col_perm == nullptr ? nullptr : col_perm + blk->col_begin;
+            for (size_t li = 0; li < nrows; ++li) {
+              const HeavyRow row = RowView(ws, blk->kernel, li, width, ids);
+              if (!gather) {
+                p.on_row(w, original_row(r0 + li), row);
+                continue;
+              }
+              row.ForEach([&](uint32_t c, uint32_t n) {
+                ws.gather_cols[li].push_back(c);
+                ws.gather_counts[li].push_back(n);
+              });
+            }
+          }
+          if (emit_after) {
+            TraceRecorder::Scope emit_scope(trace, "emit-inverse-remap",
+                                            p.trace_parent);
+            for (size_t li = 0; li < nrows; ++li) {
+              HeavyRow row;  // empty when every block of the band is pruned
+              if (gather) {
+                row.cols = ws.gather_cols[li];
+                row.counts = ws.gather_counts[li];
+              } else if (!blocks.empty()) {
+                const BlockKernelChoice& blk = *blocks.front().first;
+                row = RowView(ws, blk.kernel, li, blk.col_end - blk.col_begin,
+                              col_perm + blk.col_begin);
+              }
+              p.on_row(w, original_row(r0 + li), row);
+            }
+          }
+          if (p.on_chunk_done) p.on_chunk_done(w);
+        }
+      });
+
+  run.heavy_blocks_executed = executed.load();
+  run.heavy_blocks_skipped = skipped.load();
+  if (cut.load()) *interrupted = true;
+  return run;
+}
+
+HeavyRun SkippedHeavyRun(const HeavyShape& shape, size_t row_block) {
+  HeavyRun run;
+  run.a_nnz = shape.a_nnz;
+  run.b_nnz = shape.b_nnz;
+  const double cells =
+      static_cast<double>(shape.rows) * static_cast<double>(shape.inner);
+  run.heavy_density =
+      cells > 0.0 ? static_cast<double>(shape.a_nnz) / cells : 0.0;
+  run.heavy_blocks_total = ChunkCount(shape.rows, row_block);
+  run.heavy_blocks_skipped = run.heavy_blocks_total;
+  return run;
+}
+
+void RecordHeavyRunMetrics(const HeavyRun& run) {
+  if (!MetricsEnabled()) return;
+  HeavyMetrics& m = HeavyMetrics::Get();
+  m.blocks_executed.Add(run.heavy_blocks_executed);
+  m.blocks_skipped.Add(run.heavy_blocks_skipped);
+  m.kernel_dense.Add(run.kernel_counts.dense);
+  m.kernel_csr_dense.Add(run.kernel_counts.csr_dense);
+  m.kernel_csr_csr.Add(run.kernel_counts.csr_csr);
+  if (run.partition_used) m.partition_engaged.Add();
+  m.partition_pruned.Add(run.partition_blocks_pruned);
+}
+
+}  // namespace jpmm

@@ -122,6 +122,21 @@ JoinProjectOutput WcojFullJoinProject(const IndexedRelation& r,
   return out;
 }
 
+namespace {
+
+// Moves a two-path run's output and records into the facade's output.
+void TakeRun(MmJoinResult&& res, JoinProjectOutput* out) {
+  out->pairs = std::move(res.pairs);
+  out->counted = std::move(res.counted);
+  static_cast<HeavyRun&>(*out) = std::move(res);
+  out->light_chunks_total = res.light_chunks_total;
+  out->light_chunks_executed = res.light_chunks_executed;
+  out->light_chunks_skipped = res.light_chunks_skipped;
+  out->interrupted = res.interrupted;
+}
+
+}  // namespace
+
 JoinProjectOutput JoinProject::TwoPathWithPlan(const IndexedRelation& r,
                                                const IndexedRelation& s,
                                                const PlanChoice& plan,
@@ -162,28 +177,7 @@ JoinProjectOutput JoinProject::TwoPathWithPlan(const IndexedRelation& r,
       mo.cancel = opts.cancel;
       mo.trace = opts.trace;
       mo.trace_parent = opts.trace_parent;
-      MmJoinResult res = MmJoinTwoPath(r, s, mo);
-      out.pairs = std::move(res.pairs);
-      out.counted = std::move(res.counted);
-      out.m1_nnz = res.m1_nnz;
-      out.m2_nnz = res.m2_nnz;
-      out.heavy_density = res.heavy_density;
-      out.kernel_counts = res.kernel_counts;
-      out.block_choices = std::move(res.block_choices);
-      out.partition_used = res.partition_used;
-      out.partition_row_bands = res.partition_row_bands;
-      out.partition_col_bands = res.partition_col_bands;
-      out.partition_blocks_scheduled = res.partition_blocks_scheduled;
-      out.partition_blocks_pruned = res.partition_blocks_pruned;
-      out.partition_signature = std::move(res.partition_signature);
-      out.partition_cache_hit = res.partition_cache_hit;
-      out.heavy_blocks_total = res.heavy_blocks_total;
-      out.heavy_blocks_executed = res.heavy_blocks_executed;
-      out.heavy_blocks_skipped = res.heavy_blocks_skipped;
-      out.light_chunks_total = res.light_chunks_total;
-      out.light_chunks_executed = res.light_chunks_executed;
-      out.light_chunks_skipped = res.light_chunks_skipped;
-      out.interrupted = res.interrupted;
+      TakeRun(MmJoinTwoPath(r, s, mo), &out);
       out.executed = Strategy::kMmJoin;
       break;
     }
@@ -204,16 +198,7 @@ JoinProjectOutput JoinProject::TwoPathWithPlan(const IndexedRelation& r,
       no.cancel = opts.cancel;
       no.trace = opts.trace;
       no.trace_parent = opts.trace_parent;
-      MmJoinResult res = NonMmJoinTwoPath(r, s, no);
-      out.pairs = std::move(res.pairs);
-      out.counted = std::move(res.counted);
-      out.heavy_blocks_total = res.heavy_blocks_total;
-      out.heavy_blocks_executed = res.heavy_blocks_executed;
-      out.heavy_blocks_skipped = res.heavy_blocks_skipped;
-      out.light_chunks_total = res.light_chunks_total;
-      out.light_chunks_executed = res.light_chunks_executed;
-      out.light_chunks_skipped = res.light_chunks_skipped;
-      out.interrupted = res.interrupted;
+      TakeRun(NonMmJoinTwoPath(r, s, no), &out);
       out.executed = Strategy::kNonMmJoin;
       break;
     }

@@ -80,35 +80,17 @@ struct JoinProjectOptions {
   int32_t trace_parent = -1;  // TraceRecorder::kNoParent
 };
 
-struct JoinProjectOutput {
+/// The heavy-run record (HeavyRun, MMJoin strategy only: operand nnz,
+/// per-block kernel decisions, partitioning — what jpmm_cli --explain
+/// prints — and the early-exit block accounting) plus the output.
+struct JoinProjectOutput : HeavyRun {
   std::vector<OutPair> pairs;
   std::vector<CountedPair> counted;
   PlanChoice plan;
   Strategy executed = Strategy::kMmJoin;
   double seconds = 0.0;
 
-  /// Heavy-part execution record (MMJoin strategy only): measured operand
-  /// nnz/density and the per-block kernel decisions — what jpmm_cli
-  /// --explain prints.
-  uint64_t m1_nnz = 0;
-  uint64_t m2_nnz = 0;
-  double heavy_density = 0.0;
-  HeavyKernelCounts kernel_counts;
-  std::vector<BlockKernelChoice> block_choices;
-
-  /// Density-adaptive partitioning record (see MmJoinResult).
-  bool partition_used = false;
-  uint64_t partition_row_bands = 0;
-  uint64_t partition_col_bands = 0;
-  uint64_t partition_blocks_scheduled = 0;
-  uint64_t partition_blocks_pruned = 0;
-  std::string partition_signature = "off";
-  bool partition_cache_hit = false;
-
-  /// Early-exit record (sink-driven runs; see MmJoinResult).
-  uint64_t heavy_blocks_total = 0;
-  uint64_t heavy_blocks_executed = 0;
-  uint64_t heavy_blocks_skipped = 0;
+  /// Light-part early-exit record (sink-driven runs; see MmJoinResult).
   uint64_t light_chunks_total = 0;
   uint64_t light_chunks_executed = 0;
   uint64_t light_chunks_skipped = 0;

@@ -10,40 +10,25 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/cancel_token.h"
+#include "core/heavy_product.h"
 #include "core/result_sink.h"
 #include "core/trace.h"
 #include "core/two_path_internal.h"
-#include "matrix/dense_matrix.h"
-#include "matrix/matmul.h"
 #include "matrix/sparse_matrix.h"
 
 namespace jpmm {
 namespace {
 
-// Process-wide join metrics (shared names with star_join.cpp — the registry
-// returns the same instruments). Cached once: Get* takes a lock.
+// Process-wide two-path metrics; the heavy-product ones (kernel blocks,
+// chunk accounting, partitioning) are recorded by RecordHeavyRunMetrics.
+// Cached once: Get* takes a lock.
 struct JoinMetrics {
   MetricsRegistry& reg = MetricsRegistry::Global();
   Counter& light_executed =
       reg.GetCounter("jpmm_join_light_chunks_executed_total");
   Counter& light_skipped =
       reg.GetCounter("jpmm_join_light_chunks_skipped_total");
-  Counter& blocks_executed =
-      reg.GetCounter("jpmm_join_heavy_blocks_executed_total");
-  Counter& blocks_skipped =
-      reg.GetCounter("jpmm_join_heavy_blocks_skipped_total");
-  Counter& kernel_dense = reg.GetCounter("jpmm_join_kernel_dense_blocks_total");
-  Counter& kernel_csr_dense =
-      reg.GetCounter("jpmm_join_kernel_csr_dense_blocks_total");
-  Counter& kernel_csr_csr =
-      reg.GetCounter("jpmm_join_kernel_csr_csr_blocks_total");
   Counter& operand_bytes = reg.GetCounter("jpmm_join_heavy_operand_bytes_total");
-  Counter& partition_engaged =
-      reg.GetCounter("jpmm_partition_engaged_total");
-  Counter& partition_pruned =
-      reg.GetCounter("jpmm_partition_blocks_pruned_total");
-  Counter& partition_grid_cache_hits =
-      reg.GetCounter("jpmm_partition_grid_cache_hits_total");
   Histogram& light_ms = reg.GetHistogram("jpmm_join_light_pass_ms",
                                          DefaultLatencyBoundsMs());
   Histogram& heavy_ms = reg.GetHistogram("jpmm_join_heavy_pass_ms",
@@ -54,193 +39,38 @@ struct JoinMetrics {
   }
 };
 
-// Per-worker scratch + output shard.
+// Per-worker dedup scratch + output shard.
 struct WorkerState {
   StampCounter counter;
   std::vector<Value> touched;
-  std::vector<Value> witness_buf;           // kSortLocal scratch
-  std::vector<CountedPair> matrix_entries;  // kSortLocal scratch
-  std::vector<float> block;                 // matrix row-block buffer
-  CsrScratch csr_scratch;                   // CSR x CSR stamp scratch
-  SparseRowBlock sparse_block;              // CSR x CSR block output
-  // Density-adaptive gather: per-row (z, count) heavy contributions of the
-  // current chunk, collected across its column-band kernels.
-  std::vector<std::vector<CountedPair>> row_entries;
-  ResultSink::Shard* shard = nullptr;       // this worker's emission handle
+  ResultSink::Shard* shard = nullptr;  // this worker's emission handle
 };
 
-class TwoPathRunner {
- public:
-  TwoPathRunner(const internal::TwoPathContext& ctx, const MmJoinOptions& opts)
-      : ctx_(ctx), opts_(opts) {}
-
-  // Emits the output pairs of head value a. matrix_row, when non-null, holds
-  // the heavy-witness counts for columns [0, heavy_z.size()).
-  void EmitHead(Value a, const float* matrix_row, WorkerState* ws) const {
-    if (opts_.dedup == DedupImpl::kStampArray) {
-      EmitHeadStamp(a, matrix_row, ws);
+// Emits the output pairs of head value a: its light witnesses (classes L1
+// + L2) plus, when `heavy` is non-null, its all-heavy witness counts by
+// heavy-z column. The epoch-stamped counter dedups in O(1) per witness.
+void EmitHead(const internal::TwoPathContext& ctx, const MmJoinOptions& opts,
+              Value a, const HeavyRow* heavy, WorkerState* ws) {
+  ws->counter.NewEpoch();
+  ws->touched.clear();
+  ctx.AccumulateLight(a, &ws->counter, &ws->touched);
+  if (heavy != nullptr) {
+    const auto& hz = ctx.part.heavy_z();
+    heavy->ForEach([&](uint32_t col, uint32_t cnt) {
+      const Value z = hz[col];
+      if (ws->counter.Add(z, cnt) == 0) ws->touched.push_back(z);
+    });
+  }
+  for (Value c : ws->touched) {
+    const uint32_t cnt = ws->counter.Get(c);
+    if (cnt < opts.min_count) continue;
+    if (opts.count_witnesses) {
+      ws->shard->OnCountedPair(CountedPair{a, c, cnt});
     } else {
-      EmitHeadSort(a, matrix_row, ws);
+      ws->shard->OnPair(OutPair{a, c});
     }
   }
-
-  // Sparse-row variant: the heavy-witness counts arrive as parallel
-  // (column id, count) spans with ascending columns — the CSR x CSR
-  // kernel's output. No O(|heavy z|) scan per head value.
-  void EmitHead(Value a, std::span<const uint32_t> cols,
-                std::span<const uint32_t> counts, WorkerState* ws) const {
-    if (opts_.dedup == DedupImpl::kStampArray) {
-      EmitHeadStamp(a, cols, counts, ws);
-    } else {
-      EmitHeadSort(a, cols, counts, ws);
-    }
-  }
-
-  // Gathered-entry variant for the density-adaptive path: the heavy
-  // contributions of one head value arrive as (z, count) entries collected
-  // across several column-band kernels, in no particular z order (each z
-  // appears at most once — a column lives in exactly one band).
-  void EmitHeadEntries(Value a, std::vector<CountedPair>* entries,
-                       WorkerState* ws) const {
-    if (opts_.dedup == DedupImpl::kStampArray) {
-      ws->counter.NewEpoch();
-      ws->touched.clear();
-      ctx_.AccumulateLight(a, &ws->counter, &ws->touched);
-      for (const CountedPair& e : *entries) {
-        if (ws->counter.Add(e.z, e.count) == 0) ws->touched.push_back(e.z);
-      }
-      EmitRow(a, ws);
-    } else {
-      ws->witness_buf.clear();
-      ctx_.AccumulateLightToVector(a, &ws->witness_buf);
-      std::sort(ws->witness_buf.begin(), ws->witness_buf.end());
-      // MergeAndEmit requires z-ascending matrix entries; the band gather
-      // interleaves bands, so sort here.
-      std::sort(entries->begin(), entries->end(),
-                [](const CountedPair& l, const CountedPair& r) {
-                  return l.z < r.z;
-                });
-      ws->matrix_entries.assign(entries->begin(), entries->end());
-      MergeAndEmit(a, ws);
-    }
-  }
-
- private:
-  void EmitRow(Value a, WorkerState* ws) const {
-    for (Value c : ws->touched) {
-      const uint32_t cnt = ws->counter.Get(c);
-      if (cnt < opts_.min_count) continue;
-      if (opts_.count_witnesses) {
-        ws->shard->OnCountedPair(CountedPair{a, c, cnt});
-      } else {
-        ws->shard->OnPair(OutPair{a, c});
-      }
-    }
-  }
-
-  void EmitHeadStamp(Value a, const float* matrix_row, WorkerState* ws) const {
-    ws->counter.NewEpoch();
-    ws->touched.clear();
-    ctx_.AccumulateLight(a, &ws->counter, &ws->touched);
-    if (matrix_row != nullptr) {
-      const auto& hz = ctx_.part.heavy_z();
-      for (size_t j = 0; j < hz.size(); ++j) {
-        const float v = matrix_row[j];
-        if (v > 0.5f) {
-          const auto cnt = static_cast<uint32_t>(v + 0.5f);
-          if (ws->counter.Add(hz[j], cnt) == 0) ws->touched.push_back(hz[j]);
-        }
-      }
-    }
-    EmitRow(a, ws);
-  }
-
-  void EmitHeadStamp(Value a, std::span<const uint32_t> cols,
-                     std::span<const uint32_t> counts, WorkerState* ws) const {
-    ws->counter.NewEpoch();
-    ws->touched.clear();
-    ctx_.AccumulateLight(a, &ws->counter, &ws->touched);
-    const auto& hz = ctx_.part.heavy_z();
-    for (size_t e = 0; e < cols.size(); ++e) {
-      const Value z = hz[cols[e]];
-      if (ws->counter.Add(z, counts[e]) == 0) ws->touched.push_back(z);
-    }
-    EmitRow(a, ws);
-  }
-
-  // Merge the sorted light-witness runs with already z-sorted matrix
-  // entries, summing counts per z. Shared by both sort-dedup variants.
-  void MergeAndEmit(Value a, WorkerState* ws) const {
-    size_t i = 0;
-    size_t m = 0;
-    const size_t n = ws->witness_buf.size();
-    const size_t mn = ws->matrix_entries.size();
-    auto emit = [&](Value c, uint32_t cnt) {
-      if (cnt < opts_.min_count) return;
-      if (opts_.count_witnesses) {
-        ws->shard->OnCountedPair(CountedPair{a, c, cnt});
-      } else {
-        ws->shard->OnPair(OutPair{a, c});
-      }
-    };
-    while (i < n || m < mn) {
-      Value c;
-      if (i < n && (m >= mn || ws->witness_buf[i] <= ws->matrix_entries[m].z)) {
-        c = ws->witness_buf[i];
-      } else {
-        c = ws->matrix_entries[m].z;
-      }
-      uint32_t cnt = 0;
-      while (i < n && ws->witness_buf[i] == c) {
-        ++cnt;
-        ++i;
-      }
-      if (m < mn && ws->matrix_entries[m].z == c) {
-        cnt += ws->matrix_entries[m].count;
-        ++m;
-      }
-      emit(c, cnt);
-    }
-  }
-
-  void EmitHeadSort(Value a, const float* matrix_row, WorkerState* ws) const {
-    ws->witness_buf.clear();
-    ctx_.AccumulateLightToVector(a, &ws->witness_buf);
-    std::sort(ws->witness_buf.begin(), ws->witness_buf.end());
-
-    ws->matrix_entries.clear();
-    if (matrix_row != nullptr) {
-      const auto& hz = ctx_.part.heavy_z();
-      for (size_t j = 0; j < hz.size(); ++j) {
-        const float v = matrix_row[j];
-        if (v > 0.5f) {
-          ws->matrix_entries.push_back(
-              CountedPair{a, hz[j], static_cast<uint32_t>(v + 0.5f)});
-        }
-      }
-    }
-    MergeAndEmit(a, ws);
-  }
-
-  void EmitHeadSort(Value a, std::span<const uint32_t> cols,
-                    std::span<const uint32_t> counts, WorkerState* ws) const {
-    ws->witness_buf.clear();
-    ctx_.AccumulateLightToVector(a, &ws->witness_buf);
-    std::sort(ws->witness_buf.begin(), ws->witness_buf.end());
-
-    ws->matrix_entries.clear();
-    const auto& hz = ctx_.part.heavy_z();
-    for (size_t e = 0; e < cols.size(); ++e) {
-      // cols ascending => hz[cols[e]] ascending (heavy ids are assigned in
-      // ascending value order), which MergeAndEmit requires.
-      ws->matrix_entries.push_back(CountedPair{a, hz[cols[e]], counts[e]});
-    }
-    MergeAndEmit(a, ws);
-  }
-
-  const internal::TwoPathContext& ctx_;
-  const MmJoinOptions& opts_;
-};
+}
 
 // Exact nnz of the two heavy operands under the current partition: one
 // adjacency sweep each, no materialization. Drives both the memory-cap
@@ -281,8 +111,7 @@ void CountHeavyNnz(const IndexedRelation& r, const IndexedRelation& s,
 }  // namespace
 
 MmJoinResult MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
-                           const MmJoinOptions& options) {
-  MmJoinOptions opts = options;
+                           const MmJoinOptions& opts) {
   JPMM_CHECK(opts.min_count >= 1);
   JPMM_CHECK_MSG(opts.min_count == 1 || opts.count_witnesses,
                  "min_count > 1 requires count_witnesses");
@@ -294,70 +123,25 @@ MmJoinResult MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
   const int threads = std::max(1, opts.threads);
 
   // Build the context; double the thresholds until the heavy-part working
-  // set fits the memory cap. The footprint depends on the representation
-  // the heavy kernels need: the CSR operands are always built (they ARE the
-  // heavy adjacency, and the per-block dispatch reads block nnz off them);
-  // dense M1/M2 + the packed slab + per-worker float row-block buffers only
-  // when dense-GEMM blocks may run; dense M2 + the float buffers for
-  // CSR x dense; per-worker stamp scratch for CSR x CSR. Under kAuto the
-  // expensive representations are gated off instead of doubling thresholds
-  // — the CSR floor is what must fit (the old accounting charged sparse
-  // inputs dense U*V bytes and over-forced their thresholds).
+  // set fits the memory cap. The gates (core/heavy_product.h) price the
+  // representations the heavy kernels need from the exact operand nnz;
+  // under kAuto the expensive ones are gated off instead of doubling
+  // thresholds, so only the CSR floor must fit.
   TraceRecorder* const trace = opts.trace;
   const TraceRecorder::SpanId tparent = opts.trace_parent;
   TraceRecorder::Scope fit_scope(trace, "threshold-fit", tparent);
   std::unique_ptr<internal::TwoPathContext> ctx;
-  uint64_t m1_nnz = 0;
-  uint64_t m2_nnz = 0;
-  bool allow_dense = true;
-  bool allow_csr_dense = true;
-  uint64_t heavy_bytes = 0;  // accepted uniform-plan working set
+  HeavyShape shape;
+  HeavyGates gates;
   for (;;) {
     ctx = std::make_unique<internal::TwoPathContext>(r, s, t);
-    const uint64_t hx = ctx->part.heavy_x().size();
-    const uint64_t hy = ctx->part.heavy_y().size();
-    const uint64_t hz = ctx->part.heavy_z().size();
-    if (hy == 0) break;
-    CountHeavyNnz(r, s, ctx->part, threads, &m1_nnz, &m2_nnz);
-    const uint64_t blocks = (hx + opts.row_block - 1) / opts.row_block;
-    const uint64_t block_workers =
-        std::min<uint64_t>(static_cast<uint64_t>(threads),
-                           std::max<uint64_t>(1, blocks));
-    const uint64_t csr = CsrBytes(hx, m1_nnz) + CsrBytes(hy, m2_nnz);
-    // StampCounter (8 B/slot) + touched list (4 B/slot) per block worker.
-    const uint64_t stamp = 12 * block_workers * hz;
-    const uint64_t acc = 4 * block_workers * opts.row_block * hz;
-    const uint64_t m2_dense = 4 * hy * hz;
-    const uint64_t dense_full =
-        4 * hx * hy + m2_dense + PackedBBytes(hy, hz) + acc;
-    uint64_t bytes = 0;
-    switch (opts.heavy_path) {
-      case HeavyPathMode::kForceDense:
-        bytes = csr + dense_full;
-        allow_dense = true;
-        allow_csr_dense = true;
-        break;
-      case HeavyPathMode::kForceCsrDense:
-        bytes = csr + m2_dense + acc;
-        allow_dense = false;
-        allow_csr_dense = true;
-        break;
-      case HeavyPathMode::kForceCsrCsr:
-        bytes = csr + stamp;
-        allow_dense = false;
-        allow_csr_dense = false;
-        break;
-      case HeavyPathMode::kAuto:
-        allow_dense = csr + dense_full + stamp <= opts.max_matrix_bytes;
-        allow_csr_dense =
-            csr + m2_dense + acc + stamp <= opts.max_matrix_bytes;
-        bytes = allow_dense ? csr + dense_full + stamp
-                : allow_csr_dense ? csr + m2_dense + acc + stamp
-                                  : csr + stamp;
-        break;
-    }
-    heavy_bytes = bytes;
-    if (bytes <= opts.max_matrix_bytes) break;
+    shape = HeavyShape{ctx->part.heavy_x().size(), ctx->part.heavy_y().size(),
+                       ctx->part.heavy_z().size()};
+    if (shape.inner == 0) break;
+    CountHeavyNnz(r, s, ctx->part, threads, &shape.a_nnz, &shape.b_nnz);
+    gates = GateHeavyProduct(shape, opts.heavy_path, opts.row_block, threads,
+                             opts.max_matrix_bytes);
+    if (gates.bytes <= opts.max_matrix_bytes) break;
     t.delta1 *= 2;
     t.delta2 *= 2;
   }
@@ -373,17 +157,6 @@ MmJoinResult MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
   result.heavy_inner = hys.size();
   result.heavy_cols = hzs.size();
   const bool use_matrix = !hxs.empty() && !hys.empty() && !hzs.empty();
-  if (use_matrix) {
-    result.m1_nnz = m1_nnz;
-    result.m2_nnz = m2_nnz;
-    result.heavy_density = static_cast<double>(m1_nnz) /
-                           (static_cast<double>(hxs.size()) *
-                            static_cast<double>(hys.size()));
-  }
-
-  std::vector<WorkerState> workers(static_cast<size_t>(threads));
-  const size_t num_z = s.num_x();
-  const TwoPathRunner runner(*ctx, opts);
 
   // When the caller provides no sink, stream into a local VectorSink and
   // move its vectors into the result afterwards — one emission path either
@@ -391,10 +164,16 @@ MmJoinResult MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
   VectorSink fallback;
   ResultSink* sink = opts.sink != nullptr ? opts.sink : &fallback;
   sink->Open(threads);
+  std::vector<WorkerState> workers(static_cast<size_t>(threads));
+  const size_t num_z = s.num_x();
+  auto worker = [&](int w) -> WorkerState& {
+    WorkerState& ws = workers[static_cast<size_t>(w)];
+    if (ws.shard == nullptr) ws.shard = &sink->shard(w);
+    if (ws.counter.universe() < num_z) ws.counter.ResizeUniverse(num_z);
+    return ws;
+  };
   std::atomic<uint64_t> light_executed{0};
   std::atomic<uint64_t> light_skipped{0};
-  std::atomic<uint64_t> blocks_executed{0};
-  std::atomic<uint64_t> blocks_skipped{0};
   // Latched only when a poll actually skips work: a token that fires after
   // the last chunk completed must not mark a complete run interrupted.
   std::atomic<bool> interrupted{false};
@@ -415,7 +194,6 @@ MmJoinResult MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
   const TraceRecorder::SpanId light_span = TraceBegin(trace, "light-pass", tparent);
   ParallelForDynamic(threads, r.num_x(), kHeadGrain,
                      [&](size_t a0, size_t a1, int w) {
-                       WorkerState& ws = workers[static_cast<size_t>(w)];
                        if (sink->done() || cancel_fired()) {
                          light_skipped.fetch_add(1, std::memory_order_relaxed);
                          return;
@@ -423,44 +201,38 @@ MmJoinResult MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
                        TraceRecorder::Scope chunk_scope(trace, "light-chunk",
                                                         light_span);
                        light_executed.fetch_add(1, std::memory_order_relaxed);
-                       if (ws.shard == nullptr) ws.shard = &sink->shard(w);
-                       if (ws.counter.universe() < num_z) {
-                         ws.counter.ResizeUniverse(num_z);
-                       }
+                       WorkerState& ws = worker(w);
                        for (size_t a = a0; a < a1; ++a) {
                          const auto av = static_cast<Value>(a);
                          if (r.DegX(av) == 0) continue;
                          if (use_matrix && part.HeavyXId(av) != kInvalidValue) {
                            continue;
                          }
-                         runner.EmitHead(av, nullptr, &ws);
+                         EmitHead(*ctx, opts, av, nullptr, &ws);
                        }
                      });
   TraceEnd(trace, light_span);
   result.light_seconds = light_timer.Seconds();
 
-  // ---- Pass B: heavy rows, block by block. If the sink was satisfied by
-  // the light pass alone, skip the whole heavy phase — operand build,
-  // planning, and dense materialization included — and account every
-  // would-be block as skipped. This ceil(rows / row_block) must equal the
-  // count PlanProductBlocks would have produced, so heavy_blocks_total is
-  // identical whether the phase ran or was skipped, at every thread count
-  // (guarded by QueryEngine.DoneMidChunkSkipsIdenticalDownstreamBlocks).
+  // ---- Pass B: heavy rows through the heavy-product executor, which hands
+  // back every heavy x row whole (light witnesses join its heavy counts in
+  // one stamp epoch). If the sink was satisfied by the light pass alone,
+  // skip the whole phase — operand build included — with every chunk
+  // accounted skipped: the total is the same whether the phase ran or not,
+  // at every thread count (guarded by
+  // QueryEngine.DoneMidChunkSkipsIdenticalDownstreamBlocks).
   if (use_matrix && (sink->done() || cancel_fired())) {
-    result.heavy_blocks_total =
-        (hxs.size() + opts.row_block - 1) / opts.row_block;
-    blocks_skipped.store(result.heavy_blocks_total);
+    static_cast<HeavyRun&>(result) = SkippedHeavyRun(shape, opts.row_block);
   } else if (use_matrix) {
     WallTimer heavy_timer;
     TraceRecorder::Scope heavy_scope(trace, "heavy", tparent);
-    const TraceRecorder::SpanId heavy_id = heavy_scope.id();
     // CSR operands straight from the heavy adjacency lists — no dense
     // materialization pass. Column ids ascend within each row because the
     // index's adjacency lists are sorted and heavy ids are assigned in
     // ascending value order.
     const TraceRecorder::SpanId csr_span =
-        TraceBegin(trace, "csr-build", heavy_id);
-    const CsrMatrix csr1 = CsrMatrix::FromRows(
+        TraceBegin(trace, "csr-build", heavy_scope.id());
+    const CsrMatrix m1 = CsrMatrix::FromRows(
         hxs.size(), hys.size(), threads,
         [&](size_t i, std::vector<uint32_t>* out) {
           for (Value b : r.YsOf(hxs[i])) {
@@ -468,7 +240,7 @@ MmJoinResult MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
             if (id != kInvalidValue) out->push_back(id);
           }
         });
-    const CsrMatrix csr2 = CsrMatrix::FromRows(
+    const CsrMatrix m2 = CsrMatrix::FromRows(
         hys.size(), hzs.size(), threads,
         [&](size_t i, std::vector<uint32_t>* out) {
           for (Value c : s.XsOf(hys[i])) {
@@ -478,298 +250,27 @@ MmJoinResult MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
         });
     TraceEnd(trace, csr_span);
 
-    const size_t row_block = opts.row_block;
-    const size_t num_chunks = (hxs.size() + row_block - 1) / row_block;
-    result.heavy_blocks_total = num_chunks;
-
-    // Density-adaptive decomposition (core/density_partition.h): kForce
-    // engages the grid whenever a heavy product exists; kAuto only when the
-    // priced grid beats the uniform plan AND the permuted operands + band
-    // slices fit what remains of the memory cap. Work units stay the same
-    // ceil(rows / row_block) chunks as the uniform plan, so the early-exit
-    // accounting (executed + skipped == total) is mode-invariant.
-    DensityGrid grid;
-    bool density = false;
-    if (opts.partition != PartitionMode::kOff) {
-      DensityGridOptions go;
-      go.row_block = row_block;
-      go.mode = opts.heavy_path;
-      go.rates = opts.sparse_rates;
-      go.allow_dense = allow_dense;
-      go.allow_csr_dense = allow_csr_dense;
-      // Cross-execution memo (satellite of the batching subsystem): one
-      // PreparedQuery re-running against its immutable snapshots would
-      // rebuild the identical grid, so PlanState hands us a DensityGridCache
-      // keyed on everything the build reads — the ADJUSTED thresholds `t`
-      // plus the DensityGridOptions fields.
-      const TraceRecorder::SpanId remap_span =
-          TraceBegin(trace, "degree-remap", heavy_id);
-      std::shared_ptr<const DensityGrid> memo =
-          opts.grid_cache == nullptr
-              ? nullptr
-              : opts.grid_cache->Lookup(t, row_block, opts.heavy_path,
-                                        allow_dense, allow_csr_dense,
-                                        opts.sparse_rates);
-      if (memo != nullptr) {
-        grid = *memo;
-        result.partition_cache_hit = true;
-        if (MetricsEnabled()) JoinMetrics::Get().partition_grid_cache_hits.Add();
-      } else {
-        grid = BuildDensityGrid(csr1, csr2, go);
-        if (opts.grid_cache != nullptr) {
-          opts.grid_cache->Store(t, row_block, opts.heavy_path, allow_dense,
-                                 allow_csr_dense, opts.sparse_rates,
-                                 std::make_shared<DensityGrid>(grid));
-        }
-      }
-      TraceEnd(trace, remap_span,
-               result.partition_cache_hit ? "cache-hit" : "cache-miss");
-      density = opts.partition == PartitionMode::kForce || grid.beneficial;
-      if (density) {
-        bool grid_dense = false;
-        bool grid_float = false;
-        for (const BlockKernelChoice& blk : grid.blocks) {
-          grid_dense |= blk.kernel == ProductKernel::kDenseGemm;
-          grid_float |= blk.kernel != ProductKernel::kCsrCsr;
-        }
-        // Extra working set of the remapped execution: a permuted copy of
-        // M1 (CSR; dense too when some block runs the GEMM) and per-band M2
-        // slices (CSR always; the dense + packed band slices are bounded by
-        // the full dense forms when float kernels run).
-        uint64_t extra =
-            CsrBytes(hxs.size(), m1_nnz) + CsrBytes(hys.size(), m2_nnz) +
-            8 * static_cast<uint64_t>(grid.num_col_bands()) * (hys.size() + 1);
-        if (grid_float) extra += 4 * hys.size() * hzs.size();
-        if (grid_dense) {
-          extra += 4 * hxs.size() * hys.size() +
-                   PackedBBytes(hys.size(), hzs.size());
-        }
-        if (heavy_bytes + extra > opts.max_matrix_bytes) density = false;
-      }
-    }
-
-    if (density) {
-      result.partition_used = true;
-      result.partition_row_bands = grid.num_row_bands();
-      result.partition_col_bands = grid.num_col_bands();
-      result.partition_blocks_scheduled = grid.blocks.size();
-      result.partition_blocks_pruned = grid.pruned_blocks;
-      result.partition_signature = grid.Signature();
-      result.block_choices = grid.blocks;
-      bool any_dense = false;
-      bool any_float = false;
-      for (const BlockKernelChoice& blk : grid.blocks) {
-        switch (blk.kernel) {
-          case ProductKernel::kDenseGemm:
-            ++result.kernel_counts.dense;
-            any_dense = true;
-            any_float = true;
-            break;
-          case ProductKernel::kCsrDense:
-            ++result.kernel_counts.csr_dense;
-            any_float = true;
-            break;
-          case ProductKernel::kCsrCsr:
-            ++result.kernel_counts.csr_csr;
-            break;
-        }
-      }
-      // Same float-exactness bound as the uniform plan (see mm_join.h).
-      if (any_float) {
-        JPMM_CHECK_MSG(hys.size() < kMaxExactFloatCount,
-                       "heavy inner dimension exceeds exact float count range");
-      }
-
-      // Permuted operands: M1 with its rows in remapped order, M2 sliced
-      // into one matrix per column band with band-local column ids. The
-      // inner dimension is shared and unpermuted, so every existing kernel
-      // runs unchanged on the slices.
-      const TraceRecorder::SpanId pack_span =
-          TraceBegin(trace, "pack", heavy_id);
-      const CsrMatrix csr1r = CsrMatrix::FromRows(
-          hxs.size(), hys.size(), threads,
-          [&](size_t i, std::vector<uint32_t>* out) {
-            for (uint32_t c : csr1.Row(grid.row_perm[i])) out->push_back(c);
-          });
-      std::vector<uint32_t> inv_col(hzs.size());
-      for (size_t k = 0; k < grid.col_perm.size(); ++k) {
-        inv_col[grid.col_perm[k]] = static_cast<uint32_t>(k);
-      }
-      const size_t ncb = grid.num_col_bands();
-      // Scheduled (choice, column-band) pairs per row band, plus which
-      // representations each column band actually needs.
-      std::vector<std::vector<std::pair<const BlockKernelChoice*, size_t>>>
-          band_blocks(grid.num_row_bands());
-      std::vector<uint8_t> band_any(ncb, 0);
-      std::vector<uint8_t> band_float(ncb, 0);
-      std::vector<uint8_t> band_dense(ncb, 0);
-      for (const BlockKernelChoice& blk : result.block_choices) {
-        size_t bi = 0;
-        while (grid.row_bands[bi] != blk.row_begin) ++bi;
-        size_t bj = 0;
-        while (grid.col_bands[bj] != blk.col_begin) ++bj;
-        band_blocks[bi].emplace_back(&blk, bj);
-        band_any[bj] = 1;
-        if (blk.kernel != ProductKernel::kCsrCsr) band_float[bj] = 1;
-        if (blk.kernel == ProductKernel::kDenseGemm) band_dense[bj] = 1;
-      }
-      std::vector<CsrMatrix> csr2_band(ncb);
-      std::vector<Matrix> m2_band(ncb);
-      std::vector<PackedB> packed_band(ncb);
-      for (size_t j = 0; j < ncb; ++j) {
-        if (!band_any[j]) continue;
-        const uint32_t cb0 = grid.col_bands[j];
-        const uint32_t cb1 = grid.col_bands[j + 1];
-        csr2_band[j] = CsrMatrix::FromRows(
-            hys.size(), cb1 - cb0, threads,
-            [&](size_t y, std::vector<uint32_t>* out) {
-              for (uint32_t c : csr2.Row(y)) {
-                const uint32_t k = inv_col[c];
-                if (k >= cb0 && k < cb1) out->push_back(k - cb0);
-              }
-            });
-        if (band_float[j]) m2_band[j] = csr2_band[j].ToDense(threads);
-        if (band_dense[j]) packed_band[j] = PackedB(m2_band[j], threads);
-      }
-      Matrix m1r;
-      if (any_dense) m1r = csr1r.ToDense(threads);
-      TraceEnd(trace, pack_span);
-
-      // Chunks are the claimed work units (same accounting as the uniform
-      // plan); each lies inside exactly one row band (bands are snapped to
-      // row_block multiples) and runs that band's scheduled column-band
-      // blocks, gathering (z, count) entries per row. Emission applies the
-      // inverse remap, so the output is byte-identical to the uniform plan.
-      ParallelForDynamic(
-          threads, num_chunks, /*grain=*/1, [&](size_t c0, size_t c1, int w) {
-            WorkerState& ws = workers[static_cast<size_t>(w)];
-            if (ws.shard == nullptr) ws.shard = &sink->shard(w);
-            if (ws.counter.universe() < num_z) ws.counter.ResizeUniverse(num_z);
-            for (size_t ci = c0; ci < c1; ++ci) {
-              if (sink->done() || cancel_fired()) {
-                blocks_skipped.fetch_add(c1 - ci, std::memory_order_relaxed);
-                return;
-              }
-              blocks_executed.fetch_add(1, std::memory_order_relaxed);
-              const size_t r0 = ci * row_block;
-              const size_t r1 = std::min(hxs.size(), r0 + row_block);
-              const size_t nrows = r1 - r0;
-              size_t bi = grid.num_row_bands() - 1;
-              while (grid.row_bands[bi] > r0) --bi;
-              if (ws.row_entries.size() < nrows) ws.row_entries.resize(nrows);
-              for (size_t li = 0; li < nrows; ++li) ws.row_entries[li].clear();
-              for (const auto& [blk, j] : band_blocks[bi]) {
-                TraceRecorder::Scope block_scope(
-                    trace, BlockSpanName(blk->kernel), heavy_id);
-                const uint32_t cb0 = blk->col_begin;
-                const size_t bw = blk->col_end - cb0;
-                if (blk->kernel == ProductKernel::kCsrCsr) {
-                  CsrCsrRowRange(csr1r, csr2_band[j], r0, r1, &ws.csr_scratch,
-                                 &ws.sparse_block);
-                  for (size_t li = 0; li < nrows; ++li) {
-                    const auto cols = ws.sparse_block.RowCols(li);
-                    const auto counts = ws.sparse_block.RowCounts(li);
-                    for (size_t e = 0; e < cols.size(); ++e) {
-                      ws.row_entries[li].push_back(CountedPair{
-                          0, hzs[grid.col_perm[cb0 + cols[e]]], counts[e]});
-                    }
-                  }
-                } else {
-                  ws.block.resize(row_block * bw);
-                  std::span<float> out(ws.block.data(), nrows * bw);
-                  if (blk->kernel == ProductKernel::kDenseGemm) {
-                    MultiplyRowRange(m1r, packed_band[j], r0, r1, out);
-                  } else {
-                    CsrDenseRowRange(csr1r, m2_band[j], r0, r1, out);
-                  }
-                  for (size_t li = 0; li < nrows; ++li) {
-                    const float* prow = ws.block.data() + li * bw;
-                    for (size_t jj = 0; jj < bw; ++jj) {
-                      const float v = prow[jj];
-                      if (v > 0.5f) {
-                        ws.row_entries[li].push_back(
-                            CountedPair{0, hzs[grid.col_perm[cb0 + jj]],
-                                        static_cast<uint32_t>(v + 0.5f)});
-                      }
-                    }
-                  }
-                }
-              }
-              TraceRecorder::Scope emit_scope(trace, "emit-inverse-remap",
-                                              heavy_id);
-              for (size_t li = 0; li < nrows; ++li) {
-                runner.EmitHeadEntries(hxs[grid.row_perm[r0 + li]],
-                                       &ws.row_entries[li], &ws);
-              }
-            }
-          });
-    } else {
-      result.partition_signature = "uniform";
-      result.block_choices = PlanProductBlocks(
-          csr1, csr2, row_block, opts.heavy_path, opts.sparse_rates,
-          allow_dense, allow_csr_dense, &result.kernel_counts);
-      const bool any_dense = result.kernel_counts.dense > 0;
-      const bool any_float = any_dense || result.kernel_counts.csr_dense > 0;
-      // Heavy witness counts on the float paths accumulate in float cells
-      // and are read back with an integer cast; both are exact only below
-      // 2^24 (see mm_join.h). The per-cell maximum is the inner dimension.
-      // The CSR x CSR path counts in uint32 and has no such bound.
-      if (any_float) {
-        JPMM_CHECK_MSG(hys.size() < kMaxExactFloatCount,
-                       "heavy inner dimension exceeds exact float count range");
-      }
-
-      // Dense representations only for the blocks that want them.
-      const TraceRecorder::SpanId pack_span =
-          TraceBegin(trace, "pack", heavy_id);
-      Matrix m1, m2;
-      PackedB packed_m2;
-      if (any_dense) m1 = csr1.ToDense(threads);
-      if (any_float) m2 = csr2.ToDense(threads);
-      if (any_dense) packed_m2 = PackedB(m2, threads);
-      TraceEnd(trace, pack_span);
-
-      // Blocks are claimed dynamically: emit cost per block tracks the
-      // output skew, not just the flops.
-      const size_t num_blocks = result.block_choices.size();
-      ParallelForDynamic(
-          threads, num_blocks, /*grain=*/1, [&](size_t b0, size_t b1, int w) {
-            WorkerState& ws = workers[static_cast<size_t>(w)];
-            if (ws.shard == nullptr) ws.shard = &sink->shard(w);
-            if (ws.counter.universe() < num_z) ws.counter.ResizeUniverse(num_z);
-            for (size_t blk = b0; blk < b1; ++blk) {
-              if (sink->done() || cancel_fired()) {
-                blocks_skipped.fetch_add(b1 - blk, std::memory_order_relaxed);
-                return;
-              }
-              blocks_executed.fetch_add(1, std::memory_order_relaxed);
-              const BlockKernelChoice& choice = result.block_choices[blk];
-              TraceRecorder::Scope block_scope(
-                  trace, BlockSpanName(choice.kernel), heavy_id);
-              const size_t r0 = choice.row_begin;
-              const size_t r1 = choice.row_end;
-              if (choice.kernel == ProductKernel::kCsrCsr) {
-                CsrCsrRowRange(csr1, csr2, r0, r1, &ws.csr_scratch,
-                               &ws.sparse_block);
-                for (size_t i = r0; i < r1; ++i) {
-                  runner.EmitHead(hxs[i], ws.sparse_block.RowCols(i - r0),
-                                  ws.sparse_block.RowCounts(i - r0), &ws);
-                }
-                continue;
-              }
-              ws.block.resize(row_block * hzs.size());
-              if (choice.kernel == ProductKernel::kDenseGemm) {
-                MultiplyRowRange(m1, packed_m2, r0, r1, ws.block);
-              } else {
-                CsrDenseRowRange(csr1, m2, r0, r1, ws.block);
-              }
-              for (size_t i = r0; i < r1; ++i) {
-                runner.EmitHead(hxs[i],
-                                ws.block.data() + (i - r0) * hzs.size(), &ws);
-              }
-            }
-          });
-    }
+    HeavyProduct hp;
+    hp.mode = opts.heavy_path;
+    hp.partition = opts.partition;
+    hp.row_block = opts.row_block;
+    hp.rates = opts.sparse_rates;
+    hp.grid_cache = opts.grid_cache;
+    hp.grid_key = t;
+    hp.max_bytes = opts.max_matrix_bytes;
+    hp.threads = threads;
+    hp.sink = sink;
+    hp.cancel = cancel;
+    hp.trace = trace;
+    hp.trace_parent = heavy_scope.id();
+    hp.whole_rows = true;
+    hp.on_row = [&](int w, uint32_t row, const HeavyRow& out) {
+      EmitHead(*ctx, opts, hxs[row], &out, &worker(w));
+    };
+    bool heavy_interrupted = false;
+    static_cast<HeavyRun&>(result) =
+        RunHeavyProduct(m1, m2, hp, &heavy_interrupted);
+    if (heavy_interrupted) interrupted.store(true, std::memory_order_relaxed);
     result.heavy_seconds = heavy_timer.Seconds();
   }
 
@@ -785,26 +286,18 @@ MmJoinResult MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
     result.pairs = std::move(fallback.pairs());
     result.counted = std::move(fallback.counted());
   }
-  result.heavy_blocks_executed = blocks_executed.load();
-  result.heavy_blocks_skipped = blocks_skipped.load();
   result.light_chunks_total =
       r.num_x() == 0 ? 0 : (r.num_x() + kHeadGrain - 1) / kHeadGrain;
   result.light_chunks_executed = light_executed.load();
   result.light_chunks_skipped = light_skipped.load();
   result.interrupted = interrupted.load();
 
+  RecordHeavyRunMetrics(result);
   if (MetricsEnabled()) {
     JoinMetrics& jm = JoinMetrics::Get();
     jm.light_executed.Add(result.light_chunks_executed);
     jm.light_skipped.Add(result.light_chunks_skipped);
-    jm.blocks_executed.Add(result.heavy_blocks_executed);
-    jm.blocks_skipped.Add(result.heavy_blocks_skipped);
-    jm.kernel_dense.Add(result.kernel_counts.dense);
-    jm.kernel_csr_dense.Add(result.kernel_counts.csr_dense);
-    jm.kernel_csr_csr.Add(result.kernel_counts.csr_csr);
-    jm.operand_bytes.Add(heavy_bytes);
-    if (result.partition_used) jm.partition_engaged.Add();
-    jm.partition_pruned.Add(result.partition_blocks_pruned);
+    jm.operand_bytes.Add(gates.bytes);
     jm.light_ms.Record(result.light_seconds * 1e3);
     if (use_matrix) jm.heavy_ms.Record(result.heavy_seconds * 1e3);
   }

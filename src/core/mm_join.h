@@ -15,23 +15,21 @@
 // classes visited by the light part and the matrix product partition the
 // witness set (see two_path_internal.h).
 //
-// Exactness bound: heavy witness counts accumulate in float matrix cells
-// and are read back with an integer cast, both exact only for values below
-// 2^24. A cell's count is at most the inner dimension |heavy y|, so
-// MmJoinTwoPath checks |heavy y| < 2^24 at plan build time and aborts
-// rather than silently truncating counts. (In practice the
-// max_matrix_bytes cap forces thresholds up long before the bound binds.)
+// The heavy product itself — kernel gates, density grid, pack, the chunk
+// loop, float exactness — is the shared executor in core/heavy_product.h
+// (docs/kernels.md, "The heavy-product executor"); this file builds its
+// operands and turns its rows into pairs.
 
 #ifndef JPMM_CORE_MM_JOIN_H_
 #define JPMM_CORE_MM_JOIN_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/types.h"
 #include "core/density_partition.h"
 #include "core/heavy_dispatch.h"
+#include "core/heavy_product.h"
 #include "core/thresholds.h"
 #include "storage/index.h"
 
@@ -40,20 +38,6 @@ namespace jpmm {
 class CancelToken;
 class ResultSink;
 class TraceRecorder;
-
-/// Smallest positive integer a float matrix cell (and the `v + 0.5f`
-/// integer read-back) can NOT represent exactly: 2^24. Witness counts are
-/// exact strictly below this, so MmJoinTwoPath and MmStarJoin check their
-/// heavy inner dimension (the per-cell count maximum) against it whenever a
-/// float-accumulating kernel (dense GEMM or CSR x dense) runs. The CSR x
-/// CSR kernel counts in uint32 stamp counters and is exempt.
-inline constexpr uint64_t kMaxExactFloatCount = uint64_t{1} << 24;
-
-/// Deduplication implementation for the light part (§6 discusses both).
-enum class DedupImpl {
-  kStampArray,  // epoch-stamped dense array, O(1) clear between x values
-  kSortLocal,   // append witnesses, sort, aggregate (wins on huge sparse z)
-};
 
 struct MmJoinOptions {
   Thresholds thresholds;
@@ -68,7 +52,6 @@ struct MmJoinOptions {
   /// packed-B slab (B is packed once per query, not per block); 256 rows =
   /// two MC panels of the blocked kernel.
   size_t row_block = 256;
-  DedupImpl dedup = DedupImpl::kStampArray;
   /// Heavy-part kernel selection. kAuto picks per product block between the
   /// dense blocked GEMM and the CSR kernels from the block's measured
   /// density (core/heavy_dispatch.h); the force modes pin one kernel
@@ -125,45 +108,22 @@ struct MmJoinOptions {
   int32_t trace_parent = -1;  // TraceRecorder::kNoParent
 };
 
-struct MmJoinResult {
+/// The heavy-run record (HeavyRun: kernel choices, partitioning, block
+/// accounting) plus the two-path specifics.
+struct MmJoinResult : HeavyRun {
   /// Filled when !count_witnesses. Order unspecified.
   std::vector<OutPair> pairs;
   /// Filled when count_witnesses. Order unspecified.
   std::vector<CountedPair> counted;
 
-  // --- instrumentation ---
   Thresholds adjusted_thresholds;  // after any memory-cap adjustment
   uint64_t heavy_rows = 0;         // |heavy x|
   uint64_t heavy_inner = 0;        // |heavy y|
   uint64_t heavy_cols = 0;         // |heavy z|
-  uint64_t m1_nnz = 0;             // set cells of the heavy-x adjacency
-  uint64_t m2_nnz = 0;             // set cells of the heavy-z adjacency
-  double heavy_density = 0.0;      // m1_nnz / (heavy_rows * heavy_inner)
-  HeavyKernelCounts kernel_counts; // product blocks per kernel
-  std::vector<BlockKernelChoice> block_choices;  // per-block dispatch record
   double light_seconds = 0.0;
-  double heavy_seconds = 0.0;      // matrix build + multiply + scan
+  double heavy_seconds = 0.0;      // operand build + product + emit
 
-  // --- density-adaptive partitioning (core/density_partition.h) ---
-  bool partition_used = false;         // grid engaged on the heavy product
-  uint64_t partition_row_bands = 0;    // grid shape actually executed
-  uint64_t partition_col_bands = 0;
-  uint64_t partition_blocks_scheduled = 0;  // grid cells with work
-  uint64_t partition_blocks_pruned = 0;     // cells with a zero nnz bound
-  /// Stable fingerprint of the executed decomposition ("off", "uniform", or
-  /// DensityGrid::Signature()). Identical across re-executions of one plan
-  /// against an unchanged catalog, at every thread count.
-  std::string partition_signature = "off";
-  /// True iff the grid came from MmJoinOptions::grid_cache instead of a
-  /// fresh BuildDensityGrid (identical grid either way — the cache key
-  /// covers every input the build reads).
-  bool partition_cache_hit = false;
-
-  // --- early-exit instrumentation (sink-driven runs) ---
-  uint64_t heavy_blocks_total = 0;     // planned product blocks (or heavy
-                                       // chunks for the combinatorial path)
-  uint64_t heavy_blocks_executed = 0;  // blocks actually run
-  uint64_t heavy_blocks_skipped = 0;   // blocks skipped after sink done()
+  // --- early-exit instrumentation for the light part (sink-driven runs) ---
   uint64_t light_chunks_total = 0;     // planned light-part chunks
   uint64_t light_chunks_executed = 0;  // light-part chunks actually run
   uint64_t light_chunks_skipped = 0;   // light-part chunks skipped

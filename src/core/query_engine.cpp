@@ -110,25 +110,11 @@ FilteredAdapterSink::Transform SsjTransform(bool ordered) {
 void FillTwoPathStats(JoinProjectOutput* out, ExecStats* stats) {
   if (stats == nullptr) return;
   stats->executed = out->executed;
-  stats->m1_nnz = out->m1_nnz;
-  stats->m2_nnz = out->m2_nnz;
-  stats->heavy_density = out->heavy_density;
-  stats->kernel_counts = out->kernel_counts;
-  stats->block_choices = std::move(out->block_choices);
-  stats->partition_used = out->partition_used;
-  stats->partition_row_bands = out->partition_row_bands;
-  stats->partition_col_bands = out->partition_col_bands;
-  stats->partition_blocks_scheduled = out->partition_blocks_scheduled;
-  stats->partition_blocks_pruned = out->partition_blocks_pruned;
-  stats->partition_signature = std::move(out->partition_signature);
-  stats->heavy_blocks_total = out->heavy_blocks_total;
-  stats->heavy_blocks_executed = out->heavy_blocks_executed;
-  stats->heavy_blocks_skipped = out->heavy_blocks_skipped;
+  static_cast<HeavyRun&>(*stats) = std::move(*out);
   stats->light_chunks_total = out->light_chunks_total;
   stats->light_chunks_executed = out->light_chunks_executed;
   stats->light_chunks_skipped = out->light_chunks_skipped;
   stats->interrupted = out->interrupted;
-  stats->partition_cache_hit = out->partition_cache_hit;
 }
 
 // Stable per-process hash of the spec's WHAT-fields — the coalescing /
@@ -563,18 +549,7 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
                               ? Strategy::kMmJoin
                               : star_strategy;
         stats->plan_cache_hit = star_cache_hit;
-        stats->kernel_counts = res.kernel_counts;
-        stats->heavy_density = res.heavy_density;
-        stats->partition_used = res.partition_used;
-        stats->partition_row_bands = res.partition_row_bands;
-        stats->partition_col_bands = res.partition_col_bands;
-        stats->partition_blocks_scheduled = res.partition_blocks_scheduled;
-        stats->partition_blocks_pruned = res.partition_blocks_pruned;
-        stats->partition_signature = res.partition_signature;
-        stats->partition_cache_hit = res.partition_cache_hit;
-        stats->heavy_blocks_total = res.heavy_blocks_total;
-        stats->heavy_blocks_executed = res.heavy_blocks_executed;
-        stats->heavy_blocks_skipped = res.heavy_blocks_skipped;
+        static_cast<HeavyRun&>(*stats) = std::move(res);
         // Star light work is step-granular; the chunk counters carry the
         // step accounting so executed + skipped == total reads uniformly.
         stats->light_chunks_total = res.light_steps_total;
@@ -606,12 +581,10 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
       if (stats != nullptr) {
         stats->triangle_count = res.triangles;
         stats->interrupted = res.cancelled;
-        stats->heavy_blocks_skipped = res.blocks_skipped;
+        static_cast<HeavyRun&>(*stats) = std::move(res);
         stats->light_chunks_total = res.light_chunks_total;
         stats->light_chunks_executed = res.light_chunks_executed;
         stats->light_chunks_skipped = res.light_chunks_skipped;
-        stats->kernel_counts = res.kernel_counts;
-        stats->heavy_density = res.heavy_density;
         stats->plan_cache_hit = executed_before;
         FillInterruptReason(&tri_cancel, stats);
       }

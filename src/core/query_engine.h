@@ -229,19 +229,20 @@ const char* InterruptReasonName(InterruptReason r);
 const char* DegradeReasonName(DegradeReason r);
 
 /// Execution record: what ran, what the plan was, and what early exit
-/// saved. Counters that do not apply to a query kind stay zero.
-struct ExecStats {
+/// saved. Counters that do not apply to a query kind stay zero. The heavy
+/// product's record (HeavyRun: operand nnz, per-block kernel choices,
+/// density-grid partitioning, heavy block accounting) comes from the MM
+/// strategies of every query kind — two-path, star and triangle.
+struct ExecStats : HeavyRun {
   Strategy executed = Strategy::kMmJoin;
   PlanChoice plan;              // two-path family only
   bool plan_cache_hit = false;  // true: optimization was skipped
   double seconds = 0.0;
 
-  // Early-exit record (sink done() / cancel-token short-circuit). The
-  // light counters are chunk-granular for the pair strategies and
-  // step-granular for stars (executed + skipped == total either way).
-  uint64_t heavy_blocks_total = 0;
-  uint64_t heavy_blocks_executed = 0;
-  uint64_t heavy_blocks_skipped = 0;
+  // Early-exit record (sink done() / cancel-token short-circuit) of the
+  // light part; the heavy_blocks_* counters live in HeavyRun. The light
+  // counters are chunk-granular for the pair strategies and step-granular
+  // for stars (executed + skipped == total either way).
   uint64_t light_chunks_total = 0;
   uint64_t light_chunks_executed = 0;
   uint64_t light_chunks_skipped = 0;
@@ -260,31 +261,6 @@ struct ExecStats {
   /// holds the strategy that actually ran.
   bool degraded = false;
   DegradeReason degrade_reason = DegradeReason::kNone;
-
-  // Heavy-part record (MM strategies), as in JoinProjectOutput.
-  uint64_t m1_nnz = 0;
-  uint64_t m2_nnz = 0;
-  double heavy_density = 0.0;
-  HeavyKernelCounts kernel_counts;
-  std::vector<BlockKernelChoice> block_choices;
-
-  /// Density-adaptive partitioning record (see MmJoinResult): whether the
-  /// degree-remapped block grid ran the heavy product, its shape, and the
-  /// scheduled/pruned block split. `partition_signature` is a compact
-  /// "RxC/sK/pJ" fingerprint ("off"/"uniform" when the grid did not run);
-  /// it is deterministic for a given operand pair + options, so repeated
-  /// executions of one PreparedQuery report the same signature.
-  bool partition_used = false;
-  uint64_t partition_row_bands = 0;
-  uint64_t partition_col_bands = 0;
-  uint64_t partition_blocks_scheduled = 0;
-  uint64_t partition_blocks_pruned = 0;
-  std::string partition_signature = "off";
-
-  /// True iff the density-grid remap was reused from the PreparedQuery's
-  /// plan state instead of rebuilt (partition runs only; the grid is
-  /// identical either way — see DensityGridCache).
-  bool partition_cache_hit = false;
 
   /// --- Multi-query batching / result cache (QueryService layer; the
   /// engine itself never sets these) -----------------------------------

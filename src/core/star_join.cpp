@@ -1,6 +1,7 @@
 #include "core/star_join.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <limits>
@@ -14,12 +15,10 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/cancel_token.h"
-#include "core/mm_join.h"
+#include "core/heavy_product.h"
 #include "core/result_sink.h"
 #include "core/trace.h"
 #include "join/intersection.h"
-#include "matrix/dense_matrix.h"
-#include "matrix/matmul.h"
 #include "matrix/sparse_matrix.h"
 
 namespace jpmm {
@@ -443,58 +442,45 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
   t.delta1 = std::max<uint64_t>(1, t.delta1);
   t.delta2 = std::max<uint64_t>(1, t.delta2);
 
-
   StarJoinResult result;
   result.tuples = TupleBuffer(static_cast<uint32_t>(k));
 
   // Retry with doubled thresholds until the heavy part fits: the sparse
-  // registration must always fit, and the dense representations must fit
-  // whenever a forced mode will unconditionally materialize them (under
-  // kAuto they are gated off per block instead — see below).
+  // registration must fit, and so must the representations the heavy
+  // kernels are gated to (core/heavy_product.h — under kAuto the dense
+  // ones are gated off rather than doubling thresholds).
   TraceRecorder* const trace = options.trace;
   const TraceRecorder::SpanId tparent = options.trace_parent;
   TraceRecorder::Scope fit_scope(trace, "threshold-fit", tparent);
   const size_t row_block = std::max<size_t>(1, options.row_block);
   std::unique_ptr<StarContext> ctx;
   HeavyGroups hg;
+  HeavyShape shape;
   for (;;) {
     ctx = std::make_unique<StarContext>(rels, t);
     hg = BuildHeavyGroups(*ctx, options.max_matrix_bytes);
-    bool fits = hg.fits;
-    if (fits && (options.heavy_path == HeavyPathMode::kForceDense ||
-                 options.heavy_path == HeavyPathMode::kForceCsrDense)) {
-      const uint64_t vr = hg.map1.size();
-      const uint64_t wr = hg.map2.size();
-      const uint64_t cn = hg.cols.size();
-      const uint64_t blocks = (vr + row_block - 1) / row_block;
-      const uint64_t workers = std::min<uint64_t>(
-          static_cast<uint64_t>(threads), std::max<uint64_t>(1, blocks));
-      uint64_t needed = CsrBytes(vr, hg.entries1.size()) +
-                        CsrBytes(cn, hg.entries2.size()) +
-                        4 * cn * wr +                    // dense W^T
-                        4 * workers * row_block * wr;    // product buffers
-      if (options.heavy_path == HeavyPathMode::kForceDense) {
-        needed += 4 * vr * cn + PackedBBytes(cn, wr);
-      }
-      fits = needed <= options.max_matrix_bytes;
+    shape = HeavyShape{hg.map1.size(), hg.cols.size(), hg.map2.size(),
+                       hg.entries1.size(), hg.entries2.size()};
+    if (hg.fits &&
+        GateHeavyProduct(shape, options.heavy_path, row_block, threads,
+                         options.max_matrix_bytes)
+                .bytes <= options.max_matrix_bytes) {
+      break;
     }
-    if (fits) break;
     t.delta1 *= 2;
     t.delta2 *= 2;
   }
   fit_scope.Close();
   result.adjusted_thresholds = t;
-  result.v_rows = hg.map1.size();
-  result.w_rows = hg.map2.size();
-  result.heavy_y = hg.cols.size();
+  result.v_rows = shape.rows;
+  result.w_rows = shape.cols;
+  result.heavy_y = shape.inner;
 
   ResultSink* sink = options.sink;
   if (sink != nullptr) sink->Open(threads);
   StarEmitter em(static_cast<uint32_t>(k));
   em.sink = sink;
   em.streaming = sink != nullptr && sink->may_finish_early();
-  std::atomic<uint64_t> blocks_executed{0};
-  std::atomic<uint64_t> blocks_skipped{0};
   std::atomic<bool> interrupted{false};
   const CancelToken* cancel = options.cancel;
   auto cancel_fired = [&]() -> bool {
@@ -517,369 +503,71 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
   result.tuples.Append(light);
   result.light_seconds = light_timer.Seconds();
 
-  if (result.v_rows > 0 && result.w_rows > 0 &&
-      ((sink != nullptr && sink->done()) || cancel_fired())) {
-    // Light steps satisfied the sink: account every planned block as
-    // skipped without building the heavy operands at all. ceil(v_rows /
-    // row_block) must equal PlanProductBlocks' block count so the total is
-    // the same whether the heavy phase ran or not (see the mm_join.cpp
-    // audit note).
-    result.heavy_blocks_total = (result.v_rows + row_block - 1) / row_block;
-    blocks_skipped.store(result.heavy_blocks_total);
-  } else if (result.v_rows > 0 && result.w_rows > 0) {
+  const bool heavy = result.v_rows > 0 && result.w_rows > 0;
+  if (heavy && ((sink != nullptr && sink->done()) || cancel_fired())) {
+    // Light steps satisfied the sink: account every planned chunk as
+    // skipped without building the heavy operands at all.
+    static_cast<HeavyRun&>(result) = SkippedHeavyRun(shape, row_block);
+  } else if (heavy) {
     WallTimer heavy_timer;
     TraceRecorder::Scope heavy_scope(trace, "heavy", tparent);
-    const TraceRecorder::SpanId heavy_id = heavy_scope.id();
-    // CSR operands first (they are just the registered incidences, row
-    // offsets + column ids); dense V / W^T only materialize if the
-    // per-block dispatch sends some block to a float kernel.
+    // The CSR operands are just the registered incidences (row offsets +
+    // column ids); V * W^T runs on the heavy-product executor, which emits
+    // each nonzero (V row i, W row j) as one tuple.
     const TraceRecorder::SpanId csr_span =
-        TraceBegin(trace, "csr-build", heavy_id);
-    const size_t cols_n = hg.cols.size();
-    const CsrMatrix csr_v =
-        CsrMatrix::FromEntries(result.v_rows, cols_n, hg.entries1);
-    const CsrMatrix csr_wt = CsrMatrix::FromEntries(
-        cols_n, result.w_rows, hg.entries2, /*swapped=*/true);
+        TraceBegin(trace, "csr-build", heavy_scope.id());
+    const CsrMatrix v =
+        CsrMatrix::FromEntries(result.v_rows, shape.inner, hg.entries1);
+    const CsrMatrix wt = CsrMatrix::FromEntries(shape.inner, result.w_rows,
+                                                hg.entries2, /*swapped=*/true);
     TraceEnd(trace, csr_span);
-    result.v_nnz = csr_v.nnz();
-    result.w_nnz = csr_wt.nnz();
-    result.heavy_density = csr_v.Density();
 
-    const uint64_t blocks64 = (result.v_rows + row_block - 1) / row_block;
-    const uint64_t block_workers = std::min<uint64_t>(
-        static_cast<uint64_t>(threads), std::max<uint64_t>(1, blocks64));
-    // Representation gates mirror mm_join's: dense V/W^T + the packed slab
-    // + per-worker float buffers must fit the cap, or those kernels are off
-    // the table for this query (the CSR floor always runs).
-    const uint64_t csr_bytes = csr_v.SizeBytes() + csr_wt.SizeBytes();
-    const uint64_t acc = 4 * block_workers * row_block * result.w_rows;
-    const uint64_t wt_dense = 4 * cols_n * result.w_rows;
-    const uint64_t dense_full = 4 * result.v_rows * cols_n + wt_dense +
-                                PackedBBytes(cols_n, result.w_rows) + acc;
-    bool allow_dense = true;
-    bool allow_csr_dense = true;
-    if (options.heavy_path == HeavyPathMode::kAuto) {
-      allow_dense = csr_bytes + dense_full <= options.max_matrix_bytes;
-      allow_csr_dense =
-          csr_bytes + wt_dense + acc <= options.max_matrix_bytes;
-    }
-    // Work units are ceil(v_rows / row_block) chunks whether the product
-    // runs the uniform plan or the density-adaptive grid, so the early-exit
-    // accounting (executed + skipped == total) is mode-invariant.
-    const size_t num_chunks = static_cast<size_t>(blocks64);
-    result.heavy_blocks_total = num_chunks;
+    // Streaming sinks get each chunk's tuples as one dedup'd batch; the
+    // materializing path appends to the per-worker buffer.
     std::vector<TupleBuffer> partial(static_cast<size_t>(threads),
                                      TupleBuffer(static_cast<uint32_t>(k)));
-    std::vector<std::vector<float>> bufs(static_cast<size_t>(threads));
-    std::vector<CsrScratch> scratch(static_cast<size_t>(threads));
-    std::vector<SparseRowBlock> sparse_blocks(static_cast<size_t>(threads));
-
-    // Density-adaptive decomposition (core/density_partition.h), as in
-    // mm_join.cpp: kForce engages the grid whenever a heavy product exists,
-    // kAuto only when the priced grid beats the uniform plan AND the
-    // permuted operands + band slices fit the memory cap.
-    DensityGrid grid;
-    bool density = false;
-    if (options.partition != PartitionMode::kOff) {
-      DensityGridOptions go;
-      go.row_block = row_block;
-      go.mode = options.heavy_path;
-      go.rates = options.sparse_rates;
-      go.allow_dense = allow_dense;
-      go.allow_csr_dense = allow_csr_dense;
-      // Cross-execution memo, as in mm_join.cpp: a PreparedQuery re-running
-      // against its immutable snapshots rebuilds the identical grid, so the
-      // caller's DensityGridCache (keyed on adjusted thresholds + every
-      // option the build reads) skips the remap entirely.
-      const TraceRecorder::SpanId remap_span =
-          TraceBegin(trace, "degree-remap", heavy_id);
-      std::shared_ptr<const DensityGrid> memo =
-          options.grid_cache == nullptr
-              ? nullptr
-              : options.grid_cache->Lookup(t, row_block, options.heavy_path,
-                                           allow_dense, allow_csr_dense,
-                                           options.sparse_rates);
-      if (memo != nullptr) {
-        grid = *memo;
-        result.partition_cache_hit = true;
-        if (MetricsEnabled()) {
-          static Counter& grid_cache_hits = MetricsRegistry::Global().GetCounter(
-              "jpmm_partition_grid_cache_hits_total");
-          grid_cache_hits.Add();
-        }
-      } else {
-        grid = BuildDensityGrid(csr_v, csr_wt, go);
-        if (options.grid_cache != nullptr) {
-          options.grid_cache->Store(t, row_block, options.heavy_path,
-                                    allow_dense, allow_csr_dense,
-                                    options.sparse_rates,
-                                    std::make_shared<DensityGrid>(grid));
-        }
-      }
-      TraceEnd(trace, remap_span,
-               result.partition_cache_hit ? "cache-hit" : "cache-miss");
-      density =
-          options.partition == PartitionMode::kForce || grid.beneficial;
-      if (density) {
-        bool grid_dense = false;
-        bool grid_float = false;
-        for (const BlockKernelChoice& blk : grid.blocks) {
-          grid_dense |= blk.kernel == ProductKernel::kDenseGemm;
-          grid_float |= blk.kernel != ProductKernel::kCsrCsr;
-        }
-        uint64_t extra =
-            CsrBytes(result.v_rows, result.v_nnz) +
-            CsrBytes(cols_n, result.w_nnz) +
-            8 * static_cast<uint64_t>(grid.num_col_bands()) * (cols_n + 1);
-        if (grid_float) extra += wt_dense + acc;
-        if (grid_dense) {
-          extra += 4 * result.v_rows * cols_n +
-                   PackedBBytes(cols_n, result.w_rows);
-        }
-        if (csr_bytes + extra > options.max_matrix_bytes) density = false;
-      }
-    }
-
-    if (density) {
-      result.partition_used = true;
-      result.partition_row_bands = grid.num_row_bands();
-      result.partition_col_bands = grid.num_col_bands();
-      result.partition_blocks_scheduled = grid.blocks.size();
-      result.partition_blocks_pruned = grid.pruned_blocks;
-      result.partition_signature = grid.Signature();
-      bool any_dense = false;
-      bool any_float = false;
-      for (const BlockKernelChoice& blk : grid.blocks) {
-        switch (blk.kernel) {
-          case ProductKernel::kDenseGemm:
-            ++result.kernel_counts.dense;
-            any_dense = true;
-            any_float = true;
-            break;
-          case ProductKernel::kCsrDense:
-            ++result.kernel_counts.csr_dense;
-            any_float = true;
-            break;
-          case ProductKernel::kCsrCsr:
-            ++result.kernel_counts.csr_csr;
-            break;
-        }
-      }
-      if (any_float) {
-        JPMM_CHECK_MSG(cols_n < kMaxExactFloatCount,
-                       "heavy inner dimension exceeds exact float count range");
-      }
-
-      // Permuted operands: V with its rows in remapped order, W^T sliced
-      // into one matrix per column band with band-local column ids (the
-      // shared inner dimension is unpermuted), so every existing kernel
-      // runs unchanged on the slices.
-      const TraceRecorder::SpanId pack_span =
-          TraceBegin(trace, "pack", heavy_id);
-      const CsrMatrix csr_vr = CsrMatrix::FromRows(
-          result.v_rows, cols_n, threads,
-          [&](size_t i, std::vector<uint32_t>* out) {
-            for (uint32_t c : csr_v.Row(grid.row_perm[i])) out->push_back(c);
-          });
-      std::vector<uint32_t> inv_col(result.w_rows);
-      for (size_t p = 0; p < grid.col_perm.size(); ++p) {
-        inv_col[grid.col_perm[p]] = static_cast<uint32_t>(p);
-      }
-      const size_t ncb = grid.num_col_bands();
-      std::vector<std::vector<std::pair<const BlockKernelChoice*, size_t>>>
-          band_blocks(grid.num_row_bands());
-      std::vector<uint8_t> band_any(ncb, 0);
-      std::vector<uint8_t> band_float(ncb, 0);
-      std::vector<uint8_t> band_dense(ncb, 0);
-      for (const BlockKernelChoice& blk : grid.blocks) {
-        size_t bi = 0;
-        while (grid.row_bands[bi] != blk.row_begin) ++bi;
-        size_t bj = 0;
-        while (grid.col_bands[bj] != blk.col_begin) ++bj;
-        band_blocks[bi].emplace_back(&blk, bj);
-        band_any[bj] = 1;
-        if (blk.kernel != ProductKernel::kCsrCsr) band_float[bj] = 1;
-        if (blk.kernel == ProductKernel::kDenseGemm) band_dense[bj] = 1;
-      }
-      std::vector<CsrMatrix> wt_band(ncb);
-      std::vector<Matrix> wt_band_dense(ncb);
-      std::vector<PackedB> packed_band(ncb);
-      for (size_t j = 0; j < ncb; ++j) {
-        if (!band_any[j]) continue;
-        const uint32_t cb0 = grid.col_bands[j];
-        const uint32_t cb1 = grid.col_bands[j + 1];
-        wt_band[j] = CsrMatrix::FromRows(
-            cols_n, cb1 - cb0, threads,
-            [&](size_t y, std::vector<uint32_t>* out) {
-              for (uint32_t c : csr_wt.Row(y)) {
-                const uint32_t p = inv_col[c];
-                if (p >= cb0 && p < cb1) out->push_back(p - cb0);
-              }
-              std::sort(out->begin(), out->end());
-            });
-        if (band_float[j]) wt_band_dense[j] = wt_band[j].ToDense(threads);
-        if (band_dense[j]) packed_band[j] = PackedB(wt_band_dense[j], threads);
-      }
-      Matrix vr;
-      if (any_dense) vr = csr_vr.ToDense(threads);
-      TraceEnd(trace, pack_span);
-
-      // Chunks are the claimed work units; each lies inside exactly one row
-      // band (bands snap to row_block multiples) and runs that band's
-      // scheduled column-band blocks. Emission applies the inverse remap,
-      // so tuples are identical to the uniform plan's.
-      ParallelForDynamic(threads, num_chunks, /*grain=*/1, [&](size_t c0,
-                                                               size_t c1,
-                                                               int w) {
-        std::vector<Value> tuple(k);
-        TupleBuffer block_out(static_cast<uint32_t>(k));
-        TupleBuffer& out =
-            em.streaming ? block_out : partial[static_cast<size_t>(w)];
-        auto emit = [&](size_t i, size_t j) {
-          const Value* left = hg.rows1_flat.data() + i * g1;
-          std::copy(left, left + g1, tuple.begin());
-          const Value* right = hg.rows2_flat.data() + j * g2;
-          std::copy(right, right + g2, tuple.begin() + g1);
-          out.Add(tuple);
-        };
-        for (size_t ci = c0; ci < c1; ++ci) {
-          if ((sink != nullptr && sink->done()) || cancel_fired()) {
-            blocks_skipped.fetch_add(c1 - ci, std::memory_order_relaxed);
-            return;
-          }
-          blocks_executed.fetch_add(1, std::memory_order_relaxed);
-          const size_t r0 = ci * row_block;
-          const size_t r1 =
-              std::min(static_cast<size_t>(result.v_rows), r0 + row_block);
-          const size_t nrows = r1 - r0;
-          size_t bi = grid.num_row_bands() - 1;
-          while (grid.row_bands[bi] > r0) --bi;
-          for (const auto& [blk, j] : band_blocks[bi]) {
-            TraceRecorder::Scope block_scope(
-                trace, BlockSpanName(blk->kernel), heavy_id);
-            const uint32_t cb0 = blk->col_begin;
-            const size_t bw = blk->col_end - cb0;
-            if (blk->kernel == ProductKernel::kCsrCsr) {
-              auto& sblk = sparse_blocks[static_cast<size_t>(w)];
-              CsrCsrRowRange(csr_vr, wt_band[j], r0, r1,
-                             &scratch[static_cast<size_t>(w)], &sblk);
-              for (size_t li = 0; li < nrows; ++li) {
-                for (uint32_t col : sblk.RowCols(li)) {
-                  emit(grid.row_perm[r0 + li], grid.col_perm[cb0 + col]);
-                }
-              }
-            } else {
-              std::vector<float>& buf = bufs[static_cast<size_t>(w)];
-              buf.resize(row_block * bw);
-              std::span<float> prod(buf.data(), nrows * bw);
-              if (blk->kernel == ProductKernel::kDenseGemm) {
-                MultiplyRowRange(vr, packed_band[j], r0, r1, prod);
-              } else {
-                CsrDenseRowRange(csr_vr, wt_band_dense[j], r0, r1, prod);
-              }
-              for (size_t li = 0; li < nrows; ++li) {
-                const float* prow = buf.data() + li * bw;
-                for (size_t jj = 0; jj < bw; ++jj) {
-                  if (prow[jj] > 0.5f) {
-                    emit(grid.row_perm[r0 + li], grid.col_perm[cb0 + jj]);
-                  }
-                }
-              }
-            }
-          }
-          if (em.streaming) {
-            em.EmitBatch(&block_out, w);
-            block_out = TupleBuffer(static_cast<uint32_t>(k));
-          }
-        }
+    std::vector<TupleBuffer> pending(static_cast<size_t>(threads),
+                                     TupleBuffer(static_cast<uint32_t>(k)));
+    HeavyProduct hp;
+    hp.mode = options.heavy_path;
+    hp.partition = options.partition;
+    hp.row_block = row_block;
+    hp.rates = options.sparse_rates;
+    hp.grid_cache = options.grid_cache;
+    hp.grid_key = t;
+    hp.max_bytes = options.max_matrix_bytes;
+    hp.threads = threads;
+    hp.sink = sink;
+    hp.cancel = cancel;
+    hp.trace = trace;
+    hp.trace_parent = heavy_scope.id();
+    hp.on_row = [&](int w, uint32_t i, const HeavyRow& row) {
+      const auto wi = static_cast<size_t>(w);
+      TupleBuffer& out = em.streaming ? pending[wi] : partial[wi];
+      std::array<Value, 8> tuple;  // k <= 8, checked at entry
+      const Value* left = hg.rows1_flat.data() + static_cast<size_t>(i) * g1;
+      std::copy(left, left + g1, tuple.begin());
+      row.ForEach([&](uint32_t j, uint32_t) {
+        const Value* right = hg.rows2_flat.data() + static_cast<size_t>(j) * g2;
+        std::copy(right, right + g2, tuple.begin() + g1);
+        out.Add({tuple.data(), k});
       });
-    } else {
-      result.partition_signature = "uniform";
-      const std::vector<BlockKernelChoice> choices = PlanProductBlocks(
-          csr_v, csr_wt, row_block, options.heavy_path, options.sparse_rates,
-          allow_dense, allow_csr_dense, &result.kernel_counts);
-      const bool any_dense = result.kernel_counts.dense > 0;
-      const bool any_float = any_dense || result.kernel_counts.csr_dense > 0;
-      if (any_float) {
-        // Witness counts accumulate in float cells on those paths; a cell's
-        // maximum is the shared-column count, which must stay in exact
-        // integer float range.
-        JPMM_CHECK_MSG(cols_n < kMaxExactFloatCount,
-                       "heavy inner dimension exceeds exact float count range");
-      }
-      const TraceRecorder::SpanId pack_span =
-          TraceBegin(trace, "pack", heavy_id);
-      Matrix v, wt;
-      PackedB packed_wt;
-      if (any_dense) v = csr_v.ToDense(threads);
-      if (any_float) wt = csr_wt.ToDense(threads);
-      if (any_dense) packed_wt = PackedB(wt, threads);
-      TraceEnd(trace, pack_span);
-
-      // Workers claim product blocks dynamically (per-block emit cost follows
-      // the output distribution).
-      ParallelForDynamic(threads, choices.size(), /*grain=*/1, [&](size_t b0,
-                                                                   size_t b1,
-                                                                   int w) {
-        std::vector<Value> tuple(k);
-        // Streaming sinks get each block's tuples as one dedup'd batch; the
-        // materializing path appends to the per-worker buffer as before.
-        TupleBuffer block_out(static_cast<uint32_t>(k));
-        TupleBuffer& out =
-            em.streaming ? block_out : partial[static_cast<size_t>(w)];
-        auto emit = [&](size_t i, size_t j) {
-          const Value* left = hg.rows1_flat.data() + i * g1;
-          std::copy(left, left + g1, tuple.begin());
-          const Value* right = hg.rows2_flat.data() + j * g2;
-          std::copy(right, right + g2, tuple.begin() + g1);
-          out.Add(tuple);
-        };
-        for (size_t blk = b0; blk < b1; ++blk) {
-          if ((sink != nullptr && sink->done()) || cancel_fired()) {
-            blocks_skipped.fetch_add(b1 - blk, std::memory_order_relaxed);
-            return;
-          }
-          blocks_executed.fetch_add(1, std::memory_order_relaxed);
-          const BlockKernelChoice& choice = choices[blk];
-          TraceRecorder::Scope block_scope(trace, BlockSpanName(choice.kernel),
-                                           heavy_id);
-          const size_t r0 = choice.row_begin;
-          const size_t r1 = choice.row_end;
-          if (choice.kernel == ProductKernel::kCsrCsr) {
-            auto& sblk = sparse_blocks[static_cast<size_t>(w)];
-            CsrCsrRowRange(csr_v, csr_wt, r0, r1,
-                           &scratch[static_cast<size_t>(w)], &sblk);
-            for (size_t i = r0; i < r1; ++i) {
-              for (uint32_t j : sblk.RowCols(i - r0)) emit(i, j);
-            }
-          } else {
-            std::vector<float>& buf = bufs[static_cast<size_t>(w)];
-            buf.resize(row_block * result.w_rows);
-            if (choice.kernel == ProductKernel::kDenseGemm) {
-              MultiplyRowRange(v, packed_wt, r0, r1, buf);
-            } else {
-              CsrDenseRowRange(csr_v, wt, r0, r1, buf);
-            }
-            for (size_t i = r0; i < r1; ++i) {
-              const float* prow = buf.data() + (i - r0) * result.w_rows;
-              for (size_t j = 0; j < result.w_rows; ++j) {
-                if (prow[j] > 0.5f) emit(i, j);
-              }
-            }
-          }
-          if (em.streaming) {
-            em.EmitBatch(&block_out, w);
-            block_out = TupleBuffer(static_cast<uint32_t>(k));
-          }
-        }
-      });
+    };
+    if (em.streaming) {
+      hp.on_chunk_done = [&](int w) {
+        TupleBuffer& batch = pending[static_cast<size_t>(w)];
+        em.EmitBatch(&batch, w);
+        batch = TupleBuffer(static_cast<uint32_t>(k));
+      };
     }
+    bool heavy_interrupted = false;
+    static_cast<HeavyRun&>(result) =
+        RunHeavyProduct(v, wt, hp, &heavy_interrupted);
+    if (heavy_interrupted) interrupted.store(true, std::memory_order_relaxed);
     for (const auto& p : partial) result.tuples.Append(p);
     result.heavy_seconds = heavy_timer.Seconds();
   }
 
-  result.heavy_blocks_executed = blocks_executed.load();
-  result.heavy_blocks_skipped = blocks_skipped.load();
   result.interrupted = interrupted.load();
   TraceRecorder::Scope finish_scope(trace, "sink-finish", tparent);
   if (em.streaming) {
@@ -902,39 +590,19 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
   if (sink != nullptr) sink->Finish();
   finish_scope.Close();
 
+  RecordHeavyRunMetrics(result);
   if (MetricsEnabled()) {
     MetricsRegistry& reg = MetricsRegistry::Global();
     static Counter& steps_executed =
         reg.GetCounter("jpmm_star_light_steps_executed_total");
     static Counter& steps_skipped =
         reg.GetCounter("jpmm_star_light_steps_skipped_total");
-    static Counter& blocks_exec =
-        reg.GetCounter("jpmm_join_heavy_blocks_executed_total");
-    static Counter& blocks_skip =
-        reg.GetCounter("jpmm_join_heavy_blocks_skipped_total");
-    static Counter& kernel_dense =
-        reg.GetCounter("jpmm_join_kernel_dense_blocks_total");
-    static Counter& kernel_csr_dense =
-        reg.GetCounter("jpmm_join_kernel_csr_dense_blocks_total");
-    static Counter& kernel_csr_csr =
-        reg.GetCounter("jpmm_join_kernel_csr_csr_blocks_total");
-    static Counter& partition_engaged =
-        reg.GetCounter("jpmm_partition_engaged_total");
-    static Counter& partition_pruned =
-        reg.GetCounter("jpmm_partition_blocks_pruned_total");
     static Histogram& light_ms =
         reg.GetHistogram("jpmm_join_light_pass_ms", DefaultLatencyBoundsMs());
     static Histogram& heavy_ms =
         reg.GetHistogram("jpmm_join_heavy_pass_ms", DefaultLatencyBoundsMs());
     steps_executed.Add(result.light_steps_executed);
     steps_skipped.Add(result.light_steps_skipped);
-    blocks_exec.Add(result.heavy_blocks_executed);
-    blocks_skip.Add(result.heavy_blocks_skipped);
-    kernel_dense.Add(result.kernel_counts.dense);
-    kernel_csr_dense.Add(result.kernel_counts.csr_dense);
-    kernel_csr_csr.Add(result.kernel_counts.csr_csr);
-    if (result.partition_used) partition_engaged.Add();
-    partition_pruned.Add(result.partition_blocks_pruned);
     light_ms.Record(result.light_seconds * 1e3);
     if (result.heavy_seconds > 0) heavy_ms.Record(result.heavy_seconds * 1e3);
   }

@@ -12,6 +12,9 @@
 //   (3) group x1..xk into ceil(k/2) / floor(k/2), build rectangular 0/1
 //       matrices V (heavy ceil-group combos x heavy y) and W (heavy
 //       floor-group combos x heavy y), compute V * W^T, emit nonzeros.
+//       The product runs on the shared heavy-product executor
+//       (core/heavy_product.h; docs/kernels.md, "The heavy-product
+//       executor"), like the two-path's M1 * M2.
 // A y value is "heavy" for step (3) iff it is heavy in at least two
 // relations — any witness not of that form is covered by step (2). Rows are
 // registered lazily (only observed heavy combos), which is equivalent to the
@@ -21,11 +24,11 @@
 #ifndef JPMM_CORE_STAR_JOIN_H_
 #define JPMM_CORE_STAR_JOIN_H_
 
-#include <string>
 #include <vector>
 
 #include "core/density_partition.h"
 #include "core/heavy_dispatch.h"
+#include "core/heavy_product.h"
 #include "core/thresholds.h"
 #include "join/star_wcoj.h"
 #include "storage/index.h"
@@ -80,37 +83,21 @@ struct StarJoinOptions {
   int32_t trace_parent = -1;  // TraceRecorder::kNoParent
 };
 
-struct StarJoinResult {
+/// The heavy-run record of the V * W^T product (HeavyRun) plus the star
+/// specifics.
+struct StarJoinResult : HeavyRun {
   TupleBuffer tuples;  // sorted, duplicate-free
   Thresholds adjusted_thresholds;
   uint64_t v_rows = 0;  // heavy combos, first group
   uint64_t w_rows = 0;  // heavy combos, second group
   uint64_t heavy_y = 0; // shared inner dimension
-  uint64_t v_nnz = 0;   // set cells of V (heavy combo incidences)
-  uint64_t w_nnz = 0;   // set cells of W
-  double heavy_density = 0.0;      // v_nnz / (v_rows * heavy_y)
-  HeavyKernelCounts kernel_counts; // product blocks per kernel
   double light_seconds = 0.0;
   double heavy_seconds = 0.0;
 
-  // --- density-adaptive partitioning (core/density_partition.h) ---
-  bool partition_used = false;
-  uint64_t partition_row_bands = 0;
-  uint64_t partition_col_bands = 0;
-  uint64_t partition_blocks_scheduled = 0;
-  uint64_t partition_blocks_pruned = 0;
-  /// "off", "uniform", or DensityGrid::Signature() — see MmJoinResult.
-  std::string partition_signature = "off";
-  /// Grid reused from StarJoinOptions::grid_cache — see MmJoinResult.
-  bool partition_cache_hit = false;
-
-  // --- early-exit instrumentation (sink-driven runs) ---
+  // --- early-exit instrumentation for the light part (sink-driven runs) ---
   uint64_t light_steps_total = 0;      // planned light decomposition steps
   uint64_t light_steps_executed = 0;   // light steps actually run
   uint64_t light_steps_skipped = 0;    // light decomposition steps skipped
-  uint64_t heavy_blocks_total = 0;
-  uint64_t heavy_blocks_executed = 0;
-  uint64_t heavy_blocks_skipped = 0;
 
   /// True iff a fired CancelToken truncated the run (see MmJoinResult).
   bool interrupted = false;

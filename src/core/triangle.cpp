@@ -7,9 +7,8 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "core/cancel_token.h"
+#include "core/heavy_product.h"
 #include "core/trace.h"
-#include "matrix/dense_matrix.h"
-#include "matrix/matmul.h"
 #include "matrix/sparse_matrix.h"
 
 namespace jpmm {
@@ -47,17 +46,16 @@ TriangleCountResult CountTrianglesMm(const IndexedRelation& graph,
                                     static_cast<double>(edges))));
 
   // Heavy vertex set under the (possibly memory-degraded) threshold. The
-  // CSR adjacency is the memory floor; the dense matrix + packed slab are
-  // gated by the cap (a capped run keeps its delta and degrades to the
-  // CSR x CSR trace instead of shrinking the heavy set).
+  // gates (core/heavy_product.h) keep the CSR adjacency as the memory floor
+  // and drop the dense matrix + packed slab when they do not fit, so a
+  // capped run keeps its delta and degrades to the CSR x CSR trace; delta
+  // doubles only when even the floor does not fit.
   const int threads = std::max(1, options.threads);
   std::vector<Value> heavy;
   std::vector<Value> heavy_id;
-  bool allow_dense = true;
   for (;;) {
     heavy.clear();
     heavy_id.assign(graph.num_x(), kInvalidValue);
-    uint64_t nnz = 0;
     for (Value v = 0; v < graph.num_x(); ++v) {
       if (graph.DegX(v) > delta) {
         heavy_id[v] = static_cast<Value>(heavy.size());
@@ -80,30 +78,14 @@ TriangleCountResult CountTrianglesMm(const IndexedRelation& graph,
                          }
                          nnz_partial[static_cast<size_t>(w)] += local;
                        });
+    uint64_t nnz = 0;
     for (uint64_t c : nnz_partial) nnz += c;
     const uint64_t h = heavy.size();
-    const uint64_t blocks = (h + kTraceRowBlock - 1) / kTraceRowBlock;
-    const uint64_t block_workers = std::min<uint64_t>(
-        static_cast<uint64_t>(threads), std::max<uint64_t>(1, blocks));
-    // Per-worker float product-block buffers, paid by the dense and
-    // CSR x dense kernels alike.
-    const uint64_t acc = 4ull * block_workers * kTraceRowBlock * h;
-    const uint64_t csr_bytes = CsrBytes(h, nnz) + 12ull * block_workers * h;
-    const uint64_t dense_bytes =
-        4ull * h * h + PackedBBytes(h, h) + acc + csr_bytes;
-    switch (options.heavy_path) {
-      case HeavyPathMode::kForceCsrCsr:
-        allow_dense = false;
-        break;
-      case HeavyPathMode::kAuto:
-        allow_dense = dense_bytes <= options.max_matrix_bytes;
-        break;
-      default:
-        allow_dense = true;
-        break;
-    }
-    const uint64_t bytes = allow_dense ? dense_bytes : csr_bytes;
-    if (heavy.empty() || bytes <= options.max_matrix_bytes) break;
+    const HeavyGates gates =
+        GateHeavyProduct(HeavyShape{h, h, h, nnz, nnz, /*same_operand=*/true},
+                         options.heavy_path, kTraceRowBlock, threads,
+                         options.max_matrix_bytes);
+    if (heavy.empty() || gates.bytes <= options.max_matrix_bytes) break;
     delta *= 2;
   }
   result.delta_used = delta;
@@ -114,13 +96,11 @@ TriangleCountResult CountTrianglesMm(const IndexedRelation& graph,
   // or has a larger id (so no other light vertex claims the triangle
   // first).
   const CancelToken* cancel = options.cancel;
-  // Per-phase skip counters: a chunk/block either runs or is counted
-  // skipped, never both, so executed + skipped is exact at every thread
-  // count (the chunk-claim + done() audit invariant — see
-  // QueryEngine.DoneMidChunkSkipsIdenticalDownstreamBlocks).
+  // A chunk either runs or is counted skipped, never both, so executed +
+  // skipped is exact at every thread count (the chunk-claim + done() audit
+  // invariant — see QueryEngine.DoneMidChunkSkipsIdenticalDownstreamBlocks).
   std::atomic<uint64_t> light_executed{0};
   std::atomic<uint64_t> light_skipped{0};
-  std::atomic<uint64_t> skipped{0};
   std::vector<uint64_t> light_partial(static_cast<size_t>(threads), 0);
   TraceRecorder* const trace_rec = options.trace;
   const TraceRecorder::SpanId tparent = options.trace_parent;
@@ -157,12 +137,11 @@ TriangleCountResult CountTrianglesMm(const IndexedRelation& graph,
   for (uint64_t c : light_partial) result.light_triangles += c;
 
   // Heavy part: trace(A_H^3) / 6. A_H is symmetric, so
-  // trace(A^3) = sum_{i,j} (A^2)[i][j] * A[i][j], computed in row blocks.
-  // Per-block dispatch: the A^2 block comes from the dense GEMM, the
-  // CSR x dense saxpy, or the CSR x CSR stamp kernel, whichever the block's
-  // measured density makes cheapest; the A[i][j] mask is then applied as a
-  // dense dot, a CSR-indexed gather, or a sorted-merge intersection
-  // respectively.
+  // trace(A^3) = sum_{i,j} (A^2)[i][j] * A[i][j]: the executor computes
+  // A_H * A_H in row blocks (kernel per block, partition off) and each A^2
+  // row is masked by the matching A row — a CSR-indexed gather from a
+  // float row, or a sorted-merge intersection with a sparse one.
+  bool heavy_interrupted = false;
   if (heavy.size() >= 3) {
     TraceRecorder::Scope heavy_scope(trace_rec, "heavy", tparent);
     const size_t h = heavy.size();
@@ -174,85 +153,43 @@ TriangleCountResult CountTrianglesMm(const IndexedRelation& graph,
             if (id != kInvalidValue) out->push_back(id);
           }
         });
-    result.heavy_nnz = csr_a.nnz();
-    result.heavy_density = csr_a.Density();
-
-    const uint64_t trace_blocks = (h + kTraceRowBlock - 1) / kTraceRowBlock;
-    const uint64_t trace_workers = std::min<uint64_t>(
-        static_cast<uint64_t>(threads), std::max<uint64_t>(1, trace_blocks));
-    const bool allow_csr_dense =
-        options.heavy_path != HeavyPathMode::kForceCsrCsr &&
-        (allow_dense ||
-         4ull * h * h + 4ull * trace_workers * kTraceRowBlock * h +
-                 csr_a.SizeBytes() <=
-             options.max_matrix_bytes);
-    const std::vector<BlockKernelChoice> choices = PlanProductBlocks(
-        csr_a, csr_a, kTraceRowBlock, options.heavy_path, options.sparse_rates,
-        allow_dense, allow_csr_dense, &result.kernel_counts);
-    const bool any_dense = result.kernel_counts.dense > 0;
-    const bool any_float = any_dense || result.kernel_counts.csr_dense > 0;
-
-    Matrix a;
-    PackedB packed_a;
-    if (any_float) a = csr_a.ToDense(threads);
-    if (any_dense) packed_a = PackedB(a, threads);
 
     std::vector<double> trace_partial(static_cast<size_t>(threads), 0.0);
-    std::vector<std::vector<float>> blocks(static_cast<size_t>(threads));
-    std::vector<CsrScratch> scratch(static_cast<size_t>(threads));
-    std::vector<SparseRowBlock> sparse_blocks(static_cast<size_t>(threads));
-    ParallelForDynamic(threads, choices.size(), /*grain=*/1,
-                       [&](size_t b0, size_t b1, int w) {
+    HeavyProduct hp;
+    hp.mode = options.heavy_path;
+    hp.partition = PartitionMode::kOff;
+    hp.row_block = kTraceRowBlock;
+    hp.rates = options.sparse_rates;
+    hp.max_bytes = options.max_matrix_bytes;
+    hp.threads = threads;
+    hp.cancel = cancel;
+    hp.trace = trace_rec;
+    hp.trace_parent = heavy_scope.id();
+    hp.on_row = [&](int w, uint32_t i, const HeavyRow& a2) {
+      const auto acols = csr_a.Row(i);
       double local = 0.0;
-      for (size_t blk = b0; blk < b1; ++blk) {
-        if (cancel != nullptr && cancel->Fired()) {
-          skipped.fetch_add(b1 - blk, std::memory_order_relaxed);
-          break;  // keep the trace contribution of already-run blocks
-        }
-        const BlockKernelChoice& choice = choices[blk];
-        const size_t r0 = choice.row_begin;
-        const size_t r1 = choice.row_end;
-        if (choice.kernel == ProductKernel::kCsrCsr) {
-          auto& sblk = sparse_blocks[static_cast<size_t>(w)];
-          CsrCsrRowRange(csr_a, csr_a, r0, r1,
-                         &scratch[static_cast<size_t>(w)], &sblk);
-          for (size_t i = r0; i < r1; ++i) {
-            // Both column lists ascend; merge-intersect A^2 row with A row.
-            const auto pcols = sblk.RowCols(i - r0);
-            const auto pcounts = sblk.RowCounts(i - r0);
-            const auto acols = csr_a.Row(i);
-            size_t p = 0, q = 0;
-            while (p < pcols.size() && q < acols.size()) {
-              if (pcols[p] < acols[q]) {
-                ++p;
-              } else if (pcols[p] > acols[q]) {
-                ++q;
-              } else {
-                local += static_cast<double>(pcounts[p]);
-                ++p;
-                ++q;
-              }
-            }
-          }
-          continue;
-        }
-        std::vector<float>& block = blocks[static_cast<size_t>(w)];
-        block.resize(kTraceRowBlock * h);
-        if (choice.kernel == ProductKernel::kDenseGemm) {
-          MultiplyRowRange(a, packed_a, r0, r1, block);
-        } else {
-          CsrDenseRowRange(csr_a, a, r0, r1, block);
-        }
-        for (size_t i = r0; i < r1; ++i) {
-          const float* a2row = block.data() + (i - r0) * h;
-          // Gather through the CSR row: only A's set cells contribute.
-          for (uint32_t j : csr_a.Row(i)) {
-            local += static_cast<double>(a2row[j]);
+      if (a2.values != nullptr) {
+        // Gather through the CSR row: only A's set cells contribute.
+        for (uint32_t j : acols) local += static_cast<double>(a2.values[j]);
+      } else {
+        // Both column lists ascend; merge-intersect A^2 row with A row.
+        size_t p = 0, q = 0;
+        while (p < a2.cols.size() && q < acols.size()) {
+          if (a2.cols[p] < acols[q]) {
+            ++p;
+          } else if (a2.cols[p] > acols[q]) {
+            ++q;
+          } else {
+            local += static_cast<double>(a2.counts[p]);
+            ++p;
+            ++q;
           }
         }
       }
       trace_partial[static_cast<size_t>(w)] += local;
-    });
+    };
+    static_cast<HeavyRun&>(result) =
+        RunHeavyProduct(csr_a, csr_a, hp, &heavy_interrupted);
     double trace = 0.0;
     for (double t : trace_partial) trace += t;
     result.heavy_triangles = static_cast<uint64_t>(trace / 6.0 + 0.5);
@@ -262,9 +199,7 @@ TriangleCountResult CountTrianglesMm(const IndexedRelation& graph,
       graph.num_x() == 0 ? 0 : (graph.num_x() + 511) / 512;
   result.light_chunks_executed = light_executed.load();
   result.light_chunks_skipped = light_skipped.load();
-  result.blocks_skipped = skipped.load();
-  result.cancelled =
-      result.light_chunks_skipped > 0 || result.blocks_skipped > 0;
+  result.cancelled = result.light_chunks_skipped > 0 || heavy_interrupted;
   result.triangles = result.light_triangles + result.heavy_triangles;
   return result;
 }

@@ -6,7 +6,9 @@
 // combinatorially (pairs within a light vertex's neighbourhood + one edge
 // probe), while the all-heavy residue is trace(A_H^3) / 6 over the heavy-
 // subgraph adjacency matrix — the same degree-partition + dense-product
-// pattern as Algorithm 1, applied to a cyclic query.
+// pattern as Algorithm 1, applied to a cyclic query. The heavy product runs
+// on the shared executor (core/heavy_product.h; docs/kernels.md, "The
+// heavy-product executor") with partitioning off.
 
 #ifndef JPMM_CORE_TRIANGLE_H_
 #define JPMM_CORE_TRIANGLE_H_
@@ -14,6 +16,7 @@
 #include <cstdint>
 
 #include "core/heavy_dispatch.h"
+#include "core/heavy_product.h"
 #include "storage/index.h"
 
 namespace jpmm {
@@ -49,21 +52,18 @@ struct TriangleCountOptions {
   int32_t trace_parent = -1;  // TraceRecorder::kNoParent
 };
 
-struct TriangleCountResult {
+/// The heavy-run record of the A_H * A_H trace product (HeavyRun; its
+/// block accounting covers the heavy part) plus the count.
+struct TriangleCountResult : HeavyRun {
   uint64_t triangles = 0;
   uint64_t light_triangles = 0;  // found via light-vertex enumeration
   uint64_t heavy_triangles = 0;  // found via trace(A_H^3)/6
   uint64_t heavy_vertices = 0;
   uint64_t delta_used = 0;
-  uint64_t heavy_nnz = 0;          // heavy-subgraph edges (directed count)
-  double heavy_density = 0.0;      // heavy_nnz / heavy_vertices^2
-  HeavyKernelCounts kernel_counts; // trace blocks per kernel
-  // Exact cancellation accounting, split by phase (light-enumeration
-  // chunks vs heavy trace blocks) so ExecStats can report both precisely.
+  // Exact cancellation accounting of the light-enumeration chunks.
   uint64_t light_chunks_total = 0;
   uint64_t light_chunks_executed = 0;
   uint64_t light_chunks_skipped = 0;
-  uint64_t blocks_skipped = 0;     // heavy trace blocks skipped
   bool cancelled = false;          // counts are partial
 };
 

@@ -51,26 +51,6 @@ void TwoPathContext::AccumulateLight(Value a, StampCounter* counter,
   }
 }
 
-void TwoPathContext::AccumulateLightToVector(Value a,
-                                             std::vector<Value>* out) const {
-  if (part.XLight(a)) {
-    for (Value b : r.YsOf(a)) {
-      const auto cs = s.XsOf(b);
-      out->insert(out->end(), cs.begin(), cs.end());
-    }
-    return;
-  }
-  for (Value b : r.YsOf(a)) {
-    if (part.YLight(b)) {
-      const auto cs = s.XsOf(b);
-      out->insert(out->end(), cs.begin(), cs.end());
-    } else {
-      const auto cs = LightZOf(b);
-      out->insert(out->end(), cs.begin(), cs.end());
-    }
-  }
-}
-
 uint64_t TwoPathContext::LightWitnessCount(Value a) const {
   uint64_t n = 0;
   if (part.XLight(a)) {

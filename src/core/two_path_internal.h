@@ -51,10 +51,6 @@ struct TwoPathContext {
   void AccumulateLight(Value a, StampCounter* counter,
                        std::vector<Value>* touched) const;
 
-  /// Same accumulation, but appending one entry per witness into out
-  /// (sort-based dedup path; §6's "alternative approach").
-  void AccumulateLightToVector(Value a, std::vector<Value>* out) const;
-
   /// Number of class L1+L2 witnesses of head value a (cost instrumentation).
   uint64_t LightWitnessCount(Value a) const;
 };

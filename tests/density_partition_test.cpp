@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/density_partition.h"
+#include "core/heavy_product.h"
 #include "core/mm_join.h"
 #include "core/query_engine.h"
 #include "core/result_sink.h"
@@ -269,10 +270,10 @@ TEST(DensityGrid, SchedulingMatchesProductOracle) {
   EXPECT_EQ(pruned_seen, g.pruned_blocks);
 }
 
-TEST(DensityGrid, DisjointComponentsPruneBlocks) {
-  // Two disconnected components with very different degrees: degree
-  // sorting separates them into distinct bands, so the cross cells have a
-  // zero witness bound and must be pruned.
+// Two disconnected components with very different degrees: degree
+// sorting separates them into distinct bands, so the cross cells have a
+// zero witness bound.
+std::pair<CsrMatrix, CsrMatrix> DisjointOperands() {
   const size_t rows = 48, inner = 24, cols = 48;
   CsrMatrix a(inner);
   for (size_t i = 0; i < rows; ++i) {
@@ -292,6 +293,12 @@ TEST(DensityGrid, DisjointComponentsPruneBlocks) {
     }
     b.FinishRow();
   }
+  return {std::move(a), std::move(b)};
+}
+
+TEST(DensityGrid, DisjointComponentsPruneBlocks) {
+  // The cross cells of the two components must be pruned.
+  const auto [a, b] = DisjointOperands();
   DensityGrid g = BuildDensityGrid(a, b, SmallGridOptions());
   EXPECT_GT(g.pruned_blocks, 0u);
   EXPECT_TRUE(g.num_row_bands() > 1 || g.num_col_bands() > 1);
@@ -325,6 +332,66 @@ TEST(DensityGrid, DegenerateOperands) {
   EXPECT_FALSE(g.beneficial);
 }
 
+// ---- RunHeavyProduct on a grid (core/heavy_product.h) ---------------------
+
+// Every row the executor hands back, in original coordinates, must add up
+// to the reference product — under every kernel mode, both delivery modes
+// (per-block pieces, or whole rows gathered across column bands), and
+// every thread count; whole_rows also delivers each row exactly once.
+TEST(HeavyProduct, GridRowsComposeToReferenceProduct) {
+  std::vector<std::pair<CsrMatrix, CsrMatrix>> operands;
+  operands.push_back(DisjointOperands());
+  operands.emplace_back(MakeSkewedCsr(37, 20, 1), MakeSkewedCsr(20, 29, 2));
+  bool saw_multi_band = false;
+  for (const auto& [a, b] : operands) {
+    const Matrix want = CsrCsrProduct(a, b);
+    for (HeavyPathMode mode :
+         {HeavyPathMode::kAuto, HeavyPathMode::kForceDense,
+          HeavyPathMode::kForceCsrDense, HeavyPathMode::kForceCsrCsr}) {
+      for (bool whole_rows : {false, true}) {
+        for (int threads : {1, 3}) {
+          std::vector<Matrix> got(3, Matrix(a.rows(), b.cols()));
+          std::vector<std::vector<int>> deliveries(
+              3, std::vector<int>(a.rows(), 0));
+          HeavyProduct p;
+          p.mode = mode;
+          p.partition = PartitionMode::kForce;
+          p.row_block = 4;
+          p.rates = &TestRates();
+          p.threads = threads;
+          p.whole_rows = whole_rows;
+          p.on_row = [&](int w, uint32_t row, const HeavyRow& out) {
+            ++deliveries[w][row];
+            out.ForEach([&](uint32_t col, uint32_t count) {
+              got[w].MutableRow(row)[col] += static_cast<float>(count);
+            });
+          };
+          bool interrupted = false;
+          const HeavyRun run = RunHeavyProduct(a, b, p, &interrupted);
+          ASSERT_TRUE(run.partition_used);
+          saw_multi_band |= run.partition_col_bands > 1;
+          EXPECT_FALSE(interrupted);
+          EXPECT_EQ(run.heavy_blocks_executed, run.heavy_blocks_total);
+          EXPECT_EQ(run.block_choices.size(), run.kernel_counts.total());
+          for (size_t i = 0; i < a.rows(); ++i) {
+            const int n = deliveries[0][i] + deliveries[1][i] + deliveries[2][i];
+            if (whole_rows) EXPECT_EQ(n, 1) << "row " << i;
+            for (size_t j = 0; j < b.cols(); ++j) {
+              EXPECT_EQ(got[0].At(i, j) + got[1].At(i, j) + got[2].At(i, j),
+                        want.At(i, j))
+                  << HeavyPathModeName(mode) << " whole_rows=" << whole_rows
+                  << " threads=" << threads << " cell (" << i << ", " << j
+                  << ")";
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_multi_band) << "test premise: a grid with several "
+                                 "column bands runs";
+}
+
 // ---- MmJoinTwoPath under PartitionMode (end-to-end equivalence) ----------
 
 TEST(MmJoinDensity, ForcedGridIsByteIdenticalToUniform) {
@@ -332,34 +399,31 @@ TEST(MmJoinDensity, ForcedGridIsByteIdenticalToUniform) {
   BinaryRelation s = RandomRelation(110, 60, 1300, 1.3, 32);
   IndexedRelation ri(r), si(s);
   const auto oracle = OracleTwoPathCounted(r, s);
-  for (DedupImpl dedup : {DedupImpl::kStampArray, DedupImpl::kSortLocal}) {
-    for (int threads : {1, 3}) {
-      MmJoinOptions opts;
-      opts.thresholds = {2, 2};
-      opts.count_witnesses = true;
-      opts.row_block = 8;
-      opts.dedup = dedup;
-      opts.threads = threads;
+  for (int threads : {1, 3}) {
+    MmJoinOptions opts;
+    opts.thresholds = {2, 2};
+    opts.count_witnesses = true;
+    opts.row_block = 8;
+    opts.threads = threads;
 
-      opts.partition = PartitionMode::kOff;
-      auto off = MmJoinTwoPath(ri, si, opts);
-      EXPECT_FALSE(off.partition_used);
-      EXPECT_EQ(off.partition_signature, "uniform");
+    opts.partition = PartitionMode::kOff;
+    auto off = MmJoinTwoPath(ri, si, opts);
+    EXPECT_FALSE(off.partition_used);
+    EXPECT_EQ(off.partition_signature, "uniform");
 
-      opts.partition = PartitionMode::kForce;
-      auto force = MmJoinTwoPath(ri, si, opts);
-      ASSERT_GT(force.heavy_rows, 0u) << "test premise: heavy part exists";
-      EXPECT_TRUE(force.partition_used);
-      EXPECT_NE(force.partition_signature, "uniform");
-      EXPECT_EQ(force.partition_blocks_scheduled +
-                    force.partition_blocks_pruned,
-                force.partition_row_bands * force.partition_col_bands);
+    opts.partition = PartitionMode::kForce;
+    auto force = MmJoinTwoPath(ri, si, opts);
+    ASSERT_GT(force.heavy_rows, 0u) << "test premise: heavy part exists";
+    EXPECT_TRUE(force.partition_used);
+    EXPECT_NE(force.partition_signature, "uniform");
+    EXPECT_EQ(force.partition_blocks_scheduled +
+                  force.partition_blocks_pruned,
+              force.partition_row_bands * force.partition_col_bands);
 
-      EXPECT_EQ(Sorted(off.counted), oracle);
-      EXPECT_EQ(Sorted(force.counted), oracle);
-      // Work units are remap-invariant: same chunk count either way.
-      EXPECT_EQ(force.heavy_blocks_total, off.heavy_blocks_total);
-    }
+    EXPECT_EQ(Sorted(off.counted), oracle);
+    EXPECT_EQ(Sorted(force.counted), oracle);
+    // Work units are remap-invariant: same chunk count either way.
+    EXPECT_EQ(force.heavy_blocks_total, off.heavy_blocks_total);
   }
 }
 

@@ -10,8 +10,10 @@
 //   two-path: WCOJ (threads=1) is the reference; MM (auto + forced dense /
 //             csr-dense / csr-csr heavy paths + forced density-partitioned
 //             grid) and Non-MM must match at threads {1, 3, hw}.
-//   star:     WCOJ reference vs MM (uniform + forced density grid) and
-//             Non-MM star joins (every 4th iteration; k in {2, 3}).
+//   star:     WCOJ reference vs MM (every forced kernel x partition
+//             {off, force}) and Non-MM star joins (every 4th iteration;
+//             k in {2, 3}); triangle: the MM count under every kernel mode
+//             vs the node iterator on the instance's symmetric closure.
 //   isa:      the same recipes re-run under every host-supported kernel
 //             dispatch level (ScopedIsaOverride; common/cpu_features.h) —
 //             the explicit AVX2/AVX-512 kernels must stay byte-identical
@@ -50,6 +52,7 @@
 #include "core/query_engine.h"
 #include "core/query_service.h"
 #include "core/result_sink.h"
+#include "core/triangle.h"
 #include "datagen/generators.h"
 #include "tests/test_util.h"
 
@@ -671,10 +674,23 @@ TEST(DifferentialFuzz, StarCrossStrategyAgreement) {
       const char* name;
       Strategy strategy;
       PartitionMode partition;
+      HeavyPathMode heavy_path = HeavyPathMode::kAuto;
     };
     const StarVariant star_variants[] = {
         {"star-mmjoin", Strategy::kMmJoin, PartitionMode::kOff},
         {"star-mm-density", Strategy::kMmJoin, PartitionMode::kForce},
+        {"star-mm-dense", Strategy::kMmJoin, PartitionMode::kOff,
+         HeavyPathMode::kForceDense},
+        {"star-mm-csr-dense", Strategy::kMmJoin, PartitionMode::kOff,
+         HeavyPathMode::kForceCsrDense},
+        {"star-mm-csr-csr", Strategy::kMmJoin, PartitionMode::kOff,
+         HeavyPathMode::kForceCsrCsr},
+        {"star-mm-density-dense", Strategy::kMmJoin, PartitionMode::kForce,
+         HeavyPathMode::kForceDense},
+        {"star-mm-density-csr-dense", Strategy::kMmJoin, PartitionMode::kForce,
+         HeavyPathMode::kForceCsrDense},
+        {"star-mm-density-csr-csr", Strategy::kMmJoin, PartitionMode::kForce,
+         HeavyPathMode::kForceCsrCsr},
         {"star-nonmm", Strategy::kNonMmJoin, PartitionMode::kOff},
     };
     for (const StarVariant& sv : star_variants) {
@@ -682,6 +698,7 @@ TEST(DifferentialFuzz, StarCrossStrategyAgreement) {
         JoinProjectOptions opts;
         opts.strategy = sv.strategy;
         opts.partition = sv.partition;
+        opts.heavy_path = sv.heavy_path;
         opts.threads = t;
         opts.thresholds = cfg.thresholds;
         const auto got = ToVectors(JoinProject::Star(rels, opts).tuples);
@@ -693,6 +710,47 @@ TEST(DifferentialFuzz, StarCrossStrategyAgreement) {
               " want=" + std::to_string(ref.size());
           RecordFailure(line);
           ADD_FAILURE() << "star cross-strategy mismatch: " << line;
+          return;
+        }
+      }
+    }
+
+    // Triangle rows: the symmetric closure of the same instance, counted by
+    // the MM triangle (its heavy trace product runs on the same executor)
+    // against the node iterator. Small degree thresholds keep a heavy part.
+    BinaryRelation sym;
+    for (const Tuple& e : rel.tuples()) {
+      sym.Add(e.x, e.y);
+      sym.Add(e.y, e.x);
+    }
+    sym.Finalize();
+    const IndexedRelation sym_idx(sym);
+    const uint64_t tri_ref = CountTrianglesNodeIterator(sym_idx);
+    struct TriangleVariant {
+      const char* name;
+      HeavyPathMode heavy_path;
+    };
+    const TriangleVariant tri_variants[] = {
+        {"tri-auto", HeavyPathMode::kAuto},
+        {"tri-dense", HeavyPathMode::kForceDense},
+        {"tri-csr-dense", HeavyPathMode::kForceCsrDense},
+        {"tri-csr-csr", HeavyPathMode::kForceCsrCsr},
+    };
+    for (const TriangleVariant& tv : tri_variants) {
+      for (int t : ThreadCounts()) {
+        TriangleCountOptions opts;
+        opts.delta = 1 + cfg.seed % 4;
+        opts.heavy_path = tv.heavy_path;
+        opts.threads = t;
+        const uint64_t got = CountTrianglesMm(sym_idx, opts).triangles;
+        if (got != tri_ref) {
+          const std::string line =
+              cfg.ToString() + " variant=" + tv.name +
+              " delta=" + std::to_string(opts.delta) +
+              " threads=" + std::to_string(t) + " got=" + std::to_string(got) +
+              " want=" + std::to_string(tri_ref);
+          RecordFailure(line);
+          ADD_FAILURE() << "triangle cross-kernel mismatch: " << line;
           return;
         }
       }

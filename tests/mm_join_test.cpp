@@ -188,21 +188,6 @@ TEST(MmJoin, MinCountFiltersPairs) {
   }
 }
 
-TEST(MmJoin, SortDedupMatchesStampDedup) {
-  BinaryRelation r = RandomRelation(45, 30, 350, 1.2, 43);
-  IndexedRelation ri(r);
-  MmJoinOptions stamp;
-  stamp.thresholds = {3, 3};
-  MmJoinOptions sortd = stamp;
-  sortd.dedup = DedupImpl::kSortLocal;
-  EXPECT_EQ(Sorted(MmJoinTwoPath(ri, ri, stamp).pairs),
-            Sorted(MmJoinTwoPath(ri, ri, sortd).pairs));
-
-  stamp.count_witnesses = sortd.count_witnesses = true;
-  EXPECT_EQ(Sorted(MmJoinTwoPath(ri, ri, stamp).counted),
-            Sorted(MmJoinTwoPath(ri, ri, sortd).counted));
-}
-
 TEST(MmJoin, SmallRowBlocksMatch) {
   BinaryRelation r = RandomRelation(60, 30, 600, 1.4, 44);
   IndexedRelation ri(r);
@@ -289,29 +274,26 @@ TEST(MmJoin, ThreadCountDoesNotChangeSortedOutput) {
   IndexedRelation ri(rel);
 
   const std::vector<int> sweep = {1, 3, HardwareThreads()};
-  for (DedupImpl dedup : {DedupImpl::kStampArray, DedupImpl::kSortLocal}) {
-    MmJoinOptions base;
-    base.thresholds = {4, 4};  // force a real heavy part
-    base.dedup = dedup;
-    base.threads = 1;
-    const auto ref = Sorted(MmJoinTwoPath(ri, ri, base).pairs);
-    EXPECT_FALSE(ref.empty());
-    for (int threads : sweep) {
-      MmJoinOptions opts = base;
-      opts.threads = threads;
-      EXPECT_EQ(Sorted(MmJoinTwoPath(ri, ri, opts).pairs), ref)
-          << "threads=" << threads;
-    }
-    // Counted variant: witness counts must also be partition-independent.
-    MmJoinOptions counted = base;
-    counted.count_witnesses = true;
-    const auto cref = Sorted(MmJoinTwoPath(ri, ri, counted).counted);
-    for (int threads : sweep) {
-      MmJoinOptions opts = counted;
-      opts.threads = threads;
-      EXPECT_EQ(Sorted(MmJoinTwoPath(ri, ri, opts).counted), cref)
-          << "threads=" << threads;
-    }
+  MmJoinOptions base;
+  base.thresholds = {4, 4};  // force a real heavy part
+  base.threads = 1;
+  const auto ref = Sorted(MmJoinTwoPath(ri, ri, base).pairs);
+  EXPECT_FALSE(ref.empty());
+  for (int threads : sweep) {
+    MmJoinOptions opts = base;
+    opts.threads = threads;
+    EXPECT_EQ(Sorted(MmJoinTwoPath(ri, ri, opts).pairs), ref)
+        << "threads=" << threads;
+  }
+  // Counted variant: witness counts must also be partition-independent.
+  MmJoinOptions counted = base;
+  counted.count_witnesses = true;
+  const auto cref = Sorted(MmJoinTwoPath(ri, ri, counted).counted);
+  for (int threads : sweep) {
+    MmJoinOptions opts = counted;
+    opts.threads = threads;
+    EXPECT_EQ(Sorted(MmJoinTwoPath(ri, ri, opts).counted), cref)
+        << "threads=" << threads;
   }
 }
 

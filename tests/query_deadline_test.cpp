@@ -30,6 +30,7 @@
 namespace jpmm {
 namespace {
 
+using testutil::HubGraph;
 using testutil::OracleTwoPath;
 using testutil::Sorted;
 
@@ -369,6 +370,37 @@ TEST(QueryDeadline, TriangleDeadlineExactness) {
       EXPECT_FALSE(stats.interrupted);
       EXPECT_EQ(stats.triangle_count, want);
       EXPECT_EQ(stats.light_chunks_executed, stats.light_chunks_total);
+    }
+  }
+}
+
+// The heavy trace product's blocks obey the same accounting as every other
+// strategy's: skipped under a pre-expired deadline, all executed under a
+// generous one, executed + skipped == total either way.
+TEST(QueryDeadline, TriangleHeavyPartAccounting) {
+  QueryEngine engine;
+  engine.catalog().Put("G", HubGraph());
+  QuerySpec spec;
+  spec.kind = QueryKind::kTriangle;
+  spec.relations = {"G"};
+  for (int threads : ThreadCounts()) {
+    for (bool expired : {true, false}) {
+      CancelToken token;
+      token.SetDeadlineAfter(expired ? 0 : 10 * 60 * 1000);
+      CountOnlySink sink;
+      ExecStats stats;
+      ExecOptions exec;
+      exec.threads = threads;
+      exec.cancel = &token;
+      ASSERT_TRUE(engine.Run(spec, sink, exec, &stats).ok());
+      const char* where = expired ? "expired deadline" : "generous deadline";
+      EXPECT_EQ(stats.interrupted, expired) << where;
+      EXPECT_GT(stats.heavy_blocks_total, 0u)
+          << "test premise: the hubs form a heavy part";
+      EXPECT_EQ(stats.heavy_blocks_executed,
+                expired ? 0u : stats.heavy_blocks_total)
+          << where;
+      ExpectAccounting(stats, where);
     }
   }
 }

@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/heavy_dispatch.h"
+#include "core/heavy_product.h"
 #include "core/join_project.h"
 #include "core/mm_join.h"
 #include "core/star_join.h"
@@ -213,6 +214,42 @@ TEST(HeavyDispatch, DensityDrivesKernelChoice) {
             ProductKernel::kDenseGemm);
 }
 
+
+TEST(HeavyDispatch, FloatKernelsGatedOffPastExactFloatRange) {
+  // Float cells count exactly only below 2^24 and a cell can count up to
+  // the inner dimension, so at inner = 2^24 the gates must send every
+  // block, in every mode, to the uint32 CSR x CSR kernel. The gate reads
+  // the shape alone: no 2^24-wide operand is built. Planning runs on small
+  // operands with rates under which the dense GEMM would otherwise win.
+  const CsrMatrix a =
+      CsrMatrix::FromDense(RandomDenseMatrix(600, 64, 0.5, 23));
+  const CsrMatrix b =
+      CsrMatrix::FromDense(RandomDenseMatrix(64, 80, 0.5, 24));
+  const SparseKernelRates rates = SparseKernelRates::FromRates(1e9, 1e9, 1e12);
+  constexpr uint64_t kNoCap = ~uint64_t{0} >> 1;
+  for (HeavyPathMode mode :
+       {HeavyPathMode::kAuto, HeavyPathMode::kForceDense,
+        HeavyPathMode::kForceCsrDense, HeavyPathMode::kForceCsrCsr}) {
+    HeavyShape shape{a.rows(), kMaxExactFloatCount, b.cols(), a.nnz(),
+                     b.nnz()};
+    const HeavyGates gates = GateHeavyProduct(shape, mode, 256, 4, kNoCap);
+    EXPECT_FALSE(gates.allow_dense) << HeavyPathModeName(mode);
+    EXPECT_FALSE(gates.allow_csr_dense) << HeavyPathModeName(mode);
+    HeavyKernelCounts counts;
+    PlanProductBlocks(a, b, 256, gates.mode, &rates, gates.allow_dense,
+                      gates.allow_csr_dense, &counts);
+    EXPECT_EQ(counts.dense, 0u) << HeavyPathModeName(mode);
+    EXPECT_EQ(counts.csr_dense, 0u) << HeavyPathModeName(mode);
+    EXPECT_EQ(counts.csr_csr, 3u) << HeavyPathModeName(mode);
+
+    // One below the bound, every mode keeps its kernels.
+    shape.inner = kMaxExactFloatCount - 1;
+    const HeavyGates below = GateHeavyProduct(shape, mode, 256, 4, kNoCap);
+    EXPECT_EQ(below.mode, mode);
+    EXPECT_EQ(below.allow_csr_dense, mode != HeavyPathMode::kForceCsrCsr);
+  }
+}
+
 // ---- mm_join forced-path equivalence + dispatch ---------------------------
 
 TEST(SparseMmJoin, AllHeavyPathsProduceIdenticalSortedOutput) {
@@ -261,19 +298,6 @@ TEST(SparseMmJoin, ThreadCountDoesNotChangeSortedOutputOnSparsePaths) {
           << HeavyPathModeName(mode) << " threads=" << threads;
     }
   }
-}
-
-TEST(SparseMmJoin, SortDedupMatchesStampDedupOnSparseRows) {
-  const BinaryRelation rel = RandomRelation(90, 45, 900, 1.2, 79);
-  IndexedRelation ri(rel);
-  MmJoinOptions stamp;
-  stamp.thresholds = {2, 2};
-  stamp.heavy_path = HeavyPathMode::kForceCsrCsr;
-  stamp.count_witnesses = true;
-  MmJoinOptions sortd = stamp;
-  sortd.dedup = DedupImpl::kSortLocal;
-  EXPECT_EQ(Sorted(MmJoinTwoPath(ri, ri, stamp).counted),
-            Sorted(MmJoinTwoPath(ri, ri, sortd).counted));
 }
 
 TEST(SparseMmJoin, UltraSparseHeavyPartSelectsCsrKernels) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/query_engine.h"
 #include "core/star_join.h"
+#include "datagen/generators.h"
 #include "tests/test_util.h"
 
 namespace jpmm {
@@ -136,6 +138,30 @@ TEST(StarJoin, K2AgreesWithTwoPathSemantics) {
   opts.thresholds = {2, 2};
   auto res = MmStarJoin(f.idx_ptrs, opts);
   EXPECT_EQ(ToVectors(res.tuples), OracleStar(f.rel_ptrs));
+}
+
+// The engine surfaces the star's heavy-run record like the two-path's: one
+// block choice per scheduled product block, plus the operand nnz.
+TEST(StarJoin, EngineStatsCarryBlockChoices) {
+  QueryEngine engine;
+  engine.catalog().Put("R", CommunityGraph(4, 60, 0.5, 11));
+  QuerySpec spec;
+  spec.kind = QueryKind::kStar;
+  spec.relations = {"R", "R", "R"};
+  for (PartitionMode partition : {PartitionMode::kOff, PartitionMode::kForce}) {
+    ExecOptions exec;
+    exec.thresholds = {8, 8};  // force a real heavy part
+    exec.partition = partition;
+    CountOnlySink sink;
+    ExecStats stats;
+    ASSERT_TRUE(engine.Run(spec, sink, exec, &stats).ok());
+    EXPECT_GT(stats.kernel_counts.total(), 0u) << PartitionModeName(partition);
+    EXPECT_EQ(stats.block_choices.size(), stats.kernel_counts.total())
+        << PartitionModeName(partition);
+    EXPECT_GT(stats.a_nnz, 0u);
+    EXPECT_GT(stats.b_nnz, 0u);
+    EXPECT_GT(stats.heavy_density, 0.0);
+  }
 }
 
 }  // namespace

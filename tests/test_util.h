@@ -116,6 +116,29 @@ inline BinaryRelation RandomRelation(uint32_t num_x, uint32_t num_y,
   return rel;
 }
 
+/// Symmetric graph (both edge directions, no self loops) whose triangle
+/// count has a real heavy part: `hubs` vertices adjacent to all `n`, far
+/// above the default sqrt(|E|) degree threshold, plus `extra` random edges.
+inline BinaryRelation HubGraph(uint32_t n = 300, uint32_t hubs = 5,
+                               uint32_t extra = 600, uint64_t seed = 5) {
+  Rng rng(seed);
+  BinaryRelation g;
+  auto edge = [&g](Value u, Value v) {
+    if (u == v) return;
+    g.Add(u, v);
+    g.Add(v, u);
+  };
+  for (Value h = 0; h < hubs; ++h) {
+    for (Value v = 0; v < n; ++v) edge(h, v);
+  }
+  for (uint32_t i = 0; i < extra; ++i) {
+    edge(static_cast<Value>(rng.NextBounded(n)),
+         static_cast<Value>(rng.NextBounded(n)));
+  }
+  g.Finalize();
+  return g;
+}
+
 inline std::vector<OutPair> Sorted(std::vector<OutPair> v) {
   std::sort(v.begin(), v.end());
   return v;

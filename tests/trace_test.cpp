@@ -19,6 +19,7 @@
 #include "core/result_sink.h"
 #include "core/trace.h"
 #include "datagen/generators.h"
+#include "tests/test_util.h"
 
 namespace jpmm {
 namespace {
@@ -155,6 +156,39 @@ TEST(TraceEndToEnd, MmJoinSpanTreeBalancedWithBlockAttribution) {
   EXPECT_EQ(stats.heavy_blocks_executed + stats.heavy_blocks_skipped,
             stats.heavy_blocks_total);
   EXPECT_EQ(trace.CountNamed("light-chunk"), stats.light_chunks_executed);
+}
+
+// The star's and the triangle's heavy products run on the same executor as
+// the two-path, so they report the same per-kernel block spans.
+TEST(TraceEndToEnd, StarAndTriangleBlockSpansMatchAccounting) {
+  QueryEngine engine;
+  engine.catalog().Put("R", SkewedGraph());
+  engine.catalog().Put("G", testutil::HubGraph());
+  QuerySpec star;
+  star.kind = QueryKind::kStar;
+  star.relations = {"R", "R", "R"};
+  QuerySpec triangle;
+  triangle.kind = QueryKind::kTriangle;
+  triangle.relations = {"G"};
+  for (const QuerySpec& spec : {star, triangle}) {
+    TraceRecorder trace;
+    ExecOptions exec;
+    exec.trace = &trace;
+    exec.partition = PartitionMode::kOff;
+    if (spec.kind == QueryKind::kStar) exec.thresholds = {8, 8};
+    CountOnlySink sink;
+    ExecStats stats;
+    ASSERT_TRUE(engine.Run(spec, sink, exec, &stats).ok());
+    const char* what = spec.kind == QueryKind::kStar ? "star" : "triangle";
+    EXPECT_TRUE(trace.AllClosed()) << what;
+    EXPECT_GT(stats.heavy_blocks_total, 0u) << what;
+    EXPECT_EQ(stats.heavy_blocks_executed, stats.heavy_blocks_total) << what;
+    EXPECT_EQ(BlockSpanCount(trace), stats.heavy_blocks_executed) << what;
+    EXPECT_EQ(trace.CountNamed("block:dense"), stats.kernel_counts.dense);
+    EXPECT_EQ(trace.CountNamed("block:csr-dense"),
+              stats.kernel_counts.csr_dense);
+    EXPECT_EQ(trace.CountNamed("block:csr-csr"), stats.kernel_counts.csr_csr);
+  }
 }
 
 TEST(TraceEndToEnd, SpanTreeBalancedOnEveryStrategy) {

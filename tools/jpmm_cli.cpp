@@ -252,34 +252,30 @@ void PrintIsaLine() {
               KernelIsaName(DetectBestIsa()));
 }
 
-// --explain: the density-adaptive partitioning decision for the heavy
-// product. The signature ("RxC/sK/pJ", or "off"/"uniform") is stable
-// across re-executions of the same query + options.
-void PrintPartitionRecord(bool used, uint64_t row_bands, uint64_t col_bands,
-                          uint64_t scheduled, uint64_t pruned,
-                          const std::string& signature) {
-  if (used) {
+// --explain: the heavy product's record — the density-adaptive
+// partitioning decision (the signature, "RxC/sK/pJ" or "off"/"uniform", is
+// stable across re-executions of the same query + options) and the
+// per-block dispatch record.
+void PrintHeavyRun(const HeavyRun& run) {
+  if (run.partition_used) {
     std::printf("partition: density grid %llu x %llu bands, blocks "
                 "scheduled=%llu pruned=%llu (signature %s)\n",
-                static_cast<unsigned long long>(row_bands),
-                static_cast<unsigned long long>(col_bands),
-                static_cast<unsigned long long>(scheduled),
-                static_cast<unsigned long long>(pruned), signature.c_str());
+                static_cast<unsigned long long>(run.partition_row_bands),
+                static_cast<unsigned long long>(run.partition_col_bands),
+                static_cast<unsigned long long>(run.partition_blocks_scheduled),
+                static_cast<unsigned long long>(run.partition_blocks_pruned),
+                run.partition_signature.c_str());
   } else {
-    std::printf("partition: %s\n", signature.c_str());
+    std::printf("partition: %s\n", run.partition_signature.c_str());
   }
-}
-
-// --explain: the per-block dispatch record of the heavy product.
-void PrintBlockChoices(const HeavyKernelCounts& counts,
-                       const std::vector<BlockKernelChoice>& choices,
-                       uint64_t nnz, double density) {
+  const HeavyKernelCounts& counts = run.kernel_counts;
   std::printf("heavy part: nnz=%llu density=%.3g blocks: dense=%llu "
               "csr-dense=%llu csr-csr=%llu\n",
-              static_cast<unsigned long long>(nnz), density,
+              static_cast<unsigned long long>(run.a_nnz), run.heavy_density,
               static_cast<unsigned long long>(counts.dense),
               static_cast<unsigned long long>(counts.csr_dense),
               static_cast<unsigned long long>(counts.csr_csr));
+  const std::vector<BlockKernelChoice>& choices = run.block_choices;
   constexpr size_t kMaxLines = 32;
   for (size_t i = 0; i < choices.size(); ++i) {
     if (i == kMaxLines) {
@@ -809,13 +805,7 @@ int RunTwoPath(const Args& args, BinaryRelation rel) {
   }
   if (args.Has("explain")) {
     PrintIsaLine();
-    PrintPartitionRecord(stats.partition_used, stats.partition_row_bands,
-                         stats.partition_col_bands,
-                         stats.partition_blocks_scheduled,
-                         stats.partition_blocks_pruned,
-                         stats.partition_signature);
-    PrintBlockChoices(stats.kernel_counts, stats.block_choices, stats.m1_nnz,
-                      stats.heavy_density);
+    PrintHeavyRun(stats);
   }
   return 0;
 }
@@ -852,18 +842,7 @@ int RunStar(const Args& args, const BinaryRelation& rel) {
               static_cast<unsigned long long>(res.w_rows));
   if (args.Has("explain")) {
     PrintIsaLine();
-    std::printf("heavy part: V nnz=%llu density=%.3g blocks: dense=%llu "
-                "csr-dense=%llu csr-csr=%llu\n",
-                static_cast<unsigned long long>(res.v_nnz),
-                res.heavy_density,
-                static_cast<unsigned long long>(res.kernel_counts.dense),
-                static_cast<unsigned long long>(res.kernel_counts.csr_dense),
-                static_cast<unsigned long long>(res.kernel_counts.csr_csr));
-    PrintPartitionRecord(res.partition_used, res.partition_row_bands,
-                         res.partition_col_bands,
-                         res.partition_blocks_scheduled,
-                         res.partition_blocks_pruned,
-                         res.partition_signature);
+    PrintHeavyRun(res);
   }
   if (args.Has("trace")) PrintTrace(trace);
   return 0;
