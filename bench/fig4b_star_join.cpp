@@ -53,7 +53,5 @@ int main(int argc, char** argv) {
         ->Unit(benchmark::kMillisecond)
         ->Iterations(1);
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return benchutil::RunBenchmarks(argc, argv);
 }

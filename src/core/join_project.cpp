@@ -255,6 +255,25 @@ StarJoinResult JoinProject::Star(
     const std::vector<const IndexedRelation*>& rels,
     const JoinProjectOptions& opts) {
   JPMM_CHECK(rels.size() >= 2);
+  if (opts.strategy == Strategy::kWcojFull) {
+    StarJoinResult res;
+    WallTimer timer;
+    {
+      TraceRecorder::Scope wcoj_scope(opts.trace, "wcoj-full",
+                                      opts.trace_parent);
+      res.tuples = WcojStarJoin(rels, opts.threads);
+    }
+    res.light_seconds = timer.Seconds();
+    // The reference baseline materializes first; sinks get one
+    // post-evaluation stream (no early production exit on this path).
+    if (opts.sink != nullptr) {
+      opts.sink->Open(1);
+      res.interrupted = DeliverStarTuples(res.tuples, opts.sink, opts.cancel);
+      opts.sink->Finish();
+    }
+    return res;
+  }
+
   StarJoinOptions so;
   so.threads = opts.threads;
   so.heavy_path = opts.heavy_path;
@@ -265,46 +284,11 @@ StarJoinResult JoinProject::Star(
   so.cancel = opts.cancel;
   so.trace = opts.trace;
   so.trace_parent = opts.trace_parent;
-  if (opts.thresholds.delta1 != 0 || opts.thresholds.delta2 != 0) {
-    so.thresholds = opts.thresholds;
-  } else {
-    so.thresholds = ChooseStarThresholds(rels);
-  }
-
-  switch (opts.strategy) {
-    case Strategy::kNonMmJoin:
-      return NonMmStarJoin(rels, so);
-    case Strategy::kWcojFull: {
-      StarJoinResult res;
-      WallTimer timer;
-      {
-        TraceRecorder::Scope wcoj_scope(opts.trace, "wcoj-full",
-                                        opts.trace_parent);
-        res.tuples = WcojStarJoin(rels, opts.threads);
-      }
-      res.light_seconds = timer.Seconds();
-      // The reference baseline materializes first; sinks get one
-      // post-evaluation stream (no early production exit on this path).
-      if (opts.sink != nullptr) {
-        opts.sink->Open(1);
-        ResultSink::Shard& shard = opts.sink->shard(0);
-        for (size_t i = 0; i < res.tuples.size(); ++i) {
-          if (opts.sink->done()) break;
-          if (opts.cancel != nullptr && opts.cancel->Fired()) {
-            res.interrupted = true;
-            break;
-          }
-          shard.OnTuple(res.tuples.Get(i));
-        }
-        opts.sink->Finish();
-      }
-      return res;
-    }
-    case Strategy::kAuto:
-    case Strategy::kMmJoin:
-      return MmStarJoin(rels, so);
-  }
-  return MmStarJoin(rels, so);
+  so.thresholds = opts.thresholds.delta1 != 0 || opts.thresholds.delta2 != 0
+                      ? opts.thresholds
+                      : ChooseStarThresholds(rels);
+  return opts.strategy == Strategy::kNonMmJoin ? NonMmStarJoin(rels, so)
+                                               : MmStarJoin(rels, so);
 }
 
 }  // namespace jpmm

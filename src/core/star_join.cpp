@@ -7,6 +7,8 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <numeric>
+#include <span>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -31,7 +33,8 @@ namespace {
 // never seen before into the sink, and folds them into the sorted `seen`
 // union. Batches arrive from many workers; the mutex serializes them (the
 // per-batch merge is O(|seen| + |batch|), paid only for sinks that can
-// finish early — everyone else gets one post-evaluation stream).
+// finish early — everyone else gets one post-evaluation stream, whose heavy
+// tuples are produced in order and merged with the sorted light union).
 struct StarEmitter {
   ResultSink* sink = nullptr;
   bool streaming = false;
@@ -217,14 +220,15 @@ uint64_t RegistrationBytes(size_t combos, size_t group_size, size_t entries) {
 }
 
 // Heavy-combo registration for one variable group over the shared columns.
-// Returns the number of (row, col) incidences; fills row_map / rows_flat /
-// entries. Aborts early (returns false) if the registration working set
-// exceeds max_bytes.
+// Fills rows_flat (one combo per row id, in first-seen order) and entries
+// (one (row, col) incidence each, in ascending column order). Aborts early
+// (returns false) if the registration working set exceeds max_bytes.
 bool RegisterGroup(const StarContext& ctx, const std::vector<size_t>& group,
                    const std::vector<Value>& cols, uint64_t max_bytes,
-                   RowMap* row_map, std::vector<Value>* rows_flat,
+                   std::vector<Value>* rows_flat,
                    std::vector<std::pair<Value, Value>>* entries) {
   const size_t g = group.size();
+  RowMap row_map;
   std::vector<std::vector<Value>> lists(g);
   std::vector<Value> combo(g);
   for (size_t col = 0; col < cols.size(); ++col) {
@@ -245,16 +249,15 @@ bool RegisterGroup(const StarContext& ctx, const std::vector<size_t>& group,
     std::vector<size_t> pos(g, 0);
     for (size_t i = 0; i < g; ++i) combo[i] = lists[i][0];
     for (;;) {
-      auto [it, inserted] = row_map->try_emplace(
-          PackComboKey(combo), static_cast<Value>(row_map->size()));
+      auto [it, inserted] = row_map.try_emplace(
+          PackComboKey(combo), static_cast<Value>(row_map.size()));
       if (inserted) {
         rows_flat->insert(rows_flat->end(), combo.begin(), combo.end());
       }
       entries->emplace_back(it->second, static_cast<Value>(col));
       // Checked on every incidence, not just combo insertions: the entry
       // list keeps growing even when no new combo appears.
-      if (RegistrationBytes(row_map->size(), g, entries->size()) >
-          max_bytes) {
+      if (RegistrationBytes(row_map.size(), g, entries->size()) > max_bytes) {
         return false;
       }
 
@@ -277,6 +280,31 @@ bool RegisterGroup(const StarContext& ctx, const std::vector<size_t>& group,
     }
   }
   return true;
+}
+
+// Renumbers one group's rows in lexicographic combo order: rows_flat is
+// permuted and the row ids in entries remapped. O(R log R + E). Afterwards
+// walking V rows, and within each the W rows, in id order visits the heavy
+// tuples in sorted order.
+void SortGroupRows(size_t g, std::vector<Value>* rows_flat,
+                   std::vector<std::pair<Value, Value>>* entries) {
+  const size_t n = rows_flat->size() / g;
+  const Value* flat = rows_flat->data();
+  std::vector<Value> order(n);
+  std::iota(order.begin(), order.end(), Value{0});
+  std::sort(order.begin(), order.end(), [flat, g](Value a, Value b) {
+    return std::lexicographical_compare(flat + a * g, flat + a * g + g,
+                                        flat + b * g, flat + b * g + g);
+  });
+  std::vector<Value> sorted(rows_flat->size());
+  std::vector<Value> new_id(n);
+  for (size_t r = 0; r < n; ++r) {
+    std::copy(flat + order[r] * g, flat + order[r] * g + g,
+              sorted.begin() + static_cast<std::ptrdiff_t>(r * g));
+    new_id[order[r]] = static_cast<Value>(r);
+  }
+  *rows_flat = std::move(sorted);
+  for (auto& e : *entries) e.first = new_id[e.first];
 }
 
 // Shared columns of the heavy step: y heavy in >= 2 relations and adjacent
@@ -303,32 +331,204 @@ std::vector<Value> HeavyColumns(const StarContext& ctx) {
 }
 
 struct HeavyGroups {
+  size_t g1 = 0, g2 = 0;  // group sizes: ceil(k/2), floor(k/2)
   std::vector<Value> cols;
-  RowMap map1, map2;
-  std::vector<Value> rows1_flat, rows2_flat;  // stride g1 / g2
+  std::vector<Value> rows1_flat, rows2_flat;  // stride g1 / g2, sorted
   std::vector<std::pair<Value, Value>> entries1, entries2;  // (row, col)
   bool fits = false;
+
+  uint64_t rows1() const { return rows1_flat.size() / g1; }
+  uint64_t rows2() const { return rows2_flat.size() / g2; }
 };
 
 HeavyGroups BuildHeavyGroups(const StarContext& ctx, uint64_t max_bytes) {
   const size_t k = ctx.rels.size();
-  const size_t g1 = (k + 1) / 2;
-  std::vector<size_t> group1, group2;
-  for (size_t i = 0; i < g1; ++i) group1.push_back(i);
-  for (size_t i = g1; i < k; ++i) group2.push_back(i);
-
   HeavyGroups hg;
+  hg.g1 = (k + 1) / 2;
+  hg.g2 = k - hg.g1;
+  std::vector<size_t> group1, group2;
+  for (size_t i = 0; i < hg.g1; ++i) group1.push_back(i);
+  for (size_t i = hg.g1; i < k; ++i) group2.push_back(i);
+
   hg.cols = HeavyColumns(ctx);
   if (hg.cols.empty()) {
     hg.fits = true;
     return hg;
   }
-  hg.fits = RegisterGroup(ctx, group1, hg.cols, max_bytes, &hg.map1,
-                          &hg.rows1_flat, &hg.entries1) &&
-            RegisterGroup(ctx, group2, hg.cols, max_bytes, &hg.map2,
-                          &hg.rows2_flat, &hg.entries2);
+  hg.fits = RegisterGroup(ctx, group1, hg.cols, max_bytes, &hg.rows1_flat,
+                          &hg.entries1) &&
+            RegisterGroup(ctx, group2, hg.cols, max_bytes, &hg.rows2_flat,
+                          &hg.entries2);
+  if (hg.fits) {
+    SortGroupRows(hg.g1, &hg.rows1_flat, &hg.entries1);
+    SortGroupRows(hg.g2, &hg.rows2_flat, &hg.entries2);
+  }
   return hg;
 }
+
+// The heavy output of a non-streaming run: for every V row, the ascending
+// W-row ids it pairs with, kept as one segment of the id buffer of the
+// worker that produced the row. A row no executed chunk reached keeps an
+// empty segment. Rows are distinct combos, so the pairs need no dedup.
+struct HeavyPairs {
+  struct Segment {
+    size_t offset = 0;
+    uint32_t length = 0;
+    uint32_t worker = 0;
+  };
+  std::vector<std::vector<uint32_t>> ids;  // per worker
+  std::vector<Segment> rows;               // per V row
+
+  HeavyPairs(int threads, uint64_t v_rows)
+      : ids(static_cast<size_t>(threads)), rows(v_rows) {}
+
+  // Closes row i: the ids worker w appended since `begin` become its
+  // segment, sorted when they do not already ascend (grid rows arrive in
+  // remapped column order, gathered ones unordered).
+  void Close(int w, uint32_t i, size_t begin) {
+    std::vector<uint32_t>& buf = ids[static_cast<size_t>(w)];
+    const auto first = buf.begin() + static_cast<std::ptrdiff_t>(begin);
+    if (!std::is_sorted(first, buf.end())) std::sort(first, buf.end());
+    rows[i] = Segment{begin, static_cast<uint32_t>(buf.size() - begin),
+                      static_cast<uint32_t>(w)};
+  }
+
+  std::span<const uint32_t> Row(size_t i) const {
+    const Segment& s = rows[i];
+    return {ids[s.worker].data() + s.offset, s.length};
+  }
+
+  size_t size() const {
+    size_t n = 0;
+    for (const auto& buf : ids) n += buf.size();
+    return n;
+  }
+};
+
+// The sorted duplicate-free union of the sorted duplicate-free `light` and
+// the heavy pairs, in one linear pass: heavy tuples are written in order,
+// combo1(i) ++ combo2(j), with the light tuples interleaved and a tuple
+// with both a light and a heavy witness kept once. The group sizes are
+// template arguments so the per-tuple copies compile to plain moves.
+template <size_t G1, size_t G2>
+TupleBuffer MergeLightHeavy(const TupleBuffer& light, const HeavyGroups& hg,
+                            const HeavyPairs& heavy) {
+  constexpr size_t k = G1 + G2;
+  auto less = [](const Value* a, const Value* b) {
+    return std::lexicographical_compare(a, a + k, b, b + k);
+  };
+  const Value* lp = light.flat().data();
+  const Value* const lend = lp + light.flat().size();
+  std::vector<Value> flat(light.flat().size() + heavy.size() * k);
+  Value* out = flat.data();
+  for (size_t i = 0; i < heavy.rows.size(); ++i) {
+    const Value* left = hg.rows1_flat.data() + i * G1;
+    for (uint32_t j : heavy.Row(i)) {
+      const Value* right = hg.rows2_flat.data() + size_t{j} * G2;
+      std::array<Value, k> h;
+      std::copy(left, left + G1, h.begin());
+      std::copy(right, right + G2, h.begin() + G1);
+      while (lp != lend && less(lp, h.data())) {
+        out = std::copy(lp, lp + k, out);
+        lp += k;
+      }
+      if (lp != lend && !less(h.data(), lp)) lp += k;  // light copy of h
+      out = std::copy(h.begin(), h.end(), out);
+    }
+  }
+  out = std::copy(lp, lend, out);
+  flat.resize(static_cast<size_t>(out - flat.data()));
+  return TupleBuffer(static_cast<uint32_t>(k), std::move(flat));
+}
+
+TupleBuffer MergeLightHeavy(const TupleBuffer& light, const HeavyGroups& hg,
+                            const HeavyPairs& heavy) {
+  switch (hg.g1 + hg.g2) {  // 2 <= k <= 8, checked at entry
+    case 2:
+      return MergeLightHeavy<1, 1>(light, hg, heavy);
+    case 3:
+      return MergeLightHeavy<2, 1>(light, hg, heavy);
+    case 4:
+      return MergeLightHeavy<2, 2>(light, hg, heavy);
+    case 5:
+      return MergeLightHeavy<3, 2>(light, hg, heavy);
+    case 6:
+      return MergeLightHeavy<3, 3>(light, hg, heavy);
+    case 7:
+      return MergeLightHeavy<4, 3>(light, hg, heavy);
+    default:
+      return MergeLightHeavy<4, 4>(light, hg, heavy);
+  }
+}
+
+// One star evaluation's delivery state, shared by MmStarJoin and
+// NonMmStarJoin: the opened sink, the streaming emitter, the cancel latch,
+// the light part and the finish.
+struct StarRun {
+  const StarJoinOptions& options;
+  StarJoinResult* result;
+  ResultSink* sink;
+  StarEmitter em;
+  std::atomic<bool> interrupted{false};
+
+  StarRun(size_t k, int threads, const StarJoinOptions& o, StarJoinResult* r)
+      : options(o), result(r), sink(o.sink), em(static_cast<uint32_t>(k)) {
+    if (sink != nullptr) sink->Open(threads);
+    em.sink = sink;
+    em.streaming = sink != nullptr && sink->may_finish_early();
+  }
+
+  bool CancelFired() {
+    if (options.cancel != nullptr && options.cancel->Fired()) {
+      interrupted.store(true, std::memory_order_relaxed);
+      return true;
+    }
+    return false;
+  }
+
+  // A satisfied sink or a fired token: the remaining work is skipped.
+  bool Stop() { return (sink != nullptr && sink->done()) || CancelFired(); }
+
+  // Steps (1) and (2) under a "light-pass" span. Streaming sinks receive
+  // the steps' tuples as they come; otherwise they are returned unsorted.
+  TupleBuffer Light(const StarContext& ctx, int threads) {
+    WallTimer timer;
+    bool light_interrupted = false;
+    TraceRecorder::Scope scope(options.trace, "light-pass",
+                               options.trace_parent);
+    TupleBuffer light = LightSteps(
+        ctx, threads, &em, options.cancel, &result->light_steps_total,
+        &result->light_steps_executed, &result->light_steps_skipped,
+        &light_interrupted);
+    scope.Close();
+    if (light_interrupted) interrupted.store(true, std::memory_order_relaxed);
+    result->light_seconds = timer.Seconds();
+    return light;
+  }
+
+  // The one finish under "sink-finish": result->tuples becomes the sorted
+  // duplicate-free output — the streamed union, or the light union (the
+  // only sort left) merged with the in-order heavy pairs, delivered to a
+  // non-streaming sink.
+  void Finish(TupleBuffer light, const HeavyGroups& hg,
+              const HeavyPairs& heavy) {
+    result->interrupted = interrupted.load();
+    TraceRecorder::Scope scope(options.trace, "sink-finish",
+                               options.trace_parent);
+    if (em.streaming) {
+      // seen is the sorted duplicate-free union of everything delivered.
+      result->tuples = std::move(em.seen);
+    } else {
+      light.SortUnique();
+      result->tuples = MergeLightHeavy(light, hg, heavy);
+      if (sink != nullptr &&
+          DeliverStarTuples(result->tuples, sink, options.cancel)) {
+        result->interrupted = true;
+      }
+    }
+    if (sink != nullptr) sink->Finish();
+  }
+};
 
 }  // namespace
 
@@ -429,13 +629,22 @@ Thresholds ChooseStarThresholds(
   return best;
 }
 
+bool DeliverStarTuples(const TupleBuffer& tuples, ResultSink* sink,
+                       const CancelToken* cancel) {
+  ResultSink::Shard& shard = sink->shard(0);
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    if (sink->done()) break;
+    if (cancel != nullptr && cancel->Fired()) return true;
+    shard.OnTuple(tuples.Get(i));
+  }
+  return false;
+}
+
 StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
                           const StarJoinOptions& options) {
   JPMM_CHECK(rels.size() >= 2);
   JPMM_CHECK_MSG(rels.size() <= 8, "combo packing supports k <= 8");
   const size_t k = rels.size();
-  const size_t g1 = (k + 1) / 2;
-  const size_t g2 = k - g1;
   const int threads = std::max(1, options.threads);
 
   Thresholds t = options.thresholds;
@@ -459,7 +668,7 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
   for (;;) {
     ctx = std::make_unique<StarContext>(rels, t);
     hg = BuildHeavyGroups(*ctx, options.max_matrix_bytes);
-    shape = HeavyShape{hg.map1.size(), hg.cols.size(), hg.map2.size(),
+    shape = HeavyShape{hg.rows1(), hg.cols.size(), hg.rows2(),
                        hg.entries1.size(), hg.entries2.size()};
     if (hg.fits &&
         GateHeavyProduct(shape, options.heavy_path, row_block, threads,
@@ -476,35 +685,12 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
   result.w_rows = shape.cols;
   result.heavy_y = shape.inner;
 
-  ResultSink* sink = options.sink;
-  if (sink != nullptr) sink->Open(threads);
-  StarEmitter em(static_cast<uint32_t>(k));
-  em.sink = sink;
-  em.streaming = sink != nullptr && sink->may_finish_early();
-  std::atomic<bool> interrupted{false};
-  const CancelToken* cancel = options.cancel;
-  auto cancel_fired = [&]() -> bool {
-    if (cancel != nullptr && cancel->Fired()) {
-      interrupted.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  };
-
-  WallTimer light_timer;
-  bool light_interrupted = false;
-  TraceRecorder::Scope light_scope(trace, "light-pass", tparent);
-  TupleBuffer light = LightSteps(
-      *ctx, threads, &em, cancel, &result.light_steps_total,
-      &result.light_steps_executed, &result.light_steps_skipped,
-      &light_interrupted);
-  light_scope.Close();
-  if (light_interrupted) interrupted.store(true, std::memory_order_relaxed);
-  result.tuples.Append(light);
-  result.light_seconds = light_timer.Seconds();
+  StarRun run(k, threads, options, &result);
+  TupleBuffer light = run.Light(*ctx, threads);
+  HeavyPairs pairs(threads, result.v_rows);
 
   const bool heavy = result.v_rows > 0 && result.w_rows > 0;
-  if (heavy && ((sink != nullptr && sink->done()) || cancel_fired())) {
+  if (heavy && run.Stop()) {
     // Light steps satisfied the sink: account every planned chunk as
     // skipped without building the heavy operands at all.
     static_cast<HeavyRun&>(result) = SkippedHeavyRun(shape, row_block);
@@ -512,8 +698,8 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
     WallTimer heavy_timer;
     TraceRecorder::Scope heavy_scope(trace, "heavy", tparent);
     // The CSR operands are just the registered incidences (row offsets +
-    // column ids); V * W^T runs on the heavy-product executor, which emits
-    // each nonzero (V row i, W row j) as one tuple.
+    // column ids); V * W^T runs on the heavy-product executor, and each
+    // nonzero (V row i, W row j) is one output tuple.
     const TraceRecorder::SpanId csr_span =
         TraceBegin(trace, "csr-build", heavy_scope.id());
     const CsrMatrix v =
@@ -522,12 +708,6 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
                                                 hg.entries2, /*swapped=*/true);
     TraceEnd(trace, csr_span);
 
-    // Streaming sinks get each chunk's tuples as one dedup'd batch; the
-    // materializing path appends to the per-worker buffer.
-    std::vector<TupleBuffer> partial(static_cast<size_t>(threads),
-                                     TupleBuffer(static_cast<uint32_t>(k)));
-    std::vector<TupleBuffer> pending(static_cast<size_t>(threads),
-                                     TupleBuffer(static_cast<uint32_t>(k)));
     HeavyProduct hp;
     hp.mode = options.heavy_path;
     hp.partition = options.partition;
@@ -537,58 +717,49 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
     hp.grid_key = t;
     hp.max_bytes = options.max_matrix_bytes;
     hp.threads = threads;
-    hp.sink = sink;
-    hp.cancel = cancel;
+    hp.sink = run.sink;
+    hp.cancel = options.cancel;
     hp.trace = trace;
     hp.trace_parent = heavy_scope.id();
-    hp.on_row = [&](int w, uint32_t i, const HeavyRow& row) {
-      const auto wi = static_cast<size_t>(w);
-      TupleBuffer& out = em.streaming ? pending[wi] : partial[wi];
-      std::array<Value, 8> tuple;  // k <= 8, checked at entry
-      const Value* left = hg.rows1_flat.data() + static_cast<size_t>(i) * g1;
-      std::copy(left, left + g1, tuple.begin());
-      row.ForEach([&](uint32_t j, uint32_t) {
-        const Value* right = hg.rows2_flat.data() + static_cast<size_t>(j) * g2;
-        std::copy(right, right + g2, tuple.begin() + g1);
-        out.Add({tuple.data(), k});
-      });
-    };
-    if (em.streaming) {
+    // Streaming sinks get each chunk's tuples as one dedup'd batch; the
+    // materializing path keeps only the W-row ids of each whole row.
+    std::vector<TupleBuffer> pending;
+    if (run.em.streaming) {
+      pending.assign(static_cast<size_t>(threads),
+                     TupleBuffer(static_cast<uint32_t>(k)));
+      hp.on_row = [&](int w, uint32_t i, const HeavyRow& row) {
+        TupleBuffer& out = pending[static_cast<size_t>(w)];
+        std::array<Value, 8> tuple;  // k <= 8, checked at entry
+        const Value* left = hg.rows1_flat.data() + size_t{i} * hg.g1;
+        std::copy(left, left + hg.g1, tuple.begin());
+        row.ForEach([&](uint32_t j, uint32_t) {
+          const Value* right = hg.rows2_flat.data() + size_t{j} * hg.g2;
+          std::copy(right, right + hg.g2, tuple.begin() + hg.g1);
+          out.Add({tuple.data(), k});
+        });
+      };
       hp.on_chunk_done = [&](int w) {
         TupleBuffer& batch = pending[static_cast<size_t>(w)];
-        em.EmitBatch(&batch, w);
+        run.em.EmitBatch(&batch, w);
         batch = TupleBuffer(static_cast<uint32_t>(k));
+      };
+    } else {
+      hp.whole_rows = true;
+      hp.on_row = [&](int w, uint32_t i, const HeavyRow& row) {
+        std::vector<uint32_t>& ids = pairs.ids[static_cast<size_t>(w)];
+        const size_t begin = ids.size();
+        row.ForEach([&ids](uint32_t j, uint32_t) { ids.push_back(j); });
+        pairs.Close(w, i, begin);
       };
     }
     bool heavy_interrupted = false;
     static_cast<HeavyRun&>(result) =
         RunHeavyProduct(v, wt, hp, &heavy_interrupted);
-    if (heavy_interrupted) interrupted.store(true, std::memory_order_relaxed);
-    for (const auto& p : partial) result.tuples.Append(p);
+    if (heavy_interrupted) run.interrupted.store(true);
     result.heavy_seconds = heavy_timer.Seconds();
   }
 
-  result.interrupted = interrupted.load();
-  TraceRecorder::Scope finish_scope(trace, "sink-finish", tparent);
-  if (em.streaming) {
-    // seen is the sorted duplicate-free union of everything delivered.
-    result.tuples = std::move(em.seen);
-  } else {
-    result.tuples.SortUnique();
-    if (sink != nullptr) {
-      ResultSink::Shard& shard = sink->shard(0);
-      for (size_t i = 0; i < result.tuples.size(); ++i) {
-        if (sink->done()) break;
-        if (cancel_fired()) {
-          result.interrupted = true;
-          break;
-        }
-        shard.OnTuple(result.tuples.Get(i));
-      }
-    }
-  }
-  if (sink != nullptr) sink->Finish();
-  finish_scope.Close();
+  run.Finish(std::move(light), hg, pairs);
 
   RecordHeavyRunMetrics(result);
   if (MetricsEnabled()) {
@@ -614,8 +785,6 @@ StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
   JPMM_CHECK(rels.size() >= 2);
   JPMM_CHECK_MSG(rels.size() <= 8, "combo packing supports k <= 8");
   const size_t k = rels.size();
-  const size_t g1 = (k + 1) / 2;
-  const size_t g2 = k - g1;
   const int threads = std::max(1, options.threads);
 
   Thresholds t = options.thresholds;
@@ -629,110 +798,76 @@ StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
   HeavyGroups hg =
       BuildHeavyGroups(ctx, std::numeric_limits<uint64_t>::max());
   result.adjusted_thresholds = t;
-  result.v_rows = hg.map1.size();
-  result.w_rows = hg.map2.size();
+  result.v_rows = hg.rows1();
+  result.w_rows = hg.rows2();
   result.heavy_y = hg.cols.size();
 
-  ResultSink* sink = options.sink;
-  if (sink != nullptr) sink->Open(threads);
-  StarEmitter em(static_cast<uint32_t>(k));
-  em.sink = sink;
-  em.streaming = sink != nullptr && sink->may_finish_early();
+  StarRun run(k, threads, options, &result);
+  TupleBuffer light = run.Light(ctx, threads);
+  HeavyPairs pairs(threads, result.v_rows);
   std::atomic<uint64_t> blocks_executed{0};
   std::atomic<uint64_t> blocks_skipped{0};
-  std::atomic<bool> interrupted{false};
-  const CancelToken* cancel = options.cancel;
-  auto cancel_fired = [&]() -> bool {
-    if (cancel != nullptr && cancel->Fired()) {
-      interrupted.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  };
-
-  TraceRecorder* const trace = options.trace;
-  const TraceRecorder::SpanId tparent = options.trace_parent;
-  WallTimer light_timer;
-  bool light_interrupted = false;
-  TraceRecorder::Scope light_scope(trace, "light-pass", tparent);
-  TupleBuffer light = LightSteps(
-      ctx, threads, &em, cancel, &result.light_steps_total,
-      &result.light_steps_executed, &result.light_steps_skipped,
-      &light_interrupted);
-  light_scope.Close();
-  if (light_interrupted) interrupted.store(true, std::memory_order_relaxed);
-  result.tuples.Append(light);
-  result.light_seconds = light_timer.Seconds();
 
   constexpr size_t kComboGrain = 16;
-  if (result.v_rows > 0 && result.w_rows > 0 &&
-      ((sink != nullptr && sink->done()) || cancel_fired())) {
+  const bool heavy = result.v_rows > 0 && result.w_rows > 0;
+  if (heavy) {
     result.heavy_blocks_total =
         (result.v_rows + kComboGrain - 1) / kComboGrain;
+  }
+  if (heavy && run.Stop()) {
     blocks_skipped.store(result.heavy_blocks_total);
-  } else if (result.v_rows > 0 && result.w_rows > 0) {
+  } else if (heavy) {
     WallTimer heavy_timer;
-    TraceRecorder::Scope heavy_scope(trace, "heavy", tparent);
+    TraceRecorder::Scope heavy_scope(options.trace, "heavy",
+                                     options.trace_parent);
     // Witness (column) lists per heavy combo, ascending because entries are
     // produced in ascending column order.
     std::vector<std::vector<Value>> wit1(result.v_rows), wit2(result.w_rows);
     for (const auto& [row, col] : hg.entries1) wit1[row].push_back(col);
     for (const auto& [row, col] : hg.entries2) wit2[row].push_back(col);
 
-    result.heavy_blocks_total =
-        (result.v_rows + kComboGrain - 1) / kComboGrain;
-    std::vector<TupleBuffer> partial(static_cast<size_t>(threads),
-                                     TupleBuffer(static_cast<uint32_t>(k)));
     // Witness-list lengths vary per combo; dynamic chunks absorb the skew.
+    // W rows are visited in id order, so every row's ids ascend.
     ParallelForDynamic(threads, result.v_rows, kComboGrain,
                        [&](size_t i0, size_t i1, int w) {
-      if ((sink != nullptr && sink->done()) || cancel_fired()) {
+      if (run.Stop()) {
         blocks_skipped.fetch_add(1, std::memory_order_relaxed);
         return;
       }
       blocks_executed.fetch_add(1, std::memory_order_relaxed);
-      std::vector<Value> tuple(k);
-      TupleBuffer block_out(static_cast<uint32_t>(k));
-      TupleBuffer& out =
-          em.streaming ? block_out : partial[static_cast<size_t>(w)];
-      for (size_t i = i0; i < i1; ++i) {
-        const Value* left = hg.rows1_flat.data() + i * g1;
-        for (size_t j = 0; j < result.w_rows; ++j) {
-          if (IntersectsSorted(wit1[i], wit2[j])) {
-            std::copy(left, left + g1, tuple.begin());
-            const Value* right = hg.rows2_flat.data() + j * g2;
-            std::copy(right, right + g2, tuple.begin() + g1);
-            out.Add(tuple);
+      if (run.em.streaming) {
+        std::vector<Value> tuple(k);
+        TupleBuffer block_out(static_cast<uint32_t>(k));
+        for (size_t i = i0; i < i1; ++i) {
+          const Value* left = hg.rows1_flat.data() + i * hg.g1;
+          std::copy(left, left + hg.g1, tuple.begin());
+          for (size_t j = 0; j < result.w_rows; ++j) {
+            if (!IntersectsSorted(wit1[i], wit2[j])) continue;
+            const Value* right = hg.rows2_flat.data() + j * hg.g2;
+            std::copy(right, right + hg.g2, tuple.begin() + hg.g1);
+            block_out.Add(tuple);
           }
         }
+        run.em.EmitBatch(&block_out, w);
+        return;
       }
-      if (em.streaming) em.EmitBatch(&block_out, w);
+      std::vector<uint32_t>& ids = pairs.ids[static_cast<size_t>(w)];
+      for (size_t i = i0; i < i1; ++i) {
+        const size_t begin = ids.size();
+        for (size_t j = 0; j < result.w_rows; ++j) {
+          if (IntersectsSorted(wit1[i], wit2[j])) {
+            ids.push_back(static_cast<uint32_t>(j));
+          }
+        }
+        pairs.Close(w, static_cast<uint32_t>(i), begin);
+      }
     });
-    for (const auto& p : partial) result.tuples.Append(p);
     result.heavy_seconds = heavy_timer.Seconds();
   }
 
   result.heavy_blocks_executed = blocks_executed.load();
   result.heavy_blocks_skipped = blocks_skipped.load();
-  result.interrupted = interrupted.load();
-  TraceRecorder::Scope finish_scope(trace, "sink-finish", tparent);
-  if (em.streaming) {
-    result.tuples = std::move(em.seen);
-  } else {
-    result.tuples.SortUnique();
-    if (sink != nullptr) {
-      ResultSink::Shard& shard = sink->shard(0);
-      for (size_t i = 0; i < result.tuples.size(); ++i) {
-        if (sink->done()) break;
-        if (cancel_fired()) {
-          result.interrupted = true;
-          break;
-        }
-        shard.OnTuple(result.tuples.Get(i));
-      }
-    }
-  }
-  if (sink != nullptr) sink->Finish();
+  run.Finish(std::move(light), hg, pairs);
   return result;
 }
 

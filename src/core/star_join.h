@@ -15,6 +15,10 @@
 //       The product runs on the shared heavy-product executor
 //       (core/heavy_product.h; docs/kernels.md, "The heavy-product
 //       executor"), like the two-path's M1 * M2.
+// V and W rows are numbered in lexicographic combo order, so the nonzeros
+// of V * W^T, read row by row with ascending W ids, are the heavy tuples
+// already sorted and (rows being distinct combos) duplicate-free. Only the
+// union of the light steps is sorted; one linear merge joins the two.
 // A y value is "heavy" for step (3) iff it is heavy in at least two
 // relations — any witness not of that form is covered by step (2). Rows are
 // registered lazily (only observed heavy combos), which is equivalent to the
@@ -70,8 +74,8 @@ struct StarJoinOptions {
   /// only for sinks with may_finish_early(): new (never-seen) tuples are
   /// streamed after every light step / heavy product block, and done()
   /// skips the remaining steps and blocks. Other sinks receive the final
-  /// sorted duplicate-free tuples after evaluation. result.tuples is
-  /// filled either way.
+  /// sorted duplicate-free tuples after evaluation, on shard 0, in
+  /// ascending order. result.tuples is filled either way.
   ResultSink* sink = nullptr;
   /// Cancellation token polled between light decomposition steps and at
   /// heavy product-block granularity; a fired token truncates the run and
@@ -114,6 +118,12 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
 /// strategy lifted to stars).
 StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
                              const StarJoinOptions& options);
+
+/// The post-evaluation delivery of every star strategy: streams the sorted
+/// `tuples` into shard 0 of an opened sink until it reports done(). Returns
+/// true iff a fired cancel token stopped the stream early.
+bool DeliverStarTuples(const TupleBuffer& tuples, ResultSink* sink,
+                       const CancelToken* cancel);
 
 /// Baseline: plain WCOJ over all tuples + dedup (Prop. 1).
 TupleBuffer WcojStarJoin(const std::vector<const IndexedRelation*>& rels,

@@ -23,6 +23,9 @@ namespace jpmm {
 class TupleBuffer {
  public:
   explicit TupleBuffer(uint32_t arity) : arity_(arity) {}
+  /// Takes `flat` as the tuples, arity values each.
+  TupleBuffer(uint32_t arity, std::vector<Value> flat)
+      : arity_(arity), flat_(std::move(flat)) {}
 
   uint32_t arity() const { return arity_; }
   size_t size() const { return flat_.size() / arity_; }

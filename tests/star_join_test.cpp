@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <mutex>
+#include <span>
+#include <vector>
+
 #include "core/query_engine.h"
 #include "core/star_join.h"
 #include "datagen/generators.h"
@@ -51,6 +56,8 @@ TEST_P(StarSweep, MmStarMatchesOracle) {
   opts.threads = p.threads;
   auto res = MmStarJoin(f.idx_ptrs, opts);
   EXPECT_EQ(ToVectors(res.tuples), OracleStar(f.rel_ptrs));
+  // Sorted and duplicate-free as produced, not just as a set.
+  EXPECT_EQ(res.tuples.flat(), WcojStarJoin(f.idx_ptrs).flat());
 }
 
 TEST_P(StarSweep, NonMmStarMatchesOracle) {
@@ -61,6 +68,7 @@ TEST_P(StarSweep, NonMmStarMatchesOracle) {
   opts.threads = p.threads;
   auto res = NonMmStarJoin(f.idx_ptrs, opts);
   EXPECT_EQ(ToVectors(res.tuples), OracleStar(f.rel_ptrs));
+  EXPECT_EQ(res.tuples.flat(), WcojStarJoin(f.idx_ptrs).flat());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -162,6 +170,140 @@ TEST(StarJoin, EngineStatsCarryBlockChoices) {
     EXPECT_GT(stats.b_nnz, 0u);
     EXPECT_GT(stats.heavy_density, 0.0);
   }
+}
+
+// Records every tuple in arrival order, across shards. may_finish_early()
+// stays false, so a star run delivers after evaluation.
+class ArrivalOrderSink : public ResultSink {
+ public:
+  class Sh : public Shard {
+   public:
+    explicit Sh(ArrivalOrderSink* parent) : parent_(parent) {}
+    void OnPair(const OutPair&) override {}
+    void OnCountedPair(const CountedPair&) override {}
+    void OnTuple(std::span<const Value> t) override {
+      std::lock_guard<std::mutex> lock(parent_->mu_);
+      parent_->tuples_.emplace_back(t.begin(), t.end());
+    }
+
+   private:
+    ArrivalOrderSink* parent_;
+  };
+
+  void Open(int num_shards) override {
+    shards_.clear();
+    for (int i = 0; i < num_shards; ++i) {
+      shards_.push_back(std::make_unique<Sh>(this));
+    }
+  }
+  Shard& shard(int w) override { return *shards_[static_cast<size_t>(w)]; }
+
+  const std::vector<std::vector<Value>>& tuples() const { return tuples_; }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::unique_ptr<Sh>> shards_;
+  std::vector<std::vector<Value>> tuples_;
+};
+
+// A non-streaming sink sees the star's output in strictly increasing order,
+// on every strategy that builds the heavy tuples in order.
+TEST(StarJoin, NonStreamingSinkReceivesSortedTuples) {
+  QueryEngine engine;
+  engine.catalog().Put("R", CommunityGraph(4, 60, 0.5, 11));
+  struct Variant {
+    Strategy strategy;
+    PartitionMode partition;
+  };
+  const Variant variants[] = {
+      {Strategy::kMmJoin, PartitionMode::kOff},
+      {Strategy::kMmJoin, PartitionMode::kForce},
+      {Strategy::kNonMmJoin, PartitionMode::kOff},
+  };
+  for (const Variant& v : variants) {
+    for (int threads : {1, 4}) {
+      const std::string where = std::string(StrategyName(v.strategy)) + "/" +
+                                PartitionModeName(v.partition) + "/t" +
+                                std::to_string(threads);
+      QuerySpec spec;
+      spec.kind = QueryKind::kStar;
+      spec.relations = {"R", "R", "R"};
+      spec.strategy = v.strategy;
+      ExecOptions exec;
+      exec.thresholds = {8, 8};  // a real heavy part
+      exec.partition = v.partition;
+      exec.threads = threads;
+      ArrivalOrderSink sink;
+      ExecStats stats;
+      ASSERT_TRUE(engine.Run(spec, sink, exec, &stats).ok()) << where;
+      EXPECT_GT(stats.heavy_blocks_executed, 0u) << where;
+      ASSERT_FALSE(sink.tuples().empty()) << where;
+      for (size_t i = 1; i < sink.tuples().size(); ++i) {
+        ASSERT_LT(sink.tuples()[i - 1], sink.tuples()[i])
+            << where << " at " << i;
+      }
+    }
+  }
+}
+
+// One output tuple with both a light and a heavy witness: the finish's
+// light/heavy merge must keep it once, in order.
+TEST(StarJoin, LightAndHeavyWitnessOfOneTupleMergeOnce) {
+  // y = 0..2: x in {0, 1, 2} (degree 3, heavy in every relation; the x
+  // values reach degree >= 3, heavy too). y = 3: x in {0, 5} (degree 2,
+  // light; x = 5 has degree 1, light).
+  BinaryRelation r;
+  for (Value y = 0; y < 3; ++y) {
+    for (Value x = 0; x < 3; ++x) r.Add(x, y);
+  }
+  r.Add(0, 3);
+  r.Add(5, 3);
+  r.Finalize();
+  IndexedRelation ri(r);
+  const std::vector<const IndexedRelation*> rels = {&ri, &ri, &ri};
+  const Thresholds t{2, 2};
+  // (0, 0, 0): light witness y = 3 (step 2), heavy witness y = 0 (step 3).
+  ASSERT_LE(ri.DegY(3), t.delta1);
+  ASSERT_GT(ri.DegY(0), t.delta1);
+  ASSERT_GT(ri.DegX(0), t.delta2);
+  const TupleBuffer want = WcojStarJoin(rels);
+  ASSERT_EQ(want.size(), 27u + 8u - 1u);  // {0,1,2}^3 u {0,5}^3
+
+  for (int threads : {1, 4}) {
+    StarJoinOptions opts;
+    opts.thresholds = t;
+    opts.threads = threads;
+    for (const bool mm : {true, false}) {
+      const StarJoinResult res =
+          mm ? MmStarJoin(rels, opts) : NonMmStarJoin(rels, opts);
+      const std::string where =
+          std::string(mm ? "mm" : "nonmm") + "/t" + std::to_string(threads);
+      EXPECT_GT(res.light_steps_executed, 0u) << where;
+      EXPECT_GT(res.v_rows, 0u) << where;
+      EXPECT_EQ(res.tuples.flat(), want.flat()) << where;
+    }
+  }
+}
+
+// Sinks that can finish early still stream (and dedup) incrementally: a
+// limit far below |OUT| stops the run before its heavy blocks.
+TEST(StarJoin, LimitSinkStreamsAndSkipsBlocks) {
+  QueryEngine engine;
+  engine.catalog().Put("R", CommunityGraph(4, 60, 0.5, 11));
+  QuerySpec spec;
+  spec.kind = QueryKind::kStar;
+  spec.relations = {"R", "R", "R"};
+  spec.strategy = Strategy::kMmJoin;
+  ExecOptions exec;
+  exec.thresholds = {8, 8};
+  LimitSink sink(10);
+  ExecStats stats;
+  ASSERT_TRUE(engine.Run(spec, sink, exec, &stats).ok());
+  EXPECT_EQ(sink.size(), 10u);
+  EXPECT_GT(stats.heavy_blocks_total, 0u);
+  EXPECT_GT(stats.heavy_blocks_skipped, 0u);
+  EXPECT_EQ(stats.heavy_blocks_executed + stats.heavy_blocks_skipped,
+            stats.heavy_blocks_total);
 }
 
 }  // namespace
