@@ -67,7 +67,7 @@ void BM_HeavyFloatGemm(benchmark::State& state) {
 void BM_HeavyPairwiseGallop(benchmark::State& state) {
   const auto& f = Fixture();
   for (auto _ : state) {
-    NonMmJoinOptions opts;
+    MmJoinOptions opts;
     opts.thresholds = kThresholds;
     auto res = NonMmJoinTwoPath(*f.idx, *f.idx, opts);
     benchmark::DoNotOptimize(res.pairs.data());

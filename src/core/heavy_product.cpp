@@ -1,15 +1,12 @@
 #include "core/heavy_product.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <utility>
 
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
-#include "core/cancel_token.h"
-#include "core/result_sink.h"
 #include "core/trace.h"
 #include "matrix/dense_matrix.h"
 #include "matrix/matmul.h"
@@ -21,10 +18,6 @@ namespace {
 // instruments to every caller). Cached once: Get* takes a lock.
 struct HeavyMetrics {
   MetricsRegistry& reg = MetricsRegistry::Global();
-  Counter& blocks_executed =
-      reg.GetCounter("jpmm_join_heavy_blocks_executed_total");
-  Counter& blocks_skipped =
-      reg.GetCounter("jpmm_join_heavy_blocks_skipped_total");
   Counter& kernel_dense = reg.GetCounter("jpmm_join_kernel_dense_blocks_total");
   Counter& kernel_csr_dense =
       reg.GetCounter("jpmm_join_kernel_csr_dense_blocks_total");
@@ -38,6 +31,45 @@ struct HeavyMetrics {
   static HeavyMetrics& Get() {
     static HeavyMetrics m;
     return m;
+  }
+};
+
+// Heavy chunk accounting, registered apart from HeavyMetrics: the Non-MM
+// two-path records it without running a heavy product.
+struct BlockMetrics {
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  Counter& executed = reg.GetCounter("jpmm_join_heavy_blocks_executed_total");
+  Counter& skipped = reg.GetCounter("jpmm_join_heavy_blocks_skipped_total");
+  static BlockMetrics& Get() {
+    static BlockMetrics m;
+    return m;
+  }
+};
+
+// Light-part metrics of one unit kind. Each kind registers its counters on
+// its first run, so a process exports only the kinds it ran.
+struct LightMetrics {
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  Counter& executed;
+  Counter& skipped;
+  Histogram& light_ms =
+      reg.GetHistogram("jpmm_join_light_pass_ms", DefaultLatencyBoundsMs());
+  Histogram& heavy_ms =
+      reg.GetHistogram("jpmm_join_heavy_pass_ms", DefaultLatencyBoundsMs());
+
+  LightMetrics(const char* executed_name, const char* skipped_name)
+      : executed(reg.GetCounter(executed_name)),
+        skipped(reg.GetCounter(skipped_name)) {}
+
+  static LightMetrics& Get(LightUnit unit) {
+    if (unit == LightUnit::kStarSteps) {
+      static LightMetrics steps("jpmm_star_light_steps_executed_total",
+                                "jpmm_star_light_steps_skipped_total");
+      return steps;
+    }
+    static LightMetrics chunks("jpmm_join_light_chunks_executed_total",
+                               "jpmm_join_light_chunks_skipped_total");
+    return chunks;
   }
 };
 
@@ -134,8 +166,8 @@ HeavyRun RunHeavyProduct(const CsrMatrix& a, const CsrMatrix& b,
   const size_t row_block = p.row_block;
   const bool same_operand = &a == &b;
   const HeavyGates gates = GateHeavyProduct(
-      HeavyShape{rows, inner, cols, a.nnz(), b.nnz(), same_operand}, p.mode,
-      row_block, threads, p.max_bytes);
+      HeavyShape{rows, inner, cols, a.nnz(), b.nnz(), same_operand},
+      p.heavy_path, row_block, threads, p.max_matrix_bytes);
   TraceRecorder* const trace = p.trace;
 
   HeavyRun run;
@@ -199,7 +231,7 @@ HeavyRun RunHeavyProduct(const CsrMatrix& a, const CsrMatrix& b,
         extra += 4 * static_cast<uint64_t>(rows) * inner +
                  PackedBBytes(inner, cols);
       }
-      engage = gates.bytes + extra <= p.max_bytes;
+      engage = gates.bytes + extra <= p.max_matrix_bytes;
     }
     if (!engage) grid = nullptr;
   }
@@ -318,19 +350,7 @@ HeavyRun RunHeavyProduct(const CsrMatrix& a, const CsrMatrix& b,
   // follows the output skew, not just the flops.
   const bool emit_after = grid != nullptr && p.whole_rows;
   std::vector<Scratch> scratch(static_cast<size_t>(threads));
-  std::atomic<uint64_t> executed{0};
-  std::atomic<uint64_t> skipped{0};
-  // Latched only when a poll actually skips work: a token that fires after
-  // the last chunk must not mark a complete product interrupted.
-  std::atomic<bool> cut{false};
-  auto stop = [&]() -> bool {
-    if (p.sink != nullptr && p.sink->done()) return true;
-    if (p.cancel != nullptr && p.cancel->Fired()) {
-      cut.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  };
+  ChunkGate gate(p.sink, p.cancel);
   auto original_row = [&](size_t r) -> uint32_t {
     return static_cast<uint32_t>(row_perm == nullptr ? r : row_perm[r]);
   };
@@ -340,11 +360,7 @@ HeavyRun RunHeavyProduct(const CsrMatrix& a, const CsrMatrix& b,
       [&](size_t c0, size_t c1, int w) {
         Scratch& ws = scratch[static_cast<size_t>(w)];
         for (size_t ci = c0; ci < c1; ++ci) {
-          if (stop()) {
-            skipped.fetch_add(c1 - ci, std::memory_order_relaxed);
-            return;
-          }
-          executed.fetch_add(1, std::memory_order_relaxed);
+          if (!gate.Claim(c1 - ci)) return;
           const size_t r0 = ci * row_block;
           const size_t r1 = std::min(rows, r0 + row_block);
           const size_t nrows = r1 - r0;
@@ -410,9 +426,9 @@ HeavyRun RunHeavyProduct(const CsrMatrix& a, const CsrMatrix& b,
         }
       });
 
-  run.heavy_blocks_executed = executed.load();
-  run.heavy_blocks_skipped = skipped.load();
-  if (cut.load()) *interrupted = true;
+  run.heavy_blocks_executed = gate.executed();
+  run.heavy_blocks_skipped = gate.skipped();
+  if (gate.interrupted()) *interrupted = true;
   return run;
 }
 
@@ -429,16 +445,33 @@ HeavyRun SkippedHeavyRun(const HeavyShape& shape, size_t row_block) {
   return run;
 }
 
+void RecordHeavyBlockMetrics(const HeavyRun& run) {
+  if (!MetricsEnabled()) return;
+  BlockMetrics& m = BlockMetrics::Get();
+  m.executed.Add(run.heavy_blocks_executed);
+  m.skipped.Add(run.heavy_blocks_skipped);
+}
+
 void RecordHeavyRunMetrics(const HeavyRun& run) {
   if (!MetricsEnabled()) return;
+  RecordHeavyBlockMetrics(run);
   HeavyMetrics& m = HeavyMetrics::Get();
-  m.blocks_executed.Add(run.heavy_blocks_executed);
-  m.blocks_skipped.Add(run.heavy_blocks_skipped);
   m.kernel_dense.Add(run.kernel_counts.dense);
   m.kernel_csr_dense.Add(run.kernel_counts.csr_dense);
   m.kernel_csr_csr.Add(run.kernel_counts.csr_csr);
   if (run.partition_used) m.partition_engaged.Add();
   m.partition_pruned.Add(run.partition_blocks_pruned);
+}
+
+void RecordLightRunMetrics(const LightRun& run, LightUnit unit,
+                           double light_seconds,
+                           std::optional<double> heavy_seconds) {
+  if (!MetricsEnabled()) return;
+  LightMetrics& m = LightMetrics::Get(unit);
+  m.executed.Add(run.light_chunks_executed);
+  m.skipped.Add(run.light_chunks_skipped);
+  m.light_ms.Record(light_seconds * 1e3);
+  if (heavy_seconds) m.heavy_ms.Record(*heavy_seconds * 1e3);
 }
 
 }  // namespace jpmm

@@ -38,20 +38,18 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/density_partition.h"
+#include "core/exec_context.h"
 #include "core/heavy_dispatch.h"
 #include "core/thresholds.h"
 #include "matrix/sparse_matrix.h"
 
 namespace jpmm {
-
-class CancelToken;
-class ResultSink;
-class TraceRecorder;
 
 /// Smallest positive integer a float cell (and the `v + 0.5f` integer
 /// read-back) can NOT represent exactly: 2^24. Float kernels run only while
@@ -175,10 +173,10 @@ struct HeavyRow {
   }
 };
 
-/// Everything RunHeavyProduct needs besides the operands.
-struct HeavyProduct {
-  HeavyPathMode mode = HeavyPathMode::kAuto;
-  PartitionMode partition = PartitionMode::kOff;
+/// Everything RunHeavyProduct needs besides the operands: the execution
+/// context (threads, kernel and partition modes, the memory cap, cancel
+/// token, trace under `trace_parent`) plus the product's own knobs.
+struct HeavyProduct : ExecContext {
   /// Rows per work unit (and per uniform-plan block).
   size_t row_block = 256;
   /// nullptr resolves to SparseKernelRates::Default() when kAuto prices.
@@ -187,14 +185,9 @@ struct HeavyProduct {
   /// adjusted ones the operands were built under). Null = always rebuild.
   DensityGridCache* grid_cache = nullptr;
   Thresholds grid_key{0, 0};
-  uint64_t max_bytes = uint64_t{3} << 30;
-  int threads = 1;
-  /// Polled before every chunk: a done() sink or a fired token skips the
-  /// remaining chunks (a fired token also sets *interrupted).
+  /// Polled with the cancel token before every chunk (ChunkGate): a done()
+  /// sink or a fired token skips the remaining chunks.
   const ResultSink* sink = nullptr;
-  const CancelToken* cancel = nullptr;
-  TraceRecorder* trace = nullptr;
-  int32_t trace_parent = -1;  // TraceRecorder::kNoParent
   /// false: on_row fires once per (row, scheduled block) inside the
   /// block's span, and a row no scheduled block covers never fires.
   /// true: every row of an executed chunk fires exactly once with its whole
@@ -222,6 +215,22 @@ HeavyRun SkippedHeavyRun(const HeavyShape& shape, size_t row_block);
 /// Adds one run to the process-wide join metrics (kernel blocks, executed /
 /// skipped chunks, partition engagement and pruning).
 void RecordHeavyRunMetrics(const HeavyRun& run);
+
+/// Adds only a run's executed / skipped heavy chunks: the record of the
+/// Non-MM two-path, whose heavy chunks run no product.
+void RecordHeavyBlockMetrics(const HeavyRun& run);
+
+/// The light-part counters a join run feeds: the two-path strategies count
+/// chunks (jpmm_join_light_chunks_*), the MM star its decomposition steps
+/// (jpmm_star_light_steps_*).
+enum class LightUnit { kChunks, kStarSteps };
+
+/// Adds one join run's light part to the process-wide metrics: executed /
+/// skipped units under `unit`'s counters, the light-pass time, and the
+/// heavy-pass time when the run planned a heavy pass.
+void RecordLightRunMetrics(const LightRun& run, LightUnit unit,
+                           double light_seconds,
+                           std::optional<double> heavy_seconds);
 
 }  // namespace jpmm
 

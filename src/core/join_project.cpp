@@ -1,13 +1,11 @@
 #include "core/join_project.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/check.h"
 #include "common/stamp_set.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "core/cancel_token.h"
 #include "core/trace.h"
 #include "storage/stats.h"
 
@@ -65,27 +63,15 @@ JoinProjectOutput WcojFullJoinProject(const IndexedRelation& r,
   VectorSink fallback;
   ResultSink* sink = caller_sink != nullptr ? caller_sink : &fallback;
   sink->Open(threads);
-  std::atomic<uint64_t> executed{0};
-  std::atomic<uint64_t> skipped{0};
-  std::atomic<bool> interrupted{false};
-  auto cancel_fired = [&]() -> bool {
-    if (cancel != nullptr && cancel->Fired()) {
-      interrupted.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  };
+  ChunkGate gate(sink, cancel);
 
   // Dynamic chunking over the (possibly zipf-skewed) x domain: a hub-heavy
   // contiguous chunk no longer pins one worker (see mm_join.cpp).
-  ParallelForDynamic(threads, r.num_x(), /*grain=*/256,
+  constexpr size_t kGrain = 256;
+  ParallelForDynamic(threads, r.num_x(), kGrain,
                      [&](size_t a0, size_t a1, int w) {
+    if (!gate.Claim()) return;
     Worker& ws = workers[static_cast<size_t>(w)];
-    if (sink->done() || cancel_fired()) {
-      skipped.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    executed.fetch_add(1, std::memory_order_relaxed);
     if (ws.shard == nullptr) ws.shard = &sink->shard(w);
     if (ws.counter.universe() < num_z) ws.counter.ResizeUniverse(num_z);
     for (size_t a = a0; a < a1; ++a) {
@@ -114,11 +100,7 @@ JoinProjectOutput WcojFullJoinProject(const IndexedRelation& r,
     out.pairs = std::move(fallback.pairs());
     out.counted = std::move(fallback.counted());
   }
-  out.light_chunks_total =
-      r.num_x() == 0 ? 0 : (r.num_x() + 255) / 256;
-  out.light_chunks_executed = executed.load();
-  out.light_chunks_skipped = skipped.load();
-  out.interrupted = interrupted.load();
+  static_cast<LightRun&>(out) = gate.Record((r.num_x() + kGrain - 1) / kGrain);
   return out;
 }
 
@@ -129,10 +111,7 @@ void TakeRun(MmJoinResult&& res, JoinProjectOutput* out) {
   out->pairs = std::move(res.pairs);
   out->counted = std::move(res.counted);
   static_cast<HeavyRun&>(*out) = std::move(res);
-  out->light_chunks_total = res.light_chunks_total;
-  out->light_chunks_executed = res.light_chunks_executed;
-  out->light_chunks_skipped = res.light_chunks_skipped;
-  out->interrupted = res.interrupted;
+  static_cast<LightRun&>(*out) = res;
 }
 
 }  // namespace
@@ -163,43 +142,28 @@ JoinProjectOutput JoinProject::TwoPathWithPlan(const IndexedRelation& r,
                                 opts.threads, opts.sink, opts.cancel);
       break;
     }
-    case Strategy::kMmJoin: {
+    case Strategy::kMmJoin:
+    case Strategy::kNonMmJoin: {
       MmJoinOptions mo;
-      mo.thresholds = explicit_thresholds ? t : plan.thresholds;
-      mo.threads = opts.threads;
+      static_cast<ExecContext&>(mo) = opts;
       mo.count_witnesses = opts.count_witnesses;
       mo.min_count = opts.min_count;
-      mo.heavy_path = opts.heavy_path;
-      mo.partition = opts.partition;
       mo.grid_cache = opts.grid_cache;
-      mo.max_matrix_bytes = opts.max_matrix_bytes;
       mo.sink = opts.sink;
-      mo.cancel = opts.cancel;
-      mo.trace = opts.trace;
-      mo.trace_parent = opts.trace_parent;
-      TakeRun(MmJoinTwoPath(r, s, mo), &out);
-      out.executed = Strategy::kMmJoin;
-      break;
-    }
-    case Strategy::kNonMmJoin: {
-      NonMmJoinOptions no;
-      // A cached plan carries MMJoin thresholds; the combinatorial join
-      // re-balances unless the caller pinned thresholds explicitly.
       if (explicit_thresholds) {
-        no.thresholds = t;
+        mo.thresholds = t;
+      } else if (strategy == Strategy::kMmJoin) {
+        mo.thresholds = plan.thresholds;
       } else {
+        // A cached plan carries MMJoin thresholds; the combinatorial join
+        // re-balances unless the caller pinned thresholds explicitly.
         TwoPathStats stats(r, s);
-        no.thresholds = ChooseNonMmThresholds(r, s, stats);
+        mo.thresholds = ChooseNonMmThresholds(r, s, stats);
       }
-      no.threads = opts.threads;
-      no.count_witnesses = opts.count_witnesses;
-      no.min_count = opts.min_count;
-      no.sink = opts.sink;
-      no.cancel = opts.cancel;
-      no.trace = opts.trace;
-      no.trace_parent = opts.trace_parent;
-      TakeRun(NonMmJoinTwoPath(r, s, no), &out);
-      out.executed = Strategy::kNonMmJoin;
+      TakeRun(strategy == Strategy::kMmJoin ? MmJoinTwoPath(r, s, mo)
+                                            : NonMmJoinTwoPath(r, s, mo),
+              &out);
+      out.executed = strategy;
       break;
     }
     case Strategy::kAuto:
@@ -275,15 +239,9 @@ StarJoinResult JoinProject::Star(
   }
 
   StarJoinOptions so;
-  so.threads = opts.threads;
-  so.heavy_path = opts.heavy_path;
-  so.partition = opts.partition;
+  static_cast<ExecContext&>(so) = opts;
   so.grid_cache = opts.grid_cache;
-  so.max_matrix_bytes = opts.max_matrix_bytes;
   so.sink = opts.sink;
-  so.cancel = opts.cancel;
-  so.trace = opts.trace;
-  so.trace_parent = opts.trace_parent;
   so.thresholds = opts.thresholds.delta1 != 0 || opts.thresholds.delta2 != 0
                       ? opts.thresholds
                       : ChooseStarThresholds(rels);

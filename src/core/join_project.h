@@ -9,7 +9,9 @@
 //
 // Example:
 //   BinaryRelation r = ...; r.Finalize();
-//   auto result = JoinProject::TwoPath(r, r, {.strategy = Strategy::kAuto});
+//   JoinProjectOptions opts;
+//   opts.threads = 8;
+//   auto result = JoinProject::TwoPath(r, r, opts);
 //   for (OutPair p : result.pairs) ...
 
 #ifndef JPMM_CORE_JOIN_PROJECT_H_
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "core/exec_context.h"
 #include "core/mm_join.h"
 #include "core/nonmm_join.h"
 #include "core/optimizer.h"
@@ -37,9 +40,10 @@ enum class Strategy {
 
 const char* StrategyName(Strategy s);
 
-struct JoinProjectOptions {
+/// The facade's options: the execution context (core/exec_context.h) plus
+/// the strategy, the query's counting knobs and where results go.
+struct JoinProjectOptions : ExecContext {
   Strategy strategy = Strategy::kAuto;
-  int threads = 1;
   /// Produce witness counts (CountedPair). Required when min_count > 1.
   bool count_witnesses = false;
   /// Keep only pairs with >= min_count witnesses (SSJ overlap threshold).
@@ -48,20 +52,10 @@ struct JoinProjectOptions {
   Thresholds thresholds{0, 0};
   /// Sort the output by (x, z) before returning (oracle-friendly).
   bool sorted = false;
-  /// Heavy-part kernel override (kAuto = per-block density dispatch).
-  HeavyPathMode heavy_path = HeavyPathMode::kAuto;
-  /// Density-adaptive heavy-product decomposition
-  /// (core/density_partition.h): kAuto engages the degree-remapped grid
-  /// when it prices cheaper than the uniform row-block plan, kOff never,
-  /// kForce whenever a heavy product exists. Outputs are identical in
-  /// every mode.
-  PartitionMode partition = PartitionMode::kAuto;
   /// Optional cross-execution grid memo threaded down to MmJoinOptions /
   /// StarJoinOptions (see DensityGridCache); a PreparedQuery's PlanState
   /// owns one per heavy product. Null = always rebuild.
   DensityGridCache* grid_cache = nullptr;
-  /// Heavy-part memory cap (see MmJoinOptions::max_matrix_bytes).
-  uint64_t max_matrix_bytes = uint64_t{3} << 30;
   OptimizerOptions optimizer;
   /// Push-based result delivery (core/result_sink.h). When set, results
   /// stream into the sink, the output vectors stay empty, `sorted` is
@@ -69,34 +63,18 @@ struct JoinProjectOptions {
   /// and the sink's done() signal short-circuits the remaining light
   /// chunks / heavy product blocks (skip counts land in the output).
   ResultSink* sink = nullptr;
-  /// Cancellation token (deadline | explicit cancel) polled like the
-  /// sink's done(); a fired token truncates the run and sets
-  /// JoinProjectOutput::interrupted. See MmJoinOptions::cancel.
-  const CancelToken* cancel = nullptr;
-  /// Optional per-query stage tracing (core/trace.h): stage spans are
-  /// recorded into the caller's recorder under `trace_parent`, at every
-  /// strategy. Null = zero cost.
-  TraceRecorder* trace = nullptr;
-  int32_t trace_parent = -1;  // TraceRecorder::kNoParent
 };
 
 /// The heavy-run record (HeavyRun, MMJoin strategy only: operand nnz,
 /// per-block kernel decisions, partitioning — what jpmm_cli --explain
-/// prints — and the early-exit block accounting) plus the output.
-struct JoinProjectOutput : HeavyRun {
+/// prints — and the early-exit block accounting), the light-run record
+/// (LightRun) and the output.
+struct JoinProjectOutput : HeavyRun, LightRun {
   std::vector<OutPair> pairs;
   std::vector<CountedPair> counted;
   PlanChoice plan;
   Strategy executed = Strategy::kMmJoin;
   double seconds = 0.0;
-
-  /// Light-part early-exit record (sink-driven runs; see MmJoinResult).
-  uint64_t light_chunks_total = 0;
-  uint64_t light_chunks_executed = 0;
-  uint64_t light_chunks_skipped = 0;
-
-  /// True iff a fired CancelToken truncated the run (see MmJoinResult).
-  bool interrupted = false;
 
   size_t size() const { return pairs.empty() ? counted.size() : pairs.size(); }
 };

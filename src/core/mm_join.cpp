@@ -1,15 +1,14 @@
 #include "core/mm_join.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
+#include <optional>
 
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/stamp_set.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "core/cancel_token.h"
 #include "core/heavy_product.h"
 #include "core/result_sink.h"
 #include "core/trace.h"
@@ -18,26 +17,6 @@
 
 namespace jpmm {
 namespace {
-
-// Process-wide two-path metrics; the heavy-product ones (kernel blocks,
-// chunk accounting, partitioning) are recorded by RecordHeavyRunMetrics.
-// Cached once: Get* takes a lock.
-struct JoinMetrics {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  Counter& light_executed =
-      reg.GetCounter("jpmm_join_light_chunks_executed_total");
-  Counter& light_skipped =
-      reg.GetCounter("jpmm_join_light_chunks_skipped_total");
-  Counter& operand_bytes = reg.GetCounter("jpmm_join_heavy_operand_bytes_total");
-  Histogram& light_ms = reg.GetHistogram("jpmm_join_light_pass_ms",
-                                         DefaultLatencyBoundsMs());
-  Histogram& heavy_ms = reg.GetHistogram("jpmm_join_heavy_pass_ms",
-                                         DefaultLatencyBoundsMs());
-  static JoinMetrics& Get() {
-    static JoinMetrics m;
-    return m;
-  }
-};
 
 // Per-worker dedup scratch + output shard.
 struct WorkerState {
@@ -172,19 +151,7 @@ MmJoinResult MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
     if (ws.counter.universe() < num_z) ws.counter.ResizeUniverse(num_z);
     return ws;
   };
-  std::atomic<uint64_t> light_executed{0};
-  std::atomic<uint64_t> light_skipped{0};
-  // Latched only when a poll actually skips work: a token that fires after
-  // the last chunk completed must not mark a complete run interrupted.
-  std::atomic<bool> interrupted{false};
-  const CancelToken* cancel = opts.cancel;
-  auto cancel_fired = [&]() -> bool {
-    if (cancel != nullptr && cancel->Fired()) {
-      interrupted.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  };
+  ChunkGate gate(sink, opts.cancel);
 
   // ---- Pass A: head values with no matrix row (light part only).
   // Dynamic chunking: zipf-skewed x degrees make contiguous static chunks
@@ -194,13 +161,9 @@ MmJoinResult MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
   const TraceRecorder::SpanId light_span = TraceBegin(trace, "light-pass", tparent);
   ParallelForDynamic(threads, r.num_x(), kHeadGrain,
                      [&](size_t a0, size_t a1, int w) {
-                       if (sink->done() || cancel_fired()) {
-                         light_skipped.fetch_add(1, std::memory_order_relaxed);
-                         return;
-                       }
+                       if (!gate.Claim()) return;
                        TraceRecorder::Scope chunk_scope(trace, "light-chunk",
                                                         light_span);
-                       light_executed.fetch_add(1, std::memory_order_relaxed);
                        WorkerState& ws = worker(w);
                        for (size_t a = a0; a < a1; ++a) {
                          const auto av = static_cast<Value>(a);
@@ -221,7 +184,8 @@ MmJoinResult MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
   // accounted skipped: the total is the same whether the phase ran or not,
   // at every thread count (guarded by
   // QueryEngine.DoneMidChunkSkipsIdenticalDownstreamBlocks).
-  if (use_matrix && (sink->done() || cancel_fired())) {
+  bool heavy_interrupted = false;
+  if (use_matrix && gate.Stopped()) {
     static_cast<HeavyRun&>(result) = SkippedHeavyRun(shape, opts.row_block);
   } else if (use_matrix) {
     WallTimer heavy_timer;
@@ -251,26 +215,18 @@ MmJoinResult MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
     TraceEnd(trace, csr_span);
 
     HeavyProduct hp;
-    hp.mode = opts.heavy_path;
-    hp.partition = opts.partition;
+    static_cast<ExecContext&>(hp) = opts;
+    hp.trace_parent = heavy_scope.id();
     hp.row_block = opts.row_block;
-    hp.rates = opts.sparse_rates;
     hp.grid_cache = opts.grid_cache;
     hp.grid_key = t;
-    hp.max_bytes = opts.max_matrix_bytes;
-    hp.threads = threads;
     hp.sink = sink;
-    hp.cancel = cancel;
-    hp.trace = trace;
-    hp.trace_parent = heavy_scope.id();
     hp.whole_rows = true;
     hp.on_row = [&](int w, uint32_t row, const HeavyRow& out) {
       EmitHead(*ctx, opts, hxs[row], &out, &worker(w));
     };
-    bool heavy_interrupted = false;
     static_cast<HeavyRun&>(result) =
         RunHeavyProduct(m1, m2, hp, &heavy_interrupted);
-    if (heavy_interrupted) interrupted.store(true, std::memory_order_relaxed);
     result.heavy_seconds = heavy_timer.Seconds();
   }
 
@@ -286,20 +242,18 @@ MmJoinResult MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
     result.pairs = std::move(fallback.pairs());
     result.counted = std::move(fallback.counted());
   }
-  result.light_chunks_total =
-      r.num_x() == 0 ? 0 : (r.num_x() + kHeadGrain - 1) / kHeadGrain;
-  result.light_chunks_executed = light_executed.load();
-  result.light_chunks_skipped = light_skipped.load();
-  result.interrupted = interrupted.load();
+  static_cast<LightRun&>(result) =
+      gate.Record((r.num_x() + kHeadGrain - 1) / kHeadGrain);
+  result.interrupted |= heavy_interrupted;
 
   RecordHeavyRunMetrics(result);
+  RecordLightRunMetrics(result, LightUnit::kChunks, result.light_seconds,
+                        use_matrix ? std::optional(result.heavy_seconds)
+                                   : std::nullopt);
   if (MetricsEnabled()) {
-    JoinMetrics& jm = JoinMetrics::Get();
-    jm.light_executed.Add(result.light_chunks_executed);
-    jm.light_skipped.Add(result.light_chunks_skipped);
-    jm.operand_bytes.Add(gates.bytes);
-    jm.light_ms.Record(result.light_seconds * 1e3);
-    if (use_matrix) jm.heavy_ms.Record(result.heavy_seconds * 1e3);
+    static Counter& operand_bytes = MetricsRegistry::Global().GetCounter(
+        "jpmm_join_heavy_operand_bytes_total");
+    operand_bytes.Add(gates.bytes);
   }
   return result;
 }

@@ -28,20 +28,19 @@
 
 #include "common/types.h"
 #include "core/density_partition.h"
-#include "core/heavy_dispatch.h"
+#include "core/exec_context.h"
 #include "core/heavy_product.h"
 #include "core/thresholds.h"
 #include "storage/index.h"
 
 namespace jpmm {
 
-class CancelToken;
-class ResultSink;
-class TraceRecorder;
-
-struct MmJoinOptions {
+/// Options of both two-path strategies: the execution context
+/// (core/exec_context.h) plus what the two-path needs. Non-MMJoin has no
+/// matrices, so it ignores heavy_path, partition, max_matrix_bytes,
+/// row_block and grid_cache.
+struct MmJoinOptions : ExecContext {
   Thresholds thresholds;
-  int threads = 1;
   /// Produce CountedPair witness counts instead of plain pairs.
   bool count_witnesses = false;
   /// Emit only pairs with >= min_count witnesses (requires counting when
@@ -52,23 +51,6 @@ struct MmJoinOptions {
   /// packed-B slab (B is packed once per query, not per block); 256 rows =
   /// two MC panels of the blocked kernel.
   size_t row_block = 256;
-  /// Heavy-part kernel selection. kAuto picks per product block between the
-  /// dense blocked GEMM and the CSR kernels from the block's measured
-  /// density (core/heavy_dispatch.h); the force modes pin one kernel
-  /// everywhere (equivalence tests diff their sorted outputs).
-  HeavyPathMode heavy_path = HeavyPathMode::kAuto;
-  /// Measured sparse-kernel rates for the dispatch; nullptr uses
-  /// SparseKernelRates::Default() (measured once per process, and only when
-  /// a heavy part actually exists under kAuto).
-  const SparseKernelRates* sparse_rates = nullptr;
-  /// Density-adaptive heavy-part decomposition (core/density_partition.h):
-  /// degree-remapped row/column bands with per-block kernels and pruned
-  /// provably-empty blocks. kAuto engages the grid when its priced cost
-  /// beats the uniform row-block plan and the band slices fit the memory
-  /// cap; kForce engages it whenever a heavy product exists (fuzzer /
-  /// equivalence tests); kOff always runs the uniform plan. Outputs are
-  /// byte-identical either way — the remap is inverted at emit time.
-  PartitionMode partition = PartitionMode::kAuto;
   /// Optional cross-execution grid memo owned by the caller's plan state
   /// (see DensityGridCache). On a key match the degree-remap rebuild is
   /// skipped; the hit is recorded in MmJoinResult::partition_cache_hit and
@@ -79,38 +61,14 @@ struct MmJoinOptions {
   /// MmJoinResult::pairs / counted stay empty; the sink's done() signal is
   /// polled at light-chunk / product-block granularity and skips the
   /// remaining work (skip counts land in the result). When null, results
-  /// materialize into the result vectors as before.
+  /// materialize into the result vectors.
   ResultSink* sink = nullptr;
-  /// Hard cap on the heavy-part working set. What counts depends on the
-  /// representation the chosen kernels need: the CSR index arrays are
-  /// always counted; dense M1/M2, the shared packed-B slab, and the
-  /// per-worker row-block float buffers (threads * row_block * |heavy_z|)
-  /// only when dense or CSR x dense blocks may run; the per-worker stamp
-  /// scratch when CSR x CSR may run. Under kAuto the dense representations
-  /// are *gated off* when they alone would blow the cap — the query
-  /// degrades to the CSR kernels — and thresholds double only when even
-  /// the CSR floor does not fit (recorded in adjusted_thresholds). This is
-  /// what stops sparse inputs from having their thresholds over-forced by
-  /// dense U*V accounting.
-  uint64_t max_matrix_bytes = uint64_t{3} << 30;
-  /// Optional cancellation token (deadline | explicit cancel), polled at
-  /// the same light-chunk / product-block granularity as the sink's done()
-  /// signal. A fired token skips the remaining work (skips counted like
-  /// sink-driven early exit) and sets MmJoinResult::interrupted; partial
-  /// results already delivered stay valid.
-  const CancelToken* cancel = nullptr;
-  /// Optional per-query stage tracing (core/trace.h). Stage spans
-  /// (threshold-fit, light-pass + chunks, heavy: csr-build / degree-remap /
-  /// pack / per-block kernels, sink-finish) are recorded under
-  /// `trace_parent`. Null = zero cost. Every opened span is closed on every
-  /// exit path, including cancel / sink-done early exits.
-  TraceRecorder* trace = nullptr;
-  int32_t trace_parent = -1;  // TraceRecorder::kNoParent
 };
 
 /// The heavy-run record (HeavyRun: kernel choices, partitioning, block
-/// accounting) plus the two-path specifics.
-struct MmJoinResult : HeavyRun {
+/// accounting), the light-run record (LightRun: light chunk accounting,
+/// interrupted) and the two-path specifics.
+struct MmJoinResult : HeavyRun, LightRun {
   /// Filled when !count_witnesses. Order unspecified.
   std::vector<OutPair> pairs;
   /// Filled when count_witnesses. Order unspecified.
@@ -122,17 +80,6 @@ struct MmJoinResult : HeavyRun {
   uint64_t heavy_cols = 0;         // |heavy z|
   double light_seconds = 0.0;
   double heavy_seconds = 0.0;      // operand build + product + emit
-
-  // --- early-exit instrumentation for the light part (sink-driven runs) ---
-  uint64_t light_chunks_total = 0;     // planned light-part chunks
-  uint64_t light_chunks_executed = 0;  // light-part chunks actually run
-  uint64_t light_chunks_skipped = 0;   // light-part chunks skipped
-
-  /// True iff a fired CancelToken (not sink done()) cut the run short:
-  /// some planned work was skipped because the token fired. A token that
-  /// fires after the last chunk completes does NOT mark the run
-  /// interrupted — the output is complete.
-  bool interrupted = false;
 
   size_t size() const { return pairs.empty() ? counted.size() : pairs.size(); }
 };

@@ -1,14 +1,13 @@
 #include "core/nonmm_join.h"
 
 #include <algorithm>
-#include <atomic>
+#include <optional>
 
 #include "common/check.h"
-#include "common/metrics.h"
 #include "common/stamp_set.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "core/cancel_token.h"
+#include "core/heavy_product.h"
 #include "core/result_sink.h"
 #include "core/trace.h"
 #include "core/two_path_internal.h"
@@ -18,8 +17,7 @@ namespace jpmm {
 
 MmJoinResult NonMmJoinTwoPath(const IndexedRelation& r,
                               const IndexedRelation& s,
-                              const NonMmJoinOptions& options) {
-  NonMmJoinOptions opts = options;
+                              const MmJoinOptions& opts) {
   JPMM_CHECK(opts.min_count >= 1);
   JPMM_CHECK_MSG(opts.min_count == 1 || opts.count_witnesses,
                  "min_count > 1 requires count_witnesses");
@@ -72,19 +70,8 @@ MmJoinResult NonMmJoinTwoPath(const IndexedRelation& r,
   VectorSink fallback;
   ResultSink* sink = opts.sink != nullptr ? opts.sink : &fallback;
   sink->Open(threads);
-  std::atomic<uint64_t> light_executed{0};
-  std::atomic<uint64_t> light_skipped{0};
-  std::atomic<uint64_t> heavy_executed{0};
-  std::atomic<uint64_t> heavy_skipped{0};
-  std::atomic<bool> interrupted{false};
-  const CancelToken* cancel = opts.cancel;
-  auto cancel_fired = [&]() -> bool {
-    if (cancel != nullptr && cancel->Fired()) {
-      interrupted.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  };
+  ChunkGate light_gate(sink, opts.cancel);
+  ChunkGate heavy_gate(sink, opts.cancel);
 
   auto emit_head = [&](Value a, bool with_heavy, Worker* ws) {
     ws->counter.NewEpoch();
@@ -128,14 +115,11 @@ MmJoinResult NonMmJoinTwoPath(const IndexedRelation& r,
   WallTimer light_timer;
   const TraceRecorder::SpanId light_span =
       TraceBegin(trace, "light-pass", tparent);
-  ParallelForDynamic(threads, r.num_x(), /*grain=*/256,
+  constexpr size_t kLightGrain = 256;
+  ParallelForDynamic(threads, r.num_x(), kLightGrain,
                      [&](size_t a0, size_t a1, int w) {
+    if (!light_gate.Claim()) return;
     Worker& ws = workers[static_cast<size_t>(w)];
-    if (sink->done() || cancel_fired()) {
-      light_skipped.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    light_executed.fetch_add(1, std::memory_order_relaxed);
     if (ws.shard == nullptr) ws.shard = &sink->shard(w);
     if (ws.counter.universe() < num_z) ws.counter.ResizeUniverse(num_z);
     for (size_t a = a0; a < a1; ++a) {
@@ -149,22 +133,18 @@ MmJoinResult NonMmJoinTwoPath(const IndexedRelation& r,
   result.light_seconds = light_timer.Seconds();
 
   // The heavy "block" here is one dynamic chunk of kHeavyGrain rows: every
-  // ParallelForDynamic invocation below increments exactly one of
-  // executed/skipped, and heavy_blocks_total is derived from the same
-  // grain, so executed + skipped == total at every thread count (the
-  // chunk-claim + done() audit invariant).
+  // ParallelForDynamic invocation below claims exactly one unit of the
+  // gate, and heavy_blocks_total is derived from the same grain, so
+  // executed + skipped == total at every thread count (the chunk-claim +
+  // done() audit invariant).
   constexpr size_t kHeavyGrain = 4;
   if (use_heavy) {
     WallTimer heavy_timer;
     TraceRecorder::Scope heavy_scope(trace, "heavy", tparent);
     ParallelForDynamic(threads, hxs.size(), kHeavyGrain,
                        [&](size_t i0, size_t i1, int w) {
+      if (!heavy_gate.Claim()) return;
       Worker& ws = workers[static_cast<size_t>(w)];
-      if (sink->done() || cancel_fired()) {
-        heavy_skipped.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      heavy_executed.fetch_add(1, std::memory_order_relaxed);
       if (ws.shard == nullptr) ws.shard = &sink->shard(w);
       if (ws.counter.universe() < num_z) ws.counter.ResizeUniverse(num_z);
       for (size_t i = i0; i < i1; ++i) emit_head(hxs[i], true, &ws);
@@ -182,33 +162,15 @@ MmJoinResult NonMmJoinTwoPath(const IndexedRelation& r,
   }
   result.heavy_blocks_total =
       use_heavy ? (hxs.size() + kHeavyGrain - 1) / kHeavyGrain : 0;
-  result.heavy_blocks_executed = heavy_executed.load();
-  result.heavy_blocks_skipped = heavy_skipped.load();
-  result.light_chunks_total =
-      r.num_x() == 0 ? 0 : (r.num_x() + 255) / 256;
-  result.light_chunks_executed = light_executed.load();
-  result.light_chunks_skipped = light_skipped.load();
-  result.interrupted = interrupted.load();
-  if (MetricsEnabled()) {
-    static Counter& lc_exec = MetricsRegistry::Global().GetCounter(
-        "jpmm_join_light_chunks_executed_total");
-    static Counter& lc_skip = MetricsRegistry::Global().GetCounter(
-        "jpmm_join_light_chunks_skipped_total");
-    static Counter& hb_exec = MetricsRegistry::Global().GetCounter(
-        "jpmm_join_heavy_blocks_executed_total");
-    static Counter& hb_skip = MetricsRegistry::Global().GetCounter(
-        "jpmm_join_heavy_blocks_skipped_total");
-    static Histogram& light_ms = MetricsRegistry::Global().GetHistogram(
-        "jpmm_join_light_pass_ms", DefaultLatencyBoundsMs());
-    static Histogram& heavy_ms = MetricsRegistry::Global().GetHistogram(
-        "jpmm_join_heavy_pass_ms", DefaultLatencyBoundsMs());
-    lc_exec.Add(result.light_chunks_executed);
-    lc_skip.Add(result.light_chunks_skipped);
-    hb_exec.Add(result.heavy_blocks_executed);
-    hb_skip.Add(result.heavy_blocks_skipped);
-    light_ms.Record(result.light_seconds * 1e3);
-    if (use_heavy) heavy_ms.Record(result.heavy_seconds * 1e3);
-  }
+  result.heavy_blocks_executed = heavy_gate.executed();
+  result.heavy_blocks_skipped = heavy_gate.skipped();
+  static_cast<LightRun&>(result) =
+      light_gate.Record((r.num_x() + kLightGrain - 1) / kLightGrain);
+  result.interrupted |= heavy_gate.interrupted();
+  RecordHeavyBlockMetrics(result);
+  RecordLightRunMetrics(result, LightUnit::kChunks, result.light_seconds,
+                        use_heavy ? std::optional(result.heavy_seconds)
+                                  : std::nullopt);
   return result;
 }
 

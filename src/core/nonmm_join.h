@@ -15,28 +15,14 @@
 
 namespace jpmm {
 
-struct NonMmJoinOptions {
-  Thresholds thresholds;
-  int threads = 1;
-  bool count_witnesses = false;
-  uint32_t min_count = 1;
-  /// Push-based delivery + cooperative early exit, as in MmJoinOptions.
-  /// The "heavy blocks" counted for early-exit instrumentation are the
-  /// dynamic chunks of heavy x values.
-  ResultSink* sink = nullptr;
-  /// Cancellation token polled like the sink's done(); see MmJoinOptions.
-  const CancelToken* cancel = nullptr;
-  /// Optional per-query stage tracing under `trace_parent`; null = zero
-  /// cost. See MmJoinOptions::trace.
-  TraceRecorder* trace = nullptr;
-  int32_t trace_parent = -1;  // TraceRecorder::kNoParent
-};
-
-/// Runs the combinatorial join. Result fields mirror MmJoinTwoPath
-/// (heavy_seconds covers the pairwise-intersection phase).
+/// Runs the combinatorial join with MMJoin's options (the matrix knobs are
+/// ignored; see MmJoinOptions). Result fields mirror MmJoinTwoPath:
+/// heavy_seconds covers the pairwise-intersection phase, and the "heavy
+/// blocks" of the early-exit accounting are dynamic chunks of heavy x
+/// values.
 MmJoinResult NonMmJoinTwoPath(const IndexedRelation& r,
                               const IndexedRelation& s,
-                              const NonMmJoinOptions& options);
+                              const MmJoinOptions& options);
 
 }  // namespace jpmm
 

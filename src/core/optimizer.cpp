@@ -48,9 +48,7 @@ CostBreakdown EvaluateCost(const TwoPathStats& stats, Thresholds t,
   if (u > 0 && v > 0 && w > 0) {
     // Resolved lazily so fully-light plans never pay the one-time sparse
     // calibration (same contract as PlanProductBlocks).
-    const SparseKernelRates& srates = opts.sparse_rates != nullptr
-                                          ? *opts.sparse_rates
-                                          : SparseKernelRates::Default();
+    const SparseKernelRates& srates = SparseKernelRates::Default();
     const int co = std::max(1, opts.threads);
     const double cells = static_cast<double>(u) * static_cast<double>(v);
     // nnz upper bounds from the degree CDFs: every M1 cell is an R-tuple

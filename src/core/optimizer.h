@@ -41,9 +41,6 @@ struct OptimizerOptions {
   const MatMulCalibration* calibration = nullptr;
   /// Measured on first use when not supplied.
   const SystemConstants* constants = nullptr;
-  /// Measured sparse-kernel rates for the dense-vs-CSR heavy estimate;
-  /// nullptr => SparseKernelRates::Default().
-  const SparseKernelRates* sparse_rates = nullptr;
 };
 
 /// The optimizer's decision for one 2-path instance.

@@ -111,10 +111,7 @@ void FillTwoPathStats(JoinProjectOutput* out, ExecStats* stats) {
   if (stats == nullptr) return;
   stats->executed = out->executed;
   static_cast<HeavyRun&>(*stats) = std::move(*out);
-  stats->light_chunks_total = out->light_chunks_total;
-  stats->light_chunks_executed = out->light_chunks_executed;
-  stats->light_chunks_skipped = out->light_chunks_skipped;
-  stats->interrupted = out->interrupted;
+  static_cast<LightRun&>(*stats) = *out;
 }
 
 // Stable per-process hash of the spec's WHAT-fields — the coalescing /
@@ -359,7 +356,7 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
   // alike.
   {
     JoinProjectOptions check;
-    check.threads = opts.threads;
+    static_cast<ExecContext&>(check) = opts;
     check.count_witnesses =
         spec.kind != QueryKind::kTwoPath || spec.count_witnesses;
     check.min_count = spec.min_count;
@@ -423,16 +420,11 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
       plan_hit = cache_hit;
 
       JoinProjectOptions jo;
-      jo.strategy = opts.strategy_override.value_or(spec.strategy);
-      jo.threads = opts.threads;
-      jo.thresholds = opts.thresholds;
-      jo.heavy_path = opts.heavy_path;
-      jo.partition = opts.partition;
-      jo.grid_cache = &ps.two_path_grid;
-      jo.max_matrix_bytes = opts.max_matrix_bytes;
-      jo.cancel = opts.cancel;
-      jo.trace = opts.trace;
+      static_cast<ExecContext&>(jo) = opts;
       jo.trace_parent = exec_id;
+      jo.strategy = opts.strategy_override.value_or(spec.strategy);
+      jo.thresholds = opts.thresholds;
+      jo.grid_cache = &ps.two_path_grid;
       if (spec.kind == QueryKind::kTwoPath) {
         jo.count_witnesses = spec.count_witnesses;
         jo.min_count = spec.min_count;
@@ -531,16 +523,11 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
       const Strategy star_strategy =
           opts.strategy_override.value_or(spec.strategy);
       JoinProjectOptions jo;
-      jo.strategy = star_strategy;
-      jo.threads = opts.threads;
-      jo.heavy_path = opts.heavy_path;
-      jo.partition = opts.partition;
-      jo.grid_cache = &ps.star_grid;
-      jo.max_matrix_bytes = opts.max_matrix_bytes;
-      jo.sink = &sink;
-      jo.cancel = opts.cancel;
-      jo.trace = opts.trace;
+      static_cast<ExecContext&>(jo) = opts;
       jo.trace_parent = exec_id;
+      jo.strategy = star_strategy;
+      jo.grid_cache = &ps.star_grid;
+      jo.sink = &sink;
       jo.thresholds = explicit_thresholds ? opts.thresholds : star_thresholds;
 
       StarJoinResult res = JoinProject::Star(rels, jo);
@@ -550,13 +537,7 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
                               : star_strategy;
         stats->plan_cache_hit = star_cache_hit;
         static_cast<HeavyRun&>(*stats) = std::move(res);
-        // Star light work is step-granular; the chunk counters carry the
-        // step accounting so executed + skipped == total reads uniformly.
-        stats->light_chunks_total = res.light_steps_total;
-        stats->light_chunks_executed = res.light_steps_executed;
-        stats->light_chunks_skipped = res.light_steps_skipped;
-        stats->light_steps_skipped = res.light_steps_skipped;
-        stats->interrupted = res.interrupted;
+        static_cast<LightRun&>(*stats) = res;
         FillInterruptReason(opts.cancel, stats);
       }
       break;
@@ -570,21 +551,15 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
       tri_cancel.WatchSink(&sink);
       if (opts.cancel != nullptr) tri_cancel.Chain(opts.cancel);
       TriangleCountOptions to;
-      to.threads = opts.threads;
-      to.heavy_path = opts.heavy_path;
-      to.max_matrix_bytes = opts.max_matrix_bytes;
+      static_cast<ExecContext&>(to) = opts;
       to.cancel = &tri_cancel;
-      to.trace = opts.trace;
       to.trace_parent = exec_id;
       plan_hit = executed_before;
       TriangleCountResult res = CountTrianglesMm(*query.rels_[0], to);
       if (stats != nullptr) {
         stats->triangle_count = res.triangles;
-        stats->interrupted = res.cancelled;
         static_cast<HeavyRun&>(*stats) = std::move(res);
-        stats->light_chunks_total = res.light_chunks_total;
-        stats->light_chunks_executed = res.light_chunks_executed;
-        stats->light_chunks_skipped = res.light_chunks_skipped;
+        static_cast<LightRun&>(*stats) = res;
         stats->plan_cache_hit = executed_before;
         FillInterruptReason(&tri_cancel, stats);
       }

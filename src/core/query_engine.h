@@ -15,8 +15,10 @@
 //   if (!st.ok()) { ...; }
 //
 //   LimitSink sink(10);                            // or PageSink, ...
+//   ExecOptions exec;
+//   exec.threads = 8;
 //   ExecStats stats;
-//   st = engine.Execute(q, sink, {.threads = 8}, &stats);
+//   st = engine.Execute(q, sink, exec, &stats);
 //
 // Prepare resolves and caches the operand indexes and degree statistics;
 // the first Execute runs the cost-based optimizer and caches the
@@ -172,42 +174,26 @@ struct QuerySpec {
   bool ssj_ordered = false;
 };
 
-/// Per-execution knobs (everything about HOW, nothing about WHAT).
-struct ExecOptions {
-  int threads = 1;
+/// Per-execution knobs (everything about HOW, nothing about WHAT): the
+/// execution context (core/exec_context.h) plus two engine-level knobs.
+/// A fired `cancel` token truncates the run: Execute still returns Ok (the
+/// partial results already delivered are exact), with stats->interrupted
+/// set and the reason recorded; the QueryService layer maps interruption
+/// onto kDeadlineExceeded / kCancelled statuses. With `trace` set, Execute
+/// opens an "execute" root span under `trace_parent` and records the stage
+/// tree (plan, light-pass chunks, heavy per-block kernels, sink finish)
+/// into the recorder; a copy of the spans also lands in
+/// ExecStats::trace_spans. The recorder is per-execution state, like the
+/// sink — do not share one across concurrent Execute calls you want to
+/// tell apart.
+struct ExecOptions : ExecContext {
   /// Explicit thresholds; {0, 0} lets the cached plan decide.
   Thresholds thresholds{0, 0};
-  /// Heavy-part kernel override (kAuto = per-block density dispatch).
-  HeavyPathMode heavy_path = HeavyPathMode::kAuto;
-  /// Density-adaptive heavy-product decomposition (degree-remapped block
-  /// grid, core/density_partition.h): kAuto engages it when it prices
-  /// cheaper than the uniform row-block plan, kOff never, kForce whenever
-  /// a heavy product exists. Outputs are identical in every mode; the
-  /// decision lands in ExecStats::partition_*.
-  PartitionMode partition = PartitionMode::kAuto;
-  /// Heavy-part memory cap (see MmJoinOptions::max_matrix_bytes).
-  uint64_t max_matrix_bytes = uint64_t{3} << 30;
-  /// Optional cancellation token (deadline | explicit cancel), polled by
-  /// every strategy at light-chunk / product-block granularity. A fired
-  /// token truncates the run: Execute still returns Ok (the partial
-  /// results already delivered are exact), with stats->interrupted set and
-  /// the reason recorded. The QueryService layer maps interruption onto
-  /// kDeadlineExceeded / kCancelled statuses.
-  const CancelToken* cancel = nullptr;
   /// When set, overrides the spec's strategy for this execution only —
   /// the degradation hook (QueryService re-plans an MM query onto
   /// kNonMmJoin under memory/admission pressure without touching the
   /// shared PreparedQuery).
   std::optional<Strategy> strategy_override;
-  /// Optional per-query stage tracing (core/trace.h): Execute opens an
-  /// "execute" root span under `trace_parent` and records the stage tree
-  /// (plan → light-pass chunks → heavy per-block kernels → sink finish)
-  /// into the recorder; a copy of the spans also lands in
-  /// ExecStats::trace_spans. Null (the default) costs nothing. The
-  /// recorder is per-execution state, like the sink — do not share one
-  /// recorder across concurrent Execute calls you want to tell apart.
-  TraceRecorder* trace = nullptr;
-  int32_t trace_parent = -1;  // TraceRecorder::kNoParent
 };
 
 /// Why an execution was cut short (ExecStats::interrupt_reason).
@@ -232,28 +218,17 @@ const char* DegradeReasonName(DegradeReason r);
 /// saved. Counters that do not apply to a query kind stay zero. The heavy
 /// product's record (HeavyRun: operand nnz, per-block kernel choices,
 /// density-grid partitioning, heavy block accounting) comes from the MM
-/// strategies of every query kind — two-path, star and triangle.
-struct ExecStats : HeavyRun {
+/// strategies of every query kind — two-path, star and triangle. The light
+/// part's record (LightRun: chunk-granular for the pair strategies and the
+/// triangle count, step-granular for stars; `interrupted` for every
+/// strategy) comes from all of them. When interrupted, the results
+/// delivered before the interruption are exact; the run is partial.
+struct ExecStats : HeavyRun, LightRun {
   Strategy executed = Strategy::kMmJoin;
   PlanChoice plan;              // two-path family only
   bool plan_cache_hit = false;  // true: optimization was skipped
   double seconds = 0.0;
 
-  // Early-exit record (sink done() / cancel-token short-circuit) of the
-  // light part; the heavy_blocks_* counters live in HeavyRun. The light
-  // counters are chunk-granular for the pair strategies and step-granular
-  // for stars (executed + skipped == total either way).
-  uint64_t light_chunks_total = 0;
-  uint64_t light_chunks_executed = 0;
-  uint64_t light_chunks_skipped = 0;
-  uint64_t light_steps_skipped = 0;  // star decomposition steps (== the
-                                     // chunk counters above for kStar)
-
-  /// True iff a fired CancelToken truncated this execution (every strategy,
-  /// unifying the old triangle-only `triangle_cancelled`). The results
-  /// delivered before the interruption are exact; the run is partial.
-  /// A token that fires after the last chunk completes does not set this.
-  bool interrupted = false;
   InterruptReason interrupt_reason = InterruptReason::kNone;
 
   /// True iff the service layer re-planned this execution onto a cheaper

@@ -455,8 +455,7 @@ void QueryService::MaybeCacheResult(const BatchKey& key, QueryKind kind,
   // sink (a limit-driven run records only a prefix), and the tap captured
   // the whole stream.
   if (!st.ok() || stats.interrupted || stats.heavy_blocks_skipped != 0 ||
-      stats.light_chunks_skipped != 0 || stats.light_steps_skipped != 0 ||
-      tap->overflowed()) {
+      stats.light_chunks_skipped != 0 || tap->overflowed()) {
     return;
   }
   ResultCache::Entry entry;

@@ -2,18 +2,17 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <unordered_map>
 
 #include "common/check.h"
 #include "common/hash.h"
-#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/cancel_token.h"
@@ -136,10 +135,12 @@ struct StarContext {
 //     the light part degenerates to a single WCOJ pass.
 //   - A y light in *every* relation satisfies step 2's condition for every
 //     j; it is claimed by j = 0 alone to avoid k identical enumerations.
+//
+// Each step is one unit of `gate`: claimed before it runs, so a satisfied
+// sink or a fired token skips this step and the rest, counted skipped.
+// *steps_total receives the number of planned steps.
 TupleBuffer LightSteps(const StarContext& ctx, int threads, StarEmitter* em,
-                       const CancelToken* cancel, uint64_t* steps_total,
-                       uint64_t* steps_executed, uint64_t* steps_skipped,
-                       bool* interrupted) {
+                       ChunkGate* gate, uint64_t* steps_total) {
   const size_t k = ctx.rels.size();
   TupleBuffer out(static_cast<uint32_t>(k));
 
@@ -147,8 +148,10 @@ TupleBuffer LightSteps(const StarContext& ctx, int threads, StarEmitter* em,
   for (Value b = 0; b < ctx.ny && !any_shared_heavy; ++b) {
     any_shared_heavy = ctx.heavy_cnt[b] >= 2;
   }
-  const uint64_t steps_per_j = any_shared_heavy ? 2 : 1;
-  *steps_total = k * steps_per_j;
+  const uint64_t total = k * (any_shared_heavy ? 2 : 1);
+  *steps_total = total;
+  uint64_t step = 0;
+  auto claim = [&] { return gate->Claim(total - step++); };
 
   auto deliver = [&](TupleBuffer* part) {
     if (em->streaming) {
@@ -157,23 +160,9 @@ TupleBuffer LightSteps(const StarContext& ctx, int threads, StarEmitter* em,
       out.Append(*part);
     }
   };
-  auto cancel_fired = [&]() -> bool {
-    if (cancel != nullptr && cancel->Fired()) {
-      *interrupted = true;
-      return true;
-    }
-    return false;
-  };
-
   for (size_t j = 0; j < k; ++j) {
-    // Cooperative early exit between light steps (a "light bucket" here is
-    // one decomposition step): once the sink is satisfied — or the cancel
-    // token fires — the remaining steps are skipped and counted.
-    if ((em->sink != nullptr && em->sink->done()) || cancel_fired()) {
-      *steps_skipped += (k - j) * steps_per_j;
-      break;
-    }
     if (any_shared_heavy) {
+      if (!claim()) break;
       // Step 1-j: substitute R-j (light xj tuples only), restricted to y
       // values not already fully covered by step 2.
       TupleBuffer part = StarJoinProjectWcoj(
@@ -183,17 +172,10 @@ TupleBuffer LightSteps(const StarContext& ctx, int threads, StarEmitter* em,
           },
           [&ctx](Value b) { return ctx.heavy_cnt[b] >= 2; }, threads);
       deliver(&part);
-      ++*steps_executed;
-      // Mid-iteration token poll: a deadline can fire between step 1-j and
-      // step 2-j, not just between j iterations.
-      if (cancel_fired()) {
-        *steps_skipped += (k - j) * steps_per_j - 1;
-        break;
-      }
     }
-
     // Step 2-j: substitute R<>j — only y values light in all other
     // relations.
+    if (!claim()) break;
     TupleBuffer part2 = StarJoinProjectWcoj(
         ctx.rels, nullptr,
         [&ctx, j](Value b) {
@@ -202,7 +184,6 @@ TupleBuffer LightSteps(const StarContext& ctx, int threads, StarEmitter* em,
         },
         threads);
     deliver(&part2);
-    ++*steps_executed;
   }
   return out;
 }
@@ -462,46 +443,36 @@ TupleBuffer MergeLightHeavy(const TupleBuffer& light, const HeavyGroups& hg,
 }
 
 // One star evaluation's delivery state, shared by MmStarJoin and
-// NonMmStarJoin: the opened sink, the streaming emitter, the cancel latch,
-// the light part and the finish.
+// NonMmStarJoin: the opened sink, the streaming emitter, the light steps'
+// gate (also polled before the heavy part), the light part and the finish.
 struct StarRun {
   const StarJoinOptions& options;
   StarJoinResult* result;
   ResultSink* sink;
   StarEmitter em;
-  std::atomic<bool> interrupted{false};
+  ChunkGate gate;
+  uint64_t light_steps = 0;
+  bool heavy_interrupted = false;  // a fired token skipped heavy chunks
 
   StarRun(size_t k, int threads, const StarJoinOptions& o, StarJoinResult* r)
-      : options(o), result(r), sink(o.sink), em(static_cast<uint32_t>(k)) {
+      : options(o),
+        result(r),
+        sink(o.sink),
+        em(static_cast<uint32_t>(k)),
+        gate(o.sink, o.cancel) {
     if (sink != nullptr) sink->Open(threads);
     em.sink = sink;
     em.streaming = sink != nullptr && sink->may_finish_early();
   }
 
-  bool CancelFired() {
-    if (options.cancel != nullptr && options.cancel->Fired()) {
-      interrupted.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  }
-
-  // A satisfied sink or a fired token: the remaining work is skipped.
-  bool Stop() { return (sink != nullptr && sink->done()) || CancelFired(); }
-
   // Steps (1) and (2) under a "light-pass" span. Streaming sinks receive
   // the steps' tuples as they come; otherwise they are returned unsorted.
   TupleBuffer Light(const StarContext& ctx, int threads) {
     WallTimer timer;
-    bool light_interrupted = false;
     TraceRecorder::Scope scope(options.trace, "light-pass",
                                options.trace_parent);
-    TupleBuffer light = LightSteps(
-        ctx, threads, &em, options.cancel, &result->light_steps_total,
-        &result->light_steps_executed, &result->light_steps_skipped,
-        &light_interrupted);
+    TupleBuffer light = LightSteps(ctx, threads, &em, &gate, &light_steps);
     scope.Close();
-    if (light_interrupted) interrupted.store(true, std::memory_order_relaxed);
     result->light_seconds = timer.Seconds();
     return light;
   }
@@ -512,7 +483,8 @@ struct StarRun {
   // non-streaming sink.
   void Finish(TupleBuffer light, const HeavyGroups& hg,
               const HeavyPairs& heavy) {
-    result->interrupted = interrupted.load();
+    static_cast<LightRun&>(*result) = gate.Record(light_steps);
+    result->interrupted |= heavy_interrupted;
     TraceRecorder::Scope scope(options.trace, "sink-finish",
                                options.trace_parent);
     if (em.streaming) {
@@ -690,7 +662,7 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
   HeavyPairs pairs(threads, result.v_rows);
 
   const bool heavy = result.v_rows > 0 && result.w_rows > 0;
-  if (heavy && run.Stop()) {
+  if (heavy && run.gate.Stopped()) {
     // Light steps satisfied the sink: account every planned chunk as
     // skipped without building the heavy operands at all.
     static_cast<HeavyRun&>(result) = SkippedHeavyRun(shape, row_block);
@@ -709,18 +681,12 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
     TraceEnd(trace, csr_span);
 
     HeavyProduct hp;
-    hp.mode = options.heavy_path;
-    hp.partition = options.partition;
+    static_cast<ExecContext&>(hp) = options;
+    hp.trace_parent = heavy_scope.id();
     hp.row_block = row_block;
-    hp.rates = options.sparse_rates;
     hp.grid_cache = options.grid_cache;
     hp.grid_key = t;
-    hp.max_bytes = options.max_matrix_bytes;
-    hp.threads = threads;
     hp.sink = run.sink;
-    hp.cancel = options.cancel;
-    hp.trace = trace;
-    hp.trace_parent = heavy_scope.id();
     // Streaming sinks get each chunk's tuples as one dedup'd batch; the
     // materializing path keeps only the W-row ids of each whole row.
     std::vector<TupleBuffer> pending;
@@ -752,31 +718,18 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
         pairs.Close(w, i, begin);
       };
     }
-    bool heavy_interrupted = false;
     static_cast<HeavyRun&>(result) =
-        RunHeavyProduct(v, wt, hp, &heavy_interrupted);
-    if (heavy_interrupted) run.interrupted.store(true);
+        RunHeavyProduct(v, wt, hp, &run.heavy_interrupted);
     result.heavy_seconds = heavy_timer.Seconds();
   }
 
   run.Finish(std::move(light), hg, pairs);
 
   RecordHeavyRunMetrics(result);
-  if (MetricsEnabled()) {
-    MetricsRegistry& reg = MetricsRegistry::Global();
-    static Counter& steps_executed =
-        reg.GetCounter("jpmm_star_light_steps_executed_total");
-    static Counter& steps_skipped =
-        reg.GetCounter("jpmm_star_light_steps_skipped_total");
-    static Histogram& light_ms =
-        reg.GetHistogram("jpmm_join_light_pass_ms", DefaultLatencyBoundsMs());
-    static Histogram& heavy_ms =
-        reg.GetHistogram("jpmm_join_heavy_pass_ms", DefaultLatencyBoundsMs());
-    steps_executed.Add(result.light_steps_executed);
-    steps_skipped.Add(result.light_steps_skipped);
-    light_ms.Record(result.light_seconds * 1e3);
-    if (result.heavy_seconds > 0) heavy_ms.Record(result.heavy_seconds * 1e3);
-  }
+  RecordLightRunMetrics(result, LightUnit::kStarSteps, result.light_seconds,
+                        result.heavy_seconds > 0
+                            ? std::optional(result.heavy_seconds)
+                            : std::nullopt);
   return result;
 }
 
@@ -805,8 +758,6 @@ StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
   StarRun run(k, threads, options, &result);
   TupleBuffer light = run.Light(ctx, threads);
   HeavyPairs pairs(threads, result.v_rows);
-  std::atomic<uint64_t> blocks_executed{0};
-  std::atomic<uint64_t> blocks_skipped{0};
 
   constexpr size_t kComboGrain = 16;
   const bool heavy = result.v_rows > 0 && result.w_rows > 0;
@@ -814,8 +765,8 @@ StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
     result.heavy_blocks_total =
         (result.v_rows + kComboGrain - 1) / kComboGrain;
   }
-  if (heavy && run.Stop()) {
-    blocks_skipped.store(result.heavy_blocks_total);
+  if (heavy && run.gate.Stopped()) {
+    result.heavy_blocks_skipped = result.heavy_blocks_total;
   } else if (heavy) {
     WallTimer heavy_timer;
     TraceRecorder::Scope heavy_scope(options.trace, "heavy",
@@ -825,16 +776,13 @@ StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
     std::vector<std::vector<Value>> wit1(result.v_rows), wit2(result.w_rows);
     for (const auto& [row, col] : hg.entries1) wit1[row].push_back(col);
     for (const auto& [row, col] : hg.entries2) wit2[row].push_back(col);
+    ChunkGate heavy_gate(run.sink, options.cancel);
 
     // Witness-list lengths vary per combo; dynamic chunks absorb the skew.
     // W rows are visited in id order, so every row's ids ascend.
     ParallelForDynamic(threads, result.v_rows, kComboGrain,
                        [&](size_t i0, size_t i1, int w) {
-      if (run.Stop()) {
-        blocks_skipped.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      blocks_executed.fetch_add(1, std::memory_order_relaxed);
+      if (!heavy_gate.Claim()) return;
       if (run.em.streaming) {
         std::vector<Value> tuple(k);
         TupleBuffer block_out(static_cast<uint32_t>(k));
@@ -863,10 +811,11 @@ StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
       }
     });
     result.heavy_seconds = heavy_timer.Seconds();
+    result.heavy_blocks_executed = heavy_gate.executed();
+    result.heavy_blocks_skipped = heavy_gate.skipped();
+    run.heavy_interrupted = heavy_gate.interrupted();
   }
 
-  result.heavy_blocks_executed = blocks_executed.load();
-  result.heavy_blocks_skipped = blocks_skipped.load();
   run.Finish(std::move(light), hg, pairs);
   return result;
 }

@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "core/density_partition.h"
-#include "core/heavy_dispatch.h"
+#include "core/exec_context.h"
 #include "core/heavy_product.h"
 #include "core/thresholds.h"
 #include "join/star_wcoj.h"
@@ -39,34 +39,18 @@
 
 namespace jpmm {
 
-class CancelToken;
-class ResultSink;
-class TraceRecorder;
-
-struct StarJoinOptions {
+/// The star's options: the execution context (core/exec_context.h) plus
+/// what the decomposition needs. Under max_matrix_bytes thresholds double
+/// until the combo registration fits; the dense V/W representations are
+/// additionally gated off (falling back to the CSR kernels) when they alone
+/// would exceed the cap. Non-MMJoin has no matrices and ignores heavy_path,
+/// partition, max_matrix_bytes, row_block and grid_cache.
+struct StarJoinOptions : ExecContext {
   Thresholds thresholds;
-  int threads = 1;
-  /// Cap on the heavy-part bytes. Thresholds double until the combo
-  /// registration fits; the dense V/W representations are additionally
-  /// gated off (falling back to the CSR kernels) when they alone would
-  /// exceed the cap.
-  uint64_t max_matrix_bytes = uint64_t{3} << 30;
   /// Rows per product block (memory = row_block * |W rows| floats / worker).
   /// 256 rows = two MC panels of the blocked kernel, amortizing the per-call
   /// B-panel packing (see core/mm_join.h).
   size_t row_block = 256;
-  /// Heavy-part kernel selection, as in MmJoinOptions: per-block
-  /// density-aware dispatch under kAuto, pinned kernel under the force
-  /// modes.
-  HeavyPathMode heavy_path = HeavyPathMode::kAuto;
-  /// nullptr uses SparseKernelRates::Default().
-  const SparseKernelRates* sparse_rates = nullptr;
-  /// Density-adaptive decomposition of the V * W^T product, as in
-  /// MmJoinOptions::partition: kAuto engages the degree-remapped grid when
-  /// it prices cheaper than the uniform row-block plan and fits the cap,
-  /// kForce whenever a heavy product exists, kOff never. Tuples are
-  /// identical either way (the remap is inverted at emit time).
-  PartitionMode partition = PartitionMode::kAuto;
   /// Optional cross-execution grid memo, as in MmJoinOptions::grid_cache.
   DensityGridCache* grid_cache = nullptr;
   /// Push-based tuple delivery (core/result_sink.h, OnTuple). The star
@@ -77,19 +61,12 @@ struct StarJoinOptions {
   /// sorted duplicate-free tuples after evaluation, on shard 0, in
   /// ascending order. result.tuples is filled either way.
   ResultSink* sink = nullptr;
-  /// Cancellation token polled between light decomposition steps and at
-  /// heavy product-block granularity; a fired token truncates the run and
-  /// sets StarJoinResult::interrupted. See MmJoinOptions::cancel.
-  const CancelToken* cancel = nullptr;
-  /// Optional per-query stage tracing under `trace_parent`; null = zero
-  /// cost. See MmJoinOptions::trace.
-  TraceRecorder* trace = nullptr;
-  int32_t trace_parent = -1;  // TraceRecorder::kNoParent
 };
 
-/// The heavy-run record of the V * W^T product (HeavyRun) plus the star
-/// specifics.
-struct StarJoinResult : HeavyRun {
+/// The heavy-run record of the V * W^T product (HeavyRun), the light-run
+/// record (LightRun; its units are the light decomposition steps) and the
+/// star specifics.
+struct StarJoinResult : HeavyRun, LightRun {
   TupleBuffer tuples;  // sorted, duplicate-free
   Thresholds adjusted_thresholds;
   uint64_t v_rows = 0;  // heavy combos, first group
@@ -97,14 +74,6 @@ struct StarJoinResult : HeavyRun {
   uint64_t heavy_y = 0; // shared inner dimension
   double light_seconds = 0.0;
   double heavy_seconds = 0.0;
-
-  // --- early-exit instrumentation for the light part (sink-driven runs) ---
-  uint64_t light_steps_total = 0;      // planned light decomposition steps
-  uint64_t light_steps_executed = 0;   // light steps actually run
-  uint64_t light_steps_skipped = 0;    // light decomposition steps skipped
-
-  /// True iff a fired CancelToken truncated the run (see MmJoinResult).
-  bool interrupted = false;
 
   StarJoinResult() : tuples(1) {}
 };

@@ -1,12 +1,10 @@
 #include "core/triangle.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
-#include "core/cancel_token.h"
 #include "core/heavy_product.h"
 #include "core/trace.h"
 #include "matrix/sparse_matrix.h"
@@ -95,12 +93,10 @@ TriangleCountResult CountTrianglesMm(const IndexedRelation& graph,
   // minimum-id light vertex. A neighbour participates only if it is heavy
   // or has a larger id (so no other light vertex claims the triangle
   // first).
-  const CancelToken* cancel = options.cancel;
   // A chunk either runs or is counted skipped, never both, so executed +
   // skipped is exact at every thread count (the chunk-claim + done() audit
   // invariant — see QueryEngine.DoneMidChunkSkipsIdenticalDownstreamBlocks).
-  std::atomic<uint64_t> light_executed{0};
-  std::atomic<uint64_t> light_skipped{0};
+  ChunkGate gate(nullptr, options.cancel);
   std::vector<uint64_t> light_partial(static_cast<size_t>(threads), 0);
   TraceRecorder* const trace_rec = options.trace;
   const TraceRecorder::SpanId tparent = options.trace_parent;
@@ -108,13 +104,10 @@ TriangleCountResult CountTrianglesMm(const IndexedRelation& graph,
       TraceBegin(trace_rec, "light-pass", tparent);
   // Dynamic chunks: per-vertex cost is quadratic in (skewed) degree.
   // Accumulate (+=) — a dynamic worker handles many chunks.
-  ParallelForDynamic(threads, graph.num_x(), /*grain=*/512,
+  constexpr size_t kLightGrain = 512;
+  ParallelForDynamic(threads, graph.num_x(), kLightGrain,
                      [&](size_t v0, size_t v1, int w) {
-    if (cancel != nullptr && cancel->Fired()) {
-      light_skipped.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    light_executed.fetch_add(1, std::memory_order_relaxed);
+    if (!gate.Claim()) return;
     uint64_t local = 0;
     std::vector<Value> eligible;
     for (size_t v = v0; v < v1; ++v) {
@@ -156,15 +149,10 @@ TriangleCountResult CountTrianglesMm(const IndexedRelation& graph,
 
     std::vector<double> trace_partial(static_cast<size_t>(threads), 0.0);
     HeavyProduct hp;
-    hp.mode = options.heavy_path;
+    static_cast<ExecContext&>(hp) = options;
+    hp.trace_parent = heavy_scope.id();
     hp.partition = PartitionMode::kOff;
     hp.row_block = kTraceRowBlock;
-    hp.rates = options.sparse_rates;
-    hp.max_bytes = options.max_matrix_bytes;
-    hp.threads = threads;
-    hp.cancel = cancel;
-    hp.trace = trace_rec;
-    hp.trace_parent = heavy_scope.id();
     hp.on_row = [&](int w, uint32_t i, const HeavyRow& a2) {
       const auto acols = csr_a.Row(i);
       double local = 0.0;
@@ -195,11 +183,9 @@ TriangleCountResult CountTrianglesMm(const IndexedRelation& graph,
     result.heavy_triangles = static_cast<uint64_t>(trace / 6.0 + 0.5);
   }
 
-  result.light_chunks_total =
-      graph.num_x() == 0 ? 0 : (graph.num_x() + 511) / 512;
-  result.light_chunks_executed = light_executed.load();
-  result.light_chunks_skipped = light_skipped.load();
-  result.cancelled = result.light_chunks_skipped > 0 || heavy_interrupted;
+  static_cast<LightRun&>(result) =
+      gate.Record((graph.num_x() + kLightGrain - 1) / kLightGrain);
+  result.interrupted |= heavy_interrupted;
   result.triangles = result.light_triangles + result.heavy_triangles;
   return result;
 }

@@ -66,7 +66,7 @@ class PackedB {
 };
 
 /// Bytes a PackedB of a v x w matrix occupies (columns padded to the
-/// register-tile width). Exposed so memory caps (MmJoinOptions::
+/// register-tile width). Exposed so memory caps (ExecContext::
 /// max_matrix_bytes) can account for the slab before building it.
 uint64_t PackedBBytes(uint64_t v, uint64_t w);
 

@@ -354,7 +354,7 @@ TEST(HeavyProduct, GridRowsComposeToReferenceProduct) {
           std::vector<std::vector<int>> deliveries(
               3, std::vector<int>(a.rows(), 0));
           HeavyProduct p;
-          p.mode = mode;
+          p.heavy_path = mode;
           p.partition = PartitionMode::kForce;
           p.row_block = 4;
           p.rates = &TestRates();

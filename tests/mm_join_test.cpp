@@ -120,7 +120,7 @@ TEST_P(MmJoinSweep, NonMmMatchesOracle) {
   BinaryRelation r = RandomRelation(p.nx, p.ny, p.tuples, p.skew, 35);
   BinaryRelation s = RandomRelation(p.nx + 5, p.ny, p.tuples, p.skew, 36);
   IndexedRelation ri(r), si(s);
-  NonMmJoinOptions opts;
+  MmJoinOptions opts;
   opts.thresholds = {p.d1, p.d2};
   opts.threads = p.threads;
   auto res = NonMmJoinTwoPath(ri, si, opts);
@@ -250,7 +250,7 @@ TEST(MmJoin, OutputHasNoDuplicates) {
 TEST(NonMm, HeavyPathExercised) {
   BinaryRelation r = CommunityGraph(3, 16, 1.0, 3);
   IndexedRelation ri(r);
-  NonMmJoinOptions opts;
+  MmJoinOptions opts;
   opts.thresholds = {4, 4};
   auto res = NonMmJoinTwoPath(ri, ri, opts);
   EXPECT_GT(res.heavy_rows, 0u);

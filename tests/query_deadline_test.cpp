@@ -21,6 +21,7 @@
 
 #include "common/thread_pool.h"
 #include "core/cancel_token.h"
+#include "core/exec_context.h"
 #include "core/query_engine.h"
 #include "core/result_sink.h"
 #include "core/triangle.h"
@@ -238,11 +239,11 @@ TEST(QueryDeadline, GenerousDeadlineIsBitIdenticalToOracle) {
 }
 
 // A token that fires AFTER every chunk completed must not mark the run
-// interrupted — deterministic single-threaded check via RequestCancel on
-// the very last delivery... delivery order makes "last" racy in parallel,
-// so this pins the complement instead: a never-fired token leaves no
-// trace at any thread count (covered above), and a post-completion fire
-// is exercised by firing the token after Run returns.
+// interrupted. Firing it between the last claim and the end of a run is
+// racy to hit through the engine, so the exact policy is pinned on the
+// gate itself (ChunkGate.TokenFiredAfterLastClaimLeavesRunUninterrupted
+// below); here a post-completion fire is exercised end to end by firing
+// the token after Run returns.
 TEST(QueryDeadline, TokenFiringAfterCompletionLeavesRunUntouched) {
   const BinaryRelation rel = BigGraph();
   QueryEngine engine = MakeEngine(rel);
@@ -256,6 +257,83 @@ TEST(QueryDeadline, TokenFiringAfterCompletionLeavesRunUntouched) {
   token.RequestCancel();  // too late — the stats must already be final
   EXPECT_FALSE(stats.interrupted);
   EXPECT_EQ(Sorted(sink.pairs()), OracleTwoPath(rel, rel));
+}
+
+// ---- ChunkGate: the policy every strategy's chunk loop shares ------------
+//
+// Driven directly, one claim at a time: no pool, no clock.
+
+TEST(ChunkGate, TokenFiredAfterLastClaimLeavesRunUninterrupted) {
+  CancelToken token;
+  ChunkGate gate(nullptr, &token);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(gate.Claim());
+  token.RequestCancel();  // nothing is left to skip
+  const LightRun run = gate.Record(3);
+  EXPECT_EQ(run.light_chunks_executed, 3u);
+  EXPECT_EQ(run.light_chunks_skipped, 0u);
+  EXPECT_FALSE(run.interrupted);
+}
+
+TEST(ChunkGate, ClaimAfterTokenFiresIsSkippedAndInterrupts) {
+  CancelToken token;
+  ChunkGate gate(nullptr, &token);
+  ASSERT_TRUE(gate.Claim());
+  ASSERT_TRUE(gate.Claim());
+  token.RequestCancel();
+  // One claim may stand for the rest of a chunk range.
+  EXPECT_FALSE(gate.Claim(3));
+  const LightRun run = gate.Record(5);
+  EXPECT_EQ(run.light_chunks_executed, 2u);
+  EXPECT_EQ(run.light_chunks_skipped, 3u);
+  EXPECT_TRUE(run.interrupted);
+}
+
+TEST(ChunkGate, DoneSinkSkipsWithoutInterrupting) {
+  LimitSink sink(1);
+  sink.Open(1);
+  CancelToken token;
+  ChunkGate gate(&sink, &token);
+  ASSERT_TRUE(gate.Claim());
+  sink.shard(0).OnPair(OutPair{0, 0});
+  ASSERT_TRUE(sink.done());
+  EXPECT_FALSE(gate.Claim());
+  EXPECT_TRUE(gate.Stopped());
+  // A satisfied sink is checked first: a token firing afterwards does not
+  // relabel the early exit as an interruption.
+  token.RequestCancel();
+  EXPECT_FALSE(gate.Claim());
+  sink.Finish();
+  EXPECT_EQ(gate.executed(), 1u);
+  EXPECT_EQ(gate.skipped(), 2u);
+  EXPECT_FALSE(gate.interrupted());
+}
+
+TEST(ChunkGate, StoppedLatchesWithoutCounting) {
+  CancelToken token;
+  ChunkGate gate(nullptr, &token);
+  EXPECT_FALSE(gate.Stopped());
+  token.RequestCancel();
+  EXPECT_TRUE(gate.Stopped());
+  EXPECT_EQ(gate.executed() + gate.skipped(), 0u);
+  EXPECT_TRUE(gate.interrupted());
+}
+
+TEST(ChunkGate, ExecutedPlusSkippedEqualsClaims) {
+  constexpr int kClaims = 6;
+  for (int fire_at = 0; fire_at <= kClaims; ++fire_at) {
+    CancelToken token;
+    ChunkGate gate(nullptr, &token);
+    for (int i = 0; i < kClaims; ++i) {
+      if (i == fire_at) token.RequestCancel();
+      EXPECT_EQ(gate.Claim(), i < fire_at) << fire_at << "/" << i;
+    }
+    const LightRun run = gate.Record(kClaims);
+    EXPECT_EQ(run.light_chunks_executed,
+              static_cast<uint64_t>(std::min(fire_at, kClaims)));
+    EXPECT_EQ(run.light_chunks_executed + run.light_chunks_skipped,
+              run.light_chunks_total);
+    EXPECT_EQ(run.interrupted, fire_at < kClaims) << fire_at;
+  }
 }
 
 // ---- Star ----------------------------------------------------------------

@@ -810,7 +810,7 @@ TEST(QueryEngine, DoneMidChunkSkipsIdenticalDownstreamBlocks) {
           << "planned block count must not depend on threads";
     }
     {
-      NonMmJoinOptions opts;
+      MmJoinOptions opts;
       opts.thresholds = {5, 5};
       opts.threads = threads;
       LimitSink sink(3);

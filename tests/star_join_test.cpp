@@ -278,7 +278,7 @@ TEST(StarJoin, LightAndHeavyWitnessOfOneTupleMergeOnce) {
           mm ? MmStarJoin(rels, opts) : NonMmStarJoin(rels, opts);
       const std::string where =
           std::string(mm ? "mm" : "nonmm") + "/t" + std::to_string(threads);
-      EXPECT_GT(res.light_steps_executed, 0u) << where;
+      EXPECT_GT(res.light_chunks_executed, 0u) << where;
       EXPECT_GT(res.v_rows, 0u) << where;
       EXPECT_EQ(res.tuples.flat(), want.flat()) << where;
     }
