@@ -1,12 +1,11 @@
 // Design-choice ablation (DESIGN.md §2): heavy-part strategies.
 //
-// The all-heavy witness class can be evaluated three ways:
+// The all-heavy witness class is evaluated two ways:
 //   float-GEMM       : Algorithm 1's dense product (what MMJoin ships)
-//   bitset-popcount  : boolean AND/popcount product over packed rows
 //   pairwise-gallop  : per-(heavy x, heavy z) sorted-list intersection
 //                      (Non-MM's strategy)
-// This bench isolates the three kernels on the heavy part of a dense
-// community graph, at equal thresholds.
+// This bench compares the two on the heavy part of a dense community
+// graph, at equal thresholds.
 //
 // A second family of rows ablates the density-adaptive grid
 // (core/density_partition.h) against the uniform row-block plan:
@@ -29,8 +28,6 @@
 #include "core/mm_join.h"
 #include "core/nonmm_join.h"
 #include "datagen/generators.h"
-#include "matrix/bool_matrix.h"
-#include "matrix/cost_model.h"
 #include "storage/index.h"
 
 using namespace jpmm;
@@ -73,40 +70,6 @@ void BM_HeavyPairwiseGallop(benchmark::State& state) {
     benchmark::DoNotOptimize(res.pairs.data());
     state.counters["out"] = static_cast<double>(res.pairs.size());
   }
-}
-
-void BM_HeavyBitsetPopcount(benchmark::State& state) {
-  const auto& f = Fixture();
-  const TwoPathPartition part(*f.idx, *f.idx, kThresholds);
-  const auto& hx = part.heavy_x();
-  const auto& hy = part.heavy_y();
-  const auto& hz = part.heavy_z();
-  for (auto _ : state) {
-    BoolMatrix m1(hx.size(), hy.size());
-    for (size_t i = 0; i < hx.size(); ++i) {
-      for (Value b : f.idx->YsOf(hx[i])) {
-        const Value id = part.HeavyYId(b);
-        if (id != kInvalidValue) m1.Set(i, id);
-      }
-    }
-    BoolMatrix m2t(hz.size(), hy.size());
-    for (size_t j = 0; j < hz.size(); ++j) {
-      for (Value b : f.idx->YsOf(hz[j])) {
-        const Value id = part.HeavyYId(b);
-        if (id != kInvalidValue) m2t.Set(j, id);
-      }
-    }
-    BoolMatrix prod = BoolProduct(m1, m2t, 1);
-    benchmark::DoNotOptimize(prod.RowWords(0));
-    state.counters["heavy_pairs"] =
-        static_cast<double>(hx.size() * hz.size());
-  }
-  // Modeled kernel time from the measured word rate — the calibration ->
-  // cost-model path a strategy chooser would consult.
-  state.counters["modeled_ms"] =
-      BoolProductSeconds(hx.size(), hy.size(), hz.size(),
-                         BoolKernelRates::Default().bool_words_per_sec) *
-      1e3;
 }
 
 // ---- density-adaptive partitioning ablation ------------------------------
@@ -188,7 +151,6 @@ void BM_HeavyPartitionGridUniform(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_HeavyFloatGemm)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_HeavyBitsetPopcount)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_HeavyPairwiseGallop)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_HeavyPartitionOffSkew)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_HeavyPartitionGridSkew)->Unit(benchmark::kMillisecond);

@@ -1,32 +1,27 @@
-// Kernel microbenchmark — blocked vs seed kernels, dense and boolean.
+// Kernel microbenchmark — blocked vs seed kernels, dense and sparse.
 //
-// Measures the matrix-layer rewrite in isolation:
+// Measures the matrix layer in isolation:
 //   dense : packed-panel blocked GEMM (Multiply) vs the seed ikj-saxpy
 //           kernel (MultiplyScalarReference) vs the naive triple loop;
-//   parallel dense : shared-packed-B-slab MultiplyParallel vs the
-//           replicated-packing path (every worker re-packs B) across
-//           thread counts — the pool-era parallel regression guard;
-//   bool  : tiled BoolProduct / CountProduct vs the unblocked all-pairs
-//           row-intersection references;
+//   parallel dense : the shared-packed-B-slab Multiply across thread
+//           counts — the pool-era parallel regression guard;
 //   sparse: CSR x dense saxpy and CSR x CSR stamp kernels across a density
 //           sweep {1e-4 .. 0.25} at n in {1024, 4096}, against the dense
 //           blocked GEMM on the same operands; BM_SparseCrossover emits the
 //           measured dense/sparse crossover density into the bench JSON;
-//   transpose : 64x64 word-block bit transpose vs the seed per-bit scatter.
 //   metrics overhead : the same instrumented join executed with metrics on
 //           vs JPMM_METRICS=off in one process; the overhead_pct counter is
 //           the observability acceptance row (CI asserts < 2%).
 // Every timed kernel is verified against its reference once at setup, so a
 // reported speedup can never come from computing something different.
 //
-// The "gflops" / "gwords" counters make the speedups comparable across
+// The "gflops" / "gnnzops" counters make the speedups comparable across
 // rows; set JPMM_BENCH_JSON=<path> for machine-readable output. Run:
 //   ./build/bench_kernel_microbench --benchmark_filter=Dense
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -38,11 +33,9 @@
 #include "common/check.h"
 #include "common/cpu_features.h"
 #include "common/metrics.h"
-#include "common/rng.h"
 #include "core/query_engine.h"
 #include "core/result_sink.h"
 #include "datagen/presets.h"
-#include "matrix/bool_matrix.h"
 #include "matrix/calibration.h"
 #include "matrix/cost_model.h"
 #include "matrix/dense_matrix.h"
@@ -54,28 +47,16 @@ using namespace jpmm;
 
 namespace {
 
-constexpr double kDensity = 0.5;       // fig-3a operand density
-constexpr double kBoolDensity = 0.3;   // dense enough that tiling governs
+constexpr double kDensity = 0.5;  // fig-3a operand density
 
 Matrix RandomDense(size_t dim, uint64_t seed) {
   return RandomDenseMatrix(dim, dim, kDensity, seed);
-}
-
-BoolMatrix RandomBool(size_t dim, uint64_t seed) {
-  return RandomBoolMatrix(dim, dim, kBoolDensity, seed);
 }
 
 void AddGflops(benchmark::State& state, size_t dim) {
   state.counters["dim"] = static_cast<double>(dim);
   state.counters["gflops"] = benchmark::Counter(
       2.0 * static_cast<double>(dim) * dim * dim * 1e-9,
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-
-void AddGwords(benchmark::State& state, size_t dim) {
-  state.counters["dim"] = static_cast<double>(dim);
-  state.counters["gwords"] = benchmark::Counter(
-      BoolProductWordOps(dim, dim, dim) * 1e-9,
       benchmark::Counter::kIsIterationInvariantRate);
 }
 
@@ -154,14 +135,11 @@ void BM_GemmIsaAvx512(benchmark::State& state) {
   GemmIsaBody(state, KernelIsa::kAvx512);
 }
 
-// ---- Parallel dense: shared packed-B slab vs replicated packing ----------
+// ---- Parallel dense: shared packed-B slab ---------------------------------
 //
-// The parallel mode: both benchmarks partition output rows across the same
-// persistent pool; the only difference is that the shared-slab path packs
-// B's panels once (in parallel) and every worker reads the one slab, while
-// the replicated path has every worker re-pack the full B for its own row
-// range. The gap is the redundant packing traffic — it widens with thread
-// count. Run with --benchmark_filter=Parallel.
+// Multiply at threads > 1 packs B's panels once (in parallel) and every
+// worker of the persistent pool reads the one slab for its row range.
+// Run with --benchmark_filter=Parallel.
 
 void BM_DenseParallelSharedSlab(benchmark::State& state) {
   const auto dim = static_cast<size_t>(state.range(0));
@@ -170,94 +148,17 @@ void BM_DenseParallelSharedSlab(benchmark::State& state) {
   Matrix b = RandomDense(dim, 2);
   {
     Matrix got;
-    MultiplyParallel(a, b, &got, threads);
+    Multiply(a, b, &got, threads);
     JPMM_CHECK_MSG(got == Multiply(a, b, 1),
                    "shared-slab parallel product diverged from sequential");
   }
   Matrix c;
   for (auto _ : state) {
-    MultiplyParallel(a, b, &c, threads);
+    Multiply(a, b, &c, threads);
     benchmark::DoNotOptimize(c.data());
   }
   AddGflops(state, dim);
   state.counters["threads"] = threads;
-}
-
-void BM_DenseParallelReplicatedPack(benchmark::State& state) {
-  const auto dim = static_cast<size_t>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  Matrix a = RandomDense(dim, 1);
-  Matrix b = RandomDense(dim, 2);
-  {
-    Matrix got;
-    MultiplyReplicatedPacking(a, b, &got, threads);
-    JPMM_CHECK_MSG(got == Multiply(a, b, 1),
-                   "replicated-packing parallel product diverged");
-  }
-  Matrix c;
-  for (auto _ : state) {
-    MultiplyReplicatedPacking(a, b, &c, threads);
-    benchmark::DoNotOptimize(c.data());
-  }
-  AddGflops(state, dim);
-  state.counters["threads"] = threads;
-}
-
-// ---- Boolean -------------------------------------------------------------
-
-void BM_BoolBlocked(benchmark::State& state) {
-  const auto dim = static_cast<size_t>(state.range(0));
-  BoolMatrix a = RandomBool(dim, 3);
-  BoolMatrix bt = RandomBool(dim, 4);
-  {
-    const BoolMatrix got = BoolProduct(a, bt, 1);
-    const BoolMatrix want = BoolProductNaive(a, bt);
-    for (size_t i = 0; i < dim; ++i) {
-      JPMM_CHECK_MSG(std::memcmp(got.RowWords(i), want.RowWords(i),
-                                 got.words_per_row() * 8) == 0,
-                     "blocked BoolProduct diverged from the reference");
-    }
-  }
-  for (auto _ : state) {
-    BoolMatrix c = BoolProduct(a, bt, 1);
-    benchmark::DoNotOptimize(c.RowWords(0));
-  }
-  AddGwords(state, dim);
-}
-
-void BM_BoolUnblocked(benchmark::State& state) {
-  const auto dim = static_cast<size_t>(state.range(0));
-  BoolMatrix a = RandomBool(dim, 3);
-  BoolMatrix bt = RandomBool(dim, 4);
-  for (auto _ : state) {
-    BoolMatrix c = BoolProductNaive(a, bt);
-    benchmark::DoNotOptimize(c.RowWords(0));
-  }
-  AddGwords(state, dim);
-}
-
-void BM_CountBlocked(benchmark::State& state) {
-  const auto dim = static_cast<size_t>(state.range(0));
-  BoolMatrix a = RandomBool(dim, 5);
-  BoolMatrix bt = RandomBool(dim, 6);
-  JPMM_CHECK_MSG(CountProduct(a, bt, 1) == CountProductNaive(a, bt),
-                 "blocked CountProduct diverged from the reference");
-  for (auto _ : state) {
-    std::vector<uint32_t> c = CountProduct(a, bt, 1);
-    benchmark::DoNotOptimize(c.data());
-  }
-  AddGwords(state, dim);
-}
-
-void BM_CountUnblocked(benchmark::State& state) {
-  const auto dim = static_cast<size_t>(state.range(0));
-  BoolMatrix a = RandomBool(dim, 5);
-  BoolMatrix bt = RandomBool(dim, 6);
-  for (auto _ : state) {
-    std::vector<uint32_t> c = CountProductNaive(a, bt);
-    benchmark::DoNotOptimize(c.data());
-  }
-  AddGwords(state, dim);
 }
 
 // ---- Sparse (CSR) kernels ------------------------------------------------
@@ -422,54 +323,6 @@ void BM_SparseCrossover(benchmark::State& state) {
   }
 }
 
-// ---- Transpose -----------------------------------------------------------
-
-// The seed implementation: per set bit, one random write.
-BoolMatrix TransposeScatter(const BoolMatrix& m) {
-  BoolMatrix t(m.cols(), m.rows());
-  for (size_t i = 0; i < m.rows(); ++i) {
-    const uint64_t* row = m.RowWords(i);
-    for (size_t wi = 0; wi < m.words_per_row(); ++wi) {
-      uint64_t w = row[wi];
-      while (w != 0) {
-        const int bit = std::countr_zero(w);
-        t.Set((wi << 6) + static_cast<size_t>(bit), i);
-        w &= w - 1;
-      }
-    }
-  }
-  return t;
-}
-
-void BM_TransposeBlocked(benchmark::State& state) {
-  const auto dim = static_cast<size_t>(state.range(0));
-  BoolMatrix m = RandomBool(dim, 7);
-  {
-    const BoolMatrix got = m.Transposed();
-    const BoolMatrix want = TransposeScatter(m);
-    for (size_t i = 0; i < got.rows(); ++i) {
-      JPMM_CHECK_MSG(std::memcmp(got.RowWords(i), want.RowWords(i),
-                                 got.words_per_row() * 8) == 0,
-                     "block transpose diverged from the scatter reference");
-    }
-  }
-  for (auto _ : state) {
-    BoolMatrix t = m.Transposed();
-    benchmark::DoNotOptimize(t.RowWords(0));
-  }
-  state.counters["dim"] = static_cast<double>(dim);
-}
-
-void BM_TransposeScatter(benchmark::State& state) {
-  const auto dim = static_cast<size_t>(state.range(0));
-  BoolMatrix m = RandomBool(dim, 7);
-  for (auto _ : state) {
-    BoolMatrix t = TransposeScatter(m);
-    benchmark::DoNotOptimize(t.RowWords(0));
-  }
-  state.counters["dim"] = static_cast<double>(dim);
-}
-
 // ---- Instrumentation overhead --------------------------------------------
 
 // The observability acceptance row: the same prepared two-path join
@@ -520,22 +373,6 @@ void BM_MetricsOverhead(benchmark::State& state) {
       off_s > 0.0 ? (on_s / off_s - 1.0) * 100.0 : 0.0;
 }
 
-// ---- Calibration feed-through --------------------------------------------
-
-// Sanity row: the measured boolean word rate (what the cost model consumes)
-// against the modeled word-op count, demonstrating the calibration ->
-// cost-model path the optimizer uses.
-void BM_BoolRateCalibration(benchmark::State& state) {
-  for (auto _ : state) {
-    BoolKernelRates rates = BoolKernelRates::Measure(512);
-    benchmark::DoNotOptimize(rates);
-    state.counters["bool_gwords_per_s"] = rates.bool_words_per_sec * 1e-9;
-    state.counters["count_gwords_per_s"] = rates.count_words_per_sec * 1e-9;
-    state.counters["est_1024_ms"] =
-        BoolProductSeconds(1024, 1024, 1024, rates.count_words_per_sec) * 1e3;
-  }
-}
-
 }  // namespace
 
 BENCHMARK(BM_DenseBlocked)
@@ -572,32 +409,6 @@ BENCHMARK(BM_DenseParallelSharedSlab)
     ->Args({2048, 8})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-BENCHMARK(BM_DenseParallelReplicatedPack)
-    ->Args({2048, 1})
-    ->Args({2048, 2})
-    ->Args({2048, 4})
-    ->Args({2048, 8})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-BENCHMARK(BM_BoolBlocked)
-    ->Arg(1024)
-    ->Arg(2048)
-    ->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BoolUnblocked)
-    ->Arg(1024)
-    ->Arg(2048)
-    ->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_CountBlocked)
-    ->Arg(1024)
-    ->Arg(2048)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_CountUnblocked)
-    ->Arg(1024)
-    ->Arg(2048)
-    ->Unit(benchmark::kMillisecond);
 
 // Density sweep {1e-4, 1e-3, 1e-2, 0.1, 0.25} (ppm) at n in {1024, 4096}.
 #define JPMM_SPARSE_SWEEP(bench)                                          \
@@ -622,14 +433,9 @@ BENCHMARK(BM_SparseDenseGemm)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SparseCrossover)->Arg(1024)->Unit(benchmark::kMillisecond);
 
-BENCHMARK(BM_TransposeBlocked)->Arg(4096)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TransposeScatter)->Arg(4096)->Unit(benchmark::kMillisecond);
-
 BENCHMARK(BM_MetricsOverhead)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(2.0)
     ->UseRealTime();
-
-BENCHMARK(BM_BoolRateCalibration)->Unit(benchmark::kMillisecond);
 
 JPMM_BENCH_MAIN();

@@ -4,13 +4,13 @@
 // and cache-line boundaries: a 64-byte base lets the AVX-512 micro-kernel
 // use aligned 512-bit loads on packed B panels (panel offsets are kNR-float
 // multiples, so every panel inherits the base alignment), and keeps the CSR
-// index arrays and bit-matrix row words from straddling lines. std::vector's
-// default allocator only guarantees alignof(std::max_align_t) (16 on glibc),
-// so the slabs route through:
+// index arrays from straddling lines. std::vector's default allocator only
+// guarantees alignof(std::max_align_t) (16 on glibc), so the slabs route
+// through:
 //
 //   AlignedAllocator<T, Align>  - std-compatible allocator; AlignedVector
 //       is the drop-in vector type the slab owners (PackedB, CsrMatrix,
-//       BoolMatrix, pack scratch) use — full vector API, aligned base.
+//       pack scratch) use — full vector API, aligned base.
 //   vmalloc<T, Align>(n, pattern) - RAII buffer for fixed-size scratch,
 //       modeled on the SPP2377 vmalloc<T, align>(n, AccessPattern) idiom:
 //       the access-pattern hint is advisory (LINEAR slabs above the

@@ -20,11 +20,6 @@ namespace {
 constexpr int kNoOverride = -1;
 std::atomic<int> g_override{kNoOverride};
 
-struct Detected {
-  KernelIsa best = KernelIsa::kPortable;
-  bool vpopcntdq = false;
-};
-
 #ifdef JPMM_X86_64
 // The _xgetbv intrinsic requires compiling the TU with -mxsave, but this
 // file must build under the baseline (JPMM_NATIVE=OFF) flags — detection
@@ -41,26 +36,26 @@ unsigned long long ReadXcr0() {
 }
 #endif  // JPMM_X86_64
 
-Detected DetectOnce() {
-  Detected d;
+KernelIsa DetectOnce() {
+  KernelIsa best = KernelIsa::kPortable;
 #ifdef JPMM_X86_64
   unsigned int eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return d;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return best;
   const bool osxsave = (ecx >> 27) & 1;
   const bool avx = (ecx >> 28) & 1;
   const bool fma = (ecx >> 12) & 1;
-  if (!osxsave || !avx) return d;
+  if (!osxsave || !avx) return best;
   // xgetbv: the OS must have enabled xmm+ymm state saving (bits 1|2), and
   // for AVX-512 additionally the opmask + zmm state (bits 5|6|7).
   const unsigned long long xcr0 = ReadXcr0();
   const bool ymm_enabled = (xcr0 & 0x6) == 0x6;
   const bool zmm_enabled = (xcr0 & 0xE6) == 0xE6;
-  if (!ymm_enabled) return d;
+  if (!ymm_enabled) return best;
 
   unsigned int eax7 = 0, ebx7 = 0, ecx7 = 0, edx7 = 0;
-  if (!__get_cpuid_count(7, 0, &eax7, &ebx7, &ecx7, &edx7)) return d;
+  if (!__get_cpuid_count(7, 0, &eax7, &ebx7, &ecx7, &edx7)) return best;
   const bool avx2 = (ebx7 >> 5) & 1;
-  if (avx2 && fma) d.best = KernelIsa::kAvx2;
+  if (avx2 && fma) best = KernelIsa::kAvx2;
 
   const bool avx512f = (ebx7 >> 16) & 1;
   const bool avx512dq = (ebx7 >> 17) & 1;
@@ -68,21 +63,15 @@ Detected DetectOnce() {
   const bool avx512bw = (ebx7 >> 30) & 1;
   const bool avx512vl = (ebx7 >> 31) & 1;
   if (zmm_enabled && avx512f && avx512dq && avx512cd && avx512bw &&
-      avx512vl && d.best == KernelIsa::kAvx2) {
-    d.best = KernelIsa::kAvx512;
-    d.vpopcntdq = (ecx7 >> 14) & 1;
+      avx512vl && best == KernelIsa::kAvx2) {
+    best = KernelIsa::kAvx512;
   }
 #endif
-  return d;
-}
-
-const Detected& Detection() {
-  static const Detected d = DetectOnce();
-  return d;
+  return best;
 }
 
 KernelIsa ClampToHost(KernelIsa isa) {
-  const KernelIsa best = Detection().best;
+  const KernelIsa best = DetectBestIsa();
   return static_cast<int>(isa) <= static_cast<int>(best) ? isa : best;
 }
 
@@ -136,19 +125,20 @@ bool ParseKernelIsa(const std::string& s, KernelIsa* out) {
   return false;
 }
 
-KernelIsa DetectBestIsa() { return Detection().best; }
-
-bool IsaSupported(KernelIsa isa) {
-  return static_cast<int>(isa) <= static_cast<int>(Detection().best);
+KernelIsa DetectBestIsa() {
+  static const KernelIsa best = DetectOnce();
+  return best;
 }
 
-bool HasAvx512Vpopcntdq() { return Detection().vpopcntdq; }
+bool IsaSupported(KernelIsa isa) {
+  return static_cast<int>(isa) <= static_cast<int>(DetectBestIsa());
+}
 
 KernelIsa ActiveIsa() {
   InitFromEnvOnce();
   const int ov = g_override.load(std::memory_order_relaxed);
   const KernelIsa isa =
-      ov == kNoOverride ? Detection().best
+      ov == kNoOverride ? DetectBestIsa()
                         : ClampToHost(static_cast<KernelIsa>(ov));
   PublishIsaGauge(isa);
   return isa;
@@ -163,7 +153,7 @@ void SetKernelIsaOverride(KernelIsa isa) {
 void ClearKernelIsaOverride() {
   InitFromEnvOnce();
   g_override.store(kNoOverride, std::memory_order_relaxed);
-  PublishIsaGauge(Detection().best);
+  PublishIsaGauge(DetectBestIsa());
 }
 
 ScopedIsaOverride::ScopedIsaOverride(KernelIsa isa) {

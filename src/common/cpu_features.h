@@ -1,11 +1,10 @@
 // Runtime ISA detection and kernel-dispatch selection.
 //
-// The hot kernels (matrix/matmul, bool_matrix, sparse_matrix) each carry
-// explicit SIMD variants compiled into per-ISA translation units with
-// per-file -m flags, so ONE binary holds every path regardless of
-// -march flags (JPMM_NATIVE on or off). Which variant runs is decided at
-// runtime from CPUID — never from compile-time macros — through this
-// module:
+// The hot kernels (matrix/matmul, sparse_matrix) each carry explicit SIMD
+// variants compiled into per-ISA translation units with per-file -m flags,
+// so ONE binary holds every path regardless of -march flags (JPMM_NATIVE on
+// or off). Which variant runs is decided at runtime from CPUID — never from
+// compile-time macros — through this module:
 //
 //   DetectBestIsa()   what the hardware + OS actually support (cached;
 //                     AVX-512 requires the OS to have enabled zmm state,
@@ -35,7 +34,7 @@ namespace jpmm {
 enum class KernelIsa {
   kPortable = 0,  // the auto-vectorized C++ kernels (always available)
   kAvx2 = 1,      // AVX2 + FMA
-  kAvx512 = 2,    // AVX-512 F/BW/DQ/VL/CD (+ VPOPCNTDQ when present)
+  kAvx512 = 2,    // AVX-512 F/BW/DQ/VL/CD
 };
 
 /// "portable" / "avx2" / "avx512".
@@ -51,11 +50,6 @@ KernelIsa DetectBestIsa();
 
 /// True iff `isa` can run on this host (portable always can).
 bool IsaSupported(KernelIsa isa);
-
-/// True iff the host supports AVX-512 VPOPCNTDQ (the CountProduct word
-/// path). Detected alongside DetectBestIsa; only meaningful when
-/// DetectBestIsa() >= kAvx512.
-bool HasAvx512Vpopcntdq();
 
 /// The level every kernel dispatches on: override (clamped to the host's
 /// capability) if one is set, else DetectBestIsa(). The JPMM_ISA

@@ -2,8 +2,8 @@
 //
 // Relations store dictionary-encoded 32-bit values; a binary relation R(x, y)
 // is a multiset of (Value, Value) pairs. All algorithms in the library work
-// over these dense ids; string attributes are mapped through
-// storage::Dictionary before they enter a relation.
+// over these dense ids; a caller with string attributes maps them to ids
+// before they enter a relation (the loaders read integer edge lists).
 
 #ifndef JPMM_COMMON_TYPES_H_
 #define JPMM_COMMON_TYPES_H_

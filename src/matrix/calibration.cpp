@@ -11,7 +11,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "matrix/bool_matrix.h"
 #include "matrix/cost_model.h"
 #include "matrix/dense_matrix.h"
 #include "matrix/matmul.h"
@@ -53,25 +52,6 @@ SystemConstants SystemConstants::Measure() {
     c.tm = std::max(t.Seconds() / kAllocs, 1e-11);
   }
   return c;
-}
-
-BoolKernelRates BoolKernelRates::Measure(uint32_t dim, double density) {
-  JPMM_CHECK(dim > 0 && density > 0.0 && density <= 1.0);
-  BoolKernelRates rates;
-  const BoolMatrix a = RandomBoolMatrix(dim, dim, density, 5 + dim);
-  const BoolMatrix bt = RandomBoolMatrix(dim, dim, density, 9 + dim);
-  const double word_ops = static_cast<double>(dim) * dim * ((dim + 63) / 64);
-  {
-    WallTimer t;
-    const BoolMatrix c = BoolProduct(a, bt, 1);
-    rates.bool_words_per_sec = word_ops / std::max(t.Seconds(), 1e-9);
-  }
-  {
-    WallTimer t;
-    const std::vector<uint32_t> c = CountProduct(a, bt, 1);
-    rates.count_words_per_sec = word_ops / std::max(t.Seconds(), 1e-9);
-  }
-  return rates;
 }
 
 namespace {
@@ -191,18 +171,6 @@ double SparseKernelRates::CsrDenseRate(double density) const {
 
 double SparseKernelRates::CsrCsrRate(double density) const {
   return InterpolateRate(anchors, density, &Anchor::csr_csr_ops_per_sec);
-}
-
-const BoolKernelRates& BoolKernelRates::Default() {
-  // Per-ISA cache; see SparseKernelRates::Default().
-  static std::mutex mu;
-  static std::array<std::unique_ptr<BoolKernelRates>, 3> per_isa;
-  const auto key = static_cast<size_t>(ActiveIsa());
-  std::lock_guard<std::mutex> lock(mu);
-  if (!per_isa[key]) {
-    per_isa[key] = std::make_unique<BoolKernelRates>(Measure(512));
-  }
-  return *per_isa[key];
 }
 
 MatMulCalibration MatMulCalibration::Measure(
@@ -345,9 +313,9 @@ const MatMulCalibration& MatMulCalibration::Default() {
   std::lock_guard<std::mutex> lock(mu);
   if (!per_isa[key]) {
     // Anchor the parallel efficiency with real measurements at 2 cores and
-    // the full machine (the shared-slab MultiplyParallel path), so
-    // EstimateSeconds stops assuming linear scaling it can't deliver. On a
-    // single-core host the grid collapses to {1} and behavior is unchanged.
+    // the full machine (the shared-slab parallel path), so EstimateSeconds
+    // stops assuming linear scaling it can't deliver. On a single-core host
+    // the grid collapses to {1} and behavior is unchanged.
     std::vector<int> cores{1};
     const int hw = HardwareThreads();
     if (hw >= 2) cores.push_back(2);

@@ -29,29 +29,6 @@ struct SystemConstants {
   static SystemConstants Measure();
 };
 
-/// Measured throughput of the tiled boolean kernels, in 64-bit word
-/// operations per second (one operation = AND, or AND + popcount, of one
-/// word pair), relative to the full BoolProductWordOps word count.
-/// The default density is low enough that the boolean product's early exit
-/// almost never fires, so bool_words_per_sec reflects sustained full-row
-/// scans — on denser inputs the kernel exits early and runs faster than
-/// modeled, making BoolProductSeconds a conservative (upper-bound) time
-/// estimate at any density. The counting product has no early exit, so its
-/// rate is density-independent. cost_model.h turns both into time
-/// estimates via BoolProductWordOps.
-struct BoolKernelRates {
-  double bool_words_per_sec = 1e9;
-  double count_words_per_sec = 1e9;
-
-  /// Times the blocked kernels on dim x dim random operands.
-  static BoolKernelRates Measure(uint32_t dim = 1024, double density = 0.02);
-
-  /// Process-wide instance, measured once per active KernelIsa on first use
-  /// under that level (a JPMM_ISA override re-measures; see
-  /// common/cpu_features.h).
-  static const BoolKernelRates& Default();
-};
-
 /// Measured throughput of the sparse heavy-part kernels
 /// (matrix/sparse_matrix.h), in nnz-operations per second, at a small grid
 /// of anchor densities. One nnz-op is one float accumulate of the

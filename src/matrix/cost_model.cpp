@@ -19,18 +19,6 @@ double MatrixBuildOps(uint64_t u, uint64_t v, uint64_t w) {
                   static_cast<double>(v) * static_cast<double>(w));
 }
 
-double BoolProductWordOps(uint64_t u, uint64_t v, uint64_t w) {
-  if (u == 0 || v == 0 || w == 0) return 0.0;
-  return static_cast<double>(u) * static_cast<double>(w) *
-         static_cast<double>((v + 63) / 64);
-}
-
-double BoolProductSeconds(uint64_t u, uint64_t v, uint64_t w,
-                          double words_per_sec) {
-  JPMM_CHECK(words_per_sec > 0.0);
-  return BoolProductWordOps(u, v, w) / words_per_sec;
-}
-
 double SparseProductOps(uint64_t nnz, uint64_t u, uint64_t w) {
   if (w == 0) return 0.0;
   return (static_cast<double>(u) + static_cast<double>(nnz)) *

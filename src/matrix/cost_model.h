@@ -26,16 +26,6 @@ double RectangularMmOps(uint64_t u, uint64_t v, uint64_t w,
 /// (the constant C of §3.1): max(U*V, V*W) cell visits.
 double MatrixBuildOps(uint64_t u, uint64_t v, uint64_t w);
 
-/// Word operations of the tiled boolean / counting product over packed
-/// rows: U*W row pairs, each intersecting ceil(V / 64) words. An upper
-/// bound for BoolProduct (early exit) and exact for CountProduct.
-double BoolProductWordOps(uint64_t u, uint64_t v, uint64_t w);
-
-/// Seconds for a boolean-semiring U x V times V x W product at a measured
-/// word rate (BoolKernelRates in calibration.h).
-double BoolProductSeconds(uint64_t u, uint64_t v, uint64_t w,
-                          double words_per_sec);
-
 /// Float-accumulate operations of the CSR x dense saxpy kernel producing a
 /// U x W product from a CSR operand with nnz set cells: U*W output-zeroing
 /// stores plus one add per (A entry, output column) pair. Compare against

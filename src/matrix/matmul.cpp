@@ -299,47 +299,28 @@ void MultiplyRowRange(const Matrix& a, const PackedB& b, size_t row_begin,
 
 void Multiply(const Matrix& a, const Matrix& b, Matrix* c, int threads) {
   JPMM_CHECK_MSG(a.cols() == b.rows(), "dimension mismatch");
-  if (threads > 1) {
-    MultiplyParallel(a, b, c, threads);
-    return;
-  }
   *c = Matrix(a.rows(), b.cols());
   if (a.rows() == 0 || b.cols() == 0) return;
-  KernelRowRange(a, b, 0, a.rows(), c->mutable_data(), b.cols());
+  float* cdata = c->mutable_data();
+  const size_t w = b.cols();
+  if (threads <= 1) {
+    KernelRowRange(a, b, 0, a.rows(), cdata, w);
+    return;
+  }
+  // Shared slab: B is packed once (in parallel) and read by every worker.
+  // Static row partitioning: per-row arithmetic is identical to the
+  // single-threaded kernel (same jc/pc/k order), so results are
+  // bit-identical at any thread count.
+  const PackedB packed(b, threads);
+  ParallelFor(threads, a.rows(), [&](size_t r0, size_t r1, int) {
+    KernelRowRangePacked(a, packed, r0, r1, cdata + r0 * w, w);
+  });
 }
 
 Matrix Multiply(const Matrix& a, const Matrix& b, int threads) {
   Matrix c;
   Multiply(a, b, &c, threads);
   return c;
-}
-
-void MultiplyParallel(const Matrix& a, const Matrix& b, Matrix* c,
-                      int threads) {
-  JPMM_CHECK_MSG(a.cols() == b.rows(), "dimension mismatch");
-  *c = Matrix(a.rows(), b.cols());
-  if (a.rows() == 0 || b.cols() == 0) return;
-  const PackedB packed(b, threads);
-  float* cdata = c->mutable_data();
-  const size_t w = b.cols();
-  // Static row partitioning: per-row arithmetic is identical to the
-  // single-threaded kernel (same jc/pc/k order), so results are
-  // bit-identical at any thread count.
-  ParallelFor(threads, a.rows(), [&](size_t r0, size_t r1, int) {
-    KernelRowRangePacked(a, packed, r0, r1, cdata + r0 * w, w);
-  });
-}
-
-void MultiplyReplicatedPacking(const Matrix& a, const Matrix& b, Matrix* c,
-                               int threads) {
-  JPMM_CHECK_MSG(a.cols() == b.rows(), "dimension mismatch");
-  *c = Matrix(a.rows(), b.cols());
-  if (a.rows() == 0 || b.cols() == 0) return;
-  float* cdata = c->mutable_data();
-  const size_t w = b.cols();
-  ParallelFor(threads, a.rows(), [&](size_t r0, size_t r1, int) {
-    KernelRowRange(a, b, r0, r1, cdata + r0 * w, w);
-  });
 }
 
 Matrix MultiplyScalarReference(const Matrix& a, const Matrix& b) {

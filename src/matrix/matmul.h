@@ -9,8 +9,8 @@
 // Parallelism partitions output rows across workers — the
 // "coordination-free" scheme of §6: each worker owns a row block and never
 // synchronizes with the others. The packed-B slab is built once (packing
-// itself parallelized) and shared read-only by every worker (PackedB /
-// MultiplyParallel), instead of each worker re-packing the same panels.
+// itself parallelized) and shared read-only by every worker (PackedB), so
+// no worker re-packs the same panels.
 // See docs/kernels.md for the design and the tuning procedure.
 //
 // Numerical note: every per-element accumulation still runs in ascending-k
@@ -34,8 +34,8 @@ namespace jpmm {
 
 /// B pre-packed into the kernel's (NC x KC) panel layout, all panels at
 /// once. Build it once, then any number of workers can stream row ranges
-/// against it concurrently (the slab is read-only after construction) —
-/// this removes the per-worker, per-call B re-packing of the legacy path.
+/// against it concurrently (the slab is read-only after construction), so
+/// no worker re-packs B per call.
 /// Memory: about one padded copy of B (see PackedBBytes).
 class PackedB {
  public:
@@ -71,26 +71,13 @@ class PackedB {
 uint64_t PackedBBytes(uint64_t v, uint64_t w);
 
 /// C = A * B. A is u x v, B is v x w, C is resized to u x w.
-/// threads <= 1 runs single-threaded; threads > 1 uses the shared-slab
-/// parallel path (MultiplyParallel). Bit-identical across thread counts.
+/// threads <= 1 runs single-threaded; threads > 1 packs B once into a
+/// shared PackedB and partitions output rows across workers.
+/// Bit-identical across thread counts.
 void Multiply(const Matrix& a, const Matrix& b, Matrix* c, int threads = 1);
 
 /// Convenience wrapper returning the product.
 Matrix Multiply(const Matrix& a, const Matrix& b, int threads = 1);
-
-/// C = A * B where B's panels are packed once (in parallel) and shared
-/// read-only by all row-partitioned workers. This is what Multiply runs for
-/// threads > 1; exposed separately so benchmarks can compare it against the
-/// replicated-packing path.
-void MultiplyParallel(const Matrix& a, const Matrix& b, Matrix* c,
-                      int threads);
-
-/// The pre-shared-slab parallel path: output rows are partitioned across
-/// workers and EVERY worker independently re-packs the same B panels.
-/// Kept as the baseline bench_kernel_microbench measures MultiplyParallel
-/// against; not used by any query path.
-void MultiplyReplicatedPacking(const Matrix& a, const Matrix& b, Matrix* c,
-                               int threads);
 
 /// Computes rows [row_begin, row_end) of A * B into `out`, which must have
 /// (row_end - row_begin) * b.cols() elements. Single-threaded; this is the

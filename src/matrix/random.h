@@ -10,7 +10,6 @@
 #include <cstdint>
 
 #include "common/rng.h"
-#include "matrix/bool_matrix.h"
 #include "matrix/dense_matrix.h"
 
 namespace jpmm {
@@ -23,19 +22,6 @@ inline Matrix RandomDenseMatrix(size_t rows, size_t cols, double density,
   for (size_t i = 0; i < rows; ++i) {
     for (size_t j = 0; j < cols; ++j) {
       if (rng.NextBool(density)) m.Set(i, j, 1.0f);
-    }
-  }
-  return m;
-}
-
-/// rows x cols bit matrix with each bit set with probability density.
-inline BoolMatrix RandomBoolMatrix(size_t rows, size_t cols, double density,
-                                   uint64_t seed) {
-  BoolMatrix m(rows, cols);
-  Rng rng(seed);
-  for (size_t i = 0; i < rows; ++i) {
-    for (size_t j = 0; j < cols; ++j) {
-      if (rng.NextBool(density)) m.Set(i, j);
     }
   }
   return m;

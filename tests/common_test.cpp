@@ -1,4 +1,4 @@
-// Unit tests for src/common: rng, zipf, bitset, stamp sets, thread pool,
+// Unit tests for src/common: rng, zipf, stamp sets, thread pool,
 // hashing.
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/bitset.h"
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/stamp_set.h"
@@ -84,48 +83,6 @@ TEST(Zipf, SkewFavoursLowRanks) {
 TEST(Zipf, SamplesWithinRange) {
   ZipfSampler z(7, 1.5, 1);
   for (int i = 0; i < 1000; ++i) EXPECT_LT(z.Sample(), 7u);
-}
-
-TEST(Bitset, SetTestClear) {
-  DynamicBitset b(130);
-  EXPECT_EQ(b.Count(), 0u);
-  b.Set(0);
-  b.Set(64);
-  b.Set(129);
-  EXPECT_TRUE(b.Test(0));
-  EXPECT_TRUE(b.Test(64));
-  EXPECT_TRUE(b.Test(129));
-  EXPECT_FALSE(b.Test(1));
-  EXPECT_EQ(b.Count(), 3u);
-  b.Clear(64);
-  EXPECT_FALSE(b.Test(64));
-  EXPECT_EQ(b.Count(), 2u);
-  b.Reset();
-  EXPECT_EQ(b.Count(), 0u);
-}
-
-TEST(Bitset, IntersectsAndAndCount) {
-  DynamicBitset a(200), b(200);
-  a.Set(3);
-  a.Set(100);
-  a.Set(199);
-  b.Set(4);
-  b.Set(100);
-  EXPECT_TRUE(a.Intersects(b));
-  EXPECT_EQ(a.AndCount(b), 1u);
-  b.Clear(100);
-  EXPECT_FALSE(a.Intersects(b));
-  EXPECT_EQ(a.AndCount(b), 0u);
-}
-
-TEST(Bitset, OrWithAndAppendSetBits) {
-  DynamicBitset a(70), b(70);
-  a.Set(1);
-  b.Set(65);
-  a.OrWith(b);
-  std::vector<uint32_t> bits;
-  a.AppendSetBits(&bits);
-  EXPECT_EQ(bits, (std::vector<uint32_t>{1, 65}));
 }
 
 TEST(StampSet, InsertAndEpochClear) {

@@ -33,7 +33,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <set>
 #include <string>
@@ -44,7 +43,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/cancel_token.h"
-#include "matrix/bool_matrix.h"
 #include "matrix/matmul.h"
 #include "matrix/random.h"
 #include "matrix/sparse_matrix.h"
@@ -596,10 +594,6 @@ TEST(DifferentialFuzz, KernelLevelForcedIsaAgreement) {
     const Matrix a = RandomDenseMatrix(u, v, density, seed ^ 0xA);
     const Matrix b = RandomDenseMatrix(v, w, density, seed ^ 0xB);
     const Matrix dense_want = MultiplyNaive(a, b);
-    const BoolMatrix ba = RandomBoolMatrix(u, v, density, seed ^ 0xC);
-    const BoolMatrix bbt = RandomBoolMatrix(w, v, density, seed ^ 0xD);
-    const BoolMatrix bool_want = BoolProductNaive(ba, bbt);
-    const std::vector<uint32_t> count_want = CountProductNaive(ba, bbt);
     // CSR oracles need 0/1 operands: fresh random dense pair, thresholded.
     const CsrMatrix sa = CsrMatrix::FromDense(
         RandomDenseMatrix(u, v, density, seed ^ 0xE));
@@ -612,19 +606,6 @@ TEST(DifferentialFuzz, KernelLevelForcedIsaAgreement) {
       for (int t : threads) {
         std::string problem;
         if (Multiply(a, b, t) != dense_want) problem = "dense gemm";
-        if (problem.empty() &&
-            CountProduct(ba, bbt, t) != count_want) {
-          problem = "count product";
-        }
-        if (problem.empty()) {
-          const BoolMatrix got = BoolProduct(ba, bbt, t);
-          for (size_t row = 0; row < got.rows() && problem.empty(); ++row) {
-            if (std::memcmp(got.RowWords(row), bool_want.RowWords(row),
-                            got.words_per_row() * sizeof(uint64_t)) != 0) {
-              problem = "bool product";
-            }
-          }
-        }
         if (problem.empty() && CsrDenseProduct(sa, sbd, t) != csr_want) {
           problem = "csr-dense product";
         }

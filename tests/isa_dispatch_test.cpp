@@ -9,7 +9,6 @@
 
 #include "common/cpu_features.h"
 #include "common/metrics.h"
-#include "matrix/bool_kernels.h"
 #include "matrix/calibration.h"
 #include "matrix/matmul_kernels.h"
 #include "matrix/sparse_kernels.h"
@@ -24,10 +23,6 @@ TEST(IsaDispatch, DetectionIsSaneAndMonotone) {
   // A supported level implies every lower one.
   if (IsaSupported(KernelIsa::kAvx512)) {
     EXPECT_TRUE(IsaSupported(KernelIsa::kAvx2));
-  }
-  // VPOPCNTDQ is an AVX-512 extension.
-  if (HasAvx512Vpopcntdq()) {
-    EXPECT_EQ(DetectBestIsa(), KernelIsa::kAvx512);
   }
   // The active level never exceeds what the host supports.
   EXPECT_LE(static_cast<int>(ActiveIsa()), static_cast<int>(best));
@@ -75,16 +70,10 @@ TEST(IsaDispatch, SelectorsNeverReturnNullAndHonorPortable) {
   for (KernelIsa isa : {KernelIsa::kPortable, KernelIsa::kAvx2,
                         KernelIsa::kAvx512}) {
     EXPECT_NE(internal::SelectMicroKernel(isa), nullptr);
-    EXPECT_NE(internal::SelectAndPopcount(isa), nullptr);
-    EXPECT_NE(internal::SelectAnyAnd(isa), nullptr);
     EXPECT_NE(internal::SelectExpandRow(isa), nullptr);
   }
   EXPECT_EQ(internal::SelectMicroKernel(KernelIsa::kPortable),
             &internal::MicroKernelPortable);
-  EXPECT_EQ(internal::SelectAndPopcount(KernelIsa::kPortable),
-            &internal::AndPopcountPortable);
-  EXPECT_EQ(internal::SelectAnyAnd(KernelIsa::kPortable),
-            &internal::AnyAndPortable);
   EXPECT_EQ(internal::SelectExpandRow(KernelIsa::kPortable),
             &internal::ExpandRowPortable);
   // kAvx2 has no sparse-expansion variant: shares portable.
@@ -121,14 +110,14 @@ TEST(IsaDispatch, GaugeTracksActiveIsa) {
 // re-measured instance.
 TEST(IsaDispatch, CalibrationRemeasuresPerForcedIsa) {
   const MatMulCalibration* portable_cal;
-  const BoolKernelRates* portable_bool;
+  const SparseKernelRates* portable_sparse;
   {
     ScopedIsaOverride force(KernelIsa::kPortable);
     portable_cal = &MatMulCalibration::Default();
-    portable_bool = &BoolKernelRates::Default();
+    portable_sparse = &SparseKernelRates::Default();
     // Same level: cached, no re-measure.
     EXPECT_EQ(&MatMulCalibration::Default(), portable_cal);
-    EXPECT_EQ(&BoolKernelRates::Default(), portable_bool);
+    EXPECT_EQ(&SparseKernelRates::Default(), portable_sparse);
   }
   const KernelIsa best = DetectBestIsa();
   if (best == KernelIsa::kPortable) {
@@ -136,7 +125,7 @@ TEST(IsaDispatch, CalibrationRemeasuresPerForcedIsa) {
   }
   ScopedIsaOverride force(best);
   EXPECT_NE(&MatMulCalibration::Default(), portable_cal);
-  EXPECT_NE(&BoolKernelRates::Default(), portable_bool);
+  EXPECT_NE(&SparseKernelRates::Default(), portable_sparse);
   EXPECT_EQ(&MatMulCalibration::Default(), &MatMulCalibration::Default());
 }
 

@@ -1,9 +1,9 @@
 // Randomized property tests for the blocked matrix kernels.
 //
-// The blocked dense GEMM, the tiled boolean products, and the word-block
-// bit transpose must agree exactly with their naive references on shapes
-// that exercise every edge case: dimensions that are odd, prime, smaller
-// than one register tile, and straddling cache-block boundaries. Dense
+// The blocked dense GEMM and the sparse kernels must agree exactly with
+// their naive references on shapes that exercise every edge case:
+// dimensions that are odd, prime, smaller than one register tile, and
+// straddling cache-block boundaries. Dense
 // operands use small-integer values, where float accumulation is exact in
 // any order, so EXPECT_EQ compares bit-identical payloads.
 
@@ -11,14 +11,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <utility>
 #include <vector>
 
 #include "common/aligned_buffer.h"
 #include "common/cpu_features.h"
 #include "common/rng.h"
-#include "matrix/bool_matrix.h"
 #include "matrix/dense_matrix.h"
 #include "matrix/matmul.h"
 #include "matrix/random.h"
@@ -45,7 +43,7 @@ Matrix RandomIntMatrix(size_t rows, size_t cols, uint64_t seed) {
 }
 
 // Shapes chosen to straddle the register tile (8 x 32), the cache blocks
-// (MC = 128, KC = 512, NC = 2048), and the 64-bit word boundary.
+// (MC = 128, KC = 512, NC = 2048).
 struct Shape {
   size_t u, v, w;
 };
@@ -97,83 +95,14 @@ TEST(KernelProperty, RowRangeMatchesNaiveAtEveryBlockOffset) {
   }
 }
 
-TEST(KernelProperty, BoolProductMatchesReferenceAcrossDensities) {
-  uint64_t seed = 100;
-  for (double density : {0.01, 0.1, 0.5, 0.95}) {
-    for (const Shape& s : kShapes) {
-      BoolMatrix a = RandomBoolMatrix(s.u, s.v, density, seed++);
-      BoolMatrix bt = RandomBoolMatrix(s.w, s.v, density, seed++);
-      const BoolMatrix want = BoolProductNaive(a, bt);
-      const BoolMatrix got = BoolProduct(a, bt, 1);
-      ASSERT_EQ(got.rows(), want.rows());
-      ASSERT_EQ(got.words_per_row(), want.words_per_row());
-      for (size_t i = 0; i < got.rows(); ++i) {
-        ASSERT_EQ(std::memcmp(got.RowWords(i), want.RowWords(i),
-                              got.words_per_row() * sizeof(uint64_t)),
-                  0)
-            << "density=" << density << " u=" << s.u << " v=" << s.v
-            << " w=" << s.w << " row=" << i;
-      }
-    }
-  }
-}
-
-TEST(KernelProperty, CountProductMatchesReferenceAcrossDensities) {
-  uint64_t seed = 500;
-  for (double density : {0.05, 0.4}) {
-    for (const Shape& s : kShapes) {
-      BoolMatrix a = RandomBoolMatrix(s.u, s.v, density, seed++);
-      BoolMatrix bt = RandomBoolMatrix(s.w, s.v, density, seed++);
-      EXPECT_EQ(CountProduct(a, bt, 1), CountProductNaive(a, bt))
-          << "density=" << density << " u=" << s.u << " v=" << s.v
-          << " w=" << s.w;
-    }
-  }
-}
-
-TEST(KernelProperty, BlockedProductsMatchReferenceMultithreaded) {
-  BoolMatrix a = RandomBoolMatrix(203, 517, 0.2, 900);
-  BoolMatrix bt = RandomBoolMatrix(131, 517, 0.2, 901);
-  const BoolMatrix want = BoolProductNaive(a, bt);
-  for (int threads : {2, 4}) {
-    const BoolMatrix got = BoolProduct(a, bt, threads);
-    for (size_t i = 0; i < got.rows(); ++i) {
-      ASSERT_EQ(std::memcmp(got.RowWords(i), want.RowWords(i),
-                            got.words_per_row() * sizeof(uint64_t)),
-                0)
-          << threads << " threads, row " << i;
-    }
-    EXPECT_EQ(CountProduct(a, bt, threads), CountProductNaive(a, bt))
-        << threads << " threads";
-  }
-}
-
-TEST(KernelProperty, TransposeMatchesPerBitReferenceOnOddShapes) {
-  uint64_t seed = 1000;
-  for (size_t rows : {1u, 7u, 63u, 64u, 65u, 200u}) {
-    for (size_t cols : {1u, 31u, 64u, 129u, 300u}) {
-      const BoolMatrix m = RandomBoolMatrix(rows, cols, 0.3, seed++);
-      const BoolMatrix t = m.Transposed();
-      ASSERT_EQ(t.rows(), cols);
-      ASSERT_EQ(t.cols(), rows);
-      for (size_t i = 0; i < rows; ++i) {
-        for (size_t j = 0; j < cols; ++j) {
-          ASSERT_EQ(m.Test(i, j), t.Test(j, i))
-              << rows << "x" << cols << " at (" << i << ", " << j << ")";
-        }
-      }
-    }
-  }
-}
-
 // ---- Per-ISA dispatch sweeps ---------------------------------------------
 //
 // Every dispatch level the host supports must produce byte-identical output
 // on shapes that stress the explicit kernels' edge handling: partial
 // register tiles (cols % 32 in {1, 15, 17, 31}), single-row/column
-// operands, empty operands, all-zero operands, and word-tail masks
-// (words_per_row % 8 != 0). Unsupported levels are skipped, not failed —
-// the same test list runs on any machine.
+// operands, empty operands, all-zero operands, and masked vector tails.
+// Unsupported levels are skipped, not failed — the same test list runs on
+// any machine.
 
 std::vector<KernelIsa> SupportedIsas() {
   std::vector<KernelIsa> v{KernelIsa::kPortable};
@@ -226,30 +155,6 @@ TEST(KernelPropertyIsa, GemmIdenticalBytesAcrossIsaLevels) {
   }
   for (size_t i = 1; i < results.size(); ++i) {
     EXPECT_EQ(results[i], results[0]) << "level " << i << " vs portable";
-  }
-}
-
-TEST(KernelPropertyIsa, BoolProductsMatchNaivePerIsaOnWordTails) {
-  // cols chosen so words_per_row hits 1, 15, 17, and 33 — the word-tail
-  // masks (wn % 8) of the VPOPCNTDQ kernel, plus a multi-slice case.
-  const size_t kCols[] = {1, 63, 960, 1087, 2050};
-  uint64_t seed = 7000;
-  for (KernelIsa isa : SupportedIsas()) {
-    ScopedIsaOverride force(isa);
-    for (size_t cols : kCols) {
-      BoolMatrix a = RandomBoolMatrix(9, cols, 0.2, seed++);
-      BoolMatrix bt = RandomBoolMatrix(7, cols, 0.2, seed++);
-      const BoolMatrix want_bool = BoolProductNaive(a, bt);
-      const BoolMatrix got_bool = BoolProduct(a, bt, 1);
-      for (size_t i = 0; i < got_bool.rows(); ++i) {
-        ASSERT_EQ(std::memcmp(got_bool.RowWords(i), want_bool.RowWords(i),
-                              got_bool.words_per_row() * sizeof(uint64_t)),
-                  0)
-            << KernelIsaName(isa) << " cols=" << cols << " row=" << i;
-      }
-      EXPECT_EQ(CountProduct(a, bt, 1), CountProductNaive(a, bt))
-          << KernelIsaName(isa) << " cols=" << cols;
-    }
   }
 }
 
@@ -356,19 +261,6 @@ TEST(AlignedBuffer, PackedBReusableAcrossIsaLevels) {
             << KernelIsaName(isa) << " (" << i << ", " << j << ")";
       }
     }
-  }
-}
-
-TEST(KernelProperty, TransposeRoundTripsOnWordBoundaryStraddle) {
-  const BoolMatrix m = RandomBoolMatrix(127, 193, 0.4, 2000);
-  const BoolMatrix round = m.Transposed().Transposed();
-  ASSERT_EQ(round.rows(), m.rows());
-  ASSERT_EQ(round.cols(), m.cols());
-  for (size_t i = 0; i < m.rows(); ++i) {
-    ASSERT_EQ(std::memcmp(round.RowWords(i), m.RowWords(i),
-                          m.words_per_row() * sizeof(uint64_t)),
-              0)
-        << "row " << i;
   }
 }
 

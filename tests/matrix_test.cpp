@@ -1,5 +1,4 @@
-// Unit tests for src/matrix: dense matmul, boolean matrices, cost model,
-// calibration.
+// Unit tests for src/matrix: dense matmul, cost model, calibration.
 
 #include <gtest/gtest.h>
 
@@ -9,9 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/thread_pool.h"
-#include "matrix/bool_matrix.h"
 #include "matrix/calibration.h"
 #include "matrix/cost_model.h"
 #include "matrix/dense_matrix.h"
@@ -79,19 +76,10 @@ TEST(Matmul, ParallelSharedSlabMatchesNaive) {
     const Matrix want = MultiplyNaive(a, b);
     for (int threads : {1, 2, 5}) {
       Matrix c;
-      MultiplyParallel(a, b, &c, threads);
+      Multiply(a, b, &c, threads);
       EXPECT_EQ(c, want) << u << "x" << v << "x" << w << " @" << threads;
     }
   }
-}
-
-TEST(Matmul, ReplicatedPackingMatchesSharedSlab) {
-  Matrix a = RandomMatrix(90, 300, 40, 0.3);
-  Matrix b = RandomMatrix(300, 70, 41, 0.3);
-  Matrix shared_c, replicated_c;
-  MultiplyParallel(a, b, &shared_c, 3);
-  MultiplyReplicatedPacking(a, b, &replicated_c, 3);
-  EXPECT_EQ(shared_c, replicated_c);
 }
 
 TEST(Matmul, PackedBRowRangeMatchesUnpacked) {
@@ -193,63 +181,6 @@ TEST(Matmul, CountsWitnessesExactly) {
   EXPECT_FLOAT_EQ(c.At(1, 1), 0.0f);
 }
 
-TEST(BoolMatrix, SetTestTranspose) {
-  BoolMatrix m(3, 130);
-  m.Set(0, 0);
-  m.Set(1, 64);
-  m.Set(2, 129);
-  EXPECT_TRUE(m.Test(0, 0));
-  EXPECT_TRUE(m.Test(1, 64));
-  EXPECT_FALSE(m.Test(1, 63));
-  BoolMatrix t = m.Transposed();
-  EXPECT_TRUE(t.Test(0, 0));
-  EXPECT_TRUE(t.Test(64, 1));
-  EXPECT_TRUE(t.Test(129, 2));
-  EXPECT_FALSE(t.Test(129, 1));
-}
-
-TEST(BoolMatrix, ProductMatchesFloatProduct) {
-  Rng rng(11);
-  const size_t u = 23, v = 71, w = 19;
-  Matrix fa(u, v), fb(v, w);
-  BoolMatrix ba(u, v), bbt(w, v);  // bbt = b transposed
-  for (size_t i = 0; i < u; ++i) {
-    for (size_t k = 0; k < v; ++k) {
-      if (rng.NextBool(0.2)) {
-        fa.Set(i, k, 1.0f);
-        ba.Set(i, k);
-      }
-    }
-  }
-  for (size_t k = 0; k < v; ++k) {
-    for (size_t j = 0; j < w; ++j) {
-      if (rng.NextBool(0.2)) {
-        fb.Set(k, j, 1.0f);
-        bbt.Set(j, k);
-      }
-    }
-  }
-  const Matrix fc = Multiply(fa, fb, 1);
-  const BoolMatrix bc = BoolProduct(ba, bbt, 2);
-  const std::vector<uint32_t> counts = CountProduct(ba, bbt, 2);
-  for (size_t i = 0; i < u; ++i) {
-    for (size_t j = 0; j < w; ++j) {
-      EXPECT_EQ(bc.Test(i, j), fc.At(i, j) > 0.5f);
-      EXPECT_EQ(counts[i * w + j], static_cast<uint32_t>(fc.At(i, j)));
-    }
-  }
-}
-
-TEST(BoolMatrix, RowsIntersectEarlyExit) {
-  BoolMatrix a(1, 256), b(1, 256);
-  a.Set(0, 0);
-  b.Set(0, 255);
-  EXPECT_FALSE(a.RowsIntersect(0, b, 0));
-  b.Set(0, 0);
-  EXPECT_TRUE(a.RowsIntersect(0, b, 0));
-  EXPECT_EQ(a.RowAndCount(0, b, 0), 1u);
-}
-
 TEST(CostModel, ClassicalOmegaIsCubic) {
   EXPECT_DOUBLE_EQ(RectangularMmOps(10, 20, 30, 3.0), 10.0 * 20 * 30);
 }
@@ -276,25 +207,6 @@ TEST(CostModel, Lemma3BeatsLemma2Shape) {
 TEST(CostModel, BuildCostIsMaxOfOperands) {
   EXPECT_DOUBLE_EQ(MatrixBuildOps(10, 20, 5), 200.0);
   EXPECT_DOUBLE_EQ(MatrixBuildOps(5, 20, 10), 200.0);
-}
-
-TEST(CostModel, BoolProductWordOpsRoundsInnerDimToWords) {
-  EXPECT_DOUBLE_EQ(BoolProductWordOps(10, 64, 20), 10.0 * 20);
-  EXPECT_DOUBLE_EQ(BoolProductWordOps(10, 65, 20), 10.0 * 20 * 2);
-  EXPECT_DOUBLE_EQ(BoolProductWordOps(0, 64, 20), 0.0);
-}
-
-TEST(CostModel, BoolProductSecondsScalesWithRate) {
-  const double t1 = BoolProductSeconds(128, 128, 128, 1e9);
-  const double t2 = BoolProductSeconds(128, 128, 128, 2e9);
-  EXPECT_DOUBLE_EQ(t1, 2.0 * t2);
-  EXPECT_GT(t1, 0.0);
-}
-
-TEST(Calibration, BoolKernelRatesArePositive) {
-  const BoolKernelRates rates = BoolKernelRates::Measure(128);
-  EXPECT_GT(rates.bool_words_per_sec, 0.0);
-  EXPECT_GT(rates.count_words_per_sec, 0.0);
 }
 
 TEST(Calibration, SyntheticTableInterpolates) {

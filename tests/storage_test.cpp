@@ -1,5 +1,5 @@
 // Unit tests for src/storage: relations, CSR indexes, degree statistics,
-// dictionary, loader, set family, catalog.
+// loader, set family, catalog.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include <fstream>
 
 #include "storage/catalog.h"
-#include "storage/dictionary.h"
 #include "storage/index.h"
 #include "storage/loader.h"
 #include "storage/relation.h"
@@ -203,18 +202,6 @@ TEST(TwoPathStats, CountIndexes) {
   // y degrees: 2, 1, 1.
   EXPECT_EQ(stats.CountYAtMost(1), 2u);
   EXPECT_EQ(stats.CountYAtMost(2), 3u);
-}
-
-TEST(Dictionary, EncodeDecodeLookup) {
-  Dictionary d;
-  const Value a = d.Encode("alice");
-  const Value b = d.Encode("bob");
-  EXPECT_NE(a, b);
-  EXPECT_EQ(d.Encode("alice"), a);
-  EXPECT_EQ(d.Lookup("bob"), b);
-  EXPECT_EQ(d.Lookup("carol"), kInvalidValue);
-  EXPECT_EQ(d.Decode(a), "alice");
-  EXPECT_EQ(d.size(), 2u);
 }
 
 TEST(Loader, ParsesEdgesSkipsCommentsAndBlanks) {
