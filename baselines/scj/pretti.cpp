@@ -10,6 +10,16 @@ void CanonicalizeScj(ScjResult* result) {
   std::sort(result->begin(), result->end());
 }
 
+ScjResult ToScjResult(VectorSink& sink) {
+  ScjResult out;
+  out.reserve(sink.pairs().size());
+  for (const OutPair& p : sink.pairs()) {
+    out.push_back(ContainmentPair{p.x, p.z});
+  }
+  CanonicalizeScj(&out);
+  return out;
+}
+
 ScjResult PrettiJoin(const SetFamily& fam, const ScjOptions& /*options*/) {
   // Infrequent-first global element order (ascending inverted-list length):
   // rare elements prune candidate lists fastest.

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "core/result_sink.h"
 #include "storage/set_family.h"
 
 namespace jpmm {
@@ -37,6 +38,10 @@ struct ScjOptions {
 
 /// Sorts a containment result canonically.
 void CanonicalizeScj(ScjResult* result);
+
+/// The answer of a QueryEngine kScj query, executed into `sink`, as an
+/// ScjResult in canonical order.
+ScjResult ToScjResult(VectorSink& sink);
 
 }  // namespace jpmm
 

@@ -27,6 +27,23 @@ void CanonicalizeSsj(SsjResult* result, bool ordered) {
   }
 }
 
+SsjResult ToSsjResult(VectorSink& sink, bool ordered) {
+  SsjResult out;
+  if (ordered) {
+    out.reserve(sink.counted().size());
+    for (const CountedPair& p : sink.counted()) {
+      out.push_back(SimilarPair{p.x, p.z, p.count});
+    }
+  } else {
+    out.reserve(sink.pairs().size());
+    for (const OutPair& p : sink.pairs()) {
+      out.push_back(SimilarPair{p.x, p.z, 0});
+    }
+  }
+  CanonicalizeSsj(&out, ordered);
+  return out;
+}
+
 SsjResult SizeAwareHeavyPhase(const SetFamily& fam, uint32_t c,
                               uint32_t boundary, int threads) {
   // Heavy sets joined against all sets: R JOIN Rh of Algorithm 2 line 3.

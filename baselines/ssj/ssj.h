@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "core/result_sink.h"
 #include "storage/set_family.h"
 
 namespace jpmm {
@@ -62,6 +63,12 @@ struct SsjOptions {
 /// Sorts a result canonically: ordered mode => overlap desc then pair asc;
 /// unordered => pair asc.
 void CanonicalizeSsj(SsjResult* result, bool ordered);
+
+/// The answer of a QueryEngine kSsj query, executed into `sink`, as an
+/// SsjResult in canonical order. `ordered` is the spec's ssj_ordered: an
+/// ordered query delivers counted pairs (overlap = witness count), an
+/// unordered one plain pairs (overlap 0).
+SsjResult ToSsjResult(VectorSink& sink, bool ordered);
 
 }  // namespace jpmm
 

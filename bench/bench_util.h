@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "core/query_engine.h"
 #include "datagen/presets.h"
 #include "matrix/calibration.h"
 #include "storage/index.h"
@@ -56,14 +57,22 @@ inline int RunBenchmarks(int argc, char** argv) {
   return 0;
 }
 
-/// One generated dataset with its index and set-family view.
+/// The name a Dataset's relation has in its engine's catalog.
+inline constexpr const char* kRelation = "R";
+
+/// One generated dataset, registered in its own QueryEngine as kRelation,
+/// with the catalog's index and a set-family view over it. The index is
+/// built here, so a timed Prepare measures planning, not indexing.
 struct Dataset {
-  BinaryRelation rel;
-  std::unique_ptr<IndexedRelation> idx;
+  std::unique_ptr<QueryEngine> engine = std::make_unique<QueryEngine>();
+  const BinaryRelation* rel = nullptr;
+  const IndexedRelation* idx = nullptr;
   std::unique_ptr<SetFamily> fam;
 
-  explicit Dataset(BinaryRelation r) : rel(std::move(r)) {
-    idx = std::make_unique<IndexedRelation>(rel);
+  explicit Dataset(BinaryRelation r) {
+    engine->AddRelation(kRelation, std::move(r));
+    rel = &engine->catalog().Get(kRelation);
+    idx = &engine->catalog().Index(kRelation);
     fam = std::make_unique<SetFamily>(*idx);
   }
 };
@@ -80,6 +89,62 @@ inline const Dataset& CachedPreset(DatasetPreset p, double extra_scale = 1.0) {
              .first;
   }
   return *it->second;
+}
+
+/// A query over `arity` copies of the dataset's relation (1 for the
+/// two-path and set-join self joins, k for a k-star).
+inline QuerySpec SelfSpec(QueryKind kind, Strategy strategy,
+                          size_t arity = 1) {
+  QuerySpec spec;
+  spec.kind = kind;
+  spec.strategy = strategy;
+  spec.relations.assign(arity, kRelation);
+  return spec;
+}
+
+/// Runs `spec` on the dataset's engine into `sink`. Prepare and Execute both
+/// run here, inside the caller's timed loop, so a row includes planning as
+/// a served query does. An error status ends the row with an error.
+inline void RunQuery(benchmark::State& state, const Dataset& ds,
+                     const QuerySpec& spec, ResultSink& sink,
+                     int threads = 1) {
+  PreparedQuery query;
+  QueryStatus st = ds.engine->Prepare(spec, &query);
+  if (st.ok()) {
+    ExecOptions exec;
+    exec.threads = threads;
+    st = ds.engine->Execute(query, sink, exec);
+  }
+  if (!st.ok()) state.SkipWithError(st.message().c_str());
+}
+
+/// One two-path self join, materialized into a VectorSink; returns the pair
+/// count.
+inline size_t RunTwoPath(benchmark::State& state, const Dataset& ds,
+                         Strategy strategy, int threads = 1) {
+  VectorSink sink;
+  RunQuery(state, ds, SelfSpec(QueryKind::kTwoPath, strategy), sink, threads);
+  return sink.size();
+}
+
+/// The star figures' dataset. Star outputs are k-dimensional, so it is
+/// sampled harder than the two-path one (the paper does the same: "we take
+/// the largest sample of each relation so that the result can fit in main
+/// memory"). Words gets the hardest cut — its hub elements make the 3-star
+/// output near-cubic.
+inline const Dataset& StarPreset(DatasetPreset p) {
+  return CachedPreset(p, p == DatasetPreset::kWords ? 0.05 : 0.2);
+}
+
+/// One 3-star self join; returns the tuple count. The star join
+/// materializes its sorted tuples itself, so counting them keeps the row
+/// free of a second copy.
+inline size_t RunStar(benchmark::State& state, const Dataset& ds,
+                      Strategy strategy, int threads = 1) {
+  CountOnlySink sink;
+  RunQuery(state, ds, SelfSpec(QueryKind::kStar, strategy, 3), sink,
+           threads);
+  return sink.count();
 }
 
 /// Emits one latency HistogramSnapshot (milliseconds) into the benchmark's

@@ -12,7 +12,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
-#include "core/join_project.h"
 #include "join/dbms_baselines.h"
 
 using namespace jpmm;
@@ -52,23 +51,17 @@ void BM_TwoPath(benchmark::State& state, DatasetPreset preset, Engine engine) {
   size_t out_size = 0;
   for (auto _ : state) {
     switch (engine) {
-      case Engine::kMmJoin: {
-        JoinProjectOptions opts;
-        opts.strategy = Strategy::kAuto;
-        out_size = JoinProject::TwoPath(*ds.idx, *ds.idx, opts).size();
+      case Engine::kMmJoin:
+        out_size = benchutil::RunTwoPath(state, ds, Strategy::kAuto);
         break;
-      }
-      case Engine::kNonMm: {
-        JoinProjectOptions opts;
-        opts.strategy = Strategy::kNonMmJoin;
-        out_size = JoinProject::TwoPath(*ds.idx, *ds.idx, opts).size();
+      case Engine::kNonMm:
+        out_size = benchutil::RunTwoPath(state, ds, Strategy::kNonMmJoin);
         break;
-      }
       case Engine::kPostgres:
         out_size = PostgresLikeJoinProject(*ds.idx, *ds.idx).size();
         break;
       case Engine::kMySql:
-        out_size = MySqlLikeJoinProject(ds.rel, ds.rel).size();
+        out_size = MySqlLikeJoinProject(*ds.rel, *ds.rel).size();
         break;
       case Engine::kSystemX:
         out_size = SystemXLikeJoinProject(*ds.idx, *ds.idx).size();

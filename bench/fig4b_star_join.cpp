@@ -7,31 +7,16 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
-#include "core/join_project.h"
 
 using namespace jpmm;
-using benchutil::CachedPreset;
 
 namespace {
 
-// Star outputs are k-dimensional: sample harder than the 2-path bench
-// (the paper does the same: "we take the largest sample of each relation so
-// that the result can fit in main memory"). Words gets the hardest cut —
-// its hub elements make the 3-star output near-cubic.
-double StarScale(DatasetPreset p) {
-  return p == DatasetPreset::kWords ? 0.05 : 0.2;
-}
-
 void BM_Star(benchmark::State& state, DatasetPreset preset, Strategy strategy) {
-  const auto& ds = CachedPreset(preset, StarScale(preset));
-  std::vector<const IndexedRelation*> rels = {ds.idx.get(), ds.idx.get(),
-                                              ds.idx.get()};
+  const auto& ds = benchutil::StarPreset(preset);
   size_t out_size = 0;
   for (auto _ : state) {
-    JoinProjectOptions opts;
-    opts.strategy = strategy;
-    auto res = JoinProject::Star(rels, opts);
-    out_size = res.tuples.size();
+    out_size = benchutil::RunStar(state, ds, strategy);
     benchmark::DoNotOptimize(out_size);
   }
   state.counters["out"] = static_cast<double>(out_size);

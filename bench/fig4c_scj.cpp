@@ -6,51 +6,19 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench/bench_util.h"
-#include "scj/limit_plus.h"
-#include "scj/mm_scj.h"
-#include "scj/piejoin.h"
-#include "scj/pretti.h"
+#include "bench/set_join_engines.h"
 
 using namespace jpmm;
 using benchutil::CachedPreset;
+using benchutil::ScjEngine;
 
 namespace {
-
-enum class ScjEngine { kMm, kPie, kPretti, kLimit };
-
-const char* ScjEngineName(ScjEngine e) {
-  switch (e) {
-    case ScjEngine::kMm:
-      return "MMJoin";
-    case ScjEngine::kPie:
-      return "PIEJoin";
-    case ScjEngine::kPretti:
-      return "PRETTI";
-    case ScjEngine::kLimit:
-      return "LIMIT+";
-  }
-  return "?";
-}
 
 void BM_Scj(benchmark::State& state, DatasetPreset preset, ScjEngine engine) {
   const auto& ds = CachedPreset(preset);
   size_t out_size = 0;
   for (auto _ : state) {
-    switch (engine) {
-      case ScjEngine::kMm:
-        out_size = MmScj(*ds.fam).size();
-        break;
-      case ScjEngine::kPie:
-        out_size = PieJoin(*ds.fam).size();
-        break;
-      case ScjEngine::kPretti:
-        out_size = PrettiJoin(*ds.fam).size();
-        break;
-      case ScjEngine::kLimit:
-        out_size = LimitPlusJoin(*ds.fam).size();
-        break;
-    }
+    out_size = benchutil::RunScj(state, ds, engine, ScjOptions{});
     benchmark::DoNotOptimize(out_size);
   }
   state.counters["out"] = static_cast<double>(out_size);
@@ -64,7 +32,7 @@ int main(int argc, char** argv) {
     for (ScjEngine e : {ScjEngine::kMm, ScjEngine::kPie, ScjEngine::kPretti,
                         ScjEngine::kLimit}) {
       const std::string name =
-          std::string("Fig4c/") + PresetName(p) + "/" + ScjEngineName(e);
+          std::string("Fig4c/") + PresetName(p) + "/" + benchutil::ScjEngineName(e);
       benchmark::RegisterBenchmark(name.c_str(), BM_Scj, p, e)
           ->Unit(benchmark::kMillisecond)
           ->Iterations(1);

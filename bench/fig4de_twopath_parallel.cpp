@@ -7,7 +7,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
-#include "core/join_project.h"
 
 using namespace jpmm;
 using benchutil::CachedPreset;
@@ -19,10 +18,7 @@ void BM_TwoPathParallel(benchmark::State& state, DatasetPreset preset,
   const auto& ds = CachedPreset(preset);
   size_t out_size = 0;
   for (auto _ : state) {
-    JoinProjectOptions opts;
-    opts.strategy = strategy;
-    opts.threads = threads;
-    out_size = JoinProject::TwoPath(*ds.idx, *ds.idx, opts).size();
+    out_size = benchutil::RunTwoPath(state, ds, strategy, threads);
     benchmark::DoNotOptimize(out_size);
   }
   state.counters["threads"] = threads;

@@ -3,30 +3,17 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
-#include "core/join_project.h"
 
 using namespace jpmm;
-using benchutil::CachedPreset;
 
 namespace {
 
-// Per-preset sampling, matching fig4b (Words' hubs make the star output
-// near-cubic).
-double StarScale(DatasetPreset p) {
-  return p == DatasetPreset::kWords ? 0.05 : 0.2;
-}
-
 void BM_StarParallel(benchmark::State& state, DatasetPreset preset,
                      Strategy strategy, int threads) {
-  const auto& ds = CachedPreset(preset, StarScale(preset));
-  std::vector<const IndexedRelation*> rels = {ds.idx.get(), ds.idx.get(),
-                                              ds.idx.get()};
+  const auto& ds = benchutil::StarPreset(preset);
   size_t out_size = 0;
   for (auto _ : state) {
-    JoinProjectOptions opts;
-    opts.strategy = strategy;
-    opts.threads = threads;
-    out_size = JoinProject::Star(rels, opts).tuples.size();
+    out_size = benchutil::RunStar(state, ds, strategy, threads);
     benchmark::DoNotOptimize(out_size);
   }
   state.counters["threads"] = threads;

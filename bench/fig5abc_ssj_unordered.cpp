@@ -8,29 +8,13 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench/bench_util.h"
-#include "ssj/mm_ssj.h"
-#include "ssj/size_aware.h"
-#include "ssj/size_aware_pp.h"
+#include "bench/set_join_engines.h"
 
 using namespace jpmm;
 using benchutil::CachedPreset;
+using benchutil::SsjEngine;
 
 namespace {
-
-enum class SsjEngine { kMm, kSizeAwarePP, kSizeAware };
-
-const char* SsjEngineName(SsjEngine e) {
-  switch (e) {
-    case SsjEngine::kMm:
-      return "MMJoin";
-    case SsjEngine::kSizeAwarePP:
-      return "SizeAware++";
-    case SsjEngine::kSizeAware:
-      return "SizeAware";
-  }
-  return "?";
-}
 
 void BM_SsjUnordered(benchmark::State& state, DatasetPreset preset,
                      SsjEngine engine, uint32_t c) {
@@ -42,17 +26,7 @@ void BM_SsjUnordered(benchmark::State& state, DatasetPreset preset,
   opts.c = c;
   size_t out_size = 0;
   for (auto _ : state) {
-    switch (engine) {
-      case SsjEngine::kMm:
-        out_size = MmSsj(*ds.fam, opts).size();
-        break;
-      case SsjEngine::kSizeAwarePP:
-        out_size = SizeAwarePlusPlus(*ds.fam, opts).size();
-        break;
-      case SsjEngine::kSizeAware:
-        out_size = SizeAwareJoin(*ds.fam, opts).size();
-        break;
-    }
+    out_size = benchutil::RunSsj(state, ds, engine, opts);
     benchmark::DoNotOptimize(out_size);
   }
   state.counters["c"] = c;
@@ -69,11 +43,10 @@ int main(int argc, char** argv) {
       {DatasetPreset::kImage, "Fig5c"},
   };
   for (const auto& [preset, fig] : figs) {
-    for (SsjEngine e :
-         {SsjEngine::kMm, SsjEngine::kSizeAwarePP, SsjEngine::kSizeAware}) {
+    for (SsjEngine e : benchutil::kSsjEngines) {
       for (uint32_t c : {2u, 3u, 4u, 5u, 6u}) {
         const std::string name = std::string(fig) + "/" + PresetName(preset) +
-                                 "/" + SsjEngineName(e) + "/c:" +
+                                 "/" + benchutil::SsjEngineName(e) + "/c:" +
                                  std::to_string(c);
         benchmark::RegisterBenchmark(name.c_str(), BM_SsjUnordered, preset, e, c)
             ->Unit(benchmark::kMillisecond)

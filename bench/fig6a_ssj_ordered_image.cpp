@@ -4,34 +4,22 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench/bench_util.h"
-#include "ssj/mm_ssj.h"
-#include "ssj/size_aware.h"
-#include "ssj/size_aware_pp.h"
+#include "bench/set_join_engines.h"
 
 using namespace jpmm;
 using benchutil::CachedPreset;
+using benchutil::SsjEngine;
 
 namespace {
 
-void BM_OrderedImage(benchmark::State& state, int engine, uint32_t c) {
+void BM_OrderedImage(benchmark::State& state, SsjEngine engine, uint32_t c) {
   const auto& ds = CachedPreset(DatasetPreset::kImage);
   SsjOptions opts;
   opts.c = c;
   opts.ordered = true;
   size_t out_size = 0;
   for (auto _ : state) {
-    switch (engine) {
-      case 0:
-        out_size = MmSsj(*ds.fam, opts).size();
-        break;
-      case 1:
-        out_size = SizeAwarePlusPlus(*ds.fam, opts).size();
-        break;
-      default:
-        out_size = SizeAwareJoin(*ds.fam, opts).size();
-        break;
-    }
+    out_size = benchutil::RunSsj(state, ds, engine, opts);
     benchmark::DoNotOptimize(out_size);
   }
   state.counters["c"] = c;
@@ -42,11 +30,11 @@ void BM_OrderedImage(benchmark::State& state, int engine, uint32_t c) {
 
 int main(int argc, char** argv) {
   benchutil::WarmCalibration();
-  const char* names[] = {"MMJoin", "SizeAware++", "SizeAware"};
-  for (int engine : {0, 1, 2}) {
+  for (SsjEngine engine : benchutil::kSsjEngines) {
     for (uint32_t c : {2u, 3u, 4u, 5u, 6u}) {
-      const std::string name = std::string("Fig6a/Image/") + names[engine] +
-                               "/c:" + std::to_string(c);
+      const std::string name = std::string("Fig6a/Image/") +
+                               benchutil::SsjEngineName(engine) + "/c:" +
+                               std::to_string(c);
       benchmark::RegisterBenchmark(name.c_str(), BM_OrderedImage, engine, c)
           ->Unit(benchmark::kMillisecond)
           ->Iterations(1);

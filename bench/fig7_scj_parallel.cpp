@@ -6,23 +6,22 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench/bench_util.h"
-#include "scj/mm_scj.h"
-#include "scj/piejoin.h"
+#include "bench/set_join_engines.h"
 
 using namespace jpmm;
 using benchutil::CachedPreset;
+using benchutil::ScjEngine;
 
 namespace {
 
-void BM_ScjParallel(benchmark::State& state, DatasetPreset preset, bool mm,
-                    int threads) {
+void BM_ScjParallel(benchmark::State& state, DatasetPreset preset,
+                    ScjEngine engine, int threads) {
   const auto& ds = CachedPreset(preset);
   ScjOptions opts;
   opts.threads = threads;
   size_t out_size = 0;
   for (auto _ : state) {
-    out_size = mm ? MmScj(*ds.fam, opts).size() : PieJoin(*ds.fam, opts).size();
+    out_size = benchutil::RunScj(state, ds, engine, opts);
     benchmark::DoNotOptimize(out_size);
   }
   state.counters["threads"] = threads;
@@ -40,12 +39,12 @@ int main(int argc, char** argv) {
       {DatasetPreset::kImage, "Fig7d"},
   };
   for (const auto& [preset, fig] : figs) {
-    for (bool mm : {true, false}) {
+    for (ScjEngine engine : {ScjEngine::kMm, ScjEngine::kPie}) {
       for (int threads : benchutil::ThreadSweep()) {
         const std::string name = std::string(fig) + "/" + PresetName(preset) +
-                                 (mm ? "/MMJoin" : "/PIEJoin") +
+                                 "/" + benchutil::ScjEngineName(engine) +
                                  "/threads:" + std::to_string(threads);
-        benchmark::RegisterBenchmark(name.c_str(), BM_ScjParallel, preset, mm, threads)
+        benchmark::RegisterBenchmark(name.c_str(), BM_ScjParallel, preset, engine, threads)
             ->Unit(benchmark::kMillisecond)
             ->Iterations(1);
       }

@@ -20,7 +20,7 @@ namespace {
 void BM_GenerateAndDescribe(benchmark::State& state, DatasetPreset preset) {
   for (auto _ : state) {
     const auto& ds = CachedPreset(preset);
-    benchmark::DoNotOptimize(ds.rel.size());
+    benchmark::DoNotOptimize(ds.rel->size());
   }
   const auto& ds = CachedPreset(preset);
   const SetFamilyStats st = ds.fam->Stats();

@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "common/timer.h"
-#include "core/join_project.h"
+#include "core/query_engine.h"
 #include "datagen/presets.h"
 #include "storage/set_family.h"
 
@@ -17,26 +17,34 @@ using namespace jpmm;
 
 int main() {
   // DBLP-shaped bibliography (Table 2 regime, laptop scale).
-  BinaryRelation author_paper =
-      MakePreset(DatasetPreset::kDblp, /*scale=*/0.4);
-  IndexedRelation idx(author_paper);
-  SetFamily authors(idx);
+  QueryEngine engine;
+  engine.AddRelation("author_paper",
+                     MakePreset(DatasetPreset::kDblp, /*scale=*/0.4));
+  SetFamily authors(engine.catalog().Index("author_paper"));
   std::printf("bibliography: %s\n", authors.Stats().ToString().c_str());
 
   // Materialize the co-author view with witness counts: count = number of
   // joint papers.
-  JoinProjectOptions opts;
-  opts.strategy = Strategy::kAuto;
-  opts.count_witnesses = true;
+  QuerySpec spec;
+  spec.kind = QueryKind::kTwoPath;
+  spec.relations = {"author_paper"};
+  spec.count_witnesses = true;
+  VectorSink view;
+  ExecStats stats;
   WallTimer timer;
-  auto view = JoinProject::TwoPath(idx, idx, opts);
+  const QueryStatus st = engine.Run(spec, view, {}, &stats);
+  const double seconds = timer.Seconds();
+  if (!st.ok()) {
+    std::printf("error: %s\n", st.message().c_str());
+    return 1;
+  }
   std::printf("co-author view: %zu directed pairs in %.3f s (plan: %s)\n",
-              view.counted.size(), timer.Seconds(),
-              view.plan.ToString().c_str());
+              view.counted().size(), seconds,
+              stats.plan.ToString().c_str());
 
   // Top collaborations.
   std::vector<CountedPair> top;
-  for (const CountedPair& p : view.counted) {
+  for (const CountedPair& p : view.counted()) {
     if (p.x < p.z) top.push_back(p);
   }
   std::partial_sort(top.begin(), top.begin() + std::min<size_t>(5, top.size()),
@@ -54,7 +62,7 @@ int main() {
   if (!top.empty()) {
     const CountedPair q = top[0];
     const bool coauthored =
-        std::any_of(view.counted.begin(), view.counted.end(),
+        std::any_of(view.counted().begin(), view.counted().end(),
                     [&](const CountedPair& p) {
                       return p.x == q.x && p.z == q.z;
                     });

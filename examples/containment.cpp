@@ -5,11 +5,12 @@
 // (PRETTI, PIEJoin) and LIMIT+ verify candidates pair by pair.
 
 #include <cstdio>
+#include <functional>
 
 #include "common/timer.h"
+#include "core/query_engine.h"
 #include "datagen/presets.h"
 #include "scj/limit_plus.h"
-#include "scj/mm_scj.h"
 #include "scj/piejoin.h"
 #include "scj/pretti.h"
 #include "storage/set_family.h"
@@ -19,34 +20,35 @@ using namespace jpmm;
 int main() {
   // Protein-shaped family: large dense sets, where merge-based
   // verification is the trie algorithms' bottleneck.
-  BinaryRelation rel = MakePreset(DatasetPreset::kProtein, /*scale=*/0.4);
-  IndexedRelation idx(rel);
-  SetFamily fam(idx);
+  QueryEngine engine;
+  engine.AddRelation("sets",
+                     MakePreset(DatasetPreset::kProtein, /*scale=*/0.4));
+  SetFamily fam(engine.catalog().Index("sets"));
   std::printf("sets: %s\n\n", fam.Stats().ToString().c_str());
 
   struct Engine {
     const char* name;
-    ScjResult (*run)(const SetFamily&, const ScjOptions&);
+    std::function<ScjResult()> run;
   };
   const Engine engines[] = {
-      {"PRETTI", [](const SetFamily& f, const ScjOptions& o) {
-         return PrettiJoin(f, o);
-       }},
-      {"LIMIT+", [](const SetFamily& f, const ScjOptions& o) {
-         return LimitPlusJoin(f, o);
-       }},
-      {"PIEJoin", [](const SetFamily& f, const ScjOptions& o) {
-         return PieJoin(f, o);
-       }},
-      {"MM-SCJ", [](const SetFamily& f, const ScjOptions& o) {
-         return MmScj(f, o);
+      {"PRETTI", [&] { return PrettiJoin(fam); }},
+      {"LIMIT+", [&] { return LimitPlusJoin(fam); }},
+      {"PIEJoin", [&] { return PieJoin(fam); }},
+      {"MM-SCJ", [&] {
+         QuerySpec spec;
+         spec.kind = QueryKind::kScj;
+         spec.relations = {"sets"};
+         VectorSink sink;
+         const QueryStatus st = engine.Run(spec, sink);
+         if (!st.ok()) std::printf("MM-SCJ error: %s\n", st.message().c_str());
+         return ToScjResult(sink);
        }},
   };
 
   ScjResult reference;
   for (const Engine& e : engines) {
     WallTimer timer;
-    ScjResult res = e.run(fam, ScjOptions{});
+    ScjResult res = e.run();
     const double sec = timer.Seconds();
     if (reference.empty() && res.empty()) {
       // fine — keep looking for a non-empty reference

@@ -8,8 +8,8 @@
 #include <cstdio>
 
 #include "common/timer.h"
+#include "core/query_engine.h"
 #include "datagen/presets.h"
-#include "ssj/mm_ssj.h"
 #include "ssj/size_aware.h"
 #include "ssj/size_aware_pp.h"
 #include "storage/set_family.h"
@@ -19,9 +19,10 @@ using namespace jpmm;
 int main() {
   // Jokes-shaped token sets: dense, many shared tokens => many duplicates
   // in the underlying join, the regime where MMJoin shines.
-  BinaryRelation records = MakePreset(DatasetPreset::kJokes, /*scale=*/0.5);
-  IndexedRelation idx(records);
-  SetFamily fam(idx);
+  QueryEngine engine;
+  engine.AddRelation("records",
+                     MakePreset(DatasetPreset::kJokes, /*scale=*/0.5));
+  SetFamily fam(engine.catalog().Index("records"));
   std::printf("records: %s\n\n", fam.Stats().ToString().c_str());
 
   SsjOptions opts;
@@ -35,9 +36,21 @@ int main() {
   SsjResult size_aware_pp = SizeAwarePlusPlus(fam, opts);
   const double t_sapp = t2.Seconds();
 
+  // MMJoin is the engine's SSJ: the counted self join filtered to
+  // overlap >= c.
+  QuerySpec spec;
+  spec.kind = QueryKind::kSsj;
+  spec.relations = {"records"};
+  spec.ssj_c = opts.c;
   WallTimer t3;
-  SsjResult mm = MmSsj(fam, opts);
+  VectorSink matches;
+  QueryStatus st = engine.Run(spec, matches);
+  SsjResult mm = ToSsjResult(matches, /*ordered=*/false);
   const double t_mm = t3.Seconds();
+  if (!st.ok()) {
+    std::printf("SSJ error: %s\n", st.message().c_str());
+    return 1;
+  }
 
   std::printf("matches with >= %u shared tokens: %zu pairs\n", opts.c,
               mm.size());
@@ -49,13 +62,17 @@ int main() {
                                                                 : "NO");
 
   // Ordered enumeration: the matrix product yields overlap counts for
-  // free, so "most similar first" is just a sort.
-  opts.ordered = true;
-  SsjResult ordered = MmSsj(fam, opts);
+  // free, so "most similar first" is a ranked sink over the counted pairs.
+  spec.ssj_ordered = true;
+  OrderedBySink top(ResultOrder::kCountDescending, /*limit=*/5);
+  st = engine.Run(spec, top);
+  if (!st.ok()) {
+    std::printf("SSJ error: %s\n", st.message().c_str());
+    return 1;
+  }
   std::printf("top 5 most similar record pairs:\n");
-  for (size_t i = 0; i < std::min<size_t>(5, ordered.size()); ++i) {
-    std::printf("  records (%u, %u): %u shared tokens\n", ordered[i].a,
-                ordered[i].b, ordered[i].overlap);
+  for (const CountedPair& p : top.ranked()) {
+    std::printf("  records (%u, %u): %u shared tokens\n", p.x, p.z, p.count);
   }
   return 0;
 }

@@ -215,38 +215,4 @@ JoinProjectOutput JoinProject::TwoPath(const BinaryRelation& r,
   return TwoPath(ri, si, opts);
 }
 
-StarJoinResult JoinProject::Star(
-    const std::vector<const IndexedRelation*>& rels,
-    const JoinProjectOptions& opts) {
-  JPMM_CHECK(rels.size() >= 2);
-  if (opts.strategy == Strategy::kWcojFull) {
-    StarJoinResult res;
-    WallTimer timer;
-    {
-      TraceRecorder::Scope wcoj_scope(opts.trace, "wcoj-full",
-                                      opts.trace_parent);
-      res.tuples = WcojStarJoin(rels, opts.threads);
-    }
-    res.light_seconds = timer.Seconds();
-    // The reference baseline materializes first; sinks get one
-    // post-evaluation stream (no early production exit on this path).
-    if (opts.sink != nullptr) {
-      opts.sink->Open(1);
-      res.interrupted = DeliverStarTuples(res.tuples, opts.sink, opts.cancel);
-      opts.sink->Finish();
-    }
-    return res;
-  }
-
-  StarJoinOptions so;
-  static_cast<ExecContext&>(so) = opts;
-  so.grid_cache = opts.grid_cache;
-  so.sink = opts.sink;
-  so.thresholds = opts.thresholds.delta1 != 0 || opts.thresholds.delta2 != 0
-                      ? opts.thresholds
-                      : ChooseStarThresholds(rels);
-  return opts.strategy == Strategy::kNonMmJoin ? NonMmStarJoin(rels, so)
-                                               : MmStarJoin(rels, so);
-}
-
 }  // namespace jpmm

@@ -26,7 +26,6 @@
 #include "core/nonmm_join.h"
 #include "core/optimizer.h"
 #include "core/result_sink.h"
-#include "core/star_join.h"
 #include "storage/relation.h"
 
 namespace jpmm {
@@ -52,9 +51,9 @@ struct JoinProjectOptions : ExecContext {
   Thresholds thresholds{0, 0};
   /// Sort the output by (x, z) before returning (oracle-friendly).
   bool sorted = false;
-  /// Optional cross-execution grid memo threaded down to MmJoinOptions /
-  /// StarJoinOptions (see DensityGridCache); a PreparedQuery's PlanState
-  /// owns one per heavy product. Null = always rebuild.
+  /// Optional cross-execution grid memo threaded down to MmJoinOptions
+  /// (see DensityGridCache); a PreparedQuery's PlanState owns one per heavy
+  /// product. Null = always rebuild.
   DensityGridCache* grid_cache = nullptr;
   OptimizerOptions optimizer;
   /// Push-based result delivery (core/result_sink.h). When set, results
@@ -109,12 +108,6 @@ class JoinProject {
                                            const IndexedRelation& s,
                                            const PlanChoice& plan,
                                            const JoinProjectOptions& opts);
-
-  /// Star query Q*_k over k >= 2 relations. Uses MmStarJoin (kAuto/kMmJoin),
-  /// NonMmStarJoin, or plain WCOJ per opts.strategy. Count/min_count options
-  /// are not supported for stars.
-  static StarJoinResult Star(const std::vector<const IndexedRelation*>& rels,
-                             const JoinProjectOptions& opts = {});
 };
 
 /// Full-join + stamp-set dedup reference evaluation (Prop. 1). `sink`,

@@ -8,6 +8,7 @@
 #include "common/metrics.h"
 #include "common/timer.h"
 #include "core/optimizer.h"
+#include "core/star_join.h"
 
 namespace jpmm {
 namespace {
@@ -522,15 +523,28 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
       plan_hit = star_cache_hit;
       const Strategy star_strategy =
           opts.strategy_override.value_or(spec.strategy);
-      JoinProjectOptions jo;
-      static_cast<ExecContext&>(jo) = opts;
-      jo.trace_parent = exec_id;
-      jo.strategy = star_strategy;
-      jo.grid_cache = &ps.star_grid;
-      jo.sink = &sink;
-      jo.thresholds = explicit_thresholds ? opts.thresholds : star_thresholds;
-
-      StarJoinResult res = JoinProject::Star(rels, jo);
+      StarJoinResult res;
+      if (star_strategy == Strategy::kWcojFull) {
+        // The reference baseline materializes first; the sink gets one
+        // post-evaluation stream (no early production exit on this path).
+        {
+          TraceRecorder::Scope wcoj_scope(opts.trace, "wcoj-full", exec_id);
+          res.tuples = WcojStarJoin(rels, opts.threads);
+        }
+        sink.Open(1);
+        res.interrupted = DeliverStarTuples(res.tuples, &sink, opts.cancel);
+        sink.Finish();
+      } else {
+        StarJoinOptions so;
+        static_cast<ExecContext&>(so) = opts;
+        so.trace_parent = exec_id;
+        so.grid_cache = &ps.star_grid;
+        so.sink = &sink;
+        so.thresholds =
+            explicit_thresholds ? opts.thresholds : star_thresholds;
+        res = star_strategy == Strategy::kNonMmJoin ? NonMmStarJoin(rels, so)
+                                                    : MmStarJoin(rels, so);
+      }
       if (stats != nullptr) {
         stats->executed = star_strategy == Strategy::kAuto
                               ? Strategy::kMmJoin

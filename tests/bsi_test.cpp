@@ -13,13 +13,7 @@
 namespace jpmm {
 namespace {
 
-struct Instance {
-  BinaryRelation rel;
-  IndexedRelation idx;
-  SetFamily fam;
-  explicit Instance(BinaryRelation r)
-      : rel(std::move(r)), idx(rel), fam(idx) {}
-};
+using Instance = testutil::SetInstance;
 
 Instance MakeFamily(uint32_t sets, uint32_t dom, uint32_t max_size,
                     double skew, uint64_t seed) {

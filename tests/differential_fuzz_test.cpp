@@ -11,9 +11,13 @@
 //             csr-dense / csr-csr heavy paths + forced density-partitioned
 //             grid) and Non-MM must match at threads {1, 3, hw}.
 //   star:     WCOJ reference vs MM (every forced kernel x partition
-//             {off, force}) and Non-MM star joins (every 4th iteration;
-//             k in {2, 3}); triangle: the MM count under every kernel mode
-//             vs the node iterator on the instance's symmetric closure.
+//             {off, force}) and Non-MM star joins through QueryEngine
+//             (every 4th iteration; k in {2, 3, 4}); triangle: the MM count
+//             under every kernel mode vs the node iterator on the
+//             instance's symmetric closure.
+//   set join: SSJ (random c in 1..4, unordered and ordered) and SCJ
+//             through QueryEngine under every strategy vs the brute-force
+//             set-join oracles (every 2nd iteration).
 //   isa:      the same recipes re-run under every host-supported kernel
 //             dispatch level (ScopedIsaOverride; common/cpu_features.h) —
 //             the explicit AVX2/AVX-512 kernels must stay byte-identical
@@ -50,6 +54,7 @@
 #include "core/query_engine.h"
 #include "core/query_service.h"
 #include "core/result_sink.h"
+#include "core/star_join.h"
 #include "core/triangle.h"
 #include "datagen/generators.h"
 #include "tests/test_util.h"
@@ -147,6 +152,17 @@ BinaryRelation MakeRelation(const FuzzConfig& cfg, uint64_t salt) {
   }
 }
 
+// The reference two-path run of a recipe: sequential WCOJ full join +
+// dedup, sorted. Variants start from these options.
+JoinProjectOptions ReferenceOptions(const FuzzConfig& cfg) {
+  JoinProjectOptions opts;
+  opts.strategy = Strategy::kWcojFull;
+  opts.sorted = true;
+  opts.count_witnesses = cfg.counted;
+  opts.min_count = cfg.min_count;
+  return opts;
+}
+
 // Every two-path strategy/heavy-path variant the harness crosses. Adding a
 // strategy = adding a row here (docs/testing.md documents the recipe).
 struct Variant {
@@ -194,13 +210,7 @@ TEST(DifferentialFuzz, TwoPathCrossStrategyAgreement) {
     const BinaryRelation r = MakeRelation(cfg, 1);
     const BinaryRelation s = cfg.self_join ? r : MakeRelation(cfg, 2);
 
-    // Reference: sequential WCOJ full join + dedup, sorted.
-    JoinProjectOptions ref_opts;
-    ref_opts.strategy = Strategy::kWcojFull;
-    ref_opts.threads = 1;
-    ref_opts.sorted = true;
-    ref_opts.count_witnesses = cfg.counted;
-    ref_opts.min_count = cfg.min_count;
+    const JoinProjectOptions ref_opts = ReferenceOptions(cfg);
     const JoinProjectOutput ref = JoinProject::TwoPath(r, s, ref_opts);
 
     for (const Variant& v : kTwoPathVariants) {
@@ -253,12 +263,7 @@ TEST(DifferentialFuzz, RandomDeadlineTruncationIsNeverWrong) {
     Rng rng(cfg.seed ^ 0xD1A5ull);
 
     // Oracle: reference run, no token.
-    JoinProjectOptions ref_opts;
-    ref_opts.strategy = Strategy::kWcojFull;
-    ref_opts.threads = 1;
-    ref_opts.sorted = true;
-    ref_opts.count_witnesses = cfg.counted;
-    ref_opts.min_count = cfg.min_count;
+    const JoinProjectOptions ref_opts = ReferenceOptions(cfg);
     const JoinProjectOutput ref = JoinProject::TwoPath(r, s, ref_opts);
     std::map<std::pair<Value, Value>, uint32_t> oracle;
     if (cfg.counted) {
@@ -402,12 +407,7 @@ TEST(DifferentialFuzz, BatchedAndCachedServiceMatchesSolo) {
     const BinaryRelation r = MakeRelation(cfg, 1);
     const BinaryRelation s = cfg.self_join ? r : MakeRelation(cfg, 2);
 
-    JoinProjectOptions ref_opts;
-    ref_opts.strategy = Strategy::kWcojFull;
-    ref_opts.threads = 1;
-    ref_opts.sorted = true;
-    ref_opts.count_witnesses = cfg.counted;
-    ref_opts.min_count = cfg.min_count;
+    const JoinProjectOptions ref_opts = ReferenceOptions(cfg);
     const JoinProjectOutput ref = JoinProject::TwoPath(r, s, ref_opts);
 
     QueryEngine engine;
@@ -535,12 +535,7 @@ TEST(DifferentialFuzz, TwoPathForcedIsaAgreement) {
     const BinaryRelation r = MakeRelation(cfg, 1);
     const BinaryRelation s = cfg.self_join ? r : MakeRelation(cfg, 2);
 
-    JoinProjectOptions ref_opts;
-    ref_opts.strategy = Strategy::kWcojFull;
-    ref_opts.threads = 1;
-    ref_opts.sorted = true;
-    ref_opts.count_witnesses = cfg.counted;
-    ref_opts.min_count = cfg.min_count;
+    const JoinProjectOptions ref_opts = ReferenceOptions(cfg);
     const JoinProjectOutput ref = JoinProject::TwoPath(r, s, ref_opts);
 
     for (KernelIsa isa : HostIsas()) {
@@ -651,15 +646,19 @@ TEST(DifferentialFuzz, StarCrossStrategyAgreement) {
     }
     star_rel.Finalize();
     IndexedRelation idx(star_rel);
-    std::vector<const IndexedRelation*> rels(k, &idx);
-
-    JoinProjectOptions ref_opts;
-    ref_opts.strategy = Strategy::kWcojFull;
-    ref_opts.threads = 1;
-    // Byte for byte: StarJoinResult::tuples is sorted and duplicate-free,
-    // so every variant must reproduce the reference's flat buffer.
+    // Byte for byte: the WCOJ star's tuples are sorted and duplicate-free,
+    // and the engine delivers every strategy's tuples to a VectorSink in
+    // that order, so every variant must reproduce the reference's buffer.
     const std::vector<Value> ref =
-        JoinProject::Star(rels, ref_opts).tuples.flat();
+        WcojStarJoin(std::vector<const IndexedRelation*>(k, &idx)).flat();
+
+    QueryEngine engine;
+    engine.AddRelation("R", star_rel);
+    QuerySpec spec;
+    spec.kind = QueryKind::kStar;
+    spec.relations = std::vector<std::string>(k, "R");
+    PreparedQuery q;
+    ASSERT_TRUE(engine.Prepare(spec, &q).ok());
 
     struct StarVariant {
       const char* name;
@@ -686,14 +685,16 @@ TEST(DifferentialFuzz, StarCrossStrategyAgreement) {
     };
     for (const StarVariant& sv : star_variants) {
       for (int t : ThreadCounts()) {
-        JoinProjectOptions opts;
-        opts.strategy = sv.strategy;
-        opts.partition = sv.partition;
-        opts.heavy_path = sv.heavy_path;
-        opts.threads = t;
-        opts.thresholds = cfg.thresholds;
-        const std::vector<Value> got =
-            JoinProject::Star(rels, opts).tuples.flat();
+        ExecOptions exec;
+        exec.strategy_override = sv.strategy;
+        exec.partition = sv.partition;
+        exec.heavy_path = sv.heavy_path;
+        exec.threads = t;
+        exec.thresholds = cfg.thresholds;
+        VectorSink sink;
+        const QueryStatus st = engine.Execute(q, sink, exec);
+        ASSERT_TRUE(st.ok()) << st.message();
+        const std::vector<Value>& got = sink.tuple_data();
         if (got != ref) {
           const std::string line =
               cfg.ToString() + " variant=" + sv.name +
@@ -743,6 +744,93 @@ TEST(DifferentialFuzz, StarCrossStrategyAgreement) {
               " want=" + std::to_string(tri_ref);
           RecordFailure(line);
           ADD_FAILURE() << "triangle cross-kernel mismatch: " << line;
+          return;
+        }
+      }
+    }
+  }
+}
+
+// ---- Set-join recipe ------------------------------------------------------
+//
+// SSJ and SCJ run through QueryEngine as filters over the counted self
+// two-path (§4). Every strategy, with the recipe's pinned or
+// optimizer-chosen thresholds, must be byte-identical to the brute-force
+// set-join oracles: SSJ at a random c in 1..4, unordered and ordered (into
+// a VectorSink, and into an OrderedBySink(kCountDescending), whose rank
+// order must already be the canonical one), and SCJ.
+
+TEST(DifferentialFuzz, SetJoinCrossStrategyAgreement) {
+  const int iters = std::max(1, EnvInt("JPMM_FUZZ_ITERS", 50) / 2);
+  const uint64_t base = EnvU64("JPMM_FUZZ_SEED", 20260726) ^ 0x5E7ull;
+  const Strategy kStrategies[] = {Strategy::kAuto, Strategy::kMmJoin,
+                                  Strategy::kNonMmJoin, Strategy::kWcojFull};
+
+  for (int i = 0; i < iters; ++i) {
+    const FuzzConfig cfg = MakeConfig(base + static_cast<uint64_t>(i));
+    const BinaryRelation rel = MakeRelation(cfg, 4);
+    const IndexedRelation idx(rel);
+    const SetFamily fam(idx);
+    const uint32_t c = 1 + static_cast<uint32_t>(cfg.seed % 4);
+    const SsjResult ssj_oracle = testutil::OracleSsj(fam, c, false);
+    SsjResult ordered_oracle = testutil::OracleSsj(fam, c, true);
+    CanonicalizeSsj(&ordered_oracle, /*ordered=*/true);
+    const ScjResult scj_oracle = testutil::OracleScj(fam);
+
+    QueryEngine engine;
+    engine.AddRelation("R", rel);
+    QuerySpec ssj;
+    ssj.kind = QueryKind::kSsj;
+    ssj.relations = {"R"};
+    ssj.ssj_c = c;
+    QuerySpec ordered = ssj;
+    ordered.ssj_ordered = true;
+    QuerySpec scj;
+    scj.kind = QueryKind::kScj;
+    scj.relations = {"R"};
+    PreparedQuery ssj_q, ordered_q, scj_q;
+    ASSERT_TRUE(engine.Prepare(ssj, &ssj_q).ok());
+    ASSERT_TRUE(engine.Prepare(ordered, &ordered_q).ok());
+    ASSERT_TRUE(engine.Prepare(scj, &scj_q).ok());
+
+    for (Strategy strategy : kStrategies) {
+      for (int t : ThreadCounts()) {
+        ExecOptions exec;
+        exec.strategy_override = strategy;
+        exec.threads = t;
+        exec.thresholds = cfg.thresholds;
+        VectorSink plain, counted, contained;
+        OrderedBySink ranked(ResultOrder::kCountDescending);
+        ASSERT_TRUE(engine.Execute(ssj_q, plain, exec).ok());
+        ASSERT_TRUE(engine.Execute(ordered_q, counted, exec).ok());
+        ASSERT_TRUE(engine.Execute(ordered_q, ranked, exec).ok());
+        ASSERT_TRUE(engine.Execute(scj_q, contained, exec).ok());
+
+        std::string problem;
+        if (ToSsjResult(plain, /*ordered=*/false) != ssj_oracle) {
+          problem = "ssj";
+        } else if (ToSsjResult(counted, /*ordered=*/true) != ordered_oracle) {
+          problem = "ordered ssj";
+        } else if (ranked.ranked().size() != ordered_oracle.size()) {
+          problem = "ranked ssj size";
+        } else if (ToScjResult(contained) != scj_oracle) {
+          problem = "scj";
+        }
+        for (size_t j = 0; problem.empty() && j < ordered_oracle.size(); ++j) {
+          const CountedPair& got = ranked.ranked()[j];
+          const SimilarPair& want = ordered_oracle[j];
+          if (got.x != want.a || got.z != want.b ||
+              got.count != want.overlap) {
+            problem = "ranked ssj order";
+          }
+        }
+        if (!problem.empty()) {
+          const std::string line =
+              cfg.ToString() + " set-join=" + problem +
+              " strategy=" + StrategyName(strategy) +
+              " c=" + std::to_string(c) + " threads=" + std::to_string(t);
+          RecordFailure(line);
+          ADD_FAILURE() << "set-join cross-strategy mismatch: " << line;
           return;
         }
       }

@@ -1,13 +1,14 @@
-// Failure-injection tests: misuse of the public API must fail loudly
-// (JPMM_CHECK aborts), and recoverable failures must return errors.
+// Failure-injection tests: misuse of the low-level entry points must fail
+// loudly (JPMM_CHECK aborts), and misuse of QueryEngine and recoverable
+// failures must return errors.
 
 #include <gtest/gtest.h>
 
 #include "core/join_project.h"
 #include "core/mm_join.h"
+#include "core/query_engine.h"
 #include "matrix/dense_matrix.h"
 #include "matrix/matmul.h"
-#include "ssj/mm_ssj.h"
 #include "storage/index.h"
 #include "storage/loader.h"
 #include "storage/relation.h"
@@ -47,20 +48,29 @@ TEST(FailureDeath, FacadeRejectsUnfinalizedRelations) {
   EXPECT_DEATH(JoinProject::TwoPath(r, s), "Finalize");
 }
 
-TEST(FailureDeath, StarRejectsSingleRelation) {
-  BinaryRelation r = RandomRelation(5, 5, 10, 0.5, 2);
-  IndexedRelation ri(r);
-  std::vector<const IndexedRelation*> rels = {&ri};
-  EXPECT_DEATH(JoinProject::Star(rels), "");
+TEST(FailureRecoverable, StarRejectsSingleRelation) {
+  QueryEngine engine;
+  engine.AddRelation("R", RandomRelation(5, 5, 10, 0.5, 2));
+  QuerySpec spec;
+  spec.kind = QueryKind::kStar;
+  spec.relations = {"R"};
+  PreparedQuery q;
+  const QueryStatus st = engine.Prepare(spec, &q);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("relation"), std::string::npos) << st.message();
 }
 
-TEST(FailureDeath, SsjRejectsZeroThreshold) {
-  BinaryRelation r = RandomRelation(10, 10, 30, 0.5, 3);
-  IndexedRelation ri(r);
-  SetFamily fam(ri);
-  SsjOptions opts;
-  opts.c = 0;
-  EXPECT_DEATH(MmSsj(fam, opts), "");
+TEST(FailureRecoverable, SsjRejectsZeroThreshold) {
+  QueryEngine engine;
+  engine.AddRelation("R", RandomRelation(10, 10, 30, 0.5, 3));
+  QuerySpec spec;
+  spec.kind = QueryKind::kSsj;
+  spec.relations = {"R"};
+  spec.ssj_c = 0;
+  PreparedQuery q;
+  const QueryStatus st = engine.Prepare(spec, &q);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("ssj_c"), std::string::npos) << st.message();
 }
 
 TEST(FailureRecoverable, LoaderReportsBadInputWithoutAborting) {

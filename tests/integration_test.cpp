@@ -9,25 +9,18 @@
 #include "datagen/generators.h"
 #include "datagen/presets.h"
 #include "scj/limit_plus.h"
-#include "scj/mm_scj.h"
 #include "scj/piejoin.h"
 #include "scj/pretti.h"
-#include "ssj/mm_ssj.h"
 #include "ssj/size_aware.h"
 #include "ssj/size_aware_pp.h"
 #include "storage/loader.h"
 #include "storage/set_family.h"
+#include "tests/test_util.h"
 
 namespace jpmm {
 namespace {
 
-struct Instance {
-  BinaryRelation rel;
-  IndexedRelation idx;
-  SetFamily fam;
-  explicit Instance(BinaryRelation r)
-      : rel(std::move(r)), idx(rel), fam(idx) {}
-};
+using Instance = testutil::SetInstance;
 
 class PresetPipeline : public ::testing::TestWithParam<DatasetPreset> {};
 
@@ -52,7 +45,7 @@ TEST_P(PresetPipeline, SsjEnginesAgree) {
   opts.c = 2;
   const SsjResult a = SizeAwareJoin(inst.fam, opts);
   EXPECT_EQ(a, SizeAwarePlusPlus(inst.fam, opts));
-  EXPECT_EQ(a, MmSsj(inst.fam, opts));
+  EXPECT_EQ(a, testutil::EngineSsj(inst.rel, opts));
 }
 
 TEST_P(PresetPipeline, ScjEnginesAgree) {
@@ -60,7 +53,7 @@ TEST_P(PresetPipeline, ScjEnginesAgree) {
   const ScjResult a = PrettiJoin(inst.fam);
   EXPECT_EQ(a, LimitPlusJoin(inst.fam));
   EXPECT_EQ(a, PieJoin(inst.fam));
-  EXPECT_EQ(a, MmScj(inst.fam));
+  EXPECT_EQ(a, testutil::EngineScj(inst.rel));
 }
 
 TEST_P(PresetPipeline, BsiStrategiesAgree) {
@@ -128,16 +121,18 @@ TEST(LoaderIntegration, TextToJoinPipeline) {
 }
 
 TEST(StarIntegration, TriangleOfViewsOnPreset) {
-  Instance inst(MakePreset(DatasetPreset::kJokes, 0.04));
-  std::vector<const IndexedRelation*> rels = {&inst.idx, &inst.idx,
-                                              &inst.idx};
-  JoinProjectOptions mm_opts;
-  mm_opts.strategy = Strategy::kMmJoin;
-  auto mm = JoinProject::Star(rels, mm_opts);
-  JoinProjectOptions wcoj_opts;
-  wcoj_opts.strategy = Strategy::kWcojFull;
-  auto wcoj = JoinProject::Star(rels, wcoj_opts);
-  EXPECT_EQ(mm.tuples.flat(), wcoj.tuples.flat());
+  const BinaryRelation rel = MakePreset(DatasetPreset::kJokes, 0.04);
+  QuerySpec spec;
+  spec.kind = QueryKind::kStar;
+  spec.relations = {"R", "R", "R"};
+  spec.strategy = Strategy::kMmJoin;
+  VectorSink mm;
+  testutil::RunOnEngine(rel, spec, mm);
+  spec.strategy = Strategy::kWcojFull;
+  VectorSink wcoj;
+  testutil::RunOnEngine(rel, spec, wcoj);
+  EXPECT_EQ(mm.tuple_data(), wcoj.tuple_data());
+  EXPECT_GT(mm.size(), 0u);
 }
 
 }  // namespace

@@ -183,18 +183,23 @@ TEST(Facade, ThreadsDoNotChangeResult) {
   EXPECT_EQ(ref.pairs, par.pairs);
 }
 
-TEST(Facade, StarDispatch) {
+TEST(Engine, StarDispatch) {
   BinaryRelation r = RandomRelation(15, 12, 60, 0.8, 65);
-  IndexedRelation ri(r);
-  std::vector<const IndexedRelation*> rels = {&ri, &ri, &ri};
+  QuerySpec spec;
+  spec.kind = QueryKind::kStar;
+  spec.relations = {"R", "R", "R"};
   for (Strategy s : {Strategy::kAuto, Strategy::kMmJoin, Strategy::kNonMmJoin,
                      Strategy::kWcojFull}) {
-    JoinProjectOptions opts;
-    opts.strategy = s;
-    auto res = JoinProject::Star(rels, opts);
-    EXPECT_EQ(testutil::ToVectors(res.tuples),
-              testutil::OracleStar({&r, &r, &r}))
-        << StrategyName(s);
+    spec.strategy = s;
+    VectorSink sink;
+    testutil::RunOnEngine(r, spec, sink);
+    ASSERT_EQ(sink.tuple_arity(), 3u);
+    std::vector<std::vector<Value>> got;
+    for (size_t i = 0; i < sink.size(); ++i) {
+      got.emplace_back(sink.tuple_data().begin() + 3 * i,
+                       sink.tuple_data().begin() + 3 * (i + 1));
+    }
+    EXPECT_EQ(got, testutil::OracleStar({&r, &r, &r})) << StrategyName(s);
   }
 }
 

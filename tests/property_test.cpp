@@ -7,6 +7,7 @@
 #include <set>
 
 #include "core/join_project.h"
+#include "core/star_join.h"
 #include "core/mm_join.h"
 #include "core/nonmm_join.h"
 #include "datagen/generators.h"

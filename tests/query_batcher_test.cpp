@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <latch>
 #include <memory>
 #include <set>
 #include <string>
@@ -30,7 +31,11 @@
 namespace jpmm {
 namespace {
 
+using testutil::FailureLog;
 using testutil::Sorted;
+using testutil::TwoPathSpec;
+using testutil::WcojOracle;
+using testutil::WcojOracleCounted;
 
 constexpr int kClients = 64;  // acceptance floor for the big scenario
 
@@ -38,44 +43,6 @@ BinaryRelation SkewedGraph(uint64_t seed = 11) {
   return CommunityGraph(/*communities=*/3, /*community_size=*/30,
                         /*p_in=*/0.35, seed);
 }
-
-std::vector<OutPair> Oracle(const BinaryRelation& rel) {
-  JoinProjectOptions opts;
-  opts.strategy = Strategy::kWcojFull;
-  opts.threads = 1;
-  opts.sorted = true;
-  return JoinProject::TwoPath(rel, rel, opts).pairs;
-}
-
-std::vector<CountedPair> OracleCounted(const BinaryRelation& rel) {
-  JoinProjectOptions opts;
-  opts.strategy = Strategy::kWcojFull;
-  opts.threads = 1;
-  opts.sorted = true;
-  opts.count_witnesses = true;
-  return JoinProject::TwoPath(rel, rel, opts).counted;
-}
-
-QuerySpec TwoPathSpec(const std::string& name, bool counted = false) {
-  QuerySpec spec;
-  spec.kind = QueryKind::kTwoPath;
-  spec.relations = {name};
-  spec.count_witnesses = counted;
-  return spec;
-}
-
-struct FailureLog {
-  explicit FailureLog(size_t threads) : slots(threads) {}
-  std::vector<std::string> slots;
-  void Record(size_t thread, const std::string& msg) {
-    if (slots[thread].empty()) slots[thread] = msg;
-  }
-  void AssertClean() const {
-    for (size_t i = 0; i < slots.size(); ++i) {
-      EXPECT_TRUE(slots[i].empty()) << "thread " << i << ": " << slots[i];
-    }
-  }
-};
 
 // ---- FanoutSink: one stream, N independent consumers ---------------------
 
@@ -209,7 +176,7 @@ TEST(SnapshotAll, PreparedVersionIdentifiesTheCut) {
 
 TEST(QueryBatching, SixtyFourIdenticalClientsShareExecutions) {
   const BinaryRelation rel = SkewedGraph(11);
-  const auto oracle = Oracle(rel);
+  const auto oracle = WcojOracle(rel);
   QueryEngine engine;
   engine.AddRelation("R", rel);
   QueryServiceOptions so;
@@ -225,13 +192,11 @@ TEST(QueryBatching, SixtyFourIdenticalClientsShareExecutions) {
   MetricsRegistry::Global().ResetForTest();
   FailureLog log(kClients);
   std::vector<ExecStats> stats(kClients);
-  std::atomic<int> gate{0};
+  std::latch start(kClients);
   std::vector<std::thread> threads;
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
-      gate.fetch_add(1);
-      while (gate.load() < kClients) {
-      }
+      start.arrive_and_wait();
       VectorSink sink;
       ServiceRequest req;
       QueryStatus st = service.Execute(q, sink, req, &stats[c]);
@@ -275,7 +240,7 @@ TEST(QueryBatching, SixtyFourIdenticalClientsShareExecutions) {
 
 TEST(QueryBatching, CoalescedClientsKeepIndependentSinkSemantics) {
   const BinaryRelation rel = SkewedGraph(17);
-  const auto oracle = Oracle(rel);
+  const auto oracle = WcojOracle(rel);
   ASSERT_GT(oracle.size(), 8u) << "test premise";
   QueryEngine engine;
   engine.AddRelation("R", rel);
@@ -287,7 +252,7 @@ TEST(QueryBatching, CoalescedClientsKeepIndependentSinkSemantics) {
   ASSERT_TRUE(engine.Prepare(TwoPathSpec("R"), &q).ok());
 
   FailureLog log(3);
-  std::atomic<int> gate{0};
+  std::latch start(3);
   std::vector<std::thread> threads;
   // Client 0: full materialization; client 1: limit 5; client 2: count.
   VectorSink full;
@@ -296,9 +261,7 @@ TEST(QueryBatching, CoalescedClientsKeepIndependentSinkSemantics) {
   ResultSink* sinks[3] = {&full, &limited, &counting};
   for (int c = 0; c < 3; ++c) {
     threads.emplace_back([&, c] {
-      gate.fetch_add(1);
-      while (gate.load() < 3) {
-      }
+      start.arrive_and_wait();
       ServiceRequest req;
       QueryStatus st = service.Execute(q, *sinks[c], req);
       if (!st.ok()) log.Record(c, st.message());
@@ -352,9 +315,9 @@ TEST(QueryBatching, DeadlineInsideWindowDetachesWithoutExecuting) {
 TEST(QueryBatching, MixedSpecsWithHotSwapWritersStayExact) {
   const BinaryRelation stable = SkewedGraph(23);
   const BinaryRelation hot = SkewedGraph(29);
-  const auto oracle = Oracle(stable);
-  const auto oracle_counted = OracleCounted(stable);
-  const auto hot_oracle = Oracle(hot);
+  const auto oracle = WcojOracle(stable);
+  const auto oracle_counted = WcojOracleCounted(stable);
+  const auto hot_oracle = WcojOracle(hot);
 
   QueryEngine engine;
   engine.AddRelation("R", stable);
@@ -458,8 +421,8 @@ TEST(QueryBatching, MixedSpecsWithHotSwapWritersStayExact) {
 TEST(ResultCacheService, RepeatRequestsHitUntilTheCatalogMoves) {
   const BinaryRelation before = SkewedGraph(31);
   const BinaryRelation after = SkewedGraph(37);
-  const auto oracle_before = Oracle(before);
-  const auto oracle_after = Oracle(after);
+  const auto oracle_before = WcojOracle(before);
+  const auto oracle_after = WcojOracle(after);
   ASSERT_NE(oracle_before, oracle_after) << "test premise";
 
   QueryEngine engine;
@@ -523,7 +486,7 @@ TEST(ResultCacheService, RepeatRequestsHitUntilTheCatalogMoves) {
 TEST(ResultCacheService, InterruptedAndTruncatedRunsAreNeverCached) {
   QueryEngine engine;
   engine.AddRelation("R", SkewedGraph(41));
-  const auto oracle = Oracle(SkewedGraph(41));
+  const auto oracle = WcojOracle(SkewedGraph(41));
   QueryServiceOptions so;
   so.enable_result_cache = true;
   QueryService service(&engine, so);
@@ -583,7 +546,7 @@ TEST(ResultCacheUnit, LruEvictsAndInvalidationSweeps) {
 TEST(DensityGridReuse, SecondExecutionHitsThePartitionMemo) {
   QueryEngine engine;
   engine.AddRelation("R", SkewedGraph(43));
-  const auto oracle = Oracle(SkewedGraph(43));
+  const auto oracle = WcojOracle(SkewedGraph(43));
   QuerySpec spec = TwoPathSpec("R");
   spec.strategy = Strategy::kMmJoin;  // guarantee the heavy product runs
   PreparedQuery q;

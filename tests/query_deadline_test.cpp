@@ -32,8 +32,10 @@ namespace jpmm {
 namespace {
 
 using testutil::HubGraph;
+using testutil::MakeEngine;
 using testutil::OracleTwoPath;
 using testutil::Sorted;
+using testutil::TwoPathSpec;
 
 std::vector<int> ThreadCounts() {
   std::vector<int> threads{1, 3};
@@ -50,19 +52,7 @@ BinaryRelation BigGraph() {
                         /*p_in=*/0.3, /*seed=*/77);
 }
 
-QueryEngine MakeEngine(const BinaryRelation& rel) {
-  QueryEngine engine;
-  engine.catalog().Put("R", rel);
-  return engine;
-}
 
-QuerySpec TwoPathSpec(Strategy strategy) {
-  QuerySpec spec;
-  spec.kind = QueryKind::kTwoPath;
-  spec.relations = {"R"};
-  spec.strategy = strategy;
-  return spec;
-}
 
 constexpr Strategy kTwoPathStrategies[] = {
     Strategy::kMmJoin, Strategy::kNonMmJoin, Strategy::kWcojFull};

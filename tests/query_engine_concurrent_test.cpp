@@ -12,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
+#include <latch>
 #include <mutex>
 #include <set>
 #include <string>
@@ -29,7 +29,11 @@
 namespace jpmm {
 namespace {
 
+using testutil::FailureLog;
 using testutil::Sorted;
+using testutil::TwoPathSpec;
+using testutil::WcojOracle;
+using testutil::WcojOracleCounted;
 
 constexpr int kClients = 8;  // acceptance floor: >= 8 mixed-role threads
 
@@ -38,53 +42,12 @@ BinaryRelation SkewedGraph(uint64_t seed = 11) {
                         /*p_in=*/0.4, seed);
 }
 
-// Single-threaded reference through the sequential WCOJ baseline.
-std::vector<OutPair> Oracle(const BinaryRelation& rel) {
-  JoinProjectOptions opts;
-  opts.strategy = Strategy::kWcojFull;
-  opts.threads = 1;
-  opts.sorted = true;
-  return JoinProject::TwoPath(rel, rel, opts).pairs;
-}
-
-std::vector<CountedPair> OracleCounted(const BinaryRelation& rel) {
-  JoinProjectOptions opts;
-  opts.strategy = Strategy::kWcojFull;
-  opts.threads = 1;
-  opts.sorted = true;
-  opts.count_witnesses = true;
-  return JoinProject::TwoPath(rel, rel, opts).counted;
-}
-
-QuerySpec TwoPathSpec(const std::string& name, bool counted = false) {
-  QuerySpec spec;
-  spec.kind = QueryKind::kTwoPath;
-  spec.relations = {name};
-  spec.count_witnesses = counted;
-  return spec;
-}
-
-// Per-thread failure slot: empty string = clean.
-struct FailureLog {
-  explicit FailureLog(size_t threads) : slots(threads) {}
-  std::vector<std::string> slots;
-
-  void Record(size_t thread, const std::string& msg) {
-    if (slots[thread].empty()) slots[thread] = msg;
-  }
-  void AssertClean() const {
-    for (size_t i = 0; i < slots.size(); ++i) {
-      EXPECT_TRUE(slots[i].empty()) << "thread " << i << ": " << slots[i];
-    }
-  }
-};
-
 // ---- Single-flight planning: racing first executions agree on one plan,
 // exactly one of them reports the optimizer run.
 
 TEST(QueryEngineConcurrent, FirstExecuteRaceIsSingleFlight) {
   const BinaryRelation rel = SkewedGraph();
-  const auto oracle = Oracle(rel);
+  const auto oracle = WcojOracle(rel);
   QueryEngine engine;
   engine.AddRelation("R", rel);
   PreparedQuery q;
@@ -92,13 +55,11 @@ TEST(QueryEngineConcurrent, FirstExecuteRaceIsSingleFlight) {
 
   FailureLog log(kClients);
   std::vector<ExecStats> stats(kClients);
-  std::atomic<int> gate{0};
+  std::latch start(kClients);
   std::vector<std::thread> threads;
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
-      gate.fetch_add(1);
-      while (gate.load() < kClients) {
-      }  // start together: maximize the planning race
+      start.arrive_and_wait();  // maximize the planning race
       VectorSink sink;
       QueryStatus st = engine.Execute(q, sink, {}, &stats[c]);
       if (!st.ok()) {
@@ -136,13 +97,11 @@ TEST(QueryEngineConcurrent, StarFirstExecuteRaceIsSingleFlight) {
   FailureLog log(kClients);
   std::vector<ExecStats> stats(kClients);
   std::vector<size_t> sizes(kClients, 0);
-  std::atomic<int> gate{0};
+  std::latch start(kClients);
   std::vector<std::thread> threads;
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
-      gate.fetch_add(1);
-      while (gate.load() < kClients) {
-      }
+      start.arrive_and_wait();
       VectorSink sink;
       QueryStatus st = engine.Execute(q, sink, {}, &stats[c]);
       if (!st.ok()) {
@@ -168,9 +127,9 @@ TEST(QueryEngineConcurrent, StarFirstExecuteRaceIsSingleFlight) {
 TEST(QueryEngineConcurrent, MixedPrepareExecuteAddDropRelation) {
   const BinaryRelation stable = SkewedGraph(11);
   const BinaryRelation hot = SkewedGraph(23);  // repeatedly re-Put
-  const auto oracle = Oracle(stable);
-  const auto oracle_counted = OracleCounted(stable);
-  const auto hot_oracle = Oracle(hot);
+  const auto oracle = WcojOracle(stable);
+  const auto oracle_counted = WcojOracleCounted(stable);
+  const auto hot_oracle = WcojOracle(hot);
   const std::set<std::pair<Value, Value>> oracle_set = [&] {
     std::set<std::pair<Value, Value>> s;
     for (const OutPair& p : oracle) s.insert({p.x, p.z});
@@ -323,8 +282,8 @@ TEST(QueryEngineConcurrent, MixedPrepareExecuteAddDropRelation) {
 TEST(QueryEngineConcurrent, PreparedQuerySurvivesReplaceAndDrop) {
   const BinaryRelation before = SkewedGraph(5);
   const BinaryRelation after = UniformBipartite(80, 30, 400, 7);
-  const auto oracle_before = Oracle(before);
-  const auto oracle_after = Oracle(after);
+  const auto oracle_before = WcojOracle(before);
+  const auto oracle_after = WcojOracle(after);
   ASSERT_NE(oracle_before, oracle_after) << "test premise";
 
   QueryEngine engine;
@@ -360,7 +319,7 @@ TEST(QueryEngineConcurrent, PreparedQuerySurvivesReplaceAndDrop) {
 
 TEST(QueryEngineConcurrent, MixedThreadCountExecutions) {
   const BinaryRelation rel = SkewedGraph(31);
-  const auto oracle = Oracle(rel);
+  const auto oracle = WcojOracle(rel);
   QueryEngine engine;
   engine.AddRelation("R", rel);
   PreparedQuery q;

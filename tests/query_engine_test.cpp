@@ -14,17 +14,21 @@
 #include "core/mm_join.h"
 #include "core/query_engine.h"
 #include "core/result_sink.h"
+#include "core/star_join.h"
 #include "datagen/generators.h"
-#include "scj/mm_scj.h"
-#include "ssj/mm_ssj.h"
+#include "scj/pretti.h"
+#include "ssj/size_aware.h"
 #include "storage/set_family.h"
 #include "tests/test_util.h"
 
 namespace jpmm {
 namespace {
 
+using testutil::MakeEngine;
 using testutil::OracleTwoPath;
+using testutil::SetInstance;
 using testutil::Sorted;
+using testutil::TwoPathSpec;
 
 // A skewed graph whose two-path join has a real heavy part under small
 // thresholds (four dense communities). Small enough for the O(|R|^2)
@@ -35,19 +39,7 @@ BinaryRelation SkewedGraph() {
                         /*p_in=*/0.5, /*seed=*/11);
 }
 
-QueryEngine MakeEngine(const BinaryRelation& rel) {
-  QueryEngine engine;
-  engine.catalog().Put("R", rel);
-  return engine;
-}
 
-QuerySpec TwoPathSpec(Strategy strategy) {
-  QuerySpec spec;
-  spec.kind = QueryKind::kTwoPath;
-  spec.relations = {"R"};
-  spec.strategy = strategy;
-  return spec;
-}
 
 std::vector<OutPair> EngineAllPairs(QueryEngine* engine,
                                     const QuerySpec& spec,
@@ -354,7 +346,7 @@ TEST(QueryEngine, ValidateJoinProjectOptionsHelper) {
 
 // ---- Star queries through the engine: full tuple delivery + limit.
 
-TEST(QueryEngine, StarVectorSinkMatchesFacade) {
+TEST(QueryEngine, StarVectorSinkMatchesWcojStar) {
   const BinaryRelation rel =
       UniformBipartite(/*num_x=*/120, /*num_y=*/40, /*num_tuples=*/700, 3);
   QueryEngine engine;
@@ -364,14 +356,13 @@ TEST(QueryEngine, StarVectorSinkMatchesFacade) {
   spec.relations = {"R", "R", "R"};
 
   IndexedRelation idx(rel);
-  std::vector<const IndexedRelation*> rels{&idx, &idx, &idx};
-  auto expect = JoinProject::Star(rels, {});
+  const TupleBuffer expect = WcojStarJoin({&idx, &idx, &idx});
 
   VectorSink sink;
   ExecStats stats;
   ASSERT_TRUE(engine.Run(spec, sink, {}, &stats).ok());
   EXPECT_EQ(sink.tuple_arity(), 3u);
-  EXPECT_EQ(sink.tuple_data(), expect.tuples.flat());
+  EXPECT_EQ(sink.tuple_data(), expect.flat());
 }
 
 TEST(QueryEngine, StarLimitDeliversDistinctSubset) {
@@ -405,64 +396,30 @@ TEST(QueryEngine, StarLimitDeliversDistinctSubset) {
   }
 }
 
-// ---- SCJ / SSJ through the engine match the direct pipelines.
+// ---- SCJ / SSJ through the engine match the competitor algorithms.
 
-TEST(QueryEngine, ScjMatchesMmScj) {
+// A family of 300 sets over 120 elements, at most 10 per set;
+// `subset_fraction` of them are drawn as subsets of others.
+SetInstance SetFamilyInstance(double subset_fraction = 0.0) {
   BipartiteSpec bs;
   bs.num_sets = 300;
   bs.dom_size = 120;
   bs.max_set_size = 10;
-  bs.subset_fraction = 0.3;
-  const BinaryRelation rel = MakeBipartite(bs);
-  IndexedRelation idx(rel);
-  SetFamily fam(idx);
-  auto expect = MmScj(fam, {});
-
-  QueryEngine engine;
-  engine.catalog().Put("R", rel);
-  QuerySpec spec;
-  spec.kind = QueryKind::kScj;
-  spec.relations = {"R"};
-  VectorSink sink;
-  ASSERT_TRUE(engine.Run(spec, sink, {}).ok());
-
-  ScjResult got;
-  for (const OutPair& p : sink.pairs()) {
-    got.push_back(ContainmentPair{p.x, p.z});
-  }
-  CanonicalizeScj(&got);
-  EXPECT_EQ(got, expect);
+  bs.subset_fraction = subset_fraction;
+  return SetInstance(MakeBipartite(bs));
 }
 
-TEST(QueryEngine, SsjMatchesMmSsj) {
-  BipartiteSpec bs;
-  bs.num_sets = 300;
-  bs.dom_size = 120;
-  bs.max_set_size = 10;
-  const BinaryRelation rel = MakeBipartite(bs);
-  IndexedRelation idx(rel);
-  SetFamily fam(idx);
+TEST(QueryEngine, ScjMatchesPretti) {
+  const SetInstance inst = SetFamilyInstance(0.3);
+  EXPECT_EQ(testutil::EngineScj(inst.rel), PrettiJoin(inst.fam));
+}
+
+TEST(QueryEngine, SsjMatchesSizeAware) {
+  const SetInstance inst = SetFamilyInstance();
   SsjOptions so;
   so.c = 2;
   so.ordered = true;
-  auto expect = MmSsj(fam, so);
-
-  QueryEngine engine;
-  engine.catalog().Put("R", rel);
-  QuerySpec spec;
-  spec.kind = QueryKind::kSsj;
-  spec.relations = {"R"};
-  spec.ssj_c = 2;
-  spec.ssj_ordered = true;
-  VectorSink sink;
-  ASSERT_TRUE(engine.Run(spec, sink, {}).ok());
-
-  SsjResult got;
-  for (const CountedPair& p : sink.counted()) {
-    got.push_back(SimilarPair{p.x, p.z, p.count});
-  }
-  CanonicalizeSsj(&got, /*ordered=*/true);
-  EXPECT_EQ(got, expect);
+  EXPECT_EQ(testutil::EngineSsj(inst.rel, so), SizeAwareJoin(inst.fam, so));
 }
 
 // SSJ with a limit: the engine's early exit flows through the adapter to
@@ -478,7 +435,7 @@ TEST(QueryEngine, SsjLimitDeliversQualifyingPairs) {
   SetFamily fam(idx);
   SsjOptions so;
   so.c = 2;
-  auto full = MmSsj(fam, so);
+  auto full = SizeAwareJoin(fam, so);
   std::set<std::pair<Value, Value>> full_set;
   for (const SimilarPair& p : full) full_set.insert({p.a, p.b});
 
@@ -703,25 +660,15 @@ TEST(QueryEngine, OrderedBySinkRejectsStarQueries) {
 // ---- Ordered + page sinks through the SCJ / SSJ adapters (the remaining
 // strategy emit paths).
 
-TEST(QueryEngine, ScjOrderedBySinkMatchesSortedMmScj) {
-  BipartiteSpec bs;
-  bs.num_sets = 300;
-  bs.dom_size = 120;
-  bs.max_set_size = 10;
-  bs.subset_fraction = 0.3;
-  const BinaryRelation rel = MakeBipartite(bs);
-  IndexedRelation idx(rel);
-  SetFamily fam(idx);
-  auto expect = MmScj(fam, {});
-  CanonicalizeScj(&expect);  // sorted (x, z)
+TEST(QueryEngine, ScjOrderedBySinkMatchesPretti) {
+  const SetInstance inst = SetFamilyInstance(0.3);
+  const ScjResult expect = PrettiJoin(inst.fam);  // sorted (x, z)
 
-  QueryEngine engine;
-  engine.AddRelation("R", rel);
   QuerySpec spec;
   spec.kind = QueryKind::kScj;
   spec.relations = {"R"};
   OrderedBySink sink(ResultOrder::kXzAscending);
-  ASSERT_TRUE(engine.Run(spec, sink, {}).ok());
+  testutil::RunOnEngine(inst.rel, spec, sink);
   ASSERT_EQ(sink.ranked().size(), expect.size());
   for (size_t i = 0; i < expect.size(); ++i) {
     EXPECT_EQ(sink.ranked()[i].x, expect[i].sub);
@@ -730,21 +677,14 @@ TEST(QueryEngine, ScjOrderedBySinkMatchesSortedMmScj) {
 }
 
 TEST(QueryEngine, SsjOrderedAndPagedSinks) {
-  BipartiteSpec bs;
-  bs.num_sets = 300;
-  bs.dom_size = 120;
-  bs.max_set_size = 10;
-  const BinaryRelation rel = MakeBipartite(bs);
-  IndexedRelation idx(rel);
-  SetFamily fam(idx);
+  const SetInstance inst = SetFamilyInstance();
   SsjOptions so;
   so.c = 2;
   so.ordered = true;
-  auto expect = MmSsj(fam, so);
-  CanonicalizeSsj(&expect, /*ordered=*/true);  // overlap desc, (a, b) asc
+  // Overlap desc, (a, b) asc.
+  const SsjResult expect = SizeAwareJoin(inst.fam, so);
 
-  QueryEngine engine;
-  engine.AddRelation("R", rel);
+  QueryEngine engine = MakeEngine(inst.rel);
   QuerySpec spec;
   spec.kind = QueryKind::kSsj;
   spec.relations = {"R"};

@@ -41,6 +41,7 @@ namespace {
 
 using testutil::OracleTwoPath;
 using testutil::Sorted;
+using testutil::TwoPathSpec;
 
 int EnvInt(const char* name, int def) {
   const char* v = std::getenv(name);
@@ -70,13 +71,6 @@ BinaryRelation SmallGraph() {
                         /*p_in=*/0.4, /*seed=*/5);
 }
 
-QuerySpec TwoPathSpec(Strategy strategy = Strategy::kAuto) {
-  QuerySpec spec;
-  spec.kind = QueryKind::kTwoPath;
-  spec.relations = {"R"};
-  spec.strategy = strategy;
-  return spec;
-}
 
 // Parks the executing worker inside the first delivery until Release(),
 // keeping its admission slot occupied — the lever every overload test

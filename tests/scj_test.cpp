@@ -1,13 +1,11 @@
-// SCJ correctness tests: PRETTI, LIMIT+, PIEJoin and MM-SCJ against a
-// brute-force oracle, plus pairwise agreement sweeps.
+// SCJ correctness tests: PRETTI, LIMIT+, PIEJoin and SCJ through QueryEngine
+// against a brute-force oracle, plus pairwise agreement sweeps.
 
 #include <gtest/gtest.h>
 
 #include "common/stamp_set.h"
 #include "datagen/generators.h"
-#include "join/intersection.h"
 #include "scj/limit_plus.h"
-#include "scj/mm_scj.h"
 #include "scj/piejoin.h"
 #include "scj/pretti.h"
 #include "tests/test_util.h"
@@ -15,28 +13,10 @@
 namespace jpmm {
 namespace {
 
-ScjResult OracleScj(const SetFamily& fam) {
-  ScjResult out;
-  for (Value r = 0; r < fam.num_set_ids(); ++r) {
-    if (fam.SetSize(r) == 0) continue;
-    for (Value s = 0; s < fam.num_set_ids(); ++s) {
-      if (s == r || fam.SetSize(s) == 0) continue;
-      if (IsSubsetSorted(fam.Elements(r), fam.Elements(s))) {
-        out.push_back(ContainmentPair{r, s});
-      }
-    }
-  }
-  CanonicalizeScj(&out);
-  return out;
-}
+using testutil::EngineScj;
+using testutil::OracleScj;
 
-struct Instance {
-  BinaryRelation rel;
-  IndexedRelation idx;
-  SetFamily fam;
-  explicit Instance(BinaryRelation r)
-      : rel(std::move(r)), idx(rel), fam(idx) {}
-};
+using Instance = testutil::SetInstance;
 
 // Families with real containment structure: supersets are generated first,
 // then random subsets of them, then noise sets.
@@ -113,11 +93,11 @@ TEST_P(ScjSweep, PieJoinMatchesOracle) {
   EXPECT_EQ(PieJoin(inst.fam), OracleScj(inst.fam));
 }
 
-TEST_P(ScjSweep, MmScjMatchesOracle) {
+TEST_P(ScjSweep, EngineScjMatchesOracle) {
   const ScjParam p = GetParam();
   Instance inst = ContainmentInstance(p.supersets, p.subsets_per, p.dom,
                                       p.super_size, p.seed + 3);
-  EXPECT_EQ(MmScj(inst.fam), OracleScj(inst.fam));
+  EXPECT_EQ(EngineScj(inst.rel), OracleScj(inst.fam));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -142,7 +122,7 @@ TEST(Scj, AllFourAgreeOnSkewedFamily) {
   EXPECT_EQ(PrettiJoin(inst.fam), oracle);
   EXPECT_EQ(LimitPlusJoin(inst.fam), oracle);
   EXPECT_EQ(PieJoin(inst.fam), oracle);
-  EXPECT_EQ(MmScj(inst.fam), oracle);
+  EXPECT_EQ(EngineScj(inst.rel), oracle);
 }
 
 TEST(Scj, ThreadsDoNotChangeParallelAlgorithms) {
@@ -153,7 +133,7 @@ TEST(Scj, ThreadsDoNotChangeParallelAlgorithms) {
     opts.threads = threads;
     EXPECT_EQ(LimitPlusJoin(inst.fam, opts), oracle);
     EXPECT_EQ(PieJoin(inst.fam, opts), oracle);
-    EXPECT_EQ(MmScj(inst.fam, opts), oracle);
+    EXPECT_EQ(EngineScj(inst.rel, opts), oracle);
   }
 }
 
@@ -169,7 +149,7 @@ TEST(Scj, EqualSetsContainEachOther) {
   EXPECT_EQ(PrettiJoin(inst.fam), expected);
   EXPECT_EQ(LimitPlusJoin(inst.fam), expected);
   EXPECT_EQ(PieJoin(inst.fam), expected);
-  EXPECT_EQ(MmScj(inst.fam), expected);
+  EXPECT_EQ(EngineScj(inst.rel), expected);
 }
 
 TEST(Scj, SingletonChain) {
@@ -187,7 +167,7 @@ TEST(Scj, SingletonChain) {
   EXPECT_EQ(PrettiJoin(inst.fam), expected);
   EXPECT_EQ(LimitPlusJoin(inst.fam), expected);
   EXPECT_EQ(PieJoin(inst.fam), expected);
-  EXPECT_EQ(MmScj(inst.fam), expected);
+  EXPECT_EQ(EngineScj(inst.rel), expected);
 }
 
 TEST(Scj, NoContainments) {
@@ -201,7 +181,7 @@ TEST(Scj, NoContainments) {
   EXPECT_TRUE(PrettiJoin(inst.fam).empty());
   EXPECT_TRUE(LimitPlusJoin(inst.fam).empty());
   EXPECT_TRUE(PieJoin(inst.fam).empty());
-  EXPECT_TRUE(MmScj(inst.fam).empty());
+  EXPECT_TRUE(EngineScj(inst.rel).empty());
 }
 
 TEST(Scj, LimitParameterVariants) {
@@ -214,10 +194,10 @@ TEST(Scj, LimitParameterVariants) {
   }
 }
 
-TEST(Scj, MmScjNonMmStrategyAgrees) {
+TEST(Scj, EngineScjNonMmStrategyAgrees) {
   Instance inst = ContainmentInstance(5, 5, 50, 9, 341);
-  EXPECT_EQ(MmScj(inst.fam, {}, Strategy::kAuto),
-            MmScj(inst.fam, {}, Strategy::kNonMmJoin));
+  EXPECT_EQ(EngineScj(inst.rel, {}, Strategy::kAuto),
+            EngineScj(inst.rel, {}, Strategy::kNonMmJoin));
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
 // SSJ correctness tests: SizeAware, SizeAware++ (all flag combinations),
-// MM-SSJ and the prefix-merge light phase, against a brute-force oracle.
+// SSJ through QueryEngine and the prefix-merge light phase, against a
+// brute-force oracle.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "datagen/generators.h"
-#include "join/intersection.h"
-#include "ssj/mm_ssj.h"
 #include "ssj/prefix_tree.h"
 #include "ssj/size_aware.h"
 #include "ssj/size_aware_pp.h"
@@ -17,30 +16,10 @@
 namespace jpmm {
 namespace {
 
-SsjResult OracleSsj(const SetFamily& fam, uint32_t c, bool with_overlap) {
-  SsjResult out;
-  for (Value a = 0; a < fam.num_set_ids(); ++a) {
-    if (fam.SetSize(a) == 0) continue;
-    for (Value b = a + 1; b < fam.num_set_ids(); ++b) {
-      if (fam.SetSize(b) == 0) continue;
-      const auto overlap = static_cast<uint32_t>(
-          IntersectCount(fam.Elements(a), fam.Elements(b)));
-      if (overlap >= c) {
-        out.push_back(SimilarPair{a, b, with_overlap ? overlap : 0});
-      }
-    }
-  }
-  return out;
-}
+using testutil::EngineSsj;
+using testutil::OracleSsj;
 
-struct Instance {
-  BinaryRelation rel;
-  IndexedRelation idx;
-  SetFamily fam;
-
-  explicit Instance(BinaryRelation r)
-      : rel(std::move(r)), idx(rel), fam(idx) {}
-};
+using Instance = testutil::SetInstance;
 
 Instance MakeInstance(uint32_t sets, uint32_t dom, uint32_t max_size,
                       double skew, uint64_t seed) {
@@ -110,12 +89,12 @@ TEST_P(SsjSweep, SizeAwarePlusPlusMatchesOracle) {
             OracleSsj(inst.fam, p.c, false));
 }
 
-TEST_P(SsjSweep, MmSsjMatchesOracle) {
+TEST_P(SsjSweep, EngineSsjMatchesOracle) {
   const SsjParam p = GetParam();
   Instance inst = MakeInstance(p.sets, p.dom, p.max_size, p.skew, p.seed + 2);
   SsjOptions opts;
   opts.c = p.c;
-  EXPECT_EQ(MmSsj(inst.fam, opts), OracleSsj(inst.fam, p.c, false));
+  EXPECT_EQ(EngineSsj(inst.rel, opts), OracleSsj(inst.fam, p.c, false));
 }
 
 TEST_P(SsjSweep, AllThreeAlgorithmsAgree) {
@@ -125,7 +104,7 @@ TEST_P(SsjSweep, AllThreeAlgorithmsAgree) {
   opts.c = p.c;
   const SsjResult a = SizeAwareJoin(inst.fam, opts);
   const SsjResult b = SizeAwarePlusPlus(inst.fam, opts);
-  const SsjResult m = MmSsj(inst.fam, opts);
+  const SsjResult m = EngineSsj(inst.rel, opts);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, m);
 }
@@ -164,19 +143,14 @@ TEST(SizeAwarePP, ThreadsDoNotChangeResult) {
   EXPECT_EQ(SizeAwarePlusPlus(inst.fam, opts), ref);
 }
 
-// Wrapper so the ordered test can iterate function pointers of one
-// signature.
-SsjResult MmSsjRefWrapper(const SetFamily& fam, const SsjOptions& opts) {
-  return MmSsj(fam, opts);
-}
-
 TEST(OrderedSsj, SortedByOverlapWithExactCounts) {
   Instance inst = MakeInstance(60, 30, 10, 0.7, 93);
   SsjOptions opts;
   opts.c = 2;
   opts.ordered = true;
-  for (auto algo : {&MmSsjRefWrapper, &SizeAwareJoin, &SizeAwarePlusPlus}) {
-    const SsjResult res = (*algo)(inst.fam, opts);
+  for (const SsjResult& res :
+       {EngineSsj(inst.rel, opts), SizeAwareJoin(inst.fam, opts),
+        SizeAwarePlusPlus(inst.fam, opts)}) {
     // Non-increasing overlaps.
     for (size_t i = 1; i < res.size(); ++i) {
       EXPECT_GE(res[i - 1].overlap, res[i].overlap);
@@ -217,19 +191,19 @@ TEST(PrefixMerge, MemoDepthZeroDisablesReuseButStaysCorrect) {
   EXPECT_LT(with_memo.merges_done, without_memo.merges_done);
 }
 
-TEST(MmSsj, NonMmStrategyAgrees) {
+TEST(EngineSsj, NonMmStrategyAgrees) {
   Instance inst = MakeInstance(60, 30, 10, 0.8, 96);
   SsjOptions opts;
   opts.c = 2;
-  EXPECT_EQ(MmSsj(inst.fam, opts, Strategy::kAuto),
-            MmSsj(inst.fam, opts, Strategy::kNonMmJoin));
+  EXPECT_EQ(EngineSsj(inst.rel, opts, Strategy::kAuto),
+            EngineSsj(inst.rel, opts, Strategy::kNonMmJoin));
 }
 
 TEST(Ssj, C1EqualsPlainJoinProjectPairs) {
   Instance inst = MakeInstance(40, 25, 8, 0.6, 97);
   SsjOptions opts;
   opts.c = 1;
-  EXPECT_EQ(MmSsj(inst.fam, opts), OracleSsj(inst.fam, 1, false));
+  EXPECT_EQ(EngineSsj(inst.rel, opts), OracleSsj(inst.fam, 1, false));
 }
 
 TEST(Ssj, NoPairsWhenThresholdExceedsSetSizes) {
@@ -238,7 +212,7 @@ TEST(Ssj, NoPairsWhenThresholdExceedsSetSizes) {
   opts.c = 10;
   EXPECT_TRUE(SizeAwareJoin(inst.fam, opts).empty());
   EXPECT_TRUE(SizeAwarePlusPlus(inst.fam, opts).empty());
-  EXPECT_TRUE(MmSsj(inst.fam, opts).empty());
+  EXPECT_TRUE(EngineSsj(inst.rel, opts).empty());
 }
 
 TEST(Ssj, DuplicateSetsPairWithFullOverlap) {
@@ -248,12 +222,10 @@ TEST(Ssj, DuplicateSetsPairWithFullOverlap) {
     rel.Add(1, e);
   }
   rel.Finalize();
-  IndexedRelation idx(rel);
-  SetFamily fam(idx);
   SsjOptions opts;
   opts.c = 3;
   opts.ordered = true;
-  const SsjResult res = MmSsj(fam, opts);
+  const SsjResult res = EngineSsj(rel, opts);
   ASSERT_EQ(res.size(), 1u);
   EXPECT_EQ(res[0], (SimilarPair{0, 1, 3}));
 }

@@ -1,18 +1,28 @@
-// Shared test helpers: brute-force oracles and random-instance generators.
+// Shared test helpers: brute-force oracles, random-instance generators, and
+// the set joins run through QueryEngine.
 
 #ifndef JPMM_TESTS_TEST_UTIL_H_
 #define JPMM_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
+#include "core/join_project.h"
+#include "core/query_engine.h"
+#include "join/intersection.h"
 #include "join/star_wcoj.h"
+#include "scj/scj.h"
+#include "ssj/ssj.h"
 #include "storage/index.h"
 #include "storage/relation.h"
+#include "storage/set_family.h"
 
 namespace jpmm::testutil {
 
@@ -89,6 +99,152 @@ inline std::vector<std::vector<Value>> OracleStar(
     }
   }
   return {seen.begin(), seen.end()};
+}
+
+/// A relation read as a family of sets: the input of the set-join and BSI
+/// tests (the competitor algorithms take `fam`, the engine takes `rel`).
+struct SetInstance {
+  BinaryRelation rel;
+  IndexedRelation idx;
+  SetFamily fam;
+
+  explicit SetInstance(BinaryRelation r)
+      : rel(std::move(r)), idx(rel), fam(idx) {}
+  SetInstance(const SetInstance&) = delete;  // idx and fam point into rel
+};
+
+/// Brute-force SSJ: every pair a < b of non-empty sets sharing >= c
+/// elements, in canonical unordered order; overlaps are reported only when
+/// `with_overlap` is set.
+inline SsjResult OracleSsj(const SetFamily& fam, uint32_t c,
+                           bool with_overlap) {
+  SsjResult out;
+  for (Value a = 0; a < fam.num_set_ids(); ++a) {
+    if (fam.SetSize(a) == 0) continue;
+    for (Value b = a + 1; b < fam.num_set_ids(); ++b) {
+      if (fam.SetSize(b) == 0) continue;
+      const auto overlap = static_cast<uint32_t>(
+          IntersectCount(fam.Elements(a), fam.Elements(b)));
+      if (overlap >= c) {
+        out.push_back(SimilarPair{a, b, with_overlap ? overlap : 0});
+      }
+    }
+  }
+  return out;
+}
+
+/// Brute-force SCJ: every ordered pair (sub, super) of distinct non-empty
+/// sets with sub's elements a subset of super's, in canonical order.
+inline ScjResult OracleScj(const SetFamily& fam) {
+  ScjResult out;
+  for (Value r = 0; r < fam.num_set_ids(); ++r) {
+    if (fam.SetSize(r) == 0) continue;
+    for (Value s = 0; s < fam.num_set_ids(); ++s) {
+      if (s == r || fam.SetSize(s) == 0) continue;
+      if (IsSubsetSorted(fam.Elements(r), fam.Elements(s))) {
+        out.push_back(ContainmentPair{r, s});
+      }
+    }
+  }
+  CanonicalizeScj(&out);
+  return out;
+}
+
+/// Sequential WCOJ two-path self join of `rel`, sorted: the reference of
+/// the engine, service and concurrency tests.
+inline std::vector<OutPair> WcojOracle(const BinaryRelation& rel) {
+  JoinProjectOptions opts;
+  opts.strategy = Strategy::kWcojFull;
+  opts.sorted = true;
+  return JoinProject::TwoPath(rel, rel, opts).pairs;
+}
+
+/// WcojOracle with witness counts.
+inline std::vector<CountedPair> WcojOracleCounted(const BinaryRelation& rel) {
+  JoinProjectOptions opts;
+  opts.strategy = Strategy::kWcojFull;
+  opts.sorted = true;
+  opts.count_witnesses = true;
+  return JoinProject::TwoPath(rel, rel, opts).counted;
+}
+
+/// An engine holding `rel` as "R".
+inline QueryEngine MakeEngine(const BinaryRelation& rel) {
+  QueryEngine engine;
+  engine.AddRelation("R", rel);
+  return engine;
+}
+
+/// The two-path self join of "R" under `strategy`.
+inline QuerySpec TwoPathSpec(Strategy strategy = Strategy::kAuto) {
+  QuerySpec spec;
+  spec.kind = QueryKind::kTwoPath;
+  spec.relations = {"R"};
+  spec.strategy = strategy;
+  return spec;
+}
+
+/// The two-path self join of catalog relation `name`.
+inline QuerySpec TwoPathSpec(const std::string& name, bool counted = false) {
+  QuerySpec spec = TwoPathSpec();
+  spec.relations = {name};
+  spec.count_witnesses = counted;
+  return spec;
+}
+
+/// Per-thread failure slots for cross-thread tests: workers Record, the
+/// main thread asserts after join (an empty slot is clean).
+struct FailureLog {
+  explicit FailureLog(size_t threads) : slots(threads) {}
+  std::vector<std::string> slots;
+
+  void Record(size_t thread, const std::string& msg) {
+    if (slots[thread].empty()) slots[thread] = msg;
+  }
+  void AssertClean() const {
+    for (size_t i = 0; i < slots.size(); ++i) {
+      EXPECT_TRUE(slots[i].empty()) << "thread " << i << ": " << slots[i];
+    }
+  }
+};
+
+/// Runs `spec` on a fresh engine holding `rel` as "R", into `sink`.
+inline void RunOnEngine(const BinaryRelation& rel, const QuerySpec& spec,
+                        ResultSink& sink, const ExecOptions& exec = {}) {
+  QueryEngine engine = MakeEngine(rel);
+  const QueryStatus st = engine.Run(spec, sink, exec);
+  ASSERT_TRUE(st.ok()) << st.message();
+}
+
+/// SSJ over the sets of `rel` through QueryEngine (the served path).
+inline SsjResult EngineSsj(const BinaryRelation& rel, const SsjOptions& opts,
+                           Strategy strategy = Strategy::kAuto) {
+  QuerySpec spec;
+  spec.kind = QueryKind::kSsj;
+  spec.relations = {"R"};
+  spec.strategy = strategy;
+  spec.ssj_c = opts.c;
+  spec.ssj_ordered = opts.ordered;
+  ExecOptions exec;
+  exec.threads = opts.threads;
+  VectorSink sink;
+  RunOnEngine(rel, spec, sink, exec);
+  return ToSsjResult(sink, opts.ordered);
+}
+
+/// SCJ over the sets of `rel` through QueryEngine (the served path).
+inline ScjResult EngineScj(const BinaryRelation& rel,
+                           const ScjOptions& opts = {},
+                           Strategy strategy = Strategy::kAuto) {
+  QuerySpec spec;
+  spec.kind = QueryKind::kScj;
+  spec.relations = {"R"};
+  spec.strategy = strategy;
+  ExecOptions exec;
+  exec.threads = opts.threads;
+  VectorSink sink;
+  RunOnEngine(rel, spec, sink, exec);
+  return ToScjResult(sink);
 }
 
 /// Converts a TupleBuffer to a sorted vector-of-vectors for comparison.

@@ -24,6 +24,8 @@
 namespace jpmm {
 namespace {
 
+using testutil::TwoPathSpec;
+
 // ---- Recorder unit tests -------------------------------------------------
 
 TEST(TraceRecorder, NestedSpansAndBalance) {
@@ -109,13 +111,6 @@ BinaryRelation SkewedGraph() {
                         /*p_in=*/0.5, /*seed=*/11);
 }
 
-QuerySpec TwoPathSpec(Strategy strategy) {
-  QuerySpec spec;
-  spec.kind = QueryKind::kTwoPath;
-  spec.relations = {"R"};
-  spec.strategy = strategy;
-  return spec;
-}
 
 // Every span in an ExecStats::trace_spans copy must be closed.
 void ExpectAllSpansClosed(const std::vector<TraceSpan>& spans) {

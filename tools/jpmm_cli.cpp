@@ -119,10 +119,8 @@
 #include "datagen/generators.h"
 #include "datagen/presets.h"
 #include "scj/limit_plus.h"
-#include "scj/mm_scj.h"
 #include "scj/piejoin.h"
 #include "scj/pretti.h"
-#include "ssj/mm_ssj.h"
 #include "ssj/size_aware.h"
 #include "ssj/size_aware_pp.h"
 #include "storage/loader.h"
@@ -810,60 +808,92 @@ int RunTwoPath(const Args& args, BinaryRelation rel) {
   return 0;
 }
 
-int RunStar(const Args& args, const BinaryRelation& rel) {
+int RunStar(const Args& args, BinaryRelation rel) {
   const long k = args.GetI("k", 3);
   if (k < 2 || k > 8) {
     std::fprintf(stderr, "--k must be in [2, 8]\n");
     return 1;
   }
-  IndexedRelation idx(rel);
-  std::vector<const IndexedRelation*> rels(static_cast<size_t>(k), &idx);
-  JoinProjectOptions opts;
-  opts.strategy = ParseStrategy(args.Get("strategy", "auto"));
-  opts.threads = static_cast<int>(args.GetI("threads", 1));
-  opts.heavy_path = ParseHeavyPath(args.Get("heavy-path", "auto"));
-  opts.partition = ParsePartitionMode(args.Get("partition", "auto"));
+  QueryEngine engine;
+  engine.AddRelation("R", std::move(rel));
+  QuerySpec spec;
+  spec.kind = QueryKind::kStar;
+  spec.relations.assign(static_cast<size_t>(k), "R");
+  spec.strategy = ParseStrategy(args.Get("strategy", "auto"));
+  ExecOptions exec;
+  exec.threads = static_cast<int>(args.GetI("threads", 1));
+  exec.heavy_path = ParseHeavyPath(args.Get("heavy-path", "auto"));
+  exec.partition = ParsePartitionMode(args.Get("partition", "auto"));
   TraceRecorder trace;
-  std::optional<TraceRecorder::Scope> root;
-  if (args.Has("trace")) {
-    opts.trace = &trace;
-    root.emplace(&trace, "star");
-    opts.trace_parent = root->id();
-  }
+  if (args.Has("trace")) exec.trace = &trace;
+
+  CountOnlySink sink;
+  ExecStats stats;
   WallTimer timer;
-  auto res = JoinProject::Star(rels, opts);
-  if (root.has_value()) root->Close();
-  std::printf("star k=%ld: %zu tuples in %.3f s (light %.3f s, heavy %.3f s, "
-              "V %llu x %llu x W %llu)\n",
-              k, res.tuples.size(), timer.Seconds(), res.light_seconds,
-              res.heavy_seconds,
-              static_cast<unsigned long long>(res.v_rows),
-              static_cast<unsigned long long>(res.heavy_y),
-              static_cast<unsigned long long>(res.w_rows));
+  const QueryStatus st = engine.Run(spec, sink, exec, &stats);
+  if (!st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.message().c_str());
+    return 1;
+  }
+  std::printf("star k=%ld: %llu tuples in %.3f s (executed %s, light steps "
+              "%llu/%llu, heavy blocks %llu/%llu)\n",
+              k, static_cast<unsigned long long>(sink.count()),
+              timer.Seconds(), StrategyName(stats.executed),
+              static_cast<unsigned long long>(stats.light_chunks_executed),
+              static_cast<unsigned long long>(stats.light_chunks_total),
+              static_cast<unsigned long long>(stats.heavy_blocks_executed),
+              static_cast<unsigned long long>(stats.heavy_blocks_total));
   if (args.Has("explain")) {
     PrintIsaLine();
-    PrintHeavyRun(res);
+    PrintHeavyRun(stats);
   }
   if (args.Has("trace")) PrintTrace(trace);
   return 0;
 }
 
-int RunSsj(const Args& args, const BinaryRelation& rel) {
-  IndexedRelation idx(rel);
-  SetFamily fam(idx);
+// Runs a set-join spec over `rel` through QueryEngine into `sink`: the
+// served path of the `mm` algorithm of ssj and scj. Prints the status and
+// returns false on an error (e.g. --c 0).
+bool RunSetJoin(BinaryRelation rel, QuerySpec spec, int threads,
+                ResultSink& sink) {
+  QueryEngine engine;
+  engine.AddRelation("R", std::move(rel));
+  spec.relations = {"R"};
+  ExecOptions exec;
+  exec.threads = threads;
+  const QueryStatus st = engine.Run(spec, sink, exec);
+  if (!st.ok()) {
+    std::fprintf(stderr, "error: %s (%s)\n", st.message().c_str(),
+                 StatusCodeName(st.code()));
+  }
+  return st.ok();
+}
+
+int RunSsj(const Args& args, BinaryRelation rel) {
   SsjOptions opts;
-  opts.c = static_cast<uint32_t>(args.GetI("c", 2));
+  opts.c = static_cast<uint32_t>(std::max<long>(0, args.GetI("c", 2)));
   opts.threads = static_cast<int>(args.GetI("threads", 1));
   opts.ordered = args.Has("ordered");
   const std::string algo = args.Get("algo", "mm");
   WallTimer timer;
   SsjResult res;
-  if (algo == "sizeaware") {
-    res = SizeAwareJoin(fam, opts);
-  } else if (algo == "sizeaware++") {
-    res = SizeAwarePlusPlus(fam, opts);
+  if (algo == "sizeaware" || algo == "sizeaware++") {
+    if (opts.c < 1) {
+      std::fprintf(stderr, "error: --c must be >= 1\n");
+      return 1;
+    }
+    IndexedRelation idx(rel);
+    SetFamily fam(idx);
+    res = algo == "sizeaware" ? SizeAwareJoin(fam, opts)
+                              : SizeAwarePlusPlus(fam, opts);
   } else {
-    res = MmSsj(fam, opts);
+    QuerySpec spec;
+    spec.kind = QueryKind::kSsj;
+    spec.ssj_c = opts.c;
+    spec.ssj_ordered = opts.ordered;
+    VectorSink sink;
+    if (!RunSetJoin(std::move(rel), spec, opts.threads, sink)) return 1;
+    res = ToSsjResult(sink, opts.ordered);
   }
   std::printf("ssj c=%u algo=%s: %zu pairs in %.3f s\n", opts.c, algo.c_str(),
               res.size(), timer.Seconds());
@@ -874,22 +904,24 @@ int RunSsj(const Args& args, const BinaryRelation& rel) {
   return 0;
 }
 
-int RunScj(const Args& args, const BinaryRelation& rel) {
-  IndexedRelation idx(rel);
-  SetFamily fam(idx);
+int RunScj(const Args& args, BinaryRelation rel) {
   ScjOptions opts;
   opts.threads = static_cast<int>(args.GetI("threads", 1));
   const std::string algo = args.Get("algo", "mm");
   WallTimer timer;
   ScjResult res;
-  if (algo == "pretti") {
-    res = PrettiJoin(fam, opts);
-  } else if (algo == "limit") {
-    res = LimitPlusJoin(fam, opts);
-  } else if (algo == "pie") {
-    res = PieJoin(fam, opts);
+  if (algo == "pretti" || algo == "limit" || algo == "pie") {
+    IndexedRelation idx(rel);
+    SetFamily fam(idx);
+    res = algo == "pretti"  ? PrettiJoin(fam, opts)
+          : algo == "limit" ? LimitPlusJoin(fam, opts)
+                            : PieJoin(fam, opts);
   } else {
-    res = MmScj(fam, opts);
+    QuerySpec spec;
+    spec.kind = QueryKind::kScj;
+    VectorSink sink;
+    if (!RunSetJoin(std::move(rel), spec, opts.threads, sink)) return 1;
+    res = ToScjResult(sink);
   }
   std::printf("scj algo=%s: %zu containments in %.3f s\n", algo.c_str(),
               res.size(), timer.Seconds());
@@ -985,9 +1017,9 @@ int main(int argc, char** argv) {
     if (args->command == "stats") rc = RunStats(*args, *rel);
     else if (args->command == "twopath")
       rc = RunTwoPath(*args, std::move(*rel));
-    else if (args->command == "star") rc = RunStar(*args, *rel);
-    else if (args->command == "ssj") rc = RunSsj(*args, *rel);
-    else if (args->command == "scj") rc = RunScj(*args, *rel);
+    else if (args->command == "star") rc = RunStar(*args, std::move(*rel));
+    else if (args->command == "ssj") rc = RunSsj(*args, std::move(*rel));
+    else if (args->command == "scj") rc = RunScj(*args, std::move(*rel));
     else if (args->command == "bsi") rc = RunBsi(*args, *rel);
     else if (args->command == "triangles") rc = RunTriangles(*args, *rel);
     if (rc >= 0) {
