@@ -1,7 +1,7 @@
 #include "join/dbms_baselines.h"
 
 #include "join/hash_join.h"
-#include "join/intersection.h"
+#include "join/sorted_set_ops.h"
 #include "join/sort_merge_join.h"
 
 namespace jpmm {

@@ -4,7 +4,7 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
-#include "join/intersection.h"
+#include "join/sorted_set_ops.h"
 
 namespace jpmm {
 

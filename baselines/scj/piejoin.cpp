@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/thread_pool.h"
-#include "join/intersection.h"
+#include "join/sorted_set_ops.h"
 
 namespace jpmm {
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "join/intersection.h"
+#include "join/sorted_set_ops.h"
 
 namespace jpmm {
 

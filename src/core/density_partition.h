@@ -207,8 +207,7 @@ struct DensityGridCache {
                                             bool csr_dense,
                                             const SparseKernelRates* r) {
     std::lock_guard<std::mutex> lock(mu);
-    if (valid && thresholds.delta1 == t.delta1 &&
-        thresholds.delta2 == t.delta2 && row_block == rb && mode == m &&
+    if (valid && thresholds == t && row_block == rb && mode == m &&
         allow_dense == dense && allow_csr_dense == csr_dense && rates == r) {
       return grid;
     }

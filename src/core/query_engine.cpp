@@ -539,6 +539,7 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
         static_cast<ExecContext&>(so) = opts;
         so.trace_parent = exec_id;
         so.grid_cache = &ps.star_grid;
+        so.operand_cache = &ps.star_operands;
         so.sink = &sink;
         so.thresholds =
             explicit_thresholds ? opts.thresholds : star_thresholds;

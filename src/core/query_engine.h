@@ -66,6 +66,7 @@
 #include "core/cancel_token.h"
 #include "core/join_project.h"
 #include "core/result_sink.h"
+#include "core/star_join.h"
 #include "core/trace.h"
 #include "core/triangle.h"
 #include "storage/catalog.h"
@@ -321,6 +322,9 @@ class PreparedQuery {
     /// thresholds + gates. One slot per heavy-product shape.
     DensityGridCache two_path_grid;
     DensityGridCache star_grid;
+    /// The star's fitted thresholds and V / W^T operands
+    /// (core/star_join.h), memoized on the same grounds.
+    StarOperandCache star_operands;
   };
 
   QuerySpec spec_;

@@ -13,6 +13,7 @@
 
 #include "common/check.h"
 #include "common/hash.h"
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/cancel_token.h"
@@ -23,6 +24,19 @@
 #include "matrix/sparse_matrix.h"
 
 namespace jpmm {
+
+struct StarOperands {
+  /// The requested thresholds, doubled until the heavy part fits the cap.
+  Thresholds thresholds;
+  HeavyShape shape;       // rows = V rows, inner = shared y, cols = W rows
+  size_t g1 = 0, g2 = 0;  // group sizes: ceil(k/2), floor(k/2)
+  std::vector<Value> rows1_flat, rows2_flat;  // stride g1 / g2
+  CsrMatrix v;   // V: first-group combos x shared y
+  CsrMatrix wt;  // W^T: shared y x second-group combos
+  /// Per y value: the relations in which deg(y) > thresholds.delta1.
+  std::vector<uint8_t> heavy_cnt;
+};
+
 namespace {
 
 // Streaming tuple delivery for sink-driven star queries. The star
@@ -96,23 +110,29 @@ PackedCombo PackComboKey(const std::vector<Value>& combo) {
   return key;
 }
 
+// Per y value (up to the largest y domain): the relations in which
+// deg(y) > delta1.
+std::vector<uint8_t> HeavyCounts(
+    const std::vector<const IndexedRelation*>& rels, uint64_t delta1) {
+  Value ny = 0;
+  for (const auto* rel : rels) ny = std::max(ny, rel->num_y());
+  std::vector<uint8_t> heavy_cnt(ny, 0);
+  for (const auto* rel : rels) {
+    for (Value b = 0; b < rel->num_y(); ++b) {
+      if (rel->DegY(b) > delta1) ++heavy_cnt[b];
+    }
+  }
+  return heavy_cnt;
+}
+
+// The light/heavy classification under one threshold pair, over the heavy
+// counts HeavyCounts(rels, t.delta1) built elsewhere.
 struct StarContext {
   const std::vector<const IndexedRelation*>& rels;
   Thresholds t;
-  Value ny = 0;                    // y domain bound (max across relations)
-  std::vector<uint8_t> heavy_cnt;  // #relations where deg_y(b) > delta1
+  const std::vector<uint8_t>& heavy_cnt;
 
-  StarContext(const std::vector<const IndexedRelation*>& rels_in,
-              Thresholds t_in)
-      : rels(rels_in), t(t_in) {
-    for (const auto* rel : rels) ny = std::max(ny, rel->num_y());
-    heavy_cnt.assign(ny, 0);
-    for (const auto* rel : rels) {
-      for (Value b = 0; b < rel->num_y(); ++b) {
-        if (rel->DegY(b) > t.delta1) ++heavy_cnt[b];
-      }
-    }
-  }
+  Value ny() const { return static_cast<Value>(heavy_cnt.size()); }
 
   bool XiLight(size_t i, Value a) const {
     return rels[i]->DegX(a) <= t.delta2;
@@ -145,7 +165,7 @@ TupleBuffer LightSteps(const StarContext& ctx, int threads, StarEmitter* em,
   TupleBuffer out(static_cast<uint32_t>(k));
 
   bool any_shared_heavy = false;
-  for (Value b = 0; b < ctx.ny && !any_shared_heavy; ++b) {
+  for (Value b = 0; b < ctx.ny() && !any_shared_heavy; ++b) {
     any_shared_heavy = ctx.heavy_cnt[b] >= 2;
   }
   const uint64_t total = k * (any_shared_heavy ? 2 : 1);
@@ -293,7 +313,7 @@ void SortGroupRows(size_t g, std::vector<Value>* rows_flat,
 std::vector<Value> HeavyColumns(const StarContext& ctx) {
   std::vector<Value> cols;
   const size_t k = ctx.rels.size();
-  for (Value b = 0; b < ctx.ny; ++b) {
+  for (Value b = 0; b < ctx.ny(); ++b) {
     if (ctx.heavy_cnt[b] < 2) continue;
     bool ok = true;
     for (size_t i = 0; i < k && ok; ++i) {
@@ -347,6 +367,54 @@ HeavyGroups BuildHeavyGroups(const StarContext& ctx, uint64_t max_bytes) {
   return hg;
 }
 
+// Fits the thresholds and builds the operands: the heavy combos are
+// registered under key.thresholds, doubling both thresholds until the
+// registration fits key.max_matrix_bytes and the representations the heavy
+// kernels are gated to (GateHeavyProduct) fit it too. Deterministic for
+// fixed relations and key.
+std::shared_ptr<const StarOperands> PrepareStarOperands(
+    const std::vector<const IndexedRelation*>& rels,
+    const StarOperandKey& key) {
+  JPMM_CHECK(rels.size() >= 2);
+  JPMM_CHECK_MSG(rels.size() <= 8, "combo packing supports k <= 8");
+  auto op = std::make_shared<StarOperands>();
+  Thresholds t = key.thresholds;
+  HeavyGroups hg;
+  // Retry with doubled thresholds until the heavy part fits: the sparse
+  // registration must fit, and so must the representations the heavy
+  // kernels are gated to (core/heavy_product.h — under kAuto the dense
+  // ones are gated off rather than doubling thresholds).
+  for (;;) {
+    op->heavy_cnt = HeavyCounts(rels, t.delta1);
+    hg = BuildHeavyGroups(StarContext{rels, t, op->heavy_cnt},
+                          key.max_matrix_bytes);
+    op->shape = HeavyShape{hg.rows1(), hg.cols.size(), hg.rows2(),
+                           hg.entries1.size(), hg.entries2.size()};
+    if (hg.fits &&
+        GateHeavyProduct(op->shape, key.heavy_path, key.row_block,
+                         key.threads, key.max_matrix_bytes)
+                .bytes <= key.max_matrix_bytes) {
+      break;
+    }
+    t.delta1 *= 2;
+    t.delta2 *= 2;
+  }
+  op->thresholds = t;
+  op->g1 = hg.g1;
+  op->g2 = hg.g2;
+  op->rows1_flat = std::move(hg.rows1_flat);
+  op->rows2_flat = std::move(hg.rows2_flat);
+  // The CSR operands are just the registered incidences (row offsets +
+  // column ids); the incidence lists die with hg.
+  if (op->shape.rows > 0 && op->shape.cols > 0) {
+    op->v = CsrMatrix::FromEntries(op->shape.rows, op->shape.inner,
+                                   hg.entries1);
+    op->wt = CsrMatrix::FromEntries(op->shape.inner, op->shape.cols,
+                                    hg.entries2, /*swapped=*/true);
+  }
+  return op;
+}
+
 // The heavy output of a non-streaming run: for every V row, the ascending
 // W-row ids it pairs with, kept as one segment of the id buffer of the
 // worker that produced the row. A row no executed chunk reached keeps an
@@ -392,7 +460,7 @@ struct HeavyPairs {
 // with both a light and a heavy witness kept once. The group sizes are
 // template arguments so the per-tuple copies compile to plain moves.
 template <size_t G1, size_t G2>
-TupleBuffer MergeLightHeavy(const TupleBuffer& light, const HeavyGroups& hg,
+TupleBuffer MergeLightHeavy(const TupleBuffer& light, const StarOperands& op,
                             const HeavyPairs& heavy) {
   constexpr size_t k = G1 + G2;
   auto less = [](const Value* a, const Value* b) {
@@ -403,9 +471,9 @@ TupleBuffer MergeLightHeavy(const TupleBuffer& light, const HeavyGroups& hg,
   std::vector<Value> flat(light.flat().size() + heavy.size() * k);
   Value* out = flat.data();
   for (size_t i = 0; i < heavy.rows.size(); ++i) {
-    const Value* left = hg.rows1_flat.data() + i * G1;
+    const Value* left = op.rows1_flat.data() + i * G1;
     for (uint32_t j : heavy.Row(i)) {
-      const Value* right = hg.rows2_flat.data() + size_t{j} * G2;
+      const Value* right = op.rows2_flat.data() + size_t{j} * G2;
       std::array<Value, k> h;
       std::copy(left, left + G1, h.begin());
       std::copy(right, right + G2, h.begin() + G1);
@@ -422,24 +490,63 @@ TupleBuffer MergeLightHeavy(const TupleBuffer& light, const HeavyGroups& hg,
   return TupleBuffer(static_cast<uint32_t>(k), std::move(flat));
 }
 
-TupleBuffer MergeLightHeavy(const TupleBuffer& light, const HeavyGroups& hg,
+TupleBuffer MergeLightHeavy(const TupleBuffer& light, const StarOperands& op,
                             const HeavyPairs& heavy) {
-  switch (hg.g1 + hg.g2) {  // 2 <= k <= 8, checked at entry
+  switch (op.g1 + op.g2) {  // 2 <= k <= 8, checked by PrepareStarOperands
     case 2:
-      return MergeLightHeavy<1, 1>(light, hg, heavy);
+      return MergeLightHeavy<1, 1>(light, op, heavy);
     case 3:
-      return MergeLightHeavy<2, 1>(light, hg, heavy);
+      return MergeLightHeavy<2, 1>(light, op, heavy);
     case 4:
-      return MergeLightHeavy<2, 2>(light, hg, heavy);
+      return MergeLightHeavy<2, 2>(light, op, heavy);
     case 5:
-      return MergeLightHeavy<3, 2>(light, hg, heavy);
+      return MergeLightHeavy<3, 2>(light, op, heavy);
     case 6:
-      return MergeLightHeavy<3, 3>(light, hg, heavy);
+      return MergeLightHeavy<3, 3>(light, op, heavy);
     case 7:
-      return MergeLightHeavy<4, 3>(light, hg, heavy);
+      return MergeLightHeavy<4, 3>(light, op, heavy);
     default:
-      return MergeLightHeavy<4, 4>(light, hg, heavy);
+      return MergeLightHeavy<4, 4>(light, op, heavy);
   }
+}
+
+Counter& StarOperandCacheHits() {
+  static Counter& hits = MetricsRegistry::Global().GetCounter(
+      "jpmm_star_operand_cache_hits_total");
+  return hits;
+}
+
+// The start of every star strategy: the operands for `key` under a
+// "threshold-fit" span, which closes with cache-hit when
+// options.operand_cache already held them.
+std::shared_ptr<const StarOperands> FitStarOperands(
+    const std::vector<const IndexedRelation*>& rels,
+    const StarJoinOptions& options, const StarOperandKey& key) {
+  TraceRecorder::Scope scope(options.trace, "threshold-fit",
+                             options.trace_parent);
+  bool hit = false;
+  std::shared_ptr<const StarOperands> op =
+      options.operand_cache != nullptr
+          ? options.operand_cache->GetOrPrepare(rels, key, &hit)
+          : PrepareStarOperands(rels, key);
+  if (hit && MetricsEnabled()) StarOperandCacheHits().Add();
+  scope.Close(hit ? "cache-hit" : "cache-miss");
+  return op;
+}
+
+Thresholds ClampedThresholds(Thresholds t) {
+  return {std::max<uint64_t>(1, t.delta1), std::max<uint64_t>(1, t.delta2)};
+}
+
+// The fields every star strategy reports from its operands.
+StarJoinResult ResultFor(const StarOperands& op, size_t k) {
+  StarJoinResult result;
+  result.tuples = TupleBuffer(static_cast<uint32_t>(k));
+  result.adjusted_thresholds = op.thresholds;
+  result.v_rows = op.shape.rows;
+  result.w_rows = op.shape.cols;
+  result.heavy_y = op.shape.inner;
+  return result;
 }
 
 // One star evaluation's delivery state, shared by MmStarJoin and
@@ -467,11 +574,14 @@ struct StarRun {
 
   // Steps (1) and (2) under a "light-pass" span. Streaming sinks receive
   // the steps' tuples as they come; otherwise they are returned unsorted.
-  TupleBuffer Light(const StarContext& ctx, int threads) {
+  TupleBuffer Light(const std::vector<const IndexedRelation*>& rels,
+                    const StarOperands& op, int threads) {
     WallTimer timer;
     TraceRecorder::Scope scope(options.trace, "light-pass",
                                options.trace_parent);
-    TupleBuffer light = LightSteps(ctx, threads, &em, &gate, &light_steps);
+    TupleBuffer light =
+        LightSteps(StarContext{rels, op.thresholds, op.heavy_cnt}, threads,
+                   &em, &gate, &light_steps);
     scope.Close();
     result->light_seconds = timer.Seconds();
     return light;
@@ -481,7 +591,7 @@ struct StarRun {
   // duplicate-free output — the streamed union, or the light union (the
   // only sort left) merged with the in-order heavy pairs, delivered to a
   // non-streaming sink.
-  void Finish(TupleBuffer light, const HeavyGroups& hg,
+  void Finish(TupleBuffer light, const StarOperands& op,
               const HeavyPairs& heavy) {
     static_cast<LightRun&>(*result) = gate.Record(light_steps);
     result->interrupted |= heavy_interrupted;
@@ -492,7 +602,7 @@ struct StarRun {
       result->tuples = std::move(em.seen);
     } else {
       light.SortUnique();
-      result->tuples = MergeLightHeavy(light, hg, heavy);
+      result->tuples = MergeLightHeavy(light, op, heavy);
       if (sink != nullptr &&
           DeliverStarTuples(result->tuples, sink, options.cancel)) {
         result->interrupted = true;
@@ -612,80 +722,52 @@ bool DeliverStarTuples(const TupleBuffer& tuples, ResultSink* sink,
   return false;
 }
 
+std::shared_ptr<const StarOperands> StarOperandCache::GetOrPrepare(
+    const std::vector<const IndexedRelation*>& rels,
+    const StarOperandKey& key, bool* hit) {
+  std::lock_guard<std::mutex> lock(mu_);
+  *hit = key_ == key;
+  if (!*hit) {
+    operands_ = PrepareStarOperands(rels, key);
+    key_ = key;
+  }
+  return operands_;
+}
+
 StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
                           const StarJoinOptions& options) {
-  JPMM_CHECK(rels.size() >= 2);
-  JPMM_CHECK_MSG(rels.size() <= 8, "combo packing supports k <= 8");
   const size_t k = rels.size();
   const int threads = std::max(1, options.threads);
-
-  Thresholds t = options.thresholds;
-  t.delta1 = std::max<uint64_t>(1, t.delta1);
-  t.delta2 = std::max<uint64_t>(1, t.delta2);
-
-  StarJoinResult result;
-  result.tuples = TupleBuffer(static_cast<uint32_t>(k));
-
-  // Retry with doubled thresholds until the heavy part fits: the sparse
-  // registration must fit, and so must the representations the heavy
-  // kernels are gated to (core/heavy_product.h — under kAuto the dense
-  // ones are gated off rather than doubling thresholds).
-  TraceRecorder* const trace = options.trace;
-  const TraceRecorder::SpanId tparent = options.trace_parent;
-  TraceRecorder::Scope fit_scope(trace, "threshold-fit", tparent);
   const size_t row_block = std::max<size_t>(1, options.row_block);
-  std::unique_ptr<StarContext> ctx;
-  HeavyGroups hg;
-  HeavyShape shape;
-  for (;;) {
-    ctx = std::make_unique<StarContext>(rels, t);
-    hg = BuildHeavyGroups(*ctx, options.max_matrix_bytes);
-    shape = HeavyShape{hg.rows1(), hg.cols.size(), hg.rows2(),
-                       hg.entries1.size(), hg.entries2.size()};
-    if (hg.fits &&
-        GateHeavyProduct(shape, options.heavy_path, row_block, threads,
-                         options.max_matrix_bytes)
-                .bytes <= options.max_matrix_bytes) {
-      break;
-    }
-    t.delta1 *= 2;
-    t.delta2 *= 2;
-  }
-  fit_scope.Close();
-  result.adjusted_thresholds = t;
-  result.v_rows = shape.rows;
-  result.w_rows = shape.cols;
-  result.heavy_y = shape.inner;
+  const std::shared_ptr<const StarOperands> op_ptr = FitStarOperands(
+      rels, options,
+      StarOperandKey{ClampedThresholds(options.thresholds),
+                     options.max_matrix_bytes, options.heavy_path, row_block,
+                     threads});
+  const StarOperands& op = *op_ptr;
+  StarJoinResult result = ResultFor(op, k);
 
   StarRun run(k, threads, options, &result);
-  TupleBuffer light = run.Light(*ctx, threads);
+  TupleBuffer light = run.Light(rels, op, threads);
   HeavyPairs pairs(threads, result.v_rows);
 
   const bool heavy = result.v_rows > 0 && result.w_rows > 0;
   if (heavy && run.gate.Stopped()) {
     // Light steps satisfied the sink: account every planned chunk as
-    // skipped without building the heavy operands at all.
-    static_cast<HeavyRun&>(result) = SkippedHeavyRun(shape, row_block);
+    // skipped without running the product.
+    static_cast<HeavyRun&>(result) = SkippedHeavyRun(op.shape, row_block);
   } else if (heavy) {
     WallTimer heavy_timer;
-    TraceRecorder::Scope heavy_scope(trace, "heavy", tparent);
-    // The CSR operands are just the registered incidences (row offsets +
-    // column ids); V * W^T runs on the heavy-product executor, and each
-    // nonzero (V row i, W row j) is one output tuple.
-    const TraceRecorder::SpanId csr_span =
-        TraceBegin(trace, "csr-build", heavy_scope.id());
-    const CsrMatrix v =
-        CsrMatrix::FromEntries(result.v_rows, shape.inner, hg.entries1);
-    const CsrMatrix wt = CsrMatrix::FromEntries(shape.inner, result.w_rows,
-                                                hg.entries2, /*swapped=*/true);
-    TraceEnd(trace, csr_span);
-
+    TraceRecorder::Scope heavy_scope(options.trace, "heavy",
+                                     options.trace_parent);
+    // V * W^T runs on the heavy-product executor, and each nonzero
+    // (V row i, W row j) is one output tuple.
     HeavyProduct hp;
     static_cast<ExecContext&>(hp) = options;
     hp.trace_parent = heavy_scope.id();
     hp.row_block = row_block;
     hp.grid_cache = options.grid_cache;
-    hp.grid_key = t;
+    hp.grid_key = op.thresholds;
     hp.sink = run.sink;
     // Streaming sinks get each chunk's tuples as one dedup'd batch; the
     // materializing path keeps only the W-row ids of each whole row.
@@ -695,12 +777,12 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
                      TupleBuffer(static_cast<uint32_t>(k)));
       hp.on_row = [&](int w, uint32_t i, const HeavyRow& row) {
         TupleBuffer& out = pending[static_cast<size_t>(w)];
-        std::array<Value, 8> tuple;  // k <= 8, checked at entry
-        const Value* left = hg.rows1_flat.data() + size_t{i} * hg.g1;
-        std::copy(left, left + hg.g1, tuple.begin());
+        std::array<Value, 8> tuple;  // k <= 8 (PrepareStarOperands)
+        const Value* left = op.rows1_flat.data() + size_t{i} * op.g1;
+        std::copy(left, left + op.g1, tuple.begin());
         row.ForEach([&](uint32_t j, uint32_t) {
-          const Value* right = hg.rows2_flat.data() + size_t{j} * hg.g2;
-          std::copy(right, right + hg.g2, tuple.begin() + hg.g1);
+          const Value* right = op.rows2_flat.data() + size_t{j} * op.g2;
+          std::copy(right, right + op.g2, tuple.begin() + op.g1);
           out.Add({tuple.data(), k});
         });
       };
@@ -719,11 +801,11 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
       };
     }
     static_cast<HeavyRun&>(result) =
-        RunHeavyProduct(v, wt, hp, &run.heavy_interrupted);
+        RunHeavyProduct(op.v, op.wt, hp, &run.heavy_interrupted);
     result.heavy_seconds = heavy_timer.Seconds();
   }
 
-  run.Finish(std::move(light), hg, pairs);
+  run.Finish(std::move(light), op, pairs);
 
   RecordHeavyRunMetrics(result);
   RecordLightRunMetrics(result, LightUnit::kStarSteps, result.light_seconds,
@@ -735,28 +817,20 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
 
 StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
                              const StarJoinOptions& options) {
-  JPMM_CHECK(rels.size() >= 2);
-  JPMM_CHECK_MSG(rels.size() <= 8, "combo packing supports k <= 8");
   const size_t k = rels.size();
   const int threads = std::max(1, options.threads);
-
-  Thresholds t = options.thresholds;
-  t.delta1 = std::max<uint64_t>(1, t.delta1);
-  t.delta2 = std::max<uint64_t>(1, t.delta2);
-
-  StarJoinResult result;
-  result.tuples = TupleBuffer(static_cast<uint32_t>(k));
-  StarContext ctx(rels, t);
-  // No dense matrices here, so no byte cap: pass "unlimited".
-  HeavyGroups hg =
-      BuildHeavyGroups(ctx, std::numeric_limits<uint64_t>::max());
-  result.adjusted_thresholds = t;
-  result.v_rows = hg.rows1();
-  result.w_rows = hg.rows2();
-  result.heavy_y = hg.cols.size();
+  // No dense matrices here, so no byte cap: under an unlimited cap the fit
+  // never reads the gate inputs, so one fixed set of them keys every run.
+  const std::shared_ptr<const StarOperands> op_ptr = FitStarOperands(
+      rels, options,
+      StarOperandKey{ClampedThresholds(options.thresholds),
+                     std::numeric_limits<uint64_t>::max(),
+                     HeavyPathMode::kAuto, /*row_block=*/1, /*threads=*/1});
+  const StarOperands& op = *op_ptr;
+  StarJoinResult result = ResultFor(op, k);
 
   StarRun run(k, threads, options, &result);
-  TupleBuffer light = run.Light(ctx, threads);
+  TupleBuffer light = run.Light(rels, op, threads);
   HeavyPairs pairs(threads, result.v_rows);
 
   constexpr size_t kComboGrain = 16;
@@ -771,43 +845,44 @@ StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
     WallTimer heavy_timer;
     TraceRecorder::Scope heavy_scope(options.trace, "heavy",
                                      options.trace_parent);
-    // Witness (column) lists per heavy combo, ascending because entries are
-    // produced in ascending column order.
-    std::vector<std::vector<Value>> wit1(result.v_rows), wit2(result.w_rows);
-    for (const auto& [row, col] : hg.entries1) wit1[row].push_back(col);
-    for (const auto& [row, col] : hg.entries2) wit2[row].push_back(col);
+    // Witness (column) lists per heavy combo, ascending: V's rows, and W's
+    // gathered from the rows of W^T in order.
+    std::vector<std::vector<Value>> wit2(result.w_rows);
+    for (Value y = 0; y < op.wt.rows(); ++y) {
+      for (uint32_t j : op.wt.Row(y)) wit2[j].push_back(y);
+    }
     ChunkGate heavy_gate(run.sink, options.cancel);
 
     // Witness-list lengths vary per combo; dynamic chunks absorb the skew.
     // W rows are visited in id order, so every row's ids ascend.
     ParallelForDynamic(threads, result.v_rows, kComboGrain,
-                       [&](size_t i0, size_t i1, int w) {
+                       [&](size_t i0, size_t i1, int worker) {
       if (!heavy_gate.Claim()) return;
       if (run.em.streaming) {
         std::vector<Value> tuple(k);
         TupleBuffer block_out(static_cast<uint32_t>(k));
         for (size_t i = i0; i < i1; ++i) {
-          const Value* left = hg.rows1_flat.data() + i * hg.g1;
-          std::copy(left, left + hg.g1, tuple.begin());
+          const Value* left = op.rows1_flat.data() + i * op.g1;
+          std::copy(left, left + op.g1, tuple.begin());
           for (size_t j = 0; j < result.w_rows; ++j) {
-            if (!IntersectsSorted(wit1[i], wit2[j])) continue;
-            const Value* right = hg.rows2_flat.data() + j * hg.g2;
-            std::copy(right, right + hg.g2, tuple.begin() + hg.g1);
+            if (!IntersectsSorted(op.v.Row(i), wit2[j])) continue;
+            const Value* right = op.rows2_flat.data() + j * op.g2;
+            std::copy(right, right + op.g2, tuple.begin() + op.g1);
             block_out.Add(tuple);
           }
         }
-        run.em.EmitBatch(&block_out, w);
+        run.em.EmitBatch(&block_out, worker);
         return;
       }
-      std::vector<uint32_t>& ids = pairs.ids[static_cast<size_t>(w)];
+      std::vector<uint32_t>& ids = pairs.ids[static_cast<size_t>(worker)];
       for (size_t i = i0; i < i1; ++i) {
         const size_t begin = ids.size();
         for (size_t j = 0; j < result.w_rows; ++j) {
-          if (IntersectsSorted(wit1[i], wit2[j])) {
+          if (IntersectsSorted(op.v.Row(i), wit2[j])) {
             ids.push_back(static_cast<uint32_t>(j));
           }
         }
-        pairs.Close(w, static_cast<uint32_t>(i), begin);
+        pairs.Close(worker, static_cast<uint32_t>(i), begin);
       }
     });
     result.heavy_seconds = heavy_timer.Seconds();
@@ -816,7 +891,7 @@ StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
     run.heavy_interrupted = heavy_gate.interrupted();
   }
 
-  run.Finish(std::move(light), hg, pairs);
+  run.Finish(std::move(light), op, pairs);
   return result;
 }
 

@@ -16,6 +16,8 @@ struct Thresholds {
   uint64_t delta1 = 1;
   uint64_t delta2 = 1;
 
+  bool operator==(const Thresholds&) const = default;
+
   std::string ToString() const {
     return "d1=" + std::to_string(delta1) + " d2=" + std::to_string(delta2);
   }

@@ -1,7 +1,6 @@
 #include "join/intersection.h"
 
 #include <algorithm>
-#include <queue>
 
 namespace jpmm {
 namespace {
@@ -22,24 +21,6 @@ size_t GallopTo(std::span<const Value> v, size_t start, Value target) {
 }
 
 }  // namespace
-
-size_t IntersectSorted(std::span<const Value> a, std::span<const Value> b,
-                       std::vector<Value>* out) {
-  const size_t before = out->size();
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      out->push_back(a[i]);
-      ++i;
-      ++j;
-    }
-  }
-  return out->size() - before;
-}
 
 size_t IntersectCount(std::span<const Value> a, std::span<const Value> b) {
   if (a.size() > b.size()) std::swap(a, b);
@@ -95,42 +76,6 @@ bool IntersectsSorted(std::span<const Value> a, std::span<const Value> b) {
     }
   }
   return false;
-}
-
-bool IsSubsetSorted(std::span<const Value> sub, std::span<const Value> super) {
-  if (sub.size() > super.size()) return false;
-  size_t j = 0;
-  for (Value v : sub) {
-    j = GallopTo(super, j, v);
-    if (j == super.size() || super[j] != v) return false;
-    ++j;
-  }
-  return true;
-}
-
-size_t KWayUnion(const std::vector<std::span<const Value>>& lists,
-                 std::vector<Value>* out) {
-  const size_t before = out->size();
-  // (value, list index, position) min-heap.
-  struct Head {
-    Value v;
-    uint32_t list;
-    uint32_t pos;
-    bool operator>(const Head& o) const { return v > o.v; }
-  };
-  std::priority_queue<Head, std::vector<Head>, std::greater<Head>> heap;
-  for (uint32_t l = 0; l < lists.size(); ++l) {
-    if (!lists[l].empty()) heap.push(Head{lists[l][0], l, 0});
-  }
-  while (!heap.empty()) {
-    const Head h = heap.top();
-    heap.pop();
-    if (out->size() == before || out->back() != h.v) out->push_back(h.v);
-    if (h.pos + 1 < lists[h.list].size()) {
-      heap.push(Head{lists[h.list][h.pos + 1], h.list, h.pos + 1});
-    }
-  }
-  return out->size() - before;
 }
 
 }  // namespace jpmm

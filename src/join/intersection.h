@@ -1,7 +1,6 @@
-// Sorted-set intersection and union kernels.
-//
-// These are the primitives of the combinatorial (Non-MM) heavy-part
-// verification, the EmptyHeaded-like baseline engine, and SCJ verification.
+// Sorted-set intersection kernels of the combinatorial (Non-MM) heavy-part
+// verification: the two-path counts shared witnesses, the star tests for
+// one. The baselines' own set kernels are in baselines/join/sorted_set_ops.h.
 // Merge intersection is O(|a| + |b|); galloping is O(|a| log(|b|/|a|)) and
 // wins when the lists are lopsided, which is exactly the heavy-value regime.
 
@@ -9,15 +8,10 @@
 #define JPMM_JOIN_INTERSECTION_H_
 
 #include <span>
-#include <vector>
 
 #include "common/types.h"
 
 namespace jpmm {
-
-/// Appends a INTERSECT b to out; returns the intersection size.
-size_t IntersectSorted(std::span<const Value> a, std::span<const Value> b,
-                       std::vector<Value>* out);
 
 /// |a INTERSECT b| without materializing.
 size_t IntersectCount(std::span<const Value> a, std::span<const Value> b);
@@ -25,14 +19,6 @@ size_t IntersectCount(std::span<const Value> a, std::span<const Value> b);
 /// True iff the sorted lists share an element (early exit, galloping on the
 /// longer list when sizes are lopsided).
 bool IntersectsSorted(std::span<const Value> a, std::span<const Value> b);
-
-/// True iff sorted `sub` is a subset of sorted `super`.
-bool IsSubsetSorted(std::span<const Value> sub, std::span<const Value> super);
-
-/// K-way union with duplicate elimination: heap-based multiway merge of the
-/// sorted input lists into `out` (sorted, unique). Returns out->size().
-size_t KWayUnion(const std::vector<std::span<const Value>>& lists,
-                 std::vector<Value>* out);
 
 }  // namespace jpmm
 

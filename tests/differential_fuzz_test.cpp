@@ -11,8 +11,10 @@
 //             csr-dense / csr-csr heavy paths + forced density-partitioned
 //             grid) and Non-MM must match at threads {1, 3, hw}.
 //   star:     WCOJ reference vs MM (every forced kernel x partition
-//             {off, force}) and Non-MM star joins through QueryEngine
-//             (every 4th iteration; k in {2, 3, 4}); triangle: the MM count
+//             {off, force}, and under a small memory cap) and Non-MM star
+//             joins through QueryEngine, each run twice per thread count on
+//             one PreparedQuery so repeats hit the operand memo (a quarter
+//             of the iterations; k in {2, 3, 4}); triangle: the MM count
 //             under every kernel mode vs the node iterator on the
 //             instance's symmetric closure.
 //   set join: SSJ (random c in 1..4, unordered and ordered) and SCJ
@@ -660,15 +662,29 @@ TEST(DifferentialFuzz, StarCrossStrategyAgreement) {
     PreparedQuery q;
     ASSERT_TRUE(engine.Prepare(spec, &q).ok());
 
+    // Each variant runs twice per thread count on the one PreparedQuery,
+    // the second time at the next thread count, so most calls meet the
+    // operand memo an earlier call left (StarOperandCache). Every call
+    // must match the reference and report the heavy record of a cold run
+    // (a fresh PreparedQuery) at its options: a memo hit under a changed
+    // fit input would not. kCap doubles most heavy parts' thresholds, so
+    // the capped variants' fit depends on the cap and on the kernel mode;
+    // each differs from the call before it in exactly one of the two.
+    constexpr uint64_t kCap = uint64_t{64} << 10;
     struct StarVariant {
       const char* name;
       Strategy strategy;
       PartitionMode partition;
       HeavyPathMode heavy_path = HeavyPathMode::kAuto;
+      uint64_t max_matrix_bytes = ExecOptions{}.max_matrix_bytes;
     };
     const StarVariant star_variants[] = {
         {"star-mmjoin", Strategy::kMmJoin, PartitionMode::kOff},
         {"star-mm-density", Strategy::kMmJoin, PartitionMode::kForce},
+        {"star-mm-capped", Strategy::kMmJoin, PartitionMode::kOff,
+         HeavyPathMode::kAuto, kCap},
+        {"star-mm-capped-dense", Strategy::kMmJoin, PartitionMode::kOff,
+         HeavyPathMode::kForceDense, kCap},
         {"star-mm-dense", Strategy::kMmJoin, PartitionMode::kOff,
          HeavyPathMode::kForceDense},
         {"star-mm-csr-dense", Strategy::kMmJoin, PartitionMode::kOff,
@@ -683,27 +699,46 @@ TEST(DifferentialFuzz, StarCrossStrategyAgreement) {
          HeavyPathMode::kForceCsrCsr},
         {"star-nonmm", Strategy::kNonMmJoin, PartitionMode::kOff},
     };
+    // The fields of the heavy record the fitted operands decide.
+    auto operand_record = [](const ExecStats& st) {
+      return std::vector<uint64_t>{st.a_nnz, st.b_nnz, st.heavy_blocks_total,
+                                   st.light_chunks_total};
+    };
+    const std::vector<int> threads = ThreadCounts();
     for (const StarVariant& sv : star_variants) {
-      for (int t : ThreadCounts()) {
-        ExecOptions exec;
-        exec.strategy_override = sv.strategy;
-        exec.partition = sv.partition;
-        exec.heavy_path = sv.heavy_path;
-        exec.threads = t;
-        exec.thresholds = cfg.thresholds;
-        VectorSink sink;
-        const QueryStatus st = engine.Execute(q, sink, exec);
-        ASSERT_TRUE(st.ok()) << st.message();
-        const std::vector<Value>& got = sink.tuple_data();
-        if (got != ref) {
-          const std::string line =
-              cfg.ToString() + " variant=" + sv.name +
-              " k=" + std::to_string(k) + " threads=" + std::to_string(t) +
-              " got=" + std::to_string(got.size() / k) +
-              " want=" + std::to_string(ref.size() / k);
-          RecordFailure(line);
-          ADD_FAILURE() << "star cross-strategy mismatch: " << line;
-          return;
+      std::map<int, std::vector<uint64_t>> cold_records;  // per thread count
+      for (size_t ti = 0; ti < threads.size(); ++ti) {
+        for (const int t : {threads[ti], threads[(ti + 1) % threads.size()]}) {
+          ExecOptions exec;
+          exec.strategy_override = sv.strategy;
+          exec.partition = sv.partition;
+          exec.heavy_path = sv.heavy_path;
+          exec.max_matrix_bytes = sv.max_matrix_bytes;
+          exec.threads = t;
+          exec.thresholds = cfg.thresholds;
+          VectorSink sink;
+          ExecStats warm;
+          const QueryStatus st = engine.Execute(q, sink, exec, &warm);
+          ASSERT_TRUE(st.ok()) << st.message();
+          if (!cold_records.contains(t)) {
+            CountOnlySink cold_sink;
+            ExecStats cold;
+            ASSERT_TRUE(engine.Run(spec, cold_sink, exec, &cold).ok());
+            cold_records[t] = operand_record(cold);
+          }
+          const std::vector<Value>& got = sink.tuple_data();
+          if (got != ref || operand_record(warm) != cold_records[t]) {
+            const std::string line =
+                cfg.ToString() + " variant=" + sv.name +
+                " k=" + std::to_string(k) + " threads=" + std::to_string(t) +
+                " got=" + std::to_string(got.size() / k) +
+                " want=" + std::to_string(ref.size() / k) +
+                " a_nnz=" + std::to_string(warm.a_nnz) +
+                " cold_a_nnz=" + std::to_string(cold_records[t][0]);
+            RecordFailure(line);
+            ADD_FAILURE() << "star cross-strategy mismatch: " << line;
+            return;
+          }
         }
       }
     }

@@ -9,6 +9,7 @@
 #include "join/hash_join.h"
 #include "join/intersection.h"
 #include "join/sort_merge_join.h"
+#include "join/sorted_set_ops.h"
 #include "join/star_wcoj.h"
 #include "tests/test_util.h"
 

@@ -31,6 +31,7 @@ namespace {
 
 using testutil::FailureLog;
 using testutil::Sorted;
+using testutil::SpanDetail;
 using testutil::TwoPathSpec;
 using testutil::WcojOracle;
 using testutil::WcojOracleCounted;
@@ -82,7 +83,8 @@ TEST(QueryEngineConcurrent, FirstExecuteRaceIsSingleFlight) {
 }
 
 // The star "plan" (thresholds sweep) is cached with the same single-flight
-// discipline; racing first executions must report exactly one miss too.
+// discipline; racing first executions must report exactly one miss too. So
+// is the operand memo behind it: one client fits, the rest reuse its fit.
 
 TEST(QueryEngineConcurrent, StarFirstExecuteRaceIsSingleFlight) {
   const BinaryRelation rel = UniformBipartite(100, 30, 500, 9);
@@ -101,9 +103,12 @@ TEST(QueryEngineConcurrent, StarFirstExecuteRaceIsSingleFlight) {
   std::vector<std::thread> threads;
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
+      TraceRecorder trace;
+      ExecOptions exec;
+      exec.trace = &trace;
       start.arrive_and_wait();
       VectorSink sink;
-      QueryStatus st = engine.Execute(q, sink, {}, &stats[c]);
+      QueryStatus st = engine.Execute(q, sink, exec, &stats[c]);
       if (!st.ok()) {
         log.Record(c, st.message());
         return;
@@ -115,8 +120,13 @@ TEST(QueryEngineConcurrent, StarFirstExecuteRaceIsSingleFlight) {
   log.AssertClean();
 
   int misses = 0;
-  for (const ExecStats& s : stats) misses += s.plan_cache_hit ? 0 : 1;
+  int fit_misses = 0;
+  for (const ExecStats& s : stats) {
+    misses += s.plan_cache_hit ? 0 : 1;
+    fit_misses += SpanDetail(s, "threshold-fit") == "cache-miss" ? 1 : 0;
+  }
   EXPECT_EQ(misses, 1) << "exactly the thresholds-sweep winner is a miss";
+  EXPECT_EQ(fit_misses, 1) << "exactly one client builds the star operands";
   for (int c = 1; c < kClients; ++c) EXPECT_EQ(sizes[c], sizes[0]);
 }
 

@@ -17,6 +17,7 @@ namespace {
 
 using testutil::OracleStar;
 using testutil::RandomRelation;
+using testutil::SpanDetail;
 using testutil::ToVectors;
 
 struct StarFixture {
@@ -304,6 +305,167 @@ TEST(StarJoin, LimitSinkStreamsAndSkipsBlocks) {
   EXPECT_GT(stats.heavy_blocks_skipped, 0u);
   EXPECT_EQ(stats.heavy_blocks_executed + stats.heavy_blocks_skipped,
             stats.heavy_blocks_total);
+}
+
+// ---- The operand memo (StarOperandCache) ---------------------------------
+//
+// A PreparedQuery keeps the star's fitted thresholds and V / W^T operands
+// for its lifetime. A repeat execution must reuse them and answer byte for
+// byte like the first; a change to any input of the fit must re-fit.
+
+// One traced execution of `q`: its tuples and the threshold-fit detail.
+struct TracedStar {
+  std::vector<Value> tuples;
+  std::string fit;
+  uint64_t heavy_blocks = 0;
+};
+
+TracedStar ExecuteTraced(QueryEngine& engine, PreparedQuery& q,
+                         ExecOptions exec) {
+  TraceRecorder rec;
+  exec.trace = &rec;
+  VectorSink sink;
+  ExecStats stats;
+  EXPECT_TRUE(engine.Execute(q, sink, exec, &stats).ok());
+  return {sink.tuple_data(), SpanDetail(stats, "threshold-fit"),
+          stats.heavy_blocks_total};
+}
+
+QuerySpec StarSpec(const std::string& name, size_t k) {
+  QuerySpec spec;
+  spec.kind = QueryKind::kStar;
+  spec.relations = std::vector<std::string>(k, name);
+  return spec;
+}
+
+TEST(StarOperandMemo, RepeatExecuteHitsAndIsByteIdentical) {
+  const BinaryRelation rel = CommunityGraph(3, 30, 0.5, 11);
+  const IndexedRelation idx(rel);
+  const TupleBuffer want = WcojStarJoin({&idx, &idx, &idx});
+  QueryEngine engine;
+  engine.AddRelation("R", rel);
+  // Planned thresholds, and explicit ones that give a real heavy part.
+  for (const Thresholds t : {Thresholds{0, 0}, Thresholds{4, 4}}) {
+    PreparedQuery q;
+    ASSERT_TRUE(engine.Prepare(StarSpec("R", 3), &q).ok());
+    for (Strategy strategy : {Strategy::kMmJoin, Strategy::kNonMmJoin}) {
+      ExecOptions exec;
+      exec.thresholds = t;
+      exec.strategy_override = strategy;
+      const std::string where = t.ToString() + "/" + StrategyName(strategy);
+      const TracedStar cold = ExecuteTraced(engine, q, exec);
+      const TracedStar warm = ExecuteTraced(engine, q, exec);
+      if (t.delta1 != 0) {
+        EXPECT_GT(cold.heavy_blocks, 0u) << where;
+      }
+      EXPECT_EQ(cold.fit, "cache-miss") << where;
+      EXPECT_EQ(warm.fit, "cache-hit") << where;
+      EXPECT_EQ(cold.tuples, want.flat()) << where;
+      EXPECT_EQ(warm.tuples, cold.tuples) << where;
+    }
+  }
+}
+
+TEST(StarOperandMemo, EveryKeyFieldRefits) {
+  const BinaryRelation rel = CommunityGraph(3, 30, 0.5, 11);
+  const IndexedRelation idx(rel);
+  const TupleBuffer want = WcojStarJoin({&idx, &idx, &idx});
+  QueryEngine engine;
+  engine.AddRelation("R", rel);
+  PreparedQuery q;
+  ASSERT_TRUE(engine.Prepare(StarSpec("R", 3), &q).ok());
+
+  ExecOptions base;
+  base.strategy_override = Strategy::kMmJoin;
+  base.thresholds = {4, 4};
+  ExecOptions threads = base;
+  threads.threads = 3;
+  ExecOptions heavy_path = base;
+  heavy_path.heavy_path = HeavyPathMode::kForceCsrCsr;
+  ExecOptions cap = base;
+  cap.max_matrix_bytes = 64 << 10;
+  ExecOptions thresholds = base;
+  thresholds.thresholds = {2, 2};
+  const std::pair<const char*, ExecOptions> changes[] = {
+      {"threads", threads},
+      {"heavy_path", heavy_path},
+      {"max_matrix_bytes", cap},
+      {"thresholds", thresholds},
+  };
+  const TracedStar first = ExecuteTraced(engine, q, base);
+  ASSERT_EQ(first.fit, "cache-miss");
+  ASSERT_GT(first.heavy_blocks, 0u);
+  for (const auto& [field, exec] : changes) {
+    const TracedStar changed = ExecuteTraced(engine, q, exec);
+    EXPECT_EQ(changed.fit, "cache-miss") << field;
+    EXPECT_EQ(changed.tuples, want.flat()) << field;
+    EXPECT_EQ(ExecuteTraced(engine, q, exec).fit, "cache-hit") << field;
+    // Back to the first key: the memo holds one slot, so this re-fits too.
+    const TracedStar back = ExecuteTraced(engine, q, base);
+    EXPECT_EQ(back.fit, "cache-miss") << field;
+    EXPECT_EQ(back.tuples, want.flat()) << field;
+  }
+}
+
+// A memoized fit under a cap that forces doubling settles where a cold fit
+// at the same options does, even after a fit under a looser cap.
+TEST(StarOperandMemo, SmallerCapMatchesColdFit) {
+  BinaryRelation r;
+  for (Value a = 0; a < 12; ++a) {
+    for (Value b = 0; b < 12; ++b) r.Add(a, b);
+  }
+  r.Finalize();
+  IndexedRelation ri(r);
+  const std::vector<const IndexedRelation*> rels = {&ri, &ri};
+  StarOperandCache cache;
+  StarJoinOptions loose;
+  loose.thresholds = {1, 1};
+  loose.operand_cache = &cache;
+  const StarJoinResult first = MmStarJoin(rels, loose);
+  EXPECT_EQ(first.adjusted_thresholds, (Thresholds{1, 1}));
+
+  StarJoinOptions tight = loose;
+  tight.max_matrix_bytes = 256;  // forces threshold doubling
+  const StarJoinResult warm = MmStarJoin(rels, tight);
+  tight.operand_cache = nullptr;
+  const StarJoinResult cold = MmStarJoin(rels, tight);
+  EXPECT_GT(cold.adjusted_thresholds.delta1, 1u);
+  EXPECT_EQ(warm.adjusted_thresholds, cold.adjusted_thresholds);
+  EXPECT_EQ(warm.v_rows, cold.v_rows);
+  EXPECT_EQ(warm.w_rows, cold.w_rows);
+  EXPECT_EQ(warm.tuples.flat(), cold.tuples.flat());
+  EXPECT_EQ(warm.tuples.flat(), first.tuples.flat());
+}
+
+// The memo lives in the PreparedQuery: the old query keeps answering on its
+// snapshot, and a re-Prepare after the relation is replaced fits afresh.
+TEST(StarOperandMemo, RePrepareSeesReplacedRelation) {
+  const BinaryRelation before = CommunityGraph(3, 30, 0.5, 11);
+  const BinaryRelation after = CommunityGraph(3, 30, 0.6, 29);
+  const IndexedRelation before_idx(before), after_idx(after);
+  const TupleBuffer want_before =
+      WcojStarJoin({&before_idx, &before_idx, &before_idx});
+  const TupleBuffer want_after =
+      WcojStarJoin({&after_idx, &after_idx, &after_idx});
+  ASSERT_NE(want_before.flat(), want_after.flat());
+
+  QueryEngine engine;
+  engine.AddRelation("R", before);
+  PreparedQuery q;
+  ASSERT_TRUE(engine.Prepare(StarSpec("R", 3), &q).ok());
+  ExecOptions exec;
+  exec.thresholds = {4, 4};
+  EXPECT_EQ(ExecuteTraced(engine, q, exec).tuples, want_before.flat());
+
+  engine.AddRelation("R", after);
+  const TracedStar stale = ExecuteTraced(engine, q, exec);
+  EXPECT_EQ(stale.fit, "cache-hit");
+  EXPECT_EQ(stale.tuples, want_before.flat());
+
+  ASSERT_TRUE(engine.Prepare(StarSpec("R", 3), &q).ok());
+  const TracedStar fresh = ExecuteTraced(engine, q, exec);
+  EXPECT_EQ(fresh.fit, "cache-miss");
+  EXPECT_EQ(fresh.tuples, want_after.flat());
 }
 
 }  // namespace

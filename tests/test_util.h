@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
 #include <string>
@@ -17,6 +18,7 @@
 #include "core/join_project.h"
 #include "core/query_engine.h"
 #include "join/intersection.h"
+#include "join/sorted_set_ops.h"
 #include "join/star_wcoj.h"
 #include "scj/scj.h"
 #include "ssj/ssj.h"
@@ -248,6 +250,16 @@ inline ScjResult EngineScj(const BinaryRelation& rel,
 }
 
 /// Converts a TupleBuffer to a sorted vector-of-vectors for comparison.
+/// The detail the first `name` span of a traced execution closed with
+/// ("cache-hit" / "cache-miss" on "plan" and "threshold-fit"); empty when
+/// the run opened no such span.
+inline std::string SpanDetail(const ExecStats& stats, const char* name) {
+  for (const TraceSpan& span : stats.trace_spans) {
+    if (std::strcmp(span.name, name) == 0) return span.detail;
+  }
+  return "";
+}
+
 inline std::vector<std::vector<Value>> ToVectors(const TupleBuffer& buf) {
   std::vector<std::vector<Value>> out;
   out.reserve(buf.size());
