@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "common/check.h"
 #include "common/hash.h"
 #include "common/thread_pool.h"
-#include "core/join_project.h"
+#include "core/query_engine.h"
 #include "join/intersection.h"
 #include "storage/index.h"
 
@@ -34,18 +35,23 @@ std::vector<uint8_t> AnswerViaJoin(const SetFamily& r, const SetFamily& s,
     wanted_a[q.a] = 1;
     wanted_b[q.b] = 1;
   }
-  BinaryRelation rf = FilterToConstants(r, wanted_a);
-  BinaryRelation sf = FilterToConstants(s, wanted_b);
-
-  JoinProjectOptions jo;
-  jo.strategy = strategy;
-  jo.threads = threads;
-  auto res = JoinProject::TwoPath(rf, sf, jo);
+  QueryEngine engine;
+  engine.AddRelation("R", FilterToConstants(r, wanted_a));
+  engine.AddRelation("S", FilterToConstants(s, wanted_b));
+  QuerySpec spec;
+  spec.kind = QueryKind::kTwoPath;
+  spec.relations = {"R", "S"};
+  spec.strategy = strategy;
+  ExecOptions exec;
+  exec.threads = std::max(1, threads);
+  VectorSink sink;
+  const QueryStatus st = engine.Run(spec, sink, exec);
+  JPMM_CHECK_MSG(st.ok(), st.message().c_str());
 
   // Intersect the projected output with T.
   std::unordered_set<uint64_t, PairKeyHash> intersecting;
-  intersecting.reserve(res.pairs.size() * 2);
-  for (const OutPair& p : res.pairs) intersecting.insert(PackPair(p.x, p.z));
+  intersecting.reserve(sink.pairs().size() * 2);
+  for (const OutPair& p : sink.pairs()) intersecting.insert(PackPair(p.x, p.z));
 
   std::vector<uint8_t> answers(batch.size(), 0);
   for (size_t i = 0; i < batch.size(); ++i) {

@@ -4,10 +4,13 @@
 
 #include "common/check.h"
 #include "core/join_project.h"
+#include "core/optimizer.h"
+#include "core/result_sink.h"
 #include "ssj/prefix_tree.h"
 #include "ssj/size_aware.h"
 #include "ssj/size_boundary.h"
 #include "storage/index.h"
+#include "storage/stats.h"
 
 namespace jpmm {
 namespace {
@@ -29,6 +32,23 @@ BinaryRelation SubFamilyRelation(const SetFamily& fam,
 bool IsHeavySize(uint32_t size, uint32_t boundary) { return size >= boundary; }
 bool IsLightSize(uint32_t size, uint32_t boundary) { return size < boundary; }
 
+// The pairs of R JOIN S with >= c witnesses, with their counts, under the
+// optimizer's plan.
+std::vector<CountedPair> CountedTwoPath(const IndexedRelation& r,
+                                        const IndexedRelation& s, uint32_t c,
+                                        int threads) {
+  OptimizerOptions oo;
+  oo.threads = threads;
+  const PlanChoice plan = ChooseTwoPathPlan(r, s, TwoPathStats(r, s), oo);
+  MmJoinOptions mo;
+  mo.threads = threads;
+  mo.count_witnesses = true;
+  mo.min_count = c;
+  VectorSink sink;
+  RunTwoPath(r, s, plan, Strategy::kAuto, mo, sink);
+  return std::move(sink.counted());
+}
+
 // Heavy phase through Algorithm 1: R JOIN Rh with witness counting.
 SsjResult MmHeavyPhase(const SetFamily& fam, uint32_t c, uint32_t boundary,
                        int threads) {
@@ -37,16 +57,12 @@ SsjResult MmHeavyPhase(const SetFamily& fam, uint32_t c, uint32_t boundary,
   if (heavy_rel.empty()) return {};
   IndexedRelation heavy_idx(heavy_rel);
 
-  JoinProjectOptions jo;
-  jo.strategy = Strategy::kAuto;
-  jo.threads = threads;
-  jo.count_witnesses = true;
-  jo.min_count = c;
-  auto res = JoinProject::TwoPath(fam.relation(), heavy_idx, jo);
+  const std::vector<CountedPair> counted =
+      CountedTwoPath(fam.relation(), heavy_idx, c, threads);
 
   SsjResult out;
-  out.reserve(res.counted.size());
-  for (const CountedPair& p : res.counted) {
+  out.reserve(counted.size());
+  for (const CountedPair& p : counted) {
     if (p.x == p.z) continue;
     // p.z is heavy. Keep heavy-heavy pairs once; light partners always.
     if (fam.SetSize(p.x) >= boundary && p.x > p.z) continue;
@@ -63,15 +79,9 @@ SsjResult MmLightPhase(const SetFamily& fam, uint32_t c, uint32_t boundary,
   if (light_rel.empty()) return {};
   IndexedRelation light_idx(light_rel);
 
-  JoinProjectOptions jo;
-  jo.strategy = Strategy::kAuto;
-  jo.threads = threads;
-  jo.count_witnesses = true;
-  jo.min_count = c;
-  auto res = JoinProject::TwoPath(light_idx, light_idx, jo);
-
   SsjResult out;
-  for (const CountedPair& p : res.counted) {
+  for (const CountedPair& p :
+       CountedTwoPath(light_idx, light_idx, c, threads)) {
     if (p.x >= p.z) continue;  // each unordered pair once, drop self pairs
     out.push_back(SimilarPair{p.x, p.z, p.count});
   }

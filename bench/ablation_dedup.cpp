@@ -12,6 +12,7 @@
 
 #include "bench/bench_util.h"
 #include "core/mm_join.h"
+#include "core/result_sink.h"
 #include "join/hash_join.h"
 #include "matrix/calibration.h"
 
@@ -25,9 +26,10 @@ void BM_StampDedup(benchmark::State& state, DatasetPreset preset) {
   for (auto _ : state) {
     MmJoinOptions opts;
     opts.thresholds = {16, 16};
-    auto res = MmJoinTwoPath(*ds.idx, *ds.idx, opts);
-    benchmark::DoNotOptimize(res.pairs.data());
-    state.counters["out"] = static_cast<double>(res.pairs.size());
+    VectorSink sink;
+    MmJoinTwoPath(*ds.idx, *ds.idx, opts, sink);
+    benchmark::DoNotOptimize(sink.pairs().data());
+    state.counters["out"] = static_cast<double>(sink.pairs().size());
   }
 }
 

@@ -27,6 +27,7 @@
 #include "core/density_partition.h"
 #include "core/mm_join.h"
 #include "core/nonmm_join.h"
+#include "core/result_sink.h"
 #include "datagen/generators.h"
 #include "storage/index.h"
 
@@ -55,9 +56,10 @@ void BM_HeavyFloatGemm(benchmark::State& state) {
   for (auto _ : state) {
     MmJoinOptions opts;
     opts.thresholds = kThresholds;
-    auto res = MmJoinTwoPath(*f.idx, *f.idx, opts);
-    benchmark::DoNotOptimize(res.pairs.data());
-    state.counters["out"] = static_cast<double>(res.pairs.size());
+    VectorSink sink;
+    MmJoinTwoPath(*f.idx, *f.idx, opts, sink);
+    benchmark::DoNotOptimize(sink.pairs().data());
+    state.counters["out"] = static_cast<double>(sink.pairs().size());
   }
 }
 
@@ -66,9 +68,10 @@ void BM_HeavyPairwiseGallop(benchmark::State& state) {
   for (auto _ : state) {
     MmJoinOptions opts;
     opts.thresholds = kThresholds;
-    auto res = NonMmJoinTwoPath(*f.idx, *f.idx, opts);
-    benchmark::DoNotOptimize(res.pairs.data());
-    state.counters["out"] = static_cast<double>(res.pairs.size());
+    VectorSink sink;
+    NonMmJoinTwoPath(*f.idx, *f.idx, opts, sink);
+    benchmark::DoNotOptimize(sink.pairs().data());
+    state.counters["out"] = static_cast<double>(sink.pairs().size());
   }
 }
 
@@ -114,9 +117,10 @@ void RunPartitionRow(benchmark::State& state, const HeavyFixture& f,
     MmJoinOptions opts;
     opts.thresholds = kThresholds;
     opts.partition = mode;
-    auto res = MmJoinTwoPath(*f.idx, *f.idx, opts);
-    benchmark::DoNotOptimize(res.pairs.data());
-    state.counters["out"] = static_cast<double>(res.pairs.size());
+    VectorSink sink;
+    const MmJoinResult res = MmJoinTwoPath(*f.idx, *f.idx, opts, sink);
+    benchmark::DoNotOptimize(sink.pairs().data());
+    state.counters["out"] = static_cast<double>(sink.pairs().size());
     state.counters["grid_pruned"] =
         static_cast<double>(res.partition_blocks_pruned);
     state.counters["grid_scheduled"] =

@@ -179,11 +179,11 @@ DensityGrid BuildDensityGrid(const CsrMatrix& a, const CsrMatrix& b,
 
 /// Cross-execution memo for one heavy product's grid, owned by a
 /// PreparedQuery's PlanState and threaded down by pointer through
-/// JoinProjectOptions → MmJoinOptions / StarJoinOptions. Sound because a
-/// PreparedQuery's operand snapshots are immutable (copy-on-write catalog)
-/// and BuildDensityGrid is deterministic for fixed operands + options: the
-/// grid only depends on the key fields below, so a key match means the
-/// rebuild would produce the identical grid (row_perm/col_perm included).
+/// MmJoinOptions / StarJoinOptions. Sound because a PreparedQuery's operand
+/// snapshots are immutable (copy-on-write catalog) and BuildDensityGrid is
+/// deterministic for fixed operands + options: the grid only depends on the
+/// key fields below, so a key match means the rebuild would produce the
+/// identical grid (row_perm/col_perm included).
 /// Re-Prepare after a catalog Put/Drop creates a fresh PlanState, which is
 /// the version-change invalidation. The mutex hold is two pointer-size
 /// copies per execution — off every inner loop.

@@ -6,14 +6,14 @@
 //
 //   ExecContext  the HOW options (threads, kernel and partition modes, the
 //                memory cap, cancel token, trace). Every layer's options
-//                struct inherits it — ExecOptions, JoinProjectOptions,
-//                MmJoinOptions, StarJoinOptions, TriangleCountOptions,
-//                HeavyProduct — and forwards it to the next layer with one
-//                slice assignment plus its own trace_parent.
+//                struct inherits it — ExecOptions, MmJoinOptions,
+//                StarJoinOptions, TriangleCountOptions, HeavyProduct —
+//                and forwards it to the next layer with one slice
+//                assignment plus its own trace_parent.
 //   LightRun     the light part's early-exit record, inherited by every
 //                result struct (MmJoinResult, StarJoinResult,
-//                TriangleCountResult, JoinProjectOutput, ExecStats) next to
-//                HeavyRun (core/heavy_product.h).
+//                TriangleCountResult, ExecStats) next to HeavyRun
+//                (core/heavy_product.h).
 //   ChunkGate    the one early-exit policy of every chunk loop: poll the
 //                sink's done() and the token before each unit of work,
 //                count it executed or skipped, and mark the run

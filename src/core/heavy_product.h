@@ -59,8 +59,8 @@ inline constexpr uint64_t kMaxExactFloatCount = uint64_t{1} << 24;
 /// What one heavy product did: operands, per-block kernel decisions, the
 /// decomposition, and the early-exit accounting. Every result struct that
 /// can run a heavy product (MmJoinResult, StarJoinResult,
-/// TriangleCountResult, JoinProjectOutput, ExecStats) inherits it, so each
-/// layer hands it on with one assignment.
+/// TriangleCountResult, ExecStats) inherits it, so each layer hands it on
+/// with one assignment.
 struct HeavyRun {
   uint64_t a_nnz = 0;           // set cells of A (M1, V, or A_H)
   uint64_t b_nnz = 0;           // set cells of B (M2, W^T, or A_H)

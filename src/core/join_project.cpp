@@ -1,33 +1,15 @@
 #include "core/join_project.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/check.h"
 #include "common/stamp_set.h"
 #include "common/thread_pool.h"
-#include "common/timer.h"
+#include "core/nonmm_join.h"
 #include "core/trace.h"
-#include "storage/stats.h"
 
 namespace jpmm {
-
-std::string ValidateJoinProjectOptions(const JoinProjectOptions& opts) {
-  if (opts.threads <= 0) {
-    return "threads must be >= 1 (got " + std::to_string(opts.threads) + ")";
-  }
-  if (opts.min_count < 1) {
-    return "min_count must be >= 1";
-  }
-  if (opts.min_count > 1 && !opts.count_witnesses) {
-    return "min_count > 1 requires count_witnesses (witness counts are what "
-           "the threshold filters on)";
-  }
-  if (opts.sink != nullptr && opts.sorted) {
-    return "sorted is incompatible with a sink (push delivery has no global "
-           "order; sort the materialized output instead)";
-  }
-  return "";
-}
 
 const char* StrategyName(Strategy s) {
   switch (s) {
@@ -43,13 +25,19 @@ const char* StrategyName(Strategy s) {
   return "?";
 }
 
-JoinProjectOutput WcojFullJoinProject(const IndexedRelation& r,
-                                      const IndexedRelation& s,
-                                      bool count_witnesses, uint32_t min_count,
-                                      int threads, ResultSink* caller_sink,
-                                      const CancelToken* cancel) {
-  JoinProjectOutput out;
-  out.executed = Strategy::kWcojFull;
+Strategy ResolveStrategy(Strategy strategy, const PlanChoice& plan) {
+  if (strategy != Strategy::kAuto) return strategy;
+  return plan.use_full_wcoj ? Strategy::kWcojFull : Strategy::kMmJoin;
+}
+
+LightRun WcojFullJoinProject(const IndexedRelation& r, const IndexedRelation& s,
+                             bool count_witnesses, uint32_t min_count,
+                             int threads, ResultSink* sink,
+                             const CancelToken* cancel) {
+  JPMM_CHECK_MSG(sink != nullptr, "WcojFullJoinProject needs a sink");
+  JPMM_CHECK(min_count >= 1);
+  JPMM_CHECK_MSG(min_count == 1 || count_witnesses,
+                 "min_count > 1 requires count_witnesses");
   threads = std::max(1, threads);
   const size_t num_z = s.num_x();
 
@@ -60,8 +48,6 @@ JoinProjectOutput WcojFullJoinProject(const IndexedRelation& r,
   };
   std::vector<Worker> workers(static_cast<size_t>(threads));
 
-  VectorSink fallback;
-  ResultSink* sink = caller_sink != nullptr ? caller_sink : &fallback;
   sink->Open(threads);
   ChunkGate gate(sink, cancel);
 
@@ -96,123 +82,28 @@ JoinProjectOutput WcojFullJoinProject(const IndexedRelation& r,
     }
   });
   sink->Finish();
-  if (caller_sink == nullptr) {
-    out.pairs = std::move(fallback.pairs());
-    out.counted = std::move(fallback.counted());
-  }
-  static_cast<LightRun&>(out) = gate.Record((r.num_x() + kGrain - 1) / kGrain);
-  return out;
+  return gate.Record((r.num_x() + kGrain - 1) / kGrain);
 }
 
-namespace {
-
-// Moves a two-path run's output and records into the facade's output.
-void TakeRun(MmJoinResult&& res, JoinProjectOutput* out) {
-  out->pairs = std::move(res.pairs);
-  out->counted = std::move(res.counted);
-  static_cast<HeavyRun&>(*out) = std::move(res);
-  static_cast<LightRun&>(*out) = res;
-}
-
-}  // namespace
-
-JoinProjectOutput JoinProject::TwoPathWithPlan(const IndexedRelation& r,
-                                               const IndexedRelation& s,
-                                               const PlanChoice& plan,
-                                               const JoinProjectOptions& opts) {
-  JPMM_CHECK(opts.min_count >= 1);
-  JPMM_CHECK_MSG(opts.min_count == 1 || opts.count_witnesses,
-                 "min_count > 1 requires count_witnesses");
-  WallTimer timer;
-
-  Strategy strategy = opts.strategy;
-  if (strategy == Strategy::kAuto) {
-    strategy = plan.use_full_wcoj ? Strategy::kWcojFull : Strategy::kMmJoin;
+MmJoinResult RunTwoPath(const IndexedRelation& r, const IndexedRelation& s,
+                        const PlanChoice& plan, Strategy strategy,
+                        const MmJoinOptions& opts, ResultSink& sink) {
+  const Strategy resolved = ResolveStrategy(strategy, plan);
+  if (resolved == Strategy::kWcojFull) {
+    TraceRecorder::Scope wcoj_scope(opts.trace, "wcoj-full",
+                                    opts.trace_parent);
+    MmJoinResult run;
+    static_cast<LightRun&>(run) =
+        WcojFullJoinProject(r, s, opts.count_witnesses, opts.min_count,
+                            opts.threads, &sink, opts.cancel);
+    return run;
   }
-
-  Thresholds t = opts.thresholds;
-  const bool explicit_thresholds = t.delta1 != 0 || t.delta2 != 0;
-
-  JoinProjectOutput out;
-  switch (strategy) {
-    case Strategy::kWcojFull: {
-      TraceRecorder::Scope wcoj_scope(opts.trace, "wcoj-full",
-                                      opts.trace_parent);
-      out = WcojFullJoinProject(r, s, opts.count_witnesses, opts.min_count,
-                                opts.threads, opts.sink, opts.cancel);
-      break;
-    }
-    case Strategy::kMmJoin:
-    case Strategy::kNonMmJoin: {
-      MmJoinOptions mo;
-      static_cast<ExecContext&>(mo) = opts;
-      mo.count_witnesses = opts.count_witnesses;
-      mo.min_count = opts.min_count;
-      mo.grid_cache = opts.grid_cache;
-      mo.sink = opts.sink;
-      if (explicit_thresholds) {
-        mo.thresholds = t;
-      } else if (strategy == Strategy::kMmJoin) {
-        mo.thresholds = plan.thresholds;
-      } else {
-        // A cached plan carries MMJoin thresholds; the combinatorial join
-        // re-balances unless the caller pinned thresholds explicitly.
-        TwoPathStats stats(r, s);
-        mo.thresholds = ChooseNonMmThresholds(r, s, stats);
-      }
-      TakeRun(strategy == Strategy::kMmJoin ? MmJoinTwoPath(r, s, mo)
-                                            : NonMmJoinTwoPath(r, s, mo),
-              &out);
-      out.executed = strategy;
-      break;
-    }
-    case Strategy::kAuto:
-      JPMM_CHECK_MSG(false, "unreachable");
+  MmJoinOptions mo = opts;
+  if (mo.thresholds.delta1 == 0 && mo.thresholds.delta2 == 0) {
+    mo.thresholds = plan.thresholds;
   }
-
-  if (opts.sorted && opts.sink == nullptr) {
-    std::sort(out.pairs.begin(), out.pairs.end());
-    std::sort(out.counted.begin(), out.counted.end());
-  }
-  out.plan = plan;
-  out.seconds = timer.Seconds();
-  return out;
-}
-
-JoinProjectOutput JoinProject::TwoPath(const IndexedRelation& r,
-                                       const IndexedRelation& s,
-                                       const JoinProjectOptions& opts) {
-  JPMM_CHECK(opts.min_count >= 1);
-  JPMM_CHECK_MSG(opts.min_count == 1 || opts.count_witnesses,
-                 "min_count > 1 requires count_witnesses");
-  WallTimer timer;
-
-  TwoPathStats stats(r, s);
-  OptimizerOptions oo = opts.optimizer;
-  oo.threads = opts.threads;
-  PlanChoice plan = ChooseTwoPathPlan(r, s, stats, oo);
-
-  // The NonMM threshold choice needs the stats we already have; pin it so
-  // TwoPathWithPlan does not rebuild them.
-  JoinProjectOptions inner = opts;
-  if (opts.strategy == Strategy::kNonMmJoin && opts.thresholds.delta1 == 0 &&
-      opts.thresholds.delta2 == 0) {
-    inner.thresholds = ChooseNonMmThresholds(r, s, stats);
-  }
-  JoinProjectOutput out = TwoPathWithPlan(r, s, plan, inner);
-  out.seconds = timer.Seconds();
-  return out;
-}
-
-JoinProjectOutput JoinProject::TwoPath(const BinaryRelation& r,
-                                       const BinaryRelation& s,
-                                       const JoinProjectOptions& opts) {
-  JPMM_CHECK_MSG(r.finalized() && s.finalized(),
-                 "call Finalize() before querying");
-  IndexedRelation ri(r);
-  if (&r == &s) return TwoPath(ri, ri, opts);
-  IndexedRelation si(s);
-  return TwoPath(ri, si, opts);
+  return resolved == Strategy::kMmJoin ? MmJoinTwoPath(r, s, mo, sink)
+                                       : NonMmJoinTwoPath(r, s, mo, sink);
 }
 
 }  // namespace jpmm

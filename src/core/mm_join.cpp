@@ -90,7 +90,7 @@ void CountHeavyNnz(const IndexedRelation& r, const IndexedRelation& s,
 }  // namespace
 
 MmJoinResult MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
-                           const MmJoinOptions& opts) {
+                           const MmJoinOptions& opts, ResultSink& sink) {
   JPMM_CHECK(opts.min_count >= 1);
   JPMM_CHECK_MSG(opts.min_count == 1 || opts.count_witnesses,
                  "min_count > 1 requires count_witnesses");
@@ -137,21 +137,16 @@ MmJoinResult MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
   result.heavy_cols = hzs.size();
   const bool use_matrix = !hxs.empty() && !hys.empty() && !hzs.empty();
 
-  // When the caller provides no sink, stream into a local VectorSink and
-  // move its vectors into the result afterwards — one emission path either
-  // way, and the shard-order merge matches the old per-worker merge.
-  VectorSink fallback;
-  ResultSink* sink = opts.sink != nullptr ? opts.sink : &fallback;
-  sink->Open(threads);
+  sink.Open(threads);
   std::vector<WorkerState> workers(static_cast<size_t>(threads));
   const size_t num_z = s.num_x();
   auto worker = [&](int w) -> WorkerState& {
     WorkerState& ws = workers[static_cast<size_t>(w)];
-    if (ws.shard == nullptr) ws.shard = &sink->shard(w);
+    if (ws.shard == nullptr) ws.shard = &sink.shard(w);
     if (ws.counter.universe() < num_z) ws.counter.ResizeUniverse(num_z);
     return ws;
   };
-  ChunkGate gate(sink, opts.cancel);
+  ChunkGate gate(&sink, opts.cancel);
 
   // ---- Pass A: head values with no matrix row (light part only).
   // Dynamic chunking: zipf-skewed x degrees make contiguous static chunks
@@ -220,7 +215,7 @@ MmJoinResult MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
     hp.row_block = opts.row_block;
     hp.grid_cache = opts.grid_cache;
     hp.grid_key = t;
-    hp.sink = sink;
+    hp.sink = &sink;
     hp.whole_rows = true;
     hp.on_row = [&](int w, uint32_t row, const HeavyRow& out) {
       EmitHead(*ctx, opts, hxs[row], &out, &worker(w));
@@ -232,15 +227,10 @@ MmJoinResult MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
 
   // ---- Merge point. Dynamic chunk claiming makes the pair ORDER
   // run-dependent (the header documents it as unspecified); the pair SET is
-  // deterministic at every thread count. With a caller sink the results
-  // already live there; otherwise move the fallback's merged vectors out.
+  // deterministic at every thread count.
   {
     TraceRecorder::Scope finish_scope(trace, "sink-finish", tparent);
-    sink->Finish();
-  }
-  if (opts.sink == nullptr) {
-    result.pairs = std::move(fallback.pairs());
-    result.counted = std::move(fallback.counted());
+    sink.Finish();
   }
   static_cast<LightRun&>(result) =
       gate.Record((r.num_x() + kHeadGrain - 1) / kHeadGrain);

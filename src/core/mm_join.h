@@ -24,12 +24,12 @@
 #define JPMM_CORE_MM_JOIN_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "common/types.h"
 #include "core/density_partition.h"
 #include "core/exec_context.h"
 #include "core/heavy_product.h"
+#include "core/result_sink.h"
 #include "core/thresholds.h"
 #include "storage/index.h"
 
@@ -56,38 +56,28 @@ struct MmJoinOptions : ExecContext {
   /// skipped; the hit is recorded in MmJoinResult::partition_cache_hit and
   /// the "degree-remap" trace span's detail. Null = always rebuild.
   DensityGridCache* grid_cache = nullptr;
-  /// Push-based result delivery (core/result_sink.h). When set, results
-  /// stream into the sink (min_count filtering still applies first) and
-  /// MmJoinResult::pairs / counted stay empty; the sink's done() signal is
-  /// polled at light-chunk / product-block granularity and skips the
-  /// remaining work (skip counts land in the result). When null, results
-  /// materialize into the result vectors.
-  ResultSink* sink = nullptr;
 };
 
 /// The heavy-run record (HeavyRun: kernel choices, partitioning, block
 /// accounting), the light-run record (LightRun: light chunk accounting,
 /// interrupted) and the two-path specifics.
 struct MmJoinResult : HeavyRun, LightRun {
-  /// Filled when !count_witnesses. Order unspecified.
-  std::vector<OutPair> pairs;
-  /// Filled when count_witnesses. Order unspecified.
-  std::vector<CountedPair> counted;
-
   Thresholds adjusted_thresholds;  // after any memory-cap adjustment
   uint64_t heavy_rows = 0;         // |heavy x|
   uint64_t heavy_inner = 0;        // |heavy y|
   uint64_t heavy_cols = 0;         // |heavy z|
   double light_seconds = 0.0;
   double heavy_seconds = 0.0;      // operand build + product + emit
-
-  size_t size() const { return pairs.empty() ? counted.size() : pairs.size(); }
 };
 
-/// Runs Algorithm 1 with explicit thresholds. Use the cost-based optimizer
-/// (core/optimizer.h) or the JoinProject facade to choose thresholds.
+/// Runs Algorithm 1 with explicit thresholds, streaming the results into
+/// `sink` (core/result_sink.h) in unspecified order, after min_count
+/// filtering. The sink's done() is polled at light-chunk / product-block
+/// granularity and skips the remaining work (skip counts land in the
+/// result). The cost-based optimizer (core/optimizer.h) chooses thresholds;
+/// RunTwoPath (core/join_project.h) applies its plan.
 MmJoinResult MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
-                           const MmJoinOptions& options);
+                           const MmJoinOptions& options, ResultSink& sink);
 
 }  // namespace jpmm
 

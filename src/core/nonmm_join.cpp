@@ -17,7 +17,7 @@ namespace jpmm {
 
 MmJoinResult NonMmJoinTwoPath(const IndexedRelation& r,
                               const IndexedRelation& s,
-                              const MmJoinOptions& opts) {
+                              const MmJoinOptions& opts, ResultSink& sink) {
   JPMM_CHECK(opts.min_count >= 1);
   JPMM_CHECK_MSG(opts.min_count == 1 || opts.count_witnesses,
                  "min_count > 1 requires count_witnesses");
@@ -67,11 +67,9 @@ MmJoinResult NonMmJoinTwoPath(const IndexedRelation& r,
   };
   std::vector<Worker> workers(static_cast<size_t>(threads));
 
-  VectorSink fallback;
-  ResultSink* sink = opts.sink != nullptr ? opts.sink : &fallback;
-  sink->Open(threads);
-  ChunkGate light_gate(sink, opts.cancel);
-  ChunkGate heavy_gate(sink, opts.cancel);
+  sink.Open(threads);
+  ChunkGate light_gate(&sink, opts.cancel);
+  ChunkGate heavy_gate(&sink, opts.cancel);
 
   auto emit_head = [&](Value a, bool with_heavy, Worker* ws) {
     ws->counter.NewEpoch();
@@ -120,7 +118,7 @@ MmJoinResult NonMmJoinTwoPath(const IndexedRelation& r,
                      [&](size_t a0, size_t a1, int w) {
     if (!light_gate.Claim()) return;
     Worker& ws = workers[static_cast<size_t>(w)];
-    if (ws.shard == nullptr) ws.shard = &sink->shard(w);
+    if (ws.shard == nullptr) ws.shard = &sink.shard(w);
     if (ws.counter.universe() < num_z) ws.counter.ResizeUniverse(num_z);
     for (size_t a = a0; a < a1; ++a) {
       const auto av = static_cast<Value>(a);
@@ -145,7 +143,7 @@ MmJoinResult NonMmJoinTwoPath(const IndexedRelation& r,
                        [&](size_t i0, size_t i1, int w) {
       if (!heavy_gate.Claim()) return;
       Worker& ws = workers[static_cast<size_t>(w)];
-      if (ws.shard == nullptr) ws.shard = &sink->shard(w);
+      if (ws.shard == nullptr) ws.shard = &sink.shard(w);
       if (ws.counter.universe() < num_z) ws.counter.ResizeUniverse(num_z);
       for (size_t i = i0; i < i1; ++i) emit_head(hxs[i], true, &ws);
     });
@@ -154,11 +152,7 @@ MmJoinResult NonMmJoinTwoPath(const IndexedRelation& r,
 
   {
     TraceRecorder::Scope finish_scope(trace, "sink-finish", tparent);
-    sink->Finish();
-  }
-  if (opts.sink == nullptr) {
-    result.pairs = std::move(fallback.pairs());
-    result.counted = std::move(fallback.counted());
+    sink.Finish();
   }
   result.heavy_blocks_total =
       use_heavy ? (hxs.size() + kHeavyGrain - 1) / kHeavyGrain : 0;

@@ -16,13 +16,13 @@
 namespace jpmm {
 
 /// Runs the combinatorial join with MMJoin's options (the matrix knobs are
-/// ignored; see MmJoinOptions). Result fields mirror MmJoinTwoPath:
-/// heavy_seconds covers the pairwise-intersection phase, and the "heavy
-/// blocks" of the early-exit accounting are dynamic chunks of heavy x
-/// values.
+/// ignored; see MmJoinOptions) into `sink`. Delivery and result fields
+/// mirror MmJoinTwoPath: heavy_seconds covers the pairwise-intersection
+/// phase, and the "heavy blocks" of the early-exit accounting are dynamic
+/// chunks of heavy x values.
 MmJoinResult NonMmJoinTwoPath(const IndexedRelation& r,
                               const IndexedRelation& s,
-                              const MmJoinOptions& options);
+                              const MmJoinOptions& options, ResultSink& sink);
 
 }  // namespace jpmm
 

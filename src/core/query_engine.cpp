@@ -108,13 +108,6 @@ FilteredAdapterSink::Transform SsjTransform(bool ordered) {
   };
 }
 
-void FillTwoPathStats(JoinProjectOutput* out, ExecStats* stats) {
-  if (stats == nullptr) return;
-  stats->executed = out->executed;
-  static_cast<HeavyRun&>(*stats) = std::move(*out);
-  static_cast<LightRun&>(*stats) = *out;
-}
-
 // Stable per-process hash of the spec's WHAT-fields — the coalescing /
 // result-cache key component (see PreparedQuery::spec_fingerprint). HOW
 // knobs (threads, kernels, thresholds) are excluded on purpose: the result
@@ -284,13 +277,11 @@ QueryStatus QueryEngine::Prepare(const QuerySpec& spec, PreparedQuery* out) {
         (want_max == want_min ? "" : ".." + std::to_string(want_max)) +
         " relation name(s), got " + std::to_string(spec.relations.size()));
   }
-  {
-    // Same rule set as the low-level facade, via the shared validator.
-    JoinProjectOptions check;
-    check.count_witnesses = spec.count_witnesses;
-    check.min_count = spec.min_count;
-    std::string problem = ValidateJoinProjectOptions(check);
-    if (!problem.empty()) return QueryStatus::Error(problem);
+  if (spec.min_count < 1) return QueryStatus::Error("min_count must be >= 1");
+  if (spec.min_count > 1 && !spec.count_witnesses) {
+    return QueryStatus::Error(
+        "min_count > 1 requires count_witnesses (witness counts are what "
+        "the threshold filters on)");
   }
   if (spec.kind == QueryKind::kSsj && spec.ssj_c < 1) {
     return QueryStatus::Error("ssj_c must be >= 1");
@@ -352,17 +343,11 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
   const QuerySpec& spec = query.spec_;
   PreparedQuery::PlanState& ps = *query.state_;
 
-  // Every execution path funnels its option combination through the
-  // shared validator — one place grows new rules for facade and engine
-  // alike.
-  {
-    JoinProjectOptions check;
-    static_cast<ExecContext&>(check) = opts;
-    check.count_witnesses =
-        spec.kind != QueryKind::kTwoPath || spec.count_witnesses;
-    check.min_count = spec.min_count;
-    std::string problem = ValidateJoinProjectOptions(check);
-    if (!problem.empty()) return QueryStatus::Error(problem);
+  // The spec's rules were checked at Prepare; the execution options'
+  // are checked here.
+  if (opts.threads < 1) {
+    return QueryStatus::Error("threads must be >= 1 (got " +
+                              std::to_string(opts.threads) + ")");
   }
   // Repeat-execution flag for the paths with no cached plan to win or
   // lose (triangle, star with explicit thresholds). Loaded before the
@@ -420,29 +405,29 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
       }
       plan_hit = cache_hit;
 
-      JoinProjectOptions jo;
-      static_cast<ExecContext&>(jo) = opts;
-      jo.trace_parent = exec_id;
-      jo.strategy = opts.strategy_override.value_or(spec.strategy);
-      jo.thresholds = opts.thresholds;
-      jo.grid_cache = &ps.two_path_grid;
+      const Strategy strategy = opts.strategy_override.value_or(spec.strategy);
+      MmJoinOptions mo;
+      static_cast<ExecContext&>(mo) = opts;
+      mo.trace_parent = exec_id;
+      mo.thresholds = opts.thresholds;
+      mo.grid_cache = &ps.two_path_grid;
       if (spec.kind == QueryKind::kTwoPath) {
-        jo.count_witnesses = spec.count_witnesses;
-        jo.min_count = spec.min_count;
+        mo.count_witnesses = spec.count_witnesses;
+        mo.min_count = spec.min_count;
       } else {
-        jo.count_witnesses = true;  // both set joins filter on counts
-        jo.min_count = spec.kind == QueryKind::kSsj ? spec.ssj_c : 1;
+        mo.count_witnesses = true;  // both set joins filter on counts
+        mo.min_count = spec.kind == QueryKind::kSsj ? spec.ssj_c : 1;
       }
       // The combinatorial strategy balances its own thresholds; derive
       // them once from the cached stats instead of rebuilding stats
       // (single-flight under the same plan lock).
-      if (jo.strategy == Strategy::kNonMmJoin && jo.thresholds.delta1 == 0 &&
-          jo.thresholds.delta2 == 0) {
+      if (strategy == Strategy::kNonMmJoin && mo.thresholds.delta1 == 0 &&
+          mo.thresholds.delta2 == 0) {
         bool have = false;
         {
           std::shared_lock<std::shared_mutex> rl(ps.mu);
           if (ps.nonmm_thresholds_valid) {
-            jo.thresholds = ps.nonmm_thresholds;
+            mo.thresholds = ps.nonmm_thresholds;
             have = true;
           }
         }
@@ -452,7 +437,7 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
             ps.nonmm_thresholds = ChooseNonMmThresholds(*r, *s, *query.stats_);
             ps.nonmm_thresholds_valid = true;
           }
-          jo.thresholds = ps.nonmm_thresholds;
+          mo.thresholds = ps.nonmm_thresholds;
         }
       }
 
@@ -460,18 +445,17 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
       if (spec.kind == QueryKind::kScj) {
         adapter = std::make_unique<FilteredAdapterSink>(
             ScjTransform(query.family_.get()), &sink);
-        jo.sink = adapter.get();
       } else if (spec.kind == QueryKind::kSsj) {
         adapter = std::make_unique<FilteredAdapterSink>(
             SsjTransform(spec.ssj_ordered), &sink);
-        jo.sink = adapter.get();
-      } else {
-        jo.sink = &sink;
       }
 
-      JoinProjectOutput out = JoinProject::TwoPathWithPlan(*r, *s, plan, jo);
-      FillTwoPathStats(&out, stats);
+      MmJoinResult run = RunTwoPath(*r, *s, plan, strategy, mo,
+                                    adapter ? *adapter : sink);
       if (stats != nullptr) {
+        stats->executed = ResolveStrategy(strategy, plan);
+        static_cast<HeavyRun&>(*stats) = std::move(run);
+        static_cast<LightRun&>(*stats) = run;
         stats->plan = plan;
         stats->plan_cache_hit = cache_hit;
         FillInterruptReason(opts.cancel, stats);

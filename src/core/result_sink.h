@@ -19,7 +19,7 @@
 //     accept everything. Executors apply min_count filtering BEFORE the
 //     sink, so a sink only ever sees qualifying results.
 //
-// Ships six consumers: VectorSink (materialize-everything back-compat),
+// Ships six consumers: VectorSink (materialize everything),
 // CountOnlySink, LimitSink, PageSink (offset + limit pagination),
 // TopKByCountSink, and OrderedBySink (ranked delivery per Deep, Hu &
 // Koutris 2022). Custom sinks implement the same contract; see docs/api.md.
@@ -91,9 +91,8 @@ class ResultSink {
   virtual void Finish() {}
 };
 
-/// Materializes every result — the back-compat sink the old facade is a
-/// wrapper over. Shard buffers merge in shard order at Finish(), matching
-/// the old per-worker merge exactly.
+/// Materializes every result. Shard buffers merge in shard order at
+/// Finish().
 class VectorSink : public ResultSink {
  public:
   VectorSink();

@@ -25,8 +25,8 @@ namespace jpmm {
 namespace {
 
 using testutil::OracleTwoPathCounted;
+using testutil::MmRun;
 using testutil::RandomRelation;
-using testutil::Sorted;
 
 // ---- TwoPathPartition (the paper's global light/heavy threshold) ---------
 
@@ -407,12 +407,12 @@ TEST(MmJoinDensity, ForcedGridIsByteIdenticalToUniform) {
     opts.threads = threads;
 
     opts.partition = PartitionMode::kOff;
-    auto off = MmJoinTwoPath(ri, si, opts);
+    auto off = MmRun(ri, si, opts);
     EXPECT_FALSE(off.partition_used);
     EXPECT_EQ(off.partition_signature, "uniform");
 
     opts.partition = PartitionMode::kForce;
-    auto force = MmJoinTwoPath(ri, si, opts);
+    auto force = MmRun(ri, si, opts);
     ASSERT_GT(force.heavy_rows, 0u) << "test premise: heavy part exists";
     EXPECT_TRUE(force.partition_used);
     EXPECT_NE(force.partition_signature, "uniform");
@@ -420,8 +420,8 @@ TEST(MmJoinDensity, ForcedGridIsByteIdenticalToUniform) {
                   force.partition_blocks_pruned,
               force.partition_row_bands * force.partition_col_bands);
 
-    EXPECT_EQ(Sorted(off.counted), oracle);
-    EXPECT_EQ(Sorted(force.counted), oracle);
+    EXPECT_EQ(off.counted, oracle);
+    EXPECT_EQ(force.counted, oracle);
     // Work units are remap-invariant: same chunk count either way.
     EXPECT_EQ(force.heavy_blocks_total, off.heavy_blocks_total);
   }
@@ -438,10 +438,10 @@ TEST(MmJoinDensity, AutoModeNeverChangesOutput) {
     opts.row_block = 8;
     opts.threads = 2;
     opts.partition = PartitionMode::kAuto;
-    auto auto_res = MmJoinTwoPath(ri, si, opts);
+    auto auto_res = MmRun(ri, si, opts);
     opts.partition = PartitionMode::kOff;
-    auto off_res = MmJoinTwoPath(ri, si, opts);
-    EXPECT_EQ(Sorted(auto_res.counted), Sorted(off_res.counted));
+    auto off_res = MmRun(ri, si, opts);
+    EXPECT_EQ(auto_res.counted, off_res.counted);
   }
 }
 
@@ -455,7 +455,7 @@ TEST(MmJoinDensity, SignatureStableAcrossThreadCounts) {
     opts.row_block = 8;
     opts.threads = threads;
     opts.partition = PartitionMode::kForce;
-    auto res = MmJoinTwoPath(ri, ri, opts);
+    auto res = MmRun(ri, ri, opts);
     ASSERT_GT(res.heavy_rows, 0u);
     if (first.empty()) {
       first = res.partition_signature;
@@ -480,8 +480,7 @@ TEST(MmJoinDensity, EarlyExitBalancesUnderRemap) {
   opts.row_block = 8;
   opts.partition = PartitionMode::kForce;
   LimitSink sink(5);
-  opts.sink = &sink;
-  auto res = MmJoinTwoPath(ri, ri, opts);
+  auto res = MmJoinTwoPath(ri, ri, opts, sink);
   ASSERT_GT(res.heavy_rows, 0u);
   EXPECT_TRUE(res.partition_used);
   EXPECT_EQ(res.heavy_blocks_executed + res.heavy_blocks_skipped,

@@ -7,9 +7,13 @@
 // and checks that every evaluation strategy produces BYTE-IDENTICAL sorted
 // output:
 //
-//   two-path: WCOJ (threads=1) is the reference; MM (auto + forced dense /
-//             csr-dense / csr-csr heavy paths + forced density-partitioned
-//             grid) and Non-MM must match at threads {1, 3, hw}.
+//   two-path: sequential WCOJ (WcojFullJoinProject) is the reference; WCOJ,
+//             MM (auto + forced dense / csr-dense / csr-csr heavy paths +
+//             forced density-partitioned grid) and Non-MM run through
+//             QueryEngine and must match at threads {1, 3, hw}. A self join
+//             runs in both catalog forms: one name (one snapshot, r and s
+//             are one object) and the same relation under two names (two
+//             snapshots with equal content).
 //   star:     WCOJ reference vs MM (every forced kernel x partition
 //             {off, force}, and under a small memory cap) and Non-MM star
 //             joins through QueryEngine, each run twice per thread count on
@@ -52,7 +56,6 @@
 #include "matrix/matmul.h"
 #include "matrix/random.h"
 #include "matrix/sparse_matrix.h"
-#include "core/join_project.h"
 #include "core/query_engine.h"
 #include "core/query_service.h"
 #include "core/result_sink.h"
@@ -154,16 +157,54 @@ BinaryRelation MakeRelation(const FuzzConfig& cfg, uint64_t salt) {
   }
 }
 
-// The reference two-path run of a recipe: sequential WCOJ full join +
-// dedup, sorted. Variants start from these options.
-JoinProjectOptions ReferenceOptions(const FuzzConfig& cfg) {
-  JoinProjectOptions opts;
-  opts.strategy = Strategy::kWcojFull;
-  opts.sorted = true;
-  opts.count_witnesses = cfg.counted;
-  opts.min_count = cfg.min_count;
-  return opts;
+// The catalog forms a recipe's two-path query runs under. A self join
+// runs under both of its forms: the relation under one catalog name (one
+// snapshot, so r and s are one object) and under two names with equal
+// content (two snapshots: the asymmetric path). Two distinct relations
+// have the one two-name form.
+struct RelationForm {
+  const char* name;
+  std::vector<std::string> relations;
+};
+
+std::vector<RelationForm> Forms(const FuzzConfig& cfg) {
+  if (!cfg.self_join) return {{"two-relations", {"R", "S"}}};
+  return {{"self-one-name", {"R"}}, {"self-two-names", {"R", "S"}}};
 }
+
+// A recipe's two-path instance: its relations in one engine, "R" and "S"
+// ("S" a copy of "R" for a self join), one PreparedQuery per form, and the
+// reference output (sequential WCOJ full join + dedup, sorted).
+struct TwoPathInstance {
+  explicit TwoPathInstance(const FuzzConfig& cfg) {
+    const BinaryRelation r = MakeRelation(cfg, 1);
+    const BinaryRelation s = cfg.self_join ? r : MakeRelation(cfg, 2);
+    engine.AddRelation("R", r);
+    engine.AddRelation("S", s);
+    const IndexedRelation ri(r);
+    if (cfg.self_join) {
+      ref = testutil::WcojReference(ri, ri, cfg.counted, cfg.min_count);
+    } else {
+      const IndexedRelation si(s);
+      ref = testutil::WcojReference(ri, si, cfg.counted, cfg.min_count);
+    }
+    for (const RelationForm& form : Forms(cfg)) {
+      QuerySpec spec;
+      spec.kind = QueryKind::kTwoPath;
+      spec.relations = form.relations;
+      spec.count_witnesses = cfg.counted;
+      spec.min_count = cfg.min_count;
+      PreparedQuery q;
+      const QueryStatus st = engine.Prepare(spec, &q);
+      EXPECT_TRUE(st.ok()) << st.message();
+      forms.emplace_back(form, std::move(q));
+    }
+  }
+
+  QueryEngine engine;
+  testutil::SortedOutput ref;
+  std::vector<std::pair<RelationForm, PreparedQuery>> forms;
+};
 
 // Every two-path strategy/heavy-path variant the harness crosses. Adding a
 // strategy = adding a row here (docs/testing.md documents the recipe).
@@ -187,6 +228,18 @@ const Variant kTwoPathVariants[] = {
      PartitionMode::kForce},
 };
 
+// The execution options of variant `v` at `threads` under the recipe's
+// thresholds.
+ExecOptions VariantExec(const FuzzConfig& cfg, const Variant& v, int threads) {
+  ExecOptions exec;
+  exec.strategy_override = v.strategy;
+  exec.heavy_path = v.heavy_path;
+  exec.partition = v.partition;
+  exec.threads = threads;
+  exec.thresholds = cfg.thresholds;
+  return exec;
+}
+
 void RecordFailure(const std::string& line) {
   std::FILE* f = std::fopen(ArtifactPath().c_str(), "a");
   if (f != nullptr) {
@@ -209,35 +262,26 @@ TEST(DifferentialFuzz, TwoPathCrossStrategyAgreement) {
 
   for (int i = 0; i < iters; ++i) {
     const FuzzConfig cfg = MakeConfig(base + static_cast<uint64_t>(i));
-    const BinaryRelation r = MakeRelation(cfg, 1);
-    const BinaryRelation s = cfg.self_join ? r : MakeRelation(cfg, 2);
-
-    const JoinProjectOptions ref_opts = ReferenceOptions(cfg);
-    const JoinProjectOutput ref = JoinProject::TwoPath(r, s, ref_opts);
+    TwoPathInstance inst(cfg);
 
     for (const Variant& v : kTwoPathVariants) {
       for (int t : threads) {
-        JoinProjectOptions opts = ref_opts;
-        opts.strategy = v.strategy;
-        opts.heavy_path = v.heavy_path;
-        opts.partition = v.partition;
-        opts.threads = t;
-        opts.thresholds = cfg.thresholds;
-        const JoinProjectOutput got = JoinProject::TwoPath(r, s, opts);
-
-        const bool match = cfg.counted ? got.counted == ref.counted
-                                       : got.pairs == ref.pairs;
-        if (!match) {
-          const std::string line = cfg.ToString() + " variant=" + v.name +
-                                   " threads=" + std::to_string(t) +
-                                   " got=" + std::to_string(got.size()) +
-                                   " want=" + std::to_string(ref.size());
-          RecordFailure(line);
-          ADD_FAILURE() << "cross-strategy mismatch: " << line
-                        << "\nrepro: JPMM_FUZZ_SEED="
-                        << (base + static_cast<uint64_t>(i))
-                        << " JPMM_FUZZ_ITERS=1 ./differential_fuzz_test";
-          return;  // one repro line per run is enough to bisect
+        for (auto& [form, q] : inst.forms) {
+          const testutil::EngineRun got =
+              testutil::ExecuteSorted(inst.engine, q, VariantExec(cfg, v, t));
+          if (static_cast<const testutil::SortedOutput&>(got) != inst.ref) {
+            const std::string line =
+                cfg.ToString() + " form=" + form.name + " variant=" +
+                v.name + " threads=" + std::to_string(t) +
+                " got=" + std::to_string(got.size()) +
+                " want=" + std::to_string(inst.ref.size());
+            RecordFailure(line);
+            ADD_FAILURE() << "cross-strategy mismatch: " << line
+                          << "\nrepro: JPMM_FUZZ_SEED="
+                          << (base + static_cast<uint64_t>(i))
+                          << " JPMM_FUZZ_ITERS=1 ./differential_fuzz_test";
+            return;  // one repro line per run is enough to bisect
+          }
         }
       }
     }
@@ -260,98 +304,82 @@ TEST(DifferentialFuzz, RandomDeadlineTruncationIsNeverWrong) {
 
   for (int i = 0; i < iters; ++i) {
     const FuzzConfig cfg = MakeConfig(base + static_cast<uint64_t>(i));
-    const BinaryRelation r = MakeRelation(cfg, 1);
-    const BinaryRelation s = cfg.self_join ? r : MakeRelation(cfg, 2);
+    TwoPathInstance inst(cfg);
     Rng rng(cfg.seed ^ 0xD1A5ull);
 
-    // Oracle: reference run, no token.
-    const JoinProjectOptions ref_opts = ReferenceOptions(cfg);
-    const JoinProjectOutput ref = JoinProject::TwoPath(r, s, ref_opts);
+    // Oracle: the reference run, no token.
     std::map<std::pair<Value, Value>, uint32_t> oracle;
-    if (cfg.counted) {
-      for (const CountedPair& p : ref.counted) oracle[{p.x, p.z}] = p.count;
-    } else {
-      for (const OutPair& p : ref.pairs) oracle[{p.x, p.z}] = 1;
-    }
+    for (const CountedPair& p : inst.ref.counted) oracle[{p.x, p.z}] = p.count;
+    for (const OutPair& p : inst.ref.pairs) oracle[{p.x, p.z}] = 1;
 
     for (const Variant& v : kTwoPathVariants) {
       for (int t : threads) {
-        // Deadline placement: a third pre-expired, a third microscopic
-        // (fires mid-run on most machines), a third generous.
-        CancelToken token;
-        switch (rng.Next() % 3) {
-          case 0:
+        // Deadline placement, the same for every form: a third
+        // pre-expired, a third microscopic (fires mid-run on most
+        // machines), a third generous.
+        const uint64_t placement = rng.Next() % 3;
+        const uint64_t us = placement == 1 ? rng.Next() % 500 : 0;
+        for (auto& [form, q] : inst.forms) {
+          CancelToken token;
+          if (placement == 0) {
             token.SetDeadlineAfter(0);
-            break;
-          case 1:
+          } else if (placement == 1) {
             token.SetDeadline(std::chrono::steady_clock::now() +
-                              std::chrono::microseconds(rng.Next() % 500));
-            break;
-          default:
+                              std::chrono::microseconds(us));
+          } else {
             token.SetDeadlineAfter(60 * 1000);
-            break;
-        }
-        JoinProjectOptions opts = ref_opts;
-        opts.strategy = v.strategy;
-        opts.heavy_path = v.heavy_path;
-        opts.partition = v.partition;
-        opts.threads = t;
-        opts.thresholds = cfg.thresholds;
-        opts.sorted = false;
-        opts.cancel = &token;
-        const JoinProjectOutput got = JoinProject::TwoPath(r, s, opts);
-
-        std::string problem;
-        std::set<std::pair<Value, Value>> seen;
-        const size_t n = cfg.counted ? got.counted.size() : got.pairs.size();
-        for (size_t j = 0; j < n && problem.empty(); ++j) {
-          const Value x = cfg.counted ? got.counted[j].x : got.pairs[j].x;
-          const Value z = cfg.counted ? got.counted[j].z : got.pairs[j].z;
-          if (!seen.insert({x, z}).second) problem = "duplicate pair";
-          auto it = oracle.find({x, z});
-          if (it == oracle.end()) {
-            problem = "phantom pair";
-          } else if (cfg.counted && got.counted[j].count != it->second) {
-            problem = "wrong witness count";  // truncated != approximated
           }
-        }
-        if (problem.empty() && !got.interrupted && n != oracle.size()) {
-          problem = "un-interrupted run incomplete";
-        }
-        if (problem.empty() &&
-            got.light_chunks_executed + got.light_chunks_skipped !=
-                got.light_chunks_total) {
-          problem = "light accounting broken";
-        }
-        if (!problem.empty()) {
-          const std::string line = cfg.ToString() + " variant=" + v.name +
-                                   " threads=" + std::to_string(t) +
-                                   " deadline-recipe " + problem;
-          RecordFailure(line);
-          ADD_FAILURE() << "random-deadline violation: " << line;
-          return;
+          ExecOptions exec = VariantExec(cfg, v, t);
+          exec.cancel = &token;
+          const testutil::EngineRun got =
+              testutil::ExecuteSorted(inst.engine, q, exec);
+
+          std::string problem;
+          std::set<std::pair<Value, Value>> seen;
+          const size_t n = got.size();
+          for (size_t j = 0; j < n && problem.empty(); ++j) {
+            const Value x = cfg.counted ? got.counted[j].x : got.pairs[j].x;
+            const Value z = cfg.counted ? got.counted[j].z : got.pairs[j].z;
+            if (!seen.insert({x, z}).second) problem = "duplicate pair";
+            auto it = oracle.find({x, z});
+            if (it == oracle.end()) {
+              problem = "phantom pair";
+            } else if (cfg.counted && got.counted[j].count != it->second) {
+              problem = "wrong witness count";  // truncated != approximated
+            }
+          }
+          if (problem.empty() && !got.interrupted && n != oracle.size()) {
+            problem = "un-interrupted run incomplete";
+          }
+          if (problem.empty() &&
+              got.light_chunks_executed + got.light_chunks_skipped !=
+                  got.light_chunks_total) {
+            problem = "light accounting broken";
+          }
+          if (!problem.empty()) {
+            const std::string line = cfg.ToString() + " form=" + form.name +
+                                     " variant=" + v.name +
+                                     " threads=" + std::to_string(t) +
+                                     " deadline-recipe " + problem;
+            RecordFailure(line);
+            ADD_FAILURE() << "random-deadline violation: " << line;
+            return;
+          }
         }
       }
     }
 
     // Paginated consumer through the engine: a deadline may SHORTEN the
     // page, never corrupt it.
-    {
-      QueryEngine engine;
-      engine.catalog().Put("R", r);
-      if (!cfg.self_join) engine.catalog().Put("S", s);
-      QuerySpec spec;
-      spec.kind = QueryKind::kTwoPath;
-      spec.relations = cfg.self_join ? std::vector<std::string>{"R"}
-                                     : std::vector<std::string>{"R", "S"};
-      spec.count_witnesses = cfg.counted;
-      spec.min_count = cfg.min_count;
-      const uint64_t offset = rng.Next() % 20;
-      const uint64_t limit = 1 + rng.Next() % 30;
+    const uint64_t offset = rng.Next() % 20;
+    const uint64_t limit = 1 + rng.Next() % 30;
+    const bool tight = rng.Next() % 2 == 0;
+    const uint64_t us = tight ? rng.Next() % 300 : 0;
+    for (auto& [form, q] : inst.forms) {
       CancelToken token;
-      if (rng.Next() % 2 == 0) {
+      if (tight) {
         token.SetDeadline(std::chrono::steady_clock::now() +
-                          std::chrono::microseconds(rng.Next() % 300));
+                          std::chrono::microseconds(us));
       } else {
         token.SetDeadlineAfter(60 * 1000);
       }
@@ -360,7 +388,7 @@ TEST(DifferentialFuzz, RandomDeadlineTruncationIsNeverWrong) {
       ExecOptions exec;
       exec.threads = threads.back();
       exec.cancel = &token;
-      const QueryStatus st = engine.Run(spec, sink, exec, &stats);
+      const QueryStatus st = inst.engine.Execute(q, sink, exec, &stats);
       ASSERT_TRUE(st.ok()) << st.message();
       const uint64_t total = oracle.size();
       const uint64_t want_page =
@@ -377,9 +405,10 @@ TEST(DifferentialFuzz, RandomDeadlineTruncationIsNeverWrong) {
         if (!seen.insert({p.x, p.z}).second) problem = "duplicate page entry";
       }
       if (!problem.empty()) {
-        const std::string line = cfg.ToString() + " page offset=" +
-                                 std::to_string(offset) + " limit=" +
-                                 std::to_string(limit) + " " + problem;
+        const std::string line = cfg.ToString() + " form=" + form.name +
+                                 " page offset=" + std::to_string(offset) +
+                                 " limit=" + std::to_string(limit) + " " +
+                                 problem;
         RecordFailure(line);
         ADD_FAILURE() << "random-deadline page violation: " << line;
         return;
@@ -406,67 +435,53 @@ TEST(DifferentialFuzz, BatchedAndCachedServiceMatchesSolo) {
 
   for (int i = 0; i < iters; ++i) {
     const FuzzConfig cfg = MakeConfig(base + static_cast<uint64_t>(i));
-    const BinaryRelation r = MakeRelation(cfg, 1);
-    const BinaryRelation s = cfg.self_join ? r : MakeRelation(cfg, 2);
+    TwoPathInstance inst(cfg);
+    const testutil::SortedOutput& ref = inst.ref;
+    Rng rng(cfg.seed ^ 0xCA9Eull);
+    const uint64_t offset = rng.Next() % 20;
+    const uint64_t limit = 1 + rng.Next() % 30;
 
-    const JoinProjectOptions ref_opts = ReferenceOptions(cfg);
-    const JoinProjectOutput ref = JoinProject::TwoPath(r, s, ref_opts);
+    // One service per form: each form is its own spec, so its own cache
+    // entry.
+    for (auto& [form, q] : inst.forms) {
+      QueryServiceOptions so;
+      so.enable_batching = true;
+      so.batch_window_ms = 0;  // sequential requests: no coalescing partner,
+                               // but the whole leader/fan-out path still runs
+      so.enable_result_cache = true;
+      QueryService service(&inst.engine, so);
 
-    QueryEngine engine;
-    engine.catalog().Put("R", r);
-    if (!cfg.self_join) engine.catalog().Put("S", s);
-    QueryServiceOptions so;
-    so.enable_batching = true;
-    so.batch_window_ms = 0;  // sequential requests: no coalescing partner,
-                             // but the whole leader/fan-out path still runs
-    so.enable_result_cache = true;
-    QueryService service(&engine, so);
-
-    QuerySpec spec;
-    spec.kind = QueryKind::kTwoPath;
-    spec.relations = cfg.self_join ? std::vector<std::string>{"R"}
-                                   : std::vector<std::string>{"R", "S"};
-    spec.count_witnesses = cfg.counted;
-    spec.min_count = cfg.min_count;
-    PreparedQuery q;
-    ASSERT_TRUE(engine.Prepare(spec, &q).ok());
-
-    uint64_t runs = 0;
-    for (int t : threads) {
-      ServiceRequest req;
-      req.exec.threads = t;
-      req.exec.thresholds = cfg.thresholds;
-      VectorSink sink;
-      ExecStats stats;
-      const QueryStatus st = service.Execute(q, sink, req, &stats);
-      ++runs;
-      std::string problem;
-      if (!st.ok()) {
-        problem = "status: " + st.message();
-      } else if (cfg.counted
-                     ? testutil::Sorted(sink.counted()) != ref.counted
-                     : testutil::Sorted(sink.pairs()) != ref.pairs) {
-        problem = "result mismatch";
-      } else if (runs > 1 && !stats.result_cache_hit) {
-        problem = "expected a cache hit on a repeat request";
+      uint64_t runs = 0;
+      for (int t : threads) {
+        ServiceRequest req;
+        req.exec.threads = t;
+        req.exec.thresholds = cfg.thresholds;
+        VectorSink sink;
+        ExecStats stats;
+        const QueryStatus st = service.Execute(q, sink, req, &stats);
+        ++runs;
+        std::string problem;
+        if (!st.ok()) {
+          problem = "status: " + st.message();
+        } else if (testutil::SortedOutput(sink) != ref) {
+          problem = "result mismatch";
+        } else if (runs > 1 && !stats.result_cache_hit) {
+          problem = "expected a cache hit on a repeat request";
+        }
+        if (!problem.empty()) {
+          const std::string line = cfg.ToString() + " form=" + form.name +
+                                   " service threads=" + std::to_string(t) +
+                                   " " + problem;
+          RecordFailure(line);
+          ADD_FAILURE() << "batched-service mismatch: " << line;
+          return;
+        }
       }
-      if (!problem.empty()) {
-        const std::string line = cfg.ToString() + " service threads=" +
-                                 std::to_string(t) + " " + problem;
-        RecordFailure(line);
-        ADD_FAILURE() << "batched-service mismatch: " << line;
-        return;
-      }
-    }
-    ASSERT_EQ(service.stats().cache_hits, runs - 1);
-    ASSERT_EQ(service.stats().completed, runs);
+      ASSERT_EQ(service.stats().cache_hits, runs - 1);
+      ASSERT_EQ(service.stats().completed, runs);
 
-    // Paginated consumer served from the warm cache: replay must honour
-    // the sink's done() and deliver an exact page of real results.
-    {
-      Rng rng(cfg.seed ^ 0xCA9Eull);
-      const uint64_t offset = rng.Next() % 20;
-      const uint64_t limit = 1 + rng.Next() % 30;
+      // Paginated consumer served from the warm cache: replay must honour
+      // the sink's done() and deliver an exact page of real results.
       PageSink sink(offset, limit);
       ExecStats stats;
       ServiceRequest req;
@@ -488,7 +503,8 @@ TEST(DifferentialFuzz, BatchedAndCachedServiceMatchesSolo) {
         if (oracle_set.count({p.x, p.z}) == 0) problem = "phantom page entry";
       }
       if (!problem.empty()) {
-        const std::string line = cfg.ToString() + " cached-page offset=" +
+        const std::string line = cfg.ToString() + " form=" + form.name +
+                                 " cached-page offset=" +
                                  std::to_string(offset) + " limit=" +
                                  std::to_string(limit) + " " + problem;
         RecordFailure(line);
@@ -534,38 +550,30 @@ TEST(DifferentialFuzz, TwoPathForcedIsaAgreement) {
     // Pin tiny thresholds: the heavy part (where the SIMD kernels run) must
     // exist on these small instances for the sweep to test anything.
     cfg.thresholds = Thresholds{1, 1};
-    const BinaryRelation r = MakeRelation(cfg, 1);
-    const BinaryRelation s = cfg.self_join ? r : MakeRelation(cfg, 2);
-
-    const JoinProjectOptions ref_opts = ReferenceOptions(cfg);
-    const JoinProjectOutput ref = JoinProject::TwoPath(r, s, ref_opts);
+    TwoPathInstance inst(cfg);
 
     for (KernelIsa isa : HostIsas()) {
       ScopedIsaOverride force(isa);
       for (const Variant& v : kMmVariants) {
         for (int t : threads) {
-          JoinProjectOptions opts = ref_opts;
-          opts.strategy = v.strategy;
-          opts.heavy_path = v.heavy_path;
-          opts.threads = t;
-          opts.thresholds = cfg.thresholds;
-          const JoinProjectOutput got = JoinProject::TwoPath(r, s, opts);
-          const bool match = cfg.counted ? got.counted == ref.counted
-                                         : got.pairs == ref.pairs;
-          if (!match) {
-            const std::string line = cfg.ToString() +
-                                     " isa=" + KernelIsaName(isa) +
-                                     " variant=" + v.name +
-                                     " threads=" + std::to_string(t) +
-                                     " got=" + std::to_string(got.size()) +
-                                     " want=" + std::to_string(ref.size());
-            RecordFailure(line);
-            ADD_FAILURE() << "forced-ISA mismatch: " << line
-                          << "\nrepro: JPMM_ISA=" << KernelIsaName(isa)
-                          << " JPMM_FUZZ_SEED="
-                          << (base + static_cast<uint64_t>(i))
-                          << " JPMM_FUZZ_ITERS=1 ./differential_fuzz_test";
-            return;
+          for (auto& [form, q] : inst.forms) {
+            const testutil::EngineRun got = testutil::ExecuteSorted(
+                inst.engine, q, VariantExec(cfg, v, t));
+            if (static_cast<const testutil::SortedOutput&>(got) != inst.ref) {
+              const std::string line =
+                  cfg.ToString() + " form=" + form.name +
+                  " isa=" + KernelIsaName(isa) + " variant=" + v.name +
+                  " threads=" + std::to_string(t) +
+                  " got=" + std::to_string(got.size()) +
+                  " want=" + std::to_string(inst.ref.size());
+              RecordFailure(line);
+              ADD_FAILURE() << "forced-ISA mismatch: " << line
+                            << "\nrepro: JPMM_ISA=" << KernelIsaName(isa)
+                            << " JPMM_FUZZ_SEED="
+                            << (base + static_cast<uint64_t>(i))
+                            << " JPMM_FUZZ_ITERS=1 ./differential_fuzz_test";
+              return;
+            }
           }
         }
       }

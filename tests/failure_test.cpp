@@ -6,7 +6,9 @@
 
 #include "core/join_project.h"
 #include "core/mm_join.h"
+#include "core/nonmm_join.h"
 #include "core/query_engine.h"
+#include "core/result_sink.h"
 #include "matrix/dense_matrix.h"
 #include "matrix/matmul.h"
 #include "storage/index.h"
@@ -36,16 +38,12 @@ TEST(FailureDeath, MinCountWithoutCountingIsRejected) {
   IndexedRelation ri(r);
   MmJoinOptions opts;
   opts.min_count = 2;  // but count_witnesses is false
-  EXPECT_DEATH(MmJoinTwoPath(ri, ri, opts), "min_count");
-}
-
-TEST(FailureDeath, FacadeRejectsUnfinalizedRelations) {
-  BinaryRelation r;
-  r.Add(1, 1);
-  BinaryRelation s;
-  s.Add(1, 1);
-  s.Finalize();
-  EXPECT_DEATH(JoinProject::TwoPath(r, s), "Finalize");
+  VectorSink sink;
+  EXPECT_DEATH(MmJoinTwoPath(ri, ri, opts, sink), "min_count");
+  EXPECT_DEATH(NonMmJoinTwoPath(ri, ri, opts, sink), "min_count");
+  EXPECT_DEATH(WcojFullJoinProject(ri, ri, /*count_witnesses=*/false,
+                                   /*min_count=*/2, /*threads=*/1, &sink),
+               "min_count");
 }
 
 TEST(FailureRecoverable, StarRejectsSingleRelation) {
@@ -92,8 +90,8 @@ TEST(FailureRecoverable, TinyMatrixBudgetStillProducesCorrectResult) {
   MmJoinOptions opts;
   opts.thresholds = {1, 1};
   opts.max_matrix_bytes = 1;  // nothing fits
-  auto res = MmJoinTwoPath(ri, ri, opts);
-  EXPECT_EQ(testutil::Sorted(res.pairs), testutil::OracleTwoPath(r, r));
+  EXPECT_EQ(testutil::MmRun(ri, ri, opts).pairs,
+            testutil::OracleTwoPath(r, r));
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 
 #include "bsi/bsi.h"
 #include "bsi/workload.h"
-#include "core/join_project.h"
+#include "core/query_engine.h"
 #include "datagen/generators.h"
 #include "datagen/presets.h"
 #include "scj/limit_plus.h"
@@ -21,19 +21,18 @@ namespace jpmm {
 namespace {
 
 using Instance = testutil::SetInstance;
+using testutil::EngineTwoPath;
 
 class PresetPipeline : public ::testing::TestWithParam<DatasetPreset> {};
 
 TEST_P(PresetPipeline, AllJoinStrategiesAgree) {
-  Instance inst(MakePreset(GetParam(), 0.08));
-  JoinProjectOptions opts;
-  opts.sorted = true;
-  opts.strategy = Strategy::kMmJoin;
-  const auto mm = JoinProject::TwoPath(inst.idx, inst.idx, opts);
-  opts.strategy = Strategy::kNonMmJoin;
-  const auto nonmm = JoinProject::TwoPath(inst.idx, inst.idx, opts);
-  opts.strategy = Strategy::kWcojFull;
-  const auto wcoj = JoinProject::TwoPath(inst.idx, inst.idx, opts);
+  const BinaryRelation rel = MakePreset(GetParam(), 0.08);
+  auto run = [&](Strategy s) {
+    return EngineTwoPath(rel, rel, testutil::TwoPathSpec(s));
+  };
+  const auto mm = run(Strategy::kMmJoin);
+  const auto nonmm = run(Strategy::kNonMmJoin);
+  const auto wcoj = run(Strategy::kWcojFull);
   EXPECT_EQ(mm.pairs, nonmm.pairs);
   EXPECT_EQ(mm.pairs, wcoj.pairs);
   EXPECT_GT(mm.pairs.size(), 0u);
@@ -77,9 +76,8 @@ TEST(OptimizerIntegration, SparsePresetsChooseFullJoin) {
   // Paper §7.2: "the optimizer chooses to compute the full join" for
   // RoadNet and DBLP.
   for (DatasetPreset p : {DatasetPreset::kRoadNet, DatasetPreset::kDblp}) {
-    Instance inst(MakePreset(p, 0.2));
-    JoinProjectOptions opts;
-    auto out = JoinProject::TwoPath(inst.idx, inst.idx, opts);
+    const BinaryRelation rel = MakePreset(p, 0.2);
+    const auto out = EngineTwoPath(rel, rel, testutil::TwoPathSpec());
     EXPECT_TRUE(out.plan.use_full_wcoj) << PresetName(p);
     EXPECT_EQ(out.executed, Strategy::kWcojFull) << PresetName(p);
   }
@@ -88,9 +86,8 @@ TEST(OptimizerIntegration, SparsePresetsChooseFullJoin) {
 TEST(OptimizerIntegration, DensePresetsChooseMmJoin) {
   for (DatasetPreset p : {DatasetPreset::kJokes, DatasetPreset::kProtein,
                           DatasetPreset::kImage}) {
-    Instance inst(MakePreset(p, 0.4));
-    JoinProjectOptions opts;
-    auto out = JoinProject::TwoPath(inst.idx, inst.idx, opts);
+    const BinaryRelation rel = MakePreset(p, 0.4);
+    const auto out = EngineTwoPath(rel, rel, testutil::TwoPathSpec());
     EXPECT_FALSE(out.plan.use_full_wcoj) << PresetName(p);
     EXPECT_EQ(out.executed, Strategy::kMmJoin) << PresetName(p);
   }
@@ -99,9 +96,7 @@ TEST(OptimizerIntegration, DensePresetsChooseMmJoin) {
 TEST(Example1Integration, CommunityGraphDuplicationRegime) {
   // Example 1: |OUT_join| = Theta(N^{3/2}), |OUT| = Theta(N).
   BinaryRelation g = CommunityGraph(4, 48, 0.8, 3);
-  IndexedRelation idx(g);
-  JoinProjectOptions opts;
-  auto out = JoinProject::TwoPath(idx, idx, opts);
+  const auto out = EngineTwoPath(g, g, testutil::TwoPathSpec());
   const double n = static_cast<double>(g.size());
   EXPECT_GT(static_cast<double>(out.plan.full_join_size), 4.0 * n);
   EXPECT_LT(static_cast<double>(out.size()), 4.0 * n);
@@ -111,9 +106,7 @@ TEST(LoaderIntegration, TextToJoinPipeline) {
   const std::string text = "0 10\n1 10\n2 11\n0 11\n";
   auto rel = ParseEdgeList(text);
   ASSERT_TRUE(rel.has_value());
-  JoinProjectOptions opts;
-  opts.sorted = true;
-  auto out = JoinProject::TwoPath(*rel, *rel, opts);
+  const auto out = EngineTwoPath(*rel, *rel, testutil::TwoPathSpec());
   // {0,1} share 10; {0,2} share 11; plus reflexive pairs.
   const std::vector<OutPair> expected = {{0, 0}, {0, 1}, {0, 2}, {1, 0},
                                          {1, 1}, {2, 0}, {2, 2}};

@@ -11,6 +11,8 @@
 #include "core/join_project.h"
 #include "core/mm_join.h"
 #include "core/nonmm_join.h"
+#include "core/optimizer.h"
+#include "core/result_sink.h"
 #include "datagen/generators.h"
 #include "tests/test_util.h"
 
@@ -20,7 +22,8 @@ namespace {
 using testutil::OracleTwoPath;
 using testutil::OracleTwoPathCounted;
 using testutil::RandomRelation;
-using testutil::Sorted;
+using testutil::MmRun;
+using testutil::NonMmRun;
 
 TEST(MmJoin, TinyHandComputedExample) {
   // R = {(0,0), (0,1), (1,1)}, S = {(5,0), (6,1)}:
@@ -36,8 +39,8 @@ TEST(MmJoin, TinyHandComputedExample) {
   IndexedRelation ri(r), si(s);
   MmJoinOptions opts;
   opts.thresholds = {1, 1};
-  auto res = MmJoinTwoPath(ri, si, opts);
-  EXPECT_EQ(Sorted(res.pairs),
+  auto res = MmRun(ri, si, opts);
+  EXPECT_EQ(res.pairs,
             (std::vector<OutPair>{{0, 5}, {0, 6}, {1, 6}}));
 }
 
@@ -72,8 +75,8 @@ TEST(MmJoin, PaperExample2) {
   MmJoinOptions opts;
   opts.thresholds = {2, 2};
   opts.count_witnesses = true;
-  auto res = MmJoinTwoPath(ri, si, opts);
-  EXPECT_EQ(Sorted(res.counted), OracleTwoPathCounted(r, s));
+  auto res = MmRun(ri, si, opts);
+  EXPECT_EQ(res.counted, OracleTwoPathCounted(r, s));
   // The heavy block {4,5,6} x {4,5,6} should have gone through the matrix.
   EXPECT_GT(res.heavy_rows, 0u);
   EXPECT_GT(res.heavy_inner, 0u);
@@ -98,8 +101,8 @@ TEST_P(MmJoinSweep, EnumerationMatchesOracle) {
   MmJoinOptions opts;
   opts.thresholds = {p.d1, p.d2};
   opts.threads = p.threads;
-  auto res = MmJoinTwoPath(ri, si, opts);
-  EXPECT_EQ(Sorted(res.pairs), OracleTwoPath(r, s));
+  auto res = MmRun(ri, si, opts);
+  EXPECT_EQ(res.pairs, OracleTwoPath(r, s));
 }
 
 TEST_P(MmJoinSweep, CountsMatchOracle) {
@@ -111,8 +114,8 @@ TEST_P(MmJoinSweep, CountsMatchOracle) {
   opts.thresholds = {p.d1, p.d2};
   opts.threads = p.threads;
   opts.count_witnesses = true;
-  auto res = MmJoinTwoPath(ri, si, opts);
-  EXPECT_EQ(Sorted(res.counted), OracleTwoPathCounted(r, s));
+  auto res = MmRun(ri, si, opts);
+  EXPECT_EQ(res.counted, OracleTwoPathCounted(r, s));
 }
 
 TEST_P(MmJoinSweep, NonMmMatchesOracle) {
@@ -123,12 +126,12 @@ TEST_P(MmJoinSweep, NonMmMatchesOracle) {
   MmJoinOptions opts;
   opts.thresholds = {p.d1, p.d2};
   opts.threads = p.threads;
-  auto res = NonMmJoinTwoPath(ri, si, opts);
-  EXPECT_EQ(Sorted(res.pairs), OracleTwoPath(r, s));
+  auto res = NonMmRun(ri, si, opts);
+  EXPECT_EQ(res.pairs, OracleTwoPath(r, s));
 
   opts.count_witnesses = true;
-  auto counted = NonMmJoinTwoPath(ri, si, opts);
-  EXPECT_EQ(Sorted(counted.counted), OracleTwoPathCounted(r, s));
+  auto counted = NonMmRun(ri, si, opts);
+  EXPECT_EQ(counted.counted, OracleTwoPathCounted(r, s));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -160,8 +163,8 @@ TEST(MmJoin, SelfJoinMatchesOracle) {
   IndexedRelation ri(r);
   MmJoinOptions opts;
   opts.thresholds = {3, 3};
-  auto res = MmJoinTwoPath(ri, ri, opts);
-  EXPECT_EQ(Sorted(res.pairs), OracleTwoPath(r, r));
+  auto res = MmRun(ri, ri, opts);
+  EXPECT_EQ(res.pairs, OracleTwoPath(r, r));
 }
 
 TEST(MmJoin, CommunityGraphFromExample1) {
@@ -170,8 +173,8 @@ TEST(MmJoin, CommunityGraphFromExample1) {
   IndexedRelation ri(r);
   MmJoinOptions opts;
   opts.thresholds = {8, 8};
-  auto res = MmJoinTwoPath(ri, ri, opts);
-  EXPECT_EQ(Sorted(res.pairs), OracleTwoPath(r, r));
+  auto res = MmRun(ri, ri, opts);
+  EXPECT_EQ(res.pairs, OracleTwoPath(r, r));
   EXPECT_GT(res.heavy_rows, 0u);  // communities are heavy
 }
 
@@ -183,8 +186,8 @@ TEST(MmJoin, MinCountFiltersPairs) {
     opts.thresholds = {3, 3};
     opts.count_witnesses = true;
     opts.min_count = c;
-    auto res = MmJoinTwoPath(ri, ri, opts);
-    EXPECT_EQ(Sorted(res.counted), OracleTwoPathCounted(r, r, c)) << "c=" << c;
+    auto res = MmRun(ri, ri, opts);
+    EXPECT_EQ(res.counted, OracleTwoPathCounted(r, r, c)) << "c=" << c;
   }
 }
 
@@ -198,9 +201,9 @@ TEST(MmJoin, SmallRowBlocksMatch) {
   b.row_block = 7;
   MmJoinOptions c = a;
   c.row_block = 4096;
-  const auto ref = Sorted(MmJoinTwoPath(ri, ri, a).pairs);
-  EXPECT_EQ(Sorted(MmJoinTwoPath(ri, ri, b).pairs), ref);
-  EXPECT_EQ(Sorted(MmJoinTwoPath(ri, ri, c).pairs), ref);
+  const auto ref = MmRun(ri, ri, a).pairs;
+  EXPECT_EQ(MmRun(ri, ri, b).pairs, ref);
+  EXPECT_EQ(MmRun(ri, ri, c).pairs, ref);
 }
 
 TEST(MmJoin, MemoryCapRaisesThresholds) {
@@ -209,9 +212,9 @@ TEST(MmJoin, MemoryCapRaisesThresholds) {
   MmJoinOptions opts;
   opts.thresholds = {1, 1};
   opts.max_matrix_bytes = 1024;  // absurdly small: force adjustment
-  auto res = MmJoinTwoPath(ri, ri, opts);
+  auto res = MmRun(ri, ri, opts);
   EXPECT_GT(res.adjusted_thresholds.delta1, 1u);
-  EXPECT_EQ(Sorted(res.pairs), OracleTwoPath(r, r));
+  EXPECT_EQ(res.pairs, OracleTwoPath(r, r));
 }
 
 TEST(MmJoin, EmptyRelations) {
@@ -219,7 +222,7 @@ TEST(MmJoin, EmptyRelations) {
   r.Finalize();
   IndexedRelation ri(r);
   MmJoinOptions opts;
-  auto res = MmJoinTwoPath(ri, ri, opts);
+  auto res = MmRun(ri, ri, opts);
   EXPECT_TRUE(res.pairs.empty());
 }
 
@@ -234,7 +237,7 @@ TEST(MmJoin, DisjointYDomainsProduceNothing) {
   IndexedRelation ri(r), si(s);
   MmJoinOptions opts;
   opts.thresholds = {1, 1};
-  EXPECT_TRUE(MmJoinTwoPath(ri, si, opts).pairs.empty());
+  EXPECT_TRUE(MmRun(ri, si, opts).pairs.empty());
 }
 
 TEST(MmJoin, OutputHasNoDuplicates) {
@@ -242,8 +245,8 @@ TEST(MmJoin, OutputHasNoDuplicates) {
   IndexedRelation ri(r);
   MmJoinOptions opts;
   opts.thresholds = {3, 5};
-  auto res = MmJoinTwoPath(ri, ri, opts);
-  auto sorted = Sorted(res.pairs);
+  auto res = MmRun(ri, ri, opts);
+  auto sorted = res.pairs;
   EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
 }
 
@@ -252,9 +255,9 @@ TEST(NonMm, HeavyPathExercised) {
   IndexedRelation ri(r);
   MmJoinOptions opts;
   opts.thresholds = {4, 4};
-  auto res = NonMmJoinTwoPath(ri, ri, opts);
+  auto res = NonMmRun(ri, ri, opts);
   EXPECT_GT(res.heavy_rows, 0u);
-  EXPECT_EQ(Sorted(res.pairs), OracleTwoPath(r, r));
+  EXPECT_EQ(res.pairs, OracleTwoPath(r, r));
 }
 
 // Guard for the dynamic (atomic-chunk-claiming) scheduler: on skewed
@@ -277,30 +280,31 @@ TEST(MmJoin, ThreadCountDoesNotChangeSortedOutput) {
   MmJoinOptions base;
   base.thresholds = {4, 4};  // force a real heavy part
   base.threads = 1;
-  const auto ref = Sorted(MmJoinTwoPath(ri, ri, base).pairs);
+  const auto ref = MmRun(ri, ri, base).pairs;
   EXPECT_FALSE(ref.empty());
   for (int threads : sweep) {
     MmJoinOptions opts = base;
     opts.threads = threads;
-    EXPECT_EQ(Sorted(MmJoinTwoPath(ri, ri, opts).pairs), ref)
+    EXPECT_EQ(MmRun(ri, ri, opts).pairs, ref)
         << "threads=" << threads;
   }
   // Counted variant: witness counts must also be partition-independent.
   MmJoinOptions counted = base;
   counted.count_witnesses = true;
-  const auto cref = Sorted(MmJoinTwoPath(ri, ri, counted).counted);
+  const auto cref = MmRun(ri, ri, counted).counted;
   for (int threads : sweep) {
     MmJoinOptions opts = counted;
     opts.threads = threads;
-    EXPECT_EQ(Sorted(MmJoinTwoPath(ri, ri, opts).counted), cref)
+    EXPECT_EQ(MmRun(ri, ri, opts).counted, cref)
         << "threads=" << threads;
   }
 }
 
-// Same property through the JoinProject facade (plan choice + execution),
-// with a pinned calibration so the optimizer's decision is deterministic
-// and no measurement runs inside the test.
-TEST(MmJoin, JoinProjectThreadSweepIsDeterministic) {
+// Same property through plan choice + dispatch (ChooseTwoPathPlan at each
+// thread count, then RunTwoPath), with a pinned calibration so the
+// optimizer's decision is deterministic and no measurement runs inside the
+// test.
+TEST(MmJoin, PlannedRunThreadSweepIsDeterministic) {
   BipartiteSpec spec;
   spec.num_sets = 2500;
   spec.dom_size = 600;
@@ -308,20 +312,38 @@ TEST(MmJoin, JoinProjectThreadSweepIsDeterministic) {
   spec.element_skew = 0.8;
   spec.seed = 131;
   BinaryRelation rel = MakeBipartite(spec);
+  IndexedRelation ri(rel);
+  const TwoPathStats stats(ri, ri);
 
   const MatMulCalibration cal =
       MatMulCalibration::FromFlopsRate(5e10, {1, 2, 4, 8});
-  JoinProjectOptions opts;
-  opts.sorted = true;
-  opts.optimizer.calibration = &cal;
-  opts.threads = 1;
-  const auto ref = JoinProject::TwoPath(rel, rel, opts);
+  auto plan_at = [&](int threads) {
+    OptimizerOptions oo;
+    oo.calibration = &cal;
+    oo.threads = threads;
+    return ChooseTwoPathPlan(ri, ri, stats, oo);
+  };
+  auto run_at = [&](int threads, const PlanChoice& plan) {
+    MmJoinOptions opts;
+    opts.threads = threads;
+    VectorSink sink;
+    RunTwoPath(ri, ri, plan, Strategy::kAuto, opts, sink);
+    return testutil::SortedOutput(sink).pairs;
+  };
+  const PlanChoice ref_plan = plan_at(1);
+  const auto ref = run_at(1, ref_plan);
+  EXPECT_FALSE(ref.empty());
   for (int threads : {3, HardwareThreads()}) {
-    JoinProjectOptions o = opts;
-    o.threads = threads;
-    const auto got = JoinProject::TwoPath(rel, rel, o);
-    EXPECT_EQ(got.pairs, ref.pairs) << "threads=" << threads;
-    EXPECT_EQ(got.executed, ref.executed);
+    // The thresholds may move with the thread count (parallel efficiency
+    // is part of the cost model), but not between two plannings at one
+    // count, and the strategy and the output stay the same.
+    const PlanChoice plan = plan_at(threads);
+    EXPECT_EQ(plan_at(threads).thresholds, plan.thresholds)
+        << "threads=" << threads;
+    EXPECT_EQ(ResolveStrategy(Strategy::kAuto, plan),
+              ResolveStrategy(Strategy::kAuto, ref_plan))
+        << "threads=" << threads;
+    EXPECT_EQ(run_at(threads, plan), ref) << "threads=" << threads;
   }
 }
 
@@ -330,7 +352,7 @@ TEST(MmJoin, InstrumentationIsConsistent) {
   IndexedRelation ri(r);
   MmJoinOptions opts;
   opts.thresholds = {5, 5};
-  auto res = MmJoinTwoPath(ri, ri, opts);
+  auto res = MmRun(ri, ri, opts);
   EXPECT_GE(res.light_seconds, 0.0);
   EXPECT_GE(res.heavy_seconds, 0.0);
   EXPECT_EQ(res.adjusted_thresholds.delta1, 5u);

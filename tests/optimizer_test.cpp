@@ -1,5 +1,5 @@
 // Tests for the output estimator (§5) and the cost-based optimizer
-// (Algorithm 3), plus the JoinProject facade.
+// (Algorithm 3), plus the two-path strategies through QueryEngine.
 
 #include <gtest/gtest.h>
 
@@ -12,10 +12,11 @@
 namespace jpmm {
 namespace {
 
+using testutil::EngineTwoPath;
 using testutil::OracleTwoPath;
 using testutil::OracleTwoPathCounted;
 using testutil::RandomRelation;
-using testutil::Sorted;
+using testutil::TwoPathSpec;
 
 TEST(Estimator, BoundsBracketTrueOutput) {
   for (uint64_t seed : {51ull, 52ull, 53ull, 54ull}) {
@@ -122,65 +123,53 @@ TEST(Optimizer, NonMmThresholdsBalanced) {
 }
 
 // ---------------------------------------------------------------------------
-// Facade tests.
+// The two-path strategies through QueryEngine.
 
-class FacadeStrategyTest : public ::testing::TestWithParam<Strategy> {};
+class TwoPathStrategyTest : public ::testing::TestWithParam<Strategy> {};
 
-TEST_P(FacadeStrategyTest, MatchesOracle) {
+TEST_P(TwoPathStrategyTest, MatchesOracle) {
   BinaryRelation r = RandomRelation(50, 35, 450, 1.2, 61);
-  JoinProjectOptions opts;
-  opts.strategy = GetParam();
-  opts.sorted = true;
-  auto out = JoinProject::TwoPath(r, r, opts);
+  const auto out = EngineTwoPath(r, r, TwoPathSpec(GetParam()));
   EXPECT_EQ(out.pairs, OracleTwoPath(r, r));
   EXPECT_GE(out.seconds, 0.0);
 }
 
-TEST_P(FacadeStrategyTest, CountedMatchesOracle) {
+TEST_P(TwoPathStrategyTest, CountedMatchesOracle) {
   BinaryRelation r = RandomRelation(40, 30, 350, 1.0, 62);
-  JoinProjectOptions opts;
-  opts.strategy = GetParam();
-  opts.count_witnesses = true;
-  opts.sorted = true;
-  auto out = JoinProject::TwoPath(r, r, opts);
-  EXPECT_EQ(out.counted, OracleTwoPathCounted(r, r));
+  QuerySpec spec = TwoPathSpec(GetParam());
+  spec.count_witnesses = true;
+  EXPECT_EQ(EngineTwoPath(r, r, spec).counted, OracleTwoPathCounted(r, r));
 }
 
-INSTANTIATE_TEST_SUITE_P(Strategies, FacadeStrategyTest,
+INSTANTIATE_TEST_SUITE_P(Strategies, TwoPathStrategyTest,
                          ::testing::Values(Strategy::kAuto, Strategy::kMmJoin,
                                            Strategy::kNonMmJoin,
                                            Strategy::kWcojFull));
 
-TEST(Facade, ExplicitThresholdsAreHonoured) {
+TEST(TwoPath, ExplicitThresholdsAreHonoured) {
   BinaryRelation r = CommunityGraph(3, 20, 1.0, 23);
-  JoinProjectOptions opts;
-  opts.strategy = Strategy::kMmJoin;
-  opts.thresholds = {4, 4};
-  opts.sorted = true;
-  auto out = JoinProject::TwoPath(r, r, opts);
-  EXPECT_EQ(out.pairs, OracleTwoPath(r, r));
+  ExecOptions exec;
+  exec.thresholds = {4, 4};
+  EXPECT_EQ(EngineTwoPath(r, r, TwoPathSpec(Strategy::kMmJoin), exec).pairs,
+            OracleTwoPath(r, r));
 }
 
-TEST(Facade, MinCountThreshold) {
+TEST(TwoPath, MinCountThreshold) {
   BinaryRelation r = RandomRelation(30, 20, 300, 1.0, 63);
-  JoinProjectOptions opts;
-  opts.strategy = Strategy::kMmJoin;
-  opts.count_witnesses = true;
-  opts.min_count = 3;
-  opts.sorted = true;
-  auto out = JoinProject::TwoPath(r, r, opts);
-  EXPECT_EQ(out.counted, OracleTwoPathCounted(r, r, 3));
+  QuerySpec spec = TwoPathSpec(Strategy::kMmJoin);
+  spec.count_witnesses = true;
+  spec.min_count = 3;
+  EXPECT_EQ(EngineTwoPath(r, r, spec).counted,
+            OracleTwoPathCounted(r, r, 3));
 }
 
-TEST(Facade, ThreadsDoNotChangeResult) {
+TEST(TwoPath, ThreadsDoNotChangeResult) {
   BinaryRelation r = RandomRelation(60, 40, 600, 1.2, 64);
-  JoinProjectOptions opts;
-  opts.strategy = Strategy::kMmJoin;
-  opts.sorted = true;
-  auto ref = JoinProject::TwoPath(r, r, opts);
-  opts.threads = 4;
-  auto par = JoinProject::TwoPath(r, r, opts);
-  EXPECT_EQ(ref.pairs, par.pairs);
+  const QuerySpec spec = TwoPathSpec(Strategy::kMmJoin);
+  ExecOptions par;
+  par.threads = 4;
+  EXPECT_EQ(EngineTwoPath(r, r, spec).pairs,
+            EngineTwoPath(r, r, spec, par).pairs);
 }
 
 TEST(Engine, StarDispatch) {
@@ -203,7 +192,7 @@ TEST(Engine, StarDispatch) {
   }
 }
 
-TEST(Facade, StrategyNames) {
+TEST(TwoPath, StrategyNames) {
   EXPECT_STREQ(StrategyName(Strategy::kAuto), "auto");
   EXPECT_STREQ(StrategyName(Strategy::kMmJoin), "mmjoin");
   EXPECT_STREQ(StrategyName(Strategy::kNonMmJoin), "nonmm");

@@ -17,10 +17,12 @@
 namespace jpmm {
 namespace {
 
+using testutil::EngineTwoPath;
+using testutil::MmRun;
 using testutil::OracleTwoPath;
 using testutil::OracleTwoPathCounted;
 using testutil::RandomRelation;
-using testutil::Sorted;
+using testutil::TwoPathSpec;
 
 class SeedSweep : public ::testing::TestWithParam<uint64_t> {};
 
@@ -35,13 +37,9 @@ TEST_P(SeedSweep, AllTwoPathStrategiesMatchOracle) {
   BinaryRelation s = RandomRelation(nx + 3, ny, tuples, skew, seed ^ 0xff);
   const auto oracle = OracleTwoPath(r, s);
 
-  IndexedRelation ri(r), si(s);
   for (Strategy strat :
        {Strategy::kMmJoin, Strategy::kNonMmJoin, Strategy::kWcojFull}) {
-    JoinProjectOptions opts;
-    opts.strategy = strat;
-    opts.sorted = true;
-    EXPECT_EQ(JoinProject::TwoPath(ri, si, opts).pairs, oracle)
+    EXPECT_EQ(EngineTwoPath(r, s, TwoPathSpec(strat)).pairs, oracle)
         << "seed=" << seed << " strategy=" << StrategyName(strat);
   }
 }
@@ -49,15 +47,12 @@ TEST_P(SeedSweep, AllTwoPathStrategiesMatchOracle) {
 TEST_P(SeedSweep, CountsAreConsistentAcrossStrategies) {
   const uint64_t seed = GetParam();
   BinaryRelation r = RandomRelation(40, 25, 300, 0.9, seed * 31 + 7);
-  IndexedRelation ri(r);
   const auto oracle = OracleTwoPathCounted(r, r);
   for (Strategy strat :
        {Strategy::kMmJoin, Strategy::kNonMmJoin, Strategy::kWcojFull}) {
-    JoinProjectOptions opts;
-    opts.strategy = strat;
-    opts.count_witnesses = true;
-    opts.sorted = true;
-    EXPECT_EQ(JoinProject::TwoPath(ri, ri, opts).counted, oracle)
+    QuerySpec spec = TwoPathSpec(strat);
+    spec.count_witnesses = true;
+    EXPECT_EQ(EngineTwoPath(r, r, spec).counted, oracle)
         << "seed=" << seed << " strategy=" << StrategyName(strat);
   }
 }
@@ -66,10 +61,9 @@ TEST_P(SeedSweep, SumOfCountsEqualsFullJoinSize) {
   // Invariant: the witness counts of all output pairs sum to |OUT_join|.
   const uint64_t seed = GetParam();
   BinaryRelation r = RandomRelation(35, 20, 250, 1.1, seed * 17 + 3);
-  IndexedRelation ri(r);
-  JoinProjectOptions opts;
-  opts.count_witnesses = true;
-  auto out = JoinProject::TwoPath(ri, ri, opts);
+  QuerySpec spec = TwoPathSpec();
+  spec.count_witnesses = true;
+  const auto out = EngineTwoPath(r, r, spec);
   uint64_t total = 0;
   for (const CountedPair& p : out.counted) total += p.count;
   EXPECT_EQ(total, out.plan.full_join_size) << "seed=" << seed;
@@ -81,7 +75,7 @@ TEST_P(SeedSweep, OutputIsDuplicateFree) {
   IndexedRelation ri(r);
   MmJoinOptions opts;
   opts.thresholds = {2 + seed % 5, 2 + seed % 7};
-  auto res = MmJoinTwoPath(ri, ri, opts);
+  auto res = MmRun(ri, ri, opts);
   std::set<std::pair<Value, Value>> seen;
   for (const OutPair& p : res.pairs) {
     EXPECT_TRUE(seen.insert({p.x, p.z}).second)
@@ -117,21 +111,18 @@ TEST(Property, ThresholdExtremesMatchEachOther) {
   all_heavy.thresholds = {1, 1};
   MmJoinOptions all_light;
   all_light.thresholds = {100000, 100000};
-  EXPECT_EQ(Sorted(MmJoinTwoPath(ri, ri, all_heavy).pairs),
-            Sorted(MmJoinTwoPath(ri, ri, all_light).pairs));
+  EXPECT_EQ(MmRun(ri, ri, all_heavy).pairs,
+            MmRun(ri, ri, all_light).pairs);
 }
 
 TEST(Property, AsymmetricRelationsOfVeryDifferentSizes) {
   BinaryRelation small = RandomRelation(5, 40, 30, 0.5, 801);
   BinaryRelation large = RandomRelation(300, 40, 3000, 1.2, 802);
-  IndexedRelation si(small), li(large);
-  JoinProjectOptions opts;
-  opts.sorted = true;
-  opts.strategy = Strategy::kMmJoin;
-  EXPECT_EQ(JoinProject::TwoPath(si, li, opts).pairs,
-            testutil::OracleTwoPath(small, large));
-  EXPECT_EQ(JoinProject::TwoPath(li, si, opts).pairs,
-            testutil::OracleTwoPath(large, small));
+  const QuerySpec spec = TwoPathSpec(Strategy::kMmJoin);
+  EXPECT_EQ(EngineTwoPath(small, large, spec).pairs,
+            OracleTwoPath(small, large));
+  EXPECT_EQ(EngineTwoPath(large, small, spec).pairs,
+            OracleTwoPath(large, small));
 }
 
 TEST(Property, SingleHubRelation) {
@@ -143,7 +134,7 @@ TEST(Property, SingleHubRelation) {
   IndexedRelation ri(r);
   MmJoinOptions opts;
   opts.thresholds = {2, 2};
-  auto res = MmJoinTwoPath(ri, ri, opts);
+  auto res = MmRun(ri, ri, opts);
   EXPECT_EQ(res.pairs.size(), 50u * 50u);  // complete bipartite pairs
 }
 
@@ -156,7 +147,7 @@ TEST(Property, ChainRelationHasNoHeavyPart) {
   IndexedRelation ri(r);
   MmJoinOptions opts;
   opts.thresholds = {2, 2};
-  auto res = MmJoinTwoPath(ri, ri, opts);
+  auto res = MmRun(ri, ri, opts);
   EXPECT_EQ(res.heavy_rows, 0u);
   EXPECT_EQ(res.pairs.size(), 100u);  // only reflexive pairs
 }

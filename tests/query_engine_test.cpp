@@ -39,8 +39,6 @@ BinaryRelation SkewedGraph() {
                         /*p_in=*/0.5, /*seed=*/11);
 }
 
-
-
 std::vector<OutPair> EngineAllPairs(QueryEngine* engine,
                                     const QuerySpec& spec,
                                     const ExecOptions& exec) {
@@ -51,22 +49,6 @@ std::vector<OutPair> EngineAllPairs(QueryEngine* engine,
   st = engine->Execute(q, sink, exec);
   EXPECT_TRUE(st.ok()) << st.message();
   return Sorted(sink.pairs());
-}
-
-// ---- VectorSink back-compat: the engine + VectorSink must reproduce the
-// pre-redesign facade results exactly, for every strategy.
-
-TEST(QueryEngine, VectorSinkMatchesOldFacade) {
-  const BinaryRelation rel = SkewedGraph();
-  QueryEngine engine = MakeEngine(rel);
-  for (Strategy s : {Strategy::kAuto, Strategy::kMmJoin, Strategy::kNonMmJoin,
-                     Strategy::kWcojFull}) {
-    JoinProjectOptions old_opts;
-    old_opts.strategy = s;
-    auto old_out = JoinProject::TwoPath(rel, rel, old_opts);
-    auto new_pairs = EngineAllPairs(&engine, TwoPathSpec(s), {});
-    EXPECT_EQ(new_pairs, Sorted(old_out.pairs)) << StrategyName(s);
-  }
 }
 
 // ---- Limit semantics: exactly min(k, |OUT|) pairs, every one a real
@@ -123,8 +105,7 @@ TEST(QueryEngine, LimitSkipsHeavyProductBlocks) {
   opts.thresholds = {1, 1};
   opts.row_block = 64;
   LimitSink sink(5);
-  opts.sink = &sink;
-  auto res = MmJoinTwoPath(idx, idx, opts);
+  auto res = MmJoinTwoPath(idx, idx, opts, sink);
   EXPECT_GE(res.heavy_blocks_total, 2u);
   EXPECT_GT(res.heavy_blocks_skipped, 0u);
   EXPECT_LT(res.heavy_blocks_executed, res.heavy_blocks_total);
@@ -160,8 +141,7 @@ TEST(QueryEngine, LimitSatisfiedByLightPassSkipsWholeHeavyPhase) {
   opts.thresholds = {5, 5};
   opts.row_block = 64;
   LimitSink sink(3);
-  opts.sink = &sink;
-  auto res = MmJoinTwoPath(idx, idx, opts);
+  auto res = MmJoinTwoPath(idx, idx, opts, sink);
   ASSERT_GT(res.heavy_rows, 0u) << "test premise: heavy part must exist";
   EXPECT_EQ(sink.pairs().size(), 3u);
   EXPECT_EQ(res.heavy_blocks_executed, 0u);
@@ -293,6 +273,12 @@ TEST(QueryEngine, MinCountWithoutWitnessesIsError) {
   auto st = engine.Prepare(spec, &q);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("count_witnesses"), std::string::npos);
+
+  spec.min_count = 0;  // never a valid threshold, counted or not
+  spec.count_witnesses = true;
+  st = engine.Prepare(spec, &q);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("min_count"), std::string::npos);
 }
 
 TEST(QueryEngine, NonPositiveThreadsIsError) {
@@ -331,17 +317,6 @@ TEST(QueryEngine, WrongRelationCountIsError) {
   spec.kind = QueryKind::kTwoPath;
   spec.relations = {"R", "R", "R"};  // two-path takes at most 2
   EXPECT_FALSE(engine.Prepare(spec, &q).ok());
-}
-
-TEST(QueryEngine, ValidateJoinProjectOptionsHelper) {
-  JoinProjectOptions opts;
-  EXPECT_TRUE(ValidateJoinProjectOptions(opts).empty());
-  opts.min_count = 2;
-  EXPECT_FALSE(ValidateJoinProjectOptions(opts).empty());
-  opts.count_witnesses = true;
-  EXPECT_TRUE(ValidateJoinProjectOptions(opts).empty());
-  opts.threads = -1;
-  EXPECT_FALSE(ValidateJoinProjectOptions(opts).empty());
 }
 
 // ---- Star queries through the engine: full tuple delivery + limit.
@@ -510,8 +485,7 @@ TEST(QueryEngine, PageSpansHeavyProductBlockBoundary) {
   opts.thresholds = {1, 1};
   opts.row_block = 64;
   PageSink sink(3000, 1200);
-  opts.sink = &sink;
-  auto res = MmJoinTwoPath(idx, idx, opts);
+  auto res = MmJoinTwoPath(idx, idx, opts, sink);
   ASSERT_GE(res.heavy_blocks_total, 4u);
   EXPECT_EQ(sink.size(), std::min<uint64_t>(1200, full.size() - 3000));
   EXPECT_EQ(sink.skipped(), 3000u);
@@ -736,8 +710,7 @@ TEST(QueryEngine, DoneMidChunkSkipsIdenticalDownstreamBlocks) {
       opts.row_block = 64;
       opts.threads = threads;
       LimitSink sink(3);
-      opts.sink = &sink;
-      auto res = MmJoinTwoPath(idx, idx, opts);
+      auto res = MmJoinTwoPath(idx, idx, opts, sink);
       ASSERT_GT(res.heavy_blocks_total, 0u);
       EXPECT_EQ(sink.size(), 3u) << "threads=" << threads;
       EXPECT_EQ(res.heavy_blocks_executed, 0u)
@@ -754,8 +727,7 @@ TEST(QueryEngine, DoneMidChunkSkipsIdenticalDownstreamBlocks) {
       opts.thresholds = {5, 5};
       opts.threads = threads;
       LimitSink sink(3);
-      opts.sink = &sink;
-      auto res = NonMmJoinTwoPath(idx, idx, opts);
+      auto res = NonMmJoinTwoPath(idx, idx, opts, sink);
       ASSERT_GT(res.heavy_blocks_total, 0u);
       EXPECT_EQ(sink.size(), 3u) << "threads=" << threads;
       EXPECT_EQ(res.heavy_blocks_executed, 0u) << "threads=" << threads;
@@ -770,8 +742,7 @@ TEST(QueryEngine, DoneMidChunkSkipsIdenticalDownstreamBlocks) {
       opts.row_block = 64;
       opts.threads = threads;
       PageSink sink(5, 3);
-      opts.sink = &sink;
-      auto res = MmJoinTwoPath(idx, idx, opts);
+      auto res = MmJoinTwoPath(idx, idx, opts, sink);
       EXPECT_EQ(sink.size(), 3u) << "threads=" << threads;
       EXPECT_EQ(sink.skipped(), 5u) << "threads=" << threads;
       EXPECT_EQ(res.heavy_blocks_executed, 0u) << "threads=" << threads;

@@ -27,8 +27,8 @@
 namespace jpmm {
 namespace {
 
+using testutil::MmRun;
 using testutil::RandomRelation;
-using testutil::Sorted;
 
 // ---- CSR representation --------------------------------------------------
 
@@ -258,25 +258,25 @@ TEST(SparseMmJoin, AllHeavyPathsProduceIdenticalSortedOutput) {
   MmJoinOptions base;
   base.thresholds = {2, 2};
   base.heavy_path = HeavyPathMode::kForceDense;
-  const auto ref = Sorted(MmJoinTwoPath(ri, ri, base).pairs);
+  const auto ref = MmRun(ri, ri, base).pairs;
   ASSERT_FALSE(ref.empty());
   for (HeavyPathMode mode :
        {HeavyPathMode::kForceCsrDense, HeavyPathMode::kForceCsrCsr,
         HeavyPathMode::kAuto}) {
     MmJoinOptions opts = base;
     opts.heavy_path = mode;
-    EXPECT_EQ(Sorted(MmJoinTwoPath(ri, ri, opts).pairs), ref)
+    EXPECT_EQ(MmRun(ri, ri, opts).pairs, ref)
         << HeavyPathModeName(mode);
   }
   // Counted variant: the CSR x CSR uint32 counts must agree with the float
   // read-back of the dense paths.
   base.count_witnesses = true;
-  const auto cref = Sorted(MmJoinTwoPath(ri, ri, base).counted);
+  const auto cref = MmRun(ri, ri, base).counted;
   for (HeavyPathMode mode :
        {HeavyPathMode::kForceCsrDense, HeavyPathMode::kForceCsrCsr}) {
     MmJoinOptions opts = base;
     opts.heavy_path = mode;
-    EXPECT_EQ(Sorted(MmJoinTwoPath(ri, ri, opts).counted), cref)
+    EXPECT_EQ(MmRun(ri, ri, opts).counted, cref)
         << HeavyPathModeName(mode);
   }
 }
@@ -291,10 +291,10 @@ TEST(SparseMmJoin, ThreadCountDoesNotChangeSortedOutputOnSparsePaths) {
     opts.thresholds = {2, 3};
     opts.heavy_path = mode;
     opts.threads = 1;
-    const auto ref = Sorted(MmJoinTwoPath(ri, ri, opts).pairs);
+    const auto ref = MmRun(ri, ri, opts).pairs;
     for (int threads : {3, HardwareThreads()}) {
       opts.threads = threads;
-      EXPECT_EQ(Sorted(MmJoinTwoPath(ri, ri, opts).pairs), ref)
+      EXPECT_EQ(MmRun(ri, ri, opts).pairs, ref)
           << HeavyPathModeName(mode) << " threads=" << threads;
     }
   }
@@ -312,13 +312,13 @@ TEST(SparseMmJoin, UltraSparseHeavyPartSelectsCsrKernels) {
   IndexedRelation ri(rel);
   MmJoinOptions opts;
   opts.thresholds = {1, 1};  // force everything heavy
-  auto res = MmJoinTwoPath(ri, ri, opts);
+  auto res = MmRun(ri, ri, opts);
   ASSERT_GT(res.kernel_counts.total(), 0u);
   EXPECT_EQ(res.kernel_counts.dense, 0u)
       << "dense GEMM chosen at density " << res.heavy_density;
   EXPECT_LT(res.heavy_density, 0.01);
   EXPECT_EQ(res.block_choices.size(), res.kernel_counts.total());
-  EXPECT_EQ(Sorted(res.pairs), testutil::OracleTwoPath(rel, rel));
+  EXPECT_EQ(res.pairs, testutil::OracleTwoPath(rel, rel));
 }
 
 TEST(SparseMmJoin, MemoryCapPrefersCsrOverThresholdDoubling) {
@@ -335,10 +335,10 @@ TEST(SparseMmJoin, MemoryCapPrefersCsrOverThresholdDoubling) {
   MmJoinOptions opts;
   opts.thresholds = {1, 1};
   opts.max_matrix_bytes = 4u << 20;
-  auto res = MmJoinTwoPath(ri, ri, opts);
+  auto res = MmRun(ri, ri, opts);
   EXPECT_EQ(res.adjusted_thresholds.delta1, 1u);
   EXPECT_EQ(res.kernel_counts.dense, 0u);
-  EXPECT_EQ(Sorted(res.pairs), testutil::OracleTwoPath(rel, rel));
+  EXPECT_EQ(res.pairs, testutil::OracleTwoPath(rel, rel));
 }
 
 // ---- star + triangle forced-path equivalence ------------------------------

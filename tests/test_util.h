@@ -11,11 +11,14 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
 #include "core/join_project.h"
+#include "core/mm_join.h"
+#include "core/nonmm_join.h"
 #include "core/query_engine.h"
 #include "join/intersection.h"
 #include "join/sorted_set_ops.h"
@@ -152,22 +155,72 @@ inline ScjResult OracleScj(const SetFamily& fam) {
   return out;
 }
 
-/// Sequential WCOJ two-path self join of `rel`, sorted: the reference of
-/// the engine, service and concurrency tests.
+/// One two-path run's output, sorted by (x, z): `pairs` for a plain run,
+/// `counted` for a counting one.
+struct SortedOutput {
+  std::vector<OutPair> pairs;
+  std::vector<CountedPair> counted;
+
+  SortedOutput() = default;
+  explicit SortedOutput(VectorSink& sink)
+      : pairs(std::move(sink.pairs())), counted(std::move(sink.counted())) {
+    std::sort(pairs.begin(), pairs.end());
+    std::sort(counted.begin(), counted.end());
+  }
+  size_t size() const { return pairs.size() + counted.size(); }
+  bool operator==(const SortedOutput&) const = default;
+};
+
+/// Sequential WCOJ pi_{x,z}(R JOIN S) (WcojFullJoinProject), sorted: the
+/// reference of the engine, service, concurrency and fuzz tests.
+inline SortedOutput WcojReference(const IndexedRelation& r,
+                                  const IndexedRelation& s,
+                                  bool count_witnesses = false,
+                                  uint32_t min_count = 1) {
+  VectorSink sink;
+  WcojFullJoinProject(r, s, count_witnesses, min_count, /*threads=*/1, &sink);
+  return SortedOutput(sink);
+}
+
+/// The WCOJ reference of the self join of `rel`.
 inline std::vector<OutPair> WcojOracle(const BinaryRelation& rel) {
-  JoinProjectOptions opts;
-  opts.strategy = Strategy::kWcojFull;
-  opts.sorted = true;
-  return JoinProject::TwoPath(rel, rel, opts).pairs;
+  const IndexedRelation idx(rel);
+  return WcojReference(idx, idx).pairs;
 }
 
 /// WcojOracle with witness counts.
 inline std::vector<CountedPair> WcojOracleCounted(const BinaryRelation& rel) {
-  JoinProjectOptions opts;
-  opts.strategy = Strategy::kWcojFull;
-  opts.sorted = true;
-  opts.count_witnesses = true;
-  return JoinProject::TwoPath(rel, rel, opts).counted;
+  const IndexedRelation idx(rel);
+  return WcojReference(idx, idx, /*count_witnesses=*/true).counted;
+}
+
+/// A low-level two-path run (MmJoinTwoPath, NonMmJoinTwoPath) collected
+/// into a VectorSink: the run record plus the sorted output.
+struct CollectedRun : MmJoinResult, SortedOutput {};
+
+using TwoPathFn = MmJoinResult (*)(const IndexedRelation&,
+                                   const IndexedRelation&,
+                                   const MmJoinOptions&, ResultSink&);
+
+inline CollectedRun Collect(TwoPathFn fn, const IndexedRelation& r,
+                            const IndexedRelation& s,
+                            const MmJoinOptions& opts) {
+  VectorSink sink;
+  CollectedRun out;
+  static_cast<MmJoinResult&>(out) = fn(r, s, opts, sink);
+  static_cast<SortedOutput&>(out) = SortedOutput(sink);
+  return out;
+}
+
+inline CollectedRun MmRun(const IndexedRelation& r, const IndexedRelation& s,
+                          const MmJoinOptions& opts) {
+  return Collect(MmJoinTwoPath, r, s, opts);
+}
+
+inline CollectedRun NonMmRun(const IndexedRelation& r,
+                             const IndexedRelation& s,
+                             const MmJoinOptions& opts) {
+  return Collect(NonMmJoinTwoPath, r, s, opts);
 }
 
 /// An engine holding `rel` as "R".
@@ -209,6 +262,41 @@ struct FailureLog {
     }
   }
 };
+
+/// A two-path query run through QueryEngine into a VectorSink: the
+/// execution record plus the sorted output.
+struct EngineRun : ExecStats, SortedOutput {};
+
+/// Executes `query` under `exec` into a VectorSink.
+inline EngineRun ExecuteSorted(QueryEngine& engine, PreparedQuery& query,
+                               const ExecOptions& exec = {}) {
+  VectorSink sink;
+  EngineRun out;
+  const QueryStatus st = engine.Execute(query, sink, exec, &out);
+  EXPECT_TRUE(st.ok()) << st.message();
+  static_cast<SortedOutput&>(out) = SortedOutput(sink);
+  return out;
+}
+
+/// pi_{x,z}(R JOIN S) through a fresh engine: `r` as "R" and `s` as "S",
+/// or, when they are one object, the self join of "R" alone. `spec`
+/// supplies the strategy and counting knobs; its relation names are
+/// replaced.
+inline EngineRun EngineTwoPath(const BinaryRelation& r,
+                               const BinaryRelation& s, QuerySpec spec,
+                               const ExecOptions& exec = {}) {
+  QueryEngine engine = MakeEngine(r);
+  spec.kind = QueryKind::kTwoPath;
+  spec.relations = {"R"};
+  if (&r != &s) {
+    engine.AddRelation("S", s);
+    spec.relations.push_back("S");
+  }
+  PreparedQuery query;
+  const QueryStatus st = engine.Prepare(spec, &query);
+  EXPECT_TRUE(st.ok()) << st.message();
+  return ExecuteSorted(engine, query, exec);
+}
 
 /// Runs `spec` on a fresh engine holding `rel` as "R", into `sink`.
 inline void RunOnEngine(const BinaryRelation& rel, const QuerySpec& spec,
