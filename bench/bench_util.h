@@ -136,9 +136,9 @@ inline const Dataset& StarPreset(DatasetPreset p) {
   return CachedPreset(p, p == DatasetPreset::kWords ? 0.05 : 0.2);
 }
 
-/// One 3-star self join; returns the tuple count. The star join
-/// materializes its sorted tuples itself, so counting them keeps the row
-/// free of a second copy.
+/// One 3-star self join; returns the tuple count. Counting keeps the row
+/// free of any materialized copy: the star merges its light and heavy parts
+/// straight into the sink.
 inline size_t RunStar(benchmark::State& state, const Dataset& ds,
                       Strategy strategy, int threads = 1) {
   CountOnlySink sink;

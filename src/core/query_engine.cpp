@@ -507,36 +507,25 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
       plan_hit = star_cache_hit;
       const Strategy star_strategy =
           opts.strategy_override.value_or(spec.strategy);
-      StarJoinResult res;
-      if (star_strategy == Strategy::kWcojFull) {
-        // The reference baseline materializes first; the sink gets one
-        // post-evaluation stream (no early production exit on this path).
-        {
-          TraceRecorder::Scope wcoj_scope(opts.trace, "wcoj-full", exec_id);
-          res.tuples = WcojStarJoin(rels, opts.threads);
-        }
-        sink.Open(1);
-        res.interrupted = DeliverStarTuples(res.tuples, &sink, opts.cancel);
-        sink.Finish();
-      } else {
-        StarJoinOptions so;
-        static_cast<ExecContext&>(so) = opts;
-        so.trace_parent = exec_id;
-        so.grid_cache = &ps.star_grid;
-        so.operand_cache = &ps.star_operands;
-        so.sink = &sink;
-        so.thresholds =
-            explicit_thresholds ? opts.thresholds : star_thresholds;
-        res = star_strategy == Strategy::kNonMmJoin ? NonMmStarJoin(rels, so)
-                                                    : MmStarJoin(rels, so);
-      }
+      StarJoinOptions so;
+      static_cast<ExecContext&>(so) = opts;
+      so.trace_parent = exec_id;
+      so.grid_cache = &ps.star_grid;
+      so.operand_cache = &ps.star_operands;
+      so.thresholds = explicit_thresholds ? opts.thresholds : star_thresholds;
+      // The WCOJ-full reference evaluates first and then streams (no early
+      // production exit on that path).
+      auto* star_join = star_strategy == Strategy::kWcojFull ? WcojFullStarJoin
+                        : star_strategy == Strategy::kNonMmJoin ? NonMmStarJoin
+                                                                : MmStarJoin;
+      StarJoinResult res = star_join(rels, so, sink);
       if (stats != nullptr) {
         stats->executed = star_strategy == Strategy::kAuto
                               ? Strategy::kMmJoin
                               : star_strategy;
         stats->plan_cache_hit = star_cache_hit;
-        static_cast<HeavyRun&>(*stats) = std::move(res);
         static_cast<LightRun&>(*stats) = res;
+        static_cast<HeavyRun&>(*stats) = std::move(res);
         FillInterruptReason(opts.cancel, stats);
       }
       break;
@@ -557,8 +546,8 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
       TriangleCountResult res = CountTrianglesMm(*query.rels_[0], to);
       if (stats != nullptr) {
         stats->triangle_count = res.triangles;
-        static_cast<HeavyRun&>(*stats) = std::move(res);
         static_cast<LightRun&>(*stats) = res;
+        static_cast<HeavyRun&>(*stats) = std::move(res);
         stats->plan_cache_hit = executed_before;
         FillInterruptReason(&tri_cancel, stats);
       }

@@ -446,67 +446,76 @@ struct HeavyPairs {
     const Segment& s = rows[i];
     return {ids[s.worker].data() + s.offset, s.length};
   }
-
-  size_t size() const {
-    size_t n = 0;
-    for (const auto& buf : ids) n += buf.size();
-    return n;
-  }
 };
 
-// The sorted duplicate-free union of the sorted duplicate-free `light` and
-// the heavy pairs, in one linear pass: heavy tuples are written in order,
-// combo1(i) ++ combo2(j), with the light tuples interleaved and a tuple
-// with both a light and a heavy witness kept once. The group sizes are
-// template arguments so the per-tuple copies compile to plain moves.
+// The delivery of every non-streaming star run: the sorted duplicate-free
+// union of the sorted duplicate-free `light` and the heavy pairs (none for
+// the WCOJ-full star), streamed into shard 0 in one linear pass with no
+// materialized copy. Heavy tuples come in order, combo1(i) ++ combo2(j),
+// with the light tuples merged in and a tuple with both a light and a heavy
+// witness delivered once. done() and the token are polled before every V
+// row with pairs and every kPollStride light tuples. Returns true iff a
+// fired token stopped the stream early. The group sizes are template
+// arguments so the per-tuple copies compile to plain moves.
+constexpr size_t kPollStride = 4096;
+
 template <size_t G1, size_t G2>
-TupleBuffer MergeLightHeavy(const TupleBuffer& light, const StarOperands& op,
-                            const HeavyPairs& heavy) {
+bool DeliverSorted(const TupleBuffer& light, const StarOperands& op,
+                   const HeavyPairs& heavy, ResultSink& sink,
+                   const CancelToken* cancel) {
   constexpr size_t k = G1 + G2;
   auto less = [](const Value* a, const Value* b) {
     return std::lexicographical_compare(a, a + k, b, b + k);
   };
+  ResultSink::Shard& shard = sink.shard(0);
+  ChunkGate gate(&sink, cancel);
   const Value* lp = light.flat().data();
   const Value* const lend = lp + light.flat().size();
-  std::vector<Value> flat(light.flat().size() + heavy.size() * k);
-  Value* out = flat.data();
+  size_t light_sent = 0;
+  // Delivers the light tuples below `bound` (every one when null); false
+  // when a poll stops the stream.
+  auto light_below = [&](const Value* bound) {
+    for (; lp != lend && (bound == nullptr || less(lp, bound)); lp += k) {
+      if (light_sent++ % kPollStride == 0 && gate.Stopped()) return false;
+      shard.OnTuple(std::span<const Value>(lp, k));
+    }
+    return true;
+  };
+  std::array<Value, k> h;
   for (size_t i = 0; i < heavy.rows.size(); ++i) {
-    const Value* left = op.rows1_flat.data() + i * G1;
-    for (uint32_t j : heavy.Row(i)) {
-      const Value* right = op.rows2_flat.data() + size_t{j} * G2;
-      std::array<Value, k> h;
-      std::copy(left, left + G1, h.begin());
-      std::copy(right, right + G2, h.begin() + G1);
-      while (lp != lend && less(lp, h.data())) {
-        out = std::copy(lp, lp + k, out);
-        lp += k;
-      }
+    const std::span<const uint32_t> row = heavy.Row(i);
+    if (row.empty()) continue;
+    if (gate.Stopped()) return gate.interrupted();
+    std::copy_n(op.rows1_flat.data() + i * G1, G1, h.begin());
+    for (uint32_t j : row) {
+      std::copy_n(op.rows2_flat.data() + size_t{j} * G2, G2, h.begin() + G1);
+      if (!light_below(h.data())) return gate.interrupted();
       if (lp != lend && !less(h.data(), lp)) lp += k;  // light copy of h
-      out = std::copy(h.begin(), h.end(), out);
+      shard.OnTuple(h);
     }
   }
-  out = std::copy(lp, lend, out);
-  flat.resize(static_cast<size_t>(out - flat.data()));
-  return TupleBuffer(static_cast<uint32_t>(k), std::move(flat));
+  light_below(nullptr);
+  return gate.interrupted();
 }
 
-TupleBuffer MergeLightHeavy(const TupleBuffer& light, const StarOperands& op,
-                            const HeavyPairs& heavy) {
-  switch (op.g1 + op.g2) {  // 2 <= k <= 8, checked by PrepareStarOperands
+bool DeliverSorted(const TupleBuffer& light, const StarOperands& op,
+                   const HeavyPairs& heavy, ResultSink& sink,
+                   const CancelToken* cancel) {
+  switch (light.arity()) {  // 2 <= k <= 8, checked at every entry
     case 2:
-      return MergeLightHeavy<1, 1>(light, op, heavy);
+      return DeliverSorted<1, 1>(light, op, heavy, sink, cancel);
     case 3:
-      return MergeLightHeavy<2, 1>(light, op, heavy);
+      return DeliverSorted<2, 1>(light, op, heavy, sink, cancel);
     case 4:
-      return MergeLightHeavy<2, 2>(light, op, heavy);
+      return DeliverSorted<2, 2>(light, op, heavy, sink, cancel);
     case 5:
-      return MergeLightHeavy<3, 2>(light, op, heavy);
+      return DeliverSorted<3, 2>(light, op, heavy, sink, cancel);
     case 6:
-      return MergeLightHeavy<3, 3>(light, op, heavy);
+      return DeliverSorted<3, 3>(light, op, heavy, sink, cancel);
     case 7:
-      return MergeLightHeavy<4, 3>(light, op, heavy);
+      return DeliverSorted<4, 3>(light, op, heavy, sink, cancel);
     default:
-      return MergeLightHeavy<4, 4>(light, op, heavy);
+      return DeliverSorted<4, 4>(light, op, heavy, sink, cancel);
   }
 }
 
@@ -539,9 +548,8 @@ Thresholds ClampedThresholds(Thresholds t) {
 }
 
 // The fields every star strategy reports from its operands.
-StarJoinResult ResultFor(const StarOperands& op, size_t k) {
+StarJoinResult ResultFor(const StarOperands& op) {
   StarJoinResult result;
-  result.tuples = TupleBuffer(static_cast<uint32_t>(k));
   result.adjusted_thresholds = op.thresholds;
   result.v_rows = op.shape.rows;
   result.w_rows = op.shape.cols;
@@ -555,21 +563,22 @@ StarJoinResult ResultFor(const StarOperands& op, size_t k) {
 struct StarRun {
   const StarJoinOptions& options;
   StarJoinResult* result;
-  ResultSink* sink;
+  ResultSink& sink;
   StarEmitter em;
   ChunkGate gate;
   uint64_t light_steps = 0;
   bool heavy_interrupted = false;  // a fired token skipped heavy chunks
 
-  StarRun(size_t k, int threads, const StarJoinOptions& o, StarJoinResult* r)
+  StarRun(size_t k, int threads, const StarJoinOptions& o, ResultSink& s,
+          StarJoinResult* r)
       : options(o),
         result(r),
-        sink(o.sink),
+        sink(s),
         em(static_cast<uint32_t>(k)),
-        gate(o.sink, o.cancel) {
-    if (sink != nullptr) sink->Open(threads);
-    em.sink = sink;
-    em.streaming = sink != nullptr && sink->may_finish_early();
+        gate(&s, o.cancel) {
+    sink.Open(threads);
+    em.sink = &sink;
+    em.streaming = sink.may_finish_early();
   }
 
   // Steps (1) and (2) under a "light-pass" span. Streaming sinks receive
@@ -587,28 +596,21 @@ struct StarRun {
     return light;
   }
 
-  // The one finish under "sink-finish": result->tuples becomes the sorted
-  // duplicate-free output — the streamed union, or the light union (the
-  // only sort left) merged with the in-order heavy pairs, delivered to a
-  // non-streaming sink.
+  // The one finish under "sink-finish": a non-streaming sink receives the
+  // light union (the only sort left) merged with the in-order heavy pairs;
+  // a streaming one already has every tuple.
   void Finish(TupleBuffer light, const StarOperands& op,
               const HeavyPairs& heavy) {
     static_cast<LightRun&>(*result) = gate.Record(light_steps);
     result->interrupted |= heavy_interrupted;
     TraceRecorder::Scope scope(options.trace, "sink-finish",
                                options.trace_parent);
-    if (em.streaming) {
-      // seen is the sorted duplicate-free union of everything delivered.
-      result->tuples = std::move(em.seen);
-    } else {
+    if (!em.streaming) {
       light.SortUnique();
-      result->tuples = MergeLightHeavy(light, op, heavy);
-      if (sink != nullptr &&
-          DeliverStarTuples(result->tuples, sink, options.cancel)) {
-        result->interrupted = true;
-      }
+      result->interrupted |=
+          DeliverSorted(light, op, heavy, sink, options.cancel);
     }
-    if (sink != nullptr) sink->Finish();
+    sink.Finish();
   }
 };
 
@@ -617,6 +619,23 @@ struct StarRun {
 TupleBuffer WcojStarJoin(const std::vector<const IndexedRelation*>& rels,
                          int threads) {
   return StarJoinProjectWcoj(rels, nullptr, nullptr, threads);
+}
+
+StarJoinResult WcojFullStarJoin(const std::vector<const IndexedRelation*>& rels,
+                                const StarJoinOptions& options,
+                                ResultSink& sink) {
+  JPMM_CHECK(rels.size() >= 2 && rels.size() <= 8);
+  TraceRecorder::Scope scope(options.trace, "wcoj-full", options.trace_parent);
+  const TupleBuffer tuples = WcojStarJoin(rels, options.threads);
+  scope.Close();
+  // The light-only case of the non-streaming finish: no heavy pairs.
+  StarJoinResult result;
+  sink.Open(1);
+  result.interrupted = DeliverSorted(tuples, StarOperands{},
+                                     HeavyPairs(/*threads=*/1, /*v_rows=*/0),
+                                     sink, options.cancel);
+  sink.Finish();
+  return result;
 }
 
 Thresholds ChooseStarThresholds(
@@ -711,17 +730,6 @@ Thresholds ChooseStarThresholds(
   return best;
 }
 
-bool DeliverStarTuples(const TupleBuffer& tuples, ResultSink* sink,
-                       const CancelToken* cancel) {
-  ResultSink::Shard& shard = sink->shard(0);
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    if (sink->done()) break;
-    if (cancel != nullptr && cancel->Fired()) return true;
-    shard.OnTuple(tuples.Get(i));
-  }
-  return false;
-}
-
 std::shared_ptr<const StarOperands> StarOperandCache::GetOrPrepare(
     const std::vector<const IndexedRelation*>& rels,
     const StarOperandKey& key, bool* hit) {
@@ -735,7 +743,7 @@ std::shared_ptr<const StarOperands> StarOperandCache::GetOrPrepare(
 }
 
 StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
-                          const StarJoinOptions& options) {
+                          const StarJoinOptions& options, ResultSink& sink) {
   const size_t k = rels.size();
   const int threads = std::max(1, options.threads);
   const size_t row_block = std::max<size_t>(1, options.row_block);
@@ -745,9 +753,9 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
                      options.max_matrix_bytes, options.heavy_path, row_block,
                      threads});
   const StarOperands& op = *op_ptr;
-  StarJoinResult result = ResultFor(op, k);
+  StarJoinResult result = ResultFor(op);
 
-  StarRun run(k, threads, options, &result);
+  StarRun run(k, threads, options, sink, &result);
   TupleBuffer light = run.Light(rels, op, threads);
   HeavyPairs pairs(threads, result.v_rows);
 
@@ -768,7 +776,7 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
     hp.row_block = row_block;
     hp.grid_cache = options.grid_cache;
     hp.grid_key = op.thresholds;
-    hp.sink = run.sink;
+    hp.sink = &sink;
     // Streaming sinks get each chunk's tuples as one dedup'd batch; the
     // materializing path keeps only the W-row ids of each whole row.
     std::vector<TupleBuffer> pending;
@@ -816,7 +824,8 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
 }
 
 StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
-                             const StarJoinOptions& options) {
+                             const StarJoinOptions& options,
+                             ResultSink& sink) {
   const size_t k = rels.size();
   const int threads = std::max(1, options.threads);
   // No dense matrices here, so no byte cap: under an unlimited cap the fit
@@ -827,9 +836,9 @@ StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
                      std::numeric_limits<uint64_t>::max(),
                      HeavyPathMode::kAuto, /*row_block=*/1, /*threads=*/1});
   const StarOperands& op = *op_ptr;
-  StarJoinResult result = ResultFor(op, k);
+  StarJoinResult result = ResultFor(op);
 
-  StarRun run(k, threads, options, &result);
+  StarRun run(k, threads, options, sink, &result);
   TupleBuffer light = run.Light(rels, op, threads);
   HeavyPairs pairs(threads, result.v_rows);
 
@@ -851,7 +860,7 @@ StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
     for (Value y = 0; y < op.wt.rows(); ++y) {
       for (uint32_t j : op.wt.Row(y)) wit2[j].push_back(y);
     }
-    ChunkGate heavy_gate(run.sink, options.cancel);
+    ChunkGate heavy_gate(&sink, options.cancel);
 
     // Witness-list lengths vary per combo; dynamic chunks absorb the skew.
     // W rows are visited in id order, so every row's ids ascend.

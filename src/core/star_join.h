@@ -18,7 +18,8 @@
 // V and W rows are numbered in lexicographic combo order, so the nonzeros
 // of V * W^T, read row by row with ascending W ids, are the heavy tuples
 // already sorted and (rows being distinct combos) duplicate-free. Only the
-// union of the light steps is sorted; one linear merge joins the two.
+// union of the light steps is sorted; one linear merge joins the two and
+// streams the result straight into the sink.
 // A y value is "heavy" for step (3) iff it is heavy in at least two
 // relations — any witness not of that form is covered by step (2). Rows are
 // registered lazily (only observed heavy combos), which is equivalent to the
@@ -101,50 +102,50 @@ struct StarJoinOptions : ExecContext {
   DensityGridCache* grid_cache = nullptr;
   /// Optional cross-execution operand memo; null builds them every run.
   StarOperandCache* operand_cache = nullptr;
-  /// Push-based tuple delivery (core/result_sink.h, OnTuple). The star
-  /// decomposition needs a global tuple dedup, so delivery is incremental
-  /// only for sinks with may_finish_early(): new (never-seen) tuples are
-  /// streamed after every light step / heavy product block, and done()
-  /// skips the remaining steps and blocks. Other sinks receive the final
-  /// sorted duplicate-free tuples after evaluation, on shard 0, in
-  /// ascending order. result.tuples is filled either way.
-  ResultSink* sink = nullptr;
 };
 
 /// The heavy-run record of the V * W^T product (HeavyRun), the light-run
 /// record (LightRun; its units are the light decomposition steps) and the
 /// star specifics.
 struct StarJoinResult : HeavyRun, LightRun {
-  TupleBuffer tuples;  // sorted, duplicate-free
   Thresholds adjusted_thresholds;
   uint64_t v_rows = 0;  // heavy combos, first group
   uint64_t w_rows = 0;  // heavy combos, second group
   uint64_t heavy_y = 0; // shared inner dimension
   double light_seconds = 0.0;
   double heavy_seconds = 0.0;
-
-  StarJoinResult() : tuples(1) {}
 };
+
+// Every star strategy delivers its duplicate-free tuples into `sink`
+// (core/result_sink.h, OnTuple), which it opens and finishes. The star
+// decomposition needs a global tuple dedup, so delivery is incremental only
+// for sinks with may_finish_early(): new (never-seen) tuples are streamed
+// after every light step / heavy product block, and done() skips the
+// remaining steps and blocks. Other sinks receive the tuples after
+// evaluation, on shard 0, in ascending order, merged straight from the light
+// and heavy parts; done() and the cancel token are polled once per V row and
+// once per 4096 light tuples (a fired token sets `interrupted`).
 
 /// MMJoin for the star query (steps 1-3 above).
 StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
-                          const StarJoinOptions& options);
+                          const StarJoinOptions& options, ResultSink& sink);
 
 /// Combinatorial comparator: steps 1-2 as above, step 3 replaced by pairwise
 /// sorted-intersection of the heavy combos' witness lists (the Lemma-2
 /// strategy lifted to stars).
 StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
-                             const StarJoinOptions& options);
+                             const StarJoinOptions& options, ResultSink& sink);
 
-/// The post-evaluation delivery of every star strategy: streams the sorted
-/// `tuples` into shard 0 of an opened sink until it reports done(). Returns
-/// true iff a fired cancel token stopped the stream early.
-bool DeliverStarTuples(const TupleBuffer& tuples, ResultSink* sink,
-                       const CancelToken* cancel);
-
-/// Baseline: plain WCOJ over all tuples + dedup (Prop. 1).
+/// Baseline: plain WCOJ over all tuples + dedup (Prop. 1), sorted.
 TupleBuffer WcojStarJoin(const std::vector<const IndexedRelation*>& rels,
                          int threads = 1);
+
+/// WcojStarJoin under a "wcoj-full" span, delivered like a non-streaming run
+/// with no heavy part (on shard 0, in ascending order, for every sink). Reads
+/// only the execution context of `options`.
+StarJoinResult WcojFullStarJoin(const std::vector<const IndexedRelation*>& rels,
+                                const StarJoinOptions& options,
+                                ResultSink& sink);
 
 /// Cost-based threshold selection for the star decomposition: sweeps a
 /// geometric Delta grid (Delta1 = Delta2, cf. Example 4's coupling) and

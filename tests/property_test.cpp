@@ -90,8 +90,8 @@ TEST_P(SeedSweep, StarMatchesWcojAtRandomThresholds) {
   std::vector<const IndexedRelation*> rels = {&ri, &ri, &ri};
   StarJoinOptions opts;
   opts.thresholds = {1 + seed % 4, 1 + seed % 6};
-  auto mm = MmStarJoin(rels, opts);
-  auto nonmm = NonMmStarJoin(rels, opts);
+  auto mm = testutil::StarRun(rels, opts);
+  auto nonmm = testutil::NonMmStarRun(rels, opts);
   auto wcoj = WcojStarJoin(rels);
   EXPECT_EQ(mm.tuples.flat(), wcoj.flat()) << "seed=" << seed;
   EXPECT_EQ(nonmm.tuples.flat(), wcoj.flat()) << "seed=" << seed;

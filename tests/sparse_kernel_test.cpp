@@ -350,7 +350,7 @@ TEST(SparseStarJoin, AllHeavyPathsProduceIdenticalOutput) {
   StarJoinOptions base;
   base.thresholds = {2, 2};
   base.heavy_path = HeavyPathMode::kForceDense;
-  const auto ref = testutil::ToVectors(MmStarJoin(rels, base).tuples);
+  const auto ref = testutil::ToVectors(testutil::StarRun(rels, base).tuples);
   ASSERT_FALSE(ref.empty());
   for (HeavyPathMode mode :
        {HeavyPathMode::kForceCsrDense, HeavyPathMode::kForceCsrCsr,
@@ -359,7 +359,8 @@ TEST(SparseStarJoin, AllHeavyPathsProduceIdenticalOutput) {
     opts.heavy_path = mode;
     for (int threads : {1, 3}) {
       opts.threads = threads;
-      EXPECT_EQ(testutil::ToVectors(MmStarJoin(rels, opts).tuples), ref)
+      EXPECT_EQ(testutil::ToVectors(testutil::StarRun(rels, opts).tuples),
+                ref)
           << HeavyPathModeName(mode) << " threads=" << threads;
     }
   }

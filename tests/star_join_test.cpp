@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "core/cancel_token.h"
 #include "core/query_engine.h"
 #include "core/star_join.h"
 #include "datagen/generators.h"
@@ -15,9 +16,11 @@
 namespace jpmm {
 namespace {
 
+using testutil::NonMmStarRun;
 using testutil::OracleStar;
 using testutil::RandomRelation;
 using testutil::SpanDetail;
+using testutil::StarRun;
 using testutil::ToVectors;
 
 struct StarFixture {
@@ -45,7 +48,25 @@ struct StarParam {
   double skew;
   uint64_t d1, d2;
   int threads;
+  // Both parts deliver: the run has heavy combos, and the answer has a
+  // tuple with a light x (which only the light steps produce).
+  bool mixed = false;
 };
+
+void ExpectMixed(const StarParam& p, const StarFixture& f,
+                 const testutil::CollectedStar& res) {
+  if (!p.mixed) return;
+  EXPECT_GT(res.v_rows, 0u);
+  EXPECT_GT(res.w_rows, 0u);
+  bool light_x = false;
+  for (size_t t = 0; t < res.tuples.size() && !light_x; ++t) {
+    const auto tuple = res.tuples.Get(t);
+    for (size_t i = 0; i < tuple.size() && !light_x; ++i) {
+      light_x = f.idx[i].DegX(tuple[i]) <= p.d2;
+    }
+  }
+  EXPECT_TRUE(light_x);
+}
 
 class StarSweep : public ::testing::TestWithParam<StarParam> {};
 
@@ -55,10 +76,11 @@ TEST_P(StarSweep, MmStarMatchesOracle) {
   StarJoinOptions opts;
   opts.thresholds = {p.d1, p.d2};
   opts.threads = p.threads;
-  auto res = MmStarJoin(f.idx_ptrs, opts);
+  auto res = StarRun(f.idx_ptrs, opts);
   EXPECT_EQ(ToVectors(res.tuples), OracleStar(f.rel_ptrs));
   // Sorted and duplicate-free as produced, not just as a set.
   EXPECT_EQ(res.tuples.flat(), WcojStarJoin(f.idx_ptrs).flat());
+  ExpectMixed(p, f, res);
 }
 
 TEST_P(StarSweep, NonMmStarMatchesOracle) {
@@ -67,9 +89,10 @@ TEST_P(StarSweep, NonMmStarMatchesOracle) {
   StarJoinOptions opts;
   opts.thresholds = {p.d1, p.d2};
   opts.threads = p.threads;
-  auto res = NonMmStarJoin(f.idx_ptrs, opts);
+  auto res = NonMmStarRun(f.idx_ptrs, opts);
   EXPECT_EQ(ToVectors(res.tuples), OracleStar(f.rel_ptrs));
   EXPECT_EQ(res.tuples.flat(), WcojStarJoin(f.idx_ptrs).flat());
+  ExpectMixed(p, f, res);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -82,7 +105,11 @@ INSTANTIATE_TEST_SUITE_P(
         StarParam{3, 18, 14, 80, 1.5, 3, 2, 2},    // skewed + threads
         StarParam{4, 10, 8, 36, 0.7, 2, 2, 1},
         StarParam{4, 10, 8, 36, 0.7, 1, 2, 2},
-        StarParam{5, 8, 6, 24, 0.5, 1, 1, 1}));
+        StarParam{5, 8, 6, 24, 0.5, 1, 1, 1},
+        // The (3,3), (4,3) and (4,4) group sizes of the finish's merge.
+        StarParam{6, 6, 5, 20, 0.5, 2, 2, 1, /*mixed=*/true},
+        StarParam{7, 5, 4, 16, 0.5, 2, 2, 2, /*mixed=*/true},
+        StarParam{8, 4, 4, 14, 0.5, 2, 2, 1, /*mixed=*/true}));
 
 TEST(StarJoin, DenseBlockGoesThroughMatrix) {
   // One shared dense y-block: all x heavy, y heavy in all relations.
@@ -94,7 +121,7 @@ TEST(StarJoin, DenseBlockGoesThroughMatrix) {
   IndexedRelation ri(r);
   StarJoinOptions opts;
   opts.thresholds = {2, 2};
-  auto res = MmStarJoin({&ri, &ri, &ri}, opts);
+  auto res = StarRun({&ri, &ri, &ri}, opts);
   EXPECT_GT(res.v_rows, 0u);
   EXPECT_GT(res.w_rows, 0u);
   EXPECT_GT(res.heavy_y, 0u);
@@ -111,7 +138,7 @@ TEST(StarJoin, MemoryCapDegradesGracefully) {
   StarJoinOptions opts;
   opts.thresholds = {1, 1};
   opts.max_matrix_bytes = 256;  // forces threshold doubling
-  auto res = MmStarJoin({&ri, &ri}, opts);
+  auto res = StarRun({&ri, &ri}, opts);
   EXPECT_GT(res.adjusted_thresholds.delta1, 1u);
   EXPECT_EQ(res.tuples.size(), 12u * 12);
 }
@@ -120,8 +147,8 @@ TEST(StarJoin, DifferentRelationsPerPosition) {
   StarFixture f(3, 14, 10, 50, 1.0, 400);
   StarJoinOptions opts;
   opts.thresholds = {2, 3};
-  auto mm = MmStarJoin(f.idx_ptrs, opts);
-  auto nonmm = NonMmStarJoin(f.idx_ptrs, opts);
+  auto mm = StarRun(f.idx_ptrs, opts);
+  auto nonmm = NonMmStarRun(f.idx_ptrs, opts);
   auto wcoj = WcojStarJoin(f.idx_ptrs);
   const auto oracle = OracleStar(f.rel_ptrs);
   EXPECT_EQ(ToVectors(mm.tuples), oracle);
@@ -137,7 +164,7 @@ TEST(StarJoin, EmptyIntersectionProducesNothing) {
   b.Finalize();
   IndexedRelation ai(a), bi(b);
   StarJoinOptions opts;
-  auto res = MmStarJoin({&ai, &bi}, opts);
+  auto res = StarRun({&ai, &bi}, opts);
   EXPECT_EQ(res.tuples.size(), 0u);
 }
 
@@ -145,7 +172,7 @@ TEST(StarJoin, K2AgreesWithTwoPathSemantics) {
   StarFixture f(2, 25, 18, 120, 1.1, 500);
   StarJoinOptions opts;
   opts.thresholds = {2, 2};
-  auto res = MmStarJoin(f.idx_ptrs, opts);
+  auto res = StarRun(f.idx_ptrs, opts);
   EXPECT_EQ(ToVectors(res.tuples), OracleStar(f.rel_ptrs));
 }
 
@@ -174,7 +201,8 @@ TEST(StarJoin, EngineStatsCarryBlockChoices) {
 }
 
 // Records every tuple in arrival order, across shards. may_finish_early()
-// stays false, so a star run delivers after evaluation.
+// stays false, so a star run delivers after evaluation. CancelAt makes the
+// n-th tuple fire a token.
 class ArrivalOrderSink : public ResultSink {
  public:
   class Sh : public Shard {
@@ -185,6 +213,9 @@ class ArrivalOrderSink : public ResultSink {
     void OnTuple(std::span<const Value> t) override {
       std::lock_guard<std::mutex> lock(parent_->mu_);
       parent_->tuples_.emplace_back(t.begin(), t.end());
+      if (parent_->tuples_.size() == parent_->cancel_at_) {
+        parent_->cancel_->RequestCancel();
+      }
     }
 
    private:
@@ -201,10 +232,17 @@ class ArrivalOrderSink : public ResultSink {
 
   const std::vector<std::vector<Value>>& tuples() const { return tuples_; }
 
+  void CancelAt(CancelToken* token, size_t n) {
+    cancel_ = token;
+    cancel_at_ = n;
+  }
+
  private:
   std::mutex mu_;
   std::vector<std::unique_ptr<Sh>> shards_;
   std::vector<std::vector<Value>> tuples_;
+  CancelToken* cancel_ = nullptr;
+  size_t cancel_at_ = 0;  // 0: never
 };
 
 // A non-streaming sink sees the star's output in strictly increasing order,
@@ -247,12 +285,52 @@ TEST(StarJoin, NonStreamingSinkReceivesSortedTuples) {
   }
 }
 
+// A token fired during the finish's merge stops it within one V row: the
+// sink holds a strictly ascending prefix of the answer, at most one row's
+// W combos past the tuple that fired it.
+TEST(StarJoin, CancelDuringFinishStopsWithinOneRow) {
+  const BinaryRelation rel = CommunityGraph(3, 30, 0.5, 11);
+  const IndexedRelation idx(rel);
+  const std::vector<const IndexedRelation*> rels = {&idx, &idx, &idx};
+  const TupleBuffer want = WcojStarJoin(rels);
+  ASSERT_GT(want.size(), 1000u);
+  for (int threads : {1, 4}) {
+    for (const bool mm : {true, false}) {
+      for (const size_t n : {size_t{1}, size_t{300}, want.size() / 2}) {
+        const std::string where = std::string(mm ? "mm" : "nonmm") + "/t" +
+                                  std::to_string(threads) + "/n" +
+                                  std::to_string(n);
+        CancelToken token;
+        StarJoinOptions opts;
+        opts.thresholds = {4, 4};  // a real heavy part
+        opts.threads = threads;
+        opts.cancel = &token;
+        ArrivalOrderSink sink;
+        sink.CancelAt(&token, n);
+        const StarJoinResult res = mm ? MmStarJoin(rels, opts, sink)
+                                      : NonMmStarJoin(rels, opts, sink);
+        ASSERT_GT(res.w_rows, 0u) << where;
+        EXPECT_TRUE(res.interrupted) << where;
+        const auto& got = sink.tuples();
+        ASSERT_GE(got.size(), n) << where;
+        EXPECT_LE(got.size(), n + res.w_rows) << where;
+        for (size_t i = 0; i < got.size(); ++i) {
+          const auto expect = want.Get(i);
+          ASSERT_EQ(got[i], std::vector<Value>(expect.begin(), expect.end()))
+              << where << " at " << i;
+        }
+      }
+    }
+  }
+}
+
 // One output tuple with both a light and a heavy witness: the finish's
-// light/heavy merge must keep it once, in order.
-TEST(StarJoin, LightAndHeavyWitnessOfOneTupleMergeOnce) {
-  // y = 0..2: x in {0, 1, 2} (degree 3, heavy in every relation; the x
-  // values reach degree >= 3, heavy too). y = 3: x in {0, 5} (degree 2,
-  // light; x = 5 has degree 1, light).
+// light/heavy merge must keep it once, in order. Over one relation
+// y = 0..2: x in {0, 1, 2} (degree 3, heavy in every relation; the x values
+// reach degree >= 3, heavy too). y = 3: x in {0, 5} (degree 2, light;
+// x = 5 has degree 1, light). So (0, .., 0) has a light witness y = 3
+// (step 2) and a heavy one y = 0 (step 3).
+void ExpectLightAndHeavyWitnessMergeOnce(size_t k) {
   BinaryRelation r;
   for (Value y = 0; y < 3; ++y) {
     for (Value x = 0; x < 3; ++x) r.Add(x, y);
@@ -261,29 +339,42 @@ TEST(StarJoin, LightAndHeavyWitnessOfOneTupleMergeOnce) {
   r.Add(5, 3);
   r.Finalize();
   IndexedRelation ri(r);
-  const std::vector<const IndexedRelation*> rels = {&ri, &ri, &ri};
+  const std::vector<const IndexedRelation*> rels(k, &ri);
   const Thresholds t{2, 2};
-  // (0, 0, 0): light witness y = 3 (step 2), heavy witness y = 0 (step 3).
   ASSERT_LE(ri.DegY(3), t.delta1);
   ASSERT_GT(ri.DegY(0), t.delta1);
   ASSERT_GT(ri.DegX(0), t.delta2);
   const TupleBuffer want = WcojStarJoin(rels);
-  ASSERT_EQ(want.size(), 27u + 8u - 1u);  // {0,1,2}^3 u {0,5}^3
+  size_t heavy = 1, light = 1;
+  for (size_t i = 0; i < k; ++i) {
+    heavy *= 3;
+    light *= 2;
+  }
+  ASSERT_EQ(want.size(), heavy + light - 1);  // {0,1,2}^k u {0,5}^k
 
   for (int threads : {1, 4}) {
     StarJoinOptions opts;
     opts.thresholds = t;
     opts.threads = threads;
     for (const bool mm : {true, false}) {
-      const StarJoinResult res =
-          mm ? MmStarJoin(rels, opts) : NonMmStarJoin(rels, opts);
-      const std::string where =
-          std::string(mm ? "mm" : "nonmm") + "/t" + std::to_string(threads);
+      const auto res = mm ? StarRun(rels, opts) : NonMmStarRun(rels, opts);
+      const std::string where = std::string(mm ? "mm" : "nonmm") + "/k" +
+                                std::to_string(k) + "/t" +
+                                std::to_string(threads);
       EXPECT_GT(res.light_chunks_executed, 0u) << where;
       EXPECT_GT(res.v_rows, 0u) << where;
       EXPECT_EQ(res.tuples.flat(), want.flat()) << where;
     }
   }
+}
+
+TEST(StarJoin, LightAndHeavyWitnessOfOneTupleMergeOnce) {
+  ExpectLightAndHeavyWitnessMergeOnce(3);
+}
+
+// The same at k = 6: the (3,3) arm of the merge's group-size switch.
+TEST(StarJoin, LightAndHeavyWitnessMergeOnceAtK6) {
+  ExpectLightAndHeavyWitnessMergeOnce(6);
 }
 
 // Sinks that can finish early still stream (and dedup) incrementally: a
@@ -421,14 +512,14 @@ TEST(StarOperandMemo, SmallerCapMatchesColdFit) {
   StarJoinOptions loose;
   loose.thresholds = {1, 1};
   loose.operand_cache = &cache;
-  const StarJoinResult first = MmStarJoin(rels, loose);
+  const auto first = StarRun(rels, loose);
   EXPECT_EQ(first.adjusted_thresholds, (Thresholds{1, 1}));
 
   StarJoinOptions tight = loose;
   tight.max_matrix_bytes = 256;  // forces threshold doubling
-  const StarJoinResult warm = MmStarJoin(rels, tight);
+  const auto warm = StarRun(rels, tight);
   tight.operand_cache = nullptr;
-  const StarJoinResult cold = MmStarJoin(rels, tight);
+  const auto cold = StarRun(rels, tight);
   EXPECT_GT(cold.adjusted_thresholds.delta1, 1u);
   EXPECT_EQ(warm.adjusted_thresholds, cold.adjusted_thresholds);
   EXPECT_EQ(warm.v_rows, cold.v_rows);

@@ -20,6 +20,7 @@
 #include "core/mm_join.h"
 #include "core/nonmm_join.h"
 #include "core/query_engine.h"
+#include "core/star_join.h"
 #include "join/intersection.h"
 #include "join/sorted_set_ops.h"
 #include "join/star_wcoj.h"
@@ -221,6 +222,38 @@ inline CollectedRun NonMmRun(const IndexedRelation& r,
                              const IndexedRelation& s,
                              const MmJoinOptions& opts) {
   return Collect(NonMmJoinTwoPath, r, s, opts);
+}
+
+/// A low-level star run (MmStarJoin, NonMmStarJoin) collected into a
+/// VectorSink: the run record plus the sink's tuple_data() in arrival order
+/// (ascending for a non-streaming run).
+struct CollectedStar : StarJoinResult {
+  TupleBuffer tuples{1};
+};
+
+using StarFn = StarJoinResult (*)(const std::vector<const IndexedRelation*>&,
+                                  const StarJoinOptions&, ResultSink&);
+
+inline CollectedStar CollectStar(
+    StarFn fn, const std::vector<const IndexedRelation*>& rels,
+    const StarJoinOptions& opts) {
+  VectorSink sink;
+  CollectedStar out;
+  static_cast<StarJoinResult&>(out) = fn(rels, opts, sink);
+  out.tuples = TupleBuffer(static_cast<uint32_t>(rels.size()),
+                           sink.tuple_data());
+  return out;
+}
+
+inline CollectedStar StarRun(const std::vector<const IndexedRelation*>& rels,
+                             const StarJoinOptions& opts) {
+  return CollectStar(MmStarJoin, rels, opts);
+}
+
+inline CollectedStar NonMmStarRun(
+    const std::vector<const IndexedRelation*>& rels,
+    const StarJoinOptions& opts) {
+  return CollectStar(NonMmStarJoin, rels, opts);
 }
 
 /// An engine holding `rel` as "R".
