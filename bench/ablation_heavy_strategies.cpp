@@ -118,7 +118,7 @@ void RunPartitionRow(benchmark::State& state, const HeavyFixture& f,
     opts.thresholds = kThresholds;
     opts.partition = mode;
     VectorSink sink;
-    const MmJoinResult res = MmJoinTwoPath(*f.idx, *f.idx, opts, sink);
+    const RunRecord res = MmJoinTwoPath(*f.idx, *f.idx, opts, sink);
     benchmark::DoNotOptimize(sink.pairs().data());
     state.counters["out"] = static_cast<double>(sink.pairs().size());
     state.counters["grid_pruned"] =

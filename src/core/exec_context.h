@@ -10,10 +10,9 @@
 //                StarJoinOptions, TriangleCountOptions, HeavyProduct —
 //                and forwards it to the next layer with one slice
 //                assignment plus its own trace_parent.
-//   LightRun     the light part's early-exit record, inherited by every
-//                result struct (MmJoinResult, StarJoinResult,
-//                TriangleCountResult, ExecStats) next to HeavyRun
-//                (core/heavy_product.h).
+//   LightRun     the light part's early-exit record, inherited next to
+//                HeavyRun by RunRecord (core/heavy_product.h), the one
+//                record every strategy returns and ExecStats carries.
 //   ChunkGate    the one early-exit policy of every chunk loop: poll the
 //                sink's done() and the token before each unit of work,
 //                count it executed or skipped, and mark the run

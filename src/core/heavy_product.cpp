@@ -28,20 +28,12 @@ struct HeavyMetrics {
       reg.GetCounter("jpmm_partition_blocks_pruned_total");
   Counter& grid_cache_hits =
       reg.GetCounter("jpmm_partition_grid_cache_hits_total");
+  Counter& blocks_executed =
+      reg.GetCounter("jpmm_join_heavy_blocks_executed_total");
+  Counter& blocks_skipped =
+      reg.GetCounter("jpmm_join_heavy_blocks_skipped_total");
   static HeavyMetrics& Get() {
     static HeavyMetrics m;
-    return m;
-  }
-};
-
-// Heavy chunk accounting, registered apart from HeavyMetrics: the Non-MM
-// two-path records it without running a heavy product.
-struct BlockMetrics {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  Counter& executed = reg.GetCounter("jpmm_join_heavy_blocks_executed_total");
-  Counter& skipped = reg.GetCounter("jpmm_join_heavy_blocks_skipped_total");
-  static BlockMetrics& Get() {
-    static BlockMetrics m;
     return m;
   }
 };
@@ -445,33 +437,21 @@ HeavyRun SkippedHeavyRun(const HeavyShape& shape, size_t row_block) {
   return run;
 }
 
-void RecordHeavyBlockMetrics(const HeavyRun& run) {
+void RecordRunMetrics(const RunRecord& run, LightUnit unit) {
   if (!MetricsEnabled()) return;
-  BlockMetrics& m = BlockMetrics::Get();
-  m.executed.Add(run.heavy_blocks_executed);
-  m.skipped.Add(run.heavy_blocks_skipped);
-}
-
-void RecordHeavyRunMetrics(const HeavyRun& run) {
-  if (!MetricsEnabled()) return;
-  RecordHeavyBlockMetrics(run);
-  HeavyMetrics& m = HeavyMetrics::Get();
-  m.kernel_dense.Add(run.kernel_counts.dense);
-  m.kernel_csr_dense.Add(run.kernel_counts.csr_dense);
-  m.kernel_csr_csr.Add(run.kernel_counts.csr_csr);
-  if (run.partition_used) m.partition_engaged.Add();
-  m.partition_pruned.Add(run.partition_blocks_pruned);
-}
-
-void RecordLightRunMetrics(const LightRun& run, LightUnit unit,
-                           double light_seconds,
-                           std::optional<double> heavy_seconds) {
-  if (!MetricsEnabled()) return;
-  LightMetrics& m = LightMetrics::Get(unit);
-  m.executed.Add(run.light_chunks_executed);
-  m.skipped.Add(run.light_chunks_skipped);
-  m.light_ms.Record(light_seconds * 1e3);
-  if (heavy_seconds) m.heavy_ms.Record(*heavy_seconds * 1e3);
+  HeavyMetrics& h = HeavyMetrics::Get();
+  h.kernel_dense.Add(run.kernel_counts.dense);
+  h.kernel_csr_dense.Add(run.kernel_counts.csr_dense);
+  h.kernel_csr_csr.Add(run.kernel_counts.csr_csr);
+  if (run.partition_used) h.partition_engaged.Add();
+  h.partition_pruned.Add(run.partition_blocks_pruned);
+  h.blocks_executed.Add(run.heavy_blocks_executed);
+  h.blocks_skipped.Add(run.heavy_blocks_skipped);
+  LightMetrics& l = LightMetrics::Get(unit);
+  l.executed.Add(run.light_chunks_executed);
+  l.skipped.Add(run.light_chunks_skipped);
+  l.light_ms.Record(run.light_seconds * 1e3);
+  if (run.heavy_blocks_total > 0) l.heavy_ms.Record(run.heavy_seconds * 1e3);
 }
 
 }  // namespace jpmm

@@ -38,7 +38,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -57,10 +56,8 @@ namespace jpmm {
 inline constexpr uint64_t kMaxExactFloatCount = uint64_t{1} << 24;
 
 /// What one heavy product did: operands, per-block kernel decisions, the
-/// decomposition, and the early-exit accounting. Every result struct that
-/// can run a heavy product (MmJoinResult, StarJoinResult,
-/// TriangleCountResult, ExecStats) inherits it, so each layer hands it on
-/// with one assignment.
+/// decomposition, and the early-exit accounting. RunRecord (below) inherits
+/// it next to LightRun.
 struct HeavyRun {
   uint64_t a_nnz = 0;           // set cells of A (M1, V, or A_H)
   uint64_t b_nnz = 0;           // set cells of B (M2, W^T, or A_H)
@@ -89,6 +86,35 @@ struct HeavyRun {
   uint64_t heavy_blocks_total = 0;
   uint64_t heavy_blocks_executed = 0;
   uint64_t heavy_blocks_skipped = 0;
+};
+
+/// The record of one run of any strategy of any query kind: the two-path
+/// (MmJoinTwoPath, NonMmJoinTwoPath, RunTwoPath), the star (MmStarJoin,
+/// NonMmStarJoin, WcojFullStarJoin) and the triangle count
+/// (CountTrianglesMm) all split their work into a light part (LightRun) and
+/// a heavy part (HeavyRun) under degree thresholds, and all return this
+/// struct. ExecStats inherits it, so the engine hands a run on with one
+/// assignment. Fields a strategy does not reach stay zero.
+struct RunRecord : HeavyRun, LightRun {
+  /// The thresholds as run, after any memory-cap doubling. The triangle
+  /// count's single degree threshold is {delta, delta}.
+  Thresholds adjusted_thresholds{0, 0};
+  /// The heavy operand shape: rows x inner times inner x cols. Two-path:
+  /// |heavy x|, |heavy y|, |heavy z|. Star: the first group's heavy combos,
+  /// the heavy y values, the second group's heavy combos. Triangle: the
+  /// heavy vertex count in all three.
+  uint64_t heavy_rows = 0;
+  uint64_t heavy_inner = 0;
+  uint64_t heavy_cols = 0;
+  /// Wall time of the light part, and of the heavy part (operand build,
+  /// product and emit; zero when it did not run).
+  double light_seconds = 0.0;
+  double heavy_seconds = 0.0;
+  /// Triangle count only (possibly partial, see `interrupted`): the total
+  /// and its split into the light-vertex enumeration and trace(A_H^3)/6.
+  uint64_t triangles = 0;
+  uint64_t light_triangles = 0;
+  uint64_t heavy_triangles = 0;
 };
 
 /// Operand shape for the memory-cap accounting, known before the CSR
@@ -212,25 +238,16 @@ HeavyRun RunHeavyProduct(const CsrMatrix& a, const CsrMatrix& b,
 /// chunk total RunHeavyProduct would plan, every chunk skipped.
 HeavyRun SkippedHeavyRun(const HeavyShape& shape, size_t row_block);
 
-/// Adds one run to the process-wide join metrics (kernel blocks, executed /
-/// skipped chunks, partition engagement and pruning).
-void RecordHeavyRunMetrics(const HeavyRun& run);
-
-/// Adds only a run's executed / skipped heavy chunks: the record of the
-/// Non-MM two-path, whose heavy chunks run no product.
-void RecordHeavyBlockMetrics(const HeavyRun& run);
-
 /// The light-part counters a join run feeds: the two-path strategies count
-/// chunks (jpmm_join_light_chunks_*), the MM star its decomposition steps
-/// (jpmm_star_light_steps_*).
+/// chunks (jpmm_join_light_chunks_*), the star strategies their
+/// decomposition steps (jpmm_star_light_steps_*).
 enum class LightUnit { kChunks, kStarSteps };
 
-/// Adds one join run's light part to the process-wide metrics: executed /
-/// skipped units under `unit`'s counters, the light-pass time, and the
-/// heavy-pass time when the run planned a heavy pass.
-void RecordLightRunMetrics(const LightRun& run, LightUnit unit,
-                           double light_seconds,
-                           std::optional<double> heavy_seconds);
+/// Adds one join run to the process-wide metrics: kernel blocks, partition
+/// engagement and pruning, executed / skipped heavy chunks, executed /
+/// skipped light units under `unit`'s counters, the light-pass time, and
+/// the heavy-pass time when the run planned heavy chunks.
+void RecordRunMetrics(const RunRecord& run, LightUnit unit);
 
 }  // namespace jpmm
 

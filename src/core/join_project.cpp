@@ -85,14 +85,14 @@ LightRun WcojFullJoinProject(const IndexedRelation& r, const IndexedRelation& s,
   return gate.Record((r.num_x() + kGrain - 1) / kGrain);
 }
 
-MmJoinResult RunTwoPath(const IndexedRelation& r, const IndexedRelation& s,
-                        const PlanChoice& plan, Strategy strategy,
-                        const MmJoinOptions& opts, ResultSink& sink) {
+RunRecord RunTwoPath(const IndexedRelation& r, const IndexedRelation& s,
+                     const PlanChoice& plan, Strategy strategy,
+                     const MmJoinOptions& opts, ResultSink& sink) {
   const Strategy resolved = ResolveStrategy(strategy, plan);
   if (resolved == Strategy::kWcojFull) {
     TraceRecorder::Scope wcoj_scope(opts.trace, "wcoj-full",
                                     opts.trace_parent);
-    MmJoinResult run;
+    RunRecord run;
     static_cast<LightRun&>(run) =
         WcojFullJoinProject(r, s, opts.count_witnesses, opts.min_count,
                             opts.threads, &sink, opts.cancel);

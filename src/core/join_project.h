@@ -46,12 +46,11 @@ Strategy ResolveStrategy(Strategy strategy, const PlanChoice& plan);
 /// the combinatorial join too (QueryEngine passes it re-balanced ones, see
 /// ChooseNonMmThresholds). Aborts on min_count < 1 or on min_count > 1
 /// without count_witnesses, whatever the strategy. The options' matrix
-/// knobs apply to MMJoin only. The record's HeavyRun part is filled by
-/// MMJoin only; a WCOJ run fills its LightRun part and opens a "wcoj-full"
-/// trace span.
-MmJoinResult RunTwoPath(const IndexedRelation& r, const IndexedRelation& s,
-                        const PlanChoice& plan, Strategy strategy,
-                        const MmJoinOptions& opts, ResultSink& sink);
+/// knobs apply to MMJoin only. A WCOJ run fills only the record's LightRun
+/// part and opens a "wcoj-full" trace span.
+RunRecord RunTwoPath(const IndexedRelation& r, const IndexedRelation& s,
+                     const PlanChoice& plan, Strategy strategy,
+                     const MmJoinOptions& opts, ResultSink& sink);
 
 /// Full-join + stamp-set dedup reference evaluation (Prop. 1) into `sink`,
 /// which must be non-null; its done() stops the scan early (the skipped

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 
 #include "common/check.h"
 #include "common/metrics.h"
@@ -89,8 +88,8 @@ void CountHeavyNnz(const IndexedRelation& r, const IndexedRelation& s,
 
 }  // namespace
 
-MmJoinResult MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
-                           const MmJoinOptions& opts, ResultSink& sink) {
+RunRecord MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
+                        const MmJoinOptions& opts, ResultSink& sink) {
   JPMM_CHECK(opts.min_count >= 1);
   JPMM_CHECK_MSG(opts.min_count == 1 || opts.count_witnesses,
                  "min_count > 1 requires count_witnesses");
@@ -126,7 +125,7 @@ MmJoinResult MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
   }
   fit_scope.Close();
 
-  MmJoinResult result;
+  RunRecord result;
   result.adjusted_thresholds = t;
   const auto& part = ctx->part;
   const auto& hxs = part.heavy_x();
@@ -236,10 +235,7 @@ MmJoinResult MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
       gate.Record((r.num_x() + kHeadGrain - 1) / kHeadGrain);
   result.interrupted |= heavy_interrupted;
 
-  RecordHeavyRunMetrics(result);
-  RecordLightRunMetrics(result, LightUnit::kChunks, result.light_seconds,
-                        use_matrix ? std::optional(result.heavy_seconds)
-                                   : std::nullopt);
+  RecordRunMetrics(result, LightUnit::kChunks);
   if (MetricsEnabled()) {
     static Counter& operand_bytes = MetricsRegistry::Global().GetCounter(
         "jpmm_join_heavy_operand_bytes_total");

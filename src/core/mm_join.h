@@ -53,21 +53,9 @@ struct MmJoinOptions : ExecContext {
   size_t row_block = 256;
   /// Optional cross-execution grid memo owned by the caller's plan state
   /// (see DensityGridCache). On a key match the degree-remap rebuild is
-  /// skipped; the hit is recorded in MmJoinResult::partition_cache_hit and
+  /// skipped; the hit is recorded in RunRecord::partition_cache_hit and
   /// the "degree-remap" trace span's detail. Null = always rebuild.
   DensityGridCache* grid_cache = nullptr;
-};
-
-/// The heavy-run record (HeavyRun: kernel choices, partitioning, block
-/// accounting), the light-run record (LightRun: light chunk accounting,
-/// interrupted) and the two-path specifics.
-struct MmJoinResult : HeavyRun, LightRun {
-  Thresholds adjusted_thresholds;  // after any memory-cap adjustment
-  uint64_t heavy_rows = 0;         // |heavy x|
-  uint64_t heavy_inner = 0;        // |heavy y|
-  uint64_t heavy_cols = 0;         // |heavy z|
-  double light_seconds = 0.0;
-  double heavy_seconds = 0.0;      // operand build + product + emit
 };
 
 /// Runs Algorithm 1 with explicit thresholds, streaming the results into
@@ -76,8 +64,8 @@ struct MmJoinResult : HeavyRun, LightRun {
 /// granularity and skips the remaining work (skip counts land in the
 /// result). The cost-based optimizer (core/optimizer.h) chooses thresholds;
 /// RunTwoPath (core/join_project.h) applies its plan.
-MmJoinResult MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
-                           const MmJoinOptions& options, ResultSink& sink);
+RunRecord MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
+                        const MmJoinOptions& options, ResultSink& sink);
 
 }  // namespace jpmm
 

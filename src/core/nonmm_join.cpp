@@ -1,7 +1,6 @@
 #include "core/nonmm_join.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/check.h"
 #include "common/stamp_set.h"
@@ -15,9 +14,8 @@
 
 namespace jpmm {
 
-MmJoinResult NonMmJoinTwoPath(const IndexedRelation& r,
-                              const IndexedRelation& s,
-                              const MmJoinOptions& opts, ResultSink& sink) {
+RunRecord NonMmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
+                           const MmJoinOptions& opts, ResultSink& sink) {
   JPMM_CHECK(opts.min_count >= 1);
   JPMM_CHECK_MSG(opts.min_count == 1 || opts.count_witnesses,
                  "min_count > 1 requires count_witnesses");
@@ -31,7 +29,7 @@ MmJoinResult NonMmJoinTwoPath(const IndexedRelation& r,
   const auto& hys = part.heavy_y();
   const auto& hzs = part.heavy_z();
 
-  MmJoinResult result;
+  RunRecord result;
   result.adjusted_thresholds = t;
   result.heavy_rows = hxs.size();
   result.heavy_inner = hys.size();
@@ -161,10 +159,7 @@ MmJoinResult NonMmJoinTwoPath(const IndexedRelation& r,
   static_cast<LightRun&>(result) =
       light_gate.Record((r.num_x() + kLightGrain - 1) / kLightGrain);
   result.interrupted |= heavy_gate.interrupted();
-  RecordHeavyBlockMetrics(result);
-  RecordLightRunMetrics(result, LightUnit::kChunks, result.light_seconds,
-                        use_heavy ? std::optional(result.heavy_seconds)
-                                  : std::nullopt);
+  RecordRunMetrics(result, LightUnit::kChunks);
   return result;
 }
 

@@ -20,9 +20,8 @@ namespace jpmm {
 /// mirror MmJoinTwoPath: heavy_seconds covers the pairwise-intersection
 /// phase, and the "heavy blocks" of the early-exit accounting are dynamic
 /// chunks of heavy x values.
-MmJoinResult NonMmJoinTwoPath(const IndexedRelation& r,
-                              const IndexedRelation& s,
-                              const MmJoinOptions& options, ResultSink& sink);
+RunRecord NonMmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
+                           const MmJoinOptions& options, ResultSink& sink);
 
 }  // namespace jpmm
 

@@ -155,7 +155,7 @@ class ResultCache {
     std::vector<CountedPair> counted;
     std::vector<Value> tuple_data;
     uint32_t tuple_arity = 0;
-    /// kTriangle delivers through stats (triangle_count), not the sink;
+    /// kTriangle delivers through stats (ExecStats::triangles), not the sink;
     /// replay then copies stats and leaves the sink untouched, matching
     /// live execution.
     bool deliver_payload = true;

@@ -361,6 +361,11 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
   TraceRecorder::Scope exec_scope(opts.trace, "execute", opts.trace_parent);
   const TraceRecorder::SpanId exec_id = exec_scope.id();
   bool plan_hit = false;
+  // Each case leaves its strategy's record here, and the token whose fired
+  // reason explains an interrupted run.
+  RunRecord run;
+  const CancelToken* stop_token = opts.cancel;
+  CancelToken tri_cancel;
 
   switch (spec.kind) {
     case QueryKind::kTwoPath:
@@ -450,15 +455,11 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
             SsjTransform(spec.ssj_ordered), &sink);
       }
 
-      MmJoinResult run = RunTwoPath(*r, *s, plan, strategy, mo,
-                                    adapter ? *adapter : sink);
+      run = RunTwoPath(*r, *s, plan, strategy, mo, adapter ? *adapter : sink);
       if (stats != nullptr) {
         stats->executed = ResolveStrategy(strategy, plan);
-        static_cast<HeavyRun&>(*stats) = std::move(run);
-        static_cast<LightRun&>(*stats) = run;
         stats->plan = plan;
         stats->plan_cache_hit = cache_hit;
-        FillInterruptReason(opts.cancel, stats);
       }
       break;
     }
@@ -518,24 +519,20 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
       auto* star_join = star_strategy == Strategy::kWcojFull ? WcojFullStarJoin
                         : star_strategy == Strategy::kNonMmJoin ? NonMmStarJoin
                                                                 : MmStarJoin;
-      StarJoinResult res = star_join(rels, so, sink);
+      run = star_join(rels, so, sink);
       if (stats != nullptr) {
         stats->executed = star_strategy == Strategy::kAuto
                               ? Strategy::kMmJoin
                               : star_strategy;
         stats->plan_cache_hit = star_cache_hit;
-        static_cast<LightRun&>(*stats) = res;
-        static_cast<HeavyRun&>(*stats) = std::move(res);
-        FillInterruptReason(opts.cancel, stats);
       }
       break;
     }
     case QueryKind::kTriangle: {
-      // A count query: the result is ExecStats::triangle_count, not a pair
+      // A count query: the result is ExecStats::triangles, not a pair
       // stream. The sink still cancels the count when its done() flips (the
       // historical contract), via a local token that also chains the
       // caller's deadline/cancel token without mutating it.
-      CancelToken tri_cancel;
       tri_cancel.WatchSink(&sink);
       if (opts.cancel != nullptr) tri_cancel.Chain(opts.cancel);
       TriangleCountOptions to;
@@ -543,16 +540,15 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
       to.cancel = &tri_cancel;
       to.trace_parent = exec_id;
       plan_hit = executed_before;
-      TriangleCountResult res = CountTrianglesMm(*query.rels_[0], to);
-      if (stats != nullptr) {
-        stats->triangle_count = res.triangles;
-        static_cast<LightRun&>(*stats) = res;
-        static_cast<HeavyRun&>(*stats) = std::move(res);
-        stats->plan_cache_hit = executed_before;
-        FillInterruptReason(&tri_cancel, stats);
-      }
+      run = CountTrianglesMm(*query.rels_[0], to);
+      stop_token = &tri_cancel;
+      if (stats != nullptr) stats->plan_cache_hit = executed_before;
       break;
     }
+  }
+  if (stats != nullptr) {
+    static_cast<RunRecord&>(*stats) = std::move(run);
+    FillInterruptReason(stop_token, stats);
   }
 
   ps.executions.fetch_add(1, std::memory_order_relaxed);

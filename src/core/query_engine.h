@@ -216,15 +216,16 @@ const char* InterruptReasonName(InterruptReason r);
 const char* DegradeReasonName(DegradeReason r);
 
 /// Execution record: what ran, what the plan was, and what early exit
-/// saved. Counters that do not apply to a query kind stay zero. The heavy
-/// product's record (HeavyRun: operand nnz, per-block kernel choices,
-/// density-grid partitioning, heavy block accounting) comes from the MM
-/// strategies of every query kind — two-path, star and triangle. The light
-/// part's record (LightRun: chunk-granular for the pair strategies and the
-/// triangle count, step-granular for stars; `interrupted` for every
-/// strategy) comes from all of them. When interrupted, the results
-/// delivered before the interruption are exact; the run is partial.
-struct ExecStats : HeavyRun, LightRun {
+/// saved. The strategy's own record comes whole (RunRecord,
+/// core/heavy_product.h): the thresholds as run, the heavy operand shape,
+/// the light/heavy seconds, the triangle count and its split, the heavy
+/// product's HeavyRun (operand nnz, per-block kernel choices, density-grid
+/// partitioning, heavy block accounting) and the light part's LightRun
+/// (chunk-granular for the pair strategies and the triangle count,
+/// step-granular for stars; `interrupted` for every strategy). Counters
+/// that do not apply to a query kind stay zero. When interrupted, the
+/// results delivered before the interruption are exact; the run is partial.
+struct ExecStats : RunRecord {
   Strategy executed = Strategy::kMmJoin;
   PlanChoice plan;              // two-path family only
   bool plan_cache_hit = false;  // true: optimization was skipped
@@ -251,10 +252,6 @@ struct ExecStats : HeavyRun, LightRun {
   /// cache without executing; the counters above describe the cached run,
   /// `seconds` the replay.
   bool result_cache_hit = false;
-
-  /// kTriangle only: the (possibly partial, see `interrupted`) triangle
-  /// count — triangle queries deliver through stats, not pairs.
-  uint64_t triangle_count = 0;
 
   /// Copy of the span tree recorded during this execution, when
   /// ExecOptions::trace was set (empty otherwise) — embedders get the

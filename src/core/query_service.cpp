@@ -463,8 +463,8 @@ void QueryService::MaybeCacheResult(const BatchKey& key, QueryKind kind,
   entry.counted = std::move(tap->counted());
   entry.tuple_data = std::move(tap->tuple_data());
   entry.tuple_arity = tap->tuple_arity();
-  // Triangle queries deliver through stats (triangle_count), not the sink;
-  // a replayed hit likewise only copies stats.
+  // Triangle queries deliver through stats (ExecStats::triangles), not the
+  // sink; a replayed hit likewise only copies stats.
   entry.deliver_payload = kind != QueryKind::kTriangle;
   entry.stats = stats;
   cache_->Insert(key, std::move(entry));

@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
-#include <optional>
 #include <span>
 #include <unordered_map>
 
@@ -428,8 +427,8 @@ struct HeavyPairs {
   std::vector<std::vector<uint32_t>> ids;  // per worker
   std::vector<Segment> rows;               // per V row
 
-  HeavyPairs(int threads, uint64_t v_rows)
-      : ids(static_cast<size_t>(threads)), rows(v_rows) {}
+  HeavyPairs(int threads, uint64_t heavy_rows)
+      : ids(static_cast<size_t>(threads)), rows(heavy_rows) {}
 
   // Closes row i: the ids worker w appended since `begin` become its
   // segment, sorted when they do not already ascend (grid rows arrive in
@@ -548,12 +547,12 @@ Thresholds ClampedThresholds(Thresholds t) {
 }
 
 // The fields every star strategy reports from its operands.
-StarJoinResult ResultFor(const StarOperands& op) {
-  StarJoinResult result;
+RunRecord ResultFor(const StarOperands& op) {
+  RunRecord result;
   result.adjusted_thresholds = op.thresholds;
-  result.v_rows = op.shape.rows;
-  result.w_rows = op.shape.cols;
-  result.heavy_y = op.shape.inner;
+  result.heavy_rows = op.shape.rows;
+  result.heavy_inner = op.shape.inner;
+  result.heavy_cols = op.shape.cols;
   return result;
 }
 
@@ -562,7 +561,7 @@ StarJoinResult ResultFor(const StarOperands& op) {
 // gate (also polled before the heavy part), the light part and the finish.
 struct StarRun {
   const StarJoinOptions& options;
-  StarJoinResult* result;
+  RunRecord* result;
   ResultSink& sink;
   StarEmitter em;
   ChunkGate gate;
@@ -570,7 +569,7 @@ struct StarRun {
   bool heavy_interrupted = false;  // a fired token skipped heavy chunks
 
   StarRun(size_t k, int threads, const StarJoinOptions& o, ResultSink& s,
-          StarJoinResult* r)
+          RunRecord* r)
       : options(o),
         result(r),
         sink(s),
@@ -621,19 +620,19 @@ TupleBuffer WcojStarJoin(const std::vector<const IndexedRelation*>& rels,
   return StarJoinProjectWcoj(rels, nullptr, nullptr, threads);
 }
 
-StarJoinResult WcojFullStarJoin(const std::vector<const IndexedRelation*>& rels,
-                                const StarJoinOptions& options,
-                                ResultSink& sink) {
+RunRecord WcojFullStarJoin(const std::vector<const IndexedRelation*>& rels,
+                           const StarJoinOptions& options, ResultSink& sink) {
   JPMM_CHECK(rels.size() >= 2 && rels.size() <= 8);
   TraceRecorder::Scope scope(options.trace, "wcoj-full", options.trace_parent);
   const TupleBuffer tuples = WcojStarJoin(rels, options.threads);
   scope.Close();
   // The light-only case of the non-streaming finish: no heavy pairs.
-  StarJoinResult result;
+  RunRecord result;
   sink.Open(1);
-  result.interrupted = DeliverSorted(tuples, StarOperands{},
-                                     HeavyPairs(/*threads=*/1, /*v_rows=*/0),
-                                     sink, options.cancel);
+  result.interrupted =
+      DeliverSorted(tuples, StarOperands{},
+                    HeavyPairs(/*threads=*/1, /*heavy_rows=*/0), sink,
+                    options.cancel);
   sink.Finish();
   return result;
 }
@@ -742,8 +741,8 @@ std::shared_ptr<const StarOperands> StarOperandCache::GetOrPrepare(
   return operands_;
 }
 
-StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
-                          const StarJoinOptions& options, ResultSink& sink) {
+RunRecord MmStarJoin(const std::vector<const IndexedRelation*>& rels,
+                     const StarJoinOptions& options, ResultSink& sink) {
   const size_t k = rels.size();
   const int threads = std::max(1, options.threads);
   const size_t row_block = std::max<size_t>(1, options.row_block);
@@ -753,13 +752,13 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
                      options.max_matrix_bytes, options.heavy_path, row_block,
                      threads});
   const StarOperands& op = *op_ptr;
-  StarJoinResult result = ResultFor(op);
+  RunRecord result = ResultFor(op);
 
   StarRun run(k, threads, options, sink, &result);
   TupleBuffer light = run.Light(rels, op, threads);
-  HeavyPairs pairs(threads, result.v_rows);
+  HeavyPairs pairs(threads, result.heavy_rows);
 
-  const bool heavy = result.v_rows > 0 && result.w_rows > 0;
+  const bool heavy = result.heavy_rows > 0 && result.heavy_cols > 0;
   if (heavy && run.gate.Stopped()) {
     // Light steps satisfied the sink: account every planned chunk as
     // skipped without running the product.
@@ -815,17 +814,12 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
 
   run.Finish(std::move(light), op, pairs);
 
-  RecordHeavyRunMetrics(result);
-  RecordLightRunMetrics(result, LightUnit::kStarSteps, result.light_seconds,
-                        result.heavy_seconds > 0
-                            ? std::optional(result.heavy_seconds)
-                            : std::nullopt);
+  RecordRunMetrics(result, LightUnit::kStarSteps);
   return result;
 }
 
-StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
-                             const StarJoinOptions& options,
-                             ResultSink& sink) {
+RunRecord NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
+                        const StarJoinOptions& options, ResultSink& sink) {
   const size_t k = rels.size();
   const int threads = std::max(1, options.threads);
   // No dense matrices here, so no byte cap: under an unlimited cap the fit
@@ -836,17 +830,17 @@ StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
                      std::numeric_limits<uint64_t>::max(),
                      HeavyPathMode::kAuto, /*row_block=*/1, /*threads=*/1});
   const StarOperands& op = *op_ptr;
-  StarJoinResult result = ResultFor(op);
+  RunRecord result = ResultFor(op);
 
   StarRun run(k, threads, options, sink, &result);
   TupleBuffer light = run.Light(rels, op, threads);
-  HeavyPairs pairs(threads, result.v_rows);
+  HeavyPairs pairs(threads, result.heavy_rows);
 
   constexpr size_t kComboGrain = 16;
-  const bool heavy = result.v_rows > 0 && result.w_rows > 0;
+  const bool heavy = result.heavy_rows > 0 && result.heavy_cols > 0;
   if (heavy) {
     result.heavy_blocks_total =
-        (result.v_rows + kComboGrain - 1) / kComboGrain;
+        (result.heavy_rows + kComboGrain - 1) / kComboGrain;
   }
   if (heavy && run.gate.Stopped()) {
     result.heavy_blocks_skipped = result.heavy_blocks_total;
@@ -856,7 +850,7 @@ StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
                                      options.trace_parent);
     // Witness (column) lists per heavy combo, ascending: V's rows, and W's
     // gathered from the rows of W^T in order.
-    std::vector<std::vector<Value>> wit2(result.w_rows);
+    std::vector<std::vector<Value>> wit2(result.heavy_cols);
     for (Value y = 0; y < op.wt.rows(); ++y) {
       for (uint32_t j : op.wt.Row(y)) wit2[j].push_back(y);
     }
@@ -864,7 +858,7 @@ StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
 
     // Witness-list lengths vary per combo; dynamic chunks absorb the skew.
     // W rows are visited in id order, so every row's ids ascend.
-    ParallelForDynamic(threads, result.v_rows, kComboGrain,
+    ParallelForDynamic(threads, result.heavy_rows, kComboGrain,
                        [&](size_t i0, size_t i1, int worker) {
       if (!heavy_gate.Claim()) return;
       if (run.em.streaming) {
@@ -873,7 +867,7 @@ StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
         for (size_t i = i0; i < i1; ++i) {
           const Value* left = op.rows1_flat.data() + i * op.g1;
           std::copy(left, left + op.g1, tuple.begin());
-          for (size_t j = 0; j < result.w_rows; ++j) {
+          for (size_t j = 0; j < result.heavy_cols; ++j) {
             if (!IntersectsSorted(op.v.Row(i), wit2[j])) continue;
             const Value* right = op.rows2_flat.data() + j * op.g2;
             std::copy(right, right + op.g2, tuple.begin() + op.g1);
@@ -886,7 +880,7 @@ StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
       std::vector<uint32_t>& ids = pairs.ids[static_cast<size_t>(worker)];
       for (size_t i = i0; i < i1; ++i) {
         const size_t begin = ids.size();
-        for (size_t j = 0; j < result.w_rows; ++j) {
+        for (size_t j = 0; j < result.heavy_cols; ++j) {
           if (IntersectsSorted(op.v.Row(i), wit2[j])) {
             ids.push_back(static_cast<uint32_t>(j));
           }
@@ -901,6 +895,7 @@ StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
   }
 
   run.Finish(std::move(light), op, pairs);
+  RecordRunMetrics(result, LightUnit::kStarSteps);
   return result;
 }
 

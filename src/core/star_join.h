@@ -104,18 +104,6 @@ struct StarJoinOptions : ExecContext {
   StarOperandCache* operand_cache = nullptr;
 };
 
-/// The heavy-run record of the V * W^T product (HeavyRun), the light-run
-/// record (LightRun; its units are the light decomposition steps) and the
-/// star specifics.
-struct StarJoinResult : HeavyRun, LightRun {
-  Thresholds adjusted_thresholds;
-  uint64_t v_rows = 0;  // heavy combos, first group
-  uint64_t w_rows = 0;  // heavy combos, second group
-  uint64_t heavy_y = 0; // shared inner dimension
-  double light_seconds = 0.0;
-  double heavy_seconds = 0.0;
-};
-
 // Every star strategy delivers its duplicate-free tuples into `sink`
 // (core/result_sink.h, OnTuple), which it opens and finishes. The star
 // decomposition needs a global tuple dedup, so delivery is incremental only
@@ -127,14 +115,14 @@ struct StarJoinResult : HeavyRun, LightRun {
 // once per 4096 light tuples (a fired token sets `interrupted`).
 
 /// MMJoin for the star query (steps 1-3 above).
-StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
-                          const StarJoinOptions& options, ResultSink& sink);
+RunRecord MmStarJoin(const std::vector<const IndexedRelation*>& rels,
+                     const StarJoinOptions& options, ResultSink& sink);
 
 /// Combinatorial comparator: steps 1-2 as above, step 3 replaced by pairwise
 /// sorted-intersection of the heavy combos' witness lists (the Lemma-2
 /// strategy lifted to stars).
-StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
-                             const StarJoinOptions& options, ResultSink& sink);
+RunRecord NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
+                        const StarJoinOptions& options, ResultSink& sink);
 
 /// Baseline: plain WCOJ over all tuples + dedup (Prop. 1), sorted.
 TupleBuffer WcojStarJoin(const std::vector<const IndexedRelation*>& rels,
@@ -143,9 +131,8 @@ TupleBuffer WcojStarJoin(const std::vector<const IndexedRelation*>& rels,
 /// WcojStarJoin under a "wcoj-full" span, delivered like a non-streaming run
 /// with no heavy part (on shard 0, in ascending order, for every sink). Reads
 /// only the execution context of `options`.
-StarJoinResult WcojFullStarJoin(const std::vector<const IndexedRelation*>& rels,
-                                const StarJoinOptions& options,
-                                ResultSink& sink);
+RunRecord WcojFullStarJoin(const std::vector<const IndexedRelation*>& rels,
+                           const StarJoinOptions& options, ResultSink& sink);
 
 /// Cost-based threshold selection for the star decomposition: sweeps a
 /// geometric Delta grid (Delta1 = Delta2, cf. Example 4's coupling) and

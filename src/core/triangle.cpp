@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 #include "core/heavy_product.h"
 #include "core/trace.h"
 #include "matrix/sparse_matrix.h"
@@ -33,9 +34,9 @@ uint64_t CountTrianglesNodeIterator(const IndexedRelation& graph) {
   return count;
 }
 
-TriangleCountResult CountTrianglesMm(const IndexedRelation& graph,
-                                     const TriangleCountOptions& options) {
-  TriangleCountResult result;
+RunRecord CountTrianglesMm(const IndexedRelation& graph,
+                           const TriangleCountOptions& options) {
+  RunRecord result;
   const uint64_t edges = graph.num_tuples();
   uint64_t delta = options.delta != 0
                        ? options.delta
@@ -86,8 +87,8 @@ TriangleCountResult CountTrianglesMm(const IndexedRelation& graph,
     if (heavy.empty() || gates.bytes <= options.max_matrix_bytes) break;
     delta *= 2;
   }
-  result.delta_used = delta;
-  result.heavy_vertices = heavy.size();
+  result.adjusted_thresholds = Thresholds{delta, delta};
+  result.heavy_rows = result.heavy_inner = result.heavy_cols = heavy.size();
 
   // Light part: triangles containing >= 1 light vertex, counted at their
   // minimum-id light vertex. A neighbour participates only if it is heavy
@@ -105,6 +106,7 @@ TriangleCountResult CountTrianglesMm(const IndexedRelation& graph,
   // Dynamic chunks: per-vertex cost is quadratic in (skewed) degree.
   // Accumulate (+=) — a dynamic worker handles many chunks.
   constexpr size_t kLightGrain = 512;
+  WallTimer light_timer;
   ParallelForDynamic(threads, graph.num_x(), kLightGrain,
                      [&](size_t v0, size_t v1, int w) {
     if (!gate.Claim()) return;
@@ -127,6 +129,7 @@ TriangleCountResult CountTrianglesMm(const IndexedRelation& graph,
     light_partial[static_cast<size_t>(w)] += local;
   });
   TraceEnd(trace_rec, light_span);
+  result.light_seconds = light_timer.Seconds();
   for (uint64_t c : light_partial) result.light_triangles += c;
 
   // Heavy part: trace(A_H^3) / 6. A_H is symmetric, so
@@ -136,6 +139,7 @@ TriangleCountResult CountTrianglesMm(const IndexedRelation& graph,
   // float row, or a sorted-merge intersection with a sparse one.
   bool heavy_interrupted = false;
   if (heavy.size() >= 3) {
+    WallTimer heavy_timer;
     TraceRecorder::Scope heavy_scope(trace_rec, "heavy", tparent);
     const size_t h = heavy.size();
     const CsrMatrix csr_a = CsrMatrix::FromRows(
@@ -181,6 +185,7 @@ TriangleCountResult CountTrianglesMm(const IndexedRelation& graph,
     double trace = 0.0;
     for (double t : trace_partial) trace += t;
     result.heavy_triangles = static_cast<uint64_t>(trace / 6.0 + 0.5);
+    result.heavy_seconds = heavy_timer.Seconds();
   }
 
   static_cast<LightRun&>(result) =

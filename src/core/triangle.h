@@ -27,30 +27,24 @@ namespace jpmm {
 /// and degrades to the CSR x CSR trace: the CSR adjacency is always
 /// counted against max_matrix_bytes, the dense matrix (and packed slab)
 /// only when some product block runs a float kernel. A fired cancel token
-/// leaves a PARTIAL count with result.interrupted set — triangle counting
-/// has no per-pair output to limit, so this exists for callers that
-/// abandon a count mid-flight, not for limit semantics.
+/// leaves a PARTIAL count with the record's `interrupted` set — triangle
+/// counting has no per-pair output to limit, so this exists for callers
+/// that abandon a count mid-flight, not for limit semantics.
 struct TriangleCountOptions : ExecContext {
   /// Degree threshold; 0 = pick sqrt(|E|) (the AYZ balance point for
   /// classical multiplication).
   uint64_t delta = 0;
 };
 
-/// The heavy-run record of the A_H * A_H trace product (HeavyRun; its
-/// block accounting covers the heavy part), the light-run record of the
-/// light-vertex enumeration (LightRun) and the count.
-struct TriangleCountResult : HeavyRun, LightRun {
-  uint64_t triangles = 0;
-  uint64_t light_triangles = 0;  // found via light-vertex enumeration
-  uint64_t heavy_triangles = 0;  // found via trace(A_H^3)/6
-  uint64_t heavy_vertices = 0;
-  uint64_t delta_used = 0;
-};
-
 /// Counts triangles of an undirected graph given as a symmetric edge
-/// relation (both (u,v) and (v,u) present; self-loops ignored).
-TriangleCountResult CountTrianglesMm(const IndexedRelation& graph,
-                                     const TriangleCountOptions& options = {});
+/// relation (both (u,v) and (v,u) present; self-loops ignored). The record
+/// carries the count and its light/heavy split (RunRecord::triangles,
+/// light_triangles, heavy_triangles), the delta as run in both
+/// adjusted_thresholds fields, the heavy vertex count as the heavy operand
+/// shape, the A_H * A_H trace product's HeavyRun and the light-vertex
+/// enumeration's LightRun.
+RunRecord CountTrianglesMm(const IndexedRelation& graph,
+                           const TriangleCountOptions& options = {});
 
 /// Combinatorial comparator: node-iterator counting (no matrices).
 uint64_t CountTrianglesNodeIterator(const IndexedRelation& graph);

@@ -421,7 +421,7 @@ TEST(QueryDeadline, TriangleDeadlineExactness) {
       ASSERT_TRUE(engine.Run(spec, sink, exec, &stats).ok());
       EXPECT_TRUE(stats.interrupted);
       EXPECT_EQ(stats.interrupt_reason, InterruptReason::kDeadline);
-      EXPECT_EQ(stats.triangle_count, 0u);
+      EXPECT_EQ(stats.triangles, 0u);
       EXPECT_EQ(stats.light_chunks_executed, 0u);
       EXPECT_EQ(stats.light_chunks_executed + stats.light_chunks_skipped,
                 stats.light_chunks_total);
@@ -436,7 +436,7 @@ TEST(QueryDeadline, TriangleDeadlineExactness) {
       exec.cancel = &token;
       ASSERT_TRUE(engine.Run(spec, sink, exec, &stats).ok());
       EXPECT_FALSE(stats.interrupted);
-      EXPECT_EQ(stats.triangle_count, want);
+      EXPECT_EQ(stats.triangles, want);
       EXPECT_EQ(stats.light_chunks_executed, stats.light_chunks_total);
     }
   }

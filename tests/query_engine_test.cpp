@@ -773,7 +773,7 @@ TEST(QueryEngine, TriangleCancellationSplitsSkipCountersExactly) {
     ASSERT_TRUE(engine.Run(spec, cancel, exec, &stats).ok());
     EXPECT_TRUE(stats.interrupted);
     EXPECT_EQ(stats.interrupt_reason, InterruptReason::kCancelled);
-    EXPECT_EQ(stats.triangle_count, 0u) << "threads=" << threads;
+    EXPECT_EQ(stats.triangles, 0u) << "threads=" << threads;
     EXPECT_GT(stats.light_chunks_skipped, 0u);
     if (light_skipped == 0) light_skipped = stats.light_chunks_skipped;
     EXPECT_EQ(stats.light_chunks_skipped, light_skipped)
@@ -781,21 +781,77 @@ TEST(QueryEngine, TriangleCancellationSplitsSkipCountersExactly) {
   }
 }
 
+// The engine hands the count's whole record on: the total, its light/heavy
+// split and the delta as run. The hub graph's five mutually adjacent hubs
+// sit above delta, so its heavy part is not empty.
 TEST(QueryEngine, TriangleCountMatchesDirect) {
-  BinaryRelation sym = CommunityGraph(3, 60, 0.5, 21);
-  IndexedRelation idx(sym);
-  auto direct = CountTrianglesMm(idx, {});
+  for (bool hubs : {false, true}) {
+    SCOPED_TRACE(hubs ? "HubGraph" : "CommunityGraph");
+    BinaryRelation sym =
+        hubs ? testutil::HubGraph() : CommunityGraph(3, 60, 0.5, 21);
+    IndexedRelation idx(sym);
+    auto direct = CountTrianglesMm(idx, {});
+    if (hubs) {
+      ASSERT_GT(direct.heavy_triangles, 0u);
+    }
 
-  QueryEngine engine;
-  engine.catalog().Put("G", sym);
-  QuerySpec spec;
-  spec.kind = QueryKind::kTriangle;
-  spec.relations = {"G"};
-  VectorSink sink;  // no pair delivery; cancellation token only
-  ExecStats stats;
-  ASSERT_TRUE(engine.Run(spec, sink, {}, &stats).ok());
-  EXPECT_EQ(stats.triangle_count, direct.triangles);
-  EXPECT_FALSE(stats.interrupted);
+    QueryEngine engine;
+    engine.catalog().Put("G", sym);
+    QuerySpec spec;
+    spec.kind = QueryKind::kTriangle;
+    spec.relations = {"G"};
+    VectorSink sink;  // no pair delivery; cancellation token only
+    ExecStats stats;
+    ASSERT_TRUE(engine.Run(spec, sink, {}, &stats).ok());
+    EXPECT_EQ(stats.triangles, direct.triangles);
+    EXPECT_EQ(stats.light_triangles, direct.light_triangles);
+    EXPECT_EQ(stats.heavy_triangles, direct.heavy_triangles);
+    EXPECT_EQ(stats.adjusted_thresholds, direct.adjusted_thresholds);
+    EXPECT_FALSE(stats.interrupted);
+  }
+}
+
+// Under a tiny memory cap the MM strategies double their thresholds until
+// the heavy operands fit; the engine reports the thresholds as run, and the
+// output stays the oracle's.
+TEST(QueryEngine, MemoryCapReportsAdjustedThresholds) {
+  {
+    const BinaryRelation rel = SkewedGraph();
+    QueryEngine engine = MakeEngine(rel);
+    ExecOptions exec;
+    exec.thresholds = {1, 1};
+    exec.max_matrix_bytes = 1024;
+    PreparedQuery q;
+    ASSERT_TRUE(engine.Prepare(TwoPathSpec(Strategy::kMmJoin), &q).ok());
+    VectorSink sink;
+    ExecStats stats;
+    ASSERT_TRUE(engine.Execute(q, sink, exec, &stats).ok());
+    EXPECT_EQ(stats.executed, Strategy::kMmJoin);
+    EXPECT_GT(stats.adjusted_thresholds.delta1, 1u);
+    EXPECT_EQ(Sorted(sink.pairs()), OracleTwoPath(rel, rel));
+  }
+  {
+    BinaryRelation rel;
+    for (Value a = 0; a < 12; ++a) {
+      for (Value b = 0; b < 12; ++b) rel.Add(a, b);
+    }
+    rel.Finalize();
+    QueryEngine engine = MakeEngine(rel);
+    QuerySpec spec;
+    spec.kind = QueryKind::kStar;
+    spec.relations = {"R", "R"};
+    spec.strategy = Strategy::kMmJoin;
+    ExecOptions exec;
+    exec.thresholds = {1, 1};
+    exec.max_matrix_bytes = 256;
+    VectorSink sink;
+    ExecStats stats;
+    ASSERT_TRUE(engine.Run(spec, sink, exec, &stats).ok());
+    EXPECT_EQ(stats.executed, Strategy::kMmJoin);
+    EXPECT_GT(stats.adjusted_thresholds.delta1, 1u);
+    EXPECT_EQ(testutil::ToVectors(TupleBuffer(2, sink.tuple_data())),
+              testutil::OracleStar({&rel, &rel}));
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "common/metrics.h"
 #include "core/cancel_token.h"
 #include "core/query_engine.h"
 #include "core/star_join.h"
@@ -56,8 +57,8 @@ struct StarParam {
 void ExpectMixed(const StarParam& p, const StarFixture& f,
                  const testutil::CollectedStar& res) {
   if (!p.mixed) return;
-  EXPECT_GT(res.v_rows, 0u);
-  EXPECT_GT(res.w_rows, 0u);
+  EXPECT_GT(res.heavy_rows, 0u);
+  EXPECT_GT(res.heavy_cols, 0u);
   bool light_x = false;
   for (size_t t = 0; t < res.tuples.size() && !light_x; ++t) {
     const auto tuple = res.tuples.Get(t);
@@ -122,9 +123,9 @@ TEST(StarJoin, DenseBlockGoesThroughMatrix) {
   StarJoinOptions opts;
   opts.thresholds = {2, 2};
   auto res = StarRun({&ri, &ri, &ri}, opts);
-  EXPECT_GT(res.v_rows, 0u);
-  EXPECT_GT(res.w_rows, 0u);
-  EXPECT_GT(res.heavy_y, 0u);
+  EXPECT_GT(res.heavy_rows, 0u);
+  EXPECT_GT(res.heavy_cols, 0u);
+  EXPECT_GT(res.heavy_inner, 0u);
   EXPECT_EQ(res.tuples.size(), 8u * 8 * 8);
 }
 
@@ -198,6 +199,41 @@ TEST(StarJoin, EngineStatsCarryBlockChoices) {
     EXPECT_GT(stats.b_nnz, 0u);
     EXPECT_GT(stats.heavy_density, 0.0);
   }
+}
+
+// The Non-MM star feeds the process-wide join metrics like every other join
+// strategy: its decomposition steps, its heavy chunks and both pass times.
+TEST(StarJoin, NonMmStarRecordsRunMetrics) {
+  const bool was_enabled = MetricsEnabled();
+  SetMetricsEnabled(true);
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  Counter& steps = reg.GetCounter("jpmm_star_light_steps_executed_total");
+  Counter& blocks = reg.GetCounter("jpmm_join_heavy_blocks_executed_total");
+  Histogram& heavy_ms =
+      reg.GetHistogram("jpmm_join_heavy_pass_ms", DefaultLatencyBoundsMs());
+  const uint64_t steps_before = steps.value();
+  const uint64_t blocks_before = blocks.value();
+  const uint64_t heavy_before = heavy_ms.Snapshot().count;
+
+  QueryEngine engine;
+  engine.catalog().Put("R", CommunityGraph(4, 60, 0.5, 11));
+  QuerySpec spec;
+  spec.kind = QueryKind::kStar;
+  spec.relations = {"R", "R", "R"};
+  spec.strategy = Strategy::kNonMmJoin;
+  ExecOptions exec;
+  exec.thresholds = {8, 8};  // a real heavy part
+  CountOnlySink sink;
+  ExecStats stats;
+  ASSERT_TRUE(engine.Run(spec, sink, exec, &stats).ok());
+  SetMetricsEnabled(was_enabled);
+
+  EXPECT_EQ(stats.executed, Strategy::kNonMmJoin);
+  ASSERT_GT(stats.light_chunks_executed, 0u);
+  ASSERT_GT(stats.heavy_blocks_executed, 0u);
+  EXPECT_EQ(steps.value() - steps_before, stats.light_chunks_executed);
+  EXPECT_EQ(blocks.value() - blocks_before, stats.heavy_blocks_executed);
+  EXPECT_EQ(heavy_ms.Snapshot().count - heavy_before, 1u);
 }
 
 // Records every tuple in arrival order, across shards. may_finish_early()
@@ -307,13 +343,13 @@ TEST(StarJoin, CancelDuringFinishStopsWithinOneRow) {
         opts.cancel = &token;
         ArrivalOrderSink sink;
         sink.CancelAt(&token, n);
-        const StarJoinResult res = mm ? MmStarJoin(rels, opts, sink)
-                                      : NonMmStarJoin(rels, opts, sink);
-        ASSERT_GT(res.w_rows, 0u) << where;
+        const RunRecord res = mm ? MmStarJoin(rels, opts, sink)
+                                 : NonMmStarJoin(rels, opts, sink);
+        ASSERT_GT(res.heavy_cols, 0u) << where;
         EXPECT_TRUE(res.interrupted) << where;
         const auto& got = sink.tuples();
         ASSERT_GE(got.size(), n) << where;
-        EXPECT_LE(got.size(), n + res.w_rows) << where;
+        EXPECT_LE(got.size(), n + res.heavy_cols) << where;
         for (size_t i = 0; i < got.size(); ++i) {
           const auto expect = want.Get(i);
           ASSERT_EQ(got[i], std::vector<Value>(expect.begin(), expect.end()))
@@ -362,7 +398,7 @@ void ExpectLightAndHeavyWitnessMergeOnce(size_t k) {
                                 std::to_string(k) + "/t" +
                                 std::to_string(threads);
       EXPECT_GT(res.light_chunks_executed, 0u) << where;
-      EXPECT_GT(res.v_rows, 0u) << where;
+      EXPECT_GT(res.heavy_rows, 0u) << where;
       EXPECT_EQ(res.tuples.flat(), want.flat()) << where;
     }
   }
@@ -522,8 +558,8 @@ TEST(StarOperandMemo, SmallerCapMatchesColdFit) {
   const auto cold = StarRun(rels, tight);
   EXPECT_GT(cold.adjusted_thresholds.delta1, 1u);
   EXPECT_EQ(warm.adjusted_thresholds, cold.adjusted_thresholds);
-  EXPECT_EQ(warm.v_rows, cold.v_rows);
-  EXPECT_EQ(warm.w_rows, cold.w_rows);
+  EXPECT_EQ(warm.heavy_rows, cold.heavy_rows);
+  EXPECT_EQ(warm.heavy_cols, cold.heavy_cols);
   EXPECT_EQ(warm.tuples.flat(), cold.tuples.flat());
   EXPECT_EQ(warm.tuples.flat(), first.tuples.flat());
 }

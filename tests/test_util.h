@@ -197,18 +197,17 @@ inline std::vector<CountedPair> WcojOracleCounted(const BinaryRelation& rel) {
 
 /// A low-level two-path run (MmJoinTwoPath, NonMmJoinTwoPath) collected
 /// into a VectorSink: the run record plus the sorted output.
-struct CollectedRun : MmJoinResult, SortedOutput {};
+struct CollectedRun : RunRecord, SortedOutput {};
 
-using TwoPathFn = MmJoinResult (*)(const IndexedRelation&,
-                                   const IndexedRelation&,
-                                   const MmJoinOptions&, ResultSink&);
+using TwoPathFn = RunRecord (*)(const IndexedRelation&, const IndexedRelation&,
+                                const MmJoinOptions&, ResultSink&);
 
 inline CollectedRun Collect(TwoPathFn fn, const IndexedRelation& r,
                             const IndexedRelation& s,
                             const MmJoinOptions& opts) {
   VectorSink sink;
   CollectedRun out;
-  static_cast<MmJoinResult&>(out) = fn(r, s, opts, sink);
+  static_cast<RunRecord&>(out) = fn(r, s, opts, sink);
   static_cast<SortedOutput&>(out) = SortedOutput(sink);
   return out;
 }
@@ -227,19 +226,19 @@ inline CollectedRun NonMmRun(const IndexedRelation& r,
 /// A low-level star run (MmStarJoin, NonMmStarJoin) collected into a
 /// VectorSink: the run record plus the sink's tuple_data() in arrival order
 /// (ascending for a non-streaming run).
-struct CollectedStar : StarJoinResult {
+struct CollectedStar : RunRecord {
   TupleBuffer tuples{1};
 };
 
-using StarFn = StarJoinResult (*)(const std::vector<const IndexedRelation*>&,
-                                  const StarJoinOptions&, ResultSink&);
+using StarFn = RunRecord (*)(const std::vector<const IndexedRelation*>&,
+                             const StarJoinOptions&, ResultSink&);
 
 inline CollectedStar CollectStar(
     StarFn fn, const std::vector<const IndexedRelation*>& rels,
     const StarJoinOptions& opts) {
   VectorSink sink;
   CollectedStar out;
-  static_cast<StarJoinResult&>(out) = fn(rels, opts, sink);
+  static_cast<RunRecord&>(out) = fn(rels, opts, sink);
   out.tuples = TupleBuffer(static_cast<uint32_t>(rels.size()),
                            sink.tuple_data());
   return out;

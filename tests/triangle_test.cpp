@@ -130,7 +130,7 @@ TEST(Triangle, MemoryCapDegrades) {
   opts.delta = 1;
   opts.max_matrix_bytes = 64;  // absurd cap: force threshold doubling
   const auto res = CountTrianglesMm(gi, opts);
-  EXPECT_GT(res.delta_used, 1u);
+  EXPECT_GT(res.adjusted_thresholds.delta1, 1u);
   EXPECT_EQ(res.triangles, CountTrianglesNodeIterator(gi));
 }
 

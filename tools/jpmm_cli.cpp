@@ -115,7 +115,6 @@
 #include "core/query_engine.h"
 #include "core/query_service.h"
 #include "core/result_sink.h"
-#include "core/triangle.h"
 #include "datagen/generators.h"
 #include "datagen/presets.h"
 #include "scj/limit_plus.h"
@@ -966,26 +965,33 @@ int RunTriangles(const Args& args, const BinaryRelation& rel) {
         static_cast<uint32_t>(args.GetI("community-size", 200)),
         args.GetD("p", 0.5), static_cast<uint64_t>(args.GetI("seed", 42)));
   }
-  IndexedRelation idx(sym);
-  TriangleCountOptions opts;
-  opts.threads = static_cast<int>(args.GetI("threads", 1));
-  opts.heavy_path = ParseHeavyPath(args.Get("heavy-path", "auto"));
+  QueryEngine engine;
+  engine.AddRelation("G", std::move(sym));
+  QuerySpec spec;
+  spec.kind = QueryKind::kTriangle;
+  spec.relations = {"G"};
+  ExecOptions exec;
+  exec.threads = static_cast<int>(args.GetI("threads", 1));
+  exec.heavy_path = ParseHeavyPath(args.Get("heavy-path", "auto"));
   TraceRecorder trace;
-  std::optional<TraceRecorder::Scope> root;
-  if (args.Has("trace")) {
-    opts.trace = &trace;
-    root.emplace(&trace, "triangles");
-    opts.trace_parent = root->id();
-  }
+  if (args.Has("trace")) exec.trace = &trace;
+  // A triangle query delivers its count through the stats; the sink only
+  // satisfies the engine's signature.
+  CountOnlySink sink;
+  ExecStats stats;
   WallTimer timer;
-  auto res = CountTrianglesMm(idx, opts);
-  if (root.has_value()) root->Close();
+  const QueryStatus st = engine.Run(spec, sink, exec, &stats);
+  if (!st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.message().c_str());
+    return 1;
+  }
   std::printf("triangles: %llu (light %llu, heavy %llu; delta %llu) in "
               "%.3f s\n",
-              static_cast<unsigned long long>(res.triangles),
-              static_cast<unsigned long long>(res.light_triangles),
-              static_cast<unsigned long long>(res.heavy_triangles),
-              static_cast<unsigned long long>(res.delta_used),
+              static_cast<unsigned long long>(stats.triangles),
+              static_cast<unsigned long long>(stats.light_triangles),
+              static_cast<unsigned long long>(stats.heavy_triangles),
+              static_cast<unsigned long long>(
+                  stats.adjusted_thresholds.delta1),
               timer.Seconds());
   if (args.Has("trace")) PrintTrace(trace);
   return 0;
