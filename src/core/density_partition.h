@@ -38,8 +38,6 @@
 #define JPMM_CORE_DENSITY_PARTITION_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -83,6 +81,13 @@ class TwoPathPartition {
   }
   Value HeavyZId(Value c) const {
     return c < heavy_z_id_.size() ? heavy_z_id_[c] : kInvalidValue;
+  }
+
+  /// Resident bytes of the heavy-value lists and id maps.
+  uint64_t Bytes() const {
+    return sizeof(Value) *
+           (heavy_x_.size() + heavy_y_.size() + heavy_z_.size() +
+            heavy_x_id_.size() + heavy_y_id_.size() + heavy_z_id_.size());
   }
 
   /// Materialized subrelations (diagnostics / partition-invariant tests; the
@@ -176,58 +181,6 @@ struct DensityGrid {
 /// fixed operands + options.
 DensityGrid BuildDensityGrid(const CsrMatrix& a, const CsrMatrix& b,
                              const DensityGridOptions& opts);
-
-/// Cross-execution memo for one heavy product's grid, owned by a
-/// PreparedQuery's PlanState and threaded down by pointer through
-/// MmJoinOptions / StarJoinOptions. Sound because a PreparedQuery's operand
-/// snapshots are immutable (copy-on-write catalog) and BuildDensityGrid is
-/// deterministic for fixed operands + options: the grid only depends on the
-/// key fields below, so a key match means the rebuild would produce the
-/// identical grid (row_perm/col_perm included).
-/// Re-Prepare after a catalog Put/Drop creates a fresh PlanState, which is
-/// the version-change invalidation. The mutex hold is two pointer-size
-/// copies per execution — off every inner loop.
-struct DensityGridCache {
-  std::mutex mu;
-  bool valid = false;
-  /// Key: the ADJUSTED thresholds the partition ran under (memory-cap
-  /// doubling changes the heavy operands), plus every DensityGridOptions
-  /// field the build reads.
-  Thresholds thresholds{0, 0};
-  size_t row_block = 0;
-  HeavyPathMode mode = HeavyPathMode::kAuto;
-  bool allow_dense = true;
-  bool allow_csr_dense = true;
-  const SparseKernelRates* rates = nullptr;
-  std::shared_ptr<const DensityGrid> grid;
-
-  /// Returns the memoized grid on a key match, else nullptr.
-  std::shared_ptr<const DensityGrid> Lookup(Thresholds t, size_t rb,
-                                            HeavyPathMode m, bool dense,
-                                            bool csr_dense,
-                                            const SparseKernelRates* r) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (valid && thresholds == t && row_block == rb && mode == m &&
-        allow_dense == dense && allow_csr_dense == csr_dense && rates == r) {
-      return grid;
-    }
-    return nullptr;
-  }
-
-  void Store(Thresholds t, size_t rb, HeavyPathMode m, bool dense,
-             bool csr_dense, const SparseKernelRates* r,
-             std::shared_ptr<const DensityGrid> g) {
-    std::lock_guard<std::mutex> lock(mu);
-    valid = true;
-    thresholds = t;
-    row_block = rb;
-    mode = m;
-    allow_dense = dense;
-    allow_csr_dense = csr_dense;
-    rates = r;
-    grid = std::move(g);
-  }
-};
 
 }  // namespace jpmm
 

@@ -32,6 +32,10 @@ struct HeavyMetrics {
       reg.GetCounter("jpmm_join_heavy_blocks_executed_total");
   Counter& blocks_skipped =
       reg.GetCounter("jpmm_join_heavy_blocks_skipped_total");
+  Counter& operand_cache_hits =
+      reg.GetCounter("jpmm_heavy_operand_cache_hits_total");
+  Counter& operand_bytes =
+      reg.GetCounter("jpmm_join_heavy_operand_bytes_total");
   static HeavyMetrics& Get() {
     static HeavyMetrics m;
     return m;
@@ -147,10 +151,51 @@ HeavyGates GateHeavyProduct(const HeavyShape& s, HeavyPathMode mode,
   return g;
 }
 
-HeavyRun RunHeavyProduct(const CsrMatrix& a, const CsrMatrix& b,
-                         const HeavyProduct& p, bool* interrupted) {
+struct PreparedProduct {
+  PreparedProduct() = default;
+  PreparedProduct(const PreparedProduct&) = delete;  // points into itself
+  PreparedProduct& operator=(const PreparedProduct&) = delete;
+
+  CsrMatrix own_a, own_b;  // the operands, when the product keeps them
+  /// Every run's record before its chunk accounting: operand nnz, the
+  /// decomposition, the block choices and the chunk total.
+  HeavyRun plan;
+  size_t row_block = 1;
+  /// The density grid, or none for the uniform plan.
+  std::optional<DensityGrid> grid;
+  /// Row bands (the uniform plan's are its blocks) and column bands, and
+  /// the scheduled (block index, column band) pairs of each row band.
+  std::vector<uint32_t> row_bands;
+  std::vector<uint32_t> col_bands;
+  std::vector<std::vector<std::pair<size_t, size_t>>> band_blocks;
+  /// The forms the kernels read: A in remapped row order (the operand
+  /// itself on the uniform plan), B per column band, and the dense and
+  /// packed forms of the bands and of A that some scheduled block reads.
+  const CsrMatrix* a_op = nullptr;
+  CsrMatrix a_perm;
+  std::vector<const CsrMatrix*> b_csr;
+  std::vector<CsrMatrix> b_slice;
+  std::vector<Matrix> b_dense;
+  std::vector<PackedB> b_packed;
+  const Matrix* a_dense = nullptr;
+  Matrix a_dense_own;
+  uint64_t bytes = 0;  // resident bytes of everything above it holds
+};
+
+namespace {
+
+uint64_t DenseBytes(const Matrix& m) {
+  return 4 * static_cast<uint64_t>(m.rows()) * m.cols();
+}
+
+uint64_t OwnCsrBytes(const CsrMatrix& m) { return CsrBytes(m.rows(), m.nnz()); }
+
+// Steps 1-3 into `out`, whose operands are a and b.
+void Prepare(const CsrMatrix& a, const CsrMatrix& b, const HeavyProduct& p,
+             PreparedProduct* out) {
   JPMM_CHECK(a.cols() == b.rows());
   JPMM_CHECK(p.row_block >= 1);
+  PreparedProduct& pp = *out;
   const int threads = std::max(1, p.threads);
   const size_t rows = a.rows();
   const size_t inner = a.cols();
@@ -162,52 +207,34 @@ HeavyRun RunHeavyProduct(const CsrMatrix& a, const CsrMatrix& b,
       p.heavy_path, row_block, threads, p.max_matrix_bytes);
   TraceRecorder* const trace = p.trace;
 
-  HeavyRun run;
+  HeavyRun& run = pp.plan;
   run.a_nnz = a.nnz();
   run.b_nnz = b.nnz();
   run.heavy_density = a.Density();
   run.heavy_blocks_total = ChunkCount(rows, row_block);
+  pp.row_block = row_block;
 
   // ---- Decomposition. kForce engages the grid whenever a product exists;
   // kAuto only when the priced grid beats the uniform plan AND the permuted
   // operands + band slices fit what remains of the cap. Chunks stay
   // ceil(rows / row_block) either way (grid row bands snap to row_block),
   // so the accounting is mode-invariant.
-  std::shared_ptr<const DensityGrid> grid;
   if (p.partition != PartitionMode::kOff) {
     const TraceRecorder::SpanId remap_span =
         TraceBegin(trace, "degree-remap", p.trace_parent);
-    // The memo key covers every input the build reads: the adjusted
-    // thresholds the operands were built under plus the options below.
-    if (p.grid_cache != nullptr) {
-      grid = p.grid_cache->Lookup(p.grid_key, row_block, gates.mode,
-                                  gates.allow_dense, gates.allow_csr_dense,
-                                  p.rates);
-    }
-    run.partition_cache_hit = grid != nullptr;
-    if (run.partition_cache_hit) {
-      if (MetricsEnabled()) HeavyMetrics::Get().grid_cache_hits.Add();
-    } else {
-      DensityGridOptions go;
-      go.row_block = row_block;
-      go.mode = gates.mode;
-      go.rates = p.rates;
-      go.allow_dense = gates.allow_dense;
-      go.allow_csr_dense = gates.allow_csr_dense;
-      grid = std::make_shared<const DensityGrid>(BuildDensityGrid(a, b, go));
-      if (p.grid_cache != nullptr) {
-        p.grid_cache->Store(p.grid_key, row_block, gates.mode,
-                            gates.allow_dense, gates.allow_csr_dense, p.rates,
-                            grid);
-      }
-    }
-    TraceEnd(trace, remap_span,
-             run.partition_cache_hit ? "cache-hit" : "cache-miss");
-    bool engage = p.partition == PartitionMode::kForce || grid->beneficial;
+    DensityGridOptions go;
+    go.row_block = row_block;
+    go.mode = gates.mode;
+    go.rates = p.rates;
+    go.allow_dense = gates.allow_dense;
+    go.allow_csr_dense = gates.allow_csr_dense;
+    DensityGrid grid = BuildDensityGrid(a, b, go);
+    TraceEnd(trace, remap_span, "cache-miss");
+    bool engage = p.partition == PartitionMode::kForce || grid.beneficial;
     if (engage) {
       bool grid_dense = false;
       bool grid_float = false;
-      for (const BlockKernelChoice& blk : grid->blocks) {
+      for (const BlockKernelChoice& blk : grid.blocks) {
         grid_dense |= blk.kernel == ProductKernel::kDenseGemm;
         grid_float |= blk.kernel != ProductKernel::kCsrCsr;
       }
@@ -216,7 +243,7 @@ HeavyRun RunHeavyProduct(const CsrMatrix& a, const CsrMatrix& b,
       // slices (CSR always; the dense + packed slices are bounded by the
       // full dense forms when float kernels run).
       uint64_t extra = CsrBytes(rows, a.nnz()) + CsrBytes(inner, b.nnz()) +
-                       8 * static_cast<uint64_t>(grid->num_col_bands()) *
+                       8 * static_cast<uint64_t>(grid.num_col_bands()) *
                            (inner + 1);
       if (grid_float) extra += 4 * static_cast<uint64_t>(inner) * cols;
       if (grid_dense) {
@@ -225,59 +252,53 @@ HeavyRun RunHeavyProduct(const CsrMatrix& a, const CsrMatrix& b,
       }
       engage = gates.bytes + extra <= p.max_matrix_bytes;
     }
-    if (!engage) grid = nullptr;
+    if (engage) pp.grid = std::move(grid);
   }
 
-  // Row bands (the uniform plan's are its blocks), column bands, and the
-  // remapped -> original permutations (null = identity).
-  std::vector<uint32_t> row_bands;
-  std::vector<uint32_t> col_bands;
-  const uint32_t* row_perm = nullptr;
-  const uint32_t* col_perm = nullptr;
-  if (grid != nullptr) {
+  if (pp.grid) {
+    const DensityGrid& grid = *pp.grid;
     run.partition_used = true;
-    run.partition_row_bands = grid->num_row_bands();
-    run.partition_col_bands = grid->num_col_bands();
-    run.partition_blocks_scheduled = grid->blocks.size();
-    run.partition_blocks_pruned = grid->pruned_blocks;
-    run.partition_signature = grid->Signature();
-    run.block_choices = grid->blocks;
-    row_bands = grid->row_bands;
-    col_bands = grid->col_bands;
-    row_perm = grid->row_perm.data();
-    col_perm = grid->col_perm.data();
+    run.partition_row_bands = grid.num_row_bands();
+    run.partition_col_bands = grid.num_col_bands();
+    run.partition_blocks_scheduled = grid.blocks.size();
+    run.partition_blocks_pruned = grid.pruned_blocks;
+    run.partition_signature = grid.Signature();
+    run.block_choices = grid.blocks;
+    pp.row_bands = grid.row_bands;
+    pp.col_bands = grid.col_bands;
   } else {
     run.partition_signature = "uniform";
     run.block_choices =
         PlanProductBlocks(a, b, row_block, gates.mode, p.rates,
                           gates.allow_dense, gates.allow_csr_dense, nullptr);
     for (const BlockKernelChoice& blk : run.block_choices) {
-      row_bands.push_back(blk.row_begin);
+      pp.row_bands.push_back(blk.row_begin);
     }
-    row_bands.push_back(static_cast<uint32_t>(rows));
-    col_bands = {0, static_cast<uint32_t>(cols)};
+    pp.row_bands.push_back(static_cast<uint32_t>(rows));
+    pp.col_bands = {0, static_cast<uint32_t>(cols)};
   }
 
   // Scheduled (block, column band) pairs per row band, and which
   // representations each column band needs.
+  const std::vector<uint32_t>& col_bands = pp.col_bands;
   const size_t ncb = col_bands.size() - 1;
-  std::vector<std::vector<std::pair<const BlockKernelChoice*, size_t>>>
-      band_blocks(row_bands.size() - 1);
+  pp.band_blocks.resize(pp.row_bands.size() - 1);
   std::vector<uint8_t> band_any(ncb, 0);
-  std::vector<uint8_t> band_float(ncb, 0);
+  std::vector<uint8_t> band_csr_dense(ncb, 0);
   std::vector<uint8_t> band_dense(ncb, 0);
-  for (const BlockKernelChoice& blk : run.block_choices) {
+  for (size_t bi = 0; bi < run.block_choices.size(); ++bi) {
+    const BlockKernelChoice& blk = run.block_choices[bi];
     const size_t j = BandOf(col_bands, blk.col_begin);
-    band_blocks[BandOf(row_bands, blk.row_begin)].emplace_back(&blk, j);
+    pp.band_blocks[BandOf(pp.row_bands, blk.row_begin)].emplace_back(bi, j);
     band_any[j] = 1;
     switch (blk.kernel) {
       case ProductKernel::kDenseGemm:
         ++run.kernel_counts.dense;
-        band_float[j] = band_dense[j] = 1;
+        band_dense[j] = 1;
         break;
       case ProductKernel::kCsrDense:
         ++run.kernel_counts.csr_dense;
-        band_float[j] = 1;
+        band_csr_dense[j] = 1;
         break;
       case ProductKernel::kCsrCsr:
         ++run.kernel_counts.csr_csr;
@@ -288,20 +309,22 @@ HeavyRun RunHeavyProduct(const CsrMatrix& a, const CsrMatrix& b,
   // ---- Pack: A with its rows in remapped order and B sliced into one
   // matrix per column band with band-local column ids (the inner dimension
   // is never remapped, so every kernel runs unchanged on the slices); the
-  // uniform plan uses the operands as they are. Dense and packed forms only
-  // for the kernels some block runs.
+  // uniform plan uses the operands as they are. A band's dense B is kept
+  // only when a CSR x dense block reads it (the GEMM reads the packed
+  // form), and dense A only for the GEMM.
   const TraceRecorder::SpanId pack_span =
       TraceBegin(trace, "pack", p.trace_parent);
-  CsrMatrix a_perm;
-  const CsrMatrix* a_op = &a;
-  std::vector<CsrMatrix> b_slice(ncb);
-  std::vector<const CsrMatrix*> b_csr(ncb, &b);
-  if (grid != nullptr) {
-    a_perm = CsrMatrix::FromRows(
+  pp.a_op = &a;
+  pp.b_slice.resize(ncb);
+  pp.b_csr.assign(ncb, &b);
+  if (pp.grid) {
+    const uint32_t* row_perm = pp.grid->row_perm.data();
+    const uint32_t* col_perm = pp.grid->col_perm.data();
+    pp.a_perm = CsrMatrix::FromRows(
         rows, inner, threads, [&](size_t i, std::vector<uint32_t>* out) {
           for (uint32_t c : a.Row(row_perm[i])) out->push_back(c);
         });
-    a_op = &a_perm;
+    pp.a_op = &pp.a_perm;
     std::vector<uint32_t> inv_col(cols);
     for (size_t k = 0; k < cols; ++k) {
       inv_col[col_perm[k]] = static_cast<uint32_t>(k);
@@ -310,7 +333,7 @@ HeavyRun RunHeavyProduct(const CsrMatrix& a, const CsrMatrix& b,
       if (!band_any[j]) continue;
       const uint32_t cb0 = col_bands[j];
       const uint32_t cb1 = col_bands[j + 1];
-      b_slice[j] = CsrMatrix::FromRows(
+      pp.b_slice[j] = CsrMatrix::FromRows(
           inner, cb1 - cb0, threads,
           [&](size_t y, std::vector<uint32_t>* out) {
             for (uint32_t c : b.Row(y)) {
@@ -318,29 +341,68 @@ HeavyRun RunHeavyProduct(const CsrMatrix& a, const CsrMatrix& b,
               if (k >= cb0 && k < cb1) out->push_back(k - cb0);
             }
           });
-      b_csr[j] = &b_slice[j];
+      pp.b_csr[j] = &pp.b_slice[j];
     }
   }
-  std::vector<Matrix> b_dense(ncb);
-  std::vector<PackedB> b_packed(ncb);
+  // A * A on the uniform plan: one dense copy serves both sides.
+  const bool share_dense =
+      same_operand && !pp.grid && run.kernel_counts.dense > 0;
+  pp.b_dense.resize(ncb);
+  pp.b_packed.resize(ncb);
   for (size_t j = 0; j < ncb; ++j) {
-    if (band_float[j]) b_dense[j] = b_csr[j]->ToDense(threads);
-    if (band_dense[j]) b_packed[j] = PackedB(b_dense[j], threads);
+    if (!band_csr_dense[j] && !band_dense[j]) continue;
+    Matrix dense = pp.b_csr[j]->ToDense(threads);
+    if (band_dense[j]) pp.b_packed[j] = PackedB(dense, threads);
+    if (band_csr_dense[j] || share_dense) pp.b_dense[j] = std::move(dense);
   }
-  Matrix a_dense_own;
-  const Matrix* a_dense = &a_dense_own;
-  if (run.kernel_counts.dense > 0) {
-    if (same_operand && grid == nullptr) {
-      a_dense = &b_dense[0];  // A * A: one dense copy serves both sides
-    } else {
-      a_dense_own = a_op->ToDense(threads);
-    }
+  pp.a_dense = share_dense ? &pp.b_dense[0] : &pp.a_dense_own;
+  if (run.kernel_counts.dense > 0 && !share_dense) {
+    pp.a_dense_own = pp.a_op->ToDense(threads);
   }
-  TraceEnd(trace, pack_span);
+  TraceEnd(trace, pack_span, "cache-miss");
+
+  pp.bytes = OwnCsrBytes(pp.own_a) + OwnCsrBytes(pp.own_b) +
+             OwnCsrBytes(pp.a_perm) + DenseBytes(pp.a_dense_own);
+  if (pp.grid) {
+    pp.bytes += 4 * (pp.grid->row_perm.size() + pp.grid->col_perm.size());
+  }
+  for (size_t j = 0; j < ncb; ++j) {
+    pp.bytes += OwnCsrBytes(pp.b_slice[j]) + DenseBytes(pp.b_dense[j]) +
+                pp.b_packed[j].size_bytes();
+  }
+}
+
+}  // namespace
+
+std::shared_ptr<const PreparedProduct> PrepareHeavyProduct(
+    const CsrMatrix& a, const CsrMatrix& b, const HeavyProduct& p) {
+  auto pp = std::make_shared<PreparedProduct>();
+  Prepare(a, b, p, pp.get());
+  return pp;
+}
+
+std::shared_ptr<const PreparedProduct> PrepareHeavyProduct(
+    CsrMatrix&& a, CsrMatrix&& b, const HeavyProduct& p) {
+  auto pp = std::make_shared<PreparedProduct>();
+  pp->own_a = std::move(a);
+  pp->own_b = std::move(b);
+  Prepare(pp->own_a, pp->own_b, p, pp.get());
+  return pp;
+}
+
+HeavyRun RunHeavyProduct(const PreparedProduct& pp, const HeavyProduct& p,
+                         bool* interrupted) {
+  const int threads = std::max(1, p.threads);
+  const size_t rows = pp.a_op->rows();
+  const size_t row_block = pp.row_block;
+  const uint32_t* row_perm = pp.grid ? pp.grid->row_perm.data() : nullptr;
+  const uint32_t* col_perm = pp.grid ? pp.grid->col_perm.data() : nullptr;
+  TraceRecorder* const trace = p.trace;
+  HeavyRun run = pp.plan;
 
   // ---- Chunk loop. Chunks are claimed dynamically: per-chunk emit cost
   // follows the output skew, not just the flops.
-  const bool emit_after = grid != nullptr && p.whole_rows;
+  const bool emit_after = pp.grid && p.whole_rows;
   std::vector<Scratch> scratch(static_cast<size_t>(threads));
   ChunkGate gate(p.sink, p.cancel);
   auto original_row = [&](size_t r) -> uint32_t {
@@ -356,7 +418,7 @@ HeavyRun RunHeavyProduct(const CsrMatrix& a, const CsrMatrix& b,
           const size_t r0 = ci * row_block;
           const size_t r1 = std::min(rows, r0 + row_block);
           const size_t nrows = r1 - r0;
-          const auto& blocks = band_blocks[BandOf(row_bands, r0)];
+          const auto& blocks = pp.band_blocks[BandOf(pp.row_bands, r0)];
           const bool gather = emit_after && blocks.size() > 1;
           if (gather) {
             if (ws.gather_cols.size() < nrows) {
@@ -368,19 +430,21 @@ HeavyRun RunHeavyProduct(const CsrMatrix& a, const CsrMatrix& b,
               ws.gather_counts[li].clear();
             }
           }
-          for (const auto& [blk, j] : blocks) {
+          for (const auto& [bi, j] : blocks) {
+            const BlockKernelChoice* blk = &run.block_choices[bi];
             TraceRecorder::Scope block_scope(trace, BlockSpanName(blk->kernel),
                                              p.trace_parent);
             const size_t width = blk->col_end - blk->col_begin;
             if (blk->kernel == ProductKernel::kCsrCsr) {
-              CsrCsrRowRange(*a_op, *b_csr[j], r0, r1, &ws.csr, &ws.sparse);
+              CsrCsrRowRange(*pp.a_op, *pp.b_csr[j], r0, r1, &ws.csr,
+                             &ws.sparse);
             } else {
               ws.block.resize(row_block * width);
               const std::span<float> out(ws.block.data(), nrows * width);
               if (blk->kernel == ProductKernel::kDenseGemm) {
-                MultiplyRowRange(*a_dense, b_packed[j], r0, r1, out);
+                MultiplyRowRange(*pp.a_dense, pp.b_packed[j], r0, r1, out);
               } else {
-                CsrDenseRowRange(*a_op, b_dense[j], r0, r1, out);
+                CsrDenseRowRange(*pp.a_op, pp.b_dense[j], r0, r1, out);
               }
             }
             if (emit_after && !gather) continue;  // delivered below
@@ -407,7 +471,8 @@ HeavyRun RunHeavyProduct(const CsrMatrix& a, const CsrMatrix& b,
                 row.cols = ws.gather_cols[li];
                 row.counts = ws.gather_counts[li];
               } else if (!blocks.empty()) {
-                const BlockKernelChoice& blk = *blocks.front().first;
+                const BlockKernelChoice& blk =
+                    run.block_choices[blocks.front().first];
                 row = RowView(ws, blk.kernel, li, blk.col_end - blk.col_begin,
                               col_perm + blk.col_begin);
               }
@@ -422,6 +487,65 @@ HeavyRun RunHeavyProduct(const CsrMatrix& a, const CsrMatrix& b,
   run.heavy_blocks_skipped = gate.skipped();
   if (gate.interrupted()) *interrupted = true;
   return run;
+}
+
+HeavyRun RunHeavyProduct(const CsrMatrix& a, const CsrMatrix& b,
+                         const HeavyProduct& p, bool* interrupted) {
+  return RunHeavyProduct(*PrepareHeavyProduct(a, b, p), p, interrupted);
+}
+
+HeavyOperandKey OperandKey(const ExecContext& ctx, Thresholds t,
+                           size_t row_block) {
+  return {{std::max<uint64_t>(1, t.delta1), std::max<uint64_t>(1, t.delta2)},
+          ctx.max_matrix_bytes, ctx.heavy_path, row_block,
+          std::max(1, ctx.threads), ctx.partition};
+}
+
+std::shared_ptr<const HeavyFit> HeavyOperandCache::Fit(
+    const HeavyOperandKey& key, const ExecContext& ctx,
+    const std::function<std::shared_ptr<const HeavyFit>()>& fit, bool* hit) {
+  TraceRecorder::Scope scope(ctx.trace, "threshold-fit", ctx.trace_parent);
+  std::lock_guard<std::mutex> lock(mu_);
+  *hit = key_ == key;
+  if (*hit) {
+    if (MetricsEnabled()) HeavyMetrics::Get().operand_cache_hits.Add();
+  } else {
+    fit_ = fit();  // a throw leaves the slot untouched
+    key_ = key;
+    product_ = nullptr;
+  }
+  scope.Close(*hit ? "cache-hit" : "cache-miss");
+  return fit_;
+}
+
+std::shared_ptr<const PreparedProduct> HeavyOperandCache::Product(
+    const HeavyFit& fit, const HeavyProduct& p, const char* build_span,
+    const std::function<std::shared_ptr<const PreparedProduct>()>& build,
+    bool* hit) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const bool ours = fit_.get() == &fit;
+  *hit = ours && product_ != nullptr;
+  if (*hit) {
+    auto hit_span = [&p](const char* name) {
+      TraceEnd(p.trace, TraceBegin(p.trace, name, p.trace_parent),
+               "cache-hit");
+    };
+    const bool grid = p.partition != PartitionMode::kOff;
+    if (build_span != nullptr) hit_span(build_span);
+    if (grid) hit_span("degree-remap");
+    hit_span("pack");
+    if (grid && MetricsEnabled()) HeavyMetrics::Get().grid_cache_hits.Add();
+    return product_;
+  }
+  std::shared_ptr<const PreparedProduct> built = build();
+  if (MetricsEnabled()) HeavyMetrics::Get().operand_bytes.Add(built->bytes);
+  if (ours) product_ = built;
+  return built;
+}
+
+uint64_t HeavyOperandCache::bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return (fit_ ? fit_->bytes : 0) + (product_ ? product_->bytes : 0);
 }
 
 HeavyRun SkippedHeavyRun(const HeavyShape& shape, size_t row_block) {

@@ -10,15 +10,20 @@
 //      CSR x CSR kernels may run under the memory cap and the float
 //      exactness bound (GateHeavyProduct);
 //   2. decomposition — the uniform row-block plan (PlanProductBlocks), or
-//      the density-adaptive grid (BuildDensityGrid, memoized in the
-//      caller's DensityGridCache) when the partition mode engages it and
-//      the permuted operands fit the cap;
+//      the density-adaptive grid (BuildDensityGrid) when the partition mode
+//      engages it and the permuted operands fit the cap;
 //   3. pack — permuted A rows and per-column-band B slices for the grid,
 //      dense / packed forms only for the kernels some block runs;
 //   4. the chunk loop — ceil(rows / row_block) work units claimed
 //      dynamically, each polled against the sink's done() and the cancel
 //      token (executed + skipped == total at every thread count), one
 //      "block:<kernel>" trace span per kernel call.
+//
+// Steps 1-3 depend only on the operands and the options, so they are one
+// call (PrepareHeavyProduct) whose immutable result any number of runs of
+// step 4 (RunHeavyProduct) read. A PreparedQuery keeps it, with the
+// threshold fit and the operands it was built from, in a HeavyOperandCache
+// (below): a repeat execution starts at the chunk loop.
 //
 // Output leaves through the caller's on_row callback: the row's index in
 // A's original numbering and its kernel output, whose column ids
@@ -38,6 +43,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -76,8 +84,8 @@ struct HeavyRun {
   uint64_t partition_blocks_scheduled = 0;
   uint64_t partition_blocks_pruned = 0;
   std::string partition_signature = "off";
-  /// True iff the grid came from the DensityGridCache instead of a fresh
-  /// BuildDensityGrid (identical grid either way).
+  /// True iff the grid came from the PreparedQuery's HeavyOperandCache
+  /// instead of a fresh BuildDensityGrid (identical grid either way).
   bool partition_cache_hit = false;
 
   /// Work units: ceil(rows / row_block) chunks under either decomposition
@@ -115,6 +123,11 @@ struct RunRecord : HeavyRun, LightRun {
   uint64_t triangles = 0;
   uint64_t light_triangles = 0;
   uint64_t heavy_triangles = 0;
+  /// Two-path and star: true iff the threshold fit — and, when a heavy
+  /// product ran, its operands and packed forms — came from the
+  /// HeavyOperandCache; the bytes the cache holds after the run.
+  bool operand_cache_hit = false;
+  uint64_t operand_cache_bytes = 0;
 };
 
 /// Operand shape for the memory-cap accounting, known before the CSR
@@ -207,10 +220,6 @@ struct HeavyProduct : ExecContext {
   size_t row_block = 256;
   /// nullptr resolves to SparseKernelRates::Default() when kAuto prices.
   const SparseKernelRates* rates = nullptr;
-  /// Cross-execution grid memo and the thresholds that key it (the
-  /// adjusted ones the operands were built under). Null = always rebuild.
-  DensityGridCache* grid_cache = nullptr;
-  Thresholds grid_key{0, 0};
   /// Polled with the cancel token before every chunk (ChunkGate): a done()
   /// sink or a fired token skips the remaining chunks.
   const ResultSink* sink = nullptr;
@@ -228,10 +237,95 @@ struct HeavyProduct : ExecContext {
   std::function<void(int worker)> on_chunk_done;
 };
 
-/// Runs A * B (a.cols() == b.rows(), both non-empty) as described above.
+/// Steps 1-3 of A * B: the gates, the decomposition, and the permuted,
+/// sliced, dense and packed forms the scheduled kernels read. Immutable:
+/// any number of RunHeavyProduct calls may read one at once.
+struct PreparedProduct;
+
+/// Prepares A * B (a.cols() == b.rows(), both non-empty) over the caller's
+/// operands, which must outlive the result. Reads the threads, heavy_path,
+/// partition, max_matrix_bytes, row_block and rates of `p`, and traces
+/// "degree-remap" (partition on) and "pack" under p.trace_parent, closed
+/// with cache-miss.
+std::shared_ptr<const PreparedProduct> PrepareHeavyProduct(
+    const CsrMatrix& a, const CsrMatrix& b, const HeavyProduct& p);
+/// Prepares A * B over operands the result keeps.
+std::shared_ptr<const PreparedProduct> PrepareHeavyProduct(
+    CsrMatrix&& a, CsrMatrix&& b, const HeavyProduct& p);
+
+/// Step 4: the chunk loop, at the row block `prepared` was prepared at.
 /// Sets *interrupted to true when the cancel token skipped some chunk.
+HeavyRun RunHeavyProduct(const PreparedProduct& prepared,
+                         const HeavyProduct& p, bool* interrupted);
+/// Steps 1-4 with nothing kept: prepare, then run.
 HeavyRun RunHeavyProduct(const CsrMatrix& a, const CsrMatrix& b,
                          const HeavyProduct& p, bool* interrupted);
+
+/// Every input of a heavy operand build: the requested thresholds after
+/// the max(1, .) clamp, the inputs of the memory-cap fit (GateHeavyProduct)
+/// and the partition mode. The memoized builds price blocks with the
+/// default rates (HeavyProduct::rates stays null), so no rates key.
+struct HeavyOperandKey {
+  Thresholds thresholds;
+  uint64_t max_matrix_bytes = 0;
+  HeavyPathMode heavy_path = HeavyPathMode::kAuto;
+  size_t row_block = 1;
+  int threads = 1;
+  PartitionMode partition = PartitionMode::kOff;
+
+  bool operator==(const HeavyOperandKey&) const = default;
+};
+
+/// The key of a run under `ctx` at the requested thresholds and row block.
+HeavyOperandKey OperandKey(const ExecContext& ctx, Thresholds requested,
+                           size_t row_block);
+
+/// What a threshold fit settles on, the base of each query kind's fit (the
+/// two-path's partition context, the star's V / W^T). Immutable once built.
+struct HeavyFit {
+  /// The requested thresholds, doubled until the heavy part fits the cap.
+  Thresholds thresholds{0, 0};
+  HeavyShape shape;
+  uint64_t bytes = 0;  // resident bytes of the fit
+};
+
+/// One PreparedQuery's heavy operands: one slot keyed by HeavyOperandKey,
+/// holding the fit and, once some execution reached the heavy part, its
+/// prepared product. Sound because the relation snapshots are immutable,
+/// every build is deterministic for fixed relations and key, and
+/// re-Prepare makes a fresh cache; a cache must only ever see one query.
+/// Each lookup holds the lock across its build, so racing first calls
+/// build once; a build that throws leaves the slot as it was.
+class HeavyOperandCache {
+ public:
+  /// The fit for `key`: the slot's (*hit = true), else fit()'s, which
+  /// replaces the slot (*hit = false). Traced as "threshold-fit" under
+  /// ctx.trace_parent, closed with cache-hit or cache-miss.
+  std::shared_ptr<const HeavyFit> Fit(
+      const HeavyOperandKey& key, const ExecContext& ctx,
+      const std::function<std::shared_ptr<const HeavyFit>()>& fit,
+      bool* hit);
+  /// The prepared product of `fit`: the slot's (*hit = true), else
+  /// build()'s (*hit = false), kept while the slot still holds `fit`. On a
+  /// hit the spans build() would have opened under p.trace_parent —
+  /// `build_span` when non-null (the two-path's "csr-build"),
+  /// "degree-remap" when p.partition is on, and "pack" — open and close at
+  /// once with cache-hit, and a reused grid counts in
+  /// jpmm_partition_grid_cache_hits_total; a build adds its bytes to
+  /// jpmm_join_heavy_operand_bytes_total.
+  std::shared_ptr<const PreparedProduct> Product(
+      const HeavyFit& fit, const HeavyProduct& p, const char* build_span,
+      const std::function<std::shared_ptr<const PreparedProduct>()>& build,
+      bool* hit);
+  /// Bytes the slot holds.
+  uint64_t bytes() const;
+
+ private:
+  mutable std::mutex mu_;
+  std::optional<HeavyOperandKey> key_;
+  std::shared_ptr<const HeavyFit> fit_;
+  std::shared_ptr<const PreparedProduct> product_;
+};
 
 /// The record of a product skipped before its operands were built (the
 /// light part already satisfied the sink, or the token fired): the same

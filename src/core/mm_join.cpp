@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 
 #include "common/check.h"
-#include "common/metrics.h"
 #include "common/stamp_set.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -50,40 +50,85 @@ void EmitHead(const internal::TwoPathContext& ctx, const MmJoinOptions& opts,
   }
 }
 
-// Exact nnz of the two heavy operands under the current partition: one
-// adjacency sweep each, no materialization. Drives both the memory-cap
-// accounting and the density instrumentation.
-void CountHeavyNnz(const IndexedRelation& r, const IndexedRelation& s,
-                   const TwoPathPartition& part, int threads, uint64_t* nnz1,
-                   uint64_t* nnz2) {
-  const auto& hxs = part.heavy_x();
-  const auto& hys = part.heavy_y();
-  std::vector<uint64_t> partial(static_cast<size_t>(std::max(1, threads)), 0);
-  ParallelForDynamic(threads, hxs.size(), /*grain=*/64,
+// Calls f(id) for every set cell of row i of M1 (m2 false: the heavy-y
+// neighbours in R of heavy x number i) or of M2 (m2 true: the heavy-z
+// neighbours in S of heavy y number i). Ids ascend: the index's adjacency
+// lists are sorted and heavy ids are assigned in ascending value order.
+template <class F>
+void ForHeavyCells(const internal::TwoPathContext& ctx, bool m2, size_t i,
+                   F&& f) {
+  const TwoPathPartition& part = ctx.part;
+  const auto adjacency = m2 ? ctx.s.XsOf(part.heavy_y()[i])
+                            : ctx.r.YsOf(part.heavy_x()[i]);
+  for (Value v : adjacency) {
+    const Value id = m2 ? part.HeavyZId(v) : part.HeavyYId(v);
+    if (id != kInvalidValue) f(id);
+  }
+}
+
+size_t HeavyRows(const internal::TwoPathContext& ctx, bool m2) {
+  return (m2 ? ctx.part.heavy_y() : ctx.part.heavy_x()).size();
+}
+
+// Exact nnz of M1 or M2: one adjacency sweep, no materialization. Drives
+// the memory-cap accounting and the density instrumentation.
+uint64_t HeavyNnz(const internal::TwoPathContext& ctx, bool m2, int threads) {
+  std::vector<uint64_t> partial(static_cast<size_t>(threads), 0);
+  ParallelForDynamic(threads, HeavyRows(ctx, m2), /*grain=*/64,
                      [&](size_t i0, size_t i1, int w) {
                        uint64_t local = 0;
                        for (size_t i = i0; i < i1; ++i) {
-                         for (Value b : r.YsOf(hxs[i])) {
-                           if (part.HeavyYId(b) != kInvalidValue) ++local;
-                         }
+                         ForHeavyCells(ctx, m2, i, [&](Value) { ++local; });
                        }
                        partial[static_cast<size_t>(w)] += local;
                      });
-  *nnz1 = 0;
-  for (uint64_t c : partial) *nnz1 += c;
-  std::fill(partial.begin(), partial.end(), 0);
-  ParallelForDynamic(threads, hys.size(), /*grain=*/64,
-                     [&](size_t i0, size_t i1, int w) {
-                       uint64_t local = 0;
-                       for (size_t i = i0; i < i1; ++i) {
-                         for (Value c : s.XsOf(hys[i])) {
-                           if (part.HeavyZId(c) != kInvalidValue) ++local;
-                         }
-                       }
-                       partial[static_cast<size_t>(w)] += local;
-                     });
-  *nnz2 = 0;
-  for (uint64_t c : partial) *nnz2 += c;
+  return std::accumulate(partial.begin(), partial.end(), uint64_t{0});
+}
+
+// M1 or M2 straight from the heavy adjacency lists — no dense
+// materialization pass.
+CsrMatrix HeavyOperand(const internal::TwoPathContext& ctx, bool m2,
+                       int threads) {
+  const size_t cols = (m2 ? ctx.part.heavy_z() : ctx.part.heavy_y()).size();
+  return CsrMatrix::FromRows(
+      HeavyRows(ctx, m2), cols, threads,
+      [&](size_t i, std::vector<uint32_t>* out) {
+        ForHeavyCells(ctx, m2, i, [out](Value id) { out->push_back(id); });
+      });
+}
+
+// The two-path's threshold fit: the partition context whose heavy part
+// fits the memory cap.
+struct TwoPathFit : HeavyFit {
+  TwoPathFit(const IndexedRelation& r, const IndexedRelation& s, Thresholds t)
+      : ctx(r, s, t) {}
+  internal::TwoPathContext ctx;
+};
+
+// Builds the context, doubling the thresholds until the heavy-part working
+// set fits the memory cap. The gates (core/heavy_product.h) price the
+// representations the heavy kernels need from the exact operand nnz; under
+// kAuto the expensive ones are gated off instead of doubling thresholds,
+// so only the CSR floor must fit.
+std::shared_ptr<const HeavyFit> FitTwoPath(const IndexedRelation& r,
+                                           const IndexedRelation& s,
+                                           const HeavyOperandKey& key) {
+  for (Thresholds t = key.thresholds;; t.delta1 *= 2, t.delta2 *= 2) {
+    auto fit = std::make_shared<TwoPathFit>(r, s, t);
+    const TwoPathPartition& part = fit->ctx.part;
+    fit->thresholds = t;
+    fit->shape = HeavyShape{part.heavy_x().size(), part.heavy_y().size(),
+                            part.heavy_z().size()};
+    fit->bytes = fit->ctx.Bytes();
+    if (fit->shape.inner == 0) return fit;
+    fit->shape.a_nnz = HeavyNnz(fit->ctx, /*m2=*/false, key.threads);
+    fit->shape.b_nnz = HeavyNnz(fit->ctx, /*m2=*/true, key.threads);
+    if (GateHeavyProduct(fit->shape, key.heavy_path, key.row_block,
+                         key.threads, key.max_matrix_bytes)
+            .bytes <= key.max_matrix_bytes) {
+      return fit;
+    }
+  }
 }
 
 }  // namespace
@@ -94,40 +139,25 @@ RunRecord MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
   JPMM_CHECK_MSG(opts.min_count == 1 || opts.count_witnesses,
                  "min_count > 1 requires count_witnesses");
   JPMM_CHECK(opts.row_block >= 1);
-
-  Thresholds t = opts.thresholds;
-  t.delta1 = std::max<uint64_t>(1, t.delta1);
-  t.delta2 = std::max<uint64_t>(1, t.delta2);
   const int threads = std::max(1, opts.threads);
-
-  // Build the context; double the thresholds until the heavy-part working
-  // set fits the memory cap. The gates (core/heavy_product.h) price the
-  // representations the heavy kernels need from the exact operand nnz;
-  // under kAuto the expensive ones are gated off instead of doubling
-  // thresholds, so only the CSR floor must fit.
   TraceRecorder* const trace = opts.trace;
   const TraceRecorder::SpanId tparent = opts.trace_parent;
-  TraceRecorder::Scope fit_scope(trace, "threshold-fit", tparent);
-  std::unique_ptr<internal::TwoPathContext> ctx;
-  HeavyShape shape;
-  HeavyGates gates;
-  for (;;) {
-    ctx = std::make_unique<internal::TwoPathContext>(r, s, t);
-    shape = HeavyShape{ctx->part.heavy_x().size(), ctx->part.heavy_y().size(),
-                       ctx->part.heavy_z().size()};
-    if (shape.inner == 0) break;
-    CountHeavyNnz(r, s, ctx->part, threads, &shape.a_nnz, &shape.b_nnz);
-    gates = GateHeavyProduct(shape, opts.heavy_path, opts.row_block, threads,
-                             opts.max_matrix_bytes);
-    if (gates.bytes <= opts.max_matrix_bytes) break;
-    t.delta1 *= 2;
-    t.delta2 *= 2;
-  }
-  fit_scope.Close();
+
+  // The fit, and later the operands, come from the caller's memo or from
+  // one that lives for this run only.
+  HeavyOperandCache run_cache;
+  HeavyOperandCache& cache =
+      opts.operand_cache != nullptr ? *opts.operand_cache : run_cache;
+  const HeavyOperandKey key = OperandKey(opts, opts.thresholds, opts.row_block);
+  bool fit_hit = false;
+  const std::shared_ptr<const HeavyFit> fit_ptr =
+      cache.Fit(key, opts, [&] { return FitTwoPath(r, s, key); }, &fit_hit);
+  const TwoPathFit& fit = static_cast<const TwoPathFit&>(*fit_ptr);
+  const internal::TwoPathContext& ctx = fit.ctx;
 
   RunRecord result;
-  result.adjusted_thresholds = t;
-  const auto& part = ctx->part;
+  result.adjusted_thresholds = fit.thresholds;
+  const auto& part = ctx.part;
   const auto& hxs = part.heavy_x();
   const auto& hys = part.heavy_y();
   const auto& hzs = part.heavy_z();
@@ -165,7 +195,7 @@ RunRecord MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
                          if (use_matrix && part.HeavyXId(av) != kInvalidValue) {
                            continue;
                          }
-                         EmitHead(*ctx, opts, av, nullptr, &ws);
+                         EmitHead(ctx, opts, av, nullptr, &ws);
                        }
                      });
   TraceEnd(trace, light_span);
@@ -179,50 +209,39 @@ RunRecord MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
   // at every thread count (guarded by
   // QueryEngine.DoneMidChunkSkipsIdenticalDownstreamBlocks).
   bool heavy_interrupted = false;
+  bool product_hit = true;  // stays true when no product runs
   if (use_matrix && gate.Stopped()) {
-    static_cast<HeavyRun&>(result) = SkippedHeavyRun(shape, opts.row_block);
+    static_cast<HeavyRun&>(result) = SkippedHeavyRun(fit.shape, opts.row_block);
   } else if (use_matrix) {
     WallTimer heavy_timer;
     TraceRecorder::Scope heavy_scope(trace, "heavy", tparent);
-    // CSR operands straight from the heavy adjacency lists — no dense
-    // materialization pass. Column ids ascend within each row because the
-    // index's adjacency lists are sorted and heavy ids are assigned in
-    // ascending value order.
-    const TraceRecorder::SpanId csr_span =
-        TraceBegin(trace, "csr-build", heavy_scope.id());
-    const CsrMatrix m1 = CsrMatrix::FromRows(
-        hxs.size(), hys.size(), threads,
-        [&](size_t i, std::vector<uint32_t>* out) {
-          for (Value b : r.YsOf(hxs[i])) {
-            const Value id = part.HeavyYId(b);
-            if (id != kInvalidValue) out->push_back(id);
-          }
-        });
-    const CsrMatrix m2 = CsrMatrix::FromRows(
-        hys.size(), hzs.size(), threads,
-        [&](size_t i, std::vector<uint32_t>* out) {
-          for (Value c : s.XsOf(hys[i])) {
-            const Value id = part.HeavyZId(c);
-            if (id != kInvalidValue) out->push_back(id);
-          }
-        });
-    TraceEnd(trace, csr_span);
-
     HeavyProduct hp;
     static_cast<ExecContext&>(hp) = opts;
     hp.trace_parent = heavy_scope.id();
     hp.row_block = opts.row_block;
-    hp.grid_cache = opts.grid_cache;
-    hp.grid_key = t;
     hp.sink = &sink;
     hp.whole_rows = true;
     hp.on_row = [&](int w, uint32_t row, const HeavyRow& out) {
-      EmitHead(*ctx, opts, hxs[row], &out, &worker(w));
+      EmitHead(ctx, opts, hxs[row], &out, &worker(w));
     };
+    const std::shared_ptr<const PreparedProduct> product = cache.Product(
+        fit, hp, "csr-build",
+        [&] {
+          TraceRecorder::Scope csr_scope(trace, "csr-build", hp.trace_parent);
+          CsrMatrix m1 = HeavyOperand(ctx, /*m2=*/false, threads);
+          CsrMatrix m2 = HeavyOperand(ctx, /*m2=*/true, threads);
+          csr_scope.Close("cache-miss");
+          return PrepareHeavyProduct(std::move(m1), std::move(m2), hp);
+        },
+        &product_hit);
     static_cast<HeavyRun&>(result) =
-        RunHeavyProduct(m1, m2, hp, &heavy_interrupted);
+        RunHeavyProduct(*product, hp, &heavy_interrupted);
+    result.partition_cache_hit =
+        product_hit && hp.partition != PartitionMode::kOff;
     result.heavy_seconds = heavy_timer.Seconds();
   }
+  result.operand_cache_hit = fit_hit && product_hit;
+  result.operand_cache_bytes = cache.bytes();
 
   // ---- Merge point. Dynamic chunk claiming makes the pair ORDER
   // run-dependent (the header documents it as unspecified); the pair SET is
@@ -236,11 +255,6 @@ RunRecord MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
   result.interrupted |= heavy_interrupted;
 
   RecordRunMetrics(result, LightUnit::kChunks);
-  if (MetricsEnabled()) {
-    static Counter& operand_bytes = MetricsRegistry::Global().GetCounter(
-        "jpmm_join_heavy_operand_bytes_total");
-    operand_bytes.Add(gates.bytes);
-  }
   return result;
 }
 

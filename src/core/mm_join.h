@@ -26,7 +26,6 @@
 #include <cstdint>
 
 #include "common/types.h"
-#include "core/density_partition.h"
 #include "core/exec_context.h"
 #include "core/heavy_product.h"
 #include "core/result_sink.h"
@@ -38,7 +37,7 @@ namespace jpmm {
 /// Options of both two-path strategies: the execution context
 /// (core/exec_context.h) plus what the two-path needs. Non-MMJoin has no
 /// matrices, so it ignores heavy_path, partition, max_matrix_bytes,
-/// row_block and grid_cache.
+/// row_block and operand_cache.
 struct MmJoinOptions : ExecContext {
   Thresholds thresholds;
   /// Produce CountedPair witness counts instead of plain pairs.
@@ -51,11 +50,13 @@ struct MmJoinOptions : ExecContext {
   /// packed-B slab (B is packed once per query, not per block); 256 rows =
   /// two MC panels of the blocked kernel.
   size_t row_block = 256;
-  /// Optional cross-execution grid memo owned by the caller's plan state
-  /// (see DensityGridCache). On a key match the degree-remap rebuild is
-  /// skipped; the hit is recorded in RunRecord::partition_cache_hit and
-  /// the "degree-remap" trace span's detail. Null = always rebuild.
-  DensityGridCache* grid_cache = nullptr;
+  /// Optional cross-execution memo of the threshold fit, M1 / M2 and
+  /// their prepared product, owned by the caller's plan state
+  /// (core/heavy_product.h). The fit is looked up first; the operands are
+  /// built by the first execution that reaches the heavy part. Hits show
+  /// in RunRecord::operand_cache_hit and on the "threshold-fit",
+  /// "csr-build" and "pack" spans. Null = build everything every run.
+  HeavyOperandCache* operand_cache = nullptr;
 };
 
 /// Runs Algorithm 1 with explicit thresholds, streaming the results into

@@ -153,6 +153,24 @@ void FillInterruptReason(const CancelToken* token, ExecStats* stats) {
   }
 }
 
+// One single-flight PlanState slot: the stored value when `usable` accepts
+// it (*hit = true), else make()'s, stored under the write lock. Racers that
+// block on that lock find the winner's value and report hits, so exactly
+// one of them misses.
+template <class T, class Usable, class Make>
+T SingleFlight(std::shared_mutex& mu, std::optional<T>& slot, Usable usable,
+               Make make, bool* hit) {
+  {
+    std::shared_lock<std::shared_mutex> rl(mu);
+    *hit = slot && usable(*slot);
+    if (*hit) return *slot;
+  }
+  std::unique_lock<std::shared_mutex> wl(mu);
+  *hit = slot && usable(*slot);
+  if (!*hit) slot = make();
+  return *slot;
+}
+
 }  // namespace
 
 const char* StatusCodeName(StatusCode c) {
@@ -223,13 +241,13 @@ PreparedQuery& PreparedQuery::operator=(PreparedQuery&&) noexcept = default;
 bool PreparedQuery::has_plan() const {
   if (state_ == nullptr) return false;
   std::shared_lock<std::shared_mutex> lock(state_->mu);
-  return state_->plan_valid;
+  return state_->plan.has_value();
 }
 
 PlanChoice PreparedQuery::plan() const {
   if (state_ == nullptr) return PlanChoice{};
   std::shared_lock<std::shared_mutex> lock(state_->mu);
-  return state_->plan;
+  return state_->plan ? state_->plan->plan : PlanChoice{};
 }
 
 uint64_t PreparedQuery::executions() const {
@@ -377,35 +395,25 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
 
       // Plan cache: the optimizer's choice depends on the worker count
       // (parallel efficiency is part of the cost model), so a thread-count
-      // change re-plans; anything else is a cache hit. Concurrent first
-      // executions are single-flight: the optimizer runs under the write
-      // lock, racers block on it and then reuse the winner's plan (their
-      // stats report a cache hit — only the winner planned).
-      PlanChoice plan;
+      // change re-plans; anything else is a cache hit.
       bool cache_hit = false;
+      PlanChoice plan;
       {
         TraceRecorder::Scope plan_scope(opts.trace, "plan", exec_id);
-        {
-          std::shared_lock<std::shared_mutex> rl(ps.mu);
-          if (ps.plan_valid && ps.plan_threads == opts.threads) {
-            plan = ps.plan;
-            cache_hit = true;
-          }
-        }
-        if (!cache_hit) {
-          std::unique_lock<std::shared_mutex> wl(ps.mu);
-          if (ps.plan_valid && ps.plan_threads == opts.threads) {
-            plan = ps.plan;  // lost the planning race; reuse the winner
-            cache_hit = true;
-          } else {
-            OptimizerOptions oo;
-            oo.threads = opts.threads;
-            plan = ChooseTwoPathPlan(*r, *s, *query.stats_, oo);
-            ps.plan = plan;
-            ps.plan_valid = true;
-            ps.plan_threads = opts.threads;
-          }
-        }
+        plan = SingleFlight(
+                   ps.mu, ps.plan,
+                   [&](const PreparedQuery::Planned& p) {
+                     return p.threads == opts.threads;
+                   },
+                   [&] {
+                     OptimizerOptions oo;
+                     oo.threads = opts.threads;
+                     return PreparedQuery::Planned{
+                         opts.threads,
+                         ChooseTwoPathPlan(*r, *s, *query.stats_, oo)};
+                   },
+                   &cache_hit)
+                   .plan;
         plan_scope.Close(cache_hit ? "cache-hit" : "cache-miss");
       }
       plan_hit = cache_hit;
@@ -415,7 +423,7 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
       static_cast<ExecContext&>(mo) = opts;
       mo.trace_parent = exec_id;
       mo.thresholds = opts.thresholds;
-      mo.grid_cache = &ps.two_path_grid;
+      mo.operand_cache = &ps.operands;
       if (spec.kind == QueryKind::kTwoPath) {
         mo.count_witnesses = spec.count_witnesses;
         mo.min_count = spec.min_count;
@@ -424,26 +432,13 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
         mo.min_count = spec.kind == QueryKind::kSsj ? spec.ssj_c : 1;
       }
       // The combinatorial strategy balances its own thresholds; derive
-      // them once from the cached stats instead of rebuilding stats
-      // (single-flight under the same plan lock).
+      // them once from the cached stats instead of rebuilding stats.
       if (strategy == Strategy::kNonMmJoin && mo.thresholds.delta1 == 0 &&
           mo.thresholds.delta2 == 0) {
-        bool have = false;
-        {
-          std::shared_lock<std::shared_mutex> rl(ps.mu);
-          if (ps.nonmm_thresholds_valid) {
-            mo.thresholds = ps.nonmm_thresholds;
-            have = true;
-          }
-        }
-        if (!have) {
-          std::unique_lock<std::shared_mutex> wl(ps.mu);
-          if (!ps.nonmm_thresholds_valid) {
-            ps.nonmm_thresholds = ChooseNonMmThresholds(*r, *s, *query.stats_);
-            ps.nonmm_thresholds_valid = true;
-          }
-          mo.thresholds = ps.nonmm_thresholds;
-        }
+        bool hit = false;
+        mo.thresholds = SingleFlight(
+            ps.mu, ps.nonmm_thresholds, [](const Thresholds&) { return true; },
+            [&] { return ChooseNonMmThresholds(*r, *s, *query.stats_); }, &hit);
       }
 
       std::unique_ptr<FilteredAdapterSink> adapter;
@@ -480,29 +475,12 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
       const bool explicit_thresholds =
           opts.thresholds.delta1 != 0 || opts.thresholds.delta2 != 0;
       Thresholds star_thresholds{0, 0};
-      // Like the two-path plan cache: hit/miss is decided under the plan
-      // lock, so exactly the thread that ran the sweep reports a miss —
-      // racers that block on the write lock find it valid and report hits.
       bool star_cache_hit = explicit_thresholds ? executed_before : false;
       if (!explicit_thresholds) {
         TraceRecorder::Scope plan_scope(opts.trace, "plan", exec_id);
-        {
-          std::shared_lock<std::shared_mutex> rl(ps.mu);
-          if (ps.star_thresholds_valid) {
-            star_thresholds = ps.star_thresholds;
-            star_cache_hit = true;
-          }
-        }
-        if (!star_cache_hit) {
-          std::unique_lock<std::shared_mutex> wl(ps.mu);
-          if (ps.star_thresholds_valid) {
-            star_cache_hit = true;  // lost the race; reuse the winner
-          } else {
-            ps.star_thresholds = ChooseStarThresholds(rels);
-            ps.star_thresholds_valid = true;
-          }
-          star_thresholds = ps.star_thresholds;
-        }
+        star_thresholds = SingleFlight(
+            ps.mu, ps.star_thresholds, [](const Thresholds&) { return true; },
+            [&] { return ChooseStarThresholds(rels); }, &star_cache_hit);
         plan_scope.Close(star_cache_hit ? "cache-hit" : "cache-miss");
       }
       plan_hit = star_cache_hit;
@@ -511,8 +489,7 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
       StarJoinOptions so;
       static_cast<ExecContext&>(so) = opts;
       so.trace_parent = exec_id;
-      so.grid_cache = &ps.star_grid;
-      so.operand_cache = &ps.star_operands;
+      so.operand_cache = &ps.operands;
       so.thresholds = explicit_thresholds ? opts.thresholds : star_thresholds;
       // The WCOJ-full reference evaluates first and then streams (no early
       // production exit on that path).

@@ -301,27 +301,28 @@ class PreparedQuery {
  private:
   friend class QueryEngine;
 
+  // A two-path plan and the thread count it was made for (a thread-count
+  // change re-plans).
+  struct Planned {
+    int threads = 0;
+    PlanChoice plan;
+  };
+
   // Mutable per-query cache, shared by concurrent Execute calls. Lives
-  // behind a unique_ptr so PreparedQuery stays movable.
+  // behind a unique_ptr so PreparedQuery stays movable. The plan and the
+  // thresholds are single-flight under `mu`.
   struct PlanState {
     mutable std::shared_mutex mu;
-    bool plan_valid = false;
-    PlanChoice plan;
-    int plan_threads = 0;  // plan is re-derived when threads change
-    bool nonmm_thresholds_valid = false;
-    Thresholds nonmm_thresholds{0, 0};
-    bool star_thresholds_valid = false;
-    Thresholds star_thresholds{0, 0};
+    std::optional<Planned> plan;
+    std::optional<Thresholds> nonmm_thresholds;
+    std::optional<Thresholds> star_thresholds;
     std::atomic<uint64_t> executions{0};
-    /// Cross-execution density-grid memos (core/density_partition.h): the
-    /// operand snapshots are immutable, so the remap/grid from one
-    /// execution is valid for every later one with the same adjusted
-    /// thresholds + gates. One slot per heavy-product shape.
-    DensityGridCache two_path_grid;
-    DensityGridCache star_grid;
-    /// The star's fitted thresholds and V / W^T operands
-    /// (core/star_join.h), memoized on the same grounds.
-    StarOperandCache star_operands;
+    /// The heavy operands (core/heavy_product.h): the threshold fit, the
+    /// two-path's M1 / M2 or the star's V / W^T, and their prepared
+    /// product. The snapshots are immutable, so what one execution built
+    /// serves every later one with the same key. One slot: a prepared
+    /// query has one kind.
+    HeavyOperandCache operands;
   };
 
   QuerySpec spec_;

@@ -12,7 +12,6 @@
 
 #include "common/check.h"
 #include "common/hash.h"
-#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/cancel_token.h"
@@ -24,10 +23,12 @@
 
 namespace jpmm {
 
-struct StarOperands {
-  /// The requested thresholds, doubled until the heavy part fits the cap.
-  Thresholds thresholds;
-  HeavyShape shape;       // rows = V rows, inner = shared y, cols = W rows
+namespace {
+
+// The data-only half of step (3), built by the threshold fit: the heavy-combo
+// rows in lexicographic combo order and the CSR operands V and W^T. Its
+// shape's rows are V's, inner the shared y, cols W's.
+struct StarOperands : HeavyFit {
   size_t g1 = 0, g2 = 0;  // group sizes: ceil(k/2), floor(k/2)
   std::vector<Value> rows1_flat, rows2_flat;  // stride g1 / g2
   CsrMatrix v;   // V: first-group combos x shared y
@@ -35,8 +36,6 @@ struct StarOperands {
   /// Per y value: the relations in which deg(y) > thresholds.delta1.
   std::vector<uint8_t> heavy_cnt;
 };
-
-namespace {
 
 // Streaming tuple delivery for sink-driven star queries. The star
 // decomposition can produce one output tuple from several steps (a tuple
@@ -373,7 +372,7 @@ HeavyGroups BuildHeavyGroups(const StarContext& ctx, uint64_t max_bytes) {
 // fixed relations and key.
 std::shared_ptr<const StarOperands> PrepareStarOperands(
     const std::vector<const IndexedRelation*>& rels,
-    const StarOperandKey& key) {
+    const HeavyOperandKey& key) {
   JPMM_CHECK(rels.size() >= 2);
   JPMM_CHECK_MSG(rels.size() <= 8, "combo packing supports k <= 8");
   auto op = std::make_shared<StarOperands>();
@@ -411,6 +410,10 @@ std::shared_ptr<const StarOperands> PrepareStarOperands(
     op->wt = CsrMatrix::FromEntries(op->shape.inner, op->shape.cols,
                                     hg.entries2, /*swapped=*/true);
   }
+  op->bytes = CsrBytes(op->v.rows(), op->v.nnz()) +
+              CsrBytes(op->wt.rows(), op->wt.nnz()) +
+              sizeof(Value) * (op->rows1_flat.size() + op->rows2_flat.size()) +
+              op->heavy_cnt.size();
   return op;
 }
 
@@ -518,32 +521,13 @@ bool DeliverSorted(const TupleBuffer& light, const StarOperands& op,
   }
 }
 
-Counter& StarOperandCacheHits() {
-  static Counter& hits = MetricsRegistry::Global().GetCounter(
-      "jpmm_star_operand_cache_hits_total");
-  return hits;
-}
-
-// The start of every star strategy: the operands for `key` under a
-// "threshold-fit" span, which closes with cache-hit when
-// options.operand_cache already held them.
+// The start of every star strategy: the operands for `key`, from `cache`.
 std::shared_ptr<const StarOperands> FitStarOperands(
     const std::vector<const IndexedRelation*>& rels,
-    const StarJoinOptions& options, const StarOperandKey& key) {
-  TraceRecorder::Scope scope(options.trace, "threshold-fit",
-                             options.trace_parent);
-  bool hit = false;
-  std::shared_ptr<const StarOperands> op =
-      options.operand_cache != nullptr
-          ? options.operand_cache->GetOrPrepare(rels, key, &hit)
-          : PrepareStarOperands(rels, key);
-  if (hit && MetricsEnabled()) StarOperandCacheHits().Add();
-  scope.Close(hit ? "cache-hit" : "cache-miss");
-  return op;
-}
-
-Thresholds ClampedThresholds(Thresholds t) {
-  return {std::max<uint64_t>(1, t.delta1), std::max<uint64_t>(1, t.delta2)};
+    const StarJoinOptions& options, HeavyOperandCache& cache,
+    const HeavyOperandKey& key, bool* hit) {
+  return std::static_pointer_cast<const StarOperands>(cache.Fit(
+      key, options, [&] { return PrepareStarOperands(rels, key); }, hit));
 }
 
 // The fields every star strategy reports from its operands.
@@ -729,28 +713,19 @@ Thresholds ChooseStarThresholds(
   return best;
 }
 
-std::shared_ptr<const StarOperands> StarOperandCache::GetOrPrepare(
-    const std::vector<const IndexedRelation*>& rels,
-    const StarOperandKey& key, bool* hit) {
-  std::lock_guard<std::mutex> lock(mu_);
-  *hit = key_ == key;
-  if (!*hit) {
-    operands_ = PrepareStarOperands(rels, key);
-    key_ = key;
-  }
-  return operands_;
-}
-
 RunRecord MmStarJoin(const std::vector<const IndexedRelation*>& rels,
                      const StarJoinOptions& options, ResultSink& sink) {
   const size_t k = rels.size();
   const int threads = std::max(1, options.threads);
   const size_t row_block = std::max<size_t>(1, options.row_block);
-  const std::shared_ptr<const StarOperands> op_ptr = FitStarOperands(
-      rels, options,
-      StarOperandKey{ClampedThresholds(options.thresholds),
-                     options.max_matrix_bytes, options.heavy_path, row_block,
-                     threads});
+  HeavyOperandCache run_cache;
+  HeavyOperandCache& cache =
+      options.operand_cache != nullptr ? *options.operand_cache : run_cache;
+  const HeavyOperandKey key =
+      OperandKey(options, options.thresholds, row_block);
+  bool fit_hit = false;
+  const std::shared_ptr<const StarOperands> op_ptr =
+      FitStarOperands(rels, options, cache, key, &fit_hit);
   const StarOperands& op = *op_ptr;
   RunRecord result = ResultFor(op);
 
@@ -759,9 +734,10 @@ RunRecord MmStarJoin(const std::vector<const IndexedRelation*>& rels,
   HeavyPairs pairs(threads, result.heavy_rows);
 
   const bool heavy = result.heavy_rows > 0 && result.heavy_cols > 0;
+  bool product_hit = true;  // stays true when no product runs
   if (heavy && run.gate.Stopped()) {
     // Light steps satisfied the sink: account every planned chunk as
-    // skipped without running the product.
+    // skipped without preparing or running the product.
     static_cast<HeavyRun&>(result) = SkippedHeavyRun(op.shape, row_block);
   } else if (heavy) {
     WallTimer heavy_timer;
@@ -773,8 +749,6 @@ RunRecord MmStarJoin(const std::vector<const IndexedRelation*>& rels,
     static_cast<ExecContext&>(hp) = options;
     hp.trace_parent = heavy_scope.id();
     hp.row_block = row_block;
-    hp.grid_cache = options.grid_cache;
-    hp.grid_key = op.thresholds;
     hp.sink = &sink;
     // Streaming sinks get each chunk's tuples as one dedup'd batch; the
     // materializing path keeps only the W-row ids of each whole row.
@@ -807,10 +781,17 @@ RunRecord MmStarJoin(const std::vector<const IndexedRelation*>& rels,
         pairs.Close(w, i, begin);
       };
     }
+    const std::shared_ptr<const PreparedProduct> product = cache.Product(
+        op, hp, nullptr, [&] { return PrepareHeavyProduct(op.v, op.wt, hp); },
+        &product_hit);
     static_cast<HeavyRun&>(result) =
-        RunHeavyProduct(op.v, op.wt, hp, &run.heavy_interrupted);
+        RunHeavyProduct(*product, hp, &run.heavy_interrupted);
+    result.partition_cache_hit =
+        product_hit && hp.partition != PartitionMode::kOff;
     result.heavy_seconds = heavy_timer.Seconds();
   }
+  result.operand_cache_hit = fit_hit && product_hit;
+  result.operand_cache_bytes = cache.bytes();
 
   run.Finish(std::move(light), op, pairs);
 
@@ -824,13 +805,18 @@ RunRecord NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
   const int threads = std::max(1, options.threads);
   // No dense matrices here, so no byte cap: under an unlimited cap the fit
   // never reads the gate inputs, so one fixed set of them keys every run.
-  const std::shared_ptr<const StarOperands> op_ptr = FitStarOperands(
-      rels, options,
-      StarOperandKey{ClampedThresholds(options.thresholds),
-                     std::numeric_limits<uint64_t>::max(),
-                     HeavyPathMode::kAuto, /*row_block=*/1, /*threads=*/1});
+  HeavyOperandCache run_cache;
+  HeavyOperandCache& cache =
+      options.operand_cache != nullptr ? *options.operand_cache : run_cache;
+  HeavyOperandKey key = OperandKey(ExecContext{}, options.thresholds, 1);
+  key.max_matrix_bytes = std::numeric_limits<uint64_t>::max();
+  bool fit_hit = false;
+  const std::shared_ptr<const StarOperands> op_ptr =
+      FitStarOperands(rels, options, cache, key, &fit_hit);
   const StarOperands& op = *op_ptr;
   RunRecord result = ResultFor(op);
+  result.operand_cache_hit = fit_hit;
+  result.operand_cache_bytes = cache.bytes();
 
   StarRun run(k, threads, options, sink, &result);
   TupleBuffer light = run.Light(rels, op, threads);

@@ -26,20 +26,18 @@
 // paper's dense (N/Delta2)^ceil(k/2) indexing but exponentially cheaper in
 // memory on real data.
 //
-// Step (3) splits in two. The threshold fit, the registration and the
-// V / W^T operands depend only on the data and the fit's inputs
-// (StarOperandKey); the product and the emit are per query. A PreparedQuery memoizes the first half
-// (StarOperandCache), so its repeated executions start at the light steps.
+// Step (3) splits in two. The threshold fit, the registration, the
+// V / W^T operands and their prepared product depend only on the data and
+// the HeavyOperandKey; the chunk loop and the emit are per query. A
+// PreparedQuery memoizes the first half (HeavyOperandCache,
+// core/heavy_product.h), so its repeated executions start at the light
+// steps and the heavy part at its chunk loop.
 
 #ifndef JPMM_CORE_STAR_JOIN_H_
 #define JPMM_CORE_STAR_JOIN_H_
 
-#include <memory>
-#include <mutex>
-#include <optional>
 #include <vector>
 
-#include "core/density_partition.h"
 #include "core/exec_context.h"
 #include "core/heavy_product.h"
 #include "core/thresholds.h"
@@ -48,60 +46,22 @@
 
 namespace jpmm {
 
-/// Every input the star's threshold fit reads: the requested thresholds
-/// after the max(1, .) clamp, and the four inputs of the memory-cap check
-/// (GateHeavyProduct).
-struct StarOperandKey {
-  Thresholds thresholds;
-  uint64_t max_matrix_bytes = 0;
-  HeavyPathMode heavy_path = HeavyPathMode::kAuto;
-  size_t row_block = 1;
-  int threads = 1;
-
-  bool operator==(const StarOperandKey&) const = default;
-};
-
-/// The data-only half of step (3), built by the threshold fit: the
-/// thresholds it settled on, the heavy-combo rows in lexicographic combo
-/// order and the CSR operands V and W^T. Immutable once built.
-struct StarOperands;
-
-/// One-slot cross-execution memo of the star's operands, owned by a
-/// PreparedQuery's PlanState next to its DensityGridCache and sound for the
-/// same reasons: the relation snapshots are immutable, the fit is
-/// deterministic for fixed relations and key, and re-Prepare makes a fresh
-/// memo. A memo must only ever see one relation vector.
-class StarOperandCache {
- public:
-  /// The memoized operands on a key match (*hit = true); otherwise fits,
-  /// keeps and returns them (*hit = false). The lock is held across the
-  /// fit, so racing first calls fit once.
-  std::shared_ptr<const StarOperands> GetOrPrepare(
-      const std::vector<const IndexedRelation*>& rels,
-      const StarOperandKey& key, bool* hit);
-
- private:
-  std::mutex mu_;
-  std::optional<StarOperandKey> key_;
-  std::shared_ptr<const StarOperands> operands_;
-};
-
 /// The star's options: the execution context (core/exec_context.h) plus
 /// what the decomposition needs. Under max_matrix_bytes thresholds double
 /// until the combo registration fits; the dense V/W representations are
 /// additionally gated off (falling back to the CSR kernels) when they alone
 /// would exceed the cap. Non-MMJoin has no matrices and ignores heavy_path,
-/// partition, max_matrix_bytes, row_block and grid_cache.
+/// partition, max_matrix_bytes and row_block.
 struct StarJoinOptions : ExecContext {
   Thresholds thresholds;
   /// Rows per product block (memory = row_block * |W rows| floats / worker).
   /// 256 rows = two MC panels of the blocked kernel, amortizing the per-call
   /// B-panel packing (see core/mm_join.h).
   size_t row_block = 256;
-  /// Optional cross-execution grid memo, as in MmJoinOptions::grid_cache.
-  DensityGridCache* grid_cache = nullptr;
-  /// Optional cross-execution operand memo; null builds them every run.
-  StarOperandCache* operand_cache = nullptr;
+  /// Optional cross-execution memo of the fit, V / W^T and their prepared
+  /// product, as in MmJoinOptions::operand_cache; null builds them every
+  /// run.
+  HeavyOperandCache* operand_cache = nullptr;
 };
 
 // Every star strategy delivers its duplicate-free tuples into `sink`

@@ -53,6 +53,12 @@ struct TwoPathContext {
 
   /// Number of class L1+L2 witnesses of head value a (cost instrumentation).
   uint64_t LightWitnessCount(Value a) const;
+
+  /// Resident bytes of the partition and the light-z lists.
+  uint64_t Bytes() const {
+    return part.Bytes() + sizeof(uint64_t) * lightz_offsets.size() +
+           sizeof(Value) * lightz_values.size();
+  }
 };
 
 }  // namespace jpmm::internal

@@ -672,7 +672,7 @@ TEST(DifferentialFuzz, StarCrossStrategyAgreement) {
 
     // Each variant runs twice per thread count on the one PreparedQuery,
     // the second time at the next thread count, so most calls meet the
-    // operand memo an earlier call left (StarOperandCache). Every call
+    // operand memo an earlier call left (HeavyOperandCache). Every call
     // must match the reference and report the heavy record of a cold run
     // (a fresh PreparedQuery) at its options: a memo hit under a changed
     // fit input would not. kCap doubles most heavy parts' thresholds, so

@@ -4,15 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/failpoint.h"
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "core/join_project.h"
 #include "core/mm_join.h"
 #include "core/nonmm_join.h"
 #include "core/optimizer.h"
+#include "core/query_engine.h"
 #include "core/result_sink.h"
+#include "core/trace.h"
 #include "datagen/generators.h"
 #include "tests/test_util.h"
 
@@ -24,6 +29,9 @@ using testutil::OracleTwoPathCounted;
 using testutil::RandomRelation;
 using testutil::MmRun;
 using testutil::NonMmRun;
+using testutil::SortedOutput;
+using testutil::SpanDetail;
+using testutil::WcojReference;
 
 TEST(MmJoin, TinyHandComputedExample) {
   // R = {(0,0), (0,1), (1,1)}, S = {(5,0), (6,1)}:
@@ -358,6 +366,311 @@ TEST(MmJoin, InstrumentationIsConsistent) {
   EXPECT_EQ(res.adjusted_thresholds.delta1, 5u);
   EXPECT_GT(res.heavy_rows, 0u);
   EXPECT_GT(res.heavy_cols, 0u);
+}
+
+// ---- The operand memo (HeavyOperandCache) --------------------------------
+//
+// A prepared two-path keeps its threshold fit, M1 / M2 and their prepared
+// product for its lifetime. A repeat execution must reuse all three and
+// answer exactly like the first; a change to any input of the build must
+// rebuild.
+
+// Four dense communities: under thresholds {4, 4} most of the join is
+// heavy, so every execution reaches the product.
+BinaryRelation MemoGraph(uint64_t seed = 11) {
+  return CommunityGraph(4, 60, 0.5, seed);
+}
+
+QuerySpec MemoSpec(QueryKind kind) {
+  QuerySpec spec;
+  spec.kind = kind;
+  spec.relations = {"R"};
+  spec.strategy = Strategy::kMmJoin;
+  spec.count_witnesses = kind == QueryKind::kTwoPath;
+  spec.ssj_c = 2;
+  return spec;
+}
+
+ExecOptions MemoExec() {
+  ExecOptions exec;
+  exec.thresholds = {4, 4};
+  return exec;
+}
+
+// One traced execution: its record and sorted output.
+struct MemoRun {
+  ExecStats stats;
+  SortedOutput out;
+  std::string Detail(const char* span) const { return SpanDetail(stats, span); }
+};
+
+MemoRun ExecuteMemo(QueryEngine& engine, PreparedQuery& q, ExecOptions exec) {
+  TraceRecorder rec;
+  exec.trace = &rec;
+  VectorSink sink;
+  MemoRun run;
+  EXPECT_TRUE(engine.Execute(q, sink, exec, &run.stats).ok());
+  run.out = SortedOutput(sink);
+  return run;
+}
+
+// The build spans of a run: the fit, then M1 / M2 and their pack.
+constexpr const char* kBuildSpans[] = {"threshold-fit", "csr-build", "pack"};
+
+TEST(HeavyOperandMemo, RepeatExecuteHitsOnEveryBuildSpan) {
+  const BinaryRelation rel = MemoGraph();
+  const IndexedRelation idx(rel);
+  const SortedOutput want = WcojReference(idx, idx, /*count_witnesses=*/true);
+  QueryEngine engine;
+  engine.AddRelation("R", rel);
+  for (PartitionMode partition : {PartitionMode::kOff, PartitionMode::kForce}) {
+    const std::string where = PartitionModeName(partition);
+    PreparedQuery q;
+    ASSERT_TRUE(engine.Prepare(MemoSpec(QueryKind::kTwoPath), &q).ok());
+    ExecOptions exec = MemoExec();
+    exec.partition = partition;
+    const MemoRun cold = ExecuteMemo(engine, q, exec);
+    const MemoRun warm = ExecuteMemo(engine, q, exec);
+    ASSERT_GT(cold.stats.heavy_blocks_executed, 0u) << where;
+    for (const char* span : kBuildSpans) {
+      EXPECT_EQ(cold.Detail(span), "cache-miss") << where << " " << span;
+      EXPECT_EQ(warm.Detail(span), "cache-hit") << where << " " << span;
+    }
+    const bool grid = partition != PartitionMode::kOff;
+    EXPECT_EQ(warm.Detail("degree-remap"), grid ? "cache-hit" : "") << where;
+    EXPECT_FALSE(cold.stats.partition_cache_hit) << where;
+    EXPECT_EQ(warm.stats.partition_cache_hit, grid) << where;
+    EXPECT_FALSE(cold.stats.operand_cache_hit) << where;
+    EXPECT_TRUE(warm.stats.operand_cache_hit) << where;
+    EXPECT_GT(cold.stats.operand_cache_bytes, 0u) << where;
+    EXPECT_EQ(warm.stats.operand_cache_bytes, cold.stats.operand_cache_bytes)
+        << where;
+    EXPECT_EQ(warm.stats.partition_signature, cold.stats.partition_signature)
+        << where;
+    EXPECT_EQ(warm.stats.heavy_blocks_executed,
+              cold.stats.heavy_blocks_executed)
+        << where;
+    EXPECT_EQ(cold.out, want) << where;
+    EXPECT_EQ(warm.out, want) << where;
+  }
+}
+
+// Every query the two-path family serves — plain and counted two-path, SSJ
+// and SCJ — answers like the WCOJ reference, cold and warm, at 1 and 4
+// threads.
+TEST(HeavyOperandMemo, MatchesWcojReferenceColdAndWarm) {
+  // MemoGraph plus 40 nested prefix sets {0..i}, which give SCJ its pairs.
+  BinaryRelation rel = MemoGraph();
+  for (Value i = 0; i < 40; ++i) {
+    for (Value y = 0; y <= i; ++y) rel.Add(1000 + i, y);
+  }
+  rel.Finalize();
+  const IndexedRelation idx(rel);
+  const SortedOutput counted = WcojReference(idx, idx, true);
+  SortedOutput plain = WcojReference(idx, idx);
+  SortedOutput ssj, scj;
+  for (const CountedPair& p : counted.counted) {
+    if (p.x < p.z && p.count >= 2) ssj.pairs.push_back({p.x, p.z});
+    if (p.x != p.z && p.count == idx.DegX(p.x)) scj.pairs.push_back({p.x, p.z});
+  }
+  ASSERT_FALSE(ssj.pairs.empty());
+  ASSERT_FALSE(scj.pairs.empty());
+  struct Case {
+    const char* name;
+    QuerySpec spec;
+    const SortedOutput& want;
+  };
+  QuerySpec two_path = MemoSpec(QueryKind::kTwoPath);
+  two_path.count_witnesses = false;
+  const Case cases[] = {
+      {"two-path", two_path, plain},
+      {"counted", MemoSpec(QueryKind::kTwoPath), counted},
+      {"ssj", MemoSpec(QueryKind::kSsj), ssj},
+      {"scj", MemoSpec(QueryKind::kScj), scj},
+  };
+  QueryEngine engine;
+  engine.AddRelation("R", rel);
+  for (const Case& c : cases) {
+    PreparedQuery q;
+    ASSERT_TRUE(engine.Prepare(c.spec, &q).ok()) << c.name;
+    for (int threads : {1, 4}) {
+      ExecOptions exec = MemoExec();
+      exec.threads = threads;
+      const MemoRun cold = ExecuteMemo(engine, q, exec);
+      const MemoRun warm = ExecuteMemo(engine, q, exec);
+      const std::string where = std::string(c.name) + "/" +
+                                std::to_string(threads);
+      EXPECT_EQ(cold.Detail("pack"), "cache-miss") << where;
+      EXPECT_EQ(warm.Detail("pack"), "cache-hit") << where;
+      EXPECT_EQ(cold.out, c.want) << where;
+      EXPECT_EQ(warm.out, c.want) << where;
+    }
+  }
+}
+
+TEST(HeavyOperandMemo, EveryKeyFieldRebuilds) {
+  const BinaryRelation rel = MemoGraph();
+  const IndexedRelation idx(rel);
+  const SortedOutput want = WcojReference(idx, idx, true);
+  QueryEngine engine;
+  engine.AddRelation("R", rel);
+  PreparedQuery q;
+  ASSERT_TRUE(engine.Prepare(MemoSpec(QueryKind::kTwoPath), &q).ok());
+
+  const ExecOptions base = MemoExec();
+  ExecOptions threads = base;
+  threads.threads = 3;
+  ExecOptions heavy_path = base;
+  heavy_path.heavy_path = HeavyPathMode::kForceCsrCsr;
+  ExecOptions cap = base;
+  cap.max_matrix_bytes = 256 << 10;
+  ExecOptions thresholds = base;
+  thresholds.thresholds = {2, 2};
+  ExecOptions partition = base;
+  partition.partition = PartitionMode::kForce;
+  const std::pair<const char*, ExecOptions> changes[] = {
+      {"threads", threads},
+      {"heavy_path", heavy_path},
+      {"max_matrix_bytes", cap},
+      {"thresholds", thresholds},
+      {"partition", partition},
+  };
+  const MemoRun first = ExecuteMemo(engine, q, base);
+  ASSERT_EQ(first.Detail("pack"), "cache-miss");
+  for (const auto& [field, exec] : changes) {
+    const MemoRun changed = ExecuteMemo(engine, q, exec);
+    for (const char* span : kBuildSpans) {
+      EXPECT_EQ(changed.Detail(span), "cache-miss") << field << " " << span;
+    }
+    EXPECT_EQ(changed.out, want) << field;
+    EXPECT_EQ(ExecuteMemo(engine, q, exec).Detail("pack"), "cache-hit")
+        << field;
+    // Back to the first key: the memo holds one slot, so this rebuilds too.
+    const MemoRun back = ExecuteMemo(engine, q, base);
+    EXPECT_EQ(back.Detail("threshold-fit"), "cache-miss") << field;
+    EXPECT_EQ(back.Detail("pack"), "cache-miss") << field;
+    EXPECT_EQ(back.out, want) << field;
+  }
+}
+
+// The row block is no ExecOptions field; the memo keys it all the same.
+TEST(HeavyOperandMemo, RowBlockRebuilds) {
+  const BinaryRelation rel = MemoGraph();
+  const IndexedRelation idx(rel);
+  HeavyOperandCache cache;
+  MmJoinOptions opts;
+  opts.thresholds = {4, 4};
+  opts.count_witnesses = true;
+  opts.operand_cache = &cache;
+  const auto first = MmRun(idx, idx, opts);
+  EXPECT_TRUE(MmRun(idx, idx, opts).operand_cache_hit);
+  opts.row_block = 16;
+  const auto small = MmRun(idx, idx, opts);
+  EXPECT_FALSE(small.operand_cache_hit);
+  EXPECT_GT(small.heavy_blocks_total, first.heavy_blocks_total);
+  EXPECT_EQ(small.counted, first.counted);
+  EXPECT_TRUE(MmRun(idx, idx, opts).operand_cache_hit);
+}
+
+// The memo lives in the PreparedQuery: the old query keeps answering on its
+// snapshot, and a re-Prepare after the relation is replaced rebuilds.
+TEST(HeavyOperandMemo, RePrepareAfterAddRelationMisses) {
+  const BinaryRelation before = MemoGraph(11);
+  const BinaryRelation after = MemoGraph(29);
+  const IndexedRelation before_idx(before), after_idx(after);
+  const SortedOutput want_before = WcojReference(before_idx, before_idx, true);
+  const SortedOutput want_after = WcojReference(after_idx, after_idx, true);
+  ASSERT_NE(want_before, want_after);
+
+  QueryEngine engine;
+  engine.AddRelation("R", before);
+  PreparedQuery q;
+  ASSERT_TRUE(engine.Prepare(MemoSpec(QueryKind::kTwoPath), &q).ok());
+  EXPECT_EQ(ExecuteMemo(engine, q, MemoExec()).out, want_before);
+
+  engine.AddRelation("R", after);
+  const MemoRun stale = ExecuteMemo(engine, q, MemoExec());
+  EXPECT_EQ(stale.Detail("pack"), "cache-hit");
+  EXPECT_EQ(stale.out, want_before);
+
+  ASSERT_TRUE(engine.Prepare(MemoSpec(QueryKind::kTwoPath), &q).ok());
+  const MemoRun fresh = ExecuteMemo(engine, q, MemoExec());
+  for (const char* span : kBuildSpans) {
+    EXPECT_EQ(fresh.Detail(span), "cache-miss") << span;
+  }
+  EXPECT_EQ(fresh.out, want_after);
+}
+
+// A build that throws keeps nothing: the fit survives (it was complete),
+// the operands are built afresh by the next execution, which succeeds.
+TEST(HeavyOperandMemo, ThrowingCsrBuildLeavesTheSlotEmpty) {
+  struct Disarm {
+    ~Disarm() { FailPoints::DeactivateAll(); }
+  } disarm;
+  const BinaryRelation rel = MemoGraph();
+  const IndexedRelation idx(rel);
+  QueryEngine engine;
+  engine.AddRelation("R", rel);
+  PreparedQuery q;
+  ASSERT_TRUE(engine.Prepare(MemoSpec(QueryKind::kTwoPath), &q).ok());
+
+  FailPoints::Activate("csr.build", FailPoints::Action::kThrow, 1.0);
+  VectorSink failed;
+  EXPECT_THROW(engine.Execute(q, failed, MemoExec()), FailPointError);
+  FailPoints::Deactivate("csr.build");
+
+  const MemoRun next = ExecuteMemo(engine, q, MemoExec());
+  EXPECT_EQ(next.Detail("threshold-fit"), "cache-hit");
+  EXPECT_EQ(next.Detail("csr-build"), "cache-miss");
+  EXPECT_EQ(next.Detail("pack"), "cache-miss");
+  EXPECT_EQ(next.out, WcojReference(idx, idx, true));
+  EXPECT_EQ(ExecuteMemo(engine, q, MemoExec()).Detail("pack"), "cache-hit");
+}
+
+// jpmm_join_heavy_operand_bytes_total counts what a product build made: a
+// limit the light pass satisfies builds nothing, a memo hit nothing more.
+TEST(HeavyOperandMemo, OperandBytesCountOnlyWhatIsBuilt) {
+  // Light section first in x order (groups of 4 x values sharing one y),
+  // then a 100 x 100 complete bipartite heavy block.
+  BinaryRelation rel;
+  for (Value x = 0; x < 200; ++x) rel.Add(x, 1000 + x / 4);
+  for (Value i = 0; i < 100; ++i) {
+    for (Value j = 0; j < 100; ++j) rel.Add(500 + i, 2000 + j);
+  }
+  rel.Finalize();
+  QueryEngine engine;
+  engine.AddRelation("R", rel);
+  QuerySpec spec = MemoSpec(QueryKind::kTwoPath);
+  spec.count_witnesses = false;
+  PreparedQuery q;
+  ASSERT_TRUE(engine.Prepare(spec, &q).ok());
+  ExecOptions exec;
+  exec.thresholds = {5, 5};
+  const Counter& bytes = MetricsRegistry::Global().GetCounter(
+      "jpmm_join_heavy_operand_bytes_total");
+
+  uint64_t before = bytes.value();
+  LimitSink limit(3);
+  ExecStats limited;
+  ASSERT_TRUE(engine.Execute(q, limit, exec, &limited).ok());
+  ASSERT_GT(limited.heavy_rows, 0u) << "test premise: heavy part must exist";
+  EXPECT_EQ(limited.heavy_blocks_skipped, limited.heavy_blocks_total);
+  EXPECT_EQ(bytes.value() - before, 0u);
+
+  before = bytes.value();
+  VectorSink full;
+  ExecStats built;
+  ASSERT_TRUE(engine.Execute(q, full, exec, &built).ok());
+  EXPECT_GT(built.heavy_blocks_executed, 0u);
+  EXPECT_GT(bytes.value() - before, 0u);
+  EXPECT_LT(bytes.value() - before, built.operand_cache_bytes);
+
+  before = bytes.value();
+  VectorSink warm;
+  ExecStats hit;
+  ASSERT_TRUE(engine.Execute(q, warm, exec, &hit).ok());
+  EXPECT_TRUE(hit.operand_cache_hit);
+  EXPECT_EQ(bytes.value() - before, 0u);
 }
 
 }  // namespace

@@ -130,6 +130,63 @@ TEST(QueryEngineConcurrent, StarFirstExecuteRaceIsSingleFlight) {
   for (int c = 1; c < kClients; ++c) EXPECT_EQ(sizes[c], sizes[0]);
 }
 
+// ---- The two-path's operand memo under the same race: one client builds
+// M1 / M2 and packs them under the slot's lock, the others wait and reuse
+// its panels.
+
+uint64_t PairDigest(const std::vector<OutPair>& pairs) {
+  uint64_t h = 1469598103934665603ull;  // FNV-1a
+  for (const OutPair& p : pairs) {
+    for (Value v : {p.x, p.z}) h = (h ^ v) * 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(QueryEngineConcurrent, TwoPathOperandMemoRaceIsSingleFlight) {
+  const BinaryRelation rel = SkewedGraph();
+  QueryEngine engine;
+  engine.AddRelation("R", rel);
+  QuerySpec spec = TwoPathSpec("R");
+  spec.strategy = Strategy::kMmJoin;  // every client reaches the product
+  PreparedQuery q;
+  ASSERT_TRUE(engine.Prepare(spec, &q).ok());
+
+  FailureLog log(kClients);
+  std::vector<ExecStats> stats(kClients);
+  std::vector<uint64_t> digests(kClients, 0);
+  std::latch start(kClients);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      TraceRecorder trace;
+      ExecOptions exec;
+      exec.trace = &trace;
+      exec.thresholds = {4, 4};
+      exec.threads = 2;
+      start.arrive_and_wait();
+      VectorSink sink;
+      QueryStatus st = engine.Execute(q, sink, exec, &stats[c]);
+      if (!st.ok()) {
+        log.Record(c, st.message());
+        return;
+      }
+      digests[c] = PairDigest(Sorted(sink.pairs()));
+    });
+  }
+  for (auto& t : threads) t.join();
+  log.AssertClean();
+
+  int pack_misses = 0;
+  for (const ExecStats& s : stats) {
+    const std::string pack = SpanDetail(s, "pack");
+    EXPECT_FALSE(pack.empty()) << "every client runs the heavy product";
+    pack_misses += pack == "cache-miss" ? 1 : 0;
+  }
+  EXPECT_EQ(pack_misses, 1) << "exactly one client packs the operands";
+  EXPECT_EQ(digests[0], PairDigest(WcojOracle(rel)));
+  for (int c = 1; c < kClients; ++c) EXPECT_EQ(digests[c], digests[0]);
+}
+
 // ---- The acceptance scenario: >= 8 threads, mixed Prepare / Execute /
 // AddRelation / DropRelation on one shared engine, every sink family in
 // play, every result checked against its single-threaded oracle.

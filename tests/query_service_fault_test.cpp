@@ -414,11 +414,6 @@ TEST(QueryServiceFault, InjectedThrowBecomesInternalAndServiceRecovers) {
   const auto oracle = OracleTwoPath(rel, rel);
   QueryService service(&engine, {});
 
-  // Prepare outside the fault window so each site is exercised against
-  // execution (Prepare-time faults are contained too, via Run).
-  PreparedQuery q;
-  ASSERT_TRUE(engine.Prepare(TwoPathSpec(Strategy::kMmJoin), &q).ok());
-
   ServiceRequest req;
   req.exec.threads = 3;
   req.exec.thresholds = Thresholds{1, 1};  // force a real heavy part
@@ -426,6 +421,12 @@ TEST(QueryServiceFault, InjectedThrowBecomesInternalAndServiceRecovers) {
 
   uint64_t internal_before = 0;
   for (const char* site : {"pool.dispatch", "csr.build", "matmul.pack"}) {
+    // Prepare outside the fault window so each site is exercised against
+    // execution (Prepare-time faults are contained too, via Run). A fresh
+    // query per site: a warm one reuses its memoized operands and packed
+    // panels, so it would reach neither the CSR build nor the pack.
+    PreparedQuery q;
+    ASSERT_TRUE(engine.Prepare(TwoPathSpec(Strategy::kMmJoin), &q).ok());
     FailPoints::Activate(site, FailPoints::Action::kThrow, 1.0);
     VectorSink sink;
     QueryStatus st = service.Execute(q, sink, req);

@@ -434,7 +434,7 @@ TEST(StarJoin, LimitSinkStreamsAndSkipsBlocks) {
             stats.heavy_blocks_total);
 }
 
-// ---- The operand memo (StarOperandCache) ---------------------------------
+// ---- The operand memo (HeavyOperandCache) --------------------------------
 //
 // A PreparedQuery keeps the star's fitted thresholds and V / W^T operands
 // for its lifetime. A repeat execution must reuse them and answer byte for
@@ -544,7 +544,7 @@ TEST(StarOperandMemo, SmallerCapMatchesColdFit) {
   r.Finalize();
   IndexedRelation ri(r);
   const std::vector<const IndexedRelation*> rels = {&ri, &ri};
-  StarOperandCache cache;
+  HeavyOperandCache cache;
   StarJoinOptions loose;
   loose.thresholds = {1, 1};
   loose.operand_cache = &cache;

@@ -32,7 +32,8 @@
 //   --top-k N         N highest-witness-count pairs (implies counts)
 //                     (twopath)
 //   --repeat N        execute the prepared query N times (plan-cache
-//                     demo; --explain reports hit/miss per run) (twopath)
+//                     demo; --explain reports the plan cache's and the
+//                     operand memo's hit/miss per run) (twopath)
 //   --clients N       concurrent driver: N client threads hammer the one
 //                     shared engine + prepared query, each running
 //                     --repeat executions with its own sink; prints
@@ -767,6 +768,9 @@ int RunTwoPath(const Args& args, BinaryRelation rel) {
                 stats.seconds);
     if (args.Has("explain")) {
       std::printf("plan cache: %s\n", stats.plan_cache_hit ? "hit" : "miss");
+      std::printf("operand memo: %s, %.1f MB resident\n",
+                  stats.operand_cache_hit ? "hit" : "miss",
+                  static_cast<double>(stats.operand_cache_bytes) / 1e6);
       std::printf("early exit: light chunks skipped=%llu, heavy blocks "
                   "executed=%llu/%llu skipped=%llu\n",
                   static_cast<unsigned long long>(stats.light_chunks_skipped),
