@@ -91,19 +91,41 @@ struct Scratch {
   std::vector<std::vector<uint32_t>> gather_counts;
 };
 
+// Where one kernel call left its output: the kernel, the window's width
+// and how its local columns map to B's (HeavyRow::col_ids / col_base).
+struct BlockOut {
+  ProductKernel kernel = ProductKernel::kCsrCsr;
+  size_t width = 0;
+  const uint32_t* col_ids = nullptr;
+  uint32_t col_base = 0;
+};
+
 // Row li of the last kernel's output in `ws`.
-HeavyRow RowView(const Scratch& ws, ProductKernel kernel, size_t li,
-                 size_t width, const uint32_t* col_ids) {
+HeavyRow RowView(const Scratch& ws, const BlockOut& out, size_t li) {
   HeavyRow row;
-  row.col_ids = col_ids;
-  if (kernel == ProductKernel::kCsrCsr) {
+  row.col_ids = out.col_ids;
+  row.col_base = out.col_base;
+  if (out.kernel == ProductKernel::kCsrCsr) {
     row.cols = ws.sparse.RowCols(li);
     row.counts = ws.sparse.RowCounts(li);
   } else {
-    row.values = ws.block.data() + li * width;
-    row.width = width;
+    row.values = ws.block.data() + li * out.width;
+    row.width = out.width;
   }
   return row;
+}
+
+// The first column of block `blk` that a symmetric chunk starting at
+// shared position r0 computes, in the block's local numbering: r0 rounded
+// down to the packed-panel alignment, clamped to the block. CSR x CSR
+// blocks keep the whole row (the caller drops the extra cells); a block
+// wholly before the window returns its width.
+size_t WindowStart(const BlockKernelChoice& blk, size_t r0) {
+  const size_t c0 = r0 / kColumnWindowAlign * kColumnWindowAlign;
+  const size_t width = blk.col_end - blk.col_begin;
+  if (c0 >= blk.col_end) return width;
+  if (blk.kernel == ProductKernel::kCsrCsr || c0 <= blk.col_begin) return 0;
+  return (c0 - blk.col_begin) / kColumnWindowAlign * kColumnWindowAlign;
 }
 
 }  // namespace
@@ -163,6 +185,10 @@ struct PreparedProduct {
   size_t row_block = 1;
   /// The density grid, or none for the uniform plan.
   std::optional<DensityGrid> grid;
+  /// A symmetric product's (plan.symmetric) shared order on the grid is
+  /// row_perm (col_perm, equal to it, is dropped); `position` is its
+  /// inverse: original id -> position.
+  std::vector<uint32_t> position;
   /// Row bands (the uniform plan's are its blocks) and column bands, and
   /// the scheduled (block index, column band) pairs of each row band.
   std::vector<uint32_t> row_bands;
@@ -255,6 +281,9 @@ void Prepare(const CsrMatrix& a, const CsrMatrix& b, const HeavyProduct& p,
     if (engage) pp.grid = std::move(grid);
   }
 
+  const bool symmetric = p.symmetric;
+  run.symmetric = symmetric;
+  if (symmetric) JPMM_CHECK(rows == cols && a.nnz() == b.nnz());
   if (pp.grid) {
     const DensityGrid& grid = *pp.grid;
     run.partition_used = true;
@@ -266,6 +295,8 @@ void Prepare(const CsrMatrix& a, const CsrMatrix& b, const HeavyProduct& p,
     run.block_choices = grid.blocks;
     pp.row_bands = grid.row_bands;
     pp.col_bands = grid.col_bands;
+    // B = A^T: both stable sorts order ids by the same degree.
+    if (symmetric) JPMM_CHECK(grid.row_perm == grid.col_perm);
   } else {
     run.partition_signature = "uniform";
     run.block_choices =
@@ -305,6 +336,20 @@ void Prepare(const CsrMatrix& a, const CsrMatrix& b, const HeavyProduct& p,
         break;
     }
   }
+  if (symmetric) {
+    double scheduled = 0.0;
+    double computed = 0.0;
+    for (size_t r0 = 0; r0 < rows; r0 += row_block) {
+      const double nrows = static_cast<double>(std::min(rows - r0, row_block));
+      for (const auto& [bi, j] : pp.band_blocks[BandOf(pp.row_bands, r0)]) {
+        const BlockKernelChoice& blk = run.block_choices[bi];
+        const size_t width = blk.col_end - blk.col_begin;
+        scheduled += nrows * static_cast<double>(width);
+        computed += nrows * static_cast<double>(width - WindowStart(blk, r0));
+      }
+    }
+    if (scheduled > 0.0) run.computed_cell_share = computed / scheduled;
+  }
 
   // ---- Pack: A with its rows in remapped order and B sliced into one
   // matrix per column band with band-local column ids (the inner dimension
@@ -343,6 +388,12 @@ void Prepare(const CsrMatrix& a, const CsrMatrix& b, const HeavyProduct& p,
           });
       pp.b_csr[j] = &pp.b_slice[j];
     }
+    // Symmetric: one permutation serves rows and columns, and the inverse
+    // is the position map the emit reads.
+    if (symmetric) {
+      pp.position = std::move(inv_col);
+      std::vector<uint32_t>().swap(pp.grid->col_perm);
+    }
   }
   // A * A on the uniform plan: one dense copy serves both sides.
   const bool share_dense =
@@ -364,7 +415,8 @@ void Prepare(const CsrMatrix& a, const CsrMatrix& b, const HeavyProduct& p,
   pp.bytes = OwnCsrBytes(pp.own_a) + OwnCsrBytes(pp.own_b) +
              OwnCsrBytes(pp.a_perm) + DenseBytes(pp.a_dense_own);
   if (pp.grid) {
-    pp.bytes += 4 * (pp.grid->row_perm.size() + pp.grid->col_perm.size());
+    pp.bytes += 4 * (pp.grid->row_perm.size() + pp.grid->col_perm.size() +
+                     pp.position.size());
   }
   for (size_t j = 0; j < ncb; ++j) {
     pp.bytes += OwnCsrBytes(pp.b_slice[j]) + DenseBytes(pp.b_dense[j]) +
@@ -395,8 +447,13 @@ HeavyRun RunHeavyProduct(const PreparedProduct& pp, const HeavyProduct& p,
   const int threads = std::max(1, p.threads);
   const size_t rows = pp.a_op->rows();
   const size_t row_block = pp.row_block;
+  const bool symmetric = pp.plan.symmetric;
   const uint32_t* row_perm = pp.grid ? pp.grid->row_perm.data() : nullptr;
-  const uint32_t* col_perm = pp.grid ? pp.grid->col_perm.data() : nullptr;
+  const uint32_t* col_perm = !pp.grid   ? nullptr
+                             : symmetric ? row_perm
+                                         : pp.grid->col_perm.data();
+  const uint32_t* positions = pp.position.empty() ? nullptr
+                                                  : pp.position.data();
   TraceRecorder* const trace = p.trace;
   HeavyRun run = pp.plan;
 
@@ -407,6 +464,14 @@ HeavyRun RunHeavyProduct(const PreparedProduct& pp, const HeavyProduct& p,
   ChunkGate gate(p.sink, p.cancel);
   auto original_row = [&](size_t r) -> uint32_t {
     return static_cast<uint32_t>(row_perm == nullptr ? r : row_perm[r]);
+  };
+  auto deliver = [&](int w, size_t r, HeavyRow& row) {
+    if (symmetric) {
+      row.symmetric = true;
+      row.position = static_cast<uint32_t>(r);
+      row.positions = positions;
+    }
+    p.on_row(w, original_row(r), row);
   };
 
   ParallelForDynamic(
@@ -430,30 +495,46 @@ HeavyRun RunHeavyProduct(const PreparedProduct& pp, const HeavyProduct& p,
               ws.gather_counts[li].clear();
             }
           }
+          BlockOut front;  // the one block's output when not gathering
+          bool front_ran = false;
           for (const auto& [bi, j] : blocks) {
-            const BlockKernelChoice* blk = &run.block_choices[bi];
-            TraceRecorder::Scope block_scope(trace, BlockSpanName(blk->kernel),
+            const BlockKernelChoice& blk = run.block_choices[bi];
+            const size_t width = blk.col_end - blk.col_begin;
+            const size_t lo = symmetric ? WindowStart(blk, r0) : 0;
+            if (lo == width) continue;  // wholly before the window
+            TraceRecorder::Scope block_scope(trace, BlockSpanName(blk.kernel),
                                              p.trace_parent);
-            const size_t width = blk->col_end - blk->col_begin;
-            if (blk->kernel == ProductKernel::kCsrCsr) {
+            BlockOut out;
+            out.kernel = blk.kernel;
+            out.width = width - lo;
+            if (col_perm != nullptr) {
+              out.col_ids = col_perm + blk.col_begin + lo;
+            } else {
+              out.col_base = static_cast<uint32_t>(blk.col_begin + lo);
+            }
+            if (blk.kernel == ProductKernel::kCsrCsr) {
               CsrCsrRowRange(*pp.a_op, *pp.b_csr[j], r0, r1, &ws.csr,
                              &ws.sparse);
             } else {
               ws.block.resize(row_block * width);
-              const std::span<float> out(ws.block.data(), nrows * width);
-              if (blk->kernel == ProductKernel::kDenseGemm) {
-                MultiplyRowRange(*pp.a_dense, pp.b_packed[j], r0, r1, out);
+              const std::span<float> cells(ws.block.data(),
+                                           nrows * out.width);
+              if (blk.kernel == ProductKernel::kDenseGemm) {
+                MultiplyRowRange(*pp.a_dense, pp.b_packed[j], r0, r1, lo,
+                                 cells);
               } else {
-                CsrDenseRowRange(*pp.a_op, pp.b_dense[j], r0, r1, out);
+                CsrDenseRowRange(*pp.a_op, pp.b_dense[j], r0, r1, lo, cells);
               }
             }
-            if (emit_after && !gather) continue;  // delivered below
-            const uint32_t* ids =
-                col_perm == nullptr ? nullptr : col_perm + blk->col_begin;
+            if (emit_after && !gather) {  // delivered below
+              front = out;
+              front_ran = true;
+              continue;
+            }
             for (size_t li = 0; li < nrows; ++li) {
-              const HeavyRow row = RowView(ws, blk->kernel, li, width, ids);
+              HeavyRow row = RowView(ws, out, li);
               if (!gather) {
-                p.on_row(w, original_row(r0 + li), row);
+                deliver(w, r0 + li, row);
                 continue;
               }
               row.ForEach([&](uint32_t c, uint32_t n) {
@@ -466,17 +547,16 @@ HeavyRun RunHeavyProduct(const PreparedProduct& pp, const HeavyProduct& p,
             TraceRecorder::Scope emit_scope(trace, "emit-inverse-remap",
                                             p.trace_parent);
             for (size_t li = 0; li < nrows; ++li) {
-              HeavyRow row;  // empty when every block of the band is pruned
+              // Empty when every block of the band is pruned or before the
+              // chunk's window.
+              HeavyRow row;
               if (gather) {
                 row.cols = ws.gather_cols[li];
                 row.counts = ws.gather_counts[li];
-              } else if (!blocks.empty()) {
-                const BlockKernelChoice& blk =
-                    run.block_choices[blocks.front().first];
-                row = RowView(ws, blk.kernel, li, blk.col_end - blk.col_begin,
-                              col_perm + blk.col_begin);
+              } else if (front_ran) {
+                row = RowView(ws, front, li);
               }
-              p.on_row(w, original_row(r0 + li), row);
+              deliver(w, r0 + li, row);
             }
           }
           if (p.on_chunk_done) p.on_chunk_done(w);

@@ -19,6 +19,14 @@
 //      token (executed + skipped == total at every thread count), one
 //      "block:<kernel>" trace span per kernel call.
 //
+// Symmetry: when B is A^T (the two-path self join, HeavyProduct::symmetric)
+// the product is symmetric and rows and columns share one order (the
+// uniform plan's identity, or the grid's row_perm == col_perm). Each chunk
+// [r0, r1) then computes only the column window from r0 rounded down to
+// kColumnWindowAlign on — the upper triangle plus a sliver — reading the
+// one prepared B; the caller takes each lower-triangle cell from its
+// mirror (HeavyRow::position).
+//
 // Steps 1-3 depend only on the operands and the options, so they are one
 // call (PrepareHeavyProduct) whose immutable result any number of runs of
 // step 4 (RunHeavyProduct) read. A PreparedQuery keeps it, with the
@@ -94,6 +102,13 @@ struct HeavyRun {
   uint64_t heavy_blocks_total = 0;
   uint64_t heavy_blocks_executed = 0;
   uint64_t heavy_blocks_skipped = 0;
+
+  /// True iff the product ran as an upper triangle (B = A^T; false when no
+  /// product ran), and the share of the scheduled blocks' cells inside the
+  /// float kernels' column windows (CSR x CSR blocks keep whole rows and
+  /// count whole).
+  bool symmetric = false;
+  double computed_cell_share = 1.0;
 };
 
 /// The record of one run of any strategy of any query kind: the two-path
@@ -175,16 +190,31 @@ struct HeavyRow {
   size_t width = 0;
   std::span<const uint32_t> cols;    // sparse form
   std::span<const uint32_t> counts;
-  /// Local column -> column of B, or null when local ids are B's own: on
-  /// the uniform plan, whose sparse columns ascend, and on a row gathered
-  /// across column bands, whose columns arrive unordered.
+  /// Local column -> column of B, or null when local ids are B's own
+  /// after `col_base`: on the uniform plan, whose sparse columns ascend,
+  /// and on a row gathered across column bands, whose columns arrive
+  /// unordered.
   const uint32_t* col_ids = nullptr;
+  uint32_t col_base = 0;
+  /// Symmetric products only: the row's position in the order rows and
+  /// columns share, and column -> position (null: the identity). Cells of
+  /// columns positioned before the row may be missing; the mirror cell in
+  /// that column's own row holds the count.
+  bool symmetric = false;
+  uint32_t position = 0;
+  const uint32_t* positions = nullptr;
+
+  /// Position of column `col` of B in the shared order (symmetric only).
+  uint32_t PositionOf(uint32_t col) const {
+    return positions == nullptr ? col : positions[col];
+  }
 
   /// f(col, count) for every nonzero cell, col in B's original numbering.
   template <class F>
   void ForEach(F&& f) const {
     if (col_ids == nullptr) {
-      Visit([](uint32_t c) { return c; }, f);
+      const uint32_t base = col_base;
+      Visit([base](uint32_t c) { return base + c; }, f);
     } else {
       const uint32_t* ids = col_ids;
       Visit([ids](uint32_t c) { return ids[c]; }, f);
@@ -235,6 +265,9 @@ struct HeavyProduct : ExecContext {
   std::function<void(int worker, uint32_t row, const HeavyRow& out)> on_row;
   /// Optional: called after each executed chunk's rows, on the same worker.
   std::function<void(int worker)> on_chunk_done;
+  /// B is A^T: run the upper triangle (see the file comment). Read by the
+  /// prepare; a symmetric prepared product runs symmetric.
+  bool symmetric = false;
 };
 
 /// Steps 1-3 of A * B: the gates, the decomposition, and the permuted,
@@ -244,9 +277,9 @@ struct PreparedProduct;
 
 /// Prepares A * B (a.cols() == b.rows(), both non-empty) over the caller's
 /// operands, which must outlive the result. Reads the threads, heavy_path,
-/// partition, max_matrix_bytes, row_block and rates of `p`, and traces
-/// "degree-remap" (partition on) and "pack" under p.trace_parent, closed
-/// with cache-miss.
+/// partition, max_matrix_bytes, row_block, rates and symmetric of `p`, and
+/// traces "degree-remap" (partition on) and "pack" under p.trace_parent,
+/// closed with cache-miss.
 std::shared_ptr<const PreparedProduct> PrepareHeavyProduct(
     const CsrMatrix& a, const CsrMatrix& b, const HeavyProduct& p);
 /// Prepares A * B over operands the result keeps.

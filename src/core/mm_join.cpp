@@ -27,6 +27,12 @@ struct WorkerState {
 // Emits the output pairs of head value a: its light witnesses (classes L1
 // + L2) plus, when `heavy` is non-null, its all-heavy witness counts by
 // heavy-z column. The epoch-stamped counter dedups in O(1) per witness.
+//
+// A symmetric row (the self join, M2 = M1^T) covers only the columns from
+// its own position on, and witness counts are symmetric, so for a z that
+// owns a column the head emits by position: before a's, nothing (z's row
+// emits the pair); a itself, (a, a) once; after, (a, z) and (z, a) from
+// the one count. A z with no column has no row and is emitted as (a, z).
 void EmitHead(const internal::TwoPathContext& ctx, const MmJoinOptions& opts,
               Value a, const HeavyRow* heavy, WorkerState* ws) {
   ws->counter.NewEpoch();
@@ -39,14 +45,24 @@ void EmitHead(const internal::TwoPathContext& ctx, const MmJoinOptions& opts,
       if (ws->counter.Add(z, cnt) == 0) ws->touched.push_back(z);
     });
   }
+  auto emit = [&](Value x, Value z, uint32_t cnt) {
+    if (opts.count_witnesses) {
+      ws->shard->OnCountedPair(CountedPair{x, z, cnt});
+    } else {
+      ws->shard->OnPair(OutPair{x, z});
+    }
+  };
+  const bool symmetric = heavy != nullptr && heavy->symmetric;
   for (Value c : ws->touched) {
     const uint32_t cnt = ws->counter.Get(c);
     if (cnt < opts.min_count) continue;
-    if (opts.count_witnesses) {
-      ws->shard->OnCountedPair(CountedPair{a, c, cnt});
-    } else {
-      ws->shard->OnPair(OutPair{a, c});
+    const Value col = symmetric ? ctx.part.HeavyZId(c) : kInvalidValue;
+    if (col != kInvalidValue) {
+      const uint32_t pos = heavy->PositionOf(col);
+      if (pos < heavy->position) continue;
+      if (pos > heavy->position) emit(c, a, cnt);
     }
+    emit(a, c, cnt);
   }
 }
 
@@ -122,7 +138,9 @@ std::shared_ptr<const HeavyFit> FitTwoPath(const IndexedRelation& r,
     fit->bytes = fit->ctx.Bytes();
     if (fit->shape.inner == 0) return fit;
     fit->shape.a_nnz = HeavyNnz(fit->ctx, /*m2=*/false, key.threads);
-    fit->shape.b_nnz = HeavyNnz(fit->ctx, /*m2=*/true, key.threads);
+    // A self join's M2 is M1^T: the same cells.
+    fit->shape.b_nnz = &r == &s ? fit->shape.a_nnz
+                                : HeavyNnz(fit->ctx, /*m2=*/true, key.threads);
     if (GateHeavyProduct(fit->shape, key.heavy_path, key.row_block,
                          key.threads, key.max_matrix_bytes)
             .bytes <= key.max_matrix_bytes) {
@@ -221,6 +239,8 @@ RunRecord MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
     hp.row_block = opts.row_block;
     hp.sink = &sink;
     hp.whole_rows = true;
+    // One snapshot on both sides: M2 = M1^T, so the product is symmetric.
+    hp.symmetric = &r == &s;
     hp.on_row = [&](int w, uint32_t row, const HeavyRow& out) {
       EmitHead(ctx, opts, hxs[row], &out, &worker(w));
     };

@@ -102,23 +102,25 @@ PackScratch& Scratch() {
 }
 
 // Sweeps the register tiles of one packed (jc-panel, pc-slice) pair over
-// row range [r0, r1): packs A per MC block, consumes an already-packed B
-// panel (shared or thread-local — the kernel cannot tell). `mk` is the
+// row range [r0, r1) and the panel's columns [jr0, nc) (jr0 a kNR
+// multiple): packs A per MC block, consumes an already-packed B panel
+// (shared or thread-local — the kernel cannot tell). `out` points at
+// column jr0 of the panel in the first output row. `mk` is the
 // ISA-selected micro-kernel, chosen once per row-range call.
 void SweepPanel(const Matrix& a, const float* bp, size_t r0, size_t r1,
-                size_t pc, size_t kc, size_t jc, size_t nc, float* out,
+                size_t pc, size_t kc, size_t jr0, size_t nc, float* out,
                 size_t ldc, MicroKernelFn mk) {
   PackScratch& scratch = Scratch();
   float* ap = scratch.a.data();
   for (size_t ic = r0; ic < r1; ic += kMC) {
     const size_t mc = std::min(kMC, r1 - ic);
     PackA(a, ic, mc, pc, kc, ap);
-    for (size_t jr = 0; jr < nc; jr += kNR) {
+    for (size_t jr = jr0; jr < nc; jr += kNR) {
       const size_t cols = std::min(kNR, nc - jr);
       for (size_t ir = 0; ir < mc; ir += kMR) {
         const size_t rows = std::min(kMR, mc - ir);
         mk(ap + ir * kc, bp + jr * kc, kc,
-           out + (ic - r0 + ir) * ldc + jc + jr, ldc, rows, cols);
+           out + (ic - r0 + ir) * ldc + (jr - jr0), ldc, rows, cols);
       }
     }
   }
@@ -138,26 +140,28 @@ void KernelRowRange(const Matrix& a, const Matrix& b, size_t r0, size_t r1,
     for (size_t pc = 0; pc < v; pc += kKC) {
       const size_t kc = std::min(kKC, v - pc);
       PackB(b, pc, kc, jc, nc, bp);
-      SweepPanel(a, bp, r0, r1, pc, kc, jc, nc, out, ldc, mk);
+      SweepPanel(a, bp, r0, r1, pc, kc, 0, nc, out + jc, ldc, mk);
     }
   }
 }
 
-// Same sweep against a shared PackedB: no packing of B at all — every
-// worker reads the one slab read-only.
+// Same sweep against a shared PackedB over columns [c0, w), c0 a kNR
+// multiple: no packing of B at all — every worker reads the one slab
+// read-only, starting at the sub-panel that holds c0. out[(i - r0) * ldc +
+// j - c0] receives (A * B)(i, j).
 void KernelRowRangePacked(const Matrix& a, const PackedB& b, size_t r0,
-                          size_t r1, float* out, size_t ldc) {
+                          size_t r1, size_t c0, float* out, size_t ldc) {
   const size_t v = a.cols();
   const size_t w = b.cols();
   const MicroKernelFn mk = internal::SelectMicroKernel(ActiveIsa());
-  size_t jc_idx = 0;
-  for (size_t jc = 0; jc < w; jc += kNC, ++jc_idx) {
+  for (size_t jc = c0 / kNC * kNC; jc < w; jc += kNC) {
     const size_t nc = std::min(kNC, w - jc);
+    const size_t jr0 = std::max(jc, c0) - jc;
     size_t pc_idx = 0;
     for (size_t pc = 0; pc < v; pc += kKC, ++pc_idx) {
       const size_t kc = std::min(kKC, v - pc);
-      SweepPanel(a, b.Panel(jc_idx, pc_idx), r0, r1, pc, kc, jc, nc, out,
-                 ldc, mk);
+      SweepPanel(a, b.Panel(jc / kNC, pc_idx), r0, r1, pc, kc, jr0, nc,
+                 out + (jc + jr0 - c0), ldc, mk);
     }
   }
 }
@@ -290,11 +294,23 @@ void MultiplyRowRange(const Matrix& a, const Matrix& b, size_t row_begin,
 
 void MultiplyRowRange(const Matrix& a, const PackedB& b, size_t row_begin,
                       size_t row_end, std::span<float> out) {
+  MultiplyRowRange(a, b, row_begin, row_end, 0, out);
+}
+
+void MultiplyRowRange(const Matrix& a, const PackedB& b, size_t row_begin,
+                      size_t row_end, size_t col_begin, std::span<float> out) {
+  static_assert(kColumnWindowAlign == kNR);
   JPMM_CHECK(a.cols() == b.rows());
   JPMM_CHECK(row_begin <= row_end && row_end <= a.rows());
-  JPMM_CHECK(out.size() >= (row_end - row_begin) * b.cols());
-  std::memset(out.data(), 0, (row_end - row_begin) * b.cols() * sizeof(float));
-  KernelRowRangePacked(a, b, row_begin, row_end, out.data(), b.cols());
+  JPMM_CHECK(col_begin <= b.cols() &&
+             (col_begin % kNR == 0 || col_begin == b.cols()));
+  const size_t width = b.cols() - col_begin;
+  const size_t cells = (row_end - row_begin) * width;
+  JPMM_CHECK(out.size() >= cells);
+  if (cells == 0) return;  // an empty window may come with no buffer
+  std::memset(out.data(), 0, cells * sizeof(float));
+  KernelRowRangePacked(a, b, row_begin, row_end, col_begin, out.data(),
+                       width);
 }
 
 void Multiply(const Matrix& a, const Matrix& b, Matrix* c, int threads) {
@@ -313,7 +329,7 @@ void Multiply(const Matrix& a, const Matrix& b, Matrix* c, int threads) {
   // bit-identical at any thread count.
   const PackedB packed(b, threads);
   ParallelFor(threads, a.rows(), [&](size_t r0, size_t r1, int) {
-    KernelRowRangePacked(a, packed, r0, r1, cdata + r0 * w, w);
+    KernelRowRangePacked(a, packed, r0, r1, 0, cdata + r0 * w, w);
   });
 }
 

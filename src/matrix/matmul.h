@@ -92,6 +92,16 @@ void MultiplyRowRange(const Matrix& a, const Matrix& b, size_t row_begin,
 void MultiplyRowRange(const Matrix& a, const PackedB& b, size_t row_begin,
                       size_t row_end, std::span<float> out);
 
+/// Column windows of a packed product start on a register-tile boundary.
+inline constexpr size_t kColumnWindowAlign = 32;
+
+/// Rows [row_begin, row_end) x columns [col_begin, b.cols()) of A * B into
+/// `out`, row stride b.cols() - col_begin. col_begin is a multiple of
+/// kColumnWindowAlign or b.cols(): the sweep starts at the packed
+/// sub-panel holding it, reading the one shared slab (no copy of B).
+void MultiplyRowRange(const Matrix& a, const PackedB& b, size_t row_begin,
+                      size_t row_end, size_t col_begin, std::span<float> out);
+
 /// The pre-blocking seed kernel (ikj saxpy with an inner-dimension tile),
 /// single-threaded. Kept as the baseline the kernel microbenchmark measures
 /// the blocked kernel against; not used by any query path.

@@ -122,16 +122,23 @@ uint64_t CsrBytes(uint64_t rows, uint64_t nnz) {
 
 void CsrDenseRowRange(const CsrMatrix& a, const Matrix& b, size_t r0,
                       size_t r1, std::span<float> out) {
+  CsrDenseRowRange(a, b, r0, r1, 0, out);
+}
+
+void CsrDenseRowRange(const CsrMatrix& a, const Matrix& b, size_t r0,
+                      size_t r1, size_t c0, std::span<float> out) {
   JPMM_CHECK(a.cols() == b.rows());
   JPMM_CHECK(r0 <= r1 && r1 <= a.rows());
-  const size_t w = b.cols();
+  JPMM_CHECK(c0 <= b.cols());
+  const size_t ldb = b.cols();
+  const size_t w = ldb - c0;
   JPMM_CHECK(out.size() >= (r1 - r0) * w);
   std::fill(out.begin(), out.begin() + static_cast<ptrdiff_t>((r1 - r0) * w),
             0.0f);
   for (size_t i = r0; i < r1; ++i) {
     float* acc = out.data() + (i - r0) * w;
     for (uint32_t k : a.Row(i)) {
-      const float* brow = b.data() + static_cast<size_t>(k) * w;
+      const float* brow = b.data() + static_cast<size_t>(k) * ldb + c0;
       for (size_t j = 0; j < w; ++j) acc[j] += brow[j];
     }
   }

@@ -165,6 +165,11 @@ struct SparseRowBlock {
 void CsrDenseRowRange(const CsrMatrix& a, const Matrix& b, size_t r0,
                       size_t r1, std::span<float> out);
 
+/// Rows [r0, r1) x columns [c0, b.cols()) of A * B into out, row stride
+/// b.cols() - c0: each saxpy reads only the window of its dense B row.
+void CsrDenseRowRange(const CsrMatrix& a, const Matrix& b, size_t r0,
+                      size_t r1, size_t c0, std::span<float> out);
+
 /// Full A * B with row bands claimed off the shared pool (threads <= 1 runs
 /// inline). Bit-identical across thread counts.
 Matrix CsrDenseProduct(const CsrMatrix& a, const Matrix& b, int threads = 1);

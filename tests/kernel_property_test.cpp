@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -171,6 +172,101 @@ TEST(KernelPropertyIsa, CsrCsrProductMatchesReferencePerIsa) {
       const Matrix want = CsrProductReference(a, bd);
       EXPECT_EQ(CsrCsrProduct(a, b, 1), want)
           << KernelIsaName(isa) << " dim=" << dim << " density=" << density;
+    }
+  }
+}
+
+// ---- Column windows ------------------------------------------------------
+//
+// A symmetric heavy product computes each chunk's columns from a window
+// start on, reading the one prepared B. A windowed row range must equal the
+// matching slice of the full product, with row stride w - c0.
+
+// Window starts of a w-column product: the first and second sub-panel, one
+// mid-panel, the first column of and one inside the second kNC panel, the
+// last (partial) sub-panel, and the empty window c0 == w.
+std::vector<size_t> WindowStarts(size_t w) {
+  constexpr size_t kAlign = kColumnWindowAlign;
+  std::vector<size_t> starts = {0,    kAlign,        w / 2 / kAlign * kAlign,
+                                2048, 2048 + kAlign, (w - 1) / kAlign * kAlign,
+                                w};
+  std::erase_if(starts, [w](size_t c0) { return c0 > w; });
+  std::sort(starts.begin(), starts.end());
+  starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
+  return starts;
+}
+
+// Shapes for the windows: past one kNC panel (2048 columns), past one KC
+// slice (512 inner), partial register tiles, and single rows / columns.
+const Shape kWindowShapes[] = {
+    {13, 70, 2145}, {9, 33, 31}, {130, 517, 97}, {1, 5, 64}, {7, 3, 33},
+};
+
+// Row ranges of a u-row operand: all rows, and an interior range.
+std::vector<std::pair<size_t, size_t>> RowRanges(size_t u) {
+  return {{0, u}, {u / 3, u - u / 4}};
+}
+
+void ExpectWindowMatches(const Matrix& want, size_t r0, size_t r1, size_t c0,
+                         const std::vector<float>& got,
+                         const std::string& where) {
+  const size_t width = want.cols() - c0;
+  for (size_t i = r0; i < r1; ++i) {
+    for (size_t j = c0; j < want.cols(); ++j) {
+      ASSERT_EQ(got[(i - r0) * width + j - c0], want.At(i, j))
+          << where << " i=" << i << " j=" << j;
+    }
+  }
+}
+
+TEST(KernelPropertyIsa, WindowedPackedGemmMatchesFullProductSlice) {
+  uint64_t seed = 9100;
+  for (const Shape& s : kWindowShapes) {
+    const Matrix a = RandomIntMatrix(s.u, s.v, seed++);
+    const Matrix b = RandomIntMatrix(s.v, s.w, seed++);
+    const Matrix want = MultiplyNaive(a, b);
+    const PackedB packed(b);  // the layout does not depend on the ISA
+    for (KernelIsa isa : SupportedIsas()) {
+      ScopedIsaOverride force(isa);
+      for (size_t c0 : WindowStarts(s.w)) {
+        for (const auto& [r0, r1] : RowRanges(s.u)) {
+          // Pre-filled: the kernel must overwrite every cell of the window.
+          std::vector<float> got((r1 - r0) * (s.w - c0), -1.0f);
+          MultiplyRowRange(a, packed, r0, r1, c0, got);
+          ExpectWindowMatches(want, r0, r1, c0, got,
+                              std::string(KernelIsaName(isa)) +
+                                  " u=" + std::to_string(s.u) +
+                                  " v=" + std::to_string(s.v) +
+                                  " w=" + std::to_string(s.w) +
+                                  " c0=" + std::to_string(c0));
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelPropertyIsa, WindowedCsrDenseMatchesFullProductSlice) {
+  uint64_t seed = 9200;
+  for (const Shape& s : kWindowShapes) {
+    const Matrix ad = RandomDenseMatrix(s.u, s.v, 0.3, seed++);
+    const Matrix b = RandomIntMatrix(s.v, s.w, seed++);
+    const CsrMatrix a = CsrMatrix::FromDense(ad);
+    const Matrix want = MultiplyNaive(ad, b);
+    std::vector<size_t> starts = WindowStarts(s.w);
+    starts.push_back(s.w / 3 + 1);  // the CSR kernel needs no alignment
+    for (KernelIsa isa : SupportedIsas()) {
+      ScopedIsaOverride force(isa);
+      for (size_t c0 : starts) {
+        for (const auto& [r0, r1] : RowRanges(s.u)) {
+          std::vector<float> got((r1 - r0) * (s.w - c0), -1.0f);
+          CsrDenseRowRange(a, b, r0, r1, c0, got);
+          ExpectWindowMatches(want, r0, r1, c0, got,
+                              std::string(KernelIsaName(isa)) +
+                                  " u=" + std::to_string(s.u) +
+                                  " w=" + std::to_string(s.w) +
+                                  " c0=" + std::to_string(c0));
+        }
+      }
     }
   }
 }

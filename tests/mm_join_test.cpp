@@ -4,12 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/join_project.h"
 #include "core/mm_join.h"
@@ -671,6 +673,266 @@ TEST(HeavyOperandMemo, OperandBytesCountOnlyWhatIsBuilt) {
   ASSERT_TRUE(engine.Execute(q, warm, exec, &hit).ok());
   EXPECT_TRUE(hit.operand_cache_hit);
   EXPECT_EQ(bytes.value() - before, 0u);
+}
+
+// ---- Self-join symmetry --------------------------------------------------
+//
+// A spec naming one relation hands one snapshot to both sides, so M2 is
+// M1^T: each chunk computes only its column window and every heavy pair is
+// emitted both ways from one count. The output must stay byte-identical to
+// the WCOJ reference for every query, knob and row block; two names keep
+// the full product.
+
+// Six random communities of 100 plus one dense community of 80 (about 680
+// heavy rows under {4, 4}: three chunks at the engine's row block of 256),
+// plus 150 light x values with two edges each, so light heads, light
+// witnesses and heavy heads with light z all occur.
+BinaryRelation SymmetryGraph() {
+  BinaryRelation rel = CommunityGraph(6, 100, 0.3, 17);
+  Rng rng(18);
+  for (Value i = 0; i < 80; ++i) {
+    for (Value j = 0; j < 80; ++j) {
+      if (i != j && rng.NextBool(0.8)) rel.Add(700 + i, 700 + j);
+    }
+  }
+  for (Value x = 1000; x < 1150; ++x) {
+    rel.Add(x, static_cast<Value>(rng.NextBounded(780)));
+    rel.Add(x, static_cast<Value>(rng.NextBounded(780)));
+  }
+  rel.Finalize();
+  return rel;
+}
+
+constexpr PartitionMode kPartitions[] = {
+    PartitionMode::kOff, PartitionMode::kForce, PartitionMode::kAuto};
+constexpr HeavyPathMode kHeavyPaths[] = {
+    HeavyPathMode::kAuto, HeavyPathMode::kForceDense,
+    HeavyPathMode::kForceCsrDense, HeavyPathMode::kForceCsrCsr};
+
+// The query family on one relation and its WCOJ answers.
+struct SymmetryCase {
+  std::string name;
+  QuerySpec spec;
+  SortedOutput want;
+};
+
+std::vector<SymmetryCase> SymmetryCases(const BinaryRelation& rel) {
+  const IndexedRelation idx(rel);
+  const SortedOutput counted = WcojReference(idx, idx, true);
+  SortedOutput ssj, ssj_ordered, scj;
+  for (const CountedPair& p : counted.counted) {
+    if (p.x < p.z && p.count >= 2) {
+      ssj.pairs.push_back({p.x, p.z});
+      ssj_ordered.counted.push_back(p);
+    }
+    if (p.x != p.z && p.count == idx.DegX(p.x)) scj.pairs.push_back({p.x, p.z});
+  }
+  QuerySpec plain = MemoSpec(QueryKind::kTwoPath);
+  plain.count_witnesses = false;
+  QuerySpec min3 = MemoSpec(QueryKind::kTwoPath);
+  min3.min_count = 3;
+  QuerySpec ordered = MemoSpec(QueryKind::kSsj);
+  ordered.ssj_ordered = true;
+  return {
+      {"plain", plain, WcojReference(idx, idx)},
+      {"counted", MemoSpec(QueryKind::kTwoPath), counted},
+      {"min_count=3", min3, WcojReference(idx, idx, true, 3)},
+      {"ssj", MemoSpec(QueryKind::kSsj), ssj},
+      {"ssj-ordered", ordered, ssj_ordered},
+      {"scj", MemoSpec(QueryKind::kScj), scj},
+  };
+}
+
+TEST(SelfJoinSymmetry, EngineMatchesWcojReferenceOnEveryKnob) {
+  const BinaryRelation rel = SymmetryGraph();
+  QueryEngine engine;
+  engine.AddRelation("R", rel);
+  for (const SymmetryCase& c : SymmetryCases(rel)) {
+    ASSERT_FALSE(c.want.size() == 0) << c.name;
+    PreparedQuery q;
+    ASSERT_TRUE(engine.Prepare(c.spec, &q).ok()) << c.name;
+    for (PartitionMode partition : kPartitions) {
+      for (HeavyPathMode heavy_path : kHeavyPaths) {
+        for (int threads : {1, 4}) {
+          ExecOptions exec = MemoExec();
+          exec.partition = partition;
+          exec.heavy_path = heavy_path;
+          exec.threads = threads;
+          const std::string where =
+              c.name + " " + PartitionModeName(partition) + " " +
+              HeavyPathModeName(heavy_path) + " t" + std::to_string(threads);
+          const MemoRun run = ExecuteMemo(engine, q, exec);
+          ASSERT_GT(run.stats.heavy_blocks_total, 1u) << where;
+          EXPECT_TRUE(run.stats.symmetric) << where;
+          EXPECT_EQ(run.out, c.want) << where;
+        }
+      }
+    }
+  }
+}
+
+// The row block is no engine knob: row blocks of 100 and 1 (not multiples
+// of the window alignment, so windows round down) run MmJoinTwoPath
+// directly on one index.
+TEST(SelfJoinSymmetry, UnalignedRowBlocksMatchWcojReference) {
+  const BinaryRelation rel = SymmetryGraph();
+  const IndexedRelation idx(rel);
+  struct Query {
+    const char* name;
+    bool counted;
+    uint32_t min_count;
+  };
+  const Query queries[] = {
+      {"plain", false, 1}, {"counted", true, 1}, {"min_count=3", true, 3}};
+  for (const Query& query : queries) {
+    const SortedOutput want =
+        WcojReference(idx, idx, query.counted, query.min_count);
+    for (size_t row_block : {size_t{100}, size_t{1}}) {
+      for (PartitionMode partition : kPartitions) {
+        for (HeavyPathMode heavy_path : kHeavyPaths) {
+          for (int threads : {1, 4}) {
+            MmJoinOptions opts;
+            opts.thresholds = {4, 4};
+            opts.count_witnesses = query.counted;
+            opts.min_count = query.min_count;
+            opts.row_block = row_block;
+            opts.partition = partition;
+            opts.heavy_path = heavy_path;
+            opts.threads = threads;
+            const std::string where =
+                std::string(query.name) + " rb" + std::to_string(row_block) +
+                " " + PartitionModeName(partition) + " " +
+                HeavyPathModeName(heavy_path) + " t" + std::to_string(threads);
+            const auto res = MmRun(idx, idx, opts);
+            EXPECT_TRUE(res.symmetric) << where;
+            // Every block on a float kernel (kAuto's choice depends on the
+            // host's rates; CSR x CSR keeps whole rows).
+            if (heavy_path == HeavyPathMode::kForceDense ||
+                heavy_path == HeavyPathMode::kForceCsrDense) {
+              EXPECT_LT(res.computed_cell_share, 1.0) << where;
+            }
+            EXPECT_EQ(static_cast<const SortedOutput&>(res), want) << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+// x = 0 is the only heavy row: it reaches y 0..9, and each y also has four
+// light x values of degree one, so the heavy part is 1 x 10 x 1.
+TEST(SelfJoinSymmetry, OneRowHeavyPart) {
+  BinaryRelation rel;
+  for (Value y = 0; y < 10; ++y) {
+    rel.Add(0, y);
+    for (Value k = 0; k < 4; ++k) rel.Add(100 + 4 * y + k, y);
+  }
+  rel.Finalize();
+  const IndexedRelation idx(rel);
+  for (bool counted : {false, true}) {
+    for (PartitionMode partition : kPartitions) {
+      MmJoinOptions opts;
+      opts.thresholds = {3, 3};
+      opts.count_witnesses = counted;
+      opts.partition = partition;
+      const auto res = MmRun(idx, idx, opts);
+      ASSERT_EQ(res.heavy_rows, 1u) << "test premise";
+      EXPECT_TRUE(res.symmetric);
+      EXPECT_EQ(static_cast<const SortedOutput&>(res),
+                WcojReference(idx, idx, counted))
+          << counted << " " << PartitionModeName(partition);
+    }
+  }
+}
+
+// Two names for the same data are two snapshots: the full product runs.
+TEST(SelfJoinSymmetry, TwoNamesRunTheFullProduct) {
+  const BinaryRelation rel = SymmetryGraph();
+  const IndexedRelation idx(rel);
+  QueryEngine engine;
+  engine.AddRelation("R", rel);
+  engine.AddRelation("S", rel);
+  for (PartitionMode partition : kPartitions) {
+    QuerySpec one = MemoSpec(QueryKind::kTwoPath);
+    QuerySpec two = one;
+    two.relations = {"R", "S"};
+    PreparedQuery q1, q2;
+    ASSERT_TRUE(engine.Prepare(one, &q1).ok());
+    ASSERT_TRUE(engine.Prepare(two, &q2).ok());
+    ExecOptions exec = MemoExec();
+    exec.partition = partition;
+    exec.heavy_path = HeavyPathMode::kForceCsrDense;  // windows on every block
+    const MemoRun sym = ExecuteMemo(engine, q1, exec);
+    const MemoRun full = ExecuteMemo(engine, q2, exec);
+    const char* where = PartitionModeName(partition);
+    EXPECT_TRUE(sym.stats.symmetric) << where;
+    EXPECT_LT(sym.stats.computed_cell_share, 1.0) << where;
+    EXPECT_FALSE(full.stats.symmetric) << where;
+    EXPECT_EQ(full.stats.computed_cell_share, 1.0) << where;
+    EXPECT_EQ(full.stats.heavy_blocks_total, sym.stats.heavy_blocks_total)
+        << where;
+    EXPECT_EQ(sym.out, WcojReference(idx, idx, true)) << where;
+    EXPECT_EQ(full.out, sym.out) << where;
+  }
+}
+
+// A limit on a symmetric run: k members of the answer, every chunk counted
+// executed or skipped, cold and warm.
+TEST(SelfJoinSymmetry, LimitReturnsOracleMembersAndAccountsEveryChunk) {
+  const BinaryRelation rel = SymmetryGraph();
+  const IndexedRelation idx(rel);
+  const std::vector<OutPair> all = WcojReference(idx, idx).pairs;
+  QueryEngine engine;
+  engine.AddRelation("R", rel);
+  QuerySpec spec = MemoSpec(QueryKind::kTwoPath);
+  spec.count_witnesses = false;
+  PreparedQuery q;
+  ASSERT_TRUE(engine.Prepare(spec, &q).ok());
+  for (uint64_t k : {uint64_t{1}, uint64_t{500}, uint64_t{20000}}) {
+    for (int threads : {1, 4}) {
+      ExecOptions exec = MemoExec();
+      exec.threads = threads;
+      LimitSink sink(k);
+      ExecStats stats;
+      ASSERT_TRUE(engine.Execute(q, sink, exec, &stats).ok());
+      const std::string where =
+          "k=" + std::to_string(k) + " t" + std::to_string(threads);
+      ASSERT_EQ(sink.pairs().size(), k) << where;
+      for (const OutPair& p : sink.pairs()) {
+        EXPECT_TRUE(std::binary_search(all.begin(), all.end(), p))
+            << where << " (" << p.x << ", " << p.z << ")";
+      }
+      EXPECT_EQ(stats.heavy_blocks_executed + stats.heavy_blocks_skipped,
+                stats.heavy_blocks_total)
+          << where;
+    }
+  }
+}
+
+// The memo keeps the symmetric prepared product: warm equals cold.
+TEST(SelfJoinSymmetry, WarmMemoHitIsByteIdentical) {
+  const BinaryRelation rel = SymmetryGraph();
+  const IndexedRelation idx(rel);
+  QueryEngine engine;
+  engine.AddRelation("R", rel);
+  PreparedQuery q;
+  ASSERT_TRUE(engine.Prepare(MemoSpec(QueryKind::kTwoPath), &q).ok());
+  for (PartitionMode partition : kPartitions) {
+    ExecOptions exec = MemoExec();
+    exec.partition = partition;
+    exec.threads = 4;
+    const MemoRun cold = ExecuteMemo(engine, q, exec);
+    const MemoRun warm = ExecuteMemo(engine, q, exec);
+    const char* where = PartitionModeName(partition);
+    EXPECT_EQ(warm.Detail("pack"), "cache-hit") << where;
+    EXPECT_TRUE(warm.stats.symmetric) << where;
+    EXPECT_EQ(warm.stats.computed_cell_share, cold.stats.computed_cell_share)
+        << where;
+    EXPECT_EQ(warm.stats.operand_cache_bytes, cold.stats.operand_cache_bytes)
+        << where;
+    EXPECT_EQ(cold.out, WcojReference(idx, idx, true)) << where;
+    EXPECT_EQ(warm.out, cold.out) << where;
+  }
 }
 
 }  // namespace

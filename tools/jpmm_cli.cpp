@@ -273,6 +273,11 @@ void PrintHeavyRun(const HeavyRun& run) {
               static_cast<unsigned long long>(counts.dense),
               static_cast<unsigned long long>(counts.csr_dense),
               static_cast<unsigned long long>(counts.csr_csr));
+  if (run.symmetric) {
+    std::printf("symmetric: upper triangle of M1 * M1^T, %.1f%% of product "
+                "cells computed\n",
+                run.computed_cell_share * 100.0);
+  }
   const std::vector<BlockKernelChoice>& choices = run.block_choices;
   constexpr size_t kMaxLines = 32;
   for (size_t i = 0; i < choices.size(); ++i) {
