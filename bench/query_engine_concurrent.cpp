@@ -7,7 +7,7 @@
 // execution so clients, not intra-query workers, carry the parallelism):
 //
 //   SharedEngineExecute      CountOnlySink full evaluation per request
-//   SharedEngineLimit10      LimitSink(10) — the early-exit request mix
+//   SharedEngineLimit10      PageSink(0, 10) — the early-exit request mix
 //   SharedEnginePage         PageSink(100, 25) — pagination requests
 //   SharedEngineMixedPrepare each iteration Prepares a fresh PreparedQuery
 //                            then Executes it (the catalog read path)
@@ -110,7 +110,7 @@ void BM_SharedEngineLimit10(benchmark::State& state) {
   PreparedQuery& q = SharedQuery();
   LatencyProbe lat;
   for (auto _ : state) {
-    LimitSink sink(10);
+    PageSink sink(0, 10);
     lat.Start();
     QueryStatus st = SharedEngine().Execute(q, sink, {});
     lat.Stop();
@@ -159,7 +159,7 @@ void BM_SharedEngineMixedPrepare(benchmark::State& state) {
     PreparedQuery q;
     QueryStatus st = SharedEngine().Prepare(spec, &q);
     if (!st.ok()) state.SkipWithError(st.message().c_str());
-    LimitSink sink(10);
+    PageSink sink(0, 10);
     st = SharedEngine().Execute(q, sink, {});
     lat.Stop();
     if (!st.ok()) state.SkipWithError(st.message().c_str());

@@ -5,10 +5,11 @@
 //
 //   FullMaterialize   VectorSink, every pair materialized
 //   CountOnly         CountOnlySink, no storage
-//   Limit10           LimitSink(10) — done() fires in the first light
+//   Limit10           PageSink(0, 10) — done() fires in the first light
 //                     chunks, the remaining chunks and every heavy product
 //                     block are skipped
-//   TopK10            TopKByCountSink(10) over the counted query
+//   TopK10            OrderedBySink(kCountDescending, 10) over the counted
+//                     query
 //
 // The limit row is the criterion: limit-10 latency must sit far below
 // (>= 5x) full materialization, because early exit skips the work, not
@@ -92,7 +93,7 @@ void BM_TwoPathLimit10(benchmark::State& state) {
   PreparedQuery& q = SharedQuery(false);
   ExecStats stats;
   for (auto _ : state) {
-    LimitSink sink(10);
+    PageSink sink(0, 10);
     QueryStatus st = SharedEngine().Execute(q, sink, {}, &stats);
     if (!st.ok()) state.SkipWithError(st.message().c_str());
     benchmark::DoNotOptimize(sink.size());
@@ -107,10 +108,10 @@ BENCHMARK(BM_TwoPathLimit10)->Unit(benchmark::kMillisecond);
 void BM_TwoPathTopK10(benchmark::State& state) {
   PreparedQuery& q = SharedQuery(true);
   for (auto _ : state) {
-    TopKByCountSink sink(10);
+    OrderedBySink sink(ResultOrder::kCountDescending, 10);
     QueryStatus st = SharedEngine().Execute(q, sink, {});
     if (!st.ok()) state.SkipWithError(st.message().c_str());
-    benchmark::DoNotOptimize(sink.top().size());
+    benchmark::DoNotOptimize(sink.ranked().size());
   }
 }
 BENCHMARK(BM_TwoPathTopK10)->Unit(benchmark::kMillisecond);

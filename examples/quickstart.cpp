@@ -64,7 +64,7 @@ int main() {
               static_cast<unsigned long long>(counter.count()),
               stats.plan_cache_hit ? "hit" : "miss");
 
-  LimitSink first10(10);
+  PageSink first10(0, 10);  // the first page is the limit
   engine.Execute(query, first10, {}, &stats);
   std::printf("limit 10       : %zu pairs, heavy blocks skipped %llu/%llu\n",
               first10.size(),
@@ -86,9 +86,9 @@ int main() {
 
   // Self pairs (x == z, a user with their own friend list) top every count
   // ranking, so ask for enough entries to reach the first real pair.
-  TopKByCountSink ranked(512);
+  OrderedBySink ranked(ResultOrder::kCountDescending, 512);
   engine.Execute(counted_query, ranked, {});
-  for (const CountedPair& p : ranked.top()) {
+  for (const CountedPair& p : ranked.ranked()) {
     if (p.x < p.z) {
       std::printf("most-connected pair: (%u, %u) with %u common friends\n",
                   p.x, p.z, p.count);

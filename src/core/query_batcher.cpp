@@ -344,7 +344,7 @@ bool ResultCache::Replay(const BatchKey& key, ResultSink& sink,
     }
   }
   if (e == nullptr ||
-      (!e->tuple_data.empty() && !sink.supports_tuples())) {
+      (!e->results.tuple_data.empty() && !sink.supports_tuples())) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     if (metrics) CacheMetrics::Get().misses.Add();
     return false;
@@ -362,21 +362,22 @@ bool ResultCache::Replay(const BatchKey& key, ResultSink& sink,
     // top-k semantics apply exactly as they would against live execution,
     // including chunk-granular early exit via done().
     constexpr size_t kChunk = 4096;
+    const Results& r = e->results;
     sink.Open(1);
     ResultSink::Shard& sh = sink.shard(0);
-    for (size_t i = 0; i < e->pairs.size() && !sink.done(); i += kChunk) {
-      const size_t n = std::min(kChunk, e->pairs.size() - i);
-      sh.OnPairs(std::span<const OutPair>(e->pairs.data() + i, n));
+    for (size_t i = 0; i < r.pairs.size() && !sink.done(); i += kChunk) {
+      const size_t n = std::min(kChunk, r.pairs.size() - i);
+      sh.OnPairs(std::span<const OutPair>(r.pairs.data() + i, n));
     }
-    for (size_t i = 0; i < e->counted.size() && !sink.done(); i += kChunk) {
-      const size_t n = std::min(kChunk, e->counted.size() - i);
-      sh.OnCountedPairs(std::span<const CountedPair>(e->counted.data() + i, n));
+    for (size_t i = 0; i < r.counted.size() && !sink.done(); i += kChunk) {
+      const size_t n = std::min(kChunk, r.counted.size() - i);
+      sh.OnCountedPairs(std::span<const CountedPair>(r.counted.data() + i, n));
     }
-    if (e->tuple_arity > 0) {
-      const size_t stride = e->tuple_arity;
+    if (r.tuple_arity > 0) {
+      const size_t stride = r.tuple_arity;
       size_t emitted = 0;
-      for (size_t i = 0; i + stride <= e->tuple_data.size(); i += stride) {
-        sh.OnTuple(std::span<const Value>(e->tuple_data.data() + i, stride));
+      for (size_t i = 0; i + stride <= r.tuple_data.size(); i += stride) {
+        sh.OnTuple(std::span<const Value>(r.tuple_data.data() + i, stride));
         if (++emitted % 1024 == 0 && sink.done()) break;
       }
     }
@@ -391,9 +392,7 @@ bool ResultCache::Replay(const BatchKey& key, ResultSink& sink,
 
 void ResultCache::Insert(const BatchKey& key, Entry entry) {
   entry.stats.trace_spans.clear();
-  entry.bytes = entry.pairs.size() * sizeof(OutPair) +
-                entry.counted.size() * sizeof(CountedPair) +
-                entry.tuple_data.size() * sizeof(Value) +
+  entry.bytes = entry.results.bytes() +
                 256;  // fixed overhead: stats + map/list bookkeeping
   if (entry.bytes > options_.max_entry_bytes) return;
 

@@ -151,10 +151,7 @@ class ResultCache {
   explicit ResultCache(Options options);
 
   struct Entry {
-    std::vector<OutPair> pairs;
-    std::vector<CountedPair> counted;
-    std::vector<Value> tuple_data;
-    uint32_t tuple_arity = 0;
+    Results results;
     /// kTriangle delivers through stats (ExecStats::triangles), not the sink;
     /// replay then copies stats and leaves the sink untouched, matching
     /// live execution.

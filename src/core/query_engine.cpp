@@ -462,8 +462,8 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
       if (!sink.supports_tuples()) {
         return QueryStatus::Error(
             "this sink does not consume star tuples (supports_tuples() is "
-            "false) — use VectorSink / LimitSink / PageSink / CountOnlySink "
-            "or a custom sink overriding OnTuple");
+            "false) — use VectorSink / PageSink / CountOnlySink or a "
+            "custom sink overriding OnTuple");
       }
       std::vector<const IndexedRelation*> rels;
       rels.reserve(query.rels_.size());

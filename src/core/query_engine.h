@@ -14,7 +14,7 @@
 //   QueryStatus st = engine.Prepare(spec, &q);     // structured errors
 //   if (!st.ok()) { ...; }
 //
-//   LimitSink sink(10);                            // or PageSink, ...
+//   PageSink sink(0, 10);                          // the first 10 results
 //   ExecOptions exec;
 //   exec.threads = 8;
 //   ExecStats stats;

@@ -459,10 +459,7 @@ void QueryService::MaybeCacheResult(const BatchKey& key, QueryKind kind,
     return;
   }
   ResultCache::Entry entry;
-  entry.pairs = std::move(tap->pairs());
-  entry.counted = std::move(tap->counted());
-  entry.tuple_data = std::move(tap->tuple_data());
-  entry.tuple_arity = tap->tuple_arity();
+  entry.results = std::move(tap->results());
   // Triangle queries deliver through stats (ExecStats::triangles), not the
   // sink; a replayed hit likewise only copies stats.
   entry.deliver_payload = kind != QueryKind::kTriangle;

@@ -1,6 +1,7 @@
 #include "core/result_sink.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace jpmm {
 
@@ -12,64 +13,89 @@ void ResultSink::Shard::OnCountedPairs(std::span<const CountedPair> ps) {
   for (const CountedPair& p : ps) OnCountedPair(p);
 }
 
-// ---- VectorSink ----------------------------------------------------------
+// ---- Results and MaterializingSink ----------------------------------------
 
-VectorSink::VectorSink() = default;
-VectorSink::~VectorSink() = default;
+void Results::Append(std::span<Results* const> parts) {
+  size_t np = pairs.size(), nc = counted.size(), nt = tuple_data.size();
+  for (const Results* r : parts) {
+    np += r->pairs.size();
+    nc += r->counted.size();
+    nt += r->tuple_data.size();
+    if (r->tuple_arity != 0) tuple_arity = r->tuple_arity;
+  }
+  pairs.reserve(np);
+  counted.reserve(nc);
+  tuple_data.reserve(nt);
+  for (const Results* r : parts) {
+    pairs.insert(pairs.end(), r->pairs.begin(), r->pairs.end());
+    counted.insert(counted.end(), r->counted.begin(), r->counted.end());
+    tuple_data.insert(tuple_data.end(), r->tuple_data.begin(),
+                      r->tuple_data.end());
+  }
+}
 
-struct VectorSink::VectorShard : ResultSink::Shard {
-  std::vector<OutPair> pairs;
-  std::vector<CountedPair> counted;
-  std::vector<Value> tuple_data;
-  uint32_t tuple_arity = 0;
+// Keeps the part of each delivery that `admit` grants. For VectorSink the
+// grant is the whole delivery, which the compiler folds away.
+template <typename Admit>
+struct MaterializingSink::AdmitShard final : CollectShard {
+  explicit AdmitShard(Admit a) : admit(a) {}
+  Admit admit;
 
-  void OnPair(const OutPair& p) override { pairs.push_back(p); }
-  void OnCountedPair(const CountedPair& p) override { counted.push_back(p); }
+  bool KeepOne(uint64_t bytes) {
+    const auto [first, last] = admit(1, bytes);
+    return first < last;
+  }
+  template <typename T>
+  void Keep(std::span<const T> ps, std::vector<T>* dst) {
+    const auto [first, last] = admit(ps.size(), ps.size_bytes());
+    dst->insert(dst->end(), ps.begin() + first, ps.begin() + last);
+  }
+  void OnPair(const OutPair& p) override {
+    if (KeepOne(sizeof(OutPair))) out.pairs.push_back(p);
+  }
+  void OnCountedPair(const CountedPair& p) override {
+    if (KeepOne(sizeof(CountedPair))) out.counted.push_back(p);
+  }
   void OnTuple(std::span<const Value> tuple) override {
-    tuple_arity = static_cast<uint32_t>(tuple.size());
-    tuple_data.insert(tuple_data.end(), tuple.begin(), tuple.end());
+    if (KeepOne(tuple.size_bytes())) out.AddTuple(tuple);
   }
-  void OnPairs(std::span<const OutPair> ps) override {
-    pairs.insert(pairs.end(), ps.begin(), ps.end());
-  }
+  void OnPairs(std::span<const OutPair> ps) override { Keep(ps, &out.pairs); }
   void OnCountedPairs(std::span<const CountedPair> ps) override {
-    counted.insert(counted.end(), ps.begin(), ps.end());
+    Keep(ps, &out.counted);
   }
 };
 
-void VectorSink::Open(int num_shards) {
+template <typename Admit>
+void MaterializingSink::OpenShards(int num_shards, Admit admit) {
   shards_.clear();
-  pairs_.clear();
-  counted_.clear();
-  tuple_data_.clear();
-  tuple_arity_ = 0;
+  results_ = Results{};
   for (int i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<VectorShard>());
+    shards_.push_back(std::make_unique<AdmitShard<Admit>>(admit));
   }
 }
 
-ResultSink::Shard& VectorSink::shard(int w) {
+ResultSink::Shard& MaterializingSink::shard(int w) {
   return *shards_[static_cast<size_t>(w)];
 }
 
-void VectorSink::Finish() {
-  size_t np = 0, nc = 0, nt = 0;
-  for (const auto& s : shards_) {
-    np += s->pairs.size();
-    nc += s->counted.size();
-    nt += s->tuple_data.size();
-    if (s->tuple_arity != 0) tuple_arity_ = s->tuple_arity;
-  }
-  pairs_.reserve(pairs_.size() + np);
-  counted_.reserve(counted_.size() + nc);
-  tuple_data_.reserve(tuple_data_.size() + nt);
-  for (auto& s : shards_) {
-    pairs_.insert(pairs_.end(), s->pairs.begin(), s->pairs.end());
-    counted_.insert(counted_.end(), s->counted.begin(), s->counted.end());
-    tuple_data_.insert(tuple_data_.end(), s->tuple_data.begin(),
-                       s->tuple_data.end());
-  }
+void MaterializingSink::Finish() {
+  std::vector<Results*> parts;
+  for (auto& s : shards_) parts.push_back(&s->out);
+  results_.Append(parts);
   shards_.clear();
+}
+
+namespace {
+
+// The [first, last) part of a delivery that a sink keeps.
+using Grant = std::pair<size_t, size_t>;
+
+}  // namespace
+
+// ---- VectorSink ----------------------------------------------------------
+
+void VectorSink::Open(int num_shards) {
+  OpenShards(num_shards, [](size_t n, uint64_t) { return Grant{0, n}; });
 }
 
 // ---- CountOnlySink -------------------------------------------------------
@@ -111,68 +137,6 @@ ResultSink::Shard& CountOnlySink::shard(int w) {
   return *shards_[static_cast<size_t>(w)];
 }
 
-// ---- LimitSink -----------------------------------------------------------
-
-LimitSink::LimitSink(uint64_t limit) : limit_(limit) {}
-LimitSink::~LimitSink() = default;
-
-struct LimitSink::LimitShard : ResultSink::Shard {
-  LimitShard(std::atomic<uint64_t>* accepted, uint64_t limit)
-      : accepted_(accepted), limit_(limit) {}
-
-  std::vector<OutPair> pairs;
-  std::vector<CountedPair> counted;
-  std::vector<Value> tuple_data;
-  uint32_t tuple_arity = 0;
-
-  bool Reserve() {
-    return accepted_->fetch_add(1, std::memory_order_relaxed) < limit_;
-  }
-  void OnPair(const OutPair& p) override {
-    if (Reserve()) pairs.push_back(p);
-  }
-  void OnCountedPair(const CountedPair& p) override {
-    if (Reserve()) counted.push_back(p);
-  }
-  void OnTuple(std::span<const Value> tuple) override {
-    if (Reserve()) {
-      tuple_arity = static_cast<uint32_t>(tuple.size());
-      tuple_data.insert(tuple_data.end(), tuple.begin(), tuple.end());
-    }
-  }
-
- private:
-  std::atomic<uint64_t>* accepted_;
-  const uint64_t limit_;
-};
-
-void LimitSink::Open(int num_shards) {
-  shards_.clear();
-  pairs_.clear();
-  counted_.clear();
-  tuple_data_.clear();
-  tuple_arity_ = 0;
-  accepted_.store(0, std::memory_order_relaxed);
-  for (int i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<LimitShard>(&accepted_, limit_));
-  }
-}
-
-ResultSink::Shard& LimitSink::shard(int w) {
-  return *shards_[static_cast<size_t>(w)];
-}
-
-void LimitSink::Finish() {
-  for (auto& s : shards_) {
-    pairs_.insert(pairs_.end(), s->pairs.begin(), s->pairs.end());
-    counted_.insert(counted_.end(), s->counted.begin(), s->counted.end());
-    tuple_data_.insert(tuple_data_.end(), s->tuple_data.begin(),
-                       s->tuple_data.end());
-    if (s->tuple_arity != 0) tuple_arity_ = s->tuple_arity;
-  }
-  shards_.clear();
-}
-
 // ---- PageSink ------------------------------------------------------------
 
 namespace {
@@ -185,144 +149,32 @@ uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
 
 PageSink::PageSink(uint64_t offset, uint64_t limit)
     : offset_(offset), end_(SaturatingAdd(offset, limit)) {}
-PageSink::~PageSink() = default;
-
-struct PageSink::PageShard : ResultSink::Shard {
-  PageShard(std::atomic<uint64_t>* accepted, uint64_t offset, uint64_t end)
-      : accepted_(accepted), offset_(offset), end_(end) {}
-
-  std::vector<OutPair> pairs;
-  std::vector<CountedPair> counted;
-  std::vector<Value> tuple_data;
-  uint32_t tuple_arity = 0;
-
-  // One fetch_add per result makes the page boundary exact across shards:
-  // result slots [0, offset) are skipped, [offset, end) land in the page.
-  bool Reserve() {
-    const uint64_t idx = accepted_->fetch_add(1, std::memory_order_relaxed);
-    return idx >= offset_ && idx < end_;
-  }
-  void OnPair(const OutPair& p) override {
-    if (Reserve()) pairs.push_back(p);
-  }
-  void OnCountedPair(const CountedPair& p) override {
-    if (Reserve()) counted.push_back(p);
-  }
-  void OnTuple(std::span<const Value> tuple) override {
-    if (Reserve()) {
-      tuple_arity = static_cast<uint32_t>(tuple.size());
-      tuple_data.insert(tuple_data.end(), tuple.begin(), tuple.end());
-    }
-  }
-
- private:
-  std::atomic<uint64_t>* accepted_;
-  const uint64_t offset_;
-  const uint64_t end_;
-};
 
 void PageSink::Open(int num_shards) {
-  shards_.clear();
-  pairs_.clear();
-  counted_.clear();
-  tuple_data_.clear();
-  tuple_arity_ = 0;
   accepted_.store(0, std::memory_order_relaxed);
-  for (int i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<PageShard>(&accepted_, offset_, end_));
-  }
-}
-
-ResultSink::Shard& PageSink::shard(int w) {
-  return *shards_[static_cast<size_t>(w)];
-}
-
-void PageSink::Finish() {
-  for (auto& s : shards_) {
-    pairs_.insert(pairs_.end(), s->pairs.begin(), s->pairs.end());
-    counted_.insert(counted_.end(), s->counted.begin(), s->counted.end());
-    tuple_data_.insert(tuple_data_.end(), s->tuple_data.begin(),
-                       s->tuple_data.end());
-    if (s->tuple_arity != 0) tuple_arity_ = s->tuple_arity;
-  }
-  shards_.clear();
-}
-
-// ---- TopKByCountSink -----------------------------------------------------
-
-namespace {
-
-// Heap/order comparator: "a ranks above b" in the final output. Count
-// descending, ties (x, z) ascending — a strict total order, so the top-k
-// set is unique and the result deterministic at every thread count.
-bool RanksAbove(const CountedPair& a, const CountedPair& b) {
-  if (a.count != b.count) return a.count > b.count;
-  if (a.x != b.x) return a.x < b.x;
-  return a.z < b.z;
-}
-
-}  // namespace
-
-TopKByCountSink::TopKByCountSink(size_t k) : k_(k) {}
-TopKByCountSink::~TopKByCountSink() = default;
-
-struct TopKByCountSink::TopKShard : ResultSink::Shard {
-  explicit TopKShard(size_t k) : k_(k) {}
-
-  // Min-heap on the ranking: heap[0] is the weakest kept pair.
-  std::vector<CountedPair> heap;
-
-  void OnPair(const OutPair& p) override {
-    // A non-counted query gives every pair implicit weight 1; the ranking
-    // degenerates to the k smallest (x, z) pairs — still deterministic,
-    // and a service passing the wrong spec keeps running instead of
-    // aborting (ask for count_witnesses to get a meaningful top-k).
-    OnCountedPair(CountedPair{p.x, p.z, 1});
-  }
-  void OnCountedPair(const CountedPair& p) override {
-    auto weaker = [](const CountedPair& a, const CountedPair& b) {
-      return RanksAbove(a, b);  // std heap: "less" = further from the top
+  // One fetch_add per delivery reserves result slots [idx, idx + n); the
+  // part of them inside [offset, end) lands in the page, so the skip count
+  // and page boundary are exact across shards.
+  OpenShards(num_shards, [this](size_t n, uint64_t) {
+    const uint64_t idx = accepted_.fetch_add(n, std::memory_order_relaxed);
+    auto clamp = [&](uint64_t bound) -> size_t {
+      return bound <= idx ? 0 : std::min<uint64_t>(bound - idx, n);
     };
-    if (heap.size() < k_) {
-      heap.push_back(p);
-      std::push_heap(heap.begin(), heap.end(), weaker);
-    } else if (!heap.empty() && RanksAbove(p, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), weaker);
-      heap.back() = p;
-      std::push_heap(heap.begin(), heap.end(), weaker);
-    }
-  }
-
- private:
-  const size_t k_;
-};
-
-void TopKByCountSink::Open(int num_shards) {
-  shards_.clear();
-  top_.clear();
-  for (int i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<TopKShard>(k_));
-  }
-}
-
-ResultSink::Shard& TopKByCountSink::shard(int w) {
-  return *shards_[static_cast<size_t>(w)];
-}
-
-void TopKByCountSink::Finish() {
-  std::vector<CountedPair> all;
-  for (auto& s : shards_) {
-    all.insert(all.end(), s->heap.begin(), s->heap.end());
-  }
-  std::sort(all.begin(), all.end(), RanksAbove);
-  if (all.size() > k_) all.resize(k_);
-  top_ = std::move(all);
-  shards_.clear();
+    return Grant{clamp(offset_), clamp(end_)};
+  });
 }
 
 // ---- OrderedBySink -------------------------------------------------------
 
 namespace {
+
+// Count descending, ties (x, z) ascending — a strict total order, so the
+// top-k set is unique and the result deterministic at every thread count.
+bool RanksAbove(const CountedPair& a, const CountedPair& b) {
+  if (a.count != b.count) return a.count > b.count;
+  if (a.x != b.x) return a.x < b.x;
+  return a.z < b.z;
+}
 
 // "a ranks above b" under the chosen order. Both orders are strict total
 // orders over distinct (x, z) pairs, so ranked output is deterministic.
@@ -358,10 +210,18 @@ struct OrderedBySink::OrderedShard : ResultSink::Shard {
   // than `limit` results.
   std::vector<CountedPair> run;
 
-  void OnPair(const OutPair& p) override {
-    OnCountedPair(CountedPair{p.x, p.z, 1});
+  // Spans rank without a virtual call per result: a cached replay or a
+  // fan-out flush hands over thousands of results at once.
+  void OnPair(const OutPair& p) override { Add(CountedPair{p.x, p.z, 1}); }
+  void OnCountedPair(const CountedPair& p) override { Add(p); }
+  void OnPairs(std::span<const OutPair> ps) override {
+    for (const OutPair& p : ps) Add(CountedPair{p.x, p.z, 1});
   }
-  void OnCountedPair(const CountedPair& p) override {
+  void OnCountedPairs(std::span<const CountedPair> ps) override {
+    for (const CountedPair& p : ps) Add(p);
+  }
+
+  void Add(const CountedPair& p) {
     if (limit_ == kNoLimit) {
       run.push_back(p);
       return;
@@ -572,83 +432,22 @@ void FanoutSink::Finish() {
 // ---- RecordingSink -------------------------------------------------------
 
 RecordingSink::RecordingSink(uint64_t max_bytes) : max_bytes_(max_bytes) {}
-RecordingSink::~RecordingSink() = default;
-
-struct RecordingSink::RecordShard : ResultSink::Shard {
-  std::vector<OutPair> pairs;
-  std::vector<CountedPair> counted;
-  std::vector<Value> tuple_data;
-  uint32_t tuple_arity = 0;
-  uint64_t max_bytes = 0;
-  std::atomic<uint64_t>* bytes = nullptr;
-  std::atomic<bool>* overflowed = nullptr;
-
-  // One shared budget across shards: charge first, store only if the
-  // whole charge fit. Once over, the sink is permanently overflowed and
-  // further results are dropped (the capture is discarded anyway).
-  bool Charge(uint64_t sz) {
-    if (overflowed->load(std::memory_order_relaxed)) return false;
-    if (bytes->fetch_add(sz, std::memory_order_relaxed) + sz > max_bytes) {
-      overflowed->store(true, std::memory_order_relaxed);
-      return false;
-    }
-    return true;
-  }
-
-  void OnPair(const OutPair& p) override {
-    if (Charge(sizeof(OutPair))) pairs.push_back(p);
-  }
-  void OnCountedPair(const CountedPair& p) override {
-    if (Charge(sizeof(CountedPair))) counted.push_back(p);
-  }
-  void OnTuple(std::span<const Value> tuple) override {
-    if (Charge(tuple.size() * sizeof(Value))) {
-      tuple_arity = static_cast<uint32_t>(tuple.size());
-      tuple_data.insert(tuple_data.end(), tuple.begin(), tuple.end());
-    }
-  }
-  void OnPairs(std::span<const OutPair> ps) override {
-    if (Charge(ps.size() * sizeof(OutPair))) {
-      pairs.insert(pairs.end(), ps.begin(), ps.end());
-    }
-  }
-  void OnCountedPairs(std::span<const CountedPair> ps) override {
-    if (Charge(ps.size() * sizeof(CountedPair))) {
-      counted.insert(counted.end(), ps.begin(), ps.end());
-    }
-  }
-};
 
 void RecordingSink::Open(int num_shards) {
-  shards_.clear();
-  pairs_.clear();
-  counted_.clear();
-  tuple_data_.clear();
-  tuple_arity_ = 0;
   bytes_.store(0, std::memory_order_relaxed);
   overflowed_.store(false, std::memory_order_relaxed);
-  for (int i = 0; i < num_shards; ++i) {
-    auto sh = std::make_unique<RecordShard>();
-    sh->max_bytes = max_bytes_;
-    sh->bytes = &bytes_;
-    sh->overflowed = &overflowed_;
-    shards_.push_back(std::move(sh));
-  }
-}
-
-ResultSink::Shard& RecordingSink::shard(int w) {
-  return *shards_[static_cast<size_t>(w)];
-}
-
-void RecordingSink::Finish() {
-  for (auto& s : shards_) {
-    pairs_.insert(pairs_.end(), s->pairs.begin(), s->pairs.end());
-    counted_.insert(counted_.end(), s->counted.begin(), s->counted.end());
-    tuple_data_.insert(tuple_data_.end(), s->tuple_data.begin(),
-                       s->tuple_data.end());
-    if (s->tuple_arity != 0) tuple_arity_ = s->tuple_arity;
-  }
-  shards_.clear();
+  // One shared budget across shards: charge first, keep the delivery only
+  // if the whole charge fit. Once over, the sink is permanently overflowed
+  // and further results are dropped (the capture is discarded anyway).
+  OpenShards(num_shards, [this](size_t n, uint64_t bytes) {
+    if (overflowed_.load(std::memory_order_relaxed)) return Grant{0, 0};
+    if (bytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes >
+        max_bytes_) {
+      overflowed_.store(true, std::memory_order_relaxed);
+      return Grant{0, 0};
+    }
+    return Grant{0, n};
+  });
 }
 
 }  // namespace jpmm

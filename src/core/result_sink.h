@@ -10,7 +10,7 @@
 //     needs no locks — and finally the executor calls Finish() once on the
 //     coordinating thread.
 //   - done() is a cooperative early-exit signal, polled by the emit loops
-//     at bucket/block granularity: once a LimitSink has its k pairs, the
+//     at bucket/block granularity: once a PageSink has its page, the
 //     remaining light chunks and heavy product blocks are skipped (the
 //     skip counts surface through the result structs and
 //     `jpmm_cli --explain`).
@@ -19,10 +19,12 @@
 //     accept everything. Executors apply min_count filtering BEFORE the
 //     sink, so a sink only ever sees qualifying results.
 //
-// Ships six consumers: VectorSink (materialize everything),
-// CountOnlySink, LimitSink, PageSink (offset + limit pagination),
-// TopKByCountSink, and OrderedBySink (ranked delivery per Deep, Hu &
-// Koutris 2022). Custom sinks implement the same contract; see docs/api.md.
+// Ships four consumers: VectorSink (materialize everything),
+// CountOnlySink, PageSink (offset + limit pagination; PageSink(0, k) is the
+// limit), and OrderedBySink (ranked delivery per Deep, Hu & Koutris 2022;
+// OrderedBySink(kCountDescending, k) is the top-k by witness count), plus
+// FanoutSink and RecordingSink for the service. Custom sinks implement the
+// same contract; see docs/api.md.
 
 #ifndef JPMM_CORE_RESULT_SINK_H_
 #define JPMM_CORE_RESULT_SINK_H_
@@ -77,13 +79,13 @@ class ResultSink {
   virtual bool done() const { return false; }
 
   /// True when done() can become true before the query completes (e.g.
-  /// LimitSink). Executors whose emission is not naturally streaming
+  /// PageSink). Executors whose emission is not naturally streaming
   /// (the star join needs global tuple dedup) only pay the incremental
   /// delivery overhead when this is set.
   virtual bool may_finish_early() const { return false; }
 
   /// False for sinks whose shards do not consume OnTuple (pair-only
-  /// consumers like TopKByCountSink). QueryEngine rejects star queries
+  /// consumers like OrderedBySink). QueryEngine rejects star queries
   /// into such a sink instead of silently delivering nothing.
   virtual bool supports_tuples() const { return true; }
 
@@ -91,35 +93,83 @@ class ResultSink {
   virtual void Finish() {}
 };
 
-/// Materializes every result. Shard buffers merge in shard order at
-/// Finish().
-class VectorSink : public ResultSink {
- public:
-  VectorSink();
-  ~VectorSink() override;
+/// A materialized result stream: plain pairs, counted pairs, or star tuples
+/// (flattened with stride tuple_arity). One execution fills one of the
+/// three. The value type of every sink that keeps results and of the result
+/// cache's entries.
+struct Results {
+  std::vector<OutPair> pairs;
+  std::vector<CountedPair> counted;
+  std::vector<Value> tuple_data;
+  uint32_t tuple_arity = 0;
 
-  void Open(int num_shards) override;
+  size_t size() const {
+    if (!pairs.empty()) return pairs.size();
+    if (!counted.empty()) return counted.size();
+    return tuple_arity == 0 ? 0 : tuple_data.size() / tuple_arity;
+  }
+  /// Payload bytes (what the result cache charges for an entry).
+  uint64_t bytes() const {
+    return pairs.size() * sizeof(OutPair) +
+           counted.size() * sizeof(CountedPair) +
+           tuple_data.size() * sizeof(Value);
+  }
+  void AddTuple(std::span<const Value> tuple) {
+    tuple_arity = static_cast<uint32_t>(tuple.size());
+    tuple_data.insert(tuple_data.end(), tuple.begin(), tuple.end());
+  }
+  /// Appends `parts` in order, reserving once (the shard merge).
+  void Append(std::span<Results* const> parts);
+};
+
+/// Base of the sinks that keep results: every shard collects what its
+/// sink's admission rule grants into its own Results, and Finish() merges
+/// them in shard order. Closed: its only subclasses are the three below,
+/// whose Open() supplies the admission rule (defined in result_sink.cpp).
+/// A custom sink derives from ResultSink.
+class MaterializingSink : public ResultSink {
+ public:
   Shard& shard(int w) override;
   void Finish() override;
 
-  std::vector<OutPair>& pairs() { return pairs_; }
-  std::vector<CountedPair>& counted() { return counted_; }
-  /// Star tuples, flattened with stride arity(); empty for pair queries.
-  const std::vector<Value>& tuple_data() const { return tuple_data_; }
-  uint32_t tuple_arity() const { return tuple_arity_; }
-  size_t size() const {
-    if (!pairs_.empty()) return pairs_.size();
-    if (!counted_.empty()) return counted_.size();
-    return tuple_arity_ == 0 ? 0 : tuple_data_.size() / tuple_arity_;
-  }
+  /// The kept results, merged in shard order. Valid after Finish();
+  /// movable out.
+  Results& results() { return results_; }
+  const Results& results() const { return results_; }
+  std::vector<OutPair>& pairs() { return results_.pairs; }
+  const std::vector<OutPair>& pairs() const { return results_.pairs; }
+  std::vector<CountedPair>& counted() { return results_.counted; }
+  const std::vector<CountedPair>& counted() const { return results_.counted; }
+  /// Star tuples, flattened with stride tuple_arity(); empty for pairs.
+  const std::vector<Value>& tuple_data() const { return results_.tuple_data; }
+  uint32_t tuple_arity() const { return results_.tuple_arity; }
+  size_t size() const { return results_.size(); }
 
  private:
-  struct VectorShard;
-  std::vector<std::unique_ptr<VectorShard>> shards_;
-  std::vector<OutPair> pairs_;
-  std::vector<CountedPair> counted_;
-  std::vector<Value> tuple_data_;
-  uint32_t tuple_arity_ = 0;
+  friend class VectorSink;
+  friend class PageSink;
+  friend class RecordingSink;
+  MaterializingSink() = default;
+
+  /// Clears results() and opens num_shards shards under `admit`, which
+  /// maps a delivery of n results totalling `bytes` to the [first, last)
+  /// part of it to keep.
+  template <typename Admit>
+  void OpenShards(int num_shards, Admit admit);
+
+  struct CollectShard : Shard {
+    Results out;
+  };
+  template <typename Admit>
+  struct AdmitShard;
+  std::vector<std::unique_ptr<CollectShard>> shards_;
+  Results results_;
+};
+
+/// Keeps every result. Bulk deliveries are appended whole.
+class VectorSink : public MaterializingSink {
+ public:
+  void Open(int num_shards) override;
 };
 
 /// Counts results without storing them.
@@ -139,67 +189,25 @@ class CountOnlySink : public ResultSink {
   std::atomic<uint64_t> count_{0};
 };
 
-/// Keeps the first `limit` results to arrive and then reports done().
-/// WHICH results are kept follows the (nondeterministic) emission order;
-/// the kept count is deterministic: min(limit, |OUT|). Slots are reserved
-/// with one atomic fetch_add per result, so across all shards exactly
-/// min(limit, emitted) results are stored — no post-hoc truncation.
-class LimitSink : public ResultSink {
- public:
-  explicit LimitSink(uint64_t limit);
-  ~LimitSink() override;
-
-  void Open(int num_shards) override;
-  Shard& shard(int w) override;
-  bool done() const override {
-    return accepted_.load(std::memory_order_relaxed) >= limit_;
-  }
-  bool may_finish_early() const override { return true; }
-  void Finish() override;
-
-  uint64_t limit() const { return limit_; }
-  const std::vector<OutPair>& pairs() const { return pairs_; }
-  const std::vector<CountedPair>& counted() const { return counted_; }
-  const std::vector<Value>& tuple_data() const { return tuple_data_; }
-  uint32_t tuple_arity() const { return tuple_arity_; }
-  size_t size() const {
-    if (!pairs_.empty()) return pairs_.size();
-    if (!counted_.empty()) return counted_.size();
-    return tuple_arity_ == 0 ? 0 : tuple_data_.size() / tuple_arity_;
-  }
-
- private:
-  struct LimitShard;
-  const uint64_t limit_;
-  std::atomic<uint64_t> accepted_{0};
-  std::vector<std::unique_ptr<LimitShard>> shards_;
-  std::vector<OutPair> pairs_;
-  std::vector<CountedPair> counted_;
-  std::vector<Value> tuple_data_;
-  uint32_t tuple_arity_ = 0;
-};
-
 /// One result page: skips the first `offset` results to arrive, keeps the
 /// next `limit`, then reports done() — the early exit fires as soon as the
 /// page is full, so deep heavy blocks after the page boundary are skipped.
-/// WHICH results fill the page follows the (nondeterministic) emission
-/// order; the counts are deterministic:
+/// PageSink(0, k) is the limit-k consumer. WHICH results fill the page
+/// follows the (nondeterministic) emission order; the counts are
+/// deterministic:
 ///   size()    == min(limit, |OUT| - min(offset, |OUT|))
 ///   skipped() == min(offset, |OUT|)   (exact skip accounting)
-/// Slots are reserved with one atomic fetch_add per result, so the skip
-/// count and page boundary are exact across any number of shards.
-class PageSink : public ResultSink {
+/// Each delivery reserves its result slots with one shared fetch_add, so
+/// the skip count and page boundary are exact across any number of shards.
+class PageSink : public MaterializingSink {
  public:
   PageSink(uint64_t offset, uint64_t limit);
-  ~PageSink() override;
 
   void Open(int num_shards) override;
-  Shard& shard(int w) override;
   bool done() const override {
     return accepted_.load(std::memory_order_relaxed) >= end_;
   }
   bool may_finish_early() const override { return true; }
-  void Finish() override;
 
   uint64_t offset() const { return offset_; }
   uint64_t limit() const { return end_ - offset_; }
@@ -208,59 +216,17 @@ class PageSink : public ResultSink {
   uint64_t skipped() const {
     return std::min(accepted_.load(std::memory_order_relaxed), offset_);
   }
-  const std::vector<OutPair>& pairs() const { return pairs_; }
-  const std::vector<CountedPair>& counted() const { return counted_; }
-  const std::vector<Value>& tuple_data() const { return tuple_data_; }
-  uint32_t tuple_arity() const { return tuple_arity_; }
-  size_t size() const {
-    if (!pairs_.empty()) return pairs_.size();
-    if (!counted_.empty()) return counted_.size();
-    return tuple_arity_ == 0 ? 0 : tuple_data_.size() / tuple_arity_;
-  }
 
  private:
-  struct PageShard;
   const uint64_t offset_;
   const uint64_t end_;  // offset + limit, saturated
   std::atomic<uint64_t> accepted_{0};
-  std::vector<std::unique_ptr<PageShard>> shards_;
-  std::vector<OutPair> pairs_;
-  std::vector<CountedPair> counted_;
-  std::vector<Value> tuple_data_;
-  uint32_t tuple_arity_ = 0;
-};
-
-/// The k highest-witness-count pairs, without a full sort: each shard keeps
-/// a size-k min-heap; Finish() merges them. Ordering is count descending,
-/// ties broken by (x, z) ascending, so the result is deterministic — equal
-/// to sorting the full counted output and taking the first k. Never
-/// reports done(): every pair must be seen. Intended for counted pairs;
-/// plain pairs rank with implicit weight 1 (k smallest (x, z) pairs).
-class TopKByCountSink : public ResultSink {
- public:
-  explicit TopKByCountSink(size_t k);
-  ~TopKByCountSink() override;
-
-  void Open(int num_shards) override;
-  Shard& shard(int w) override;
-  bool supports_tuples() const override { return false; }
-  void Finish() override;
-
-  size_t k() const { return k_; }
-  /// Top-k pairs, count descending (ties (x, z) ascending).
-  const std::vector<CountedPair>& top() const { return top_; }
-
- private:
-  struct TopKShard;
-  const size_t k_;
-  std::vector<std::unique_ptr<TopKShard>> shards_;
-  std::vector<CountedPair> top_;
 };
 
 /// Ranking for OrderedBySink.
 enum class ResultOrder {
   kXzAscending,      // (x, z) lexicographic, the enumeration order
-  kCountDescending,  // witness count desc, ties (x, z) asc (== TopK order)
+  kCountDescending,  // witness count desc, ties (x, z) asc: the top-k order
 };
 
 const char* ResultOrderName(ResultOrder o);
@@ -308,6 +274,18 @@ class OrderedBySink : public ResultSink {
   std::vector<CountedPair> ranked_;
 };
 
+// perfbench still names LimitSink and TopKByCountSink; the next benchmark
+// revision moves it onto PageSink(0, k) and OrderedBySink(kCountDescending,
+// k) and deletes both names.
+struct LimitSink : PageSink {
+  explicit LimitSink(uint64_t k) : PageSink(0, k) {}
+};
+struct TopKByCountSink : OrderedBySink {
+  explicit TopKByCountSink(size_t k)
+      : OrderedBySink(ResultOrder::kCountDescending, k) {}
+  const std::vector<CountedPair>& top() const { return ranked(); }
+};
+
 /// Fans one execution's result stream out to N independent client sinks —
 /// the delivery half of QueryService's multi-query batching: a batch leader
 /// runs the single product pass into a FanoutSink and every coalesced
@@ -316,7 +294,7 @@ class OrderedBySink : public ResultSink {
 ///
 ///   - Targets vote: each On* call forwards to every target whose done() is
 ///     still false (one relaxed load per target, checked per call — the
-///     same granularity the executors poll at), so a LimitSink target stops
+///     same granularity the executors poll at), so a PageSink target stops
 ///     receiving after its k results while the others keep streaming.
 ///   - done() is the conjunction over targets: the shared execution
 ///     early-exits only when EVERY client is satisfied — a single follower
@@ -364,16 +342,13 @@ class FanoutSink : public ResultSink {
 /// Bounded materializer used as a FanoutSink tap: captures the complete
 /// result stream of one execution so QueryService can insert it into the
 /// versioned result cache. A shared byte budget (one relaxed fetch_add per
-/// result) stops capture at `max_bytes` and latches overflowed() — an
+/// delivery) stops capture at `max_bytes` and latches overflowed() — an
 /// oversized result is simply not cached, it never fails the query.
-class RecordingSink : public ResultSink {
+class RecordingSink : public MaterializingSink {
  public:
   explicit RecordingSink(uint64_t max_bytes);
-  ~RecordingSink() override;
 
   void Open(int num_shards) override;
-  Shard& shard(int w) override;
-  void Finish() override;
 
   /// True once the stream exceeded max_bytes; the capture is incomplete
   /// and must not be cached.
@@ -382,23 +357,10 @@ class RecordingSink : public ResultSink {
   }
   uint64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
 
-  /// Captured payload, merged in shard order. Valid after Finish();
-  /// movable out by the cache-insert path.
-  std::vector<OutPair>& pairs() { return pairs_; }
-  std::vector<CountedPair>& counted() { return counted_; }
-  std::vector<Value>& tuple_data() { return tuple_data_; }
-  uint32_t tuple_arity() const { return tuple_arity_; }
-
  private:
-  struct RecordShard;
   const uint64_t max_bytes_;
   std::atomic<uint64_t> bytes_{0};
   std::atomic<bool> overflowed_{false};
-  std::vector<std::unique_ptr<RecordShard>> shards_;
-  std::vector<OutPair> pairs_;
-  std::vector<CountedPair> counted_;
-  std::vector<Value> tuple_data_;
-  uint32_t tuple_arity_ = 0;
 };
 
 }  // namespace jpmm

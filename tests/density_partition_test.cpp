@@ -479,7 +479,7 @@ TEST(MmJoinDensity, EarlyExitBalancesUnderRemap) {
   opts.thresholds = {1, 1};
   opts.row_block = 8;
   opts.partition = PartitionMode::kForce;
-  LimitSink sink(5);
+  PageSink sink(0, 5);
   auto res = MmJoinTwoPath(ri, ri, opts, sink);
   ASSERT_GT(res.heavy_rows, 0u);
   EXPECT_TRUE(res.partition_used);

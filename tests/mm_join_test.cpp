@@ -652,7 +652,7 @@ TEST(HeavyOperandMemo, OperandBytesCountOnlyWhatIsBuilt) {
       "jpmm_join_heavy_operand_bytes_total");
 
   uint64_t before = bytes.value();
-  LimitSink limit(3);
+  PageSink limit(0, 3);
   ExecStats limited;
   ASSERT_TRUE(engine.Execute(q, limit, exec, &limited).ok());
   ASSERT_GT(limited.heavy_rows, 0u) << "test premise: heavy part must exist";
@@ -892,7 +892,7 @@ TEST(SelfJoinSymmetry, LimitReturnsOracleMembersAndAccountsEveryChunk) {
     for (int threads : {1, 4}) {
       ExecOptions exec = MemoExec();
       exec.threads = threads;
-      LimitSink sink(k);
+      PageSink sink(0, k);
       ExecStats stats;
       ASSERT_TRUE(engine.Execute(q, sink, exec, &stats).ok());
       const std::string where =

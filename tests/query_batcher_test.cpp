@@ -48,7 +48,7 @@ BinaryRelation SkewedGraph(uint64_t seed = 11) {
 
 TEST(FanoutSink, TargetsKeepIndependentSemantics) {
   VectorSink all;
-  LimitSink limited(3);
+  PageSink limited(0, 3);
   CountOnlySink counter;
   VectorSink tap;
   FanoutSink fan;
@@ -84,7 +84,7 @@ TEST(FanoutSink, TargetsKeepIndependentSemantics) {
 }
 
 TEST(FanoutSink, DoneIsConjunctionOverEarlyFinishers) {
-  LimitSink a(2), b(5);
+  PageSink a(0, 2), b(0, 5);
   FanoutSink fan;
   fan.AddTarget(&a);
   fan.AddTarget(&b);
@@ -256,7 +256,7 @@ TEST(QueryBatching, CoalescedClientsKeepIndependentSinkSemantics) {
   std::vector<std::thread> threads;
   // Client 0: full materialization; client 1: limit 5; client 2: count.
   VectorSink full;
-  LimitSink limited(5);
+  PageSink limited(0, 5);
   CountOnlySink counting;
   ResultSink* sinks[3] = {&full, &limited, &counting};
   for (int c = 0; c < 3; ++c) {
@@ -449,7 +449,7 @@ TEST(ResultCacheService, RepeatRequestsHitUntilTheCatalogMoves) {
   EXPECT_EQ(q.executions(), 1u) << "the hit never reached the engine";
 
   // A cached replay honours a limit client's semantics.
-  LimitSink page(4);
+  PageSink page(0, 4);
   ExecStats s3;
   ASSERT_TRUE(service.Execute(q, page, {}, &s3).ok());
   EXPECT_TRUE(s3.result_cache_hit);
@@ -495,7 +495,7 @@ TEST(ResultCacheService, InterruptedAndTruncatedRunsAreNeverCached) {
 
   // A limit-driven run short-circuits (skips work) — must not be inserted,
   // or the next full client would replay a prefix as the whole answer.
-  LimitSink limited(1);
+  PageSink limited(0, 1);
   ASSERT_TRUE(service.Execute(q, limited, {}).ok());
   VectorSink full;
   ExecStats stats;
@@ -503,6 +503,61 @@ TEST(ResultCacheService, InterruptedAndTruncatedRunsAreNeverCached) {
   EXPECT_EQ(Sorted(full.pairs()), oracle)
       << "full client after a limit client must see the full answer";
   EXPECT_EQ(Sorted(full.pairs()).size(), oracle.size());
+}
+
+// A ranked sink through the service: as a FanoutSink target of a batch
+// (with the cache on, every executing leader fans out to the recorder tap,
+// so the ranked client is a fan-out target whether it leads or follows)
+// and as the sink of a cached replay, it must equal the full-sort oracle's
+// prefix — the service-mix top-k request path.
+TEST(ResultCacheService, RankedSinkThroughBatchAndReplayMatchesOracle) {
+  const BinaryRelation rel = SkewedGraph(43);
+  std::vector<CountedPair> oracle = WcojOracleCounted(rel);
+  std::sort(oracle.begin(), oracle.end(),
+            [](const CountedPair& a, const CountedPair& b) {
+              if (a.count != b.count) return a.count > b.count;
+              if (a.x != b.x) return a.x < b.x;
+              return a.z < b.z;
+            });
+  constexpr size_t kTop = 7;
+  ASSERT_GT(oracle.size(), kTop) << "test premise";
+  const std::vector<CountedPair> prefix(oracle.begin(), oracle.begin() + kTop);
+
+  QueryEngine engine;
+  engine.AddRelation("R", rel);
+  QueryServiceOptions so;
+  so.enable_batching = true;
+  so.batch_window_ms = 150;
+  so.enable_result_cache = true;
+  QueryService service(&engine, so);
+  QuerySpec spec = TwoPathSpec("R");
+  spec.count_witnesses = true;
+  PreparedQuery q;
+  ASSERT_TRUE(engine.Prepare(spec, &q).ok());
+
+  OrderedBySink ranked(ResultOrder::kCountDescending, kTop);
+  VectorSink full;
+  ResultSink* sinks[2] = {&ranked, &full};
+  FailureLog log(2);
+  std::latch start(2);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < 2; ++c) {
+    threads.emplace_back([&, c] {
+      start.arrive_and_wait();
+      QueryStatus st = service.Execute(q, *sinks[c], {});
+      if (!st.ok()) log.Record(c, st.message());
+    });
+  }
+  for (auto& t : threads) t.join();
+  log.AssertClean();
+  EXPECT_EQ(ranked.ranked(), prefix);
+  EXPECT_EQ(Sorted(full.counted()), WcojOracleCounted(rel));
+
+  OrderedBySink replayed(ResultOrder::kCountDescending, kTop);
+  ExecStats stats;
+  ASSERT_TRUE(service.Execute(q, replayed, {}, &stats).ok());
+  EXPECT_TRUE(stats.result_cache_hit) << "the complete batch run was cached";
+  EXPECT_EQ(replayed.ranked(), prefix);
 }
 
 TEST(ResultCacheUnit, LruEvictsAndInvalidationSweeps) {
@@ -513,9 +568,9 @@ TEST(ResultCacheUnit, LruEvictsAndInvalidationSweeps) {
 
   auto make_entry = [](size_t pairs) {
     ResultCache::Entry e;
-    e.pairs.resize(pairs);
+    e.results.pairs.resize(pairs);
     for (size_t i = 0; i < pairs; ++i)
-      e.pairs[i] = {static_cast<Value>(i), static_cast<Value>(i)};
+      e.results.pairs[i] = {static_cast<Value>(i), static_cast<Value>(i)};
     return e;
   };
   // ~256 fixed + pairs bytes each; three ~1k entries exceed 3000.

@@ -279,7 +279,7 @@ TEST(ChunkGate, ClaimAfterTokenFiresIsSkippedAndInterrupts) {
 }
 
 TEST(ChunkGate, DoneSinkSkipsWithoutInterrupting) {
-  LimitSink sink(1);
+  PageSink sink(0, 1);
   sink.Open(1);
   CancelToken token;
   ChunkGate gate(&sink, &token);

@@ -236,17 +236,17 @@ TEST(QueryEngineConcurrent, MixedPrepareExecuteAddDropRelation) {
             break;
           }
           case 1: {  // limit: exact count, subset of the oracle
-            LimitSink sink(17);
+            PageSink sink(0, 17);
             st = engine.Execute(q, sink, {});
             if (!st.ok() ||
                 sink.pairs().size() !=
                     std::min<size_t>(17, oracle_set.size())) {
-              log.Record(c, "LimitSink count: " + st.message());
+              log.Record(c, "limit count: " + st.message());
               return;
             }
             for (const OutPair& p : sink.pairs()) {
               if (oracle_set.count({p.x, p.z}) == 0) {
-                log.Record(c, "LimitSink delivered a non-result");
+                log.Record(c, "limit delivered a non-result");
                 return;
               }
             }

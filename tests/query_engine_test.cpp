@@ -1,5 +1,5 @@
 // QueryEngine facade + ResultSink semantics: limit early exit mid product
-// block on every strategy, cross-thread-count determinism, TopKByCountSink
+// block on every strategy, cross-thread-count determinism, ranked sinks
 // against a full-sort oracle, PreparedQuery reuse (plan-cache hits must
 // not change results), and structured validation errors instead of aborts.
 
@@ -67,7 +67,7 @@ TEST(QueryEngine, LimitSinkEveryStrategy) {
       PreparedQuery q;
       auto st = engine.Prepare(TwoPathSpec(s), &q);
       ASSERT_TRUE(st.ok()) << st.message();
-      LimitSink sink(37);
+      PageSink sink(0, 37);
       ExecOptions exec;
       exec.threads = threads;
       st = engine.Execute(q, sink, exec);
@@ -85,7 +85,7 @@ TEST(QueryEngine, LimitLargerThanOutputDeliversEverything) {
   const BinaryRelation rel = SkewedGraph();
   QueryEngine engine = MakeEngine(rel);
   const auto oracle = OracleTwoPath(rel, rel);
-  LimitSink sink(oracle.size() + 1000);
+  PageSink sink(0, oracle.size() + 1000);
   auto st = engine.Run(TwoPathSpec(Strategy::kAuto), sink, {});
   ASSERT_TRUE(st.ok()) << st.message();
   auto got = sink.pairs();
@@ -104,7 +104,7 @@ TEST(QueryEngine, LimitSkipsHeavyProductBlocks) {
   MmJoinOptions opts;
   opts.thresholds = {1, 1};
   opts.row_block = 64;
-  LimitSink sink(5);
+  PageSink sink(0, 5);
   auto res = MmJoinTwoPath(idx, idx, opts, sink);
   EXPECT_GE(res.heavy_blocks_total, 2u);
   EXPECT_GT(res.heavy_blocks_skipped, 0u);
@@ -140,7 +140,7 @@ TEST(QueryEngine, LimitSatisfiedByLightPassSkipsWholeHeavyPhase) {
   MmJoinOptions opts;
   opts.thresholds = {5, 5};
   opts.row_block = 64;
-  LimitSink sink(3);
+  PageSink sink(0, 3);
   auto res = MmJoinTwoPath(idx, idx, opts, sink);
   ASSERT_GT(res.heavy_rows, 0u) << "test premise: heavy part must exist";
   EXPECT_EQ(sink.pairs().size(), 3u);
@@ -172,7 +172,7 @@ TEST(QueryEngine, LimitCountDeterministicAcrossThreadCounts) {
   PreparedQuery q;
   ASSERT_TRUE(engine.Prepare(TwoPathSpec(Strategy::kMmJoin), &q).ok());
   for (int threads : {1, 2, 4}) {
-    LimitSink sink(64);
+    PageSink sink(0, 64);
     ExecOptions exec;
     exec.threads = threads;
     ASSERT_TRUE(engine.Execute(q, sink, exec).ok());
@@ -180,35 +180,52 @@ TEST(QueryEngine, LimitCountDeterministicAcrossThreadCounts) {
   }
 }
 
-// ---- TopKByCountSink against the full-sort oracle.
+// ---- LimitSink and TopKByCountSink are constructor-only names (the
+// benchmark still uses them); each behaves exactly as the sink it names.
+// OrderedBySinkMatchesFullSortOracle checks the ranking itself.
 
-TEST(QueryEngine, TopKMatchesFullSortOracle) {
+TEST(QueryEngine, LimitSinkNameIsPageSinkFromZero) {
+  const BinaryRelation rel = SkewedGraph();
+  QueryEngine engine = MakeEngine(rel);
+  PreparedQuery q;
+  ASSERT_TRUE(engine.Prepare(TwoPathSpec(Strategy::kAuto), &q).ok());
+  const uint64_t out = OracleTwoPath(rel, rel).size();
+  for (int threads : {1, 4}) {
+    for (uint64_t k : {uint64_t{0}, uint64_t{25}, out + 1}) {
+      ExecOptions exec;
+      exec.threads = threads;
+      LimitSink named(k);
+      PageSink page(0, k);
+      EXPECT_EQ(named.may_finish_early(), page.may_finish_early());
+      ASSERT_TRUE(engine.Execute(q, named, exec).ok());
+      ASSERT_TRUE(engine.Execute(q, page, exec).ok());
+      EXPECT_EQ(named.size(), page.size()) << "k=" << k;
+      EXPECT_EQ(named.size(), std::min(k, out)) << "k=" << k;
+      EXPECT_EQ(named.done(), page.done()) << "k=" << k;
+    }
+  }
+}
+
+TEST(QueryEngine, TopKByCountSinkNameIsOrderedByCount) {
   const BinaryRelation rel = SkewedGraph();
   QueryEngine engine = MakeEngine(rel);
   QuerySpec spec = TwoPathSpec(Strategy::kAuto);
   spec.count_witnesses = true;
-
-  // Oracle: materialize every counted pair, full sort, take the head.
   PreparedQuery q;
   ASSERT_TRUE(engine.Prepare(spec, &q).ok());
-  VectorSink all;
-  ASSERT_TRUE(engine.Execute(q, all, {}).ok());
-  auto oracle = all.counted();
-  std::sort(oracle.begin(), oracle.end(),
-            [](const CountedPair& a, const CountedPair& b) {
-              if (a.count != b.count) return a.count > b.count;
-              if (a.x != b.x) return a.x < b.x;
-              return a.z < b.z;
-            });
-  const size_t k = 25;
-  oracle.resize(std::min(oracle.size(), k));
-
+  const size_t out = OracleTwoPath(rel, rel).size();
   for (int threads : {1, 4}) {
-    TopKByCountSink topk(k);
-    ExecOptions exec;
-    exec.threads = threads;
-    ASSERT_TRUE(engine.Execute(q, topk, exec).ok());
-    EXPECT_EQ(topk.top(), oracle) << "threads=" << threads;
+    for (size_t k : {size_t{0}, size_t{25}, out + 1}) {
+      ExecOptions exec;
+      exec.threads = threads;
+      TopKByCountSink named(k);
+      OrderedBySink ranked(ResultOrder::kCountDescending, k);
+      ASSERT_TRUE(engine.Execute(q, named, exec).ok());
+      ASSERT_TRUE(engine.Execute(q, ranked, exec).ok());
+      EXPECT_EQ(named.top(), ranked.ranked())
+          << "threads=" << threads << " k=" << k;
+      EXPECT_EQ(named.top().size(), std::min(k, out)) << "k=" << k;
+    }
   }
 }
 
@@ -357,7 +374,7 @@ TEST(QueryEngine, StarLimitDeliversDistinctSubset) {
     full.insert({all.tuple_data()[2 * i], all.tuple_data()[2 * i + 1]});
   }
 
-  LimitSink limited(50);
+  PageSink limited(0, 50);
   ASSERT_TRUE(engine.Run(spec, limited, {}).ok());
   ASSERT_EQ(limited.tuple_arity(), 2u);
   const size_t got = limited.tuple_data().size() / 2;
@@ -420,7 +437,7 @@ TEST(QueryEngine, SsjLimitDeliversQualifyingPairs) {
   spec.kind = QueryKind::kSsj;
   spec.relations = {"R"};
   spec.ssj_c = 2;
-  LimitSink sink(20);
+  PageSink sink(0, 20);
   ASSERT_TRUE(engine.Run(spec, sink, {}).ok());
   EXPECT_EQ(sink.pairs().size(), std::min<size_t>(20, full_set.size()));
   for (const OutPair& p : sink.pairs()) {
@@ -511,6 +528,37 @@ TEST(QueryEngine, PageOffsetBeyondOutputIsEmptyWithExactSkip) {
   EXPECT_EQ(sink.size(), 0u);
   EXPECT_EQ(sink.skipped(), full.size())
       << "skip accounting stays exact when the page starts past the end";
+}
+
+// A bulk span reserves its slots with one fetch_add and keeps the part
+// inside [offset, offset + limit): spans straddling either boundary, a
+// span past the end and scalar results mix on one shard, in arrival order.
+
+TEST(QueryEngine, PageSinkKeepsTheSlotsOfBulkSpans) {
+  std::vector<OutPair> stream;
+  for (Value v = 0; v < 12; ++v) stream.push_back({v, v + 100});
+  const std::span<const OutPair> all(stream);
+  PageSink page(3, 4);
+  page.Open(1);
+  page.shard(0).OnPairs(all.subspan(0, 2));  // slots [0, 2): all skipped
+  page.shard(0).OnPair(stream[2]);           // slot 2: skipped
+  page.shard(0).OnPairs(all.subspan(3, 2));  // [3, 5): both kept
+  EXPECT_FALSE(page.done());
+  page.shard(0).OnPairs(all.subspan(5, 5));  // [5, 10): 5 and 6 kept
+  EXPECT_TRUE(page.done());
+  page.shard(0).OnPairs(all.subspan(10, 2));  // past the page
+  page.Finish();
+  EXPECT_EQ(page.pairs(), std::vector<OutPair>(stream.begin() + 3,
+                                               stream.begin() + 7));
+  EXPECT_EQ(page.skipped(), 3u);
+
+  PageSink past(20, 5);
+  past.Open(2);
+  past.shard(0).OnCountedPairs(std::vector<CountedPair>(7, {1, 2, 3}));
+  past.shard(1).OnCountedPairs(std::vector<CountedPair>(5, {4, 5, 6}));
+  past.Finish();
+  EXPECT_EQ(past.size(), 0u);
+  EXPECT_EQ(past.skipped(), 12u) << "skips stay exact under span admission";
 }
 
 // Pagination of star tuples: a page is a distinct subset with exact size.
@@ -709,7 +757,7 @@ TEST(QueryEngine, DoneMidChunkSkipsIdenticalDownstreamBlocks) {
       opts.thresholds = {5, 5};
       opts.row_block = 64;
       opts.threads = threads;
-      LimitSink sink(3);
+      PageSink sink(0, 3);
       auto res = MmJoinTwoPath(idx, idx, opts, sink);
       ASSERT_GT(res.heavy_blocks_total, 0u);
       EXPECT_EQ(sink.size(), 3u) << "threads=" << threads;
@@ -726,7 +774,7 @@ TEST(QueryEngine, DoneMidChunkSkipsIdenticalDownstreamBlocks) {
       MmJoinOptions opts;
       opts.thresholds = {5, 5};
       opts.threads = threads;
-      LimitSink sink(3);
+      PageSink sink(0, 3);
       auto res = NonMmJoinTwoPath(idx, idx, opts, sink);
       ASSERT_GT(res.heavy_blocks_total, 0u);
       EXPECT_EQ(sink.size(), 3u) << "threads=" << threads;
@@ -766,7 +814,7 @@ TEST(QueryEngine, TriangleCancellationSplitsSkipCountersExactly) {
 
   uint64_t light_skipped = 0;
   for (int threads : {1, 3}) {
-    LimitSink cancel(0);  // done() from the first poll
+    PageSink cancel(0, 0);  // done() from the first poll
     ExecStats stats;
     ExecOptions exec;
     exec.threads = threads;

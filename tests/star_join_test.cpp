@@ -424,7 +424,7 @@ TEST(StarJoin, LimitSinkStreamsAndSkipsBlocks) {
   spec.strategy = Strategy::kMmJoin;
   ExecOptions exec;
   exec.thresholds = {8, 8};
-  LimitSink sink(10);
+  PageSink sink(0, 10);
   ExecStats stats;
   ASSERT_TRUE(engine.Run(spec, sink, exec, &stats).ok());
   EXPECT_EQ(sink.size(), 10u);

@@ -215,7 +215,7 @@ TEST(TraceEndToEnd, BalancedOnLimitEarlyExit) {
     ExecOptions exec;
     exec.trace = &trace;
     exec.thresholds = {8, 8};
-    LimitSink sink(1);  // done after the first delivered pair
+    PageSink sink(0, 1);  // done after the first delivered pair
     ExecStats stats;
     ASSERT_TRUE(engine.Execute(q, sink, exec, &stats).ok())
         << StrategyName(s);

@@ -22,15 +22,15 @@
 //   --strategy S      auto|mm|nonmm|wcoj      (twopath, star)
 //   --counts          produce witness counts  (twopath)
 //   --min-count C     keep pairs with >= C witnesses (twopath)
-//   --limit N         stop after N results (LimitSink early exit) (twopath)
+//   --limit N         stop after N results (PageSink early exit) (twopath)
 //   --offset N        with --limit: return page [N, N+limit) (PageSink —
 //                     done() fires once the page is full) (twopath)
 //   --order-by O      xz|count: ranked delivery (OrderedBySink; `count`
-//                     implies --counts; --limit bounds the merge buffer)
-//                     (twopath)
+//                     implies --counts; --limit keeps the best N, so
+//                     `--order-by count --limit N` is the top-N by
+//                     witness count; prints all N, or the first 5
+//                     without --limit) (twopath)
 //   --count-only      count results without materializing (twopath)
-//   --top-k N         N highest-witness-count pairs (implies counts)
-//                     (twopath)
 //   --repeat N        execute the prepared query N times (plan-cache
 //                     demo; --explain reports the plan cache's and the
 //                     operand memo's hit/miss per run) (twopath)
@@ -101,6 +101,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -148,6 +149,16 @@ struct Args {
 };
 
 std::optional<Args> Parse(int argc, char** argv) {
+  // Every option some command reads (see the usage header); a typo or a
+  // removed flag fails instead of being silently ignored.
+  static const std::set<std::string> kOptions = {
+      "algo", "batch", "batch-window-ms", "c", "clients", "communities",
+      "community-size", "count-only", "counts", "deadline-ms", "explain",
+      "heavy-path", "input", "isa", "k", "limit", "max-inflight", "metrics",
+      "min-count", "no-batching", "offset", "order-by", "ordered", "p",
+      "partition", "preset", "queue-depth", "rate", "repeat",
+      "result-cache-mb", "retry", "scale", "seed", "strategy", "threads",
+      "trace"};
   if (argc < 2) return std::nullopt;
   Args args;
   args.command = argv[1];
@@ -160,8 +171,13 @@ std::optional<Args> Parse(int argc, char** argv) {
     key = key.substr(2);
     // --key=value form (e.g. --metrics=FILE).
     const size_t eq = key.find('=');
+    const std::string name = key.substr(0, eq);
+    if (kOptions.count(name) == 0) {
+      std::fprintf(stderr, "unknown option '--%s'\n", name.c_str());
+      return std::nullopt;
+    }
     if (eq != std::string::npos) {
-      args.options[key.substr(0, eq)] = key.substr(eq + 1);
+      args.options[name] = key.substr(eq + 1);
       continue;
     }
     // Flags without values.
@@ -340,7 +356,7 @@ int RunStats(const Args& args, const BinaryRelation& rel) {
 // client thread of --clients builds its own instance — sinks are per-call
 // state, the engine and PreparedQuery are the shared part.
 struct TwoPathSink {
-  enum class Kind { kAll, kCountOnly, kLimit, kPage, kTopK, kOrdered };
+  enum class Kind { kAll, kCountOnly, kPage, kOrdered };
 
   Kind kind = Kind::kAll;
   std::unique_ptr<ResultSink> sink;
@@ -356,21 +372,13 @@ struct TwoPathSink {
                                : OrderedBySink::kNoLimit;
       s.kind = Kind::kOrdered;
       s.sink = std::make_unique<OrderedBySink>(order, lim);
-    } else if (args.Has("top-k")) {
-      s.kind = Kind::kTopK;
-      s.sink = std::make_unique<TopKByCountSink>(
-          static_cast<size_t>(args.GetI("top-k", 10)));
     } else if (args.Has("count-only")) {
       s.kind = Kind::kCountOnly;
       s.sink = std::make_unique<CountOnlySink>();
-    } else if (args.Has("offset")) {
+    } else if (args.Has("limit")) {
       s.kind = Kind::kPage;
       s.sink = std::make_unique<PageSink>(
           static_cast<uint64_t>(args.GetI("offset", 0)),
-          static_cast<uint64_t>(args.GetI("limit", 10)));
-    } else if (args.Has("limit")) {
-      s.kind = Kind::kLimit;
-      s.sink = std::make_unique<LimitSink>(
           static_cast<uint64_t>(args.GetI("limit", 10)));
     } else {
       s.kind = Kind::kAll;
@@ -385,12 +393,8 @@ struct TwoPathSink {
         return static_cast<VectorSink*>(sink.get())->size();
       case Kind::kCountOnly:
         return static_cast<CountOnlySink*>(sink.get())->count();
-      case Kind::kLimit:
-        return static_cast<LimitSink*>(sink.get())->size();
       case Kind::kPage:
         return static_cast<PageSink*>(sink.get())->size();
-      case Kind::kTopK:
-        return static_cast<TopKByCountSink*>(sink.get())->top().size();
       case Kind::kOrdered:
         return static_cast<OrderedBySink*>(sink.get())->ranked().size();
     }
@@ -403,12 +407,8 @@ struct TwoPathSink {
         return "pairs";
       case Kind::kCountOnly:
         return "pairs (counted only)";
-      case Kind::kLimit:
-        return "pairs (limited)";
       case Kind::kPage:
         return "pairs (page)";
-      case Kind::kTopK:
-        return "top-k pairs";
       case Kind::kOrdered:
         return "pairs (ranked)";
     }
@@ -612,7 +612,6 @@ int RunTwoPath(const Args& args, BinaryRelation rel) {
   spec.relations = {"R"};
   spec.strategy = ParseStrategy(args.Get("strategy", "auto"));
   spec.count_witnesses = args.Has("counts") || args.Has("min-count") ||
-                         args.Has("top-k") ||
                          args.Get("order-by") == "count";
   spec.min_count = static_cast<uint32_t>(args.GetI("min-count", 1));
 
@@ -626,11 +625,10 @@ int RunTwoPath(const Args& args, BinaryRelation rel) {
                          "both bounds)\n");
     return 1;
   }
-  if (args.Has("offset") && (args.Has("top-k") || args.Has("count-only") ||
-                             args.Has("order-by"))) {
+  if (args.Has("offset") && (args.Has("count-only") || args.Has("order-by"))) {
     std::fprintf(stderr, "error: --offset only pages the plain result "
-                         "stream; it cannot combine with --top-k, "
-                         "--count-only, or --order-by\n");
+                         "stream; it cannot combine with --count-only or "
+                         "--order-by\n");
     return 1;
   }
   if (args.Has("order-by")) {
@@ -640,10 +638,9 @@ int RunTwoPath(const Args& args, BinaryRelation rel) {
                    order.c_str());
       return 1;
     }
-    if (args.Has("top-k") || args.Has("count-only")) {
+    if (args.Has("count-only")) {
       std::fprintf(stderr, "error: --order-by already defines the consumer; "
-                           "it cannot combine with --top-k or "
-                           "--count-only\n");
+                           "it cannot combine with --count-only\n");
       return 1;
     }
   }
@@ -785,12 +782,7 @@ int RunTwoPath(const Args& args, BinaryRelation rel) {
     }
     if (args.Has("trace")) PrintTrace(trace);
   }
-  if (out.kind == TwoPathSink::Kind::kTopK) {
-    for (const CountedPair& p :
-         static_cast<TopKByCountSink*>(out.sink.get())->top()) {
-      std::printf("  (%u, %u) witnesses %u\n", p.x, p.z, p.count);
-    }
-  } else if (out.kind == TwoPathSink::Kind::kPage) {
+  if (out.kind == TwoPathSink::Kind::kPage) {
     auto* page = static_cast<PageSink*>(out.sink.get());
     std::printf("page [%llu, %llu): %zu results, %llu skipped exactly\n",
                 static_cast<unsigned long long>(page->offset()),
@@ -800,7 +792,10 @@ int RunTwoPath(const Args& args, BinaryRelation rel) {
                 static_cast<unsigned long long>(page->skipped()));
   } else if (out.kind == TwoPathSink::Kind::kOrdered) {
     auto* ordered = static_cast<OrderedBySink*>(out.sink.get());
-    const size_t show = std::min<size_t>(5, ordered->ranked().size());
+    // With --limit every ranked pair is the answer; unbounded, the head.
+    const size_t show = args.Has("limit")
+                            ? ordered->ranked().size()
+                            : std::min<size_t>(5, ordered->ranked().size());
     std::printf("order: %s (showing %zu of %zu)\n",
                 ResultOrderName(ordered->order()), show,
                 ordered->ranked().size());
