@@ -558,8 +558,10 @@ HeavyRun RunHeavyProduct(const PreparedProduct& pp, const HeavyProduct& p,
               }
               deliver(w, r0 + li, row);
             }
+            if (p.on_chunk_done) p.on_chunk_done(w);
+          } else if (p.on_chunk_done) {
+            p.on_chunk_done(w);
           }
-          if (p.on_chunk_done) p.on_chunk_done(w);
         }
       });
 

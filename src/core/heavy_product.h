@@ -263,7 +263,9 @@ struct HeavyProduct : ExecContext {
   /// Called from pool worker `worker` (0 <= worker < threads); rows of one
   /// chunk arrive on one worker, in order.
   std::function<void(int worker, uint32_t row, const HeavyRow& out)> on_row;
-  /// Optional: called after each executed chunk's rows, on the same worker.
+  /// Optional: called after each executed chunk's rows, on the same worker
+  /// and before it claims the next chunk; inside the chunk's
+  /// "emit-inverse-remap" span when its rows are delivered there.
   std::function<void(int worker)> on_chunk_done;
   /// B is A^T: run the upper triangle (see the file comment). Read by the
   /// prepare; a symmetric prepared product runs symmetric.

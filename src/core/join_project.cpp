@@ -1,13 +1,12 @@
 #include "core/join_project.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "common/check.h"
-#include "common/stamp_set.h"
 #include "common/thread_pool.h"
 #include "core/nonmm_join.h"
 #include "core/trace.h"
+#include "core/two_path_internal.h"
 
 namespace jpmm {
 
@@ -39,16 +38,8 @@ LightRun WcojFullJoinProject(const IndexedRelation& r, const IndexedRelation& s,
   JPMM_CHECK_MSG(min_count == 1 || count_witnesses,
                  "min_count > 1 requires count_witnesses");
   threads = std::max(1, threads);
-  const size_t num_z = s.num_x();
-
-  struct Worker {
-    StampCounter counter;
-    std::vector<Value> touched;
-    ResultSink::Shard* shard = nullptr;
-  };
-  std::vector<Worker> workers(static_cast<size_t>(threads));
-
   sink->Open(threads);
+  internal::PairEmitters emitters(*sink, threads, s.num_x());
   ChunkGate gate(sink, cancel);
 
   // Dynamic chunking over the (possibly zipf-skewed) x domain: a hub-heavy
@@ -57,29 +48,17 @@ LightRun WcojFullJoinProject(const IndexedRelation& r, const IndexedRelation& s,
   ParallelForDynamic(threads, r.num_x(), kGrain,
                      [&](size_t a0, size_t a1, int w) {
     if (!gate.Claim()) return;
-    Worker& ws = workers[static_cast<size_t>(w)];
-    if (ws.shard == nullptr) ws.shard = &sink->shard(w);
-    if (ws.counter.universe() < num_z) ws.counter.ResizeUniverse(num_z);
+    internal::PairEmitter& em = emitters[w];
     for (size_t a = a0; a < a1; ++a) {
       const auto av = static_cast<Value>(a);
       if (r.DegX(av) == 0) continue;
-      ws.counter.NewEpoch();
-      ws.touched.clear();
+      em.BeginHead();
       for (Value b : r.YsOf(av)) {
-        for (Value c : s.XsOf(b)) {
-          if (ws.counter.Add(c, 1) == 0) ws.touched.push_back(c);
-        }
+        for (Value c : s.XsOf(b)) em.Add(c, 1);
       }
-      for (Value c : ws.touched) {
-        const uint32_t cnt = ws.counter.Get(c);
-        if (cnt < min_count) continue;
-        if (count_witnesses) {
-          ws.shard->OnCountedPair(CountedPair{av, c, cnt});
-        } else {
-          ws.shard->OnPair(OutPair{av, c});
-        }
-      }
+      em.EmitTouched(av, count_witnesses, min_count);
     }
+    em.Flush();
   });
   sink->Finish();
   return gate.Record((r.num_x() + kGrain - 1) / kGrain);

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/check.h"
-#include "common/stamp_set.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/heavy_product.h"
@@ -17,16 +16,9 @@
 namespace jpmm {
 namespace {
 
-// Per-worker dedup scratch + output shard.
-struct WorkerState {
-  StampCounter counter;
-  std::vector<Value> touched;
-  ResultSink::Shard* shard = nullptr;  // this worker's emission handle
-};
-
 // Emits the output pairs of head value a: its light witnesses (classes L1
 // + L2) plus, when `heavy` is non-null, its all-heavy witness counts by
-// heavy-z column. The epoch-stamped counter dedups in O(1) per witness.
+// heavy-z column.
 //
 // A symmetric row (the self join, M2 = M1^T) covers only the columns from
 // its own position on, and witness counts are symmetric, so for a z that
@@ -34,36 +26,23 @@ struct WorkerState {
 // emits the pair); a itself, (a, a) once; after, (a, z) and (z, a) from
 // the one count. A z with no column has no row and is emitted as (a, z).
 void EmitHead(const internal::TwoPathContext& ctx, const MmJoinOptions& opts,
-              Value a, const HeavyRow* heavy, WorkerState* ws) {
-  ws->counter.NewEpoch();
-  ws->touched.clear();
-  ctx.AccumulateLight(a, &ws->counter, &ws->touched);
+              Value a, const HeavyRow* heavy, internal::PairEmitter* em) {
+  em->BeginHead();
+  ctx.AccumulateLight(a, em);
   if (heavy != nullptr) {
     const auto& hz = ctx.part.heavy_z();
-    heavy->ForEach([&](uint32_t col, uint32_t cnt) {
-      const Value z = hz[col];
-      if (ws->counter.Add(z, cnt) == 0) ws->touched.push_back(z);
-    });
+    heavy->ForEach([&](uint32_t col, uint32_t cnt) { em->Add(hz[col], cnt); });
   }
-  auto emit = [&](Value x, Value z, uint32_t cnt) {
-    if (opts.count_witnesses) {
-      ws->shard->OnCountedPair(CountedPair{x, z, cnt});
-    } else {
-      ws->shard->OnPair(OutPair{x, z});
-    }
-  };
-  const bool symmetric = heavy != nullptr && heavy->symmetric;
-  for (Value c : ws->touched) {
-    const uint32_t cnt = ws->counter.Get(c);
-    if (cnt < opts.min_count) continue;
-    const Value col = symmetric ? ctx.part.HeavyZId(c) : kInvalidValue;
-    if (col != kInvalidValue) {
-      const uint32_t pos = heavy->PositionOf(col);
-      if (pos < heavy->position) continue;
-      if (pos > heavy->position) emit(c, a, cnt);
-    }
-    emit(a, c, cnt);
+  if (heavy == nullptr || !heavy->symmetric) {
+    em->EmitTouched(a, opts.count_witnesses, opts.min_count);
+    return;
   }
+  em->EmitTouched(a, opts.count_witnesses, opts.min_count, [&](Value c) {
+    const Value col = ctx.part.HeavyZId(c);
+    if (col == kInvalidValue) return 1;
+    const uint32_t pos = heavy->PositionOf(col);
+    return pos < heavy->position ? 0 : pos == heavy->position ? 1 : 2;
+  });
 }
 
 // Calls f(id) for every set cell of row i of M1 (m2 false: the heavy-y
@@ -185,14 +164,7 @@ RunRecord MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
   const bool use_matrix = !hxs.empty() && !hys.empty() && !hzs.empty();
 
   sink.Open(threads);
-  std::vector<WorkerState> workers(static_cast<size_t>(threads));
-  const size_t num_z = s.num_x();
-  auto worker = [&](int w) -> WorkerState& {
-    WorkerState& ws = workers[static_cast<size_t>(w)];
-    if (ws.shard == nullptr) ws.shard = &sink.shard(w);
-    if (ws.counter.universe() < num_z) ws.counter.ResizeUniverse(num_z);
-    return ws;
-  };
+  internal::PairEmitters emitters(sink, threads, s.num_x());
   ChunkGate gate(&sink, opts.cancel);
 
   // ---- Pass A: head values with no matrix row (light part only).
@@ -206,15 +178,16 @@ RunRecord MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
                        if (!gate.Claim()) return;
                        TraceRecorder::Scope chunk_scope(trace, "light-chunk",
                                                         light_span);
-                       WorkerState& ws = worker(w);
+                       internal::PairEmitter& em = emitters[w];
                        for (size_t a = a0; a < a1; ++a) {
                          const auto av = static_cast<Value>(a);
                          if (r.DegX(av) == 0) continue;
                          if (use_matrix && part.HeavyXId(av) != kInvalidValue) {
                            continue;
                          }
-                         EmitHead(ctx, opts, av, nullptr, &ws);
+                         EmitHead(ctx, opts, av, nullptr, &em);
                        }
+                       em.Flush();
                      });
   TraceEnd(trace, light_span);
   result.light_seconds = light_timer.Seconds();
@@ -242,8 +215,9 @@ RunRecord MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
     // One snapshot on both sides: M2 = M1^T, so the product is symmetric.
     hp.symmetric = &r == &s;
     hp.on_row = [&](int w, uint32_t row, const HeavyRow& out) {
-      EmitHead(ctx, opts, hxs[row], &out, &worker(w));
+      EmitHead(ctx, opts, hxs[row], &out, &emitters[w]);
     };
+    hp.on_chunk_done = [&](int w) { emitters[w].Flush(); };
     const std::shared_ptr<const PreparedProduct> product = cache.Product(
         fit, hp, "csr-build",
         [&] {

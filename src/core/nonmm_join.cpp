@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/stamp_set.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/heavy_product.h"
@@ -56,23 +55,14 @@ RunRecord NonMmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
   }
 
   const int threads = std::max(1, opts.threads);
-  const size_t num_z = s.num_x();
-
-  struct Worker {
-    StampCounter counter;
-    std::vector<Value> touched;
-    ResultSink::Shard* shard = nullptr;
-  };
-  std::vector<Worker> workers(static_cast<size_t>(threads));
-
   sink.Open(threads);
+  internal::PairEmitters emitters(sink, threads, s.num_x());
   ChunkGate light_gate(&sink, opts.cancel);
   ChunkGate heavy_gate(&sink, opts.cancel);
 
-  auto emit_head = [&](Value a, bool with_heavy, Worker* ws) {
-    ws->counter.NewEpoch();
-    ws->touched.clear();
-    ctx.AccumulateLight(a, &ws->counter, &ws->touched);
+  auto emit_head = [&](Value a, bool with_heavy, internal::PairEmitter* em) {
+    em->BeginHead();
+    ctx.AccumulateLight(a, em);
     if (with_heavy) {
       const auto& ha = r_heavy[part.HeavyXId(a)];
       if (!ha.empty()) {
@@ -80,28 +70,15 @@ RunRecord NonMmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
           const auto& hc = s_heavy[j];
           if (hc.empty()) continue;
           if (opts.count_witnesses) {
-            const auto cnt =
-                static_cast<uint32_t>(IntersectCount(ha, hc));
-            if (cnt > 0 && ws->counter.Add(hzs[j], cnt) == 0) {
-              ws->touched.push_back(hzs[j]);
-            }
-          } else if (ws->counter.Get(hzs[j]) == 0 &&
-                     IntersectsSorted(ha, hc)) {
-            ws->counter.Add(hzs[j], 1);
-            ws->touched.push_back(hzs[j]);
+            const auto cnt = static_cast<uint32_t>(IntersectCount(ha, hc));
+            if (cnt > 0) em->Add(hzs[j], cnt);
+          } else if (em->Get(hzs[j]) == 0 && IntersectsSorted(ha, hc)) {
+            em->Add(hzs[j], 1);
           }
         }
       }
     }
-    for (Value c : ws->touched) {
-      const uint32_t cnt = ws->counter.Get(c);
-      if (cnt < opts.min_count) continue;
-      if (opts.count_witnesses) {
-        ws->shard->OnCountedPair(CountedPair{a, c, cnt});
-      } else {
-        ws->shard->OnPair(OutPair{a, c});
-      }
-    }
+    em->EmitTouched(a, opts.count_witnesses, opts.min_count);
   };
 
   TraceRecorder* const trace = opts.trace;
@@ -115,15 +92,14 @@ RunRecord NonMmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
   ParallelForDynamic(threads, r.num_x(), kLightGrain,
                      [&](size_t a0, size_t a1, int w) {
     if (!light_gate.Claim()) return;
-    Worker& ws = workers[static_cast<size_t>(w)];
-    if (ws.shard == nullptr) ws.shard = &sink.shard(w);
-    if (ws.counter.universe() < num_z) ws.counter.ResizeUniverse(num_z);
+    internal::PairEmitter& em = emitters[w];
     for (size_t a = a0; a < a1; ++a) {
       const auto av = static_cast<Value>(a);
       if (r.DegX(av) == 0) continue;
       if (use_heavy && part.HeavyXId(av) != kInvalidValue) continue;
-      emit_head(av, false, &ws);
+      emit_head(av, false, &em);
     }
+    em.Flush();
   });
   TraceEnd(trace, light_span);
   result.light_seconds = light_timer.Seconds();
@@ -140,10 +116,9 @@ RunRecord NonMmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
     ParallelForDynamic(threads, hxs.size(), kHeavyGrain,
                        [&](size_t i0, size_t i1, int w) {
       if (!heavy_gate.Claim()) return;
-      Worker& ws = workers[static_cast<size_t>(w)];
-      if (ws.shard == nullptr) ws.shard = &sink.shard(w);
-      if (ws.counter.universe() < num_z) ws.counter.ResizeUniverse(num_z);
-      for (size_t i = i0; i < i1; ++i) emit_head(hxs[i], true, &ws);
+      internal::PairEmitter& em = emitters[w];
+      for (size_t i = i0; i < i1; ++i) emit_head(hxs[i], true, &em);
+      em.Flush();
     });
     result.heavy_seconds = heavy_timer.Seconds();
   }

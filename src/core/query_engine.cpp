@@ -36,40 +36,56 @@ struct EngineMetrics {
 //
 // Both set joins are filters over the counted two-path self join (§4), so
 // the engine runs them as exactly that: the inner pipeline streams counted
-// pairs into an adapter, a per-query transform forwards the qualifying
-// ones to the user sink, and done() flows back through the adapter — a
-// satisfied limit stops the underlying join mid-block.
+// pairs into an adapter, which forwards the qualifying ones to the user
+// sink one span per inner span, and done() flows back through the adapter
+// — a satisfied limit stops the underlying join at the next chunk.
 
 class FilteredAdapterSink : public ResultSink {
  public:
-  /// transform receives every counted pair of the inner join together
-  /// with the user shard to (maybe) deliver into. Shared across shards,
-  /// so it must be stateless or internally synchronized.
-  using Transform = std::function<void(const CountedPair&, Shard*)>;
-
-  FilteredAdapterSink(Transform transform, ResultSink* user)
-      : transform_(std::move(transform)), user_(user) {}
+  /// containment non-null (SCJ): keep (x, z) when x != z and the count is
+  /// |set(x)|, i.e. set x is contained in set z. Null (SSJ, whose inner
+  /// join already applied min_count = c): keep each unordered pair once
+  /// (x < z), dropping self pairs. `counted` delivers kept pairs with
+  /// their counts, else plain.
+  FilteredAdapterSink(const SetFamily* containment, bool counted,
+                      ResultSink* user)
+      : containment_(containment), counted_(counted), user_(user) {}
 
   class AdapterShard : public Shard {
    public:
-    AdapterShard(const Transform* transform, Shard* out)
-        : transform_(transform), out_(out) {}
+    AdapterShard(const FilteredAdapterSink* sink, Shard* out)
+        : sink_(sink), out_(out) {}
     void OnPair(const OutPair&) override {}  // inner join always counts
     void OnCountedPair(const CountedPair& p) override {
-      (*transform_)(p, out_);
+      OnCountedPairs({&p, 1});
+    }
+    void OnCountedPairs(std::span<const CountedPair> ps) override {
+      for (const CountedPair& p : ps) {
+        if (!sink_->Keep(p)) continue;
+        if (sink_->counted_) {
+          counted_.push_back(p);
+        } else {
+          pairs_.push_back(OutPair{p.x, p.z});
+        }
+      }
+      if (!pairs_.empty()) out_->OnPairs(pairs_);
+      if (!counted_.empty()) out_->OnCountedPairs(counted_);
+      pairs_.clear();
+      counted_.clear();
     }
 
    private:
-    const Transform* transform_;
+    const FilteredAdapterSink* sink_;
     Shard* out_;
+    std::vector<OutPair> pairs_;
+    std::vector<CountedPair> counted_;
   };
 
   void Open(int num_shards) override {
     user_->Open(num_shards);
     shards_.clear();
     for (int i = 0; i < num_shards; ++i) {
-      shards_.push_back(
-          std::make_unique<AdapterShard>(&transform_, &user_->shard(i)));
+      shards_.push_back(std::make_unique<AdapterShard>(this, &user_->shard(i)));
     }
   }
   Shard& shard(int w) override { return *shards_[static_cast<size_t>(w)]; }
@@ -81,32 +97,18 @@ class FilteredAdapterSink : public ResultSink {
   }
 
  private:
-  const Transform transform_;
+  bool Keep(const CountedPair& p) const {
+    if (containment_ != nullptr) {
+      return p.x != p.z && p.count == containment_->SetSize(p.x);
+    }
+    return p.x < p.z;
+  }
+
+  const SetFamily* const containment_;
+  const bool counted_;
   ResultSink* user_;
   std::vector<std::unique_ptr<AdapterShard>> shards_;
 };
-
-// Containment: count == |set(x)| means set x is contained in set z.
-FilteredAdapterSink::Transform ScjTransform(const SetFamily* fam) {
-  return [fam](const CountedPair& p, ResultSink::Shard* out) {
-    if (p.x != p.z && p.count == fam->SetSize(p.x)) {
-      out->OnPair(OutPair{p.x, p.z});
-    }
-  };
-}
-
-// Similarity: the inner join already applied min_count = c; keep each
-// unordered pair once (x < z) and drop self pairs.
-FilteredAdapterSink::Transform SsjTransform(bool ordered) {
-  return [ordered](const CountedPair& p, ResultSink::Shard* out) {
-    if (p.x >= p.z) return;
-    if (ordered) {
-      out->OnCountedPair(p);
-    } else {
-      out->OnPair(OutPair{p.x, p.z});
-    }
-  };
-}
 
 // Stable per-process hash of the spec's WHAT-fields — the coalescing /
 // result-cache key component (see PreparedQuery::spec_fingerprint). HOW
@@ -444,10 +446,10 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
       std::unique_ptr<FilteredAdapterSink> adapter;
       if (spec.kind == QueryKind::kScj) {
         adapter = std::make_unique<FilteredAdapterSink>(
-            ScjTransform(query.family_.get()), &sink);
+            query.family_.get(), /*counted=*/false, &sink);
       } else if (spec.kind == QueryKind::kSsj) {
         adapter = std::make_unique<FilteredAdapterSink>(
-            SsjTransform(spec.ssj_ordered), &sink);
+            nullptr, spec.ssj_ordered, &sink);
       }
 
       run = RunTwoPath(*r, *s, plan, strategy, mo, adapter ? *adapter : sink);

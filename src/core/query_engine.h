@@ -171,7 +171,7 @@ struct QuerySpec {
   uint32_t min_count = 1;
   /// SSJ: overlap threshold c >= 1.
   uint32_t ssj_c = 2;
-  /// SSJ: deliver overlaps via OnCountedPair (otherwise OnPair).
+  /// SSJ: deliver overlaps as counted pairs (otherwise plain pairs).
   bool ssj_ordered = false;
 };
 

@@ -301,78 +301,33 @@ struct FanoutSink::FanShard : ResultSink::Shard {
   std::vector<ResultSink::Shard*> taps;
   std::atomic<uint64_t>* forwarded = nullptr;
 
-  // Scalar emissions are buffered and forwarded as spans. Without this,
-  // a strategy that emits pair-by-pair (the mm-join emit loops do) would
-  // pay one virtual dispatch per pair PER TARGET — O(targets x results),
-  // which erases exactly the work-sharing the fan-out exists for. The
-  // done() vote consequently moves to flush granularity, the same chunk
-  // granularity at which the engine itself polls the sink.
-  static constexpr size_t kFlushAt = 1024;
-  std::vector<OutPair> pair_buf;
-  std::vector<CountedPair> counted_buf;
-
-  void ForwardPairs(std::span<const OutPair> ps) {
-    uint64_t n = 0;
+  // Hands one delivery of n results to every target not yet done() and to
+  // every tap. The executors deliver spans; a scalar forwards as a span of
+  // one.
+  template <typename Deliver>
+  void Forward(uint64_t n, Deliver deliver) {
+    uint64_t total = 0;
     for (const auto& [sink, sh] : targets) {
       if (!sink->done()) {
-        sh->OnPairs(ps);
-        n += ps.size();
+        deliver(sh);
+        total += n;
       }
     }
-    for (Shard* sh : taps) sh->OnPairs(ps);
-    forwarded->fetch_add(n, std::memory_order_relaxed);
+    for (Shard* sh : taps) deliver(sh);
+    forwarded->fetch_add(total, std::memory_order_relaxed);
   }
-  void ForwardCounted(std::span<const CountedPair> ps) {
-    uint64_t n = 0;
-    for (const auto& [sink, sh] : targets) {
-      if (!sink->done()) {
-        sh->OnCountedPairs(ps);
-        n += ps.size();
-      }
-    }
-    for (Shard* sh : taps) sh->OnCountedPairs(ps);
-    forwarded->fetch_add(n, std::memory_order_relaxed);
-  }
-  void Flush() {
-    if (!pair_buf.empty()) {
-      ForwardPairs(pair_buf);
-      pair_buf.clear();
-    }
-    if (!counted_buf.empty()) {
-      ForwardCounted(counted_buf);
-      counted_buf.clear();
-    }
-  }
-
-  void OnPair(const OutPair& p) override {
-    if (!counted_buf.empty()) Flush();  // preserve cross-kind order
-    pair_buf.push_back(p);
-    if (pair_buf.size() >= kFlushAt) Flush();
-  }
+  void OnPair(const OutPair& p) override { OnPairs({&p, 1}); }
   void OnCountedPair(const CountedPair& p) override {
-    if (!pair_buf.empty()) Flush();
-    counted_buf.push_back(p);
-    if (counted_buf.size() >= kFlushAt) Flush();
+    OnCountedPairs({&p, 1});
   }
   void OnTuple(std::span<const Value> tuple) override {
-    Flush();
-    uint64_t n = 0;
-    for (const auto& [sink, sh] : targets) {
-      if (!sink->done()) {
-        sh->OnTuple(tuple);
-        ++n;
-      }
-    }
-    for (Shard* sh : taps) sh->OnTuple(tuple);
-    forwarded->fetch_add(n, std::memory_order_relaxed);
+    Forward(1, [&](Shard* sh) { sh->OnTuple(tuple); });
   }
   void OnPairs(std::span<const OutPair> ps) override {
-    Flush();
-    ForwardPairs(ps);
+    Forward(ps.size(), [&](Shard* sh) { sh->OnPairs(ps); });
   }
   void OnCountedPairs(std::span<const CountedPair> ps) override {
-    Flush();
-    ForwardCounted(ps);
+    Forward(ps.size(), [&](Shard* sh) { sh->OnCountedPairs(ps); });
   }
 };
 
@@ -423,7 +378,6 @@ bool FanoutSink::supports_tuples() const {
 }
 
 void FanoutSink::Finish() {
-  for (auto& sh : shards_) sh->Flush();  // drain the scalar buffers first
   for (ResultSink* t : targets_) t->Finish();
   for (ResultSink* t : taps_) t->Finish();
   shards_.clear();

@@ -14,6 +14,12 @@
 //     remaining light chunks and heavy product blocks are skipped (the
 //     skip counts surface through the result structs and
 //     `jpmm_cli --explain`).
+//   - The two-path executors (MM, Non-MM, WCOJ) deliver pairs through the
+//     span hooks OnPairs / OnCountedPairs, in spans of up to 4096, and
+//     flush at the end of every chunk: a chunk's results all arrive before
+//     the next done() poll and before Finish(). A custom sink that
+//     overrides only the scalar hooks still works through the default
+//     loops, but pays one call per result.
 //   - Delivery order is unspecified (it follows dynamic chunk claiming);
 //     the pair SET at a given option set is deterministic for sinks that
 //     accept everything. Executors apply min_count filtering BEFORE the
@@ -59,7 +65,7 @@ class ResultSink {
     virtual void OnCountedPair(const CountedPair& p) = 0;
     /// One k-ary star tuple (star queries only; duplicate-free).
     virtual void OnTuple(std::span<const Value> tuple) { (void)tuple; }
-    /// Block-granular bulk delivery; default loops the scalar hooks.
+    /// Bulk delivery, the executors' path; default loops the scalar hooks.
     virtual void OnPairs(std::span<const OutPair> ps);
     virtual void OnCountedPairs(std::span<const CountedPair> ps);
   };
@@ -293,9 +299,9 @@ struct TopKByCountSink : OrderedBySink {
 /// semantics intact.
 ///
 ///   - Targets vote: each On* call forwards to every target whose done() is
-///     still false (one relaxed load per target, checked per call — the
-///     same granularity the executors poll at), so a PageSink target stops
-///     receiving after its k results while the others keep streaming.
+///     still false (one relaxed load per target, checked per delivery —
+///     per executor span), so a PageSink target stops receiving once its
+///     page is full while the others keep streaming.
 ///   - done() is the conjunction over targets: the shared execution
 ///     early-exits only when EVERY client is satisfied — a single follower
 ///     finishing early never cancels the leader's pass.

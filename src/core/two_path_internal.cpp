@@ -28,11 +28,8 @@ TwoPathContext::TwoPathContext(const IndexedRelation& r_in,
   }
 }
 
-void TwoPathContext::AccumulateLight(Value a, StampCounter* counter,
-                                     std::vector<Value>* touched) const {
-  auto add = [&](Value c) {
-    if (counter->Add(c, 1) == 0) touched->push_back(c);
-  };
+void TwoPathContext::AccumulateLight(Value a, PairEmitter* em) const {
+  auto add = [em](Value c) { em->Add(c, 1); };
   if (part.XLight(a)) {
     // Class L1 via light a: every witness of a is covered here.
     for (Value b : r.YsOf(a)) {

@@ -9,6 +9,10 @@
 // is the caller's heavy strategy (matrix product or pairwise intersection).
 // Because the classes partition witnesses, summing contributions gives exact
 // witness counts with no cross-part dedup.
+//
+// PairEmitter is the one per-worker emission path of the MM, Non-MM and
+// WCOJ executors: it counts a head's witnesses and delivers its qualifying
+// pairs to the worker's shard in spans.
 
 #ifndef JPMM_CORE_TWO_PATH_INTERNAL_H_
 #define JPMM_CORE_TWO_PATH_INTERNAL_H_
@@ -20,9 +24,99 @@
 #include "common/stamp_set.h"
 #include "common/types.h"
 #include "core/density_partition.h"
+#include "core/result_sink.h"
 #include "storage/index.h"
 
 namespace jpmm::internal {
+
+/// One worker's witness counter and output buffer. Per head value a:
+/// BeginHead(), Add() every witness's z value, then EmitTouched(). Results
+/// leave as one OnPairs / OnCountedPairs span per kFlushAt results and at
+/// every Flush(); executors flush at the end of each chunk, so all of a
+/// chunk's results reach the sink before the next ChunkGate::Claim polls
+/// done() and before sink.Finish().
+class PairEmitter {
+ public:
+  static constexpr size_t kFlushAt = 4096;
+
+  void BeginHead() {
+    counter_.NewEpoch();
+    touched_.clear();
+  }
+  /// Adds cnt witnesses to z value c of the current head.
+  void Add(Value c, uint32_t cnt) {
+    if (counter_.Add(c, cnt) == 0) touched_.push_back(c);
+  }
+  uint32_t Get(Value c) const { return counter_.Get(c); }
+
+  /// Emits (a, c) for every touched c with at least min_count witnesses.
+  /// side(c) says how: 0 drops it, 1 emits (a, c), 2 emits (a, c) and
+  /// (c, a) from the one count (the self join's mirror).
+  template <typename Side>
+  void EmitTouched(Value a, bool count_witnesses, uint32_t min_count,
+                   Side side) {
+    for (Value c : touched_) {
+      const uint32_t cnt = counter_.Get(c);
+      if (cnt < min_count) continue;
+      const int n = side(c);
+      if (n == 0) continue;
+      if (count_witnesses) {
+        Push(&counted_, CountedPair{a, c, cnt});
+        if (n == 2) Push(&counted_, CountedPair{c, a, cnt});
+      } else {
+        Push(&pairs_, OutPair{a, c});
+        if (n == 2) Push(&pairs_, OutPair{c, a});
+      }
+    }
+  }
+  void EmitTouched(Value a, bool count_witnesses, uint32_t min_count) {
+    EmitTouched(a, count_witnesses, min_count, [](Value) { return 1; });
+  }
+
+  /// Delivers the buffered results as one span.
+  void Flush() {
+    if (!pairs_.empty()) shard_->OnPairs(pairs_);
+    if (!counted_.empty()) shard_->OnCountedPairs(counted_);
+    pairs_.clear();
+    counted_.clear();
+  }
+
+ private:
+  template <typename T>
+  void Push(std::vector<T>* buf, const T& v) {
+    buf->push_back(v);
+    if (buf->size() == kFlushAt) Flush();
+  }
+
+  friend class PairEmitters;
+  StampCounter counter_;
+  std::vector<Value> touched_;
+  ResultSink::Shard* shard_ = nullptr;
+  std::vector<OutPair> pairs_;
+  std::vector<CountedPair> counted_;
+};
+
+/// The emitters of one run into an opened sink, one per worker; each binds
+/// its worker's shard and sizes its counter to the z domain on first use.
+class PairEmitters {
+ public:
+  PairEmitters(ResultSink& sink, int workers, size_t num_z)
+      : sink_(sink), num_z_(num_z), emitters_(static_cast<size_t>(workers)) {}
+
+  PairEmitter& operator[](int w) {
+    PairEmitter& em = emitters_[static_cast<size_t>(w)];
+    if (em.shard_ == nullptr) {
+      em.shard_ = &sink_.shard(w);
+      em.counter_.ResizeUniverse(num_z_);
+    }
+    return em;
+  }
+
+ private:
+  ResultSink& sink_;
+  const size_t num_z_;
+  std::vector<PairEmitter> emitters_;
+};
 
 /// Precomputed light-part context for one (R, S, thresholds) triple.
 struct TwoPathContext {
@@ -45,11 +139,9 @@ struct TwoPathContext {
             static_cast<size_t>(lightz_offsets[b + 1] - lightz_offsets[b])};
   }
 
-  /// Adds the class L1 + L2 witness counts of head value a into counter.
-  /// First-touched z values are appended to touched. counter must span the
-  /// z domain and be in a fresh epoch.
-  void AccumulateLight(Value a, StampCounter* counter,
-                       std::vector<Value>* touched) const;
+  /// Adds the class L1 + L2 witnesses of head value a to em's current
+  /// head.
+  void AccumulateLight(Value a, PairEmitter* em) const;
 
   /// Number of class L1+L2 witnesses of head value a (cost instrumentation).
   uint64_t LightWitnessCount(Value a) const;

@@ -172,9 +172,15 @@ std::vector<RelationForm> Forms(const FuzzConfig& cfg) {
   return {{"self-one-name", {"R"}}, {"self-two-names", {"R", "S"}}};
 }
 
+// Relations up to this many tuples are small enough for the brute-force
+// oracle, which then checks the reference itself.
+constexpr size_t kOracleMaxTuples = 2000;
+
 // A recipe's two-path instance: its relations in one engine, "R" and "S"
 // ("S" a copy of "R" for a self join), one PreparedQuery per form, and the
-// reference output (sequential WCOJ full join + dedup, sorted).
+// reference output (sequential WCOJ full join + dedup, sorted). The
+// reference runs the library's own WCOJ executor, so on every small enough
+// instance it must first equal the brute-force oracle.
 struct TwoPathInstance {
   explicit TwoPathInstance(const FuzzConfig& cfg) {
     const BinaryRelation r = MakeRelation(cfg, 1);
@@ -187,6 +193,16 @@ struct TwoPathInstance {
     } else {
       const IndexedRelation si(s);
       ref = testutil::WcojReference(ri, si, cfg.counted, cfg.min_count);
+    }
+    if (r.size() <= kOracleMaxTuples && s.size() <= kOracleMaxTuples) {
+      testutil::SortedOutput oracle;
+      if (cfg.counted) {
+        oracle.counted = testutil::OracleTwoPathCounted(r, s, cfg.min_count);
+      } else {
+        oracle.pairs = testutil::OracleTwoPath(r, s);
+      }
+      EXPECT_EQ(ref, oracle) << "WCOJ reference != brute-force oracle: "
+                             << cfg.ToString();
     }
     for (const RelationForm& form : Forms(cfg)) {
       QuerySpec spec;

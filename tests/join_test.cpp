@@ -1,9 +1,17 @@
 // Unit tests for src/join: intersection kernels, full-join baselines, star
-// WCOJ enumeration, TupleBuffer.
+// WCOJ enumeration, TupleBuffer; and the span delivery of the two-path
+// executors (MM, Non-MM, WCOJ full join) into a ResultSink.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <span>
+#include <string>
 #include <vector>
+
+#include "core/two_path_internal.h"
 
 #include "join/dbms_baselines.h"
 #include "join/hash_join.h"
@@ -18,7 +26,9 @@ namespace {
 
 using testutil::OracleStar;
 using testutil::OracleTwoPath;
+using testutil::OracleTwoPathCounted;
 using testutil::RandomRelation;
+using testutil::SortedOutput;
 using testutil::Sorted;
 using testutil::ToVectors;
 
@@ -234,6 +244,244 @@ TEST(SortMergeJoin, EmptyRelation) {
   s.Add(1, 1);
   s.Finalize();
   EXPECT_TRUE(SortMergeJoinProject(r, s).empty());
+}
+
+// ---- Span delivery -------------------------------------------------------
+
+// A sink that counts scalar deliveries (each one a failure: the two-path
+// executors hand results over only as spans) and collects the spans.
+class SpanOnlySink : public ResultSink {
+ public:
+  struct SpanShard : Shard {
+    void OnPair(const OutPair&) override { ++scalar_calls; }
+    void OnCountedPair(const CountedPair&) override { ++scalar_calls; }
+    void OnPairs(std::span<const OutPair> ps) override {
+      out.pairs.insert(out.pairs.end(), ps.begin(), ps.end());
+    }
+    void OnCountedPairs(std::span<const CountedPair> ps) override {
+      out.counted.insert(out.counted.end(), ps.begin(), ps.end());
+    }
+    uint64_t scalar_calls = 0;
+    SortedOutput out;
+  };
+
+  void Open(int num_shards) override {
+    shards_.clear();
+    for (int w = 0; w < num_shards; ++w) {
+      shards_.push_back(std::make_unique<SpanShard>());
+    }
+  }
+  Shard& shard(int w) override { return *shards_[static_cast<size_t>(w)]; }
+
+  uint64_t scalar_calls() const {
+    uint64_t n = 0;
+    for (const auto& sh : shards_) n += sh->scalar_calls;
+    return n;
+  }
+  SortedOutput Collected() const {
+    SortedOutput all;
+    for (const auto& sh : shards_) {
+      all.pairs.insert(all.pairs.end(), sh->out.pairs.begin(),
+                       sh->out.pairs.end());
+      all.counted.insert(all.counted.end(), sh->out.counted.begin(),
+                         sh->out.counted.end());
+    }
+    std::sort(all.pairs.begin(), all.pairs.end());
+    std::sort(all.counted.begin(), all.counted.end());
+    return all;
+  }
+
+ private:
+  std::vector<std::unique_ptr<SpanShard>> shards_;
+};
+
+// One two-path executor under test, run into any sink.
+struct SpanExecutor {
+  std::string name;
+  std::function<RunRecord(const MmJoinOptions&, ResultSink&)> run;
+  bool has_heavy_part;  // the run must report heavy rows
+};
+
+std::vector<SpanExecutor> SpanExecutors(const IndexedRelation& r,
+                                        const IndexedRelation& s) {
+  auto mm = [&r, &s](PartitionMode partition) {
+    return [&r, &s, partition](const MmJoinOptions& opts, ResultSink& sink) {
+      MmJoinOptions o = opts;
+      o.partition = partition;
+      return MmJoinTwoPath(r, s, o, sink);
+    };
+  };
+  return {
+      {"mm-uniform", mm(PartitionMode::kOff), true},
+      {"mm-grid", mm(PartitionMode::kForce), true},
+      {"nonmm",
+       [&r, &s](const MmJoinOptions& opts, ResultSink& sink) {
+         return NonMmJoinTwoPath(r, s, opts, sink);
+       },
+       true},
+      {"wcoj",
+       [&r, &s](const MmJoinOptions& opts, ResultSink& sink) {
+         RunRecord run;
+         static_cast<LightRun&>(run) =
+             WcojFullJoinProject(r, s, opts.count_witnesses, opts.min_count,
+                                 opts.threads, &sink);
+         return run;
+       },
+       false},
+  };
+}
+
+// The instances: a skewed self join, which runs as one index and so as a
+// symmetric heavy product, and R != S. Each answer is larger than one span.
+struct SpanInstance {
+  std::string name;
+  BinaryRelation r, s;
+  bool self() const { return name == "self"; }
+};
+
+std::vector<SpanInstance> SpanInstances() {
+  std::vector<SpanInstance> out;
+  BinaryRelation self = RandomRelation(150, 60, 1500, 1.0, 31);
+  out.push_back({"self", self, self});
+  out.push_back({"r!=s", RandomRelation(150, 60, 1500, 1.0, 32),
+                 RandomRelation(120, 60, 1200, 0.9, 33)});
+  return out;
+}
+
+// No two-path executor calls a scalar hook: MM on the uniform plan and on
+// the grid, Non-MM and WCOJ, self join and R != S, plain and counted,
+// min_count 1 and 2, threads 1 and 4 all deliver only spans, and the spans
+// hold exactly the brute-force answer.
+TEST(SpanDelivery, ExecutorsDeliverOnlySpansThatMatchTheOracle) {
+  for (const SpanInstance& inst : SpanInstances()) {
+    const IndexedRelation r(inst.r);
+    const IndexedRelation s_idx(inst.s);
+    const IndexedRelation& s = inst.self() ? r : s_idx;
+    ASSERT_GT(OracleTwoPath(inst.r, inst.s).size(),
+              internal::PairEmitter::kFlushAt)
+        << inst.name;
+    struct Output {
+      bool counted;
+      uint32_t min_count;
+    };
+    for (const Output out : {Output{false, 1}, Output{true, 1},
+                             Output{true, 2}}) {
+      SortedOutput want;
+      if (out.counted) {
+        want.counted = OracleTwoPathCounted(inst.r, inst.s, out.min_count);
+      } else {
+        want.pairs = OracleTwoPath(inst.r, inst.s);
+      }
+      for (const SpanExecutor& ex : SpanExecutors(r, s)) {
+        for (int threads : {1, 4}) {
+          const std::string where =
+              inst.name + " " + ex.name + " counted=" +
+              std::to_string(out.counted) + " min_count=" +
+              std::to_string(out.min_count) + " t" + std::to_string(threads);
+          MmJoinOptions opts;
+          opts.thresholds = {4, 4};
+          opts.count_witnesses = out.counted;
+          opts.min_count = out.min_count;
+          opts.threads = threads;
+          SpanOnlySink sink;
+          const RunRecord run = ex.run(opts, sink);
+          if (ex.has_heavy_part) EXPECT_GT(run.heavy_rows, 0u) << where;
+          if (ex.name.starts_with("mm")) {
+            EXPECT_EQ(run.symmetric, inst.self()) << where;
+          }
+          EXPECT_EQ(sink.scalar_calls(), 0u) << where;
+          EXPECT_EQ(sink.Collected(), want) << where;
+        }
+      }
+    }
+  }
+}
+
+// Results leave at chunk ends, yet a page still holds exactly
+// min(k, |OUT|) results and every light chunk and heavy block is counted
+// executed or skipped.
+TEST(SpanDelivery, PageStaysExactWithChunkAccounting) {
+  for (const SpanInstance& inst : SpanInstances()) {
+    const IndexedRelation r(inst.r);
+    const IndexedRelation s_idx(inst.s);
+    const IndexedRelation& s = inst.self() ? r : s_idx;
+    const size_t all = OracleTwoPath(inst.r, inst.s).size();
+    for (const SpanExecutor& ex : SpanExecutors(r, s)) {
+      for (uint64_t k : {uint64_t{0}, uint64_t{7}, uint64_t{all + 1}}) {
+        for (int threads : {1, 4}) {
+          const std::string where = inst.name + " " + ex.name + " k=" +
+                                    std::to_string(k) + " t" +
+                                    std::to_string(threads);
+          MmJoinOptions opts;
+          opts.thresholds = {4, 4};
+          opts.threads = threads;
+          PageSink sink(0, k);
+          const RunRecord run = ex.run(opts, sink);
+          EXPECT_EQ(sink.size(), std::min<uint64_t>(k, all)) << where;
+          EXPECT_EQ(run.light_chunks_executed + run.light_chunks_skipped,
+                    run.light_chunks_total)
+              << where;
+          EXPECT_EQ(run.heavy_blocks_executed + run.heavy_blocks_skipped,
+                    run.heavy_blocks_total)
+              << where;
+          if (k == 0) {
+            EXPECT_EQ(run.light_chunks_executed, 0u) << where;
+            EXPECT_EQ(run.heavy_blocks_executed, 0u) << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The set joins filter the counted self join through the engine's adapter,
+// which forwards one span per span it receives: SSJ (plain and ordered) and
+// SCJ reach the sink only as spans too, under every strategy.
+TEST(SpanDelivery, SetJoinsDeliverOnlySpans) {
+  const BinaryRelation rel = RandomRelation(150, 60, 1500, 1.0, 31);
+  const IndexedRelation idx(rel);
+  SortedOutput ssj, ssj_ordered, scj;
+  for (const CountedPair& p : OracleTwoPathCounted(rel, rel)) {
+    if (p.x < p.z && p.count >= 2) {
+      ssj.pairs.push_back({p.x, p.z});
+      ssj_ordered.counted.push_back(p);
+    }
+    if (p.x != p.z && p.count == idx.DegX(p.x)) scj.pairs.push_back({p.x, p.z});
+  }
+  struct Case {
+    const char* name;
+    QueryKind kind;
+    bool ordered;
+    const SortedOutput* want;
+  };
+  const Case cases[] = {{"ssj", QueryKind::kSsj, false, &ssj},
+                        {"ssj-ordered", QueryKind::kSsj, true, &ssj_ordered},
+                        {"scj", QueryKind::kScj, false, &scj}};
+  QueryEngine engine = testutil::MakeEngine(rel);
+  for (const Case& c : cases) {
+    ASSERT_GT(c.want->size(), 0u) << c.name;
+    for (Strategy strategy :
+         {Strategy::kMmJoin, Strategy::kNonMmJoin, Strategy::kWcojFull}) {
+      for (int threads : {1, 4}) {
+        const std::string where = std::string(c.name) + " " +
+                                  StrategyName(strategy) + " t" +
+                                  std::to_string(threads);
+        QuerySpec spec;
+        spec.kind = c.kind;
+        spec.relations = {"R"};
+        spec.ssj_c = 2;
+        spec.ssj_ordered = c.ordered;
+        ExecOptions exec;
+        exec.strategy_override = strategy;
+        exec.threads = threads;
+        exec.thresholds = {4, 4};
+        SpanOnlySink sink;
+        ASSERT_TRUE(engine.Run(spec, sink, exec).ok()) << where;
+        EXPECT_EQ(sink.scalar_calls(), 0u) << where;
+        EXPECT_EQ(sink.Collected(), *c.want) << where;
+      }
+    }
+  }
 }
 
 }  // namespace
