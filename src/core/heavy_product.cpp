@@ -86,7 +86,7 @@ struct Scratch {
   std::vector<float> block;  // float kernels' output rows
   CsrScratch csr;            // CSR x CSR stamp counter
   SparseRowBlock sparse;     // CSR x CSR output rows
-  // whole_rows gather across column bands: (col, count) runs per chunk row.
+  // Rows gathered across column bands: (col, count) runs per chunk row.
   std::vector<std::vector<uint32_t>> gather_cols;
   std::vector<std::vector<uint32_t>> gather_counts;
 };
@@ -458,21 +458,12 @@ HeavyRun RunHeavyProduct(const PreparedProduct& pp, const HeavyProduct& p,
   HeavyRun run = pp.plan;
 
   // ---- Chunk loop. Chunks are claimed dynamically: per-chunk emit cost
-  // follows the output skew, not just the flops.
-  const bool emit_after = pp.grid && p.whole_rows;
+  // follows the output skew, not just the flops. A chunk runs its kernels
+  // first, gathering each row across column bands when its row band runs
+  // more than one block; then every row goes to on_row once, under one
+  // "emit-inverse-remap" span.
   std::vector<Scratch> scratch(static_cast<size_t>(threads));
   ChunkGate gate(p.sink, p.cancel);
-  auto original_row = [&](size_t r) -> uint32_t {
-    return static_cast<uint32_t>(row_perm == nullptr ? r : row_perm[r]);
-  };
-  auto deliver = [&](int w, size_t r, HeavyRow& row) {
-    if (symmetric) {
-      row.symmetric = true;
-      row.position = static_cast<uint32_t>(r);
-      row.positions = positions;
-    }
-    p.on_row(w, original_row(r), row);
-  };
 
   ParallelForDynamic(
       threads, run.heavy_blocks_total, /*grain=*/1,
@@ -484,7 +475,7 @@ HeavyRun RunHeavyProduct(const PreparedProduct& pp, const HeavyProduct& p,
           const size_t r1 = std::min(rows, r0 + row_block);
           const size_t nrows = r1 - r0;
           const auto& blocks = pp.band_blocks[BandOf(pp.row_bands, r0)];
-          const bool gather = emit_after && blocks.size() > 1;
+          const bool gather = blocks.size() > 1;
           if (gather) {
             if (ws.gather_cols.size() < nrows) {
               ws.gather_cols.resize(nrows);
@@ -495,8 +486,7 @@ HeavyRun RunHeavyProduct(const PreparedProduct& pp, const HeavyProduct& p,
               ws.gather_counts[li].clear();
             }
           }
-          BlockOut front;  // the one block's output when not gathering
-          bool front_ran = false;
+          std::optional<BlockOut> front;  // the one block, when not gathering
           for (const auto& [bi, j] : blocks) {
             const BlockKernelChoice& blk = run.block_choices[bi];
             const size_t width = blk.col_end - blk.col_begin;
@@ -526,42 +516,40 @@ HeavyRun RunHeavyProduct(const PreparedProduct& pp, const HeavyProduct& p,
                 CsrDenseRowRange(*pp.a_op, pp.b_dense[j], r0, r1, lo, cells);
               }
             }
-            if (emit_after && !gather) {  // delivered below
+            if (!gather) {
               front = out;
-              front_ran = true;
               continue;
             }
             for (size_t li = 0; li < nrows; ++li) {
-              HeavyRow row = RowView(ws, out, li);
-              if (!gather) {
-                deliver(w, r0 + li, row);
-                continue;
-              }
-              row.ForEach([&](uint32_t c, uint32_t n) {
+              RowView(ws, out, li).ForEach([&](uint32_t c, uint32_t n) {
                 ws.gather_cols[li].push_back(c);
                 ws.gather_counts[li].push_back(n);
               });
             }
           }
-          if (emit_after) {
-            TraceRecorder::Scope emit_scope(trace, "emit-inverse-remap",
-                                            p.trace_parent);
-            for (size_t li = 0; li < nrows; ++li) {
-              // Empty when every block of the band is pruned or before the
-              // chunk's window.
-              HeavyRow row;
-              if (gather) {
-                row.cols = ws.gather_cols[li];
-                row.counts = ws.gather_counts[li];
-              } else if (front_ran) {
-                row = RowView(ws, front, li);
-              }
-              deliver(w, r0 + li, row);
+          TraceRecorder::Scope emit_scope(trace, "emit-inverse-remap",
+                                          p.trace_parent);
+          for (size_t li = 0; li < nrows; ++li) {
+            const size_t r = r0 + li;
+            // Empty when every block of the band is pruned or before the
+            // chunk's window.
+            HeavyRow row;
+            if (gather) {
+              row.cols = ws.gather_cols[li];
+              row.counts = ws.gather_counts[li];
+            } else if (front) {
+              row = RowView(ws, *front, li);
             }
-            if (p.on_chunk_done) p.on_chunk_done(w);
-          } else if (p.on_chunk_done) {
-            p.on_chunk_done(w);
+            if (symmetric) {
+              row.symmetric = true;
+              row.position = static_cast<uint32_t>(r);
+              row.positions = positions;
+            }
+            p.on_row(w, row_perm == nullptr ? static_cast<uint32_t>(r)
+                                            : row_perm[r],
+                     row);
           }
+          if (p.on_chunk_done) p.on_chunk_done(w);
         }
       });
 

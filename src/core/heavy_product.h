@@ -16,8 +16,10 @@
 //      dense / packed forms only for the kernels some block runs;
 //   4. the chunk loop — ceil(rows / row_block) work units claimed
 //      dynamically, each polled against the sink's done() and the cancel
-//      token (executed + skipped == total at every thread count), one
-//      "block:<kernel>" trace span per kernel call.
+//      token (executed + skipped == total at every thread count). A chunk
+//      runs its kernels, one "block:<kernel>" trace span per kernel call,
+//      then hands each of its rows to the caller once, under one
+//      "emit-inverse-remap" span.
 //
 // Symmetry: when B is A^T (the two-path self join, HeavyProduct::symmetric)
 // the product is symmetric and rows and columns share one order (the
@@ -33,8 +35,10 @@
 // threshold fit and the operands it was built from, in a HeavyOperandCache
 // (below): a repeat execution starts at the chunk loop.
 //
-// Output leaves through the caller's on_row callback: the row's index in
-// A's original numbering and its kernel output, whose column ids
+// Output leaves through the caller's on_row callback, once per row of every
+// executed chunk, on the uniform plan and on the grid alike: the row's
+// index in A's original numbering and its whole output (gathered across
+// column bands when its row band runs several blocks), whose column ids
 // HeavyRow::ForEach maps back through the inverse column remap. The
 // caller turns rows into pairs (two-path), tuples (star) or a trace sum
 // (triangle); the executor never sees output values.
@@ -181,10 +185,10 @@ struct HeavyGates {
 HeavyGates GateHeavyProduct(const HeavyShape& shape, HeavyPathMode mode,
                             size_t row_block, int threads, uint64_t max_bytes);
 
-/// One output row of A * B, restricted to the columns of the block that
-/// produced it, as the kernel left it: a float row (dense GEMM / CSR x
-/// dense) or sparse (column, count) runs (CSR x CSR, or a row gathered
-/// across several column bands). Valid only during the callback.
+/// One output row of A * B, over the scheduled blocks of its band, as the
+/// kernels left it: a float row (dense GEMM / CSR x dense) or sparse
+/// (column, count) runs (CSR x CSR, or a row gathered across several column
+/// bands). Valid only during the callback.
 struct HeavyRow {
   const float* values = nullptr;  // float form: `width` cells, else null
   size_t width = 0;
@@ -253,19 +257,14 @@ struct HeavyProduct : ExecContext {
   /// Polled with the cancel token before every chunk (ChunkGate): a done()
   /// sink or a fired token skips the remaining chunks.
   const ResultSink* sink = nullptr;
-  /// false: on_row fires once per (row, scheduled block) inside the
-  /// block's span, and a row no scheduled block covers never fires.
-  /// true: every row of an executed chunk fires exactly once with its whole
-  /// output — grid rows are delivered after the chunk's kernels, under an
-  /// "emit-inverse-remap" span, gathered across column bands when the row
-  /// band runs more than one block, and empty when every block is pruned.
-  bool whole_rows = false;
-  /// Called from pool worker `worker` (0 <= worker < threads); rows of one
-  /// chunk arrive on one worker, in order.
+  /// Every row of an executed chunk, exactly once with its whole output,
+  /// after the chunk's kernels and inside its "emit-inverse-remap" span;
+  /// empty when every block of its band is pruned. Called from pool worker
+  /// `worker` (0 <= worker < threads); rows of one chunk arrive on one
+  /// worker, in order.
   std::function<void(int worker, uint32_t row, const HeavyRow& out)> on_row;
-  /// Optional: called after each executed chunk's rows, on the same worker
-  /// and before it claims the next chunk; inside the chunk's
-  /// "emit-inverse-remap" span when its rows are delivered there.
+  /// Optional: called after each executed chunk's rows, on the same worker,
+  /// inside the chunk's emit span and before it claims the next chunk.
   std::function<void(int worker)> on_chunk_done;
   /// B is A^T: run the upper triangle (see the file comment). Read by the
   /// prepare; a symmetric prepared product runs symmetric.

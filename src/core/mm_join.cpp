@@ -211,7 +211,6 @@ RunRecord MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
     hp.trace_parent = heavy_scope.id();
     hp.row_block = opts.row_block;
     hp.sink = &sink;
-    hp.whole_rows = true;
     // One snapshot on both sides: M2 = M1^T, so the product is symmetric.
     hp.symmetric = &r == &s;
     hp.on_row = [&](int w, uint32_t row, const HeavyRow& out) {

@@ -90,7 +90,6 @@ class FilteredAdapterSink : public ResultSink {
   }
   Shard& shard(int w) override { return *shards_[static_cast<size_t>(w)]; }
   bool done() const override { return user_->done(); }
-  bool may_finish_early() const override { return user_->may_finish_early(); }
   void Finish() override {
     shards_.clear();
     user_->Finish();

@@ -360,13 +360,6 @@ bool FanoutSink::done() const {
   return true;
 }
 
-bool FanoutSink::may_finish_early() const {
-  for (const ResultSink* t : targets_) {
-    if (!t->may_finish_early()) return false;
-  }
-  return !targets_.empty();
-}
-
 bool FanoutSink::supports_tuples() const {
   for (const ResultSink* t : targets_) {
     if (!t->supports_tuples()) return false;

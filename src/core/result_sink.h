@@ -84,12 +84,6 @@ class ResultSink {
   /// the next bucket/block boundary. Must be callable from any thread.
   virtual bool done() const { return false; }
 
-  /// True when done() can become true before the query completes (e.g.
-  /// PageSink). Executors whose emission is not naturally streaming
-  /// (the star join needs global tuple dedup) only pay the incremental
-  /// delivery overhead when this is set.
-  virtual bool may_finish_early() const { return false; }
-
   /// False for sinks whose shards do not consume OnTuple (pair-only
   /// consumers like OrderedBySink). QueryEngine rejects star queries
   /// into such a sink instead of silently delivering nothing.
@@ -197,10 +191,14 @@ class CountOnlySink : public ResultSink {
 
 /// One result page: skips the first `offset` results to arrive, keeps the
 /// next `limit`, then reports done() — the early exit fires as soon as the
-/// page is full, so deep heavy blocks after the page boundary are skipped.
-/// PageSink(0, k) is the limit-k consumer. WHICH results fill the page
-/// follows the (nondeterministic) emission order; the counts are
-/// deterministic:
+/// page is full. PageSink(0, k) is the limit-k consumer. WHICH results fill
+/// the page follows the emission order:
+///   - a two-path streams its pairs in a nondeterministic order, and the
+///     heavy blocks after the page boundary are skipped;
+///   - a star delivers its ascending answer after evaluation
+///     (core/star_join.h), so its page is exactly the slice
+///     [offset, offset + limit) at every thread count, live or replayed.
+/// The counts are deterministic:
 ///   size()    == min(limit, |OUT| - min(offset, |OUT|))
 ///   skipped() == min(offset, |OUT|)   (exact skip accounting)
 /// Each delivery reserves its result slots with one shared fetch_add, so
@@ -213,7 +211,6 @@ class PageSink : public MaterializingSink {
   bool done() const override {
     return accepted_.load(std::memory_order_relaxed) >= end_;
   }
-  bool may_finish_early() const override { return true; }
 
   uint64_t offset() const { return offset_; }
   uint64_t limit() const { return end_ - offset_; }
@@ -324,8 +321,6 @@ class FanoutSink : public ResultSink {
   Shard& shard(int w) override;
   /// True iff ALL targets report done() (vacuously false with no targets).
   bool done() const override;
-  /// The shared pass may finish early only if every target allows it.
-  bool may_finish_early() const override;
   /// Tuples are deliverable only if every target AND tap consumes them.
   bool supports_tuples() const override;
   void Finish() override;

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <numeric>
 #include <span>
 #include <unordered_map>
@@ -35,57 +34,6 @@ struct StarOperands : HeavyFit {
   CsrMatrix wt;  // W^T: shared y x second-group combos
   /// Per y value: the relations in which deg(y) > thresholds.delta1.
   std::vector<uint8_t> heavy_cnt;
-};
-
-// Streaming tuple delivery for sink-driven star queries. The star
-// decomposition can produce one output tuple from several steps (a tuple
-// may have both light and heavy witnesses), so incremental delivery needs
-// a global dedup: EmitBatch sort-uniques the batch, streams the tuples
-// never seen before into the sink, and folds them into the sorted `seen`
-// union. Batches arrive from many workers; the mutex serializes them (the
-// per-batch merge is O(|seen| + |batch|), paid only for sinks that can
-// finish early — everyone else gets one post-evaluation stream, whose heavy
-// tuples are produced in order and merged with the sorted light union).
-struct StarEmitter {
-  ResultSink* sink = nullptr;
-  bool streaming = false;
-  std::mutex mu;
-  TupleBuffer seen;
-
-  explicit StarEmitter(uint32_t arity) : seen(arity) {}
-
-  void EmitBatch(TupleBuffer* batch, int worker) {
-    if (batch->empty()) return;
-    batch->SortUnique();
-    const uint32_t k = seen.arity();
-    std::lock_guard<std::mutex> lock(mu);
-    ResultSink::Shard& shard = sink->shard(worker);
-    TupleBuffer merged(k);
-    const size_t ns = seen.size();
-    const size_t nb = batch->size();
-    size_t i = 0, j = 0;
-    auto less = [k](std::span<const Value> a, std::span<const Value> b) {
-      return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
-                                          b.end());
-    };
-    while (i < ns || j < nb) {
-      if (j >= nb) {
-        merged.Add(seen.Get(i++));
-      } else if (i >= ns) {
-        shard.OnTuple(batch->Get(j));
-        merged.Add(batch->Get(j++));
-      } else if (less(seen.Get(i), batch->Get(j))) {
-        merged.Add(seen.Get(i++));
-      } else if (less(batch->Get(j), seen.Get(i))) {
-        shard.OnTuple(batch->Get(j));
-        merged.Add(batch->Get(j++));
-      } else {
-        merged.Add(seen.Get(i++));
-        ++j;  // already delivered
-      }
-    }
-    seen = std::move(merged);
-  }
 };
 
 // Heavy combos are packed 32 bits per value into one 128-bit key (group
@@ -156,9 +104,10 @@ struct StarContext {
 //
 // Each step is one unit of `gate`: claimed before it runs, so a satisfied
 // sink or a fired token skips this step and the rest, counted skipped.
-// *steps_total receives the number of planned steps.
-TupleBuffer LightSteps(const StarContext& ctx, int threads, StarEmitter* em,
-                       ChunkGate* gate, uint64_t* steps_total) {
+// *steps_total receives the number of planned steps. Returns the union of
+// the steps' tuples, unsorted and with duplicates.
+TupleBuffer LightSteps(const StarContext& ctx, int threads, ChunkGate* gate,
+                       uint64_t* steps_total) {
   const size_t k = ctx.rels.size();
   TupleBuffer out(static_cast<uint32_t>(k));
 
@@ -171,37 +120,28 @@ TupleBuffer LightSteps(const StarContext& ctx, int threads, StarEmitter* em,
   uint64_t step = 0;
   auto claim = [&] { return gate->Claim(total - step++); };
 
-  auto deliver = [&](TupleBuffer* part) {
-    if (em->streaming) {
-      em->EmitBatch(part, /*worker=*/0);
-    } else {
-      out.Append(*part);
-    }
-  };
   for (size_t j = 0; j < k; ++j) {
     if (any_shared_heavy) {
       if (!claim()) break;
       // Step 1-j: substitute R-j (light xj tuples only), restricted to y
       // values not already fully covered by step 2.
-      TupleBuffer part = StarJoinProjectWcoj(
+      out.Append(StarJoinProjectWcoj(
           ctx.rels,
           [&ctx, j](size_t rel, Value a, Value) {
             return rel != j || ctx.XiLight(j, a);
           },
-          [&ctx](Value b) { return ctx.heavy_cnt[b] >= 2; }, threads);
-      deliver(&part);
+          [&ctx](Value b) { return ctx.heavy_cnt[b] >= 2; }, threads));
     }
     // Step 2-j: substitute R<>j — only y values light in all other
     // relations.
     if (!claim()) break;
-    TupleBuffer part2 = StarJoinProjectWcoj(
+    out.Append(StarJoinProjectWcoj(
         ctx.rels, nullptr,
         [&ctx, j](Value b) {
           if (ctx.heavy_cnt[b] == 0) return j == 0;
           return ctx.LightAllExcept(j, b);
         },
-        threads);
-    deliver(&part2);
+        threads));
   }
   return out;
 }
@@ -417,7 +357,7 @@ std::shared_ptr<const StarOperands> PrepareStarOperands(
   return op;
 }
 
-// The heavy output of a non-streaming run: for every V row, the ascending
+// The heavy output of a run: for every V row, the ascending
 // W-row ids it pairs with, kept as one segment of the id buffer of the
 // worker that produced the row. A row no executed chunk reached keeps an
 // empty segment. Rows are distinct combos, so the pairs need no dedup.
@@ -450,15 +390,18 @@ struct HeavyPairs {
   }
 };
 
-// The delivery of every non-streaming star run: the sorted duplicate-free
+// The delivery of every star run: the sorted duplicate-free
 // union of the sorted duplicate-free `light` and the heavy pairs (none for
 // the WCOJ-full star), streamed into shard 0 in one linear pass with no
 // materialized copy. Heavy tuples come in order, combo1(i) ++ combo2(j),
 // with the light tuples merged in and a tuple with both a light and a heavy
-// witness delivered once. done() and the token are polled before every V
-// row with pairs and every kPollStride light tuples. Returns true iff a
-// fired token stopped the stream early. The group sizes are template
-// arguments so the per-tuple copies compile to plain moves.
+// witness delivered once. Only the token is polled, before every V row
+// with pairs and every kPollStride light tuples: a satisfied sink (a full
+// page) does not cut the stream, so a recording tap beside it (the result
+// cache's) still sees the whole answer, and the run's skip counters stay
+// the one sign of a partial stream. Returns true iff a fired token stopped
+// the stream early. The group sizes are template arguments so the
+// per-tuple copies compile to plain moves.
 constexpr size_t kPollStride = 4096;
 
 template <size_t G1, size_t G2>
@@ -470,7 +413,7 @@ bool DeliverSorted(const TupleBuffer& light, const StarOperands& op,
     return std::lexicographical_compare(a, a + k, b, b + k);
   };
   ResultSink::Shard& shard = sink.shard(0);
-  ChunkGate gate(&sink, cancel);
+  ChunkGate gate(/*sink=*/nullptr, cancel);
   const Value* lp = light.flat().data();
   const Value* const lend = lp + light.flat().size();
   size_t light_sent = 0;
@@ -541,31 +484,22 @@ RunRecord ResultFor(const StarOperands& op) {
 }
 
 // One star evaluation's delivery state, shared by MmStarJoin and
-// NonMmStarJoin: the opened sink, the streaming emitter, the light steps'
-// gate (also polled before the heavy part), the light part and the finish.
+// NonMmStarJoin: the opened sink, the light steps' gate (also polled before
+// the heavy part), the light part and the finish.
 struct StarRun {
   const StarJoinOptions& options;
   RunRecord* result;
   ResultSink& sink;
-  StarEmitter em;
   ChunkGate gate;
   uint64_t light_steps = 0;
   bool heavy_interrupted = false;  // a fired token skipped heavy chunks
 
-  StarRun(size_t k, int threads, const StarJoinOptions& o, ResultSink& s,
-          RunRecord* r)
-      : options(o),
-        result(r),
-        sink(s),
-        em(static_cast<uint32_t>(k)),
-        gate(&s, o.cancel) {
+  StarRun(int threads, const StarJoinOptions& o, ResultSink& s, RunRecord* r)
+      : options(o), result(r), sink(s), gate(&s, o.cancel) {
     sink.Open(threads);
-    em.sink = &sink;
-    em.streaming = sink.may_finish_early();
   }
 
-  // Steps (1) and (2) under a "light-pass" span. Streaming sinks receive
-  // the steps' tuples as they come; otherwise they are returned unsorted.
+  // Steps (1) and (2) under a "light-pass" span: their tuples, unsorted.
   TupleBuffer Light(const std::vector<const IndexedRelation*>& rels,
                     const StarOperands& op, int threads) {
     WallTimer timer;
@@ -573,26 +507,23 @@ struct StarRun {
                                options.trace_parent);
     TupleBuffer light =
         LightSteps(StarContext{rels, op.thresholds, op.heavy_cnt}, threads,
-                   &em, &gate, &light_steps);
+                   &gate, &light_steps);
     scope.Close();
     result->light_seconds = timer.Seconds();
     return light;
   }
 
-  // The one finish under "sink-finish": a non-streaming sink receives the
-  // light union (the only sort left) merged with the in-order heavy pairs;
-  // a streaming one already has every tuple.
+  // The one finish under "sink-finish": the sink receives the light union
+  // (the only sort left) merged with the in-order heavy pairs.
   void Finish(TupleBuffer light, const StarOperands& op,
               const HeavyPairs& heavy) {
     static_cast<LightRun&>(*result) = gate.Record(light_steps);
     result->interrupted |= heavy_interrupted;
     TraceRecorder::Scope scope(options.trace, "sink-finish",
                                options.trace_parent);
-    if (!em.streaming) {
-      light.SortUnique();
-      result->interrupted |=
-          DeliverSorted(light, op, heavy, sink, options.cancel);
-    }
+    light.SortUnique();
+    result->interrupted |=
+        DeliverSorted(light, op, heavy, sink, options.cancel);
     sink.Finish();
   }
 };
@@ -610,7 +541,7 @@ RunRecord WcojFullStarJoin(const std::vector<const IndexedRelation*>& rels,
   TraceRecorder::Scope scope(options.trace, "wcoj-full", options.trace_parent);
   const TupleBuffer tuples = WcojStarJoin(rels, options.threads);
   scope.Close();
-  // The light-only case of the non-streaming finish: no heavy pairs.
+  // The light-only case of the star finish: no heavy pairs.
   RunRecord result;
   sink.Open(1);
   result.interrupted =
@@ -715,7 +646,6 @@ Thresholds ChooseStarThresholds(
 
 RunRecord MmStarJoin(const std::vector<const IndexedRelation*>& rels,
                      const StarJoinOptions& options, ResultSink& sink) {
-  const size_t k = rels.size();
   const int threads = std::max(1, options.threads);
   const size_t row_block = std::max<size_t>(1, options.row_block);
   HeavyOperandCache run_cache;
@@ -729,58 +659,35 @@ RunRecord MmStarJoin(const std::vector<const IndexedRelation*>& rels,
   const StarOperands& op = *op_ptr;
   RunRecord result = ResultFor(op);
 
-  StarRun run(k, threads, options, sink, &result);
+  StarRun run(threads, options, sink, &result);
   TupleBuffer light = run.Light(rels, op, threads);
   HeavyPairs pairs(threads, result.heavy_rows);
 
   const bool heavy = result.heavy_rows > 0 && result.heavy_cols > 0;
   bool product_hit = true;  // stays true when no product runs
   if (heavy && run.gate.Stopped()) {
-    // Light steps satisfied the sink: account every planned chunk as
-    // skipped without preparing or running the product.
+    // The sink was done before any delivery (an empty page) or the token
+    // fired: account every planned chunk as skipped without preparing or
+    // running the product.
     static_cast<HeavyRun&>(result) = SkippedHeavyRun(op.shape, row_block);
   } else if (heavy) {
     WallTimer heavy_timer;
     TraceRecorder::Scope heavy_scope(options.trace, "heavy",
                                      options.trace_parent);
     // V * W^T runs on the heavy-product executor, and each nonzero
-    // (V row i, W row j) is one output tuple.
+    // (V row i, W row j) is one output tuple. A row keeps only its W-row
+    // ids; the finish turns them into tuples.
     HeavyProduct hp;
     static_cast<ExecContext&>(hp) = options;
     hp.trace_parent = heavy_scope.id();
     hp.row_block = row_block;
     hp.sink = &sink;
-    // Streaming sinks get each chunk's tuples as one dedup'd batch; the
-    // materializing path keeps only the W-row ids of each whole row.
-    std::vector<TupleBuffer> pending;
-    if (run.em.streaming) {
-      pending.assign(static_cast<size_t>(threads),
-                     TupleBuffer(static_cast<uint32_t>(k)));
-      hp.on_row = [&](int w, uint32_t i, const HeavyRow& row) {
-        TupleBuffer& out = pending[static_cast<size_t>(w)];
-        std::array<Value, 8> tuple;  // k <= 8 (PrepareStarOperands)
-        const Value* left = op.rows1_flat.data() + size_t{i} * op.g1;
-        std::copy(left, left + op.g1, tuple.begin());
-        row.ForEach([&](uint32_t j, uint32_t) {
-          const Value* right = op.rows2_flat.data() + size_t{j} * op.g2;
-          std::copy(right, right + op.g2, tuple.begin() + op.g1);
-          out.Add({tuple.data(), k});
-        });
-      };
-      hp.on_chunk_done = [&](int w) {
-        TupleBuffer& batch = pending[static_cast<size_t>(w)];
-        run.em.EmitBatch(&batch, w);
-        batch = TupleBuffer(static_cast<uint32_t>(k));
-      };
-    } else {
-      hp.whole_rows = true;
-      hp.on_row = [&](int w, uint32_t i, const HeavyRow& row) {
-        std::vector<uint32_t>& ids = pairs.ids[static_cast<size_t>(w)];
-        const size_t begin = ids.size();
-        row.ForEach([&ids](uint32_t j, uint32_t) { ids.push_back(j); });
-        pairs.Close(w, i, begin);
-      };
-    }
+    hp.on_row = [&](int w, uint32_t i, const HeavyRow& row) {
+      std::vector<uint32_t>& ids = pairs.ids[static_cast<size_t>(w)];
+      const size_t begin = ids.size();
+      row.ForEach([&ids](uint32_t j, uint32_t) { ids.push_back(j); });
+      pairs.Close(w, i, begin);
+    };
     const std::shared_ptr<const PreparedProduct> product = cache.Product(
         op, hp, nullptr, [&] { return PrepareHeavyProduct(op.v, op.wt, hp); },
         &product_hit);
@@ -801,7 +708,6 @@ RunRecord MmStarJoin(const std::vector<const IndexedRelation*>& rels,
 
 RunRecord NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
                         const StarJoinOptions& options, ResultSink& sink) {
-  const size_t k = rels.size();
   const int threads = std::max(1, options.threads);
   // No dense matrices here, so no byte cap: under an unlimited cap the fit
   // never reads the gate inputs, so one fixed set of them keys every run.
@@ -818,7 +724,7 @@ RunRecord NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
   result.operand_cache_hit = fit_hit;
   result.operand_cache_bytes = cache.bytes();
 
-  StarRun run(k, threads, options, sink, &result);
+  StarRun run(threads, options, sink, &result);
   TupleBuffer light = run.Light(rels, op, threads);
   HeavyPairs pairs(threads, result.heavy_rows);
 
@@ -847,22 +753,6 @@ RunRecord NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
     ParallelForDynamic(threads, result.heavy_rows, kComboGrain,
                        [&](size_t i0, size_t i1, int worker) {
       if (!heavy_gate.Claim()) return;
-      if (run.em.streaming) {
-        std::vector<Value> tuple(k);
-        TupleBuffer block_out(static_cast<uint32_t>(k));
-        for (size_t i = i0; i < i1; ++i) {
-          const Value* left = op.rows1_flat.data() + i * op.g1;
-          std::copy(left, left + op.g1, tuple.begin());
-          for (size_t j = 0; j < result.heavy_cols; ++j) {
-            if (!IntersectsSorted(op.v.Row(i), wit2[j])) continue;
-            const Value* right = op.rows2_flat.data() + j * op.g2;
-            std::copy(right, right + op.g2, tuple.begin() + op.g1);
-            block_out.Add(tuple);
-          }
-        }
-        run.em.EmitBatch(&block_out, worker);
-        return;
-      }
       std::vector<uint32_t>& ids = pairs.ids[static_cast<size_t>(worker)];
       for (size_t i = i0; i < i1; ++i) {
         const size_t begin = ids.size();

@@ -66,13 +66,14 @@ struct StarJoinOptions : ExecContext {
 
 // Every star strategy delivers its duplicate-free tuples into `sink`
 // (core/result_sink.h, OnTuple), which it opens and finishes. The star
-// decomposition needs a global tuple dedup, so delivery is incremental only
-// for sinks with may_finish_early(): new (never-seen) tuples are streamed
-// after every light step / heavy product block, and done() skips the
-// remaining steps and blocks. Other sinks receive the tuples after
-// evaluation, on shard 0, in ascending order, merged straight from the light
-// and heavy parts; done() and the cancel token are polled once per V row and
-// once per 4096 light tuples (a fired token sets `interrupted`).
+// decomposition needs a global tuple dedup, so every sink receives the
+// tuples after evaluation, on shard 0, in ascending order, merged straight
+// from the light and heavy parts: a PageSink(o, k) holds exactly the slice
+// [o, o + k) of the ascending answer. done() and the cancel token are
+// polled before each light step and heavy chunk; the merge polls only the
+// token, once per V row and once per 4096 light tuples, so a run the token
+// does not stop delivers the whole answer (a fired token sets
+// `interrupted`).
 
 /// MMJoin for the star query (steps 1-3 above).
 RunRecord MmStarJoin(const std::vector<const IndexedRelation*>& rels,
@@ -88,8 +89,8 @@ RunRecord NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
 TupleBuffer WcojStarJoin(const std::vector<const IndexedRelation*>& rels,
                          int threads = 1);
 
-/// WcojStarJoin under a "wcoj-full" span, delivered like a non-streaming run
-/// with no heavy part (on shard 0, in ascending order, for every sink). Reads
+/// WcojStarJoin under a "wcoj-full" span, delivered like the other
+/// strategies with no heavy part (on shard 0, in ascending order). Reads
 /// only the execution context of `options`.
 RunRecord WcojFullStarJoin(const std::vector<const IndexedRelation*>& rels,
                            const StarJoinOptions& options, ResultSink& sink);

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <numeric>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -334,11 +335,11 @@ TEST(DensityGrid, DegenerateOperands) {
 
 // ---- RunHeavyProduct on a grid (core/heavy_product.h) ---------------------
 
-// Every row the executor hands back, in original coordinates, must add up
-// to the reference product — under every kernel mode, both delivery modes
-// (per-block pieces, or whole rows gathered across column bands), and
-// every thread count; whole_rows also delivers each row exactly once.
-TEST(HeavyProduct, GridRowsComposeToReferenceProduct) {
+// Every row of an executed chunk fires exactly once and, in original
+// coordinates, equals the reference product's row — under every kernel
+// mode, on the uniform plan and on the grid (rows gathered across column
+// bands), at every thread count.
+TEST(HeavyProduct, EveryRowFiresOnceWithTheReferenceRow) {
   std::vector<std::pair<CsrMatrix, CsrMatrix>> operands;
   operands.push_back(DisjointOperands());
   operands.emplace_back(MakeSkewedCsr(37, 20, 1), MakeSkewedCsr(20, 29, 2));
@@ -348,40 +349,43 @@ TEST(HeavyProduct, GridRowsComposeToReferenceProduct) {
     for (HeavyPathMode mode :
          {HeavyPathMode::kAuto, HeavyPathMode::kForceDense,
           HeavyPathMode::kForceCsrDense, HeavyPathMode::kForceCsrCsr}) {
-      for (bool whole_rows : {false, true}) {
+      for (PartitionMode partition :
+           {PartitionMode::kOff, PartitionMode::kForce}) {
         for (int threads : {1, 3}) {
-          std::vector<Matrix> got(3, Matrix(a.rows(), b.cols()));
+          Matrix got(a.rows(), b.cols());
           std::vector<std::vector<int>> deliveries(
               3, std::vector<int>(a.rows(), 0));
           HeavyProduct p;
           p.heavy_path = mode;
-          p.partition = PartitionMode::kForce;
+          p.partition = partition;
           p.row_block = 4;
           p.rates = &TestRates();
           p.threads = threads;
-          p.whole_rows = whole_rows;
           p.on_row = [&](int w, uint32_t row, const HeavyRow& out) {
             ++deliveries[w][row];
             out.ForEach([&](uint32_t col, uint32_t count) {
-              got[w].MutableRow(row)[col] += static_cast<float>(count);
+              got.MutableRow(row)[col] += static_cast<float>(count);
             });
           };
           bool interrupted = false;
           const HeavyRun run = RunHeavyProduct(a, b, p, &interrupted);
-          ASSERT_TRUE(run.partition_used);
+          const std::string where =
+              std::string(HeavyPathModeName(mode)) + "/" +
+              PartitionModeName(partition) + "/t" + std::to_string(threads);
+          EXPECT_EQ(run.partition_used, partition == PartitionMode::kForce)
+              << where;
           saw_multi_band |= run.partition_col_bands > 1;
-          EXPECT_FALSE(interrupted);
-          EXPECT_EQ(run.heavy_blocks_executed, run.heavy_blocks_total);
-          EXPECT_EQ(run.block_choices.size(), run.kernel_counts.total());
+          EXPECT_FALSE(interrupted) << where;
+          EXPECT_EQ(run.heavy_blocks_executed, run.heavy_blocks_total) << where;
+          EXPECT_EQ(run.block_choices.size(), run.kernel_counts.total())
+              << where;
           for (size_t i = 0; i < a.rows(); ++i) {
-            const int n = deliveries[0][i] + deliveries[1][i] + deliveries[2][i];
-            if (whole_rows) EXPECT_EQ(n, 1) << "row " << i;
+            EXPECT_EQ(deliveries[0][i] + deliveries[1][i] + deliveries[2][i],
+                      1)
+                << where << " row " << i;
             for (size_t j = 0; j < b.cols(); ++j) {
-              EXPECT_EQ(got[0].At(i, j) + got[1].At(i, j) + got[2].At(i, j),
-                        want.At(i, j))
-                  << HeavyPathModeName(mode) << " whole_rows=" << whole_rows
-                  << " threads=" << threads << " cell (" << i << ", " << j
-                  << ")";
+              EXPECT_EQ(got.At(i, j), want.At(i, j))
+                  << where << " cell (" << i << ", " << j << ")";
             }
           }
         }

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <latch>
 #include <memory>
 #include <set>
@@ -25,6 +26,7 @@
 #include "core/query_engine.h"
 #include "core/query_service.h"
 #include "core/result_sink.h"
+#include "core/star_join.h"
 #include "datagen/generators.h"
 #include "tests/test_util.h"
 
@@ -58,8 +60,6 @@ TEST(FanoutSink, TargetsKeepIndependentSemantics) {
   fan.AddTap(&tap);
 
   EXPECT_FALSE(fan.done());
-  EXPECT_TRUE(fan.may_finish_early() == false)
-      << "VectorSink cannot finish early, so neither can the group";
 
   fan.Open(2);
   std::vector<OutPair> batch;
@@ -88,11 +88,10 @@ TEST(FanoutSink, DoneIsConjunctionOverEarlyFinishers) {
   FanoutSink fan;
   fan.AddTarget(&a);
   fan.AddTarget(&b);
-  EXPECT_TRUE(fan.may_finish_early());
   fan.Open(1);
-  // Scalar OnPair calls are buffered inside the fan shard (flushed as
-  // spans), so the done() vote advances at chunk granularity — deliver via
-  // bulk spans here, the way the engine's chunk loops do.
+  // Every hook forwards straight to the targets, so the done() vote
+  // advances per delivery; bulk spans here, the way the engine's chunk
+  // loops deliver.
   const std::vector<OutPair> first = {{0, 0}, {1, 1}, {2, 2}, {3, 3}};
   fan.shard(0).OnPairs(first);
   EXPECT_TRUE(a.done());
@@ -558,6 +557,78 @@ TEST(ResultCacheService, RankedSinkThroughBatchAndReplayMatchesOracle) {
   ASSERT_TRUE(service.Execute(q, replayed, {}, &stats).ok());
   EXPECT_TRUE(stats.result_cache_hit) << "the complete batch run was cached";
   EXPECT_EQ(replayed.ranked(), prefix);
+}
+
+// A star page through the service is a slice of the ascending answer:
+// served alone, batched with a full client, and replayed from the warm
+// cache, it holds the same tuples. A lone page's run still records the
+// whole answer for the cache, so a full client after it sees every tuple.
+TEST(ResultCacheService, StarPageIsTheSortedSliceAloneBatchedAndReplayed) {
+  const BinaryRelation rel = SkewedGraph(47);
+  const IndexedRelation idx(rel);
+  const TupleBuffer want = WcojStarJoin({&idx, &idx, &idx});
+  constexpr uint64_t kLimit = 10;
+  const uint64_t offset = want.size() / 2;
+  ASSERT_GT(want.size(), offset + kLimit) << "test premise";
+  const auto flat = want.flat().begin();
+  const std::vector<Value> slice(
+      flat + static_cast<std::ptrdiff_t>(3 * offset),
+      flat + static_cast<std::ptrdiff_t>(3 * (offset + kLimit)));
+
+  QueryEngine engine;
+  engine.AddRelation("R", rel);
+  QuerySpec spec;
+  spec.kind = QueryKind::kStar;
+  spec.relations = {"R", "R", "R"};
+  PreparedQuery q;
+  ASSERT_TRUE(engine.Prepare(spec, &q).ok());
+  ServiceRequest req;
+  req.exec.thresholds = {4, 4};  // a real heavy part
+  QueryServiceOptions so;
+  so.enable_batching = true;
+  so.batch_window_ms = 150;
+  so.enable_result_cache = true;
+
+  {  // Served alone, then a full client from the cache it left.
+    QueryService service(&engine, so);
+    PageSink alone(offset, kLimit);
+    ExecStats stats;
+    ASSERT_TRUE(service.Execute(q, alone, req, &stats).ok());
+    EXPECT_FALSE(stats.result_cache_hit);
+    EXPECT_GT(stats.heavy_blocks_executed, 0u);
+    EXPECT_EQ(alone.tuple_data(), slice);
+    VectorSink full;
+    ASSERT_TRUE(service.Execute(q, full, req, &stats).ok());
+    EXPECT_TRUE(stats.result_cache_hit);
+    EXPECT_EQ(full.tuple_data(), want.flat());
+  }
+
+  // Batched with a full client on a cold cache, then replayed.
+  QueryService service(&engine, so);
+  PageSink batched(offset, kLimit);
+  VectorSink full;
+  ResultSink* sinks[2] = {&batched, &full};
+  FailureLog log(2);
+  std::latch start(2);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < 2; ++c) {
+    threads.emplace_back([&, c] {
+      start.arrive_and_wait();
+      QueryStatus st = service.Execute(q, *sinks[c], req);
+      if (!st.ok()) log.Record(c, st.message());
+    });
+  }
+  for (auto& t : threads) t.join();
+  log.AssertClean();
+  EXPECT_EQ(batched.tuple_data(), slice);
+  EXPECT_EQ(full.tuple_data(), want.flat());
+
+  PageSink replayed(offset, kLimit);
+  ExecStats stats;
+  ASSERT_TRUE(service.Execute(q, replayed, req, &stats).ok());
+  EXPECT_TRUE(stats.result_cache_hit);
+  EXPECT_EQ(replayed.tuple_data(), slice);
+  EXPECT_EQ(replayed.skipped(), offset);
 }
 
 TEST(ResultCacheUnit, LruEvictsAndInvalidationSweeps) {

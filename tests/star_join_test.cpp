@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <mutex>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/metrics.h"
@@ -236,8 +239,7 @@ TEST(StarJoin, NonMmStarRecordsRunMetrics) {
   EXPECT_EQ(heavy_ms.Snapshot().count - heavy_before, 1u);
 }
 
-// Records every tuple in arrival order, across shards. may_finish_early()
-// stays false, so a star run delivers after evaluation. CancelAt makes the
+// Records every tuple in arrival order, across shards. CancelAt makes the
 // n-th tuple fire a token.
 class ArrivalOrderSink : public ResultSink {
  public:
@@ -281,9 +283,9 @@ class ArrivalOrderSink : public ResultSink {
   size_t cancel_at_ = 0;  // 0: never
 };
 
-// A non-streaming sink sees the star's output in strictly increasing order,
-// on every strategy that builds the heavy tuples in order.
-TEST(StarJoin, NonStreamingSinkReceivesSortedTuples) {
+// A sink sees the star's output in strictly increasing order, on every
+// strategy that builds the heavy tuples in order.
+TEST(StarJoin, SinkReceivesSortedTuples) {
   QueryEngine engine;
   engine.catalog().Put("R", CommunityGraph(4, 60, 0.5, 11));
   struct Variant {
@@ -413,25 +415,68 @@ TEST(StarJoin, LightAndHeavyWitnessMergeOnceAtK6) {
   ExpectLightAndHeavyWitnessMergeOnce(6);
 }
 
-// Sinks that can finish early still stream (and dedup) incrementally: a
-// limit far below |OUT| stops the run before its heavy blocks.
-TEST(StarJoin, LimitSinkStreamsAndSkipsBlocks) {
+// A star page is a slice of the ascending answer: PageSink(o, k) holds
+// exactly tuples [o, o + k) of WcojStarJoin's sorted output, on every
+// strategy and thread count, with exact skip and chunk accounting.
+TEST(StarJoin, PageIsASliceOfTheSortedAnswer) {
+  const BinaryRelation rel = CommunityGraph(3, 30, 0.5, 11);
+  const IndexedRelation idx(rel);
+  const TupleBuffer want = WcojStarJoin({&idx, &idx, &idx});
+  const uint64_t out = want.size();
+  ASSERT_GT(out, 20u);
   QueryEngine engine;
-  engine.catalog().Put("R", CommunityGraph(4, 60, 0.5, 11));
-  QuerySpec spec;
-  spec.kind = QueryKind::kStar;
-  spec.relations = {"R", "R", "R"};
-  spec.strategy = Strategy::kMmJoin;
-  ExecOptions exec;
-  exec.thresholds = {8, 8};
-  PageSink sink(0, 10);
-  ExecStats stats;
-  ASSERT_TRUE(engine.Run(spec, sink, exec, &stats).ok());
-  EXPECT_EQ(sink.size(), 10u);
-  EXPECT_GT(stats.heavy_blocks_total, 0u);
-  EXPECT_GT(stats.heavy_blocks_skipped, 0u);
-  EXPECT_EQ(stats.heavy_blocks_executed + stats.heavy_blocks_skipped,
-            stats.heavy_blocks_total);
+  engine.catalog().Put("R", rel);
+  struct Variant {
+    Strategy strategy;
+    PartitionMode partition;
+  };
+  const Variant variants[] = {
+      {Strategy::kMmJoin, PartitionMode::kOff},
+      {Strategy::kMmJoin, PartitionMode::kForce},
+      {Strategy::kNonMmJoin, PartitionMode::kOff},
+      {Strategy::kWcojFull, PartitionMode::kOff},
+  };
+  for (const Variant& v : variants) {
+    for (int threads : {1, 4}) {
+      for (uint64_t o : {uint64_t{0}, uint64_t{7}, out / 2, out - 3, out + 5}) {
+        for (uint64_t k : {uint64_t{0}, uint64_t{10}}) {
+          const std::string where =
+              std::string(StrategyName(v.strategy)) + "/" +
+              PartitionModeName(v.partition) + "/t" + std::to_string(threads) +
+              "/o" + std::to_string(o) + "/k" + std::to_string(k);
+          QuerySpec spec;
+          spec.kind = QueryKind::kStar;
+          spec.relations = {"R", "R", "R"};
+          spec.strategy = v.strategy;
+          ExecOptions exec;
+          exec.thresholds = {4, 4};  // a real heavy part
+          exec.partition = v.partition;
+          exec.threads = threads;
+          PageSink sink(o, k);
+          ExecStats stats;
+          ASSERT_TRUE(engine.Run(spec, sink, exec, &stats).ok()) << where;
+          const uint64_t begin = std::min(o, out);
+          const uint64_t end = std::min(o + k, out);
+          const auto at = [&want](uint64_t t) {
+            return want.flat().begin() + static_cast<std::ptrdiff_t>(3 * t);
+          };
+          EXPECT_EQ(sink.tuple_data(), std::vector<Value>(at(begin), at(end)))
+              << where;
+          EXPECT_TRUE(sink.pairs().empty()) << where;
+          EXPECT_EQ(sink.skipped(), begin) << where;
+          EXPECT_EQ(stats.light_chunks_executed + stats.light_chunks_skipped,
+                    stats.light_chunks_total)
+              << where;
+          EXPECT_EQ(stats.heavy_blocks_executed + stats.heavy_blocks_skipped,
+                    stats.heavy_blocks_total)
+              << where;
+          if (v.strategy != Strategy::kWcojFull) {
+            EXPECT_GT(stats.heavy_blocks_total, 0u) << where;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---- The operand memo (HeavyOperandCache) --------------------------------

@@ -153,9 +153,11 @@ TEST(TraceEndToEnd, MmJoinSpanTreeBalancedWithBlockAttribution) {
   EXPECT_EQ(trace.CountNamed("light-chunk"), stats.light_chunks_executed);
 }
 
-// The star's and the triangle's heavy products run on the same executor as
-// the two-path, so they report the same per-kernel block spans.
-TEST(TraceEndToEnd, StarAndTriangleBlockSpansMatchAccounting) {
+// The two-path's, the star's and the triangle's heavy products run on the
+// same executor, so on the uniform plan each reports one per-kernel block
+// span per executed chunk, and one "emit-inverse-remap" span per executed
+// chunk after its kernels.
+TEST(TraceEndToEnd, UniformPlanSpansMatchAccountingOnEveryQueryKind) {
   QueryEngine engine;
   engine.catalog().Put("R", SkewedGraph());
   engine.catalog().Put("G", testutil::HubGraph());
@@ -165,20 +167,24 @@ TEST(TraceEndToEnd, StarAndTriangleBlockSpansMatchAccounting) {
   QuerySpec triangle;
   triangle.kind = QueryKind::kTriangle;
   triangle.relations = {"G"};
-  for (const QuerySpec& spec : {star, triangle}) {
+  for (const QuerySpec& spec :
+       {TwoPathSpec(Strategy::kMmJoin), star, triangle}) {
     TraceRecorder trace;
     ExecOptions exec;
     exec.trace = &trace;
     exec.partition = PartitionMode::kOff;
-    if (spec.kind == QueryKind::kStar) exec.thresholds = {8, 8};
+    if (spec.kind != QueryKind::kTriangle) exec.thresholds = {8, 8};
     CountOnlySink sink;
     ExecStats stats;
     ASSERT_TRUE(engine.Run(spec, sink, exec, &stats).ok());
-    const char* what = spec.kind == QueryKind::kStar ? "star" : "triangle";
+    const char* what = QueryKindName(spec.kind);
     EXPECT_TRUE(trace.AllClosed()) << what;
     EXPECT_GT(stats.heavy_blocks_total, 0u) << what;
     EXPECT_EQ(stats.heavy_blocks_executed, stats.heavy_blocks_total) << what;
     EXPECT_EQ(BlockSpanCount(trace), stats.heavy_blocks_executed) << what;
+    EXPECT_EQ(trace.CountNamed("emit-inverse-remap"),
+              stats.heavy_blocks_executed)
+        << what;
     EXPECT_EQ(trace.CountNamed("block:dense"), stats.kernel_counts.dense);
     EXPECT_EQ(trace.CountNamed("block:csr-dense"),
               stats.kernel_counts.csr_dense);
