@@ -26,7 +26,6 @@
 #include "common/rng.h"
 #include "core/density_partition.h"
 #include "core/mm_join.h"
-#include "core/nonmm_join.h"
 #include "core/result_sink.h"
 #include "datagen/generators.h"
 #include "storage/index.h"

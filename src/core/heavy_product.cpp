@@ -1,12 +1,14 @@
 #include "core/heavy_product.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <utility>
 
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 #include "core/trace.h"
 #include "matrix/dense_matrix.h"
 #include "matrix/matmul.h"
@@ -240,6 +242,16 @@ void Prepare(const CsrMatrix& a, const CsrMatrix& b, const HeavyProduct& p,
   run.heavy_blocks_total = ChunkCount(rows, row_block);
   pp.row_block = row_block;
 
+  // Both pricing steps (kAuto's block plan, and the grid in every mode)
+  // read one set of rates, resolved here so a first-in-process measurement
+  // shows as its own span.
+  const SparseKernelRates* rates = p.rates;
+  if (rates == nullptr && (gates.mode == HeavyPathMode::kAuto ||
+                           p.partition != PartitionMode::kOff)) {
+    TraceRecorder::Scope rates_scope(trace, "kernel-rates", p.trace_parent);
+    rates = &SparseKernelRates::Default();
+  }
+
   // ---- Decomposition. kForce engages the grid whenever a product exists;
   // kAuto only when the priced grid beats the uniform plan AND the permuted
   // operands + band slices fit what remains of the cap. Chunks stay
@@ -251,7 +263,7 @@ void Prepare(const CsrMatrix& a, const CsrMatrix& b, const HeavyProduct& p,
     DensityGridOptions go;
     go.row_block = row_block;
     go.mode = gates.mode;
-    go.rates = p.rates;
+    go.rates = rates;
     go.allow_dense = gates.allow_dense;
     go.allow_csr_dense = gates.allow_csr_dense;
     DensityGrid grid = BuildDensityGrid(a, b, go);
@@ -300,7 +312,7 @@ void Prepare(const CsrMatrix& a, const CsrMatrix& b, const HeavyProduct& p,
   } else {
     run.partition_signature = "uniform";
     run.block_choices =
-        PlanProductBlocks(a, b, row_block, gates.mode, p.rates,
+        PlanProductBlocks(a, b, row_block, gates.mode, rates,
                           gates.allow_dense, gates.allow_csr_dense, nullptr);
     for (const BlockKernelChoice& blk : run.block_choices) {
       pp.row_bands.push_back(blk.row_begin);
@@ -571,6 +583,12 @@ HeavyOperandKey OperandKey(const ExecContext& ctx, Thresholds t,
           std::max(1, ctx.threads), ctx.partition};
 }
 
+HeavyOperandKey UncappedOperandKey(Thresholds t) {
+  HeavyOperandKey key = OperandKey(ExecContext{}, t, 1);
+  key.max_matrix_bytes = std::numeric_limits<uint64_t>::max();
+  return key;
+}
+
 std::shared_ptr<const HeavyFit> HeavyOperandCache::Fit(
     const HeavyOperandKey& key, const ExecContext& ctx,
     const std::function<std::shared_ptr<const HeavyFit>()>& fit, bool* hit) {
@@ -616,6 +634,43 @@ std::shared_ptr<const PreparedProduct> HeavyOperandCache::Product(
 uint64_t HeavyOperandCache::bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return (fit_ ? fit_->bytes : 0) + (product_ ? product_->bytes : 0);
+}
+
+RunOperands::RunOperands(
+    HeavyOperandCache* caller, const HeavyOperandKey& key,
+    const ExecContext& ctx,
+    const std::function<std::shared_ptr<const HeavyFit>()>& fit)
+    : cache_(caller != nullptr ? *caller : own_),
+      fit_(cache_.Fit(key, ctx, fit, &fit_hit_)) {}
+
+void RunOperands::RunMmHeavyStep(
+    ChunkGate& gate, HeavyProduct p, const char* build_span,
+    const std::function<std::shared_ptr<const PreparedProduct>(
+        const HeavyProduct&)>& build,
+    RunRecord* result, bool* interrupted) const {
+  const HeavyShape& shape = fit_->shape;
+  const bool planned = shape.rows > 0 && shape.inner > 0 && shape.cols > 0;
+  bool product_hit = true;  // stays true when no product runs
+  if (planned && gate.Stopped()) {
+    static_cast<HeavyRun&>(*result) = SkippedHeavyRun(shape, p.row_block);
+  } else if (planned) {
+    WallTimer heavy_timer;
+    TraceRecorder::Scope heavy_scope(p.trace, "heavy", p.trace_parent);
+    p.trace_parent = heavy_scope.id();
+    const std::shared_ptr<const PreparedProduct> product = cache_.Product(
+        *fit_, p, build_span, [&] { return build(p); }, &product_hit);
+    static_cast<HeavyRun&>(*result) =
+        RunHeavyProduct(*product, p, interrupted);
+    result->partition_cache_hit =
+        product_hit && p.partition != PartitionMode::kOff;
+    result->heavy_seconds = heavy_timer.Seconds();
+  }
+  RecordCache(result, product_hit);
+}
+
+void RunOperands::RecordCache(RunRecord* result, bool product_hit) const {
+  result->operand_cache_hit = fit_hit_ && product_hit;
+  result->operand_cache_bytes = cache_.bytes();
 }
 
 HeavyRun SkippedHeavyRun(const HeavyShape& shape, size_t row_block) {

@@ -252,7 +252,8 @@ struct HeavyRow {
 struct HeavyProduct : ExecContext {
   /// Rows per work unit (and per uniform-plan block).
   size_t row_block = 256;
-  /// nullptr resolves to SparseKernelRates::Default() when kAuto prices.
+  /// nullptr resolves to SparseKernelRates::Default() when a step prices
+  /// blocks (kAuto, or the grid in any mode).
   const SparseKernelRates* rates = nullptr;
   /// Polled with the cancel token before every chunk (ChunkGate): a done()
   /// sink or a fired token skips the remaining chunks.
@@ -279,8 +280,10 @@ struct PreparedProduct;
 /// Prepares A * B (a.cols() == b.rows(), both non-empty) over the caller's
 /// operands, which must outlive the result. Reads the threads, heavy_path,
 /// partition, max_matrix_bytes, row_block, rates and symmetric of `p`, and
-/// traces "degree-remap" (partition on) and "pack" under p.trace_parent,
-/// closed with cache-miss.
+/// traces under p.trace_parent "kernel-rates" (the default rates resolved
+/// for a pricing step: rates null, and kAuto or partition on; the first
+/// resolution in a process measures them), then "degree-remap" (partition
+/// on) and "pack", both closed with cache-miss.
 std::shared_ptr<const PreparedProduct> PrepareHeavyProduct(
     const CsrMatrix& a, const CsrMatrix& b, const HeavyProduct& p);
 /// Prepares A * B over operands the result keeps.
@@ -313,6 +316,10 @@ struct HeavyOperandKey {
 /// The key of a run under `ctx` at the requested thresholds and row block.
 HeavyOperandKey OperandKey(const ExecContext& ctx, Thresholds requested,
                            size_t row_block);
+/// The key of a combinatorial (Non-MM) run, which builds no matrices and so
+/// has no byte cap: under an unlimited cap the fit never reads the gate
+/// inputs, so one fixed set of them keys every run.
+HeavyOperandKey UncappedOperandKey(Thresholds requested);
 
 /// What a threshold fit settles on, the base of each query kind's fit (the
 /// two-path's partition context, the star's V / W^T). Immutable once built.
@@ -359,6 +366,49 @@ class HeavyOperandCache {
   std::optional<HeavyOperandKey> key_;
   std::shared_ptr<const HeavyFit> fit_;
   std::shared_ptr<const PreparedProduct> product_;
+};
+
+/// One join run's threshold fit and the memo it came from: the caller's
+/// HeavyOperandCache when it passed one, else one that lives as long as
+/// this object. The two-path and the star strategies start here.
+class RunOperands {
+ public:
+  /// Looks the fit for `key` up (HeavyOperandCache::Fit), built by `fit` on
+  /// a miss.
+  RunOperands(HeavyOperandCache* caller, const HeavyOperandKey& key,
+              const ExecContext& ctx,
+              const std::function<std::shared_ptr<const HeavyFit>()>& fit);
+
+  /// The fit, as the query kind's type.
+  template <class Fit>
+  const Fit& fit() const {
+    return static_cast<const Fit&>(*fit_);
+  }
+
+  /// The MM heavy step of the two-path (M1 * M2) and the star (V * W^T),
+  /// after the light part: nothing when the fit has no heavy product;
+  /// every planned chunk skipped, before anything is built, when `gate`
+  /// has stopped; else, under a "heavy" span that becomes p.trace_parent,
+  /// the memo's prepared product (`build`'s on a miss) runs the chunk
+  /// loop. `build_span`, when non-null, names the span `build` opens
+  /// itself (HeavyOperandCache::Product marks it cache-hit on a hit). Fills
+  /// result's HeavyRun, partition_cache_hit, heavy_seconds and
+  /// operand_cache_*; sets *interrupted when the token skipped some chunk.
+  void RunMmHeavyStep(
+      ChunkGate& gate, HeavyProduct p, const char* build_span,
+      const std::function<std::shared_ptr<const PreparedProduct>(
+          const HeavyProduct&)>& build,
+      RunRecord* result, bool* interrupted) const;
+
+  /// Sets result's operand_cache_hit (the fit's hit, and `product_hit`)
+  /// and operand_cache_bytes.
+  void RecordCache(RunRecord* result, bool product_hit = true) const;
+
+ private:
+  HeavyOperandCache own_;
+  HeavyOperandCache& cache_;
+  bool fit_hit_ = false;  // before fit_, whose initializer sets it
+  std::shared_ptr<const HeavyFit> fit_;
 };
 
 /// The record of a product skipped before its operands were built (the

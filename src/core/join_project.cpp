@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
-#include "core/nonmm_join.h"
 #include "core/trace.h"
 #include "core/two_path_internal.h"
 

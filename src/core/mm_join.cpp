@@ -11,6 +11,7 @@
 #include "core/result_sink.h"
 #include "core/trace.h"
 #include "core/two_path_internal.h"
+#include "join/intersection.h"
 #include "matrix/sparse_matrix.h"
 
 namespace jpmm {
@@ -128,51 +129,111 @@ std::shared_ptr<const HeavyFit> FitTwoPath(const IndexedRelation& r,
   }
 }
 
-}  // namespace
+// Non-MMJoin's heavy step: class H verified pairwise (Lemma 2), each heavy
+// x's heavy-y list against each heavy z's by galloping intersection, in
+// dynamic chunks of kGrain heavy x. Each chunk is one unit of its own gate
+// and the total comes from the same grain, so executed + skipped == total
+// at every thread count; when `gate` has stopped, every chunk is skipped
+// before the lists are built.
+void PairwiseHeavyStep(const internal::TwoPathContext& ctx,
+                       const MmJoinOptions& opts, ChunkGate& gate,
+                       internal::PairEmitters& emitters, ResultSink& sink,
+                       RunRecord* result, bool* interrupted) {
+  constexpr size_t kGrain = 4;
+  const TwoPathPartition& part = ctx.part;
+  const auto& hxs = part.heavy_x();
+  const auto& hzs = part.heavy_z();
+  if (hxs.empty() || part.heavy_y().empty() || hzs.empty()) return;
+  result->heavy_blocks_total = (hxs.size() + kGrain - 1) / kGrain;
+  if (gate.Stopped()) {
+    result->heavy_blocks_skipped = result->heavy_blocks_total;
+    return;
+  }
+  WallTimer heavy_timer;
+  TraceRecorder::Scope heavy_scope(opts.trace, "heavy", opts.trace_parent);
+  const int threads = std::max(1, opts.threads);
+  // Heavy-y ids per heavy x (M1's rows) and per heavy z, ascending.
+  const CsrMatrix xs = HeavyOperand(ctx, /*m2=*/false, threads);
+  const CsrMatrix zs = CsrMatrix::FromRows(
+      hzs.size(), part.heavy_y().size(), threads,
+      [&](size_t j, std::vector<uint32_t>* out) {
+        for (Value b : ctx.s.YsOf(hzs[j])) {
+          const Value id = part.HeavyYId(b);
+          if (id != kInvalidValue) out->push_back(id);
+        }
+      });
+  ChunkGate heavy_gate(&sink, opts.cancel);
+  ParallelForDynamic(threads, hxs.size(), kGrain,
+                     [&](size_t i0, size_t i1, int w) {
+    if (!heavy_gate.Claim()) return;
+    internal::PairEmitter& em = emitters[w];
+    for (size_t i = i0; i < i1; ++i) {
+      em.BeginHead();
+      ctx.AccumulateLight(hxs[i], &em);
+      const std::span<const Value> ha = xs.Row(i);
+      for (size_t j = 0; !ha.empty() && j < hzs.size(); ++j) {
+        const std::span<const Value> hc = zs.Row(j);
+        if (hc.empty()) continue;
+        if (opts.count_witnesses) {
+          const auto cnt = static_cast<uint32_t>(IntersectCount(ha, hc));
+          if (cnt > 0) em.Add(hzs[j], cnt);
+        } else if (em.Get(hzs[j]) == 0 && IntersectsSorted(ha, hc)) {
+          em.Add(hzs[j], 1);
+        }
+      }
+      em.EmitTouched(hxs[i], opts.count_witnesses, opts.min_count);
+    }
+    em.Flush();
+  });
+  result->heavy_seconds = heavy_timer.Seconds();
+  result->heavy_blocks_executed = heavy_gate.executed();
+  result->heavy_blocks_skipped = heavy_gate.skipped();
+  if (heavy_gate.interrupted()) *interrupted = true;
+}
 
-RunRecord MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
-                        const MmJoinOptions& opts, ResultSink& sink) {
+// The one two-path executor: the threshold fit, the light pass, the heavy
+// step — the matrix product when `matrix`, else pairwise intersection —
+// then the sink finish and the record.
+RunRecord TwoPathJoin(const IndexedRelation& r, const IndexedRelation& s,
+                      const MmJoinOptions& opts, ResultSink& sink,
+                      bool matrix) {
   JPMM_CHECK(opts.min_count >= 1);
   JPMM_CHECK_MSG(opts.min_count == 1 || opts.count_witnesses,
                  "min_count > 1 requires count_witnesses");
-  JPMM_CHECK(opts.row_block >= 1);
+  JPMM_CHECK(!matrix || opts.row_block >= 1);
   const int threads = std::max(1, opts.threads);
   TraceRecorder* const trace = opts.trace;
   const TraceRecorder::SpanId tparent = opts.trace_parent;
 
-  // The fit, and later the operands, come from the caller's memo or from
-  // one that lives for this run only.
-  HeavyOperandCache run_cache;
-  HeavyOperandCache& cache =
-      opts.operand_cache != nullptr ? *opts.operand_cache : run_cache;
-  const HeavyOperandKey key = OperandKey(opts, opts.thresholds, opts.row_block);
-  bool fit_hit = false;
-  const std::shared_ptr<const HeavyFit> fit_ptr =
-      cache.Fit(key, opts, [&] { return FitTwoPath(r, s, key); }, &fit_hit);
-  const TwoPathFit& fit = static_cast<const TwoPathFit&>(*fit_ptr);
+  const HeavyOperandKey key =
+      matrix ? OperandKey(opts, opts.thresholds, opts.row_block)
+             : UncappedOperandKey(opts.thresholds);
+  const RunOperands operands(opts.operand_cache, key, opts,
+                             [&] { return FitTwoPath(r, s, key); });
+  const TwoPathFit& fit = operands.fit<TwoPathFit>();
   const internal::TwoPathContext& ctx = fit.ctx;
 
   RunRecord result;
   result.adjusted_thresholds = fit.thresholds;
   const auto& part = ctx.part;
   const auto& hxs = part.heavy_x();
-  const auto& hys = part.heavy_y();
-  const auto& hzs = part.heavy_z();
   result.heavy_rows = hxs.size();
-  result.heavy_inner = hys.size();
-  result.heavy_cols = hzs.size();
-  const bool use_matrix = !hxs.empty() && !hys.empty() && !hzs.empty();
+  result.heavy_inner = part.heavy_y().size();
+  result.heavy_cols = part.heavy_z().size();
+  const bool use_heavy = result.heavy_rows > 0 && result.heavy_inner > 0 &&
+                         result.heavy_cols > 0;
 
   sink.Open(threads);
   internal::PairEmitters emitters(sink, threads, s.num_x());
   ChunkGate gate(&sink, opts.cancel);
 
-  // ---- Pass A: head values with no matrix row (light part only).
+  // ---- Light pass: head values with no heavy row (light part only).
   // Dynamic chunking: zipf-skewed x degrees make contiguous static chunks
   // wildly unbalanced (one worker can own all the hubs).
   WallTimer light_timer;
   constexpr size_t kHeadGrain = 256;
-  const TraceRecorder::SpanId light_span = TraceBegin(trace, "light-pass", tparent);
+  const TraceRecorder::SpanId light_span =
+      TraceBegin(trace, "light-pass", tparent);
   ParallelForDynamic(threads, r.num_x(), kHeadGrain,
                      [&](size_t a0, size_t a1, int w) {
                        if (!gate.Claim()) return;
@@ -182,7 +243,7 @@ RunRecord MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
                        for (size_t a = a0; a < a1; ++a) {
                          const auto av = static_cast<Value>(a);
                          if (r.DegX(av) == 0) continue;
-                         if (use_matrix && part.HeavyXId(av) != kInvalidValue) {
+                         if (use_heavy && part.HeavyXId(av) != kInvalidValue) {
                            continue;
                          }
                          EmitHead(ctx, opts, av, nullptr, &em);
@@ -192,23 +253,16 @@ RunRecord MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
   TraceEnd(trace, light_span);
   result.light_seconds = light_timer.Seconds();
 
-  // ---- Pass B: heavy rows through the heavy-product executor, which hands
-  // back every heavy x row whole (light witnesses join its heavy counts in
-  // one stamp epoch). If the sink was satisfied by the light pass alone,
-  // skip the whole phase — operand build included — with every chunk
-  // accounted skipped: the total is the same whether the phase ran or not,
-  // at every thread count (guarded by
+  // ---- Heavy step: every heavy x row whole (light witnesses join its
+  // heavy counts in one stamp epoch). If the sink was satisfied by the
+  // light pass alone, the whole step — operand build included — is skipped
+  // with every chunk accounted skipped: the total is the same whether the
+  // step ran or not, at every thread count (guarded by
   // QueryEngine.DoneMidChunkSkipsIdenticalDownstreamBlocks).
   bool heavy_interrupted = false;
-  bool product_hit = true;  // stays true when no product runs
-  if (use_matrix && gate.Stopped()) {
-    static_cast<HeavyRun&>(result) = SkippedHeavyRun(fit.shape, opts.row_block);
-  } else if (use_matrix) {
-    WallTimer heavy_timer;
-    TraceRecorder::Scope heavy_scope(trace, "heavy", tparent);
+  if (matrix) {
     HeavyProduct hp;
     static_cast<ExecContext&>(hp) = opts;
-    hp.trace_parent = heavy_scope.id();
     hp.row_block = opts.row_block;
     hp.sink = &sink;
     // One snapshot on both sides: M2 = M1^T, so the product is symmetric.
@@ -217,24 +271,21 @@ RunRecord MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
       EmitHead(ctx, opts, hxs[row], &out, &emitters[w]);
     };
     hp.on_chunk_done = [&](int w) { emitters[w].Flush(); };
-    const std::shared_ptr<const PreparedProduct> product = cache.Product(
-        fit, hp, "csr-build",
-        [&] {
-          TraceRecorder::Scope csr_scope(trace, "csr-build", hp.trace_parent);
+    operands.RunMmHeavyStep(
+        gate, std::move(hp), "csr-build",
+        [&](const HeavyProduct& p) {
+          TraceRecorder::Scope csr_scope(trace, "csr-build", p.trace_parent);
           CsrMatrix m1 = HeavyOperand(ctx, /*m2=*/false, threads);
           CsrMatrix m2 = HeavyOperand(ctx, /*m2=*/true, threads);
           csr_scope.Close("cache-miss");
-          return PrepareHeavyProduct(std::move(m1), std::move(m2), hp);
+          return PrepareHeavyProduct(std::move(m1), std::move(m2), p);
         },
-        &product_hit);
-    static_cast<HeavyRun&>(result) =
-        RunHeavyProduct(*product, hp, &heavy_interrupted);
-    result.partition_cache_hit =
-        product_hit && hp.partition != PartitionMode::kOff;
-    result.heavy_seconds = heavy_timer.Seconds();
+        &result, &heavy_interrupted);
+  } else {
+    PairwiseHeavyStep(ctx, opts, gate, emitters, sink, &result,
+                      &heavy_interrupted);
+    operands.RecordCache(&result);
   }
-  result.operand_cache_hit = fit_hit && product_hit;
-  result.operand_cache_bytes = cache.bytes();
 
   // ---- Merge point. Dynamic chunk claiming makes the pair ORDER
   // run-dependent (the header documents it as unspecified); the pair SET is
@@ -249,6 +300,18 @@ RunRecord MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
 
   RecordRunMetrics(result, LightUnit::kChunks);
   return result;
+}
+
+}  // namespace
+
+RunRecord MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
+                        const MmJoinOptions& opts, ResultSink& sink) {
+  return TwoPathJoin(r, s, opts, sink, /*matrix=*/true);
+}
+
+RunRecord NonMmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
+                           const MmJoinOptions& opts, ResultSink& sink) {
+  return TwoPathJoin(r, s, opts, sink, /*matrix=*/false);
 }
 
 }  // namespace jpmm

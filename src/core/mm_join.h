@@ -19,6 +19,16 @@
 // loop, float exactness — is the shared executor in core/heavy_product.h
 // (docs/kernels.md, "The heavy-product executor"); this file builds its
 // operands and turns its rows into pairs.
+//
+// Non-MMJoin, the combinatorial output-sensitive comparator (Lemma 2,
+// [11]), runs on the same executor: the same threshold fit and operand
+// memo, the same light part, the same sink finish and record. Only the
+// heavy step differs: the all-heavy witness class is verified pairwise,
+// for every (heavy x, heavy z) pair a galloping intersection of their
+// heavy-y adjacency lists. This is the O(|D| * |OUT|^{1/2}) algorithm the
+// paper benchmarks as "Non-MMJoin"; since the heavy step is the only
+// difference, benchmark deltas isolate exactly the matrix-multiplication
+// contribution.
 
 #ifndef JPMM_CORE_MM_JOIN_H_
 #define JPMM_CORE_MM_JOIN_H_
@@ -36,8 +46,8 @@ namespace jpmm {
 
 /// Options of both two-path strategies: the execution context
 /// (core/exec_context.h) plus what the two-path needs. Non-MMJoin has no
-/// matrices, so it ignores heavy_path, partition, max_matrix_bytes,
-/// row_block and operand_cache.
+/// matrices, so it ignores heavy_path, partition, max_matrix_bytes and
+/// row_block.
 struct MmJoinOptions : ExecContext {
   Thresholds thresholds;
   /// Produce CountedPair witness counts instead of plain pairs.
@@ -53,9 +63,10 @@ struct MmJoinOptions : ExecContext {
   /// Optional cross-execution memo of the threshold fit, M1 / M2 and
   /// their prepared product, owned by the caller's plan state
   /// (core/heavy_product.h). The fit is looked up first; the operands are
-  /// built by the first execution that reaches the heavy part. Hits show
-  /// in RunRecord::operand_cache_hit and on the "threshold-fit",
-  /// "csr-build" and "pack" spans. Null = build everything every run.
+  /// built by the first MMJoin execution that reaches the heavy part
+  /// (Non-MMJoin keeps only its fit). Hits show in
+  /// RunRecord::operand_cache_hit and on the "threshold-fit", "csr-build"
+  /// and "pack" spans. Null = build everything every run.
   HeavyOperandCache* operand_cache = nullptr;
 };
 
@@ -67,6 +78,14 @@ struct MmJoinOptions : ExecContext {
 /// RunTwoPath (core/join_project.h) applies its plan.
 RunRecord MmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
                         const MmJoinOptions& options, ResultSink& sink);
+
+/// Runs Non-MMJoin with MMJoin's options (the matrix knobs are ignored; see
+/// MmJoinOptions) into `sink`. Delivery and result fields mirror
+/// MmJoinTwoPath: heavy_seconds covers the pairwise-intersection phase, and
+/// the "heavy blocks" of the early-exit accounting are dynamic chunks of
+/// heavy x values.
+RunRecord NonMmJoinTwoPath(const IndexedRelation& r, const IndexedRelation& s,
+                           const MmJoinOptions& options, ResultSink& sink);
 
 }  // namespace jpmm
 

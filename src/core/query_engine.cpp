@@ -272,7 +272,9 @@ QueryStatus QueryEngine::DropRelation(const std::string& name) {
 }
 
 QueryStatus QueryEngine::Prepare(const QuerySpec& spec, PreparedQuery* out) {
-  if (out == nullptr) return QueryStatus::Error("null PreparedQuery output");
+  if (out == nullptr) {
+    return QueryStatus::InvalidArgument("null PreparedQuery output");
+  }
 
   // ---- Structural validation: everything here is a returned error, not
   // an abort.
@@ -290,24 +292,26 @@ QueryStatus QueryEngine::Prepare(const QuerySpec& spec, PreparedQuery* out) {
       break;
   }
   if (spec.relations.size() < want_min || spec.relations.size() > want_max) {
-    return QueryStatus::Error(
+    return QueryStatus::InvalidArgument(
         std::string(QueryKindName(spec.kind)) + " query takes " +
         std::to_string(want_min) +
         (want_max == want_min ? "" : ".." + std::to_string(want_max)) +
         " relation name(s), got " + std::to_string(spec.relations.size()));
   }
-  if (spec.min_count < 1) return QueryStatus::Error("min_count must be >= 1");
+  if (spec.min_count < 1) {
+    return QueryStatus::InvalidArgument("min_count must be >= 1");
+  }
   if (spec.min_count > 1 && !spec.count_witnesses) {
-    return QueryStatus::Error(
+    return QueryStatus::InvalidArgument(
         "min_count > 1 requires count_witnesses (witness counts are what "
         "the threshold filters on)");
   }
   if (spec.kind == QueryKind::kSsj && spec.ssj_c < 1) {
-    return QueryStatus::Error("ssj_c must be >= 1");
+    return QueryStatus::InvalidArgument("ssj_c must be >= 1");
   }
   if (spec.kind == QueryKind::kStar &&
       (spec.count_witnesses || spec.min_count > 1)) {
-    return QueryStatus::Error(
+    return QueryStatus::InvalidArgument(
         "count_witnesses / min_count are not supported for star queries");
   }
 
@@ -355,7 +359,8 @@ QueryStatus QueryEngine::Prepare(const QuerySpec& spec, PreparedQuery* out) {
 QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
                                  const ExecOptions& opts, ExecStats* stats) {
   if (query.rels_.empty() || query.state_ == nullptr) {
-    return QueryStatus::Error("PreparedQuery is empty (Prepare it first)");
+    return QueryStatus::InvalidArgument(
+        "PreparedQuery is empty (Prepare it first)");
   }
   if (stats != nullptr) *stats = ExecStats{};  // no cross-execution leakage
   WallTimer timer;
@@ -365,8 +370,8 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
   // The spec's rules were checked at Prepare; the execution options'
   // are checked here.
   if (opts.threads < 1) {
-    return QueryStatus::Error("threads must be >= 1 (got " +
-                              std::to_string(opts.threads) + ")");
+    return QueryStatus::InvalidArgument("threads must be >= 1 (got " +
+                                        std::to_string(opts.threads) + ")");
   }
   // Repeat-execution flag for the paths with no cached plan to win or
   // lose (triangle, star with explicit thresholds). Loaded before the
@@ -461,7 +466,7 @@ QueryStatus QueryEngine::Execute(PreparedQuery& query, ResultSink& sink,
     }
     case QueryKind::kStar: {
       if (!sink.supports_tuples()) {
-        return QueryStatus::Error(
+        return QueryStatus::InvalidArgument(
             "this sink does not consume star tuples (supports_tuples() is "
             "false) — use VectorSink / PageSink / CountOnlySink or a "
             "custom sink overriding OnTuple");

@@ -97,10 +97,6 @@ const char* StatusCodeName(StatusCode c);
 class QueryStatus {
  public:
   static QueryStatus Ok() { return QueryStatus(); }
-  /// Back-compat error factory: an invalid-argument failure.
-  static QueryStatus Error(std::string message) {
-    return Make(StatusCode::kInvalidArgument, std::move(message));
-  }
   static QueryStatus InvalidArgument(std::string message) {
     return Make(StatusCode::kInvalidArgument, std::move(message));
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <numeric>
 #include <span>
@@ -464,15 +463,6 @@ bool DeliverSorted(const TupleBuffer& light, const StarOperands& op,
   }
 }
 
-// The start of every star strategy: the operands for `key`, from `cache`.
-std::shared_ptr<const StarOperands> FitStarOperands(
-    const std::vector<const IndexedRelation*>& rels,
-    const StarJoinOptions& options, HeavyOperandCache& cache,
-    const HeavyOperandKey& key, bool* hit) {
-  return std::static_pointer_cast<const StarOperands>(cache.Fit(
-      key, options, [&] { return PrepareStarOperands(rels, key); }, hit));
-}
-
 // The fields every star strategy reports from its operands.
 RunRecord ResultFor(const StarOperands& op) {
   RunRecord result;
@@ -648,57 +638,37 @@ RunRecord MmStarJoin(const std::vector<const IndexedRelation*>& rels,
                      const StarJoinOptions& options, ResultSink& sink) {
   const int threads = std::max(1, options.threads);
   const size_t row_block = std::max<size_t>(1, options.row_block);
-  HeavyOperandCache run_cache;
-  HeavyOperandCache& cache =
-      options.operand_cache != nullptr ? *options.operand_cache : run_cache;
   const HeavyOperandKey key =
       OperandKey(options, options.thresholds, row_block);
-  bool fit_hit = false;
-  const std::shared_ptr<const StarOperands> op_ptr =
-      FitStarOperands(rels, options, cache, key, &fit_hit);
-  const StarOperands& op = *op_ptr;
+  const RunOperands operands(options.operand_cache, key, options, [&] {
+    return PrepareStarOperands(rels, key);
+  });
+  const StarOperands& op = operands.fit<StarOperands>();
   RunRecord result = ResultFor(op);
 
   StarRun run(threads, options, sink, &result);
   TupleBuffer light = run.Light(rels, op, threads);
   HeavyPairs pairs(threads, result.heavy_rows);
 
-  const bool heavy = result.heavy_rows > 0 && result.heavy_cols > 0;
-  bool product_hit = true;  // stays true when no product runs
-  if (heavy && run.gate.Stopped()) {
-    // The sink was done before any delivery (an empty page) or the token
-    // fired: account every planned chunk as skipped without preparing or
-    // running the product.
-    static_cast<HeavyRun&>(result) = SkippedHeavyRun(op.shape, row_block);
-  } else if (heavy) {
-    WallTimer heavy_timer;
-    TraceRecorder::Scope heavy_scope(options.trace, "heavy",
-                                     options.trace_parent);
-    // V * W^T runs on the heavy-product executor, and each nonzero
-    // (V row i, W row j) is one output tuple. A row keeps only its W-row
-    // ids; the finish turns them into tuples.
-    HeavyProduct hp;
-    static_cast<ExecContext&>(hp) = options;
-    hp.trace_parent = heavy_scope.id();
-    hp.row_block = row_block;
-    hp.sink = &sink;
-    hp.on_row = [&](int w, uint32_t i, const HeavyRow& row) {
-      std::vector<uint32_t>& ids = pairs.ids[static_cast<size_t>(w)];
-      const size_t begin = ids.size();
-      row.ForEach([&ids](uint32_t j, uint32_t) { ids.push_back(j); });
-      pairs.Close(w, i, begin);
-    };
-    const std::shared_ptr<const PreparedProduct> product = cache.Product(
-        op, hp, nullptr, [&] { return PrepareHeavyProduct(op.v, op.wt, hp); },
-        &product_hit);
-    static_cast<HeavyRun&>(result) =
-        RunHeavyProduct(*product, hp, &run.heavy_interrupted);
-    result.partition_cache_hit =
-        product_hit && hp.partition != PartitionMode::kOff;
-    result.heavy_seconds = heavy_timer.Seconds();
-  }
-  result.operand_cache_hit = fit_hit && product_hit;
-  result.operand_cache_bytes = cache.bytes();
+  // V * W^T runs on the heavy-product executor, and each nonzero
+  // (V row i, W row j) is one output tuple. A row keeps only its W-row
+  // ids; the finish turns them into tuples.
+  HeavyProduct hp;
+  static_cast<ExecContext&>(hp) = options;
+  hp.row_block = row_block;
+  hp.sink = &sink;
+  hp.on_row = [&](int w, uint32_t i, const HeavyRow& row) {
+    std::vector<uint32_t>& ids = pairs.ids[static_cast<size_t>(w)];
+    const size_t begin = ids.size();
+    row.ForEach([&ids](uint32_t j, uint32_t) { ids.push_back(j); });
+    pairs.Close(w, i, begin);
+  };
+  operands.RunMmHeavyStep(
+      run.gate, std::move(hp), nullptr,
+      [&](const HeavyProduct& p) {
+        return PrepareHeavyProduct(op.v, op.wt, p);
+      },
+      &result, &run.heavy_interrupted);
 
   run.Finish(std::move(light), op, pairs);
 
@@ -709,20 +679,13 @@ RunRecord MmStarJoin(const std::vector<const IndexedRelation*>& rels,
 RunRecord NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
                         const StarJoinOptions& options, ResultSink& sink) {
   const int threads = std::max(1, options.threads);
-  // No dense matrices here, so no byte cap: under an unlimited cap the fit
-  // never reads the gate inputs, so one fixed set of them keys every run.
-  HeavyOperandCache run_cache;
-  HeavyOperandCache& cache =
-      options.operand_cache != nullptr ? *options.operand_cache : run_cache;
-  HeavyOperandKey key = OperandKey(ExecContext{}, options.thresholds, 1);
-  key.max_matrix_bytes = std::numeric_limits<uint64_t>::max();
-  bool fit_hit = false;
-  const std::shared_ptr<const StarOperands> op_ptr =
-      FitStarOperands(rels, options, cache, key, &fit_hit);
-  const StarOperands& op = *op_ptr;
+  const HeavyOperandKey key = UncappedOperandKey(options.thresholds);
+  const RunOperands operands(options.operand_cache, key, options, [&] {
+    return PrepareStarOperands(rels, key);
+  });
+  const StarOperands& op = operands.fit<StarOperands>();
   RunRecord result = ResultFor(op);
-  result.operand_cache_hit = fit_hit;
-  result.operand_cache_bytes = cache.bytes();
+  operands.RecordCache(&result);
 
   StarRun run(threads, options, sink, &result);
   TupleBuffer light = run.Light(rels, op, threads);

@@ -6,7 +6,6 @@
 
 #include "core/join_project.h"
 #include "core/mm_join.h"
-#include "core/nonmm_join.h"
 #include "core/query_engine.h"
 #include "core/result_sink.h"
 #include "matrix/dense_matrix.h"

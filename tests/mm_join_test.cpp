@@ -15,7 +15,6 @@
 #include "common/thread_pool.h"
 #include "core/join_project.h"
 #include "core/mm_join.h"
-#include "core/nonmm_join.h"
 #include "core/optimizer.h"
 #include "core/query_engine.h"
 #include "core/result_sink.h"
@@ -419,26 +418,41 @@ MemoRun ExecuteMemo(QueryEngine& engine, PreparedQuery& q, ExecOptions exec) {
 // The build spans of a run: the fit, then M1 / M2 and their pack.
 constexpr const char* kBuildSpans[] = {"threshold-fit", "csr-build", "pack"};
 
+// Non-MMJoin builds no matrices, so it keeps only its fit: its repeat hits
+// on "threshold-fit" and opens no operand build span.
 TEST(HeavyOperandMemo, RepeatExecuteHitsOnEveryBuildSpan) {
   const BinaryRelation rel = MemoGraph();
   const IndexedRelation idx(rel);
   const SortedOutput want = WcojReference(idx, idx, /*count_witnesses=*/true);
   QueryEngine engine;
   engine.AddRelation("R", rel);
-  for (PartitionMode partition : {PartitionMode::kOff, PartitionMode::kForce}) {
-    const std::string where = PartitionModeName(partition);
+  struct Input {
+    Strategy strategy;
+    PartitionMode partition;
+  };
+  for (const Input in : {Input{Strategy::kMmJoin, PartitionMode::kOff},
+                         Input{Strategy::kMmJoin, PartitionMode::kForce},
+                         Input{Strategy::kNonMmJoin, PartitionMode::kOff}}) {
+    const bool mm = in.strategy == Strategy::kMmJoin;
+    const std::string where = std::string(StrategyName(in.strategy)) + "/" +
+                              PartitionModeName(in.partition);
+    QuerySpec spec = MemoSpec(QueryKind::kTwoPath);
+    spec.strategy = in.strategy;
     PreparedQuery q;
-    ASSERT_TRUE(engine.Prepare(MemoSpec(QueryKind::kTwoPath), &q).ok());
+    ASSERT_TRUE(engine.Prepare(spec, &q).ok());
     ExecOptions exec = MemoExec();
-    exec.partition = partition;
+    exec.partition = in.partition;
     const MemoRun cold = ExecuteMemo(engine, q, exec);
     const MemoRun warm = ExecuteMemo(engine, q, exec);
     ASSERT_GT(cold.stats.heavy_blocks_executed, 0u) << where;
     for (const char* span : kBuildSpans) {
-      EXPECT_EQ(cold.Detail(span), "cache-miss") << where << " " << span;
-      EXPECT_EQ(warm.Detail(span), "cache-hit") << where << " " << span;
+      const bool built = mm || std::string(span) == "threshold-fit";
+      EXPECT_EQ(cold.Detail(span), built ? "cache-miss" : "")
+          << where << " " << span;
+      EXPECT_EQ(warm.Detail(span), built ? "cache-hit" : "")
+          << where << " " << span;
     }
-    const bool grid = partition != PartitionMode::kOff;
+    const bool grid = in.partition != PartitionMode::kOff;
     EXPECT_EQ(warm.Detail("degree-remap"), grid ? "cache-hit" : "") << where;
     EXPECT_FALSE(cold.stats.partition_cache_hit) << where;
     EXPECT_EQ(warm.stats.partition_cache_hit, grid) << where;

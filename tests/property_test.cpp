@@ -9,7 +9,6 @@
 #include "core/join_project.h"
 #include "core/star_join.h"
 #include "core/mm_join.h"
-#include "core/nonmm_join.h"
 #include "datagen/generators.h"
 #include "join/star_wcoj.h"
 #include "tests/test_util.h"

@@ -18,7 +18,6 @@
 #include "common/types.h"
 #include "core/join_project.h"
 #include "core/mm_join.h"
-#include "core/nonmm_join.h"
 #include "core/query_engine.h"
 #include "core/star_join.h"
 #include "join/intersection.h"

@@ -127,30 +127,88 @@ uint64_t BlockSpanCount(const TraceRecorder& rec) {
                                rec.CountNamed("block:csr-csr"));
 }
 
+// MMJoin and Non-MMJoin share one light pass, so both trace one
+// "light-chunk" span per executed light chunk.
 TEST(TraceEndToEnd, MmJoinSpanTreeBalancedWithBlockAttribution) {
   QueryEngine engine;
   engine.catalog().Put("R", SkewedGraph());
-  PreparedQuery q;
-  ASSERT_TRUE(engine.Prepare(TwoPathSpec(Strategy::kMmJoin), &q).ok());
+  for (Strategy s : {Strategy::kMmJoin, Strategy::kNonMmJoin}) {
+    PreparedQuery q;
+    ASSERT_TRUE(engine.Prepare(TwoPathSpec(s), &q).ok());
 
-  TraceRecorder trace;
-  ExecOptions exec;
-  exec.trace = &trace;
-  exec.thresholds = {8, 8};  // force a real heavy part
-  CountOnlySink sink;
-  ExecStats stats;
-  ASSERT_TRUE(engine.Execute(q, sink, exec, &stats).ok());
+    TraceRecorder trace;
+    ExecOptions exec;
+    exec.trace = &trace;
+    exec.thresholds = {8, 8};  // force a real heavy part
+    CountOnlySink sink;
+    ExecStats stats;
+    ASSERT_TRUE(engine.Execute(q, sink, exec, &stats).ok());
 
-  EXPECT_TRUE(trace.AllClosed());
-  ExpectAllSpansClosed(stats.trace_spans);
-  EXPECT_EQ(trace.CountNamed("execute"), 1u);
-  EXPECT_EQ(trace.CountNamed("plan"), 1u);
-  // Per-kernel block spans match the stats accounting exactly.
-  EXPECT_GT(stats.heavy_blocks_total, 0u);
-  EXPECT_EQ(BlockSpanCount(trace), stats.heavy_blocks_executed);
-  EXPECT_EQ(stats.heavy_blocks_executed + stats.heavy_blocks_skipped,
-            stats.heavy_blocks_total);
-  EXPECT_EQ(trace.CountNamed("light-chunk"), stats.light_chunks_executed);
+    const char* what = StrategyName(s);
+    EXPECT_TRUE(trace.AllClosed()) << what;
+    ExpectAllSpansClosed(stats.trace_spans);
+    EXPECT_EQ(trace.CountNamed("execute"), 1u) << what;
+    EXPECT_EQ(trace.CountNamed("plan"), 1u) << what;
+    EXPECT_GT(stats.heavy_blocks_total, 0u) << what;
+    EXPECT_EQ(stats.heavy_blocks_executed + stats.heavy_blocks_skipped,
+              stats.heavy_blocks_total)
+        << what;
+    EXPECT_GT(stats.light_chunks_executed, 0u) << what;
+    EXPECT_EQ(trace.CountNamed("light-chunk"), stats.light_chunks_executed)
+        << what;
+    // Per-kernel block spans match the stats accounting exactly; the
+    // combinatorial heavy step runs no product kernels.
+    if (s == Strategy::kMmJoin) {
+      EXPECT_EQ(BlockSpanCount(trace), stats.heavy_blocks_executed);
+    }
+  }
+}
+
+// A cold kAuto heavy product resolves the kernel rates it prices blocks
+// with under its own "kernel-rates" span, a child of "heavy" opened before
+// the decomposition; a memo hit prepares nothing and opens none.
+TEST(TraceEndToEnd, KernelRatesSpanUnderHeavyOnColdAutoRun) {
+  QueryEngine engine;
+  engine.catalog().Put("R", SkewedGraph());
+  for (PartitionMode partition : {PartitionMode::kOff, PartitionMode::kForce}) {
+    PreparedQuery q;
+    ASSERT_TRUE(engine.Prepare(TwoPathSpec(Strategy::kMmJoin), &q).ok());
+    for (bool warm : {false, true}) {
+      const std::string where = std::string(PartitionModeName(partition)) +
+                                (warm ? " warm" : " cold");
+      TraceRecorder trace;
+      ExecOptions exec;
+      exec.trace = &trace;
+      exec.thresholds = {8, 8};
+      exec.heavy_path = HeavyPathMode::kAuto;
+      exec.partition = partition;
+      CountOnlySink sink;
+      ExecStats stats;
+      ASSERT_TRUE(engine.Execute(q, sink, exec, &stats).ok()) << where;
+      ASSERT_GT(stats.heavy_blocks_executed, 0u) << where;
+      EXPECT_EQ(stats.operand_cache_hit, warm) << where;
+      // Spans are numbered in the order they open.
+      const std::vector<TraceSpan> spans = trace.spans();
+      int32_t heavy = -1, rates = -1, remap = -1, pack = -1;
+      size_t rates_count = 0;
+      for (size_t i = 0; i < spans.size(); ++i) {
+        const std::string name = spans[i].name;
+        const auto id = static_cast<int32_t>(i);
+        if (name == "heavy") heavy = id;
+        if (name == "degree-remap") remap = id;
+        if (name == "pack") pack = id;
+        if (name == "kernel-rates") {
+          ++rates_count;
+          rates = id;
+          EXPECT_EQ(spans[i].parent, heavy) << where;
+        }
+      }
+      EXPECT_EQ(rates_count, warm ? 0u : 1u) << where;
+      if (warm) continue;
+      EXPECT_LT(rates, pack) << where;
+      if (partition != PartitionMode::kOff) EXPECT_LT(rates, remap) << where;
+    }
+  }
 }
 
 // The two-path's, the star's and the triangle's heavy products run on the
