@@ -9,6 +9,9 @@
 //           sweep {1e-4 .. 0.25} at n in {1024, 4096}, against the dense
 //           blocked GEMM on the same operands; BM_SparseCrossover emits the
 //           measured dense/sparse crossover density into the bench JSON;
+//   bit count : the heavy product's dense-block kernel (BitCountRowRange,
+//           AND + popcount over bit rows) on the two-path's and the star's
+//           block shapes, under the active dispatch level (JPMM_ISA);
 //   metrics overhead : the same instrumented join executed with metrics on
 //           vs JPMM_METRICS=off in one process; the overhead_pct counter is
 //           the observability acceptance row (CI asserts < 2%).
@@ -36,6 +39,7 @@
 #include "core/query_engine.h"
 #include "core/result_sink.h"
 #include "datagen/presets.h"
+#include "matrix/bit_rows.h"
 #include "matrix/calibration.h"
 #include "matrix/cost_model.h"
 #include "matrix/dense_matrix.h"
@@ -275,6 +279,36 @@ void BM_SparseCsrCsr(benchmark::State& state) {
                     CsrCsrExpandOps(a, b, 0, a.rows()));
 }
 
+// The dense blocks' bit-count kernel on one rows x inner by inner x cols
+// block at density 0.135 (Protein@1.5's heavy part), with the output
+// window from column 0. gflops counts the 2 * rows * inner * cols flops a
+// float GEMM would spend (the unit SparseKernelRates stores the kernel's
+// rate in). The kernel is density-blind.
+void BM_BitCount(benchmark::State& state) {
+  const auto rows = static_cast<size_t>(state.range(0));
+  const auto inner = static_cast<size_t>(state.range(1));
+  const auto cols = static_cast<size_t>(state.range(2));
+  const CsrMatrix a =
+      CsrMatrix::FromDense(RandomDenseMatrix(rows, inner, 0.135, 12));
+  const Matrix b = RandomDenseMatrix(inner, cols, 0.135, 11);
+  const BitRows abits = BitRows::FromRows(a);
+  const BitRows btbits = BitRows::FromColumns(CsrMatrix::FromDense(b));
+  VerifySparsePrefix(a, b, [&](size_t r0, size_t r1, std::span<float> out) {
+    BitCountRowRange(abits, btbits, r0, r1, 0, cols, out);
+  });
+  std::vector<float> out(rows * cols);
+  for (auto _ : state) {
+    BitCountRowRange(abits, btbits, 0, rows, 0, cols, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["gflops"] = benchmark::Counter(
+      2.0 * static_cast<double>(rows) * static_cast<double>(inner) *
+          static_cast<double>(cols) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate);
+  state.counters["words"] = static_cast<double>(abits.words());
+}
+
 // Dense blocked GEMM on the same sparse operands — the baseline the
 // acceptance criterion compares against (its runtime is density-blind).
 void BM_SparseDenseGemm(benchmark::State& state) {
@@ -427,6 +461,13 @@ BENCHMARK(BM_DenseParallelSharedSlab)
 JPMM_SPARSE_SWEEP(BM_SparseCsrDense);
 JPMM_SPARSE_SWEEP(BM_SparseCsrCsr);
 #undef JPMM_SPARSE_SWEEP
+// Two-path (Protein@1.5: one 256-row chunk of 1173 x 1200 x 1173) and
+// star (inner 70, 2 words) block shapes, and a square 1024 product.
+BENCHMARK(BM_BitCount)
+    ->Args({256, 1200, 1173})
+    ->Args({256, 70, 1024})
+    ->Args({1024, 1024, 1024})
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SparseDenseGemm)
     ->Args({1024, 1000})
     ->Args({4096, 1000})

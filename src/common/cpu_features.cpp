@@ -36,26 +36,34 @@ unsigned long long ReadXcr0() {
 }
 #endif  // JPMM_X86_64
 
-KernelIsa DetectOnce() {
+struct Detected {
   KernelIsa best = KernelIsa::kPortable;
+  bool vpopcntdq = false;
+};
+
+Detected DetectOnce() {
+  Detected d;
 #ifdef JPMM_X86_64
   unsigned int eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return best;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return d;
   const bool osxsave = (ecx >> 27) & 1;
   const bool avx = (ecx >> 28) & 1;
   const bool fma = (ecx >> 12) & 1;
-  if (!osxsave || !avx) return best;
+  const bool popcnt = (ecx >> 23) & 1;
+  if (!osxsave || !avx) return d;
   // xgetbv: the OS must have enabled xmm+ymm state saving (bits 1|2), and
   // for AVX-512 additionally the opmask + zmm state (bits 5|6|7).
   const unsigned long long xcr0 = ReadXcr0();
   const bool ymm_enabled = (xcr0 & 0x6) == 0x6;
   const bool zmm_enabled = (xcr0 & 0xE6) == 0xE6;
-  if (!ymm_enabled) return best;
+  if (!ymm_enabled) return d;
 
   unsigned int eax7 = 0, ebx7 = 0, ecx7 = 0, edx7 = 0;
-  if (!__get_cpuid_count(7, 0, &eax7, &ebx7, &ecx7, &edx7)) return best;
+  if (!__get_cpuid_count(7, 0, &eax7, &ebx7, &ecx7, &edx7)) return d;
   const bool avx2 = (ebx7 >> 5) & 1;
-  if (avx2 && fma) best = KernelIsa::kAvx2;
+  // POPCNT is on every AVX2 part; the level requires it for the bit-count
+  // kernel (matrix/bit_kernels_popcnt.cpp).
+  if (avx2 && fma && popcnt) d.best = KernelIsa::kAvx2;
 
   const bool avx512f = (ebx7 >> 16) & 1;
   const bool avx512dq = (ebx7 >> 17) & 1;
@@ -63,11 +71,17 @@ KernelIsa DetectOnce() {
   const bool avx512bw = (ebx7 >> 30) & 1;
   const bool avx512vl = (ebx7 >> 31) & 1;
   if (zmm_enabled && avx512f && avx512dq && avx512cd && avx512bw &&
-      avx512vl && best == KernelIsa::kAvx2) {
-    best = KernelIsa::kAvx512;
+      avx512vl && d.best == KernelIsa::kAvx2) {
+    d.best = KernelIsa::kAvx512;
+    d.vpopcntdq = (ecx7 >> 14) & 1;
   }
 #endif
-  return best;
+  return d;
+}
+
+const Detected& Detection() {
+  static const Detected d = DetectOnce();
+  return d;
 }
 
 KernelIsa ClampToHost(KernelIsa isa) {
@@ -125,10 +139,9 @@ bool ParseKernelIsa(const std::string& s, KernelIsa* out) {
   return false;
 }
 
-KernelIsa DetectBestIsa() {
-  static const KernelIsa best = DetectOnce();
-  return best;
-}
+KernelIsa DetectBestIsa() { return Detection().best; }
+
+bool HasAvx512Vpopcntdq() { return Detection().vpopcntdq; }
 
 bool IsaSupported(KernelIsa isa) {
   return static_cast<int>(isa) <= static_cast<int>(DetectBestIsa());

@@ -1,10 +1,10 @@
 // Runtime ISA detection and kernel-dispatch selection.
 //
-// The hot kernels (matrix/matmul, sparse_matrix) each carry explicit SIMD
-// variants compiled into per-ISA translation units with per-file -m flags,
-// so ONE binary holds every path regardless of -march flags (JPMM_NATIVE on
-// or off). Which variant runs is decided at runtime from CPUID — never from
-// compile-time macros — through this module:
+// The hot kernels (matrix/matmul, sparse_matrix, bit_rows) each carry
+// explicit SIMD variants compiled into per-ISA translation units with
+// per-file -m flags, so ONE binary holds every path regardless of -march
+// flags (JPMM_NATIVE on or off). Which variant runs is decided at runtime
+// from CPUID — never from compile-time macros — through this module:
 //
 //   DetectBestIsa()   what the hardware + OS actually support (cached;
 //                     AVX-512 requires the OS to have enabled zmm state,
@@ -33,7 +33,7 @@ namespace jpmm {
 /// Kernel dispatch levels, ordered: a level implies every lower one.
 enum class KernelIsa {
   kPortable = 0,  // the auto-vectorized C++ kernels (always available)
-  kAvx2 = 1,      // AVX2 + FMA
+  kAvx2 = 1,      // AVX2 + FMA + POPCNT
   kAvx512 = 2,    // AVX-512 F/BW/DQ/VL/CD
 };
 
@@ -50,6 +50,11 @@ KernelIsa DetectBestIsa();
 
 /// True iff `isa` can run on this host (portable always can).
 bool IsaSupported(KernelIsa isa);
+
+/// True iff the host supports AVX-512 VPOPCNTDQ (the bit-count kernel's
+/// vector popcount). Detected with DetectBestIsa; false unless
+/// DetectBestIsa() is kAvx512.
+bool HasAvx512Vpopcntdq();
 
 /// The level every kernel dispatches on: override (clamped to the host's
 /// capability) if one is set, else DetectBestIsa(). The JPMM_ISA

@@ -144,8 +144,7 @@ double BlockSeconds(uint64_t rows, uint64_t v, uint64_t w, uint64_t block_nnz,
   const double scan = static_cast<double>(rows) * static_cast<double>(w);
   switch (kernel) {
     case ProductKernel::kDenseGemm:
-      return 2.0 * static_cast<double>(rows) * static_cast<double>(v) *
-                 static_cast<double>(w) / rates.dense_flops_per_sec +
+      return rates.DenseSeconds(rows, v, w) +
              SparseProductSeconds(scan, sd_rate);
     case ProductKernel::kCsrDense:
       return SparseProductSeconds(SparseProductOps(block_nnz, rows, w) + scan,

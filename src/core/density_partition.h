@@ -25,14 +25,14 @@
 //    columns) by degree so nnz concentrates into corner blocks, splits the
 //    product into a small grid of density-homogeneous row x column bands
 //    (band count chosen by pricing each candidate shape with the measured
-//    SparseKernelRates / GEMM anchors — not a fixed block count), prunes
-//    blocks whose exact witness bound is zero, and assigns each surviving
-//    block the kernel its density actually wants. Row bands are snapped to
-//    row_block multiples so the executing join's work units stay the same
-//    ceil(rows / row_block) chunks as the uniform plan — early-exit
-//    accounting (executed + skipped == total) is remap-invariant. The
-//    permutations are pure execution-order devices: emit paths apply the
-//    inverse remap, so outputs are byte-identical to the uniform plan.
+//    SparseKernelRates sparse and dense anchors — not a fixed block
+//    count), prunes blocks whose exact witness bound is zero, and assigns
+//    each surviving block the kernel its density actually wants. Row bands
+//    are snapped to row_block multiples so the executing join's work units
+//    stay the same ceil(rows / row_block) chunks as the uniform plan —
+//    early-exit accounting (executed + skipped == total) is remap-invariant.
+//    The permutations are pure execution-order devices: emit paths apply
+//    the inverse remap, so outputs are byte-identical to the uniform plan.
 
 #ifndef JPMM_CORE_DENSITY_PARTITION_H_
 #define JPMM_CORE_DENSITY_PARTITION_H_

@@ -40,9 +40,9 @@ struct ExecContext {
   /// entry points run them single-threaded.
   int threads = 1;
   /// Heavy-part kernel selection (core/heavy_dispatch.h). kAuto picks per
-  /// product block between the dense blocked GEMM and the CSR kernels from
-  /// the block's measured density; the force modes pin one kernel
-  /// everywhere (equivalence tests diff their outputs).
+  /// product block between the dense (bit-packed AND-popcount) kernel and
+  /// the CSR kernels from the block's measured density; the force modes pin
+  /// one kernel everywhere (equivalence tests diff their outputs).
   HeavyPathMode heavy_path = HeavyPathMode::kAuto;
   /// Density-adaptive heavy-product decomposition
   /// (core/density_partition.h): degree-remapped row/column bands with a
@@ -53,7 +53,7 @@ struct ExecContext {
   /// time). Triangle counting ignores it and always runs kOff.
   PartitionMode partition = PartitionMode::kAuto;
   /// Hard cap on the heavy-part working set. The CSR operands are always
-  /// counted; the dense operands, the packed-B slab and the per-worker
+  /// counted; the dense B, the bit rows of A and B^T and the per-worker
   /// float row buffers only when a float kernel may run; the per-worker
   /// stamp scratch when CSR x CSR may run. Under kAuto a representation
   /// that alone would blow the cap is gated off (the query degrades to the

@@ -60,11 +60,8 @@ ProductKernel ChooseProductKernel(uint64_t rows, uint64_t v, uint64_t w,
   // at emit time; the CSR x CSR path emits straight from its sparse rows.
   // The scan streams like the saxpy, so it is priced at the saxpy rate.
   const double scan = static_cast<double>(rows) * static_cast<double>(w);
-  const double dense_sec = 2.0 * static_cast<double>(rows) *
-                               static_cast<double>(v) *
-                               static_cast<double>(w) /
-                               rates.dense_flops_per_sec +
-                           SparseProductSeconds(scan, sd_rate);
+  const double dense_sec =
+      rates.DenseSeconds(rows, v, w) + SparseProductSeconds(scan, sd_rate);
   const double csr_dense_sec =
       SparseProductSeconds(SparseProductOps(block_nnz, rows, w) + scan,
                            sd_rate);

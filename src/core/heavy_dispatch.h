@@ -1,14 +1,19 @@
 // Per-product-block dense/sparse kernel dispatch for the heavy paths.
 //
 // Every MM-based plan streams its heavy product in row blocks. The dense
-// blocked GEMM does O(rows * V * W) work per block regardless of how many
-// cells are set; the CSR kernels (matrix/sparse_matrix.h) do O(nnz * W)
+// kernel — the bit-packed AND-popcount product over A's rows and B's
+// columns (matrix/bit_rows.h) — does O(rows * V * W / 64) word work per
+// block regardless of how many cells are set; the CSR kernels
+// (matrix/sparse_matrix.h) do O(nnz * W)
 // (CSR x dense saxpy) or O(expansion) (CSR x CSR stamp) work. Which wins
 // is a function of the block's measured density and the machine's measured
 // rates (SparseKernelRates), so the choice is made per block, from the
 // exact block nnz the CSR representation provides for free:
 //
-//   dense GEMM      2 * rows * V * W / dense_flops   + emit scan
+//   dense           2 * rows * V64 * W / dense_flops + emit scan
+//                   (dense_flops: the bit kernel's measured rate in
+//                   dense-equivalent flops/s; V64: V rounded up to whole
+//                   64-bit words, SparseKernelRates::DenseSeconds)
 //   CSR x dense     SparseProductOps(nnz, rows, W) / rate(d) + emit scan
 //   CSR x CSR       CsrCsrExpandOps / rate(d)        (sparse emit, no scan)
 //
@@ -34,14 +39,14 @@ namespace jpmm {
 /// each path and diff sorted outputs).
 enum class HeavyPathMode {
   kAuto,          // per-block cost-based choice (the default)
-  kForceDense,    // dense blocked GEMM everywhere
+  kForceDense,    // dense (bit-packed AND-popcount) kernel everywhere
   kForceCsrDense, // CSR x dense saxpy everywhere
   kForceCsrCsr,   // CSR x CSR stamp kernel everywhere
 };
 
 /// The kernel a product block runs.
 enum class ProductKernel {
-  kDenseGemm,
+  kDenseGemm,  // the bit-packed AND-popcount count (matrix/bit_rows.h)
   kCsrDense,
   kCsrCsr,
 };

@@ -10,8 +10,8 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/trace.h"
+#include "matrix/bit_rows.h"
 #include "matrix/dense_matrix.h"
-#include "matrix/matmul.h"
 
 namespace jpmm {
 namespace {
@@ -118,16 +118,14 @@ HeavyRow RowView(const Scratch& ws, const BlockOut& out, size_t li) {
 }
 
 // The first column of block `blk` that a symmetric chunk starting at
-// shared position r0 computes, in the block's local numbering: r0 rounded
-// down to the packed-panel alignment, clamped to the block. CSR x CSR
-// blocks keep the whole row (the caller drops the extra cells); a block
-// wholly before the window returns its width.
+// shared position r0 computes, in the block's local numbering: r0 clamped
+// to the block. CSR x CSR blocks keep the whole row (the caller drops the
+// extra cells); a block wholly before the window returns its width.
 size_t WindowStart(const BlockKernelChoice& blk, size_t r0) {
-  const size_t c0 = r0 / kColumnWindowAlign * kColumnWindowAlign;
   const size_t width = blk.col_end - blk.col_begin;
-  if (c0 >= blk.col_end) return width;
-  if (blk.kernel == ProductKernel::kCsrCsr || c0 <= blk.col_begin) return 0;
-  return (c0 - blk.col_begin) / kColumnWindowAlign * kColumnWindowAlign;
+  if (r0 >= blk.col_end) return width;
+  if (blk.kernel == ProductKernel::kCsrCsr || r0 <= blk.col_begin) return 0;
+  return r0 - blk.col_begin;
 }
 
 }  // namespace
@@ -144,8 +142,13 @@ HeavyGates GateHeavyProduct(const HeavyShape& s, HeavyPathMode mode,
   const uint64_t stamp = 12 * workers * s.cols;
   const uint64_t acc = 4 * workers * row_block * s.cols;
   const uint64_t b_dense = 4 * s.inner * s.cols;
-  const uint64_t dense = (s.same_operand ? 0 : 4 * s.rows * s.inner) +
-                         b_dense + PackedBBytes(s.inner, s.cols) + acc;
+  // The bit rows of A and of B^T (a symmetric product shares one set, but
+  // the shape does not say so: the gate counts both).
+  const uint64_t bits =
+      BitRowsBytes(s.rows, s.inner) + BitRowsBytes(s.cols, s.inner);
+  // A kAuto plan may mix both float kernels, so the dense kernel's gate
+  // counts every representation.
+  const uint64_t all = csr + bits + b_dense + acc + stamp;
   const bool exact = s.inner < kMaxExactFloatCount;
 
   HeavyGates g;
@@ -153,7 +156,7 @@ HeavyGates GateHeavyProduct(const HeavyShape& s, HeavyPathMode mode,
                                                  : HeavyPathMode::kForceCsrCsr;
   switch (g.mode) {
     case HeavyPathMode::kForceDense:
-      g.bytes = csr + dense;
+      g.bytes = csr + bits + acc;
       break;
     case HeavyPathMode::kForceCsrDense:
       g.allow_dense = false;
@@ -165,9 +168,9 @@ HeavyGates GateHeavyProduct(const HeavyShape& s, HeavyPathMode mode,
       g.bytes = csr + stamp;
       break;
     case HeavyPathMode::kAuto:
-      g.allow_dense = exact && csr + dense + stamp <= max_bytes;
+      g.allow_dense = exact && all <= max_bytes;
       g.allow_csr_dense = exact && csr + b_dense + acc + stamp <= max_bytes;
-      g.bytes = g.allow_dense       ? csr + dense + stamp
+      g.bytes = g.allow_dense       ? all
                 : g.allow_csr_dense ? csr + b_dense + acc + stamp
                                     : csr + stamp;
       break;
@@ -197,16 +200,17 @@ struct PreparedProduct {
   std::vector<uint32_t> col_bands;
   std::vector<std::vector<std::pair<size_t, size_t>>> band_blocks;
   /// The forms the kernels read: A in remapped row order (the operand
-  /// itself on the uniform plan), B per column band, and the dense and
-  /// packed forms of the bands and of A that some scheduled block reads.
+  /// itself on the uniform plan), B per column band, the dense B bands
+  /// CSR x dense blocks read, and the bit rows of A and of the B^T bands
+  /// dense blocks read. A symmetric product builds no B^T bands: B^T is A
+  /// and the bands are row ranges of a_bits.
   const CsrMatrix* a_op = nullptr;
   CsrMatrix a_perm;
   std::vector<const CsrMatrix*> b_csr;
   std::vector<CsrMatrix> b_slice;
   std::vector<Matrix> b_dense;
-  std::vector<PackedB> b_packed;
-  const Matrix* a_dense = nullptr;
-  Matrix a_dense_own;
+  BitRows a_bits;
+  std::vector<BitRows> bt_bits;
   uint64_t bytes = 0;  // resident bytes of everything above it holds
 };
 
@@ -271,22 +275,23 @@ void Prepare(const CsrMatrix& a, const CsrMatrix& b, const HeavyProduct& p,
     bool engage = p.partition == PartitionMode::kForce || grid.beneficial;
     if (engage) {
       bool grid_dense = false;
-      bool grid_float = false;
+      bool grid_csr_dense = false;
       for (const BlockKernelChoice& blk : grid.blocks) {
         grid_dense |= blk.kernel == ProductKernel::kDenseGemm;
-        grid_float |= blk.kernel != ProductKernel::kCsrCsr;
+        grid_csr_dense |= blk.kernel == ProductKernel::kCsrDense;
       }
       // Extra working set of the remapped execution: a permuted copy of A
-      // (CSR; dense too when some block runs the GEMM) and per-band B
-      // slices (CSR always; the dense + packed slices are bounded by the
-      // full dense forms when float kernels run).
+      // and per-band B slices (CSR always), the dense B slices of CSR x
+      // dense blocks (bounded by the full dense B), and the bit rows of the
+      // permuted A and (unless symmetric) of the B^T bands when dense
+      // blocks run.
       uint64_t extra = CsrBytes(rows, a.nnz()) + CsrBytes(inner, b.nnz()) +
                        8 * static_cast<uint64_t>(grid.num_col_bands()) *
                            (inner + 1);
-      if (grid_float) extra += 4 * static_cast<uint64_t>(inner) * cols;
+      if (grid_csr_dense) extra += 4 * static_cast<uint64_t>(inner) * cols;
       if (grid_dense) {
-        extra += 4 * static_cast<uint64_t>(rows) * inner +
-                 PackedBBytes(inner, cols);
+        extra += BitRowsBytes(rows, inner) +
+                 (p.symmetric ? 0 : BitRowsBytes(cols, inner));
       }
       engage = gates.bytes + extra <= p.max_matrix_bytes;
     }
@@ -366,9 +371,9 @@ void Prepare(const CsrMatrix& a, const CsrMatrix& b, const HeavyProduct& p,
   // ---- Pack: A with its rows in remapped order and B sliced into one
   // matrix per column band with band-local column ids (the inner dimension
   // is never remapped, so every kernel runs unchanged on the slices); the
-  // uniform plan uses the operands as they are. A band's dense B is kept
-  // only when a CSR x dense block reads it (the GEMM reads the packed
-  // form), and dense A only for the GEMM.
+  // uniform plan uses the operands as they are. A band's dense B is built
+  // only when a CSR x dense block reads it, and the bit rows of A and of a
+  // band's B^T only for dense blocks.
   const TraceRecorder::SpanId pack_span =
       TraceBegin(trace, "pack", p.trace_parent);
   pp.a_op = &a;
@@ -407,32 +412,28 @@ void Prepare(const CsrMatrix& a, const CsrMatrix& b, const HeavyProduct& p,
       std::vector<uint32_t>().swap(pp.grid->col_perm);
     }
   }
-  // A * A on the uniform plan: one dense copy serves both sides.
-  const bool share_dense =
-      same_operand && !pp.grid && run.kernel_counts.dense > 0;
   pp.b_dense.resize(ncb);
-  pp.b_packed.resize(ncb);
+  pp.bt_bits.resize(ncb);
   for (size_t j = 0; j < ncb; ++j) {
-    if (!band_csr_dense[j] && !band_dense[j]) continue;
-    Matrix dense = pp.b_csr[j]->ToDense(threads);
-    if (band_dense[j]) pp.b_packed[j] = PackedB(dense, threads);
-    if (band_csr_dense[j] || share_dense) pp.b_dense[j] = std::move(dense);
+    if (band_csr_dense[j]) pp.b_dense[j] = pp.b_csr[j]->ToDense(threads);
+    if (band_dense[j] && !symmetric) {
+      pp.bt_bits[j] = BitRows::FromColumns(*pp.b_csr[j], threads);
+    }
   }
-  pp.a_dense = share_dense ? &pp.b_dense[0] : &pp.a_dense_own;
-  if (run.kernel_counts.dense > 0 && !share_dense) {
-    pp.a_dense_own = pp.a_op->ToDense(threads);
+  if (run.kernel_counts.dense > 0) {
+    pp.a_bits = BitRows::FromRows(*pp.a_op, threads);
   }
   TraceEnd(trace, pack_span, "cache-miss");
 
   pp.bytes = OwnCsrBytes(pp.own_a) + OwnCsrBytes(pp.own_b) +
-             OwnCsrBytes(pp.a_perm) + DenseBytes(pp.a_dense_own);
+             OwnCsrBytes(pp.a_perm) + pp.a_bits.SizeBytes();
   if (pp.grid) {
     pp.bytes += 4 * (pp.grid->row_perm.size() + pp.grid->col_perm.size() +
                      pp.position.size());
   }
   for (size_t j = 0; j < ncb; ++j) {
     pp.bytes += OwnCsrBytes(pp.b_slice[j]) + DenseBytes(pp.b_dense[j]) +
-                pp.b_packed[j].size_bytes();
+                pp.bt_bits[j].SizeBytes();
   }
 }
 
@@ -522,8 +523,12 @@ HeavyRun RunHeavyProduct(const PreparedProduct& pp, const HeavyProduct& p,
               const std::span<float> cells(ws.block.data(),
                                            nrows * out.width);
               if (blk.kernel == ProductKernel::kDenseGemm) {
-                MultiplyRowRange(*pp.a_dense, pp.b_packed[j], r0, r1, lo,
-                                 cells);
+                // Symmetric: B^T = A in the shared order, so the band's
+                // B^T rows are A's rows at the block's column positions.
+                const BitRows& bt = symmetric ? pp.a_bits : pp.bt_bits[j];
+                const size_t base = symmetric ? blk.col_begin : 0;
+                BitCountRowRange(pp.a_bits, bt, r0, r1, base + lo,
+                                 base + width, cells);
               } else {
                 CsrDenseRowRange(*pp.a_op, pp.b_dense[j], r0, r1, lo, cells);
               }

@@ -6,14 +6,15 @@
 // the same pipeline over two CSR operands A (rows x inner) and
 // B (inner x cols), and RunHeavyProduct is its only implementation:
 //
-//   1. representation gates — which of the dense GEMM / CSR x dense /
-//      CSR x CSR kernels may run under the memory cap and the float
-//      exactness bound (GateHeavyProduct);
+//   1. representation gates — which of the dense (bit-packed AND-popcount,
+//      matrix/bit_rows.h) / CSR x dense / CSR x CSR kernels may run under
+//      the memory cap and the float exactness bound (GateHeavyProduct);
 //   2. decomposition — the uniform row-block plan (PlanProductBlocks), or
 //      the density-adaptive grid (BuildDensityGrid) when the partition mode
 //      engages it and the permuted operands fit the cap;
 //   3. pack — permuted A rows and per-column-band B slices for the grid,
-//      dense / packed forms only for the kernels some block runs;
+//      dense B bands and the bit rows of A and of the B^T bands only for
+//      the kernels some block runs;
 //   4. the chunk loop — ceil(rows / row_block) work units claimed
 //      dynamically, each polled against the sink's done() and the cancel
 //      token (executed + skipped == total at every thread count). A chunk
@@ -24,10 +25,10 @@
 // Symmetry: when B is A^T (the two-path self join, HeavyProduct::symmetric)
 // the product is symmetric and rows and columns share one order (the
 // uniform plan's identity, or the grid's row_perm == col_perm). Each chunk
-// [r0, r1) then computes only the column window from r0 rounded down to
-// kColumnWindowAlign on — the upper triangle plus a sliver — reading the
-// one prepared B; the caller takes each lower-triangle cell from its
-// mirror (HeavyRow::position).
+// [r0, r1) then computes only the column window from r0 on — the upper
+// triangle plus the chunk's own lower corner — reading the one prepared B;
+// the caller takes each lower-triangle cell from its mirror
+// (HeavyRow::position).
 //
 // Steps 1-3 depend only on the operands and the options, so they are one
 // call (PrepareHeavyProduct) whose immutable result any number of runs of
@@ -143,7 +144,7 @@ struct RunRecord : HeavyRun, LightRun {
   uint64_t light_triangles = 0;
   uint64_t heavy_triangles = 0;
   /// Two-path and star: true iff the threshold fit — and, when a heavy
-  /// product ran, its operands and packed forms — came from the
+  /// product ran, its operands and bit-packed forms — came from the
   /// HeavyOperandCache; the bytes the cache holds after the run.
   bool operand_cache_hit = false;
   uint64_t operand_cache_bytes = 0;
@@ -157,7 +158,7 @@ struct HeavyShape {
   uint64_t cols = 0;
   uint64_t a_nnz = 0;
   uint64_t b_nnz = 0;
-  /// B is A itself (the triangle's A_H * A_H): one CSR and one dense copy.
+  /// B is A itself (the triangle's A_H * A_H): one CSR copy.
   bool same_operand = false;
 };
 
@@ -169,9 +170,10 @@ struct HeavyGates {
   bool allow_dense = true;
   bool allow_csr_dense = true;
   /// Working set of the allowed representations: the CSR operands always;
-  /// dense A/B, the packed B slab and the per-worker float row buffers when
-  /// the dense GEMM may run; dense B and the buffers for CSR x dense; the
-  /// per-worker stamp scratch for CSR x CSR. A threshold-fit loop compares
+  /// the bit rows of A and B^T and the per-worker float row buffers for the
+  /// dense kernel; dense B and the buffers for CSR x dense; the per-worker
+  /// stamp scratch for CSR x CSR (under kAuto, allowing the dense kernel
+  /// counts all of them). A threshold-fit loop compares
   /// this against the cap; under kAuto it is at most the cap unless even
   /// the CSR floor does not fit.
   uint64_t bytes = 0;
@@ -186,7 +188,7 @@ HeavyGates GateHeavyProduct(const HeavyShape& shape, HeavyPathMode mode,
                             size_t row_block, int threads, uint64_t max_bytes);
 
 /// One output row of A * B, over the scheduled blocks of its band, as the
-/// kernels left it: a float row (dense GEMM / CSR x dense) or sparse
+/// kernels left it: a float row (dense / CSR x dense) or sparse
 /// (column, count) runs (CSR x CSR, or a row gathered across several column
 /// bands). Valid only during the callback.
 struct HeavyRow {
@@ -273,7 +275,7 @@ struct HeavyProduct : ExecContext {
 };
 
 /// Steps 1-3 of A * B: the gates, the decomposition, and the permuted,
-/// sliced, dense and packed forms the scheduled kernels read. Immutable:
+/// sliced, dense and bit-packed forms the scheduled kernels read. Immutable:
 /// any number of RunHeavyProduct calls may read one at once.
 struct PreparedProduct;
 

@@ -56,9 +56,8 @@ struct MmJoinOptions : ExecContext {
   /// min_count > 1). SSJ sets this to the overlap threshold c.
   uint32_t min_count = 1;
   /// Rows per matrix block (memory = row_block * |heavy_z| floats per
-  /// worker). Each block is one MultiplyRowRange call against the shared
-  /// packed-B slab (B is packed once per query, not per block); 256 rows =
-  /// two MC panels of the blocked kernel.
+  /// worker). Each block is one kernel call against operands prepared once
+  /// per query, not per block (core/heavy_product.h).
   size_t row_block = 256;
   /// Optional cross-execution memo of the threshold fit, M1 / M2 and
   /// their prepared product, owned by the caller's plan state

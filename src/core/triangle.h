@@ -25,8 +25,8 @@ namespace jpmm {
 /// the degree threshold. The heavy product always runs PartitionMode::kOff
 /// (the context's `partition` is ignored), and a capped run keeps its delta
 /// and degrades to the CSR x CSR trace: the CSR adjacency is always
-/// counted against max_matrix_bytes, the dense matrix (and packed slab)
-/// only when some product block runs a float kernel. A fired cancel token
+/// counted against max_matrix_bytes, the dense and bit-packed forms only
+/// when some product block runs a float kernel. A fired cancel token
 /// leaves a PARTIAL count with the record's `interrupted` set — triangle
 /// counting has no per-pair output to limit, so this exists for callers
 /// that abandon a count mid-flight, not for limit semantics.

@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "matrix/bit_rows.h"
 #include "matrix/cost_model.h"
 #include "matrix/dense_matrix.h"
 #include "matrix/matmul.h"
@@ -123,15 +124,22 @@ SparseKernelRates SparseKernelRates::Measure(
     rates.anchors.push_back(anchor);
   }
   {
-    // Dense anchor for the dispatch: one blocked product at a modest dim
-    // (cheap, but big enough to see the sustained packed-panel rate).
+    // Dense anchor for the dispatch: the bit-count kernel the dense blocks
+    // run, over a whole p x p product at a modest dim, stored as the flops
+    // a float GEMM would spend on it per second, with the inner dimension
+    // rounded up to whole words: the unit of DenseSeconds.
     const uint32_t p = std::min<uint32_t>(dim, 512);
-    const Matrix a = RandomDenseMatrix(p, p, 0.5, 41 + p);
-    const Matrix b = RandomDenseMatrix(p, p, 0.5, 43 + p);
-    Matrix c;
-    const double sec = TimePerCall([&] { Multiply(a, b, &c, 1); });
+    const BitRows a = BitRows::FromRows(
+        CsrMatrix::FromDense(RandomDenseMatrix(p, p, 0.5, 41 + p)));
+    const BitRows bt = BitRows::FromColumns(
+        CsrMatrix::FromDense(RandomDenseMatrix(p, p, 0.5, 43 + p)));
+    std::vector<float> c(static_cast<size_t>(p) * p);
+    const double sec =
+        TimePerCall([&] { BitCountRowRange(a, bt, 0, p, 0, p, c); });
+    const double word_bits = (p + 63) / 64 * 64;
     rates.dense_flops_per_sec =
-        2.0 * std::pow(static_cast<double>(p), 3.0) / sec;
+        2.0 * static_cast<double>(p) * word_bits * static_cast<double>(p) /
+        sec;
   }
   return rates;
 }
@@ -171,6 +179,13 @@ double SparseKernelRates::CsrDenseRate(double density) const {
 
 double SparseKernelRates::CsrCsrRate(double density) const {
   return InterpolateRate(anchors, density, &Anchor::csr_csr_ops_per_sec);
+}
+
+double SparseKernelRates::DenseSeconds(uint64_t rows, uint64_t v,
+                                       uint64_t w) const {
+  const double word_bits = static_cast<double>((v + 63) / 64 * 64);
+  return 2.0 * static_cast<double>(rows) * word_bits *
+         static_cast<double>(w) / dense_flops_per_sec;
 }
 
 MatMulCalibration MatMulCalibration::Measure(

@@ -37,7 +37,9 @@ struct SystemConstants {
 /// rate is density-dependent — at low density the saxpy is latency-bound on
 /// short rows, at high density it streams — so rates are anchored at 2-3
 /// densities and queried by log-density interpolation. dense_flops_per_sec
-/// is a small blocked-GEMM anchor measured alongside, so the per-block
+/// is the dense kernel's anchor measured alongside — the bit-packed
+/// AND-popcount product (matrix/bit_rows.h) on a p x p product, stored as
+/// dense-equivalent flops/s (2 p^3 / seconds) — so the per-block
 /// dense-vs-CSR dispatch (core/heavy_dispatch.h) compares kernels measured
 /// on the same machine in the same process.
 struct SparseKernelRates {
@@ -47,10 +49,10 @@ struct SparseKernelRates {
     double csr_csr_ops_per_sec;
   };
   std::vector<Anchor> anchors;       // ascending density
-  double dense_flops_per_sec = 1e9;  // blocked Multiply anchor
+  double dense_flops_per_sec = 1e9;  // bit-count anchor, dense-equivalent
 
   /// Times the sparse kernels on dim x dim operands at each density, and
-  /// the dense kernel once (min(dim, 512) cubed).
+  /// the dense (bit-count) kernel once (min(dim, 512) cubed).
   static SparseKernelRates Measure(
       uint32_t dim = 1024, const std::vector<double>& densities = {1e-3, 1e-2,
                                                                    1e-1});
@@ -69,6 +71,13 @@ struct SparseKernelRates {
   /// between the bracketing anchors, clamped at the grid ends.
   double CsrDenseRate(double density) const;
   double CsrCsrRate(double density) const;
+
+  /// Priced seconds of the dense (bit-count) kernel on a rows x v by
+  /// v x w block: 2 * rows * V * w dense-equivalent flops at
+  /// dense_flops_per_sec, with V = v rounded up to whole 64-bit words — the
+  /// kernel's word loop costs a 70-wide inner dimension what it costs a
+  /// 128-wide one.
+  double DenseSeconds(uint64_t rows, uint64_t v, uint64_t w) const;
 };
 
 /// Calibrated matrix-multiplication timing table.

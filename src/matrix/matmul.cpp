@@ -85,6 +85,77 @@ void PackB(const Matrix& b, size_t pc, size_t kc, size_t jc, size_t nc,
   }
 }
 
+// B pre-packed into the kernel's (NC x KC) panel layout, all panels at
+// once: Multiply's shared slab. Built once, then every worker streams its
+// row range against it concurrently (read-only after construction), so no
+// worker re-packs B. Memory: about one padded copy of B.
+class PackedB {
+ public:
+  // Packs every panel of b; the packing itself fans out over `threads`
+  // (each kNR-column sub-panel is an independent task).
+  PackedB(const Matrix& b, int threads) {
+    JPMM_FAIL_POINT("matmul.pack");
+    rows_ = b.rows();
+    cols_ = b.cols();
+    if (empty()) return;
+    const size_t v = rows_;
+    const size_t w = cols_;
+    num_pc_ = (v + kKC - 1) / kKC;
+    const size_t num_jc = (w + kNC - 1) / kNC;
+    offsets_.resize(num_jc * num_pc_);
+
+    // One task per kNR-column sub-panel: fine enough grain that the packing
+    // itself saturates the pool even when the panel count is small.
+    struct Sub {
+      size_t dst, pc, kc, col;
+    };
+    std::vector<Sub> subs;
+    size_t total = 0;
+    size_t jc_idx = 0;
+    for (size_t jc = 0; jc < w; jc += kNC, ++jc_idx) {
+      const size_t nc = std::min(kNC, w - jc);
+      const size_t ncp = (nc + kNR - 1) / kNR * kNR;
+      size_t pc_idx = 0;
+      for (size_t pc = 0; pc < v; pc += kKC, ++pc_idx) {
+        const size_t kc = std::min(kKC, v - pc);
+        offsets_[jc_idx * num_pc_ + pc_idx] = total;
+        for (size_t j0 = 0; j0 < nc; j0 += kNR) {
+          subs.push_back(Sub{total + j0 * kc, pc, kc, jc + j0});
+        }
+        total += ncp * kc;
+      }
+    }
+    data_.resize(total);
+    ParallelForDynamic(threads, subs.size(), /*grain=*/8,
+                       [&](size_t s0, size_t s1, int) {
+                         for (size_t s = s0; s < s1; ++s) {
+                           const Sub& sub = subs[s];
+                           PackBSub(b, sub.pc, sub.kc, sub.col,
+                                    data_.data() + sub.dst);
+                         }
+                       });
+  }
+
+  size_t rows() const { return rows_; }  // inner dimension v
+  size_t cols() const { return cols_; }  // output columns w
+  bool empty() const { return rows_ == 0 || cols_ == 0; }
+
+  // Packed panel for the (column panel jc_idx, inner slice pc_idx) pair,
+  // laid out exactly as the kernel's per-call packing buffer.
+  const float* Panel(size_t jc_idx, size_t pc_idx) const {
+    return data_.data() + offsets_[jc_idx * num_pc_ + pc_idx];
+  }
+
+ private:
+  size_t rows_ = 0;
+  size_t cols_ = 0;
+  size_t num_pc_ = 0;            // inner-dimension slice count
+  std::vector<size_t> offsets_;  // panel offsets, jc-major
+  // 64-byte base + kNR-float-multiple panel offsets = every panel row is
+  // 64-byte aligned, which the AVX-512 micro-kernel's aligned loads assume.
+  AlignedVector<float> data_;
+};
+
 // Per-thread packing scratch, sized for the largest panels. thread_local so
 // repeated block-streamed calls (mm_join's row blocks) reuse the
 // allocation — and, now that ParallelFor runs on the persistent pool, the
@@ -102,25 +173,25 @@ PackScratch& Scratch() {
 }
 
 // Sweeps the register tiles of one packed (jc-panel, pc-slice) pair over
-// row range [r0, r1) and the panel's columns [jr0, nc) (jr0 a kNR
-// multiple): packs A per MC block, consumes an already-packed B panel
-// (shared or thread-local — the kernel cannot tell). `out` points at
-// column jr0 of the panel in the first output row. `mk` is the
-// ISA-selected micro-kernel, chosen once per row-range call.
+// row range [r0, r1) and the panel's nc columns: packs A per MC block,
+// consumes an already-packed B panel (shared or thread-local — the kernel
+// cannot tell). `out` points at the panel's first column in the first
+// output row. `mk` is the ISA-selected micro-kernel, chosen once per
+// row-range call.
 void SweepPanel(const Matrix& a, const float* bp, size_t r0, size_t r1,
-                size_t pc, size_t kc, size_t jr0, size_t nc, float* out,
-                size_t ldc, MicroKernelFn mk) {
+                size_t pc, size_t kc, size_t nc, float* out, size_t ldc,
+                MicroKernelFn mk) {
   PackScratch& scratch = Scratch();
   float* ap = scratch.a.data();
   for (size_t ic = r0; ic < r1; ic += kMC) {
     const size_t mc = std::min(kMC, r1 - ic);
     PackA(a, ic, mc, pc, kc, ap);
-    for (size_t jr = jr0; jr < nc; jr += kNR) {
+    for (size_t jr = 0; jr < nc; jr += kNR) {
       const size_t cols = std::min(kNR, nc - jr);
       for (size_t ir = 0; ir < mc; ir += kMR) {
         const size_t rows = std::min(kMR, mc - ir);
-        mk(ap + ir * kc, bp + jr * kc, kc,
-           out + (ic - r0 + ir) * ldc + (jr - jr0), ldc, rows, cols);
+        mk(ap + ir * kc, bp + jr * kc, kc, out + (ic - r0 + ir) * ldc + jr,
+           ldc, rows, cols);
       }
     }
   }
@@ -140,28 +211,25 @@ void KernelRowRange(const Matrix& a, const Matrix& b, size_t r0, size_t r1,
     for (size_t pc = 0; pc < v; pc += kKC) {
       const size_t kc = std::min(kKC, v - pc);
       PackB(b, pc, kc, jc, nc, bp);
-      SweepPanel(a, bp, r0, r1, pc, kc, 0, nc, out + jc, ldc, mk);
+      SweepPanel(a, bp, r0, r1, pc, kc, nc, out + jc, ldc, mk);
     }
   }
 }
 
-// Same sweep against a shared PackedB over columns [c0, w), c0 a kNR
-// multiple: no packing of B at all — every worker reads the one slab
-// read-only, starting at the sub-panel that holds c0. out[(i - r0) * ldc +
-// j - c0] receives (A * B)(i, j).
+// Same sweep against a shared PackedB: no packing of B at all — every
+// worker reads the one slab read-only.
 void KernelRowRangePacked(const Matrix& a, const PackedB& b, size_t r0,
-                          size_t r1, size_t c0, float* out, size_t ldc) {
+                          size_t r1, float* out, size_t ldc) {
   const size_t v = a.cols();
   const size_t w = b.cols();
   const MicroKernelFn mk = internal::SelectMicroKernel(ActiveIsa());
-  for (size_t jc = c0 / kNC * kNC; jc < w; jc += kNC) {
+  for (size_t jc = 0; jc < w; jc += kNC) {
     const size_t nc = std::min(kNC, w - jc);
-    const size_t jr0 = std::max(jc, c0) - jc;
     size_t pc_idx = 0;
     for (size_t pc = 0; pc < v; pc += kKC, ++pc_idx) {
       const size_t kc = std::min(kKC, v - pc);
-      SweepPanel(a, b.Panel(jc / kNC, pc_idx), r0, r1, pc, kc, jr0, nc,
-                 out + (jc + jr0 - c0), ldc, mk);
+      SweepPanel(a, b.Panel(jc / kNC, pc_idx), r0, r1, pc, kc, nc, out + jc,
+                 ldc, mk);
     }
   }
 }
@@ -228,61 +296,6 @@ MicroKernelFn SelectMicroKernel(KernelIsa isa) {
 
 }  // namespace internal
 
-PackedB::PackedB(const Matrix& b, int threads) {
-  JPMM_FAIL_POINT("matmul.pack");
-  rows_ = b.rows();
-  cols_ = b.cols();
-  if (empty()) return;
-  const size_t v = rows_;
-  const size_t w = cols_;
-  num_pc_ = (v + kKC - 1) / kKC;
-  const size_t num_jc = (w + kNC - 1) / kNC;
-  offsets_.resize(num_jc * num_pc_);
-
-  // One task per kNR-column sub-panel: fine enough grain that the packing
-  // itself saturates the pool even when the panel count is small.
-  struct Sub {
-    size_t dst, pc, kc, col;
-  };
-  std::vector<Sub> subs;
-  size_t total = 0;
-  size_t jc_idx = 0;
-  for (size_t jc = 0; jc < w; jc += kNC, ++jc_idx) {
-    const size_t nc = std::min(kNC, w - jc);
-    const size_t ncp = (nc + kNR - 1) / kNR * kNR;
-    size_t pc_idx = 0;
-    for (size_t pc = 0; pc < v; pc += kKC, ++pc_idx) {
-      const size_t kc = std::min(kKC, v - pc);
-      offsets_[jc_idx * num_pc_ + pc_idx] = total;
-      for (size_t j0 = 0; j0 < nc; j0 += kNR) {
-        subs.push_back(Sub{total + j0 * kc, pc, kc, jc + j0});
-      }
-      total += ncp * kc;
-    }
-  }
-  data_.resize(total);
-  ParallelForDynamic(threads, subs.size(), /*grain=*/8,
-                     [&](size_t s0, size_t s1, int) {
-                       for (size_t s = s0; s < s1; ++s) {
-                         const Sub& sub = subs[s];
-                         PackBSub(b, sub.pc, sub.kc, sub.col,
-                                  data_.data() + sub.dst);
-                       }
-                     });
-}
-
-uint64_t PackedBBytes(uint64_t v, uint64_t w) {
-  // Per NC-wide column panel the padded width is a kNR multiple; every
-  // inner slice stores that many columns, so the slab is v * padded_w
-  // floats.
-  uint64_t padded_w = 0;
-  for (uint64_t jc = 0; jc < w; jc += kNC) {
-    const uint64_t nc = std::min<uint64_t>(kNC, w - jc);
-    padded_w += (nc + kNR - 1) / kNR * kNR;
-  }
-  return 4 * v * padded_w;
-}
-
 void MultiplyRowRange(const Matrix& a, const Matrix& b, size_t row_begin,
                       size_t row_end, std::span<float> out) {
   JPMM_CHECK(a.cols() == b.rows());
@@ -290,27 +303,6 @@ void MultiplyRowRange(const Matrix& a, const Matrix& b, size_t row_begin,
   JPMM_CHECK(out.size() >= (row_end - row_begin) * b.cols());
   std::memset(out.data(), 0, (row_end - row_begin) * b.cols() * sizeof(float));
   KernelRowRange(a, b, row_begin, row_end, out.data(), b.cols());
-}
-
-void MultiplyRowRange(const Matrix& a, const PackedB& b, size_t row_begin,
-                      size_t row_end, std::span<float> out) {
-  MultiplyRowRange(a, b, row_begin, row_end, 0, out);
-}
-
-void MultiplyRowRange(const Matrix& a, const PackedB& b, size_t row_begin,
-                      size_t row_end, size_t col_begin, std::span<float> out) {
-  static_assert(kColumnWindowAlign == kNR);
-  JPMM_CHECK(a.cols() == b.rows());
-  JPMM_CHECK(row_begin <= row_end && row_end <= a.rows());
-  JPMM_CHECK(col_begin <= b.cols() &&
-             (col_begin % kNR == 0 || col_begin == b.cols()));
-  const size_t width = b.cols() - col_begin;
-  const size_t cells = (row_end - row_begin) * width;
-  JPMM_CHECK(out.size() >= cells);
-  if (cells == 0) return;  // an empty window may come with no buffer
-  std::memset(out.data(), 0, cells * sizeof(float));
-  KernelRowRangePacked(a, b, row_begin, row_end, col_begin, out.data(),
-                       width);
 }
 
 void Multiply(const Matrix& a, const Matrix& b, Matrix* c, int threads) {
@@ -329,7 +321,7 @@ void Multiply(const Matrix& a, const Matrix& b, Matrix* c, int threads) {
   // bit-identical at any thread count.
   const PackedB packed(b, threads);
   ParallelFor(threads, a.rows(), [&](size_t r0, size_t r1, int) {
-    KernelRowRangePacked(a, packed, r0, r1, 0, cdata + r0 * w, w);
+    KernelRowRangePacked(a, packed, r0, r1, cdata + r0 * w, w);
   });
 }
 

@@ -273,24 +273,26 @@ TEST(DensityGrid, SchedulingMatchesProductOracle) {
 
 // Two disconnected components with very different degrees: degree
 // sorting separates them into distinct bands, so the cross cells have a
-// zero witness bound.
+// zero witness bound. The hub spans a whole 64-bit word of the inner
+// dimension, so a dense kernel on the hub band is worth a grid.
 std::pair<CsrMatrix, CsrMatrix> DisjointOperands() {
-  const size_t rows = 48, inner = 24, cols = 48;
+  const size_t rows = 48, hub = 64, inner = 128, cols = 80;
   CsrMatrix a(inner);
   for (size_t i = 0; i < rows; ++i) {
     if (i < 16) {
-      for (uint32_t y = 0; y < 12; ++y) a.PushCol(y);  // dense hub component
+      // dense hub component
+      for (uint32_t y = 0; y < hub; ++y) a.PushCol(y);
     } else {
-      a.PushCol(12 + static_cast<uint32_t>(i % 12));   // sparse tail
+      a.PushCol(static_cast<uint32_t>(hub + i % hub));  // sparse tail
     }
     a.FinishRow();
   }
   CsrMatrix b(cols);
   for (size_t y = 0; y < inner; ++y) {
-    if (y < 12) {
+    if (y < hub) {
       for (uint32_t c = 0; c < 16; ++c) b.PushCol(c);
     } else {
-      b.PushCol(16 + static_cast<uint32_t>(y));
+      b.PushCol(static_cast<uint32_t>(16 + y - hub));
     }
     b.FinishRow();
   }

@@ -5,12 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/cpu_features.h"
 #include "common/metrics.h"
+#include "matrix/bit_rows.h"
 #include "matrix/calibration.h"
 #include "matrix/matmul_kernels.h"
+#include "matrix/random.h"
 #include "matrix/sparse_kernels.h"
 
 namespace jpmm {
@@ -23,6 +28,10 @@ TEST(IsaDispatch, DetectionIsSaneAndMonotone) {
   // A supported level implies every lower one.
   if (IsaSupported(KernelIsa::kAvx512)) {
     EXPECT_TRUE(IsaSupported(KernelIsa::kAvx2));
+  }
+  // VPOPCNTDQ is an AVX-512 extension.
+  if (HasAvx512Vpopcntdq()) {
+    EXPECT_EQ(best, KernelIsa::kAvx512);
   }
   // The active level never exceeds what the host supports.
   EXPECT_LE(static_cast<int>(ActiveIsa()), static_cast<int>(best));
@@ -71,7 +80,15 @@ TEST(IsaDispatch, SelectorsNeverReturnNullAndHonorPortable) {
                         KernelIsa::kAvx512}) {
     EXPECT_NE(internal::SelectMicroKernel(isa), nullptr);
     EXPECT_NE(internal::SelectExpandRow(isa), nullptr);
+    EXPECT_NE(internal::SelectBitCount(isa), nullptr);
   }
+  EXPECT_EQ(internal::SelectBitCount(KernelIsa::kPortable),
+            &internal::BitCountPortable);
+  // No AVX2 vector popcount: kAvx2 runs the scalar POPCNT loop.
+  const internal::BitCountFn popcnt =
+      internal::PopcntBitCount() != nullptr ? internal::PopcntBitCount()
+                                            : &internal::BitCountPortable;
+  EXPECT_EQ(internal::SelectBitCount(KernelIsa::kAvx2), popcnt);
   EXPECT_EQ(internal::SelectMicroKernel(KernelIsa::kPortable),
             &internal::MicroKernelPortable);
   EXPECT_EQ(internal::SelectExpandRow(KernelIsa::kPortable),
@@ -84,6 +101,52 @@ TEST(IsaDispatch, SelectorsNeverReturnNullAndHonorPortable) {
   if (internal::Avx512MicroKernel() != nullptr) {
     EXPECT_EQ(internal::SelectMicroKernel(KernelIsa::kAvx512),
               internal::Avx512MicroKernel());
+  }
+  // The bit count's avx512 variant also needs the host's VPOPCNTDQ;
+  // without it the level falls back to the POPCNT loop.
+  EXPECT_EQ(internal::SelectBitCount(KernelIsa::kAvx512),
+            HasAvx512Vpopcntdq() && internal::Avx512BitCount() != nullptr
+                ? internal::Avx512BitCount()
+                : popcnt);
+}
+
+// The POPCNT and VPOPCNTDQ bit counts write the same bytes as the portable
+// one: inner dimensions from 1 bit to 19 words (a 1200-wide inner
+// dimension) and past one 256-word panel (16448 bits = 257 words), and
+// column counts around the 4-column POPCNT tile, the 8-column group, the
+// 32-column tile and the 64-column panel. A variant runs only where the
+// build carries it and the host supports it.
+TEST(IsaDispatch, BitCountVariantsWriteIdenticalBytes) {
+  std::vector<std::pair<const char*, internal::BitCountFn>> variants;
+  if (IsaSupported(KernelIsa::kAvx2) && internal::PopcntBitCount()) {
+    variants.emplace_back("popcnt", internal::PopcntBitCount());
+  }
+  if (HasAvx512Vpopcntdq() && internal::Avx512BitCount()) {
+    variants.emplace_back("avx512-vpopcntdq", internal::Avx512BitCount());
+  }
+  if (variants.empty()) {
+    GTEST_SKIP() << "host or build lacks POPCNT and AVX-512 VPOPCNTDQ";
+  }
+  uint64_t seed = 7700;
+  for (size_t inner :
+       {1u, 64u, 70u, 200u, 512u, 513u, 1088u, 1200u, 16448u}) {
+    for (size_t cols : {1u, 5u, 8u, 15u, 33u, 70u}) {
+      const BitRows a = BitRows::FromRows(
+          CsrMatrix::FromDense(RandomDenseMatrix(9, inner, 0.4, seed++)));
+      const BitRows bt = BitRows::FromColumns(
+          CsrMatrix::FromDense(RandomDenseMatrix(inner, cols, 0.4, seed++)));
+      std::vector<float> want(9 * cols, -1.0f);
+      internal::BitCountPortable(a.Row(0), 9, bt.Row(0), cols, a.words(),
+                                 want.data());
+      for (const auto& [name, fn] : variants) {
+        std::vector<float> got(9 * cols, -2.0f);
+        fn(a.Row(0), 9, bt.Row(0), cols, a.words(), got.data());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << name << " inner=" << inner << " cols=" << cols;
+      }
+    }
   }
 }
 

@@ -1,16 +1,17 @@
 // Randomized property tests for the blocked matrix kernels.
 //
-// The blocked dense GEMM and the sparse kernels must agree exactly with
-// their naive references on shapes that exercise every edge case:
-// dimensions that are odd, prime, smaller than one register tile, and
-// straddling cache-block boundaries. Dense
-// operands use small-integer values, where float accumulation is exact in
-// any order, so EXPECT_EQ compares bit-identical payloads.
+// The blocked dense GEMM, the bit-count kernel and the sparse kernels must
+// agree exactly with their naive references on shapes that exercise every
+// edge case: dimensions that are odd, prime, smaller than one register
+// tile, and straddling cache-block boundaries. Dense operands use
+// small-integer values, where float accumulation is exact in any order,
+// so EXPECT_EQ compares bit-identical payloads.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "common/aligned_buffer.h"
 #include "common/cpu_features.h"
 #include "common/rng.h"
+#include "matrix/bit_rows.h"
 #include "matrix/dense_matrix.h"
 #include "matrix/matmul.h"
 #include "matrix/random.h"
@@ -180,16 +182,13 @@ TEST(KernelPropertyIsa, CsrCsrProductMatchesReferencePerIsa) {
 //
 // A symmetric heavy product computes each chunk's columns from a window
 // start on, reading the one prepared B. A windowed row range must equal the
-// matching slice of the full product, with row stride w - c0.
+// matching slice of the full product, with row stride w - c0. The window
+// kernels (CSR x dense and the bit count) take any start.
 
-// Window starts of a w-column product: the first and second sub-panel, one
-// mid-panel, the first column of and one inside the second kNC panel, the
-// last (partial) sub-panel, and the empty window c0 == w.
+// Window starts of a w-column product: the first, an odd one, the middle,
+// one past 2048, the last column, and the empty window c0 == w.
 std::vector<size_t> WindowStarts(size_t w) {
-  constexpr size_t kAlign = kColumnWindowAlign;
-  std::vector<size_t> starts = {0,    kAlign,        w / 2 / kAlign * kAlign,
-                                2048, 2048 + kAlign, (w - 1) / kAlign * kAlign,
-                                w};
+  std::vector<size_t> starts = {0, 1, w / 3 + 1, w / 2, 2049, w - 1, w};
   std::erase_if(starts, [w](size_t c0) { return c0 > w; });
   std::sort(starts.begin(), starts.end());
   starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
@@ -219,24 +218,23 @@ void ExpectWindowMatches(const Matrix& want, size_t r0, size_t r1, size_t c0,
   }
 }
 
-TEST(KernelPropertyIsa, WindowedPackedGemmMatchesFullProductSlice) {
-  uint64_t seed = 9100;
+TEST(KernelPropertyIsa, WindowedCsrDenseMatchesFullProductSlice) {
+  uint64_t seed = 9200;
   for (const Shape& s : kWindowShapes) {
-    const Matrix a = RandomIntMatrix(s.u, s.v, seed++);
+    const Matrix ad = RandomDenseMatrix(s.u, s.v, 0.3, seed++);
     const Matrix b = RandomIntMatrix(s.v, s.w, seed++);
-    const Matrix want = MultiplyNaive(a, b);
-    const PackedB packed(b);  // the layout does not depend on the ISA
+    const CsrMatrix a = CsrMatrix::FromDense(ad);
+    const Matrix want = MultiplyNaive(ad, b);
     for (KernelIsa isa : SupportedIsas()) {
       ScopedIsaOverride force(isa);
       for (size_t c0 : WindowStarts(s.w)) {
         for (const auto& [r0, r1] : RowRanges(s.u)) {
           // Pre-filled: the kernel must overwrite every cell of the window.
           std::vector<float> got((r1 - r0) * (s.w - c0), -1.0f);
-          MultiplyRowRange(a, packed, r0, r1, c0, got);
+          CsrDenseRowRange(a, b, r0, r1, c0, got);
           ExpectWindowMatches(want, r0, r1, c0, got,
                               std::string(KernelIsaName(isa)) +
                                   " u=" + std::to_string(s.u) +
-                                  " v=" + std::to_string(s.v) +
                                   " w=" + std::to_string(s.w) +
                                   " c0=" + std::to_string(c0));
         }
@@ -245,26 +243,55 @@ TEST(KernelPropertyIsa, WindowedPackedGemmMatchesFullProductSlice) {
   }
 }
 
-TEST(KernelPropertyIsa, WindowedCsrDenseMatchesFullProductSlice) {
-  uint64_t seed = 9200;
-  for (const Shape& s : kWindowShapes) {
-    const Matrix ad = RandomDenseMatrix(s.u, s.v, 0.3, seed++);
-    const Matrix b = RandomIntMatrix(s.v, s.w, seed++);
-    const CsrMatrix a = CsrMatrix::FromDense(ad);
-    const Matrix want = MultiplyNaive(ad, b);
-    std::vector<size_t> starts = WindowStarts(s.w);
-    starts.push_back(s.w / 3 + 1);  // the CSR kernel needs no alignment
-    for (KernelIsa isa : SupportedIsas()) {
-      ScopedIsaOverride force(isa);
-      for (size_t c0 : starts) {
-        for (const auto& [r0, r1] : RowRanges(s.u)) {
-          std::vector<float> got((r1 - r0) * (s.w - c0), -1.0f);
-          CsrDenseRowRange(a, b, r0, r1, c0, got);
-          ExpectWindowMatches(want, r0, r1, c0, got,
-                              std::string(KernelIsaName(isa)) +
-                                  " u=" + std::to_string(s.u) +
-                                  " w=" + std::to_string(s.w) +
-                                  " c0=" + std::to_string(c0));
+// The dense blocks' kernel: cell (i, c) of A * B is |row i of A ∩ column c
+// of B|. Inner dimensions straddle one word (63, 64, 65), a star-like 70
+// (2 words), one 512-bit vector (513 = 8 words + 1 bit) and a two-path-like
+// 1200 (19 words: two vectors and a masked tail); 7 and 37 columns leave
+// partial 8-column tiles, and windows [c0, c1) start and end off them.
+TEST(KernelPropertyIsa, BitCountMatchesIntersectionOracle) {
+  uint64_t seed = 9300;
+  for (size_t inner : {1u, 63u, 64u, 65u, 70u, 513u, 1200u}) {
+    for (size_t cols : {7u, 37u}) {
+      constexpr size_t kRows = 13;
+      const CsrMatrix a = CsrMatrix::FromDense(
+          RandomDenseMatrix(kRows, inner, 0.5, seed++));
+      const CsrMatrix b =
+          CsrMatrix::FromDense(RandomDenseMatrix(inner, cols, 0.5, seed++));
+      std::vector<std::vector<uint32_t>> col_sets(cols);
+      for (size_t y = 0; y < inner; ++y) {
+        for (uint32_t c : b.Row(y)) {
+          col_sets[c].push_back(static_cast<uint32_t>(y));
+        }
+      }
+      const BitRows abits = BitRows::FromRows(a, 2);
+      const BitRows btbits = BitRows::FromColumns(b, 2);
+      ASSERT_EQ(abits.words(), (inner + 63) / 64);
+      for (KernelIsa isa : SupportedIsas()) {
+        ScopedIsaOverride force(isa);
+        for (const auto& [c0, c1] :
+             {std::pair<size_t, size_t>{0, cols}, {3, cols}, {cols, cols},
+              {3, cols - 2}, {0, 5}}) {
+          for (const auto& [r0, r1] :
+               {std::pair<size_t, size_t>{0, kRows}, {4, 10}, {5, 6}}) {
+            const size_t w = c1 - c0;
+            std::vector<float> got((r1 - r0) * w, -1.0f);
+            BitCountRowRange(abits, btbits, r0, r1, c0, c1, got);
+            for (size_t i = r0; i < r1; ++i) {
+              const auto row = a.Row(i);
+              for (size_t c = c0; c < c1; ++c) {
+                std::vector<uint32_t> both;
+                std::set_intersection(row.begin(), row.end(),
+                                      col_sets[c].begin(), col_sets[c].end(),
+                                      std::back_inserter(both));
+                ASSERT_EQ(got[(i - r0) * w + c - c0],
+                          static_cast<float>(both.size()))
+                    << KernelIsaName(isa) << " inner=" << inner
+                    << " cols=" << cols << " c0=" << c0 << " c1=" << c1
+                    << " i=" << i
+                    << " c=" << c;
+              }
+            }
+          }
         }
       }
     }
@@ -340,23 +367,16 @@ TEST(AlignedBuffer, PackToleratesUnalignedSourceRows) {
   }
 }
 
-TEST(AlignedBuffer, PackedBReusableAcrossIsaLevels) {
-  // A PackedB built once must serve every dispatch level: the packed layout
-  // is part of the kernel contract, not per-ISA.
+TEST(AlignedBuffer, SharedPackedSlabServesEveryIsaLevel) {
+  // A parallel Multiply packs B once into a shared slab whose layout is
+  // part of the kernel contract, not per-ISA: every dispatch level reads it
+  // to the same exact product.
   Matrix a = RandomIntMatrix(33, 129, 9100);
   Matrix b = RandomIntMatrix(129, 75, 9101);
-  const PackedB packed(b);
   const Matrix want = MultiplyNaive(a, b);
-  std::vector<float> buf(a.rows() * b.cols());
   for (KernelIsa isa : SupportedIsas()) {
     ScopedIsaOverride force(isa);
-    MultiplyRowRange(a, packed, 0, a.rows(), buf);
-    for (size_t i = 0; i < a.rows(); ++i) {
-      for (size_t j = 0; j < b.cols(); ++j) {
-        ASSERT_EQ(buf[i * b.cols() + j], want.At(i, j))
-            << KernelIsaName(isa) << " (" << i << ", " << j << ")";
-      }
-    }
+    EXPECT_EQ(Multiply(a, b, 2), want) << KernelIsaName(isa);
   }
 }
 

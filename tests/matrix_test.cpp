@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "matrix/calibration.h"
 #include "matrix/cost_model.h"
 #include "matrix/dense_matrix.h"
@@ -79,56 +78,6 @@ TEST(Matmul, ParallelSharedSlabMatchesNaive) {
       Multiply(a, b, &c, threads);
       EXPECT_EQ(c, want) << u << "x" << v << "x" << w << " @" << threads;
     }
-  }
-}
-
-TEST(Matmul, PackedBRowRangeMatchesUnpacked) {
-  Matrix a = RandomMatrix(67, 530, 50, 0.3);
-  Matrix b = RandomMatrix(530, 91, 51, 0.3);
-  const PackedB packed(b, 2);
-  EXPECT_EQ(packed.rows(), b.rows());
-  EXPECT_EQ(packed.cols(), b.cols());
-  std::vector<float> got(20 * b.cols());
-  std::vector<float> want(20 * b.cols());
-  // Several row windows, including ragged edges.
-  const std::vector<std::pair<size_t, size_t>> windows = {
-      {0, 20}, {13, 29}, {60, 67}};
-  for (auto [r0, r1] : windows) {
-    MultiplyRowRange(a, packed, r0, r1, got);
-    MultiplyRowRange(a, b, r0, r1, want);
-    for (size_t i = 0; i < (r1 - r0) * b.cols(); ++i) {
-      ASSERT_EQ(got[i], want[i]) << "row window [" << r0 << "," << r1 << ")";
-    }
-  }
-}
-
-TEST(Matmul, PackedBSharedAcrossConcurrentWorkers) {
-  // The slab is read-only after construction: many workers streaming
-  // disjoint row ranges concurrently must agree with the sequential result.
-  Matrix a = RandomMatrix(96, 200, 60, 0.4);
-  Matrix b = RandomMatrix(200, 150, 61, 0.4);
-  const PackedB packed(b, 2);
-  const Matrix want = MultiplyNaive(a, b);
-  std::vector<float> out(a.rows() * b.cols());
-  ParallelFor(4, a.rows(), [&](size_t r0, size_t r1, int) {
-    MultiplyRowRange(a, packed, r0, r1,
-                     std::span<float>(out.data() + r0 * b.cols(),
-                                      (r1 - r0) * b.cols()));
-  });
-  for (size_t i = 0; i < a.rows(); ++i) {
-    for (size_t j = 0; j < b.cols(); ++j) {
-      ASSERT_EQ(out[i * b.cols() + j], want.At(i, j));
-    }
-  }
-}
-
-TEST(Matmul, PackedBBytesMatchesActualFootprint) {
-  const std::vector<std::pair<size_t, size_t>> dims = {
-      {530, 91}, {512, 2048}, {100, 2049}, {1, 1}};
-  for (auto [v, w] : dims) {
-    Matrix b = RandomMatrix(v, w, 70 + v, 0.2);
-    const PackedB packed(b, 1);
-    EXPECT_EQ(packed.size_bytes(), PackedBBytes(v, w)) << v << "x" << w;
   }
 }
 

@@ -785,9 +785,9 @@ TEST(SelfJoinSymmetry, EngineMatchesWcojReferenceOnEveryKnob) {
   }
 }
 
-// The row block is no engine knob: row blocks of 100 and 1 (not multiples
-// of the window alignment, so windows round down) run MmJoinTwoPath
-// directly on one index.
+// The row block is no engine knob: row blocks of 100 and 1 run
+// MmJoinTwoPath directly on one index. A chunk's window starts at its first
+// row r0 for any row block.
 TEST(SelfJoinSymmetry, UnalignedRowBlocksMatchWcojReference) {
   const BinaryRelation rel = SymmetryGraph();
   const IndexedRelation idx(rel);
