@@ -12,6 +12,8 @@
 //   bit count : the heavy product's dense-block kernel (BitCountRowRange,
 //           AND + popcount over bit rows) on the two-path's and the star's
 //           block shapes, under the active dispatch level (JPMM_ISA);
+//   heavy-row emit : the two-path's bulk emit of a chunk's float rows into
+//           pairs (PairEmitter::EmitHeavyHead), plain and mirrored;
 //   metrics overhead : the same instrumented join executed with metrics on
 //           vs JPMM_METRICS=off in one process; the overhead_pct counter is
 //           the observability acceptance row (CI asserts < 2%).
@@ -36,8 +38,11 @@
 #include "common/check.h"
 #include "common/cpu_features.h"
 #include "common/metrics.h"
+#include "core/density_partition.h"
+#include "core/heavy_product.h"
 #include "core/query_engine.h"
 #include "core/result_sink.h"
+#include "core/two_path_internal.h"
 #include "datagen/presets.h"
 #include "matrix/bit_rows.h"
 #include "matrix/calibration.h"
@@ -309,6 +314,72 @@ void BM_BitCount(benchmark::State& state) {
   state.counters["words"] = static_cast<double>(abits.words());
 }
 
+// The two-path's heavy-row emit (PairEmitter::EmitHeavyHead) over one
+// 256-row chunk of 1187 heavy-z columns (Protein@1.5's heavy part): float
+// rows at the given nonzero density, plain pairs, either direct or
+// mirrored (the self join's symmetric rows: row i at position i emits from
+// its own column on, every later cell both ways). Heads have no light
+// witnesses; results go to a CountOnlySink. The setup checks the pairs
+// against a scalar reference.
+void BM_EmitHeavyRow(benchmark::State& state) {
+  constexpr size_t kRows = 256;
+  constexpr Value kCols = 1187;
+  const double density = PpmToDensity(state.range(0));
+  const bool mirrored = state.range(1) != 0;
+  // Every value of 0..kCols-1 is a heavy x and a heavy z: degree 2 on two
+  // shared y values, thresholds 1.
+  BinaryRelation rel;
+  for (Value x = 0; x < kCols; ++x) {
+    rel.Add(x, 0);
+    rel.Add(x, 1);
+  }
+  rel.Finalize();
+  const IndexedRelation index(rel);
+  const TwoPathPartition part(index, index, Thresholds{1, 1});
+  JPMM_CHECK(part.heavy_z().size() == kCols);
+  const Matrix cells = RandomDenseMatrix(kRows, kCols, density, 13);
+  auto emit_all = [&](ResultSink& sink) {
+    sink.Open(1);
+    internal::PairEmitters emitters(sink, 1, kCols);
+    internal::PairEmitter& em = emitters[0];
+    for (size_t i = 0; i < kRows; ++i) {
+      HeavyRow row;
+      row.values = cells.data() + i * kCols;
+      row.width = kCols;
+      row.symmetric = mirrored;
+      row.position = static_cast<uint32_t>(i);
+      em.BeginHead();
+      em.EmitHeavyHead(static_cast<Value>(i), row, part,
+                       /*count_witnesses=*/false, /*min_count=*/1);
+    }
+    em.Flush();
+    sink.Finish();
+  };
+  std::vector<OutPair> want;
+  for (Value i = 0; i < kRows; ++i) {
+    for (Value j = mirrored ? i : 0; j < kCols; ++j) {
+      if (cells.At(i, j) <= 0.5f) continue;
+      want.push_back({i, j});
+      if (mirrored && j != i) want.push_back({j, i});
+    }
+  }
+  VectorSink check;
+  emit_all(check);
+  std::vector<OutPair> got = check.pairs();
+  std::sort(want.begin(), want.end());
+  std::sort(got.begin(), got.end());
+  JPMM_CHECK_MSG(got == want, "heavy-row emit differs from the reference");
+  for (auto _ : state) {
+    CountOnlySink sink;
+    emit_all(sink);
+    benchmark::DoNotOptimize(sink.count());
+  }
+  state.counters["pairs"] = static_cast<double>(want.size());
+  state.counters["cells_per_s"] = benchmark::Counter(
+      static_cast<double>(kRows) * kCols,
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+
 // Dense blocked GEMM on the same sparse operands — the baseline the
 // acceptance criterion compares against (its runtime is density-blind).
 void BM_SparseDenseGemm(benchmark::State& state) {
@@ -468,6 +539,13 @@ BENCHMARK(BM_BitCount)
     ->Args({256, 70, 1024})
     ->Args({1024, 1024, 1024})
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EmitHeavyRow)
+    ->ArgNames({"ppm", "mirrored"})
+    ->Args({980000, 0})
+    ->Args({980000, 1})
+    ->Args({140000, 0})
+    ->Args({140000, 1})
+    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SparseDenseGemm)
     ->Args({1024, 1000})
     ->Args({4096, 1000})

@@ -94,6 +94,15 @@ class StampCounter {
     return stamps_[v] == epoch_ ? counts_[v] : 0;
   }
 
+  /// v's count, which drops to 0 (v stays live this epoch).
+  uint32_t Take(uint32_t v) {
+    JPMM_DCHECK(v < stamps_.size());
+    if (stamps_[v] != epoch_) return 0;
+    const uint32_t before = counts_[v];
+    counts_[v] = 0;
+    return before;
+  }
+
   size_t universe() const { return stamps_.size(); }
 
   /// Raw storage for the SIMD stamp-expansion kernels

@@ -12,6 +12,7 @@
 #include "core/trace.h"
 #include "matrix/bit_rows.h"
 #include "matrix/dense_matrix.h"
+#include "matrix/row_compact.h"
 
 namespace jpmm {
 namespace {
@@ -83,8 +84,8 @@ size_t BandOf(const std::vector<uint32_t>& bands, uint64_t at) {
          1;
 }
 
-// Per-worker kernel scratch, reused across chunks.
-struct Scratch {
+// Per-worker kernel scratch, reused across chunks; a cache line of its own.
+struct alignas(64) Scratch {
   std::vector<float> block;  // float kernels' output rows
   CsrScratch csr;            // CSR x CSR stamp counter
   SparseRowBlock sparse;     // CSR x CSR output rows
@@ -130,6 +131,17 @@ size_t WindowStart(const BlockKernelChoice& blk, size_t r0) {
 
 }  // namespace
 
+size_t HeavyRow::Compact(size_t from, uint32_t* col_out,
+                         uint32_t* count_out) const {
+  if (values != nullptr) {
+    return internal::SelectCompactRow(ActiveIsa())(
+        values, from, width, col_base, col_ids, col_out, count_out);
+  }
+  return internal::CompactSparseRow(cols.data(), counts.data(), cols.size(),
+                                    from, col_base, col_ids, col_out,
+                                    count_out);
+}
+
 HeavyGates GateHeavyProduct(const HeavyShape& s, HeavyPathMode mode,
                             size_t row_block, int threads,
                             uint64_t max_bytes) {
@@ -142,10 +154,9 @@ HeavyGates GateHeavyProduct(const HeavyShape& s, HeavyPathMode mode,
   const uint64_t stamp = 12 * workers * s.cols;
   const uint64_t acc = 4 * workers * row_block * s.cols;
   const uint64_t b_dense = 4 * s.inner * s.cols;
-  // The bit rows of A and of B^T (a symmetric product shares one set, but
-  // the shape does not say so: the gate counts both).
-  const uint64_t bits =
-      BitRowsBytes(s.rows, s.inner) + BitRowsBytes(s.cols, s.inner);
+  // The bit rows of A and of B^T, one set when B^T is A.
+  const uint64_t bits = BitRowsBytes(s.rows, s.inner) +
+                        (s.symmetric ? 0 : BitRowsBytes(s.cols, s.inner));
   // A kAuto plan may mix both float kernels, so the dense kernel's gate
   // counts every representation.
   const uint64_t all = csr + bits + b_dense + acc + stamp;
@@ -235,7 +246,8 @@ void Prepare(const CsrMatrix& a, const CsrMatrix& b, const HeavyProduct& p,
   const size_t row_block = p.row_block;
   const bool same_operand = &a == &b;
   const HeavyGates gates = GateHeavyProduct(
-      HeavyShape{rows, inner, cols, a.nnz(), b.nnz(), same_operand},
+      HeavyShape{rows, inner, cols, a.nnz(), b.nnz(), same_operand,
+                 p.symmetric},
       p.heavy_path, row_block, threads, p.max_matrix_bytes);
   TraceRecorder* const trace = p.trace;
 
@@ -538,10 +550,16 @@ HeavyRun RunHeavyProduct(const PreparedProduct& pp, const HeavyProduct& p,
               continue;
             }
             for (size_t li = 0; li < nrows; ++li) {
-              RowView(ws, out, li).ForEach([&](uint32_t c, uint32_t n) {
-                ws.gather_cols[li].push_back(c);
-                ws.gather_counts[li].push_back(n);
-              });
+              const HeavyRow row = RowView(ws, out, li);
+              std::vector<uint32_t>& cols = ws.gather_cols[li];
+              std::vector<uint32_t>& counts = ws.gather_counts[li];
+              const size_t have = cols.size();
+              cols.resize(have + row.CellBound());
+              counts.resize(cols.size());
+              const size_t n =
+                  row.Compact(0, cols.data() + have, counts.data() + have);
+              cols.resize(have + n);
+              counts.resize(have + n);
             }
           }
           TraceRecorder::Scope emit_scope(trace, "emit-inverse-remap",

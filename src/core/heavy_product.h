@@ -39,16 +39,16 @@
 // Output leaves through the caller's on_row callback, once per row of every
 // executed chunk, on the uniform plan and on the grid alike: the row's
 // index in A's original numbering and its whole output (gathered across
-// column bands when its row band runs several blocks), whose column ids
-// HeavyRow::ForEach maps back through the inverse column remap. The
-// caller turns rows into pairs (two-path), tuples (star) or a trace sum
-// (triangle); the executor never sees output values.
+// column bands when its row band runs several blocks), whose cells
+// HeavyRow::Compact lists in bulk, with column ids mapped back through the
+// inverse column remap. The caller turns rows into pairs (two-path), tuples
+// (star) or a trace sum (triangle); the executor never sees output values.
 //
-// Exactness: the float kernels accumulate counts in float cells and are
-// read back with `v + 0.5f`, exact only below 2^24. A cell's count is at
-// most the inner dimension, so when inner >= 2^24 the gates turn both
-// float kernels off (forced float modes too) and every block runs the
-// uint32 CSR x CSR kernel. No input aborts the process over it.
+// Exactness: the float kernels accumulate whole counts in float cells, read
+// back by truncation (HeavyRow::Compact), exact only below 2^24. A cell's
+// count is at most the inner dimension, so when inner >= 2^24 the gates
+// turn both float kernels off (forced float modes too) and every block runs
+// the uint32 CSR x CSR kernel. No input aborts the process over it.
 
 #ifndef JPMM_CORE_HEAVY_PRODUCT_H_
 #define JPMM_CORE_HEAVY_PRODUCT_H_
@@ -71,9 +71,9 @@
 
 namespace jpmm {
 
-/// Smallest positive integer a float cell (and the `v + 0.5f` integer
-/// read-back) can NOT represent exactly: 2^24. Float kernels run only while
-/// the inner dimension — the per-cell count maximum — stays below it.
+/// The float kernels' exactness bound, 2^24: every count below it is exact
+/// in a float cell and in its truncating read-back. Float kernels run only
+/// while the inner dimension — the per-cell count maximum — stays below it.
 inline constexpr uint64_t kMaxExactFloatCount = uint64_t{1} << 24;
 
 /// What one heavy product did: operands, per-block kernel decisions, the
@@ -160,6 +160,9 @@ struct HeavyShape {
   uint64_t b_nnz = 0;
   /// B is A itself (the triangle's A_H * A_H): one CSR copy.
   bool same_operand = false;
+  /// B^T is A (the two-path self join, HeavyProduct::symmetric): the dense
+  /// kernel reads A's bit rows for B^T too, so one set is counted.
+  bool symmetric = false;
 };
 
 /// The representations a product may materialize.
@@ -215,37 +218,18 @@ struct HeavyRow {
     return positions == nullptr ? col : positions[col];
   }
 
-  /// f(col, count) for every nonzero cell, col in B's original numbering.
-  template <class F>
-  void ForEach(F&& f) const {
-    if (col_ids == nullptr) {
-      const uint32_t base = col_base;
-      Visit([base](uint32_t c) { return base + c; }, f);
-    } else {
-      const uint32_t* ids = col_ids;
-      Visit([ids](uint32_t c) { return ids[c]; }, f);
-    }
-  }
+  /// Room Compact needs: the row's cell count before any is dropped.
+  size_t CellBound() const { return values != nullptr ? width : cols.size(); }
 
- private:
-  // One loop per (form, map) pair, with the row's fields in locals so the
-  // callback's stores cannot force reloads.
-  template <class Map, class F>
-  void Visit(Map map, F& f) const {
-    if (values != nullptr) {
-      const float* row = values;
-      for (size_t j = 0, n = width; j < n; ++j) {
-        const float v = row[j];
-        if (v > 0.5f) {
-          f(map(static_cast<uint32_t>(j)), static_cast<uint32_t>(v + 0.5f));
-        }
-      }
-    } else {
-      const uint32_t* c = cols.data();
-      const uint32_t* k = counts.data();
-      for (size_t e = 0, n = cols.size(); e < n; ++e) f(map(c[e]), k[e]);
-    }
-  }
+  /// The bulk form every consumer reads. Writes the column of B (original
+  /// numbering) of each nonzero cell whose local column is at least `from`
+  /// to col_out and, unless count_out is null, its count to count_out, in
+  /// the row's cell order; returns how many. Each output needs room for
+  /// CellBound() cells; what lies past the returned count is unspecified.
+  /// No cell takes a branch: a float row runs the dispatched compaction
+  /// kernel (matrix/row_compact.h), and a float cell's count is its
+  /// truncated value (`v + 0.5f` would round 2^24 - 1 up).
+  size_t Compact(size_t from, uint32_t* col_out, uint32_t* count_out) const;
 };
 
 /// Everything RunHeavyProduct needs besides the operands: the execution

@@ -19,31 +19,17 @@ namespace {
 
 // Emits the output pairs of head value a: its light witnesses (classes L1
 // + L2) plus, when `heavy` is non-null, its all-heavy witness counts by
-// heavy-z column.
-//
-// A symmetric row (the self join, M2 = M1^T) covers only the columns from
-// its own position on, and witness counts are symmetric, so for a z that
-// owns a column the head emits by position: before a's, nothing (z's row
-// emits the pair); a itself, (a, a) once; after, (a, z) and (z, a) from
-// the one count. A z with no column has no row and is emitted as (a, z).
+// heavy-z column (PairEmitter::EmitHeavyHead).
 void EmitHead(const internal::TwoPathContext& ctx, const MmJoinOptions& opts,
               Value a, const HeavyRow* heavy, internal::PairEmitter* em) {
   em->BeginHead();
   ctx.AccumulateLight(a, em);
-  if (heavy != nullptr) {
-    const auto& hz = ctx.part.heavy_z();
-    heavy->ForEach([&](uint32_t col, uint32_t cnt) { em->Add(hz[col], cnt); });
-  }
-  if (heavy == nullptr || !heavy->symmetric) {
+  if (heavy == nullptr) {
     em->EmitTouched(a, opts.count_witnesses, opts.min_count);
-    return;
+  } else {
+    em->EmitHeavyHead(a, *heavy, ctx.part, opts.count_witnesses,
+                      opts.min_count);
   }
-  em->EmitTouched(a, opts.count_witnesses, opts.min_count, [&](Value c) {
-    const Value col = ctx.part.HeavyZId(c);
-    if (col == kInvalidValue) return 1;
-    const uint32_t pos = heavy->PositionOf(col);
-    return pos < heavy->position ? 0 : pos == heavy->position ? 1 : 2;
-  });
 }
 
 // Calls f(id) for every set cell of row i of M1 (m2 false: the heavy-y
@@ -115,12 +101,14 @@ std::shared_ptr<const HeavyFit> FitTwoPath(const IndexedRelation& r,
     fit->thresholds = t;
     fit->shape = HeavyShape{part.heavy_x().size(), part.heavy_y().size(),
                             part.heavy_z().size()};
+    // A self join's M2 is M1^T: the same cells, one set of bit rows.
+    fit->shape.symmetric = &r == &s;
     fit->bytes = fit->ctx.Bytes();
     if (fit->shape.inner == 0) return fit;
     fit->shape.a_nnz = HeavyNnz(fit->ctx, /*m2=*/false, key.threads);
-    // A self join's M2 is M1^T: the same cells.
-    fit->shape.b_nnz = &r == &s ? fit->shape.a_nnz
-                                : HeavyNnz(fit->ctx, /*m2=*/true, key.threads);
+    fit->shape.b_nnz =
+        fit->shape.symmetric ? fit->shape.a_nnz
+                             : HeavyNnz(fit->ctx, /*m2=*/true, key.threads);
     if (GateHeavyProduct(fit->shape, key.heavy_path, key.row_block,
                          key.threads, key.max_matrix_bytes)
             .bytes <= key.max_matrix_bytes) {
@@ -253,11 +241,11 @@ RunRecord TwoPathJoin(const IndexedRelation& r, const IndexedRelation& s,
   TraceEnd(trace, light_span);
   result.light_seconds = light_timer.Seconds();
 
-  // ---- Heavy step: every heavy x row whole (light witnesses join its
-  // heavy counts in one stamp epoch). If the sink was satisfied by the
-  // light pass alone, the whole step — operand build included — is skipped
-  // with every chunk accounted skipped: the total is the same whether the
-  // step ran or not, at every thread count (guarded by
+  // ---- Heavy step: every heavy x row whole (its light witnesses fold into
+  // the row's bulk emit). If the sink was satisfied by the light pass
+  // alone, the whole step — operand build included — is skipped with every
+  // chunk accounted skipped: the total is the same whether the step ran or
+  // not, at every thread count (guarded by
   // QueryEngine.DoneMidChunkSkipsIdenticalDownstreamBlocks).
   bool heavy_interrupted = false;
   if (matrix) {

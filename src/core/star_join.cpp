@@ -660,7 +660,8 @@ RunRecord MmStarJoin(const std::vector<const IndexedRelation*>& rels,
   hp.on_row = [&](int w, uint32_t i, const HeavyRow& row) {
     std::vector<uint32_t>& ids = pairs.ids[static_cast<size_t>(w)];
     const size_t begin = ids.size();
-    row.ForEach([&ids](uint32_t j, uint32_t) { ids.push_back(j); });
+    ids.resize(begin + row.CellBound());
+    ids.resize(begin + row.Compact(0, ids.data() + begin, nullptr));
     pairs.Close(w, i, begin);
   };
   operands.RunMmHeavyStep(

@@ -27,15 +27,20 @@
 #include "core/result_sink.h"
 #include "storage/index.h"
 
+namespace jpmm {
+struct HeavyRow;
+}  // namespace jpmm
+
 namespace jpmm::internal {
 
 /// One worker's witness counter and output buffer. Per head value a:
-/// BeginHead(), Add() every witness's z value, then EmitTouched(). Results
-/// leave as one OnPairs / OnCountedPairs span per kFlushAt results and at
-/// every Flush(); executors flush at the end of each chunk, so all of a
-/// chunk's results reach the sink before the next ChunkGate::Claim polls
-/// done() and before sink.Finish().
-class PairEmitter {
+/// BeginHead(), Add() every witness's z value, then EmitTouched() — or,
+/// for a head with a heavy row, EmitHeavyHead(). Results leave as one
+/// OnPairs / OnCountedPairs span per kFlushAt results and at every Flush();
+/// executors flush at the end of each chunk, so all of a chunk's results
+/// reach the sink before the next ChunkGate::Claim polls done() and before
+/// sink.Finish(). Workers' emitters sit on cache lines of their own.
+class alignas(64) PairEmitter {
  public:
   static constexpr size_t kFlushAt = 4096;
 
@@ -50,8 +55,35 @@ class PairEmitter {
   uint32_t Get(Value c) const { return counter_.Get(c); }
 
   /// Emits (a, c) for every touched c with at least min_count witnesses.
-  /// side(c) says how: 0 drops it, 1 emits (a, c), 2 emits (a, c) and
-  /// (c, a) from the one count (the self join's mirror).
+  void EmitTouched(Value a, bool count_witnesses, uint32_t min_count) {
+    EmitTouched(a, count_witnesses, min_count, [](Value) { return 1; });
+  }
+
+  /// Emits all pairs of head value a, whose light witnesses Add() has
+  /// counted and whose all-heavy witness counts are `row`: cell col of the
+  /// row counts z value part.heavy_z()[col]. The row's nonzero cells are
+  /// compacted in bulk and written straight into the span buffer; the light
+  /// witnesses of a z the row emits fold into its pair, and the light-only
+  /// z's leave through EmitTouched. A symmetric row (the self join,
+  /// M2 = M1^T) emits by position, since witness counts are symmetric:
+  /// a z positioned before a, nothing (z's own row emits the pair); a
+  /// itself, (a, a) once; after, (a, z) and (z, a) from the one count. A z
+  /// with no column has no row and is emitted as (a, z).
+  void EmitHeavyHead(Value a, const HeavyRow& row, const TwoPathPartition& part,
+                     bool count_witnesses, uint32_t min_count);
+
+  /// Delivers the buffered results as one span.
+  void Flush() {
+    if (n_pairs_ > 0) shard_->OnPairs({pairs_.data(), n_pairs_});
+    if (n_counted_ > 0) shard_->OnCountedPairs({counted_.data(), n_counted_});
+    n_pairs_ = 0;
+    n_counted_ = 0;
+  }
+
+ private:
+  // EmitTouched, where side(c) says how to emit c: 0 drops it, 1 emits
+  // (a, c), 2 emits (a, c) and (c, a) from the one count (the self join's
+  // mirror).
   template <typename Side>
   void EmitTouched(Value a, bool count_witnesses, uint32_t min_count,
                    Side side) {
@@ -61,39 +93,41 @@ class PairEmitter {
       const int n = side(c);
       if (n == 0) continue;
       if (count_witnesses) {
-        Push(&counted_, CountedPair{a, c, cnt});
-        if (n == 2) Push(&counted_, CountedPair{c, a, cnt});
+        Push(&counted_, &n_counted_, CountedPair{a, c, cnt});
+        if (n == 2) Push(&counted_, &n_counted_, CountedPair{c, a, cnt});
       } else {
-        Push(&pairs_, OutPair{a, c});
-        if (n == 2) Push(&pairs_, OutPair{c, a});
+        Push(&pairs_, &n_pairs_, OutPair{a, c});
+        if (n == 2) Push(&pairs_, &n_pairs_, OutPair{c, a});
       }
     }
   }
-  void EmitTouched(Value a, bool count_witnesses, uint32_t min_count) {
-    EmitTouched(a, count_witnesses, min_count, [](Value) { return 1; });
-  }
-
-  /// Delivers the buffered results as one span.
-  void Flush() {
-    if (!pairs_.empty()) shard_->OnPairs(pairs_);
-    if (!counted_.empty()) shard_->OnCountedPairs(counted_);
-    pairs_.clear();
-    counted_.clear();
-  }
-
- private:
   template <typename T>
-  void Push(std::vector<T>* buf, const T& v) {
-    buf->push_back(v);
-    if (buf->size() == kFlushAt) Flush();
+  void Push(std::vector<T>* buf, size_t* n, const T& v) {
+    (*buf)[(*n)++] = v;
+    if (*n == kFlushAt) Flush();
   }
+  // Writes `cells` results in bulk: write(k, out) stores up to `per` of
+  // them for cell k at out and returns how many it kept.
+  template <typename T, typename Write>
+  void WriteCells(std::vector<T>* buf, size_t* n, size_t cells, size_t per,
+                  Write write);
+  // Writes the results of the `cells` compacted cells of head a's row.
+  template <typename T>
+  void WriteRow(std::vector<T>* buf, size_t* n, Value a, const HeavyRow& row,
+                size_t cells, const Value* z_of, uint32_t min_count);
 
   friend class PairEmitters;
   StampCounter counter_;
   std::vector<Value> touched_;
   ResultSink::Shard* shard_ = nullptr;
+  // Span buffers of kFlushAt slots, the first n_pairs_ / n_counted_ live.
   std::vector<OutPair> pairs_;
   std::vector<CountedPair> counted_;
+  size_t n_pairs_ = 0;
+  size_t n_counted_ = 0;
+  // A heavy row's compacted cells: columns and counts.
+  std::vector<uint32_t> cell_cols_;
+  std::vector<uint32_t> cell_counts_;
 };
 
 /// The emitters of one run into an opened sink, one per worker; each binds
@@ -108,6 +142,8 @@ class PairEmitters {
     if (em.shard_ == nullptr) {
       em.shard_ = &sink_.shard(w);
       em.counter_.ResizeUniverse(num_z_);
+      em.pairs_.resize(PairEmitter::kFlushAt);
+      em.counted_.resize(PairEmitter::kFlushAt);
     }
     return em;
   }

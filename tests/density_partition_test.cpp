@@ -365,9 +365,12 @@ TEST(HeavyProduct, EveryRowFiresOnceWithTheReferenceRow) {
           p.threads = threads;
           p.on_row = [&](int w, uint32_t row, const HeavyRow& out) {
             ++deliveries[w][row];
-            out.ForEach([&](uint32_t col, uint32_t count) {
-              got.MutableRow(row)[col] += static_cast<float>(count);
-            });
+            std::vector<uint32_t> cols(out.CellBound());
+            std::vector<uint32_t> counts(out.CellBound());
+            const size_t n = out.Compact(0, cols.data(), counts.data());
+            for (size_t k = 0; k < n; ++k) {
+              got.MutableRow(row)[cols[k]] += static_cast<float>(counts[k]);
+            }
           };
           bool interrupted = false;
           const HeavyRun run = RunHeavyProduct(a, b, p, &interrupted);

@@ -1,11 +1,11 @@
 // Randomized property tests for the blocked matrix kernels.
 //
-// The blocked dense GEMM, the bit-count kernel and the sparse kernels must
-// agree exactly with their naive references on shapes that exercise every
-// edge case: dimensions that are odd, prime, smaller than one register
-// tile, and straddling cache-block boundaries. Dense operands use
-// small-integer values, where float accumulation is exact in any order,
-// so EXPECT_EQ compares bit-identical payloads.
+// The blocked dense GEMM, the bit-count kernel, the sparse kernels and the
+// heavy-row compaction must agree exactly with their naive references on
+// shapes that exercise every edge case: dimensions that are odd, prime,
+// smaller than one register tile, and straddling cache-block boundaries.
+// Dense operands use small-integer values, where float accumulation is
+// exact in any order, so EXPECT_EQ compares bit-identical payloads.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +19,7 @@
 #include "common/aligned_buffer.h"
 #include "common/cpu_features.h"
 #include "common/rng.h"
+#include "core/heavy_product.h"
 #include "matrix/bit_rows.h"
 #include "matrix/dense_matrix.h"
 #include "matrix/matmul.h"
@@ -327,6 +328,116 @@ TEST(KernelPropertyIsa, ExpandRowHandlesDuplicateColumns) {
     for (uint32_t j : want_touched) {
       EXPECT_EQ(counter.Get(j), want_counter.Get(j))
           << KernelIsaName(isa) << " col " << j;
+    }
+  }
+}
+
+// HeavyRow::Compact, the bulk form every heavy-row consumer reads, against
+// a scalar oracle: float rows at every ISA level (the AVX-512 variant
+// steps 16 cells, so widths straddle 16 and 64) and sparse rows in
+// ascending and shuffled (gathered) order, under both column maps, from
+// several start columns, with counts up to 2^24 - 1. The outputs are
+// sized exactly to CellBound(), so a write past the room shows under ASAN.
+TEST(KernelPropertyIsa, RowCompactionMatchesScalarOracle) {
+  struct Cell {
+    uint32_t col = 0;
+    uint32_t count = 0;
+    bool operator==(const Cell&) const = default;
+  };
+  enum class Fill { kRandom, kZero, kFull };
+  constexpr uint32_t kMaxCount = (uint32_t{1} << 24) - 1;
+  constexpr uint32_t kBase = 100;
+  Rng rng(9700);
+  for (size_t width : {0u, 1u, 15u, 16u, 17u, 63u, 64u, 65u, 1187u}) {
+    for (Fill fill : {Fill::kRandom, Fill::kZero, Fill::kFull}) {
+      std::vector<uint32_t> count(width, 0);
+      std::vector<float> values(width, 0.0f);
+      std::vector<uint32_t> ids(width);
+      for (size_t j = 0; j < width; ++j) {
+        ids[j] = static_cast<uint32_t>(7 * j + 3);
+        const bool set = fill == Fill::kFull ||
+                         (fill == Fill::kRandom && rng.NextBool(0.4));
+        if (!set) continue;
+        count[j] = rng.NextBool(0.1) ? kMaxCount - rng.NextBounded(3)
+                                     : 1 + rng.NextBounded(5);
+        values[j] = static_cast<float>(count[j]);
+      }
+      // The sparse form of the same row, ascending and shuffled.
+      std::vector<uint32_t> cols, counts;
+      for (size_t j = 0; j < width; ++j) {
+        if (count[j] == 0) continue;
+        cols.push_back(static_cast<uint32_t>(j));
+        counts.push_back(count[j]);
+      }
+      std::vector<uint32_t> shuffled_cols = cols, shuffled_counts = counts;
+      for (size_t e = shuffled_cols.size(); e > 1; --e) {
+        const size_t o = rng.NextBounded(e);
+        std::swap(shuffled_cols[e - 1], shuffled_cols[o]);
+        std::swap(shuffled_counts[e - 1], shuffled_counts[o]);
+      }
+      for (size_t from : {size_t{0}, size_t{1}, size_t{7}, size_t{16},
+                          width / 2, width}) {
+        if (from > width) continue;
+        for (bool mapped : {false, true}) {
+          auto map = [&](uint32_t j) { return mapped ? ids[j] : kBase + j; };
+          auto check = [&](const HeavyRow& row, std::vector<Cell> want,
+                           const std::string& where) {
+            const size_t bound = row.CellBound();
+            std::vector<uint32_t> got_cols(bound), got_counts(bound);
+            const size_t n =
+                row.Compact(from, got_cols.data(), got_counts.data());
+            std::vector<Cell> got;
+            for (size_t k = 0; k < n; ++k) {
+              got.push_back({got_cols[k], got_counts[k]});
+            }
+            EXPECT_EQ(got, want) << where;
+            std::vector<uint32_t> cols_only(bound);
+            ASSERT_EQ(row.Compact(from, cols_only.data(), nullptr), n)
+                << where;
+            for (size_t k = 0; k < n; ++k) {
+              ASSERT_EQ(cols_only[k], want[k].col) << where << " k " << k;
+            }
+          };
+          const std::string where =
+              "width " + std::to_string(width) + " fill " +
+              std::to_string(static_cast<int>(fill)) + " from " +
+              std::to_string(from) + (mapped ? " col_ids" : " col_base");
+          HeavyRow row;
+          if (mapped) {
+            row.col_ids = ids.data();
+          } else {
+            row.col_base = kBase;
+          }
+          std::vector<Cell> want;
+          for (size_t j = from; j < width; ++j) {
+            if (count[j] > 0) {
+              want.push_back({map(static_cast<uint32_t>(j)), count[j]});
+            }
+          }
+          for (KernelIsa isa : SupportedIsas()) {
+            ScopedIsaOverride force(isa);
+            HeavyRow float_row = row;
+            float_row.values = values.data();
+            float_row.width = width;
+            check(float_row, want,
+                  where + " float " + KernelIsaName(isa));
+          }
+          HeavyRow sparse = row;
+          sparse.cols = cols;
+          sparse.counts = counts;
+          check(sparse, want, where + " sparse");
+          std::vector<Cell> want_shuffled;
+          for (size_t e = 0; e < shuffled_cols.size(); ++e) {
+            if (shuffled_cols[e] >= from) {
+              want_shuffled.push_back(
+                  {map(shuffled_cols[e]), shuffled_counts[e]});
+            }
+          }
+          sparse.cols = shuffled_cols;
+          sparse.counts = shuffled_counts;
+          check(sparse, want_shuffled, where + " sparse shuffled");
+        }
+      }
     }
   }
 }

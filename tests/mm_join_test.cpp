@@ -13,6 +13,7 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/density_partition.h"
 #include "core/join_project.h"
 #include "core/mm_join.h"
 #include "core/optimizer.h"
@@ -855,6 +856,84 @@ TEST(SelfJoinSymmetry, OneRowHeavyPart) {
       EXPECT_EQ(static_cast<const SortedOutput&>(res),
                 WcojReference(idx, idx, counted))
           << counted << " " << PartitionModeName(partition);
+    }
+  }
+}
+
+// The light fold of a heavy head's bulk emit. Under thresholds {2, 2} the
+// heavy values are 1, 2, 3, 5, 6, 7 and 9 is light. Head 5's light
+// witnesses (the light y values 10..14, each shared with one other x, and
+// the class-L2 path 5 -> heavy y 0 -> light 9) land on every kind of z:
+//   6 (y 10): a heavy column whose cell is nonzero (heavy y 0 is shared);
+//   7 (y 11): a heavy column whose cell is zero (no shared heavy y);
+//   1 (y 12) and 2 (y 13): heavy columns positioned before 5 on the
+//     uniform plan, one nonzero (heavy y 1), one zero;
+//   9 (y 14 and y 0): no heavy column.
+// Each of 6 and 1 also sees 5 from the other side of the mirror. The pairs
+// (5, 6), (5, 1) and (5, 9) reach min_count 2 only when the light witness
+// joins the heavy (or the L2) one.
+TEST(MmJoin, LightWitnessesFoldIntoEveryKindOfHeavyCell) {
+  BinaryRelation rel;
+  const std::pair<Value, std::vector<Value>> adjacency[] = {
+      {1, {1, 2, 12}},  {2, {2, 13, 15}}, {3, {1, 15, 16}},
+      {5, {0, 1, 10, 11, 12, 13, 14}},    {6, {0, 2, 10}},
+      {7, {2, 11, 16}}, {9, {0, 14}}};
+  for (const auto& [x, ys] : adjacency) {
+    for (Value y : ys) rel.Add(x, y);
+  }
+  rel.Finalize();
+  const IndexedRelation idx(rel);
+  const IndexedRelation other(rel);  // a second snapshot: no symmetry
+  const Thresholds t{2, 2};
+  const TwoPathPartition part(idx, idx, t);
+  for (Value z : {1, 2, 3, 5, 6, 7}) {
+    ASSERT_NE(part.HeavyZId(z), kInvalidValue) << "test premise: z " << z;
+  }
+  ASSERT_EQ(part.HeavyZId(9), kInvalidValue) << "test premise";
+  for (Value y : {0, 1, 2}) ASSERT_FALSE(part.YLight(y)) << "premise y " << y;
+  for (Value y : {10, 11, 12, 13, 14}) ASSERT_TRUE(part.YLight(y));
+
+  for (bool symmetric : {true, false}) {
+    const IndexedRelation& s = symmetric ? idx : other;
+    for (uint32_t min_count : {1u, 2u}) {
+      for (bool counted : {false, true}) {
+        if (min_count > 1 && !counted) continue;
+        const auto want_counted = OracleTwoPathCounted(rel, rel, min_count);
+        for (PartitionMode partition :
+             {PartitionMode::kOff, PartitionMode::kForce}) {
+          for (HeavyPathMode heavy_path :
+               {HeavyPathMode::kForceDense, HeavyPathMode::kForceCsrDense,
+                HeavyPathMode::kForceCsrCsr}) {
+            for (int threads : {1, 4}) {
+              MmJoinOptions opts;
+              opts.thresholds = t;
+              opts.count_witnesses = counted;
+              opts.min_count = min_count;
+              opts.row_block = 2;
+              opts.partition = partition;
+              opts.heavy_path = heavy_path;
+              opts.threads = threads;
+              const std::string where =
+                  std::string(symmetric ? "self" : "two snapshots") +
+                  (counted ? " counted" : " plain") + " min" +
+                  std::to_string(min_count) + " " +
+                  PartitionModeName(partition) + " " +
+                  HeavyPathModeName(heavy_path) + " t" +
+                  std::to_string(threads);
+              const auto res = MmRun(idx, s, opts);
+              ASSERT_EQ(res.heavy_rows, 6u) << where;
+              EXPECT_EQ(res.symmetric, symmetric) << where;
+              EXPECT_EQ(res.partition_used, partition == PartitionMode::kForce)
+                  << where;
+              if (counted) {
+                EXPECT_EQ(res.counted, want_counted) << where;
+              } else {
+                EXPECT_EQ(res.pairs, OracleTwoPath(rel, rel)) << where;
+              }
+            }
+          }
+        }
+      }
     }
   }
 }

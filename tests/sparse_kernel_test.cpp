@@ -17,6 +17,7 @@
 #include "core/star_join.h"
 #include "core/triangle.h"
 #include "datagen/generators.h"
+#include "matrix/bit_rows.h"
 #include "matrix/calibration.h"
 #include "matrix/cost_model.h"
 #include "matrix/matmul.h"
@@ -248,6 +249,21 @@ TEST(HeavyDispatch, FloatKernelsGatedOffPastExactFloatRange) {
     EXPECT_EQ(below.mode, mode);
     EXPECT_EQ(below.allow_csr_dense, mode != HeavyPathMode::kForceCsrCsr);
   }
+}
+
+TEST(HeavyDispatch, SymmetricShapeCountsOneSetOfBitRows) {
+  // When B^T is A (the two-path self join) the dense kernel reads A's bit
+  // rows for B^T too: the gate counts one set, one BitRowsBytes below the
+  // same shape read as two operands.
+  constexpr uint64_t kNoCap = ~uint64_t{0} >> 1;
+  HeavyShape shape{1173, 1200, 1173, 190000, 190000};
+  const HeavyGates full =
+      GateHeavyProduct(shape, HeavyPathMode::kForceDense, 256, 4, kNoCap);
+  shape.symmetric = true;
+  const HeavyGates sym =
+      GateHeavyProduct(shape, HeavyPathMode::kForceDense, 256, 4, kNoCap);
+  EXPECT_EQ(full.bytes - sym.bytes, BitRowsBytes(shape.cols, shape.inner));
+  EXPECT_TRUE(sym.allow_dense);
 }
 
 // ---- mm_join forced-path equivalence + dispatch ---------------------------
