@@ -1,14 +1,10 @@
-// Kernel microbenchmark — blocked vs seed kernels, dense and sparse.
+// Kernel microbenchmark — the heavy product's kernels, dense and sparse.
 //
 // Measures the matrix layer in isolation:
-//   dense : packed-panel blocked GEMM (Multiply) vs the seed ikj-saxpy
-//           kernel (MultiplyScalarReference) vs the naive triple loop;
-//   parallel dense : the shared-packed-B-slab Multiply across thread
-//           counts — the pool-era parallel regression guard;
 //   sparse: CSR x dense saxpy and CSR x CSR stamp kernels across a density
-//           sweep {1e-4 .. 0.25} at n in {1024, 4096}, against the dense
-//           blocked GEMM on the same operands; BM_SparseCrossover emits the
-//           measured dense/sparse crossover density into the bench JSON;
+//           sweep {1e-4 .. 0.25} at n in {1024, 4096}; BM_SparseCrossover
+//           emits the measured dense/sparse crossover density into the
+//           bench JSON;
 //   bit count : the heavy product's dense-block kernel (BitCountRowRange,
 //           AND + popcount over bit rows) on the two-path's and the star's
 //           block shapes, under the active dispatch level (JPMM_ISA);
@@ -22,7 +18,7 @@
 //
 // The "gflops" / "gnnzops" counters make the speedups comparable across
 // rows; set JPMM_BENCH_JSON=<path> for machine-readable output. Run:
-//   ./build/bench_kernel_microbench --benchmark_filter=Dense
+//   ./build/bench_kernel_microbench --benchmark_filter=BitCount
 
 #include <benchmark/benchmark.h>
 
@@ -48,7 +44,6 @@
 #include "matrix/calibration.h"
 #include "matrix/cost_model.h"
 #include "matrix/dense_matrix.h"
-#include "matrix/matmul.h"
 #include "matrix/random.h"
 #include "matrix/sparse_matrix.h"
 
@@ -56,129 +51,15 @@ using namespace jpmm;
 
 namespace {
 
-constexpr double kDensity = 0.5;  // fig-3a operand density
-
-Matrix RandomDense(size_t dim, uint64_t seed) {
-  return RandomDenseMatrix(dim, dim, kDensity, seed);
-}
-
-void AddGflops(benchmark::State& state, size_t dim) {
-  state.counters["dim"] = static_cast<double>(dim);
-  state.counters["gflops"] = benchmark::Counter(
-      2.0 * static_cast<double>(dim) * dim * dim * 1e-9,
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-
-// ---- Dense ---------------------------------------------------------------
-
-void BM_DenseBlocked(benchmark::State& state) {
-  const auto dim = static_cast<size_t>(state.range(0));
-  Matrix a = RandomDense(dim, 1);
-  Matrix b = RandomDense(dim, 2);
-  JPMM_CHECK_MSG(Multiply(a, b, 1) == MultiplyScalarReference(a, b),
-                 "blocked kernel diverged from the seed kernel");
-  Matrix c;
-  for (auto _ : state) {
-    Multiply(a, b, &c, /*threads=*/1);
-    benchmark::DoNotOptimize(c.data());
-  }
-  AddGflops(state, dim);
-}
-
-void BM_DenseScalarSeed(benchmark::State& state) {
-  const auto dim = static_cast<size_t>(state.range(0));
-  Matrix a = RandomDense(dim, 1);
-  Matrix b = RandomDense(dim, 2);
-  for (auto _ : state) {
-    Matrix c = MultiplyScalarReference(a, b);
-    benchmark::DoNotOptimize(c.data());
-  }
-  AddGflops(state, dim);
-}
-
-void BM_DenseNaive(benchmark::State& state) {
-  const auto dim = static_cast<size_t>(state.range(0));
-  Matrix a = RandomDense(dim, 1);
-  Matrix b = RandomDense(dim, 2);
-  for (auto _ : state) {
-    Matrix c = MultiplyNaive(a, b);
-    benchmark::DoNotOptimize(c.data());
-  }
-  AddGflops(state, dim);
-}
-
-// ---- Per-ISA GEMM rows ----------------------------------------------------
-//
-// BM_DenseBlocked under each forced dispatch level, same operands. The
-// acceptance bar: the explicit AVX-512 (or AVX2) micro-kernel meets or
-// beats the auto-vectorized portable kernel at n in {1024, 2048}. Levels
-// the host lacks skip with an error note instead of reporting a bogus
-// portable time under a SIMD label.
-void GemmIsaBody(benchmark::State& state, KernelIsa isa) {
-  if (!IsaSupported(isa)) {
-    state.SkipWithError("isa unsupported on this host");
-    return;
-  }
-  ScopedIsaOverride force(isa);
-  const auto dim = static_cast<size_t>(state.range(0));
-  Matrix a = RandomDense(dim, 1);
-  Matrix b = RandomDense(dim, 2);
-  JPMM_CHECK_MSG(Multiply(a, b, 1) == MultiplyScalarReference(a, b),
-                 "forced-isa kernel diverged from the seed kernel");
-  Matrix c;
-  for (auto _ : state) {
-    Multiply(a, b, &c, /*threads=*/1);
-    benchmark::DoNotOptimize(c.data());
-  }
-  AddGflops(state, dim);
-  state.counters["isa"] = static_cast<double>(isa);
-}
-
-void BM_GemmIsaPortable(benchmark::State& state) {
-  GemmIsaBody(state, KernelIsa::kPortable);
-}
-void BM_GemmIsaAvx2(benchmark::State& state) {
-  GemmIsaBody(state, KernelIsa::kAvx2);
-}
-void BM_GemmIsaAvx512(benchmark::State& state) {
-  GemmIsaBody(state, KernelIsa::kAvx512);
-}
-
-// ---- Parallel dense: shared packed-B slab ---------------------------------
-//
-// Multiply at threads > 1 packs B's panels once (in parallel) and every
-// worker of the persistent pool reads the one slab for its row range.
-// Run with --benchmark_filter=Parallel.
-
-void BM_DenseParallelSharedSlab(benchmark::State& state) {
-  const auto dim = static_cast<size_t>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  Matrix a = RandomDense(dim, 1);
-  Matrix b = RandomDense(dim, 2);
-  {
-    Matrix got;
-    Multiply(a, b, &got, threads);
-    JPMM_CHECK_MSG(got == Multiply(a, b, 1),
-                   "shared-slab parallel product diverged from sequential");
-  }
-  Matrix c;
-  for (auto _ : state) {
-    Multiply(a, b, &c, threads);
-    benchmark::DoNotOptimize(c.data());
-  }
-  AddGflops(state, dim);
-  state.counters["threads"] = threads;
-}
-
 // ---- Sparse (CSR) kernels ------------------------------------------------
 //
 // Density arrives as parts-per-million in the second benchmark argument
 // (google benchmark args are integers). Operands are built once per row
 // via the shared generators, so the CSR and dense kernels see identical
 // matrices. Verification oracle: CsrProductReference, the unblocked
-// double-accumulator saxpy (itself checked against MultiplyNaive at 256 on
-// first use) — full-product verification would be O(n^3) at n = 4096, so
-// rows are verified up to a bounded op budget from row 0.
+// double-accumulator saxpy (checked against a triple loop in
+// sparse_kernel_test) — full-product verification would be O(n^3) at
+// n = 4096, so rows are verified up to a bounded op budget from row 0.
 
 double PpmToDensity(int64_t ppm) { return static_cast<double>(ppm) * 1e-6; }
 
@@ -188,19 +69,6 @@ void VerifySparsePrefix(const CsrMatrix& a, const Matrix& b,
                         const std::function<void(size_t, size_t,
                                                  std::span<float>)>& got_rows,
                         double max_ops = 2e9) {
-  {
-    // Tie the reference itself to the ground-truth naive kernel once.
-    static bool reference_checked = [] {
-      const Matrix ad = RandomDenseMatrix(256, 192, 0.05, 71);
-      const Matrix bd = RandomDenseMatrix(192, 128, 0.05, 72);
-      JPMM_CHECK_MSG(
-          CsrProductReference(CsrMatrix::FromDense(ad), bd) ==
-              MultiplyNaive(ad, bd),
-          "CsrProductReference diverged from the naive dense kernel");
-      return true;
-    }();
-    (void)reference_checked;
-  }
   const size_t w = b.cols();
   size_t vrows = 0;
   double ops = 0.0;
@@ -380,24 +248,9 @@ void BM_EmitHeavyRow(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate);
 }
 
-// Dense blocked GEMM on the same sparse operands — the baseline the
-// acceptance criterion compares against (its runtime is density-blind).
-void BM_SparseDenseGemm(benchmark::State& state) {
-  const auto dim = static_cast<size_t>(state.range(0));
-  const double density = PpmToDensity(state.range(1));
-  const Matrix b = RandomDenseMatrix(dim, dim, density, 11);
-  const Matrix a = RandomDenseMatrix(dim, dim, density, 12);
-  for (auto _ : state) {
-    Matrix c = Multiply(a, b, 1);
-    benchmark::DoNotOptimize(c.data());
-  }
-  AddGflops(state, dim);
-  state.counters["density"] = density;
-}
-
 // Measures SparseKernelRates and bisects the density where the modeled
-// dense GEMM time equals the modeled CSR x dense time at this dim — the
-// machine's dense/sparse crossover, emitted into the bench JSON for
+// dense (bit-count) time equals the modeled CSR x dense time at this dim —
+// the machine's dense/sparse crossover, emitted into the bench JSON for
 // trajectory tracking.
 void BM_SparseCrossover(benchmark::State& state) {
   const auto dim = static_cast<uint64_t>(state.range(0));
@@ -480,41 +333,6 @@ void BM_MetricsOverhead(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_DenseBlocked)
-    ->Arg(512)
-    ->Arg(1024)
-    ->Arg(1536)
-    ->Arg(2048)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DenseScalarSeed)
-    ->Arg(512)
-    ->Arg(1024)
-    ->Arg(1536)
-    ->Arg(2048)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DenseNaive)->Arg(512)->Unit(benchmark::kMillisecond);
-
-BENCHMARK(BM_GemmIsaPortable)
-    ->Arg(1024)
-    ->Arg(2048)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GemmIsaAvx2)
-    ->Arg(1024)
-    ->Arg(2048)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GemmIsaAvx512)
-    ->Arg(1024)
-    ->Arg(2048)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(BM_DenseParallelSharedSlab)
-    ->Args({2048, 1})
-    ->Args({2048, 2})
-    ->Args({2048, 4})
-    ->Args({2048, 8})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 // Density sweep {1e-4, 1e-3, 1e-2, 0.1, 0.25} (ppm) at n in {1024, 4096}.
 #define JPMM_SPARSE_SWEEP(bench)                                          \
   BENCHMARK(bench)                                                        \
@@ -546,10 +364,6 @@ BENCHMARK(BM_EmitHeavyRow)
     ->Args({140000, 0})
     ->Args({140000, 1})
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_SparseDenseGemm)
-    ->Args({1024, 1000})
-    ->Args({4096, 1000})
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SparseCrossover)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_MetricsOverhead)

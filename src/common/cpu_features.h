@@ -1,6 +1,6 @@
 // Runtime ISA detection and kernel-dispatch selection.
 //
-// The hot kernels (matrix/matmul, sparse_matrix, bit_rows) each carry
+// The hot kernels (matrix/bit_rows, sparse_matrix, row_compact) each carry
 // explicit SIMD variants compiled into per-ISA translation units with
 // per-file -m flags, so ONE binary holds every path regardless of -march
 // flags (JPMM_NATIVE on or off). Which variant runs is decided at runtime

@@ -11,6 +11,13 @@
 namespace jpmm {
 namespace {
 
+// Geometric grid ratio of the Delta1 sweep (paper: 1 - epsilon with
+// epsilon = 0.95; a finer 0.5 grid here).
+constexpr double kGridRatio = 0.5;
+// "If |OUT_join| <= cutoff * N, use a plain worst-case-optimal join"
+// (Algorithm 3 line 2).
+constexpr double kFullJoinCutoff = 20.0;
+
 const SystemConstants& DefaultConstants() {
   static std::once_flag flag;
   static SystemConstants constants;
@@ -65,7 +72,7 @@ CostBreakdown EvaluateCost(const TwoPathStats& stats, Thresholds t,
     cost.heavy_density = density;
 
     const double scan = consts.ts * static_cast<double>(u) * w;
-    // Dense GEMM: calibrated multiply + dense operand builds + scan.
+    // Dense (the bit count): calibrated M̂ + operand builds + scan.
     const double dense_build = consts.ts * (static_cast<double>(u) * v +
                                             static_cast<double>(v) * w);
     const double dense_sec =
@@ -194,18 +201,16 @@ PlanChoice ChooseTwoPathPlan(const IndexedRelation& r,
   // Algorithm 3 line 2: duplication factor too small to pay for the
   // decomposition — evaluate the join directly.
   if (static_cast<double>(est.full_join_size) <=
-      opts.full_join_cutoff * static_cast<double>(n)) {
+      kFullJoinCutoff * static_cast<double>(n)) {
     plan.use_full_wcoj = true;
     plan.thresholds = Thresholds{n, n};  // everything light
     return plan;
   }
 
-  const double ratio = std::clamp(opts.grid_ratio, 0.01, 0.95);
   double best_cost = -1.0;
   CostBreakdown best_breakdown;
   Thresholds best{1, 1};
-  double prev_cost = -1.0;
-  for (double d1 = static_cast<double>(n); d1 >= 1.0; d1 *= ratio) {
+  for (double d1 = static_cast<double>(n); d1 >= 1.0; d1 *= kGridRatio) {
     Thresholds t;
     t.delta1 = static_cast<uint64_t>(d1);
     // Algorithm 3 line 9: Delta2 = N * Delta1 / |OUT|.
@@ -220,11 +225,6 @@ PlanChoice ChooseTwoPathPlan(const IndexedRelation& r,
       best_breakdown = cost;
       best = t;
     }
-    if (opts.stop_at_first_increase && prev_cost >= 0 &&
-        cost.total() > prev_cost) {
-      break;
-    }
-    prev_cost = cost.total();
     if (t.delta1 == 1) break;
   }
 

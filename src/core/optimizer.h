@@ -8,10 +8,9 @@
 // of Algorithm 3: Delta2 = N * Delta1 / |OUT_est|, with Delta1 swept over a
 // geometric grid.
 //
-// Documented deviation (DESIGN.md §2.3): because one cost probe is O(log N),
-// the default sweeps the full grid and takes the argmin instead of stopping
-// at the first cost increase; the paper's stopping rule is available via
-// OptimizerOptions::stop_at_first_increase.
+// Documented deviation: because one cost probe is O(log N), the optimizer
+// sweeps the full grid (ratio 0.5) and takes the argmin instead of stopping
+// at the first cost increase, the paper's stopping rule.
 
 #ifndef JPMM_CORE_OPTIMIZER_H_
 #define JPMM_CORE_OPTIMIZER_H_
@@ -29,14 +28,6 @@ namespace jpmm {
 
 struct OptimizerOptions {
   int threads = 1;
-  /// Geometric grid ratio for the Delta1 sweep (paper: 1 - epsilon with
-  /// epsilon = 0.95; we default to a finer 0.5 grid).
-  double grid_ratio = 0.5;
-  /// Stop the sweep at the first cost increase (the paper's rule).
-  bool stop_at_first_increase = false;
-  /// "If |OUT_join| <= cutoff * N, use a plain worst-case-optimal join"
-  /// (Algorithm 3 line 2 with cutoff 20).
-  double full_join_cutoff = 20.0;
   /// nullptr => MatMulCalibration::Default().
   const MatMulCalibration* calibration = nullptr;
   /// Measured on first use when not supplied.

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <memory>
 #include <mutex>
+#include <span>
 
 #include "common/check.h"
 #include "common/cpu_features.h"
@@ -14,7 +15,6 @@
 #include "matrix/bit_rows.h"
 #include "matrix/cost_model.h"
 #include "matrix/dense_matrix.h"
-#include "matrix/matmul.h"
 #include "matrix/random.h"
 #include "matrix/sparse_matrix.h"
 
@@ -71,6 +71,43 @@ double TimePerCall(const Fn& fn, double min_sec = 5e-3, int max_reps = 256) {
   return std::max(t.Seconds(), 1e-9) / reps;
 }
 
+// The dense blocks' operands for a p x p x p product: random 0/1 p x p
+// matrices at density 0.5, as A's bit rows and B^T's.
+struct BitOperands {
+  explicit BitOperands(uint32_t p)
+      : a(BitRows::FromRows(
+            CsrMatrix::FromDense(RandomDenseMatrix(p, p, 0.5, 41 + p)))),
+        bt(BitRows::FromColumns(
+            CsrMatrix::FromDense(RandomDenseMatrix(p, p, 0.5, 43 + p)))) {}
+  BitRows a;
+  BitRows bt;
+};
+
+// Seconds per whole bit-count product of ops, its rows split into `cores`
+// row bands the way the executor's chunks split a heavy product.
+double TimeBitCount(const BitOperands& ops, int cores) {
+  const size_t rows = ops.a.rows();
+  const size_t cols = ops.bt.rows();
+  std::vector<float> c(rows * cols);
+  const std::span<float> out(c);
+  return TimePerCall([&] {
+    ParallelFor(cores, rows, [&](size_t r0, size_t r1, int) {
+      BitCountRowRange(ops.a, ops.bt, r0, r1, 0, cols,
+                       out.subspan(r0 * cols, (r1 - r0) * cols));
+    });
+  });
+}
+
+// The inner dimension in whole 64-bit words, the unit of the bit-count
+// kernel's cost: a 70-wide inner dimension costs what a 128-wide one does.
+double WordBits(uint64_t v) { return static_cast<double>((v + 63) / 64 * 64); }
+
+// The flops a float GEMM would spend on a p x p x p product, with the
+// inner dimension in whole words: the unit both calibrations store.
+double DenseEquivalentFlops(uint32_t p) {
+  return 2.0 * static_cast<double>(p) * WordBits(p) * static_cast<double>(p);
+}
+
 double InterpolateRate(const std::vector<SparseKernelRates::Anchor>& anchors,
                        double density,
                        double SparseKernelRates::Anchor::*field) {
@@ -124,22 +161,10 @@ SparseKernelRates SparseKernelRates::Measure(
     rates.anchors.push_back(anchor);
   }
   {
-    // Dense anchor for the dispatch: the bit-count kernel the dense blocks
-    // run, over a whole p x p product at a modest dim, stored as the flops
-    // a float GEMM would spend on it per second, with the inner dimension
-    // rounded up to whole words: the unit of DenseSeconds.
+    // Dense anchor for the dispatch, at a modest dim and on one core.
     const uint32_t p = std::min<uint32_t>(dim, 512);
-    const BitRows a = BitRows::FromRows(
-        CsrMatrix::FromDense(RandomDenseMatrix(p, p, 0.5, 41 + p)));
-    const BitRows bt = BitRows::FromColumns(
-        CsrMatrix::FromDense(RandomDenseMatrix(p, p, 0.5, 43 + p)));
-    std::vector<float> c(static_cast<size_t>(p) * p);
-    const double sec =
-        TimePerCall([&] { BitCountRowRange(a, bt, 0, p, 0, p, c); });
-    const double word_bits = (p + 63) / 64 * 64;
     rates.dense_flops_per_sec =
-        2.0 * static_cast<double>(p) * word_bits * static_cast<double>(p) /
-        sec;
+        DenseEquivalentFlops(p) / TimeBitCount(BitOperands(p), 1);
   }
   return rates;
 }
@@ -183,8 +208,7 @@ double SparseKernelRates::CsrCsrRate(double density) const {
 
 double SparseKernelRates::DenseSeconds(uint64_t rows, uint64_t v,
                                        uint64_t w) const {
-  const double word_bits = static_cast<double>((v + 63) / 64 * 64);
-  return 2.0 * static_cast<double>(rows) * word_bits *
+  return 2.0 * static_cast<double>(rows) * WordBits(v) *
          static_cast<double>(w) / dense_flops_per_sec;
 }
 
@@ -197,14 +221,11 @@ MatMulCalibration MatMulCalibration::Measure(
   MatMulCalibration cal;
   cal.cores_ = cores;
   cal.entries_.resize(cores.size());
-  for (size_t ci = 0; ci < cores.size(); ++ci) {
-    for (uint32_t p : dims) {
-      Matrix a = RandomDenseMatrix(p, p, 0.5, 11 + p);
-      Matrix b = RandomDenseMatrix(p, p, 0.5, 23 + p);
-      Matrix c;
-      WallTimer t;
-      Multiply(a, b, &c, cores[ci]);
-      cal.entries_[ci].push_back(Entry{p, std::max(t.Seconds(), 1e-9)});
+  for (uint32_t p : dims) {
+    const BitOperands ops(p);
+    const double dim = std::cbrt(DenseEquivalentFlops(p) / 2.0);
+    for (size_t ci = 0; ci < cores.size(); ++ci) {
+      cal.entries_[ci].push_back(Entry{dim, TimeBitCount(ops, cores[ci])});
     }
   }
   return cal;
@@ -220,8 +241,8 @@ MatMulCalibration MatMulCalibration::FromFlopsRate(
   for (size_t ci = 0; ci < cores.size(); ++ci) {
     for (uint32_t p : {256u, 512u, 1024u, 2048u}) {
       const double ops = 2.0 * std::pow(static_cast<double>(p), 3.0);
-      cal.entries_[ci].push_back(
-          Entry{p, ops / (flops_per_second * cores[ci])});
+      cal.entries_[ci].push_back(Entry{static_cast<double>(p),
+                                       ops / (flops_per_second * cores[ci])});
     }
   }
   return cal;
@@ -245,7 +266,7 @@ double MatMulCalibration::EstimateForCore(double effective_dim,
       const auto& lo = table[i - 1];
       const auto& hi = table[i];
       const double t = (std::log(effective_dim) - std::log(lo.dim)) /
-                       (std::log(static_cast<double>(hi.dim)) - std::log(lo.dim));
+                       (std::log(hi.dim) - std::log(lo.dim));
       return std::exp(std::log(lo.seconds) +
                       t * (std::log(hi.seconds) - std::log(lo.seconds)));
     }
@@ -257,9 +278,8 @@ double MatMulCalibration::EstimateSeconds(uint64_t u, uint64_t v, uint64_t w,
                                           int co) const {
   if (u == 0 || v == 0 || w == 0) return 0.0;
   co = std::max(1, co);
-  const double effective_dim =
-      std::cbrt(static_cast<double>(u) * static_cast<double>(v) *
-                static_cast<double>(w));
+  const double effective_dim = std::cbrt(
+      static_cast<double>(u) * WordBits(v) * static_cast<double>(w));
 
   // Per-anchor estimates at this problem size, then interpolate the
   // MEASURED speedup curve across core counts. The old model assumed
@@ -315,7 +335,7 @@ double MatMulCalibration::single_core_flops() const {
     if (cores_[ci] == 1) one = ci;
   }
   const Entry& e = entries_[one].back();
-  return 2.0 * std::pow(static_cast<double>(e.dim), 3.0) / e.seconds;
+  return 2.0 * std::pow(e.dim, 3.0) / e.seconds;
 }
 
 const MatMulCalibration& MatMulCalibration::Default() {
@@ -328,8 +348,8 @@ const MatMulCalibration& MatMulCalibration::Default() {
   std::lock_guard<std::mutex> lock(mu);
   if (!per_isa[key]) {
     // Anchor the parallel efficiency with real measurements at 2 cores and
-    // the full machine (the shared-slab parallel path), so EstimateSeconds
-    // stops assuming linear scaling it can't deliver. On a single-core host
+    // the full machine (row bands on the pool), so EstimateSeconds stops
+    // assuming linear scaling it can't deliver. On a single-core host
     // the grid collapses to {1} and behavior is unchanged.
     std::vector<int> cores{1};
     const int hw = HardwareThreads();

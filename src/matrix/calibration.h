@@ -3,9 +3,11 @@
 // The optimizer needs M̂(u, v, w, co): an estimate of the wall-clock seconds
 // to multiply u x v by v x w matrices with co cores. Following the paper, we
 // measure square products M̂(p, p, p, co) for a grid of p and extrapolate an
-// arbitrary (u, v, w) through its effective dimension (u*v*w)^(1/3), which is
-// exact for a classical kernel with predictable cubic growth. The same
-// module measures the Table-1 system constants:
+// arbitrary (u, v, w) through its effective dimension (u*V*w)^(1/3), which is
+// exact for a classical kernel with predictable cubic growth. The kernel
+// timed is the one the executor's dense blocks run, the bit-packed
+// AND-popcount count (matrix/bit_rows.h), so V is v rounded up to whole
+// 64-bit words. The same module measures the Table-1 system constants:
 //   Ts - seconds per sequential std::vector element access
 //   TI - seconds per random access + insert
 //   Tm - seconds per 32-byte allocation
@@ -80,11 +82,13 @@ struct SparseKernelRates {
   double DenseSeconds(uint64_t rows, uint64_t v, uint64_t w) const;
 };
 
-/// Calibrated matrix-multiplication timing table.
+/// Calibrated matrix-multiplication timing table, in the unit of
+/// SparseKernelRates::DenseSeconds.
 class MatMulCalibration {
  public:
-  /// Measures square p x p products for each p in dims and each core count
-  /// in cores. dims must be ascending.
+  /// Times the bit-count kernel on square p x p products for each p in dims
+  /// and each core count in cores, the rows split into that many row bands.
+  /// dims must be ascending.
   static MatMulCalibration Measure(const std::vector<uint32_t>& dims,
                                    const std::vector<int>& cores);
 
@@ -93,30 +97,29 @@ class MatMulCalibration {
   static MatMulCalibration FromFlopsRate(double flops_per_second,
                                          const std::vector<int>& cores);
 
-  /// Estimated seconds for a u x v times v x w product on co cores.
-  /// Includes nothing but the multiplication itself. Core counts between
-  /// calibrated anchors interpolate the measured speedup curve; counts
-  /// beyond the grid extrapolate with the marginal per-core efficiency of
-  /// the last measured segment (a single-anchor grid falls back to the old
-  /// linear-scaling assumption).
+  /// Estimated seconds for a u x v times v x w product on co cores, with v
+  /// rounded up to whole 64-bit words. Includes nothing but the
+  /// multiplication itself. Core counts between calibrated anchors
+  /// interpolate the measured speedup curve; counts beyond the grid
+  /// extrapolate with the marginal per-core efficiency of the last measured
+  /// segment (a single-anchor grid falls back to the old linear-scaling
+  /// assumption).
   double EstimateSeconds(uint64_t u, uint64_t v, uint64_t w, int co) const;
 
   /// Process-wide instance, measured once per active KernelIsa on first
-  /// use under that level. The dim grid tops
-  /// out at 1024: the blocked kernel's throughput keeps climbing past the
-  /// small dims as packing amortizes, so the largest anchor (which cubic
-  /// extrapolation grows from) must see the sustained rate, not the
-  /// panel-setup-dominated one. The core grid anchors {1, 2, hardware}
-  /// (deduplicated) so heavy-cost estimates reflect measured parallel
-  /// efficiency of the shared-slab path, not assumed linear scaling.
+  /// use under that level, at dims {128, 256, 512, 1024}. The core grid
+  /// anchors {1, 2, hardware} (deduplicated) so heavy-cost estimates
+  /// reflect the measured parallel efficiency of row bands, not assumed
+  /// linear scaling.
   static const MatMulCalibration& Default();
 
-  /// Measured effective flops rate at the largest calibrated dim, 1 core.
+  /// Measured dense-equivalent flops rate at the largest calibrated dim,
+  /// 1 core.
   double single_core_flops() const;
 
  private:
   struct Entry {
-    uint32_t dim;
+    double dim;  // (p * V * p)^(1/3) of the timed product
     double seconds;
   };
   // entries_[c] = timings for cores_[c], ascending dim.

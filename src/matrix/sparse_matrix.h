@@ -20,8 +20,8 @@
 //
 // Counts accumulate either in float cells (CsrDense*, exact below 2^24,
 // same bound as the dense path) or uint32 stamp counters (CsrCsr*, always
-// exact). Per-block kernel choice between dense GEMM and these kernels
-// lives in core/heavy_dispatch.h, fed by the measured SparseKernelRates
+// exact). Per-block kernel choice between the dense bit count
+// (matrix/bit_rows.h) and these kernels lives in core/heavy_dispatch.h, fed by the measured SparseKernelRates
 // (matrix/calibration.h).
 
 #ifndef JPMM_MATRIX_SPARSE_MATRIX_H_
@@ -104,8 +104,8 @@ class CsrMatrix {
   static CsrMatrix FromDense(const Matrix& m);
 
   /// Dense 0/1 materialization (row scatter, parallel over rows). This is
-  /// how the joins build their dense operands when a product block prefers
-  /// the dense GEMM: CSR first, densify only if some block needs it.
+  /// how the executor builds a band's dense B when a CSR x dense block
+  /// reads it: CSR first, densify only if some block needs it.
   Matrix ToDense(int threads = 1) const;
 
   /// Payload + index bytes (memory-cap accounting).

@@ -53,7 +53,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/cancel_token.h"
-#include "matrix/matmul.h"
 #include "matrix/random.h"
 #include "matrix/sparse_matrix.h"
 #include "core/query_engine.h"
@@ -536,10 +535,9 @@ TEST(DifferentialFuzz, BatchedAndCachedServiceMatchesSolo) {
 // The two-path sweep above runs under the ambient dispatch level. These
 // recipes force each level the host supports and require byte-identical
 // output: first end-to-end (every MM heavy-path variant vs the WCOJ
-// reference, which never dispatches), then at the kernel level (blocked
-// GEMM / bool / count / CSR products vs their scalar naive oracles on
-// randomized shapes). A failing seed reruns under one level with
-// JPMM_ISA=<level> JPMM_FUZZ_SEED=<seed>.
+// reference, which never dispatches), then at the kernel level (the CSR
+// products vs their scalar reference on randomized shapes). A failing seed
+// reruns under one level with JPMM_ISA=<level> JPMM_FUZZ_SEED=<seed>.
 
 std::vector<KernelIsa> HostIsas() {
   std::vector<KernelIsa> v{KernelIsa::kPortable};
@@ -612,10 +610,6 @@ TEST(DifferentialFuzz, KernelLevelForcedIsaAgreement) {
     const size_t w = 1 + rng.NextBounded(96);
     const double density = 0.02 + 0.3 * (static_cast<double>(rng.Next() % 100) / 100.0);
 
-    const Matrix a = RandomDenseMatrix(u, v, density, seed ^ 0xA);
-    const Matrix b = RandomDenseMatrix(v, w, density, seed ^ 0xB);
-    const Matrix dense_want = MultiplyNaive(a, b);
-    // CSR oracles need 0/1 operands: fresh random dense pair, thresholded.
     const CsrMatrix sa = CsrMatrix::FromDense(
         RandomDenseMatrix(u, v, density, seed ^ 0xE));
     const Matrix sbd = RandomDenseMatrix(v, w, density, seed ^ 0xF);
@@ -626,8 +620,7 @@ TEST(DifferentialFuzz, KernelLevelForcedIsaAgreement) {
       ScopedIsaOverride force(isa);
       for (int t : threads) {
         std::string problem;
-        if (Multiply(a, b, t) != dense_want) problem = "dense gemm";
-        if (problem.empty() && CsrDenseProduct(sa, sbd, t) != csr_want) {
+        if (CsrDenseProduct(sa, sbd, t) != csr_want) {
           problem = "csr-dense product";
         }
         if (problem.empty() && CsrCsrProduct(sa, sb, t) != csr_want) {

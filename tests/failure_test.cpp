@@ -8,8 +8,6 @@
 #include "core/mm_join.h"
 #include "core/query_engine.h"
 #include "core/result_sink.h"
-#include "matrix/dense_matrix.h"
-#include "matrix/matmul.h"
 #include "storage/index.h"
 #include "storage/loader.h"
 #include "storage/relation.h"
@@ -24,12 +22,6 @@ TEST(FailureDeath, IndexRequiresFinalizedRelation) {
   BinaryRelation r;
   r.Add(0, 0);  // not finalized
   EXPECT_DEATH({ IndexedRelation idx(r); }, "Finalize");
-}
-
-TEST(FailureDeath, MatmulRejectsDimensionMismatch) {
-  Matrix a(3, 4), b(5, 2);
-  Matrix c;
-  EXPECT_DEATH(Multiply(a, b, &c, 1), "dimension mismatch");
 }
 
 TEST(FailureDeath, MinCountWithoutCountingIsRejected) {

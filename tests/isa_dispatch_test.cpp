@@ -14,7 +14,6 @@
 #include "common/metrics.h"
 #include "matrix/bit_rows.h"
 #include "matrix/calibration.h"
-#include "matrix/matmul_kernels.h"
 #include "matrix/random.h"
 #include "matrix/sparse_kernels.h"
 
@@ -78,7 +77,6 @@ TEST(IsaDispatch, OverrideAboveHostCapabilityClampsDown) {
 TEST(IsaDispatch, SelectorsNeverReturnNullAndHonorPortable) {
   for (KernelIsa isa : {KernelIsa::kPortable, KernelIsa::kAvx2,
                         KernelIsa::kAvx512}) {
-    EXPECT_NE(internal::SelectMicroKernel(isa), nullptr);
     EXPECT_NE(internal::SelectExpandRow(isa), nullptr);
     EXPECT_NE(internal::SelectBitCount(isa), nullptr);
   }
@@ -89,8 +87,6 @@ TEST(IsaDispatch, SelectorsNeverReturnNullAndHonorPortable) {
       internal::PopcntBitCount() != nullptr ? internal::PopcntBitCount()
                                             : &internal::BitCountPortable;
   EXPECT_EQ(internal::SelectBitCount(KernelIsa::kAvx2), popcnt);
-  EXPECT_EQ(internal::SelectMicroKernel(KernelIsa::kPortable),
-            &internal::MicroKernelPortable);
   EXPECT_EQ(internal::SelectExpandRow(KernelIsa::kPortable),
             &internal::ExpandRowPortable);
   // kAvx2 has no sparse-expansion variant: shares portable.
@@ -98,9 +94,9 @@ TEST(IsaDispatch, SelectorsNeverReturnNullAndHonorPortable) {
             &internal::ExpandRowPortable);
   // When the binary carries the AVX-512 TUs, the avx512 selectors must
   // return them, not the portable fallback.
-  if (internal::Avx512MicroKernel() != nullptr) {
-    EXPECT_EQ(internal::SelectMicroKernel(KernelIsa::kAvx512),
-              internal::Avx512MicroKernel());
+  if (internal::Avx512ExpandRow() != nullptr) {
+    EXPECT_EQ(internal::SelectExpandRow(KernelIsa::kAvx512),
+              internal::Avx512ExpandRow());
   }
   // The bit count's avx512 variant also needs the host's VPOPCNTDQ;
   // without it the level falls back to the POPCNT loop.

@@ -1,11 +1,11 @@
-// Randomized property tests for the blocked matrix kernels.
+// Randomized property tests for the matrix kernels.
 //
-// The blocked dense GEMM, the bit-count kernel, the sparse kernels and the
-// heavy-row compaction must agree exactly with their naive references on
-// shapes that exercise every edge case: dimensions that are odd, prime,
-// smaller than one register tile, and straddling cache-block boundaries.
-// Dense operands use small-integer values, where float accumulation is
-// exact in any order, so EXPECT_EQ compares bit-identical payloads.
+// The bit-count kernel, the sparse kernels and the heavy-row compaction
+// must agree exactly with their references on shapes that exercise every
+// edge case: dimensions that are odd, prime, smaller than one vector tile,
+// and straddling word and panel boundaries. Dense operands use
+// small-integer values, where float accumulation is exact in any order, so
+// EXPECT_EQ compares bit-identical payloads.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@
 #include "core/heavy_product.h"
 #include "matrix/bit_rows.h"
 #include "matrix/dense_matrix.h"
-#include "matrix/matmul.h"
 #include "matrix/random.h"
 #include "matrix/sparse_kernels.h"
 #include "matrix/sparse_matrix.h"
@@ -46,120 +45,19 @@ Matrix RandomIntMatrix(size_t rows, size_t cols, uint64_t seed) {
   return m;
 }
 
-// Shapes chosen to straddle the register tile (8 x 32), the cache blocks
-// (MC = 128, KC = 512, NC = 2048).
-struct Shape {
-  size_t u, v, w;
-};
-
-const Shape kShapes[] = {
-    {1, 1, 1},      {3, 5, 7},      {8, 32, 8},     {9, 33, 31},
-    {7, 513, 65},   {64, 64, 64},   {65, 127, 63},  {129, 257, 33},
-    {130, 512, 97}, {41, 1030, 29}, {256, 19, 300},
-};
-
-TEST(KernelProperty, BlockedGemmMatchesNaiveOnIrregularShapes) {
-  uint64_t seed = 1;
-  for (const Shape& s : kShapes) {
-    Matrix a = RandomIntMatrix(s.u, s.v, seed++);
-    Matrix b = RandomIntMatrix(s.v, s.w, seed++);
-    const Matrix want = MultiplyNaive(a, b);
-    EXPECT_EQ(Multiply(a, b, 1), want)
-        << "u=" << s.u << " v=" << s.v << " w=" << s.w;
-    EXPECT_EQ(MultiplyScalarReference(a, b), want)
-        << "scalar reference, u=" << s.u << " v=" << s.v << " w=" << s.w;
-  }
-}
-
-TEST(KernelProperty, BlockedGemmMatchesNaiveMultithreaded) {
-  Matrix a = RandomIntMatrix(201, 307, 77);
-  Matrix b = RandomIntMatrix(307, 143, 78);
-  const Matrix want = MultiplyNaive(a, b);
-  for (int threads : {2, 3, 5}) {
-    EXPECT_EQ(Multiply(a, b, threads), want) << threads << " threads";
-  }
-}
-
-TEST(KernelProperty, RowRangeMatchesNaiveAtEveryBlockOffset) {
-  Matrix a = RandomIntMatrix(70, 143, 91);
-  Matrix b = RandomIntMatrix(143, 89, 92);
-  const Matrix want = MultiplyNaive(a, b);
-  for (size_t block : {1u, 7u, 64u}) {
-    std::vector<float> buf(block * b.cols());
-    for (size_t r0 = 0; r0 < a.rows(); r0 += block) {
-      const size_t r1 = std::min(a.rows(), r0 + block);
-      MultiplyRowRange(a, b, r0, r1, buf);
-      for (size_t i = r0; i < r1; ++i) {
-        for (size_t j = 0; j < b.cols(); ++j) {
-          ASSERT_EQ(buf[(i - r0) * b.cols() + j], want.At(i, j))
-              << "block=" << block << " i=" << i << " j=" << j;
-        }
-      }
-    }
-  }
-}
-
 // ---- Per-ISA dispatch sweeps ---------------------------------------------
 //
 // Every dispatch level the host supports must produce byte-identical output
 // on shapes that stress the explicit kernels' edge handling: partial
-// register tiles (cols % 32 in {1, 15, 17, 31}), single-row/column
-// operands, empty operands, all-zero operands, and masked vector tails.
-// Unsupported levels are skipped, not failed — the same test list runs on
-// any machine.
+// vector tiles, single-row/column operands, empty windows and masked
+// vector tails. Unsupported levels are skipped, not failed — the same test
+// list runs on any machine.
 
 std::vector<KernelIsa> SupportedIsas() {
   std::vector<KernelIsa> v{KernelIsa::kPortable};
   if (IsaSupported(KernelIsa::kAvx2)) v.push_back(KernelIsa::kAvx2);
   if (IsaSupported(KernelIsa::kAvx512)) v.push_back(KernelIsa::kAvx512);
   return v;
-}
-
-TEST(KernelPropertyIsa, GemmMatchesNaivePerIsaOnEdgeShapes) {
-  // cols tails 1/15/17/31 straddle both the AVX-512 mask boundary (16) and
-  // the AVX2 half boundary (8/16); kMR-partial row tails via u % 8 != 0.
-  const Shape kEdge[] = {
-      {1, 1, 1},    {1, 64, 33},  {64, 1, 1},    {8, 32, 32},
-      {9, 33, 31},  {5, 17, 15},  {13, 100, 17}, {7, 513, 47},
-      {130, 70, 63},
-  };
-  uint64_t seed = 5000;
-  for (KernelIsa isa : SupportedIsas()) {
-    ScopedIsaOverride force(isa);
-    for (const Shape& s : kEdge) {
-      Matrix a = RandomIntMatrix(s.u, s.v, seed++);
-      Matrix b = RandomIntMatrix(s.v, s.w, seed++);
-      const Matrix want = MultiplyNaive(a, b);
-      EXPECT_EQ(Multiply(a, b, 1), want)
-          << KernelIsaName(isa) << " u=" << s.u << " v=" << s.v
-          << " w=" << s.w;
-    }
-    // Empty and all-zero operands.
-    Matrix empty_a(0, 5), b5(5, 3);
-    EXPECT_EQ(Multiply(empty_a, b5, 1).rows(), 0u) << KernelIsaName(isa);
-    Matrix za(11, 37), zb(37, 19);  // value-initialized: all zero
-    const Matrix zc = Multiply(za, zb, 1);
-    for (size_t i = 0; i < zc.rows(); ++i) {
-      for (size_t j = 0; j < zc.cols(); ++j) {
-        ASSERT_EQ(zc.At(i, j), 0.0f) << KernelIsaName(isa);
-      }
-    }
-  }
-}
-
-TEST(KernelPropertyIsa, GemmIdenticalBytesAcrossIsaLevels) {
-  // Stronger than matching the oracle: the levels must match EACH OTHER
-  // bit-for-bit, so a plan calibrated under one level replays under another.
-  Matrix a = RandomIntMatrix(67, 231, 6100);
-  Matrix b = RandomIntMatrix(231, 93, 6101);
-  std::vector<Matrix> results;
-  for (KernelIsa isa : SupportedIsas()) {
-    ScopedIsaOverride force(isa);
-    results.push_back(Multiply(a, b, 1));
-  }
-  for (size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[i], results[0]) << "level " << i << " vs portable";
-  }
 }
 
 TEST(KernelPropertyIsa, CsrCsrProductMatchesReferencePerIsa) {
@@ -196,8 +94,12 @@ std::vector<size_t> WindowStarts(size_t w) {
   return starts;
 }
 
-// Shapes for the windows: past one kNC panel (2048 columns), past one KC
-// slice (512 inner), partial register tiles, and single rows / columns.
+struct Shape {
+  size_t u, v, w;
+};
+
+// Shapes for the windows: past 2048 columns, past 512 inner, partial
+// vector tiles, and single rows / columns.
 const Shape kWindowShapes[] = {
     {13, 70, 2145}, {9, 33, 31}, {130, 517, 97}, {1, 5, 64}, {7, 3, 33},
 };
@@ -225,7 +127,7 @@ TEST(KernelPropertyIsa, WindowedCsrDenseMatchesFullProductSlice) {
     const Matrix ad = RandomDenseMatrix(s.u, s.v, 0.3, seed++);
     const Matrix b = RandomIntMatrix(s.v, s.w, seed++);
     const CsrMatrix a = CsrMatrix::FromDense(ad);
-    const Matrix want = MultiplyNaive(ad, b);
+    const Matrix want = CsrProductReference(a, b);
     for (KernelIsa isa : SupportedIsas()) {
       ScopedIsaOverride force(isa);
       for (size_t c0 : WindowStarts(s.w)) {
@@ -444,51 +346,15 @@ TEST(KernelPropertyIsa, RowCompactionMatchesScalarOracle) {
 
 // ---- Aligned allocation layer --------------------------------------------
 
-TEST(AlignedBuffer, VmallocAndVectorAre64ByteAligned) {
+TEST(AlignedBuffer, VectorIs64ByteAligned) {
   for (size_t n : {1u, 7u, 63u, 64u, 1000u, 100001u}) {
-    const auto buf = vmalloc<float>(n);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(buf.data()) % kDefaultSlabAlign, 0u)
-        << "vmalloc n=" << n;
-    for (size_t i = 0; i < n; ++i) ASSERT_EQ(buf.data()[i], 0.0f);  // value-init
-
     AlignedVector<float> v(n, 1.0f);
     EXPECT_EQ(reinterpret_cast<uintptr_t>(v.data()) % kDefaultSlabAlign, 0u)
         << "vector n=" << n;
   }
   // Wider alignment on request.
-  const auto wide = vmalloc<uint64_t, 4096>(17);
+  const AlignedVector<uint64_t, 4096> wide(17);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(wide.data()) % 4096, 0u);
-}
-
-TEST(AlignedBuffer, PackToleratesUnalignedSourceRows) {
-  // Odd column counts make every dense row after the first start at a
-  // non-64-byte offset; the packing (and the masked load tails behind it)
-  // must not care. Shapes also cross the kKC=512 panel boundary so packed
-  // panels get resized and re-aligned mid-product.
-  uint64_t seed = 9000;
-  for (KernelIsa isa : SupportedIsas()) {
-    ScopedIsaOverride force(isa);
-    for (const Shape& s : {Shape{9, 515, 35}, Shape{17, 1027, 61}}) {
-      Matrix a = RandomIntMatrix(s.u, s.v, seed++);
-      Matrix b = RandomIntMatrix(s.v, s.w, seed++);
-      EXPECT_EQ(Multiply(a, b, 1), MultiplyNaive(a, b))
-          << KernelIsaName(isa) << " u=" << s.u << " v=" << s.v
-          << " w=" << s.w;
-    }
-  }
-}
-
-TEST(AlignedBuffer, SharedPackedSlabServesEveryIsaLevel) {
-  // A parallel Multiply packs B once into a shared slab whose layout is
-  // part of the kernel contract, not per-ISA: every dispatch level reads it
-  // to the same exact product.
-  Matrix a = RandomIntMatrix(33, 129, 9100);
-  Matrix b = RandomIntMatrix(129, 75, 9101);
-  const Matrix want = MultiplyNaive(a, b);
-  for (KernelIsa isa : SupportedIsas()) {
-    ScopedIsaOverride force(isa);
-    EXPECT_EQ(Multiply(a, b, 2), want) << KernelIsaName(isa);
-  }
 }
 
 }  // namespace

@@ -94,24 +94,6 @@ TEST(Optimizer, DenseGraphChoosesMmJoinWithFeasibleThresholds) {
   EXPECT_LE(plan.thresholds.delta2, r.size());
 }
 
-TEST(Optimizer, StopAtFirstIncreaseStillFeasible) {
-  BinaryRelation r = CommunityGraph(4, 32, 0.9, 17);
-  IndexedRelation ri(r);
-  TwoPathStats stats(ri, ri);
-  static const MatMulCalibration cal =
-      MatMulCalibration::FromFlopsRate(1e9, {1});
-  static const SystemConstants consts;
-  OptimizerOptions oo;
-  oo.calibration = &cal;
-  oo.constants = &consts;
-  oo.stop_at_first_increase = true;
-  const PlanChoice plan = ChooseTwoPathPlan(ri, ri, stats, oo);
-  if (!plan.use_full_wcoj) {
-    EXPECT_GE(plan.thresholds.delta1, 1u);
-    EXPECT_GE(plan.thresholds.delta2, 1u);
-  }
-}
-
 TEST(Optimizer, NonMmThresholdsBalanced) {
   BinaryRelation r = CommunityGraph(4, 30, 0.9, 19);
   IndexedRelation ri(r);

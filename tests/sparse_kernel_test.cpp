@@ -20,7 +20,6 @@
 #include "matrix/bit_rows.h"
 #include "matrix/calibration.h"
 #include "matrix/cost_model.h"
-#include "matrix/matmul.h"
 #include "matrix/random.h"
 #include "matrix/sparse_matrix.h"
 #include "tests/test_util.h"
@@ -67,7 +66,9 @@ TEST(CsrMatrix, FromEntriesHandlesArbitraryOrderAndTranspose) {
   EXPECT_TRUE(m.ToDense().At(0, 3) > 0.5f);
   EXPECT_TRUE(m.ToDense().At(2, 0) > 0.5f);
   const CsrMatrix mt = CsrMatrix::FromEntries(4, 3, entries, /*swapped=*/true);
-  EXPECT_EQ(mt.ToDense(), m.ToDense().Transposed());
+  std::vector<std::pair<Value, Value>> flipped;
+  for (const auto& [r, c] : entries) flipped.push_back({c, r});
+  EXPECT_EQ(mt.ToDense(), CsrMatrix::FromEntries(4, 3, flipped).ToDense());
 }
 
 TEST(CsrMatrix, EmptyRowsAndDegenerateShapes) {
@@ -89,9 +90,23 @@ TEST(CsrMatrix, EmptyRowsAndDegenerateShapes) {
 
 // ---- Kernels vs oracles --------------------------------------------------
 
-// CSR products must be bit-identical to the dense blocked kernel and the
-// naive triple loop on 0/1 operands (integer counts below 2^24 are exactly
-// representable, so every correct implementation produces the same bits).
+// The naive triple loop: the ground truth CsrProductReference is checked
+// against.
+Matrix NaiveProduct(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.cols());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < b.cols(); ++j) {
+      float acc = 0.0f;
+      for (size_t k = 0; k < a.cols(); ++k) acc += a.At(i, k) * b.At(k, j);
+      c.Set(i, j, acc);
+    }
+  }
+  return c;
+}
+
+// CSR products must be bit-identical to the naive triple loop on 0/1
+// operands (integer counts below 2^24 are exactly representable, so every
+// correct implementation produces the same bits).
 TEST(SparseKernels, MatchDenseAndNaiveOraclesAcrossShapesAndDensities) {
   Rng rng(99);
   const std::vector<size_t> dims = {1, 2, 3, 17, 33, 65, 100};
@@ -104,8 +119,7 @@ TEST(SparseKernels, MatchDenseAndNaiveOraclesAcrossShapesAndDensities) {
       const Matrix bd = RandomDenseMatrix(v, w, density, 2000 + trial);
       const CsrMatrix a = CsrMatrix::FromDense(ad);
       const CsrMatrix b = CsrMatrix::FromDense(bd);
-      const Matrix want = MultiplyNaive(ad, bd);
-      ASSERT_EQ(Multiply(ad, bd, 1), want);  // dense oracle agreement
+      const Matrix want = NaiveProduct(ad, bd);
       EXPECT_EQ(CsrDenseProduct(a, bd, 1), want)
           << "u=" << u << " v=" << v << " w=" << w << " d=" << density;
       EXPECT_EQ(CsrCsrProduct(a, b, 1), want)
@@ -133,7 +147,7 @@ TEST(SparseKernels, RowRangeBlocksComposeToFullProduct) {
   const Matrix bd = RandomDenseMatrix(61, 45, 0.08, 9);
   const CsrMatrix a = CsrMatrix::FromDense(ad);
   const CsrMatrix b = CsrMatrix::FromDense(bd);
-  const Matrix want = MultiplyNaive(ad, bd);
+  const Matrix want = CsrProductReference(a, bd);
   CsrScratch scratch;
   SparseRowBlock blk;
   for (size_t r0 = 0; r0 < a.rows(); r0 += 13) {
@@ -221,7 +235,7 @@ TEST(HeavyDispatch, FloatKernelsGatedOffPastExactFloatRange) {
   // the inner dimension, so at inner = 2^24 the gates must send every
   // block, in every mode, to the uint32 CSR x CSR kernel. The gate reads
   // the shape alone: no 2^24-wide operand is built. Planning runs on small
-  // operands with rates under which the dense GEMM would otherwise win.
+  // operands with rates under which the dense kernel would otherwise win.
   const CsrMatrix a =
       CsrMatrix::FromDense(RandomDenseMatrix(600, 64, 0.5, 23));
   const CsrMatrix b =
@@ -317,7 +331,7 @@ TEST(SparseMmJoin, ThreadCountDoesNotChangeSortedOutputOnSparsePaths) {
 }
 
 TEST(SparseMmJoin, UltraSparseHeavyPartSelectsCsrKernels) {
-  // ~7e-4 density heavy part: every block must dodge the dense GEMM on any
+  // ~7e-4 density heavy part: every block must dodge the dense kernel on any
   // machine (the modeled gap is >100x).
   BinaryRelation rel;
   Rng rng(80);
@@ -331,7 +345,7 @@ TEST(SparseMmJoin, UltraSparseHeavyPartSelectsCsrKernels) {
   auto res = MmRun(ri, ri, opts);
   ASSERT_GT(res.kernel_counts.total(), 0u);
   EXPECT_EQ(res.kernel_counts.dense, 0u)
-      << "dense GEMM chosen at density " << res.heavy_density;
+      << "dense kernel chosen at density " << res.heavy_density;
   EXPECT_LT(res.heavy_density, 0.01);
   EXPECT_EQ(res.block_choices.size(), res.kernel_counts.total());
   EXPECT_EQ(res.pairs, testutil::OracleTwoPath(rel, rel));
