@@ -72,14 +72,20 @@ CostBreakdown EvaluateCost(const TwoPathStats& stats, Thresholds t,
     cost.heavy_density = density;
 
     const double scan = consts.ts * static_cast<double>(u) * w;
-    // Dense (the bit count): calibrated M̂ + operand builds + scan.
-    const double dense_build = consts.ts * (static_cast<double>(u) * v +
-                                            static_cast<double>(v) * w);
-    const double dense_sec =
-        cal.EstimateSeconds(u, v, w, co) + dense_build + scan;
-    // CSR x dense: CSR builds are O(nnz); M2 is still dense. Row bands
-    // parallelize coordination-free, so divide the kernel time by cores.
+    // Every kernel reads the CSR operands, built in O(nnz).
     const double csr_build = consts.ts * (nnz1 + nnz2);
+    // The dense kernel's bit rows of A and B^T (matrix/bit_rows.h), built
+    // from the CSR: one pass over the nnz plus ceil(v/64) zeroed words a row.
+    const double v_words = std::ceil(static_cast<double>(v) / 64.0);
+    auto bit_build = [&](double nnz, double rows) {
+      return consts.ts * (nnz + rows * v_words);
+    };
+    // Dense (the bit count): calibrated M̂ + operand builds + scan.
+    const double dense_sec =
+        cal.EstimateSeconds(u, v, w, co) + csr_build +
+        bit_build(nnz1 + nnz2, static_cast<double>(u + w)) + scan;
+    // CSR x dense: M2 is still dense. Row bands parallelize
+    // coordination-free, so divide the kernel time by cores.
     const double csr_dense_sec =
         csr_build + consts.ts * static_cast<double>(v) * w +
         SparseProductSeconds(
@@ -134,8 +140,7 @@ CostBreakdown EvaluateCost(const TwoPathStats& stats, Thresholds t,
               consts.ts * static_cast<double>(ui) * static_cast<double>(wj);
           const double d_cell =
               cal.EstimateSeconds(ui, v, wj, co) +
-              consts.ts * (static_cast<double>(ui) * v +
-                           static_cast<double>(v) * wj) +
+              bit_build(cell_nnz + col_nnz[j], static_cast<double>(ui + wj)) +
               cell_scan;
           const double sd_cell =
               consts.ts * static_cast<double>(v) * wj +

@@ -71,42 +71,9 @@ double TimePerCall(const Fn& fn, double min_sec = 5e-3, int max_reps = 256) {
   return std::max(t.Seconds(), 1e-9) / reps;
 }
 
-// The dense blocks' operands for a p x p x p product: random 0/1 p x p
-// matrices at density 0.5, as A's bit rows and B^T's.
-struct BitOperands {
-  explicit BitOperands(uint32_t p)
-      : a(BitRows::FromRows(
-            CsrMatrix::FromDense(RandomDenseMatrix(p, p, 0.5, 41 + p)))),
-        bt(BitRows::FromColumns(
-            CsrMatrix::FromDense(RandomDenseMatrix(p, p, 0.5, 43 + p)))) {}
-  BitRows a;
-  BitRows bt;
-};
-
-// Seconds per whole bit-count product of ops, its rows split into `cores`
-// row bands the way the executor's chunks split a heavy product.
-double TimeBitCount(const BitOperands& ops, int cores) {
-  const size_t rows = ops.a.rows();
-  const size_t cols = ops.bt.rows();
-  std::vector<float> c(rows * cols);
-  const std::span<float> out(c);
-  return TimePerCall([&] {
-    ParallelFor(cores, rows, [&](size_t r0, size_t r1, int) {
-      BitCountRowRange(ops.a, ops.bt, r0, r1, 0, cols,
-                       out.subspan(r0 * cols, (r1 - r0) * cols));
-    });
-  });
-}
-
 // The inner dimension in whole 64-bit words, the unit of the bit-count
 // kernel's cost: a 70-wide inner dimension costs what a 128-wide one does.
 double WordBits(uint64_t v) { return static_cast<double>((v + 63) / 64 * 64); }
-
-// The flops a float GEMM would spend on a p x p x p product, with the
-// inner dimension in whole words: the unit both calibrations store.
-double DenseEquivalentFlops(uint32_t p) {
-  return 2.0 * static_cast<double>(p) * WordBits(p) * static_cast<double>(p);
-}
 
 double InterpolateRate(const std::vector<SparseKernelRates::Anchor>& anchors,
                        double density,
@@ -160,12 +127,13 @@ SparseKernelRates SparseKernelRates::Measure(
     }
     rates.anchors.push_back(anchor);
   }
-  {
-    // Dense anchor for the dispatch, at a modest dim and on one core.
-    const uint32_t p = std::min<uint32_t>(dim, 512);
-    rates.dense_flops_per_sec =
-        DenseEquivalentFlops(p) / TimeBitCount(BitOperands(p), 1);
-  }
+  // The dense anchor is M̂'s 1-core 512^3 timing, not a second
+  // measurement, so the dispatcher and the optimizer price the bit count
+  // at one rate.
+  constexpr uint32_t p = 512;
+  rates.dense_flops_per_sec =
+      2.0 * std::pow(static_cast<double>(p), 3.0) /
+      MatMulCalibration::Default().EstimateSeconds(p, p, p, 1);
   return rates;
 }
 
@@ -222,10 +190,26 @@ MatMulCalibration MatMulCalibration::Measure(
   cal.cores_ = cores;
   cal.entries_.resize(cores.size());
   for (uint32_t p : dims) {
-    const BitOperands ops(p);
-    const double dim = std::cbrt(DenseEquivalentFlops(p) / 2.0);
+    // Whole words, so the timed product is the p x p x p it is filed under.
+    JPMM_CHECK(p > 0 && p % 64 == 0);
+    // The dense blocks' operands, built once per dim: random 0/1 p x p
+    // matrices at density 0.5, as A's bit rows and B^T's.
+    const BitRows a = BitRows::FromRows(
+        CsrMatrix::FromDense(RandomDenseMatrix(p, p, 0.5, 41 + p)));
+    const BitRows bt = BitRows::FromColumns(
+        CsrMatrix::FromDense(RandomDenseMatrix(p, p, 0.5, 43 + p)));
+    std::vector<float> c(static_cast<size_t>(p) * p);
+    const std::span<float> out(c);
     for (size_t ci = 0; ci < cores.size(); ++ci) {
-      cal.entries_[ci].push_back(Entry{dim, TimeBitCount(ops, cores[ci])});
+      // The rows split into cores[ci] row bands the way the executor's
+      // chunks split a heavy product.
+      const double sec = TimePerCall([&] {
+        ParallelFor(cores[ci], p, [&](size_t r0, size_t r1, int) {
+          BitCountRowRange(a, bt, r0, r1, 0, p,
+                           out.subspan(r0 * p, (r1 - r0) * p));
+        });
+      });
+      cal.entries_[ci].push_back(Entry{p, sec});
     }
   }
   return cal;
@@ -241,8 +225,8 @@ MatMulCalibration MatMulCalibration::FromFlopsRate(
   for (size_t ci = 0; ci < cores.size(); ++ci) {
     for (uint32_t p : {256u, 512u, 1024u, 2048u}) {
       const double ops = 2.0 * std::pow(static_cast<double>(p), 3.0);
-      cal.entries_[ci].push_back(Entry{static_cast<double>(p),
-                                       ops / (flops_per_second * cores[ci])});
+      cal.entries_[ci].push_back(
+          Entry{p, ops / (flops_per_second * cores[ci])});
     }
   }
   return cal;
@@ -335,7 +319,7 @@ double MatMulCalibration::single_core_flops() const {
     if (cores_[ci] == 1) one = ci;
   }
   const Entry& e = entries_[one].back();
-  return 2.0 * std::pow(e.dim, 3.0) / e.seconds;
+  return 2.0 * std::pow(static_cast<double>(e.dim), 3.0) / e.seconds;
 }
 
 const MatMulCalibration& MatMulCalibration::Default() {

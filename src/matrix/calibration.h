@@ -39,11 +39,12 @@ struct SystemConstants {
 /// rate is density-dependent — at low density the saxpy is latency-bound on
 /// short rows, at high density it streams — so rates are anchored at 2-3
 /// densities and queried by log-density interpolation. dense_flops_per_sec
-/// is the dense kernel's anchor measured alongside — the bit-packed
-/// AND-popcount product (matrix/bit_rows.h) on a p x p product, stored as
-/// dense-equivalent flops/s (2 p^3 / seconds) — so the per-block
-/// dense-vs-CSR dispatch (core/heavy_dispatch.h) compares kernels measured
-/// on the same machine in the same process.
+/// is the dense kernel's rate — the bit-packed AND-popcount product
+/// (matrix/bit_rows.h) as dense-equivalent flops/s (2 p^3 / seconds),
+/// read from MatMulCalibration::Default()'s 1-core 512^3 anchor — so the
+/// per-block dense-vs-CSR dispatch (core/heavy_dispatch.h) compares kernels
+/// measured on the same machine in the same process, and prices the dense
+/// kernel at the rate the optimizer's M̂ does.
 struct SparseKernelRates {
   struct Anchor {
     double density;
@@ -53,8 +54,8 @@ struct SparseKernelRates {
   std::vector<Anchor> anchors;       // ascending density
   double dense_flops_per_sec = 1e9;  // bit-count anchor, dense-equivalent
 
-  /// Times the sparse kernels on dim x dim operands at each density, and
-  /// the dense (bit-count) kernel once (min(dim, 512) cubed).
+  /// Times the sparse kernels on dim x dim operands at each density; the
+  /// dense rate comes from MatMulCalibration::Default().
   static SparseKernelRates Measure(
       uint32_t dim = 1024, const std::vector<double>& densities = {1e-3, 1e-2,
                                                                    1e-1});
@@ -88,7 +89,7 @@ class MatMulCalibration {
  public:
   /// Times the bit-count kernel on square p x p products for each p in dims
   /// and each core count in cores, the rows split into that many row bands.
-  /// dims must be ascending.
+  /// dims must be ascending multiples of 64 (whole words).
   static MatMulCalibration Measure(const std::vector<uint32_t>& dims,
                                    const std::vector<int>& cores);
 
@@ -119,7 +120,7 @@ class MatMulCalibration {
 
  private:
   struct Entry {
-    double dim;  // (p * V * p)^(1/3) of the timed product
+    uint32_t dim;
     double seconds;
   };
   // entries_[c] = timings for cores_[c], ascending dim.

@@ -52,6 +52,9 @@ class Matrix {
   /// Bytes of payload (for memory accounting).
   size_t SizeBytes() const { return data_.size() * sizeof(float); }
 
+  /// Returns the transpose.
+  Matrix Transposed() const;
+
   friend bool operator==(const Matrix& a, const Matrix& b) {
     return a.rows_ == b.rows_ && a.cols_ == b.cols_ && a.data_ == b.data_;
   }

@@ -346,14 +346,19 @@ TEST(KernelPropertyIsa, RowCompactionMatchesScalarOracle) {
 
 // ---- Aligned allocation layer --------------------------------------------
 
-TEST(AlignedBuffer, VectorIs64ByteAligned) {
+TEST(AlignedBuffer, VmallocAndVectorAre64ByteAligned) {
   for (size_t n : {1u, 7u, 63u, 64u, 1000u, 100001u}) {
+    const auto buf = vmalloc<float>(n);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(buf.data()) % kDefaultSlabAlign, 0u)
+        << "vmalloc n=" << n;
+    for (size_t i = 0; i < n; ++i) ASSERT_EQ(buf.data()[i], 0.0f);  // value-init
+
     AlignedVector<float> v(n, 1.0f);
     EXPECT_EQ(reinterpret_cast<uintptr_t>(v.data()) % kDefaultSlabAlign, 0u)
         << "vector n=" << n;
   }
   // Wider alignment on request.
-  const AlignedVector<uint64_t, 4096> wide(17);
+  const auto wide = vmalloc<uint64_t, 4096>(17);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(wide.data()) % 4096, 0u);
 }
 

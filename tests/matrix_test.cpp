@@ -4,6 +4,7 @@
 
 #include "matrix/calibration.h"
 #include "matrix/dense_matrix.h"
+#include "matrix/random.h"
 
 namespace jpmm {
 namespace {
@@ -15,6 +16,14 @@ TEST(DenseMatrix, SetAtRow) {
   EXPECT_FLOAT_EQ(m.At(0, 0), 0.0f);
   EXPECT_EQ(m.Row(1).size(), 3u);
   EXPECT_FLOAT_EQ(m.Row(1)[2], 5.0f);
+}
+
+TEST(DenseMatrix, TransposedRoundTrip) {
+  Matrix m = RandomDenseMatrix(37, 53, 0.3, 1);
+  Matrix t = m.Transposed();
+  ASSERT_EQ(t.rows(), 53u);
+  ASSERT_EQ(t.cols(), 37u);
+  EXPECT_EQ(t.Transposed(), m);
 }
 
 TEST(Calibration, SyntheticTableInterpolates) {
@@ -62,7 +71,7 @@ TEST(Calibration, ZeroDimensionIsFree) {
 }
 
 TEST(Calibration, MeasureProducesPositiveTimes) {
-  auto cal = MatMulCalibration::Measure({32, 64}, {1});
+  auto cal = MatMulCalibration::Measure({64, 128}, {1});
   EXPECT_GT(cal.EstimateSeconds(48, 48, 48, 1), 0.0);
   EXPECT_GT(cal.single_core_flops(), 0.0);
 }
