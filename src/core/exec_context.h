@@ -85,6 +85,9 @@ struct LightRun {
   /// planned work of the run, light or heavy. A token that fires after the
   /// last unit completed leaves it false: the output is complete.
   bool interrupted = false;
+  /// True iff the run counted each pair of a self join once and emitted it
+  /// both ways (WCOJ-full on one snapshot, WcojFullJoinProject).
+  bool mirrored = false;
 };
 
 /// The early-exit policy of one chunk loop, shared by its workers. Before

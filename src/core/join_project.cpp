@@ -1,6 +1,7 @@
 #include "core/join_project.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -40,6 +41,10 @@ LightRun WcojFullJoinProject(const IndexedRelation& r, const IndexedRelation& s,
   sink->Open(threads);
   internal::PairEmitters emitters(*sink, threads, s.num_x());
   ChunkGate gate(sink, cancel);
+  // A self join's witness counts are symmetric, so each pair is counted
+  // from its smaller head only: y's sorted x list holds a itself and is
+  // scanned from a on.
+  const bool mirror = &r == &s;
 
   // Dynamic chunking over the (possibly zipf-skewed) x domain: a hub-heavy
   // contiguous chunk no longer pins one worker (see mm_join.cpp).
@@ -53,14 +58,20 @@ LightRun WcojFullJoinProject(const IndexedRelation& r, const IndexedRelation& s,
       if (r.DegX(av) == 0) continue;
       em.BeginHead();
       for (Value b : r.YsOf(av)) {
-        for (Value c : s.XsOf(b)) em.Add(c, 1);
+        const std::span<const Value> cs = s.XsOf(b);
+        auto c = mirror ? std::lower_bound(cs.begin(), cs.end(), av)
+                        : cs.begin();
+        for (; c != cs.end(); ++c) em.Add(*c, 1);
       }
-      em.EmitTouched(av, count_witnesses, min_count);
+      em.EmitTouched(av, count_witnesses, min_count,
+                     [&](Value c) { return mirror && c != av ? 2 : 1; });
     }
     em.Flush();
   });
   sink->Finish();
-  return gate.Record((r.num_x() + kGrain - 1) / kGrain);
+  LightRun run = gate.Record((r.num_x() + kGrain - 1) / kGrain);
+  run.mirrored = mirror;
+  return run;
 }
 
 RunRecord RunTwoPath(const IndexedRelation& r, const IndexedRelation& s,

@@ -54,7 +54,11 @@ RunRecord RunTwoPath(const IndexedRelation& r, const IndexedRelation& s,
 
 /// Full-join + stamp-set dedup reference evaluation (Prop. 1) into `sink`,
 /// which must be non-null; its done() stops the scan early (the skipped
-/// x-domain chunks are recorded in light_chunks_skipped).
+/// x-domain chunks are recorded in light_chunks_skipped). A self join
+/// (&r == &s) is mirrored: head a counts only the z's from a on, emits
+/// (a, a) once and, for each c > a, (a, c) and (c, a) from the one count,
+/// and the record says `mirrored`. The answer is the same set, in another
+/// arrival order. Two snapshots of the same data run unmirrored.
 LightRun WcojFullJoinProject(const IndexedRelation& r, const IndexedRelation& s,
                              bool count_witnesses, uint32_t min_count,
                              int threads, ResultSink* sink,

@@ -59,6 +59,27 @@ class alignas(64) PairEmitter {
     EmitTouched(a, count_witnesses, min_count, [](Value) { return 1; });
   }
 
+  /// EmitTouched, where side(c) says how to emit a qualifying c: 0 drops
+  /// it, 1 emits (a, c), 2 emits (a, c) and (c, a) from the one count (the
+  /// self join's mirror: its witness counts are symmetric).
+  template <typename Side>
+  void EmitTouched(Value a, bool count_witnesses, uint32_t min_count,
+                   Side side) {
+    for (Value c : touched_) {
+      const uint32_t cnt = counter_.Get(c);
+      if (cnt < min_count) continue;
+      const int n = side(c);
+      if (n == 0) continue;
+      if (count_witnesses) {
+        Push(&counted_, &n_counted_, CountedPair{a, c, cnt});
+        if (n == 2) Push(&counted_, &n_counted_, CountedPair{c, a, cnt});
+      } else {
+        Push(&pairs_, &n_pairs_, OutPair{a, c});
+        if (n == 2) Push(&pairs_, &n_pairs_, OutPair{c, a});
+      }
+    }
+  }
+
   /// Emits all pairs of head value a, whose light witnesses Add() has
   /// counted and whose all-heavy witness counts are `row`: cell col of the
   /// row counts z value part.heavy_z()[col]. The row's nonzero cells are
@@ -81,26 +102,6 @@ class alignas(64) PairEmitter {
   }
 
  private:
-  // EmitTouched, where side(c) says how to emit c: 0 drops it, 1 emits
-  // (a, c), 2 emits (a, c) and (c, a) from the one count (the self join's
-  // mirror).
-  template <typename Side>
-  void EmitTouched(Value a, bool count_witnesses, uint32_t min_count,
-                   Side side) {
-    for (Value c : touched_) {
-      const uint32_t cnt = counter_.Get(c);
-      if (cnt < min_count) continue;
-      const int n = side(c);
-      if (n == 0) continue;
-      if (count_witnesses) {
-        Push(&counted_, &n_counted_, CountedPair{a, c, cnt});
-        if (n == 2) Push(&counted_, &n_counted_, CountedPair{c, a, cnt});
-      } else {
-        Push(&pairs_, &n_pairs_, OutPair{a, c});
-        if (n == 2) Push(&pairs_, &n_pairs_, OutPair{c, a});
-      }
-    }
-  }
   template <typename T>
   void Push(std::vector<T>* buf, size_t* n, const T& v) {
     (*buf)[(*n)++] = v;

@@ -1,12 +1,14 @@
 // Unit tests for src/join: intersection kernels, full-join baselines, star
-// WCOJ enumeration, TupleBuffer; and the span delivery of the two-path
-// executors (MM, Non-MM, WCOJ full join) into a ResultSink.
+// WCOJ enumeration, TupleBuffer; the span delivery of the two-path
+// executors (MM, Non-MM, WCOJ full join) into a ResultSink; and the WCOJ
+// full join's self-join mirror against brute force.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -481,6 +483,124 @@ TEST(SpanDelivery, SetJoinsDeliverOnlySpans) {
         EXPECT_EQ(sink.Collected(), *c.want) << where;
       }
     }
+  }
+}
+
+// ---- The WCOJ-full self-join mirror ---------------------------------------
+
+// Self joins for the mirror: a skewed relation with a hub y that every
+// third x joins and an x (5) with no tuples below the largest x, over three
+// 256-value chunks of the x domain; and a single tuple.
+std::vector<std::pair<std::string, BinaryRelation>> MirrorInstances() {
+  const BinaryRelation base = RandomRelation(600, 80, 2000, 1.0, 41);
+  BinaryRelation skewed;
+  for (const Tuple& t : base.tuples()) {
+    if (t.x != 5) skewed.Add(t.x, t.y);
+  }
+  for (Value x = 0; x < 600; x += 3) skewed.Add(x, 80);
+  skewed.Finalize();
+  BinaryRelation single;
+  single.Add(3, 4);
+  single.Finalize();
+  return {{"skewed", std::move(skewed)}, {"single", std::move(single)}};
+}
+
+// The distinct (x, z) keys among results, to tell a pair that arrived
+// twice.
+size_t DistinctKeys(std::span<const OutPair> pairs,
+                    std::span<const CountedPair> counted) {
+  std::set<std::pair<Value, Value>> keys;
+  for (const OutPair& p : pairs) keys.insert({p.x, p.z});
+  for (const CountedPair& p : counted) keys.insert({p.x, p.z});
+  return keys.size();
+}
+
+// One snapshot on both sides runs mirrored. Plain and counted, min_count
+// 1-3, threads 1, 3 and 4: the answer is the brute-force one, no pair
+// arrives twice, and two snapshots of the same data, which run unmirrored,
+// give the same answer.
+TEST(WcojFull, SelfJoinMirrorMatchesBruteForce) {
+  for (const auto& [name, rel] : MirrorInstances()) {
+    const IndexedRelation idx(rel);
+    const IndexedRelation copy(rel);
+    struct Output {
+      bool counted;
+      uint32_t min_count;
+    };
+    for (const Output out : {Output{false, 1}, Output{true, 1},
+                             Output{true, 2}, Output{true, 3}}) {
+      SortedOutput want;
+      if (out.counted) {
+        want.counted = OracleTwoPathCounted(rel, rel, out.min_count);
+      } else {
+        want.pairs = OracleTwoPath(rel, rel);
+      }
+      for (int threads : {1, 3, 4}) {
+        const std::string where =
+            name + " counted=" + std::to_string(out.counted) +
+            " min_count=" + std::to_string(out.min_count) + " t" +
+            std::to_string(threads);
+        VectorSink sink;
+        const LightRun run = WcojFullJoinProject(
+            idx, idx, out.counted, out.min_count, threads, &sink);
+        EXPECT_TRUE(run.mirrored) << where;
+        EXPECT_EQ(DistinctKeys(sink.pairs(), sink.counted()), sink.size())
+            << where;
+        EXPECT_EQ(SortedOutput(sink), want) << where;
+
+        VectorSink two;
+        EXPECT_FALSE(WcojFullJoinProject(idx, copy, out.counted,
+                                         out.min_count, threads, &two)
+                         .mirrored)
+            << where;
+        EXPECT_EQ(SortedOutput(two), want) << where;
+      }
+    }
+  }
+}
+
+// The mirror under early exit: a page of k = 1 or 7 ends inside a head's
+// mirrored pairs and k = 4097 one past a span, yet the page holds exactly
+// min(k, |OUT|) distinct members of the answer; at one thread the small
+// pages skip the later chunks. A token fired before the run still reports
+// interrupted.
+TEST(WcojFull, SelfJoinMirrorStopsEarly) {
+  const BinaryRelation rel = MirrorInstances()[0].second;
+  const IndexedRelation idx(rel);
+  const std::vector<OutPair> all = OracleTwoPath(rel, rel);
+  ASSERT_GT(all.size(), internal::PairEmitter::kFlushAt + 1);
+  for (uint64_t k : {uint64_t{1}, uint64_t{7}, uint64_t{4097}}) {
+    for (int threads : {1, 4}) {
+      const std::string where =
+          "k=" + std::to_string(k) + " t" + std::to_string(threads);
+      PageSink sink(0, k);
+      const LightRun run =
+          WcojFullJoinProject(idx, idx, /*count_witnesses=*/false,
+                              /*min_count=*/1, threads, &sink);
+      EXPECT_TRUE(run.mirrored) << where;
+      EXPECT_EQ(sink.size(), std::min<uint64_t>(k, all.size())) << where;
+      EXPECT_EQ(DistinctKeys(sink.pairs(), {}), sink.size()) << where;
+      for (const OutPair& p : sink.pairs()) {
+        EXPECT_TRUE(std::binary_search(all.begin(), all.end(), p)) << where;
+      }
+      EXPECT_EQ(run.light_chunks_executed + run.light_chunks_skipped,
+                run.light_chunks_total)
+          << where;
+      if (threads == 1 && k < internal::PairEmitter::kFlushAt) {
+        EXPECT_GT(run.light_chunks_skipped, 0u) << where;
+      }
+    }
+  }
+  CancelToken fired;
+  fired.RequestCancel();
+  for (int threads : {1, 4}) {
+    VectorSink sink;
+    const LightRun run =
+        WcojFullJoinProject(idx, idx, /*count_witnesses=*/false,
+                            /*min_count=*/1, threads, &sink, &fired);
+    EXPECT_TRUE(run.interrupted) << threads;
+    EXPECT_EQ(run.light_chunks_executed, 0u) << threads;
+    EXPECT_EQ(sink.size(), 0u) << threads;
   }
 }
 

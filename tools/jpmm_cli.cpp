@@ -72,7 +72,8 @@
 //   --threads N       worker threads (default 1)
 //   --explain         print per-product-block kernel choices (dense / CSR),
 //                     measured heavy-part density, plan-cache hit/miss,
-//                     and blocks skipped by early exit (twopath, star)
+//                     blocks skipped by early exit (twopath, star) and a
+//                     WCOJ-full self join's mirror (twopath)
 //   --heavy-path P    auto|dense|csr-dense|csr-csr kernel override
 //                     (twopath, star, triangles)
 //   --partition P     auto|off|force: density-adaptive heavy-product
@@ -807,6 +808,7 @@ int RunTwoPath(const Args& args, BinaryRelation rel) {
   if (args.Has("explain")) {
     PrintIsaLine();
     PrintHeavyRun(stats);
+    if (stats.mirrored) std::printf("symmetric: mirrored wcoj-full\n");
   }
   return 0;
 }
