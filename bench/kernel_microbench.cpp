@@ -10,6 +10,8 @@
 //           block shapes, under the active dispatch level (JPMM_ISA);
 //   heavy-row emit : the two-path's bulk emit of a chunk's float rows into
 //           pairs (PairEmitter::EmitHeavyHead), plain and mirrored;
+//   wcoj-full mirror : the WCOJ full join's mirrored self-join loop on
+//           DBLP@0.1 at one thread, in results/s;
 //   metrics overhead : the same instrumented join executed with metrics on
 //           vs JPMM_METRICS=off in one process; the overhead_pct counter is
 //           the observability acceptance row (CI asserts < 2%).
@@ -36,6 +38,7 @@
 #include "common/metrics.h"
 #include "core/density_partition.h"
 #include "core/heavy_product.h"
+#include "core/join_project.h"
 #include "core/query_engine.h"
 #include "core/result_sink.h"
 #include "core/two_path_internal.h"
@@ -248,6 +251,37 @@ void BM_EmitHeavyRow(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate);
 }
 
+// The WCOJ full join of a DBLP@0.1 self join (WcojFullJoinProject) at one
+// thread into a CountOnlySink: the mirrored loop, which counts each pair
+// once from its smaller head, scanning y's x list from each tuple's stored
+// twin position. The setup checks its pairs against the unmirrored loop
+// over a second snapshot of the same data.
+void BM_WcojFullMirror(benchmark::State& state) {
+  const BinaryRelation rel =
+      MakePreset(DatasetPreset::kDblp, 0.1 * ScaleFromEnv(), 42);
+  const IndexedRelation index(rel);
+  const IndexedRelation copy(rel);
+  VectorSink mirrored, direct;
+  JPMM_CHECK(WcojFullJoinProject(index, index, /*count_witnesses=*/false,
+                                 /*min_count=*/1, /*threads=*/1, &mirrored)
+                 .mirrored);
+  WcojFullJoinProject(index, copy, false, 1, 1, &direct);
+  std::vector<OutPair> got = mirrored.pairs();
+  std::vector<OutPair> want = direct.pairs();
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  JPMM_CHECK_MSG(got == want, "mirrored WCOJ differs from the direct loop");
+  for (auto _ : state) {
+    CountOnlySink sink;
+    WcojFullJoinProject(index, index, false, 1, 1, &sink);
+    benchmark::DoNotOptimize(sink.count());
+  }
+  state.counters["pairs"] = static_cast<double>(want.size());
+  state.counters["results_per_s"] =
+      benchmark::Counter(static_cast<double>(want.size()),
+                         benchmark::Counter::kIsIterationInvariantRate);
+}
+
 // Measures SparseKernelRates and bisects the density where the modeled
 // dense (bit-count) time equals the modeled CSR x dense time at this dim —
 // the machine's dense/sparse crossover, emitted into the bench JSON for
@@ -364,6 +398,7 @@ BENCHMARK(BM_EmitHeavyRow)
     ->Args({140000, 0})
     ->Args({140000, 1})
     ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_WcojFullMirror)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SparseCrossover)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_MetricsOverhead)

@@ -1,7 +1,6 @@
 #include "core/join_project.h"
 
 #include <algorithm>
-#include <span>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -42,9 +41,12 @@ LightRun WcojFullJoinProject(const IndexedRelation& r, const IndexedRelation& s,
   internal::PairEmitters emitters(*sink, threads, s.num_x());
   ChunkGate gate(sink, cancel);
   // A self join's witness counts are symmetric, so each pair is counted
-  // from its smaller head only: y's sorted x list holds a itself and is
-  // scanned from a on.
+  // from its smaller head only: tuple (a, b) scans y=b's sorted x list
+  // from a on, starting at the tuple's stored twin position.
   const bool mirror = &r == &s;
+  // How many tuples ahead the mirror prefetches a list start (16 measured
+  // best on DBLP).
+  constexpr uint32_t kLookahead = 16;
 
   // Dynamic chunking over the (possibly zipf-skewed) x domain: a hub-heavy
   // contiguous chunk no longer pins one worker (see mm_join.cpp).
@@ -53,15 +55,24 @@ LightRun WcojFullJoinProject(const IndexedRelation& r, const IndexedRelation& s,
                      [&](size_t a0, size_t a1, int w) {
     if (!gate.Claim()) return;
     internal::PairEmitter& em = emitters[w];
+    // The mirror walks the chunk's tuples as one sequence, so the
+    // lookahead runs on across heads up to the chunk's last tuple.
+    const uint32_t t_end = r.XBegin(static_cast<Value>(a1));
     for (size_t a = a0; a < a1; ++a) {
       const auto av = static_cast<Value>(a);
       if (r.DegX(av) == 0) continue;
       em.BeginHead();
-      for (Value b : r.YsOf(av)) {
-        const std::span<const Value> cs = s.XsOf(b);
-        auto c = mirror ? std::lower_bound(cs.begin(), cs.end(), av)
-                        : cs.begin();
-        for (; c != cs.end(); ++c) em.Add(*c, 1);
+      if (mirror) {
+        for (uint32_t t = r.XBegin(av), t1 = r.XBegin(av + 1); t < t1; ++t) {
+          if (t + kLookahead < t_end) {
+            __builtin_prefetch(r.XsFromTwin(t + kLookahead).data());
+          }
+          for (Value c : r.XsFromTwin(t)) em.Add(c, 1);
+        }
+      } else {
+        for (Value b : r.YsOf(av)) {
+          for (Value c : s.XsOf(b)) em.Add(c, 1);
+        }
       }
       em.EmitTouched(av, count_witnesses, min_count,
                      [&](Value c) { return mirror && c != av ? 2 : 1; });

@@ -57,8 +57,11 @@ RunRecord RunTwoPath(const IndexedRelation& r, const IndexedRelation& s,
 /// x-domain chunks are recorded in light_chunks_skipped). A self join
 /// (&r == &s) is mirrored: head a counts only the z's from a on, emits
 /// (a, a) once and, for each c > a, (a, c) and (c, a) from the one count,
-/// and the record says `mirrored`. The answer is the same set, in another
-/// arrival order. Two snapshots of the same data run unmirrored.
+/// and the record says `mirrored`. Each tuple (a, b) reads y=b's x's from
+/// a on at its stored twin position (IndexedRelation::XsFromTwin), with no
+/// search, and prefetches the list start of the tuple a fixed distance
+/// ahead in the chunk. The answer is the same set, in another arrival
+/// order. Two snapshots of the same data run unmirrored.
 LightRun WcojFullJoinProject(const IndexedRelation& r, const IndexedRelation& s,
                              bool count_witnesses, uint32_t min_count,
                              int threads, ResultSink* sink,

@@ -23,14 +23,22 @@ IndexedRelation::IndexedRelation(const BinaryRelation& rel) {
 
   x_neighbors_.resize(num_tuples_);
   y_neighbors_.resize(num_tuples_);
-  std::vector<uint32_t> x_fill(x_offsets_.begin(), x_offsets_.end() - 1);
+  twin_.resize(num_tuples_);
   std::vector<uint32_t> y_fill(y_offsets_.begin(), y_offsets_.end() - 1);
-  // Tuples are sorted by (x, y): the x-direction fills in sorted order, and
-  // the y-direction receives x values in increasing order per y bucket.
-  for (const Tuple& t : rel.tuples()) {
-    x_neighbors_[x_fill[t.x]++] = t.y;
+  // Tuples are sorted by (x, y): the x-direction is their order, and the
+  // y-direction receives x values in increasing order per y bucket.
+  for (size_t i = 0; i < num_tuples_; ++i) {
+    const Tuple& t = rel.tuples()[i];
+    x_neighbors_[i] = t.y;
+    twin_[i] = y_fill[t.y];
     y_neighbors_[y_fill[t.y]++] = t.x;
   }
+}
+
+size_t IndexedRelation::Bytes() const {
+  return sizeof(uint32_t) * (x_offsets_.size() + y_offsets_.size() +
+                             twin_.size()) +
+         sizeof(Value) * (x_neighbors_.size() + y_neighbors_.size());
 }
 
 bool IndexedRelation::Contains(Value a, Value b) const {

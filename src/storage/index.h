@@ -4,6 +4,11 @@
 // relation indexed on every variable — by x (key x, sorted y-list) and by y
 // (key y, sorted x-list). Building both is O(|D| log |D|); all join
 // algorithms in jpmm consume this form.
+//
+// Each tuple takes 12 bytes: its y in the x-direction, its x in the
+// y-direction, and its twin position — where its x sits in the
+// y-direction, recorded at build time so a self join's mirrored scan
+// starts there without a search.
 
 #ifndef JPMM_STORAGE_INDEX_H_
 #define JPMM_STORAGE_INDEX_H_
@@ -53,6 +58,20 @@ class IndexedRelation {
     return b >= num_y_ ? 0 : y_offsets_[b + 1] - y_offsets_[b];
   }
 
+  /// Number of x-value a's first tuple in (x, y) order: YsOf(a)[k] is the
+  /// y of tuple XBegin(a) + k. XBegin(num_x()) is num_tuples().
+  uint32_t XBegin(Value a) const { return x_offsets_[a]; }
+
+  /// The x's from a on in XsOf(b), for tuple t = (a, b) in (x, y) order:
+  /// read from t's twin position, stored at build time, with no search.
+  std::span<const Value> XsFromTwin(uint32_t t) const {
+    const uint32_t end = y_offsets_[x_neighbors_[t] + 1];
+    return {y_neighbors_.data() + twin_[t], end - twin_[t]};
+  }
+
+  /// Bytes the index holds: offsets, neighbour lists and twin positions.
+  size_t Bytes() const;
+
   /// True iff tuple (a, b) is present (binary search on the y-list of a).
   bool Contains(Value a, Value b) const;
 
@@ -67,6 +86,8 @@ class IndexedRelation {
   std::vector<Value> x_neighbors_;   // y values, sorted per x
   std::vector<uint32_t> y_offsets_;  // size num_y + 1
   std::vector<Value> y_neighbors_;   // x values, sorted per y
+  std::vector<uint32_t> twin_;       // per tuple in (x, y) order: its
+                                     // index in y_neighbors_
 };
 
 /// Removes tuples that cannot contribute to the 2-path join

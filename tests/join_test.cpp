@@ -559,6 +559,53 @@ TEST(WcojFull, SelfJoinMirrorMatchesBruteForce) {
   }
 }
 
+// The mirror's flat walk over each chunk's tuples, with its prefetch
+// lookahead: a relation over more than three 256-head chunks with empty
+// heads at every chunk edge, and one with fewer tuples than the lookahead
+// distance. Plain and counted, threads 1, 3 and 4, against brute force.
+TEST(WcojFull, SelfJoinMirrorAcrossChunkEdges) {
+  const BinaryRelation base = RandomRelation(900, 60, 4000, 0.8, 53);
+  const std::set<Value> empty_heads = {0, 255, 256, 511, 512, 767, 768};
+  BinaryRelation edges;
+  for (const Tuple& t : base.tuples()) {
+    if (!empty_heads.contains(t.x)) edges.Add(t.x, t.y);
+  }
+  edges.Add(899, 7);
+  edges.Finalize();
+  ASSERT_EQ(edges.num_x(), 900u);
+  BinaryRelation tiny;  // 5 tuples, under the 16-tuple lookahead
+  for (const Tuple t : {Tuple{0, 1}, Tuple{1, 1}, Tuple{2, 1}, Tuple{3, 0},
+                        Tuple{3, 1}}) {
+    tiny.Add(t.x, t.y);
+  }
+  tiny.Finalize();
+  for (const auto& [name, rel] :
+       {std::pair<std::string, const BinaryRelation&>{"edges", edges},
+        {"tiny", tiny}}) {
+    const IndexedRelation idx(rel);
+    for (const bool counted : {false, true}) {
+      SortedOutput want;
+      if (counted) {
+        want.counted = OracleTwoPathCounted(rel, rel);
+      } else {
+        want.pairs = OracleTwoPath(rel, rel);
+      }
+      for (int threads : {1, 3, 4}) {
+        const std::string where = name + " counted=" +
+                                  std::to_string(counted) + " t" +
+                                  std::to_string(threads);
+        VectorSink sink;
+        const LightRun run = WcojFullJoinProject(
+            idx, idx, counted, /*min_count=*/1, threads, &sink);
+        EXPECT_TRUE(run.mirrored) << where;
+        EXPECT_EQ(DistinctKeys(sink.pairs(), sink.counted()), sink.size())
+            << where;
+        EXPECT_EQ(SortedOutput(sink), want) << where;
+      }
+    }
+  }
+}
+
 // The mirror under early exit: a page of k = 1 or 7 ends inside a head's
 // mirrored pairs and k = 4097 one past a span, yet the page holds exactly
 // min(k, |OUT|) distinct members of the answer; at one thread the small

@@ -115,6 +115,59 @@ TEST(IndexedRelation, AdjacencyListsAreSorted) {
   }
 }
 
+// Every tuple's twin position points back at its x inside its y's x list,
+// and the suffix read from it is exactly that list's x's from the tuple's
+// x on. Covers x's and y's with no tuples, a single tuple, a hub y that
+// every x joins and a random relation.
+TEST(IndexedRelation, TwinPositionsPointBack) {
+  BinaryRelation gaps;  // no tuples at x 1, 3-5 or at y 0, 2, 4-6
+  gaps.Add(0, 3);
+  gaps.Add(2, 1);
+  gaps.Add(2, 3);
+  gaps.Add(6, 1);
+  gaps.Add(6, 7);
+  gaps.Finalize();
+  BinaryRelation single;
+  single.Add(4, 9);
+  single.Finalize();
+  BinaryRelation hub = testutil::RandomRelation(90, 30, 400, 1.0, 19);
+  for (Value x = 0; x < 90; ++x) hub.Add(x, 30);
+  hub.Finalize();
+  BinaryRelation random = testutil::RandomRelation(300, 200, 2500, 0.7, 23);
+  for (const BinaryRelation* rel : {&gaps, &single, &hub, &random}) {
+    const IndexedRelation idx(*rel);
+    ASSERT_EQ(idx.XBegin(idx.num_x()), idx.num_tuples());
+    for (Value a = 0; a < idx.num_x(); ++a) {
+      const auto ys = idx.YsOf(a);
+      ASSERT_EQ(idx.XBegin(a + 1) - idx.XBegin(a), ys.size()) << a;
+      for (size_t k = 0; k < ys.size(); ++k) {
+        const auto xs = idx.XsOf(ys[k]);
+        const auto suffix =
+            idx.XsFromTwin(idx.XBegin(a) + static_cast<uint32_t>(k));
+        ASSERT_FALSE(suffix.empty()) << a << "," << ys[k];
+        EXPECT_EQ(suffix[0], a);
+        EXPECT_GE(suffix.data(), xs.data());
+        EXPECT_EQ(suffix.data() + suffix.size(), xs.data() + xs.size());
+        std::vector<Value> want;
+        for (Value x : xs) {
+          if (x >= a) want.push_back(x);
+        }
+        EXPECT_EQ(std::vector<Value>(suffix.begin(), suffix.end()), want)
+            << a << "," << ys[k];
+      }
+    }
+  }
+}
+
+// Offsets of both directions plus 12 bytes a tuple: its y, its x and its
+// twin position.
+TEST(IndexedRelation, BytesCountOffsetsAndTwelvePerTuple) {
+  const IndexedRelation idx(SmallRel());
+  EXPECT_EQ(idx.Bytes(), 4 * (idx.num_x() + 1 + idx.num_y() + 1) +
+                             12 * idx.num_tuples());
+  EXPECT_EQ(IndexedRelation().Bytes(), 0u);
+}
+
 TEST(SemijoinReduce, DropsDanglingTuples) {
   BinaryRelation r, s;
   r.Add(0, 1);

@@ -350,6 +350,8 @@ int RunStats(const Args& args, const BinaryRelation& rel) {
               static_cast<unsigned long long>(tp.full_join_size()),
               static_cast<double>(tp.full_join_size()) /
                   static_cast<double>(std::max<size_t>(1, rel.size())));
+  std::printf("index bytes: %zu (%.2f MB)\n", idx.Bytes(),
+              static_cast<double>(idx.Bytes()) / (1 << 20));
   return 0;
 }
 
